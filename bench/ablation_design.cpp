@@ -27,7 +27,6 @@ struct Variant
     bool freqForce;
     bool tauLegal;
     bool distance2;
-    bool flowRefine;
 };
 
 } // namespace
@@ -38,12 +37,11 @@ main()
     bench::banner("Ablation: QPlacer design choices (Aspen-M)");
 
     const Variant variants[] = {
-        {"full Qplacer", true, true, true, true},
-        {"- tau legalization", true, false, true, true},
-        {"- frequency force", false, true, true, true},
-        {"- distance-2 colours", true, true, false, true},
-        {"- flow refinement", true, true, true, false},
-        {"Classic (no freq awareness)", false, false, true, true},
+        {"full Qplacer", true, true, true},
+        {"- tau legalization", true, false, true},
+        {"- frequency force", false, true, true},
+        {"- distance-2 colours", true, true, false},
+        {"Classic (no freq awareness)", false, false, true},
     };
 
     const Topology topo = makeTopology("Aspen-M");
@@ -63,7 +61,6 @@ main()
         params.placer.freqForce = v.freqForce;
         params.legalizer.integrationParams.resonanceCheck = v.tauLegal;
         params.assigner.distance2 = v.distance2;
-        params.legalizer.flowRefine = v.flowRefine;
 
         const FlowResult r = QplacerFlow(params).run(topo);
         const double fidelity =

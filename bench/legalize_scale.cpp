@@ -4,15 +4,12 @@
  * legalization stack on octagon and grid devices up to 1000+ qubits,
  * comparing the reference occupancy probes (pre-bitset per-cell scans)
  * against the fast path (word-packed bitset + summary blocks +
- * skip-cursor spiral), and the dense exact min-cost-flow refinement
- * against the sparse k-nearest formulation.
+ * skip-cursor spiral).
  *
  * The probe comparison *gates* the determinism contract: both engines
  * must produce bitwise-identical layouts (exit 1 otherwise) -- the
  * speedup itself is gated in nightly CI from the CSV on the 1000+
- * qubit instances. The dense-vs-sparse flow comparison is reported
- * (runtime + displacement overhead) but not bitwise-gated: sparse is
- * an approximation by design.
+ * qubit instances.
  *
  * Environment overrides:
  *   QP_SEED  jitter seed for the synthetic global-placement input
@@ -90,8 +87,7 @@ run(int argc, char **argv)
     workloads.push_back({"grid32x32", makeGrid(32, 32)});
     workloads.push_back({"octagon12x12", makeOctagon(12, 12)});
 
-    banner("legalizer scaling: reference vs. bitset probes, "
-           "dense vs. sparse flow refine");
+    banner("legalizer scaling: reference vs. bitset probes");
 
     std::vector<std::vector<std::string>> rows;
     bool all_identical = true;
@@ -124,30 +120,11 @@ run(int argc, char **argv)
                     "%.2fx  bitwise-identical: %s\n",
                     ref.seconds, fast.seconds, speedup,
                     identical ? "yes" : "NO");
-        std::printf("  fast sub-stages: spiral %.2fs  flow %.2fs  "
-                    "tetris %.2fs  integration %.2fs\n",
+        std::printf("  fast sub-stages: spiral %.2fs  tetris %.2fs  "
+                    "integration %.2fs\n",
                     fast.result.spiralSeconds,
-                    fast.result.flowRefineSeconds,
                     fast.result.tetrisSeconds,
                     fast.result.integrationSeconds);
-
-        // --- Flow refine: dense exact vs. sparse k-nearest (fast
-        // probes both ways; displacement overhead is the price of the
-        // sparse approximation). ---
-        LegalizerParams dense_params = fast_params;
-        dense_params.flowSparseThreshold = 1 << 30;
-        const TimedRun dense = runLegalizer(input, dense_params);
-
-        LegalizerParams sparse_params = fast_params;
-        sparse_params.flowSparseThreshold = 0;
-        const TimedRun sparse = runLegalizer(input, sparse_params);
-
-        std::printf("  flow refine: dense %7.2fs  sparse %7.2fs  "
-                    "(qubit disp %.0f -> %.0f um)\n",
-                    dense.result.flowRefineSeconds,
-                    sparse.result.flowRefineSeconds,
-                    dense.result.qubitDisplacementUm,
-                    sparse.result.qubitDisplacementUm);
 
         rows.push_back(
             {CsvWriter::cell(wl.name),
@@ -161,25 +138,18 @@ run(int argc, char **argv)
              CsvWriter::cell(fast.result.qubitDisplacementUm),
              CsvWriter::cell(fast.result.segmentDisplacementUm),
              CsvWriter::cell(fast.result.spiralSeconds),
-             CsvWriter::cell(fast.result.flowRefineSeconds),
              CsvWriter::cell(fast.result.tetrisSeconds),
              CsvWriter::cell(fast.result.integrationSeconds),
              CsvWriter::cell(ref.result.spiralSeconds),
-             CsvWriter::cell(ref.result.tetrisSeconds),
-             CsvWriter::cell(dense.result.flowRefineSeconds),
-             CsvWriter::cell(sparse.result.flowRefineSeconds),
-             CsvWriter::cell(dense.result.qubitDisplacementUm),
-             CsvWriter::cell(sparse.result.qubitDisplacementUm)});
+             CsvWriter::cell(ref.result.tetrisSeconds)});
     }
 
     if (argc > 1) {
         CsvWriter csv(argv[1]);
         csv.header({"workload", "qubits", "cells", "ref_s", "fast_s",
                     "speedup", "identical", "qubit_disp_um",
-                    "segment_disp_um", "spiral_s", "flow_refine_s",
-                    "tetris_s", "integration_s", "ref_spiral_s",
-                    "ref_tetris_s", "flow_dense_s", "flow_sparse_s",
-                    "dense_qubit_disp_um", "sparse_qubit_disp_um"});
+                    "segment_disp_um", "spiral_s", "tetris_s",
+                    "integration_s", "ref_spiral_s", "ref_tetris_s"});
         for (const auto &row : rows)
             csv.row(row);
         std::printf("wrote %s\n", argv[1]);

@@ -4,8 +4,11 @@
 #
 #  1. Every key in kKnownSetKeys (src/pipeline/overrides.cpp, the
 #     single source of truth for --set / request "set" keys) must
-#     appear in BUILDING.md's knob table.
-#  2. The service documentation set must exist and be linked from
+#     appear in BUILDING.md's knob table, and every row of that table
+#     must name a key in kKnownSetKeys (no stale rows for removed
+#     knobs).
+#  2. Every qplacer_server flag must be documented in BUILDING.md.
+#  3. The service documentation set must exist and be linked from
 #     BUILDING.md.
 #
 # Run from the repository root: scripts/check_knob_docs.sh
@@ -40,6 +43,25 @@ while IFS= read -r key; do
     fi
 done <<<"$keys"
 echo "checked $count --set keys against $building"
+
+# The reverse direction: each row of the knob table (the section under
+# "## Flow parameter knobs") must name a live key.
+rows=$(awk '/^## Flow parameter knobs/{on=1; next} /^## /{on=0} on' \
+    "$building" | sed -n 's/^| `\([^`]*\)` |.*/\1/p')
+if [[ -z "$rows" ]]; then
+    echo "FAIL: could not extract the knob table from $building" >&2
+    exit 1
+fi
+count=0
+while IFS= read -r row; do
+    count=$((count + 1))
+    if ! grep -q -x -F "$row" <<<"$keys"; then
+        echo "FAIL: $building documents '$row', which is not in" \
+            "kKnownSetKeys" >&2
+        fail=1
+    fi
+done <<<"$rows"
+echo "checked $count knob table rows against $overrides"
 
 # Every qplacer_server CLI flag must be documented in BUILDING.md.
 server_main=tools/qplacer_server.cpp

@@ -90,63 +90,6 @@ SpatialHash::query(Vec2 center, double radius) const
 }
 
 std::vector<std::int32_t>
-SpatialHash::kNearest(Vec2 center, int k) const
-{
-    std::vector<std::int32_t> out;
-    if (k <= 0 || count_ == 0)
-        return out;
-
-    const int cx = std::clamp(
-        static_cast<int>((center.x - region_.lo.x) / cellSize_), 0,
-        nx_ - 1);
-    const int cy = std::clamp(
-        static_cast<int>((center.y - region_.lo.y) / cellSize_), 0,
-        ny_ - 1);
-
-    std::vector<std::pair<double, std::int32_t>> cand; // (distSq, id)
-    const int max_ring = std::max(nx_, ny_);
-    for (int d = 0; d <= max_ring; ++d) {
-        // Visit the ring of buckets at Chebyshev distance d.
-        for (int iy = cy - d; iy <= cy + d; ++iy) {
-            if (iy < 0 || iy >= ny_)
-                continue;
-            const bool edge_row = iy == cy - d || iy == cy + d;
-            const int step = edge_row ? 1 : 2 * d;
-            for (int ix = cx - d; ix <= cx + d;
-                 ix += step > 0 ? step : 1) {
-                if (ix < 0 || ix >= nx_)
-                    continue;
-                const auto &bucket =
-                    buckets_[static_cast<std::size_t>(iy) * nx_ + ix];
-                for (const Entry &e : bucket)
-                    cand.emplace_back((e.pos - center).normSq(), e.id);
-            }
-        }
-        if (cand.size() >= static_cast<std::size_t>(k)) {
-            // Any item in an unvisited bucket is at least d * cell
-            // away from the center; stop once the k-th best strictly
-            // beats that lower bound (strict: an unvisited item at
-            // exactly the bound could tie with a smaller id, and the
-            // contract breaks ties by ascending id).
-            std::nth_element(cand.begin(), cand.begin() + (k - 1),
-                             cand.end());
-            const double kth = cand[static_cast<std::size_t>(k - 1)].first;
-            const double bound = static_cast<double>(d) * cellSize_;
-            if (kth < bound * bound)
-                break;
-        }
-    }
-
-    const std::size_t keep =
-        std::min(cand.size(), static_cast<std::size_t>(k));
-    std::partial_sort(cand.begin(), cand.begin() + keep, cand.end());
-    out.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i)
-        out.push_back(cand[i].second);
-    return out;
-}
-
-std::vector<std::int32_t>
 SpatialHash::queryRect(const Rect &box) const
 {
     std::vector<std::int32_t> out;

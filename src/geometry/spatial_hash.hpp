@@ -42,17 +42,6 @@ class SpatialHash
     /** Ids of items whose position lies inside @p box. */
     std::vector<std::int32_t> queryRect(const Rect &box) const;
 
-    /**
-     * Ids of the @p k items nearest to @p center (Euclidean), nearest
-     * first, ties broken by ascending id -- deterministic for a fixed
-     * insertion set. Returns fewer than @p k ids when the hash holds
-     * fewer items. Expands bucket rings outward and stops as soon as
-     * the k-th best distance provably cannot improve, so the cost is
-     * O(neighbourhood), not O(items). Powers the sparse candidate
-     * edges of the min-cost-flow legalization refinement.
-     */
-    std::vector<std::int32_t> kNearest(Vec2 center, int k) const;
-
     /** Total number of stored items. */
     std::size_t size() const { return count_; }
 

@@ -4,13 +4,71 @@
 #include <numeric>
 
 #include "geometry/spatial_hash.hpp"
-#include "legal/flow_refine.hpp"
 #include "legal/spiral.hpp"
 #include "legal/tetris.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace qplacer {
+
+namespace {
+
+/**
+ * Stage 1: spiral-legalize @p qubits (ascending ids) central-first.
+ * When @p plan is given, each qubit stays inside the die its
+ * global-placement position falls in, so the spiral never moves it
+ * across a cut. Adds the summed qubit displacement to
+ * @p displacement_um; false if some qubit found no free site.
+ */
+bool
+spiralLegalizeQubits(Netlist &netlist, OccupancyGrid &grid,
+                     const DiePlan *plan, const std::vector<int> &qubits,
+                     double &displacement_um)
+{
+    const Vec2 center = netlist.region().center();
+    std::vector<Vec2> desired(qubits.size());
+    // Center distances precomputed once, not twice per comparison.
+    std::vector<double> center_dist(netlist.numQubits(), 0.0);
+    std::vector<int> die_of(plan ? netlist.numQubits() : 0, 0);
+    for (std::size_t i = 0; i < qubits.size(); ++i) {
+        const int q = qubits[i];
+        desired[i] = netlist.instance(q).pos;
+        center_dist[q] = desired[i].dist(center);
+        if (plan)
+            die_of[q] = plan->dieAt(desired[i]);
+    }
+    std::vector<int> order = qubits;
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+        if (center_dist[a] != center_dist[b])
+            return center_dist[a] < center_dist[b];
+        return a < b;
+    });
+
+    for (int q : order) {
+        Instance &inst = netlist.instance(q);
+        const double w = inst.paddedWidth();
+        const double h = inst.paddedHeight();
+        std::optional<Vec2> spot;
+        if (plan) {
+            const Rect die = plan->dies[die_of[q]].inflated(1e-6);
+            spot = spiralSearchFiltered(
+                grid, inst.pos, w, h, [&](Vec2 c) {
+                    return die.containsRect(Rect::fromCenter(c, w, h));
+                });
+        } else {
+            spot = spiralSearch(grid, inst.pos, w, h);
+        }
+        if (!spot)
+            return false;
+        inst.pos = *spot;
+        grid.occupy(Rect::fromCenter(*spot, w, h), q);
+    }
+    for (std::size_t i = 0; i < qubits.size(); ++i)
+        displacement_um += desired[i].dist(netlist.instance(qubits[i]).pos);
+    return true;
+}
+
+} // namespace
 
 Legalizer::Legalizer(LegalizerParams params)
     : params_(params)
@@ -38,97 +96,12 @@ Legalizer::attempt(Netlist &netlist, LegalizeResult &result,
 
     // --- Stage 1: qubits (greedy spiral, central-first order). ---
     Timer stage_timer;
-    const Vec2 center = netlist.region().center();
-    std::vector<int> qubit_order(netlist.numQubits());
-    std::iota(qubit_order.begin(), qubit_order.end(), 0);
-    // Center distances precomputed once: the comparator used to call
-    // Vec2::dist twice per invocation, ~2 N log N sqrt's per sort.
-    std::vector<double> center_dist(netlist.numQubits());
-    for (int q = 0; q < netlist.numQubits(); ++q)
-        center_dist[q] = netlist.instance(q).pos.dist(center);
-    std::sort(qubit_order.begin(), qubit_order.end(), [&](int a, int b) {
-        if (center_dist[a] != center_dist[b])
-            return center_dist[a] < center_dist[b];
-        return a < b;
-    });
-
-    std::vector<Vec2> desired(netlist.numQubits());
-    for (int q = 0; q < netlist.numQubits(); ++q)
-        desired[q] = netlist.instance(q).pos;
-
-    // The qubit's die is decided by its global-placement position; the
-    // spiral then never legalizes it across a cut.
-    std::vector<int> die_of;
-    if (multi) {
-        die_of.resize(netlist.numQubits());
-        for (int q = 0; q < netlist.numQubits(); ++q)
-            die_of[q] = plan.dieAt(desired[q]);
-    }
-
-    for (int q : qubit_order) {
-        Instance &inst = netlist.instance(q);
-        const double w = inst.paddedWidth();
-        const double h = inst.paddedHeight();
-        std::optional<Vec2> spot;
-        if (multi) {
-            const Rect die = plan.dies[die_of[q]].inflated(1e-6);
-            spot = spiralSearchFiltered(
-                grid, inst.pos, w, h, [&](Vec2 c) {
-                    return die.containsRect(Rect::fromCenter(c, w, h));
-                });
-        } else {
-            spot = spiralSearch(grid, inst.pos, w, h);
-        }
-        if (!spot)
-            return false;
-        inst.pos = *spot;
-        grid.occupy(Rect::fromCenter(*spot, w, h), q);
-    }
+    std::vector<int> qubits(netlist.numQubits());
+    std::iota(qubits.begin(), qubits.end(), 0);
+    if (!spiralLegalizeQubits(netlist, grid, multi ? &plan : nullptr,
+                              qubits, result.qubitDisplacementUm))
+        return false;
     result.spiralSeconds = stage_timer.seconds();
-
-    // --- Stage 1b: min-cost-flow refinement over the pooled sites. ---
-    // Multi-die pools per die: sites and demands of the same die only,
-    // so the assignment cannot migrate a qubit across a cut.
-    stage_timer.reset();
-    if (params_.flowRefine && netlist.numQubits() > 1) {
-        FlowRefineOptions options;
-        options.sparseThreshold = params_.flowSparseThreshold;
-        options.neighbors = params_.flowSparseNeighbors;
-        if (!multi) {
-            std::vector<Vec2> sites(netlist.numQubits());
-            for (int q = 0; q < netlist.numQubits(); ++q)
-                sites[q] = netlist.instance(q).pos;
-            const std::vector<int> assign =
-                refineAssignment(desired, sites, options);
-            for (int q = 0; q < netlist.numQubits(); ++q)
-                netlist.instance(q).pos = sites[assign[q]];
-        } else {
-            for (int d = 0; d < plan.spec.numDies(); ++d) {
-                std::vector<int> group;
-                for (int q = 0; q < netlist.numQubits(); ++q)
-                    if (die_of[q] == d)
-                        group.push_back(q);
-                if (group.size() < 2)
-                    continue;
-                std::vector<Vec2> want, sites;
-                want.reserve(group.size());
-                sites.reserve(group.size());
-                for (int q : group) {
-                    want.push_back(desired[q]);
-                    sites.push_back(netlist.instance(q).pos);
-                }
-                const std::vector<int> assign =
-                    refineAssignment(want, sites, options);
-                for (std::size_t i = 0; i < group.size(); ++i)
-                    netlist.instance(group[i]).pos = sites[assign[i]];
-            }
-        }
-    }
-    for (int q = 0; q < netlist.numQubits(); ++q) {
-        result.qubitDisplacementUm +=
-            desired[q].dist(netlist.instance(q).pos);
-    }
-    result.flowRefineSeconds = stage_timer.seconds();
 
     // --- Stage 2: segments (Tetris). ---
     if (cancel && cancel->cancelled()) {
@@ -216,101 +189,14 @@ Legalizer::attemptScoped(Netlist &netlist,
 
     // --- Stage 1: movable qubits (greedy spiral, central-first). ---
     Timer stage_timer;
-    const Vec2 center = netlist.region().center();
     std::vector<int> movable_qubits;
     for (int q = 0; q < netlist.numQubits(); ++q)
         if (is_movable[q])
             movable_qubits.push_back(q);
-
-    std::vector<double> center_dist(netlist.numQubits(), 0.0);
-    for (int q : movable_qubits)
-        center_dist[q] = netlist.instance(q).pos.dist(center);
-    std::vector<int> qubit_order = movable_qubits;
-    std::sort(qubit_order.begin(), qubit_order.end(), [&](int a, int b) {
-        if (center_dist[a] != center_dist[b])
-            return center_dist[a] < center_dist[b];
-        return a < b;
-    });
-
-    std::vector<Vec2> desired;
-    desired.reserve(movable_qubits.size());
-    for (int q : movable_qubits)
-        desired.push_back(netlist.instance(q).pos);
-
-    // Die assignment of each movable qubit, from its warm position.
-    std::vector<int> die_of;
-    if (multi) {
-        die_of.assign(netlist.numQubits(), 0);
-        for (int q : movable_qubits)
-            die_of[q] = plan.dieAt(netlist.instance(q).pos);
-    }
-
-    for (int q : qubit_order) {
-        Instance &inst = netlist.instance(q);
-        const double w = inst.paddedWidth();
-        const double h = inst.paddedHeight();
-        std::optional<Vec2> spot;
-        if (multi) {
-            const Rect die = plan.dies[die_of[q]].inflated(1e-6);
-            spot = spiralSearchFiltered(
-                grid, inst.pos, w, h, [&](Vec2 c) {
-                    return die.containsRect(Rect::fromCenter(c, w, h));
-                });
-        } else {
-            spot = spiralSearch(grid, inst.pos, w, h);
-        }
-        if (!spot)
-            return false;
-        inst.pos = *spot;
-        grid.occupy(Rect::fromCenter(*spot, w, h), q);
-    }
+    if (!spiralLegalizeQubits(netlist, grid, multi ? &plan : nullptr,
+                              movable_qubits, result.qubitDisplacementUm))
+        return false;
     result.spiralSeconds = stage_timer.seconds();
-
-    // --- Stage 1b: flow refinement over the movable sites only. ---
-    stage_timer.reset();
-    if (params_.flowRefine && movable_qubits.size() > 1) {
-        FlowRefineOptions options;
-        options.sparseThreshold = params_.flowSparseThreshold;
-        options.neighbors = params_.flowSparseNeighbors;
-        if (!multi) {
-            std::vector<Vec2> sites;
-            sites.reserve(movable_qubits.size());
-            for (int q : movable_qubits)
-                sites.push_back(netlist.instance(q).pos);
-            const std::vector<int> assign =
-                refineAssignment(desired, sites, options);
-            for (std::size_t i = 0; i < movable_qubits.size(); ++i)
-                netlist.instance(movable_qubits[i]).pos =
-                    sites[assign[i]];
-        } else {
-            for (int d = 0; d < plan.spec.numDies(); ++d) {
-                std::vector<std::size_t> group;
-                for (std::size_t i = 0; i < movable_qubits.size(); ++i)
-                    if (die_of[movable_qubits[i]] == d)
-                        group.push_back(i);
-                if (group.size() < 2)
-                    continue;
-                std::vector<Vec2> want, sites;
-                want.reserve(group.size());
-                sites.reserve(group.size());
-                for (std::size_t i : group) {
-                    want.push_back(desired[i]);
-                    sites.push_back(
-                        netlist.instance(movable_qubits[i]).pos);
-                }
-                const std::vector<int> assign =
-                    refineAssignment(want, sites, options);
-                for (std::size_t i = 0; i < group.size(); ++i)
-                    netlist.instance(movable_qubits[group[i]]).pos =
-                        sites[assign[i]];
-            }
-        }
-    }
-    for (std::size_t i = 0; i < movable_qubits.size(); ++i) {
-        result.qubitDisplacementUm +=
-            desired[i].dist(netlist.instance(movable_qubits[i]).pos);
-    }
-    result.flowRefineSeconds = stage_timer.seconds();
 
     // --- Stage 2: movable segments (scoped Tetris). ---
     if (cancel && cancel->cancelled()) {

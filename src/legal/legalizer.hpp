@@ -1,7 +1,7 @@
 /**
  * @file
  * Full legalization pipeline (Fig. 7d):
- *   1. qubits: greedy spiral search, then min-cost-flow refinement;
+ *   1. qubits: greedy spiral search, central-first;
  *   2. resonator segments: Tetris-style scan;
  *   3. integration-aware repair (Algorithm 1).
  */
@@ -21,22 +21,6 @@ struct LegalizerParams
 {
     /** Occupancy cell size; must divide all padded footprints. */
     double cellUm = 100.0;
-
-    /** Run the min-cost-flow refinement after spiral legalization. */
-    bool flowRefine = true;
-
-    /**
-     * Qubit count above which the flow refinement switches from the
-     * exact dense assignment (every qubit x every site) to sparse
-     * candidate edges (own site + k nearest via a spatial hash). The
-     * default keeps every paper device -- and the golden regression
-     * instances -- on the exact path; 1000+ qubit parametric devices
-     * go sparse. Validated in FlowParams::normalized().
-     */
-    int flowSparseThreshold = 512;
-
-    /** Candidate sites per qubit on the sparse flow path. */
-    int flowSparseNeighbors = 16;
 
     /**
      * Occupancy probe implementation (spiral + canPlace). Reference is
@@ -65,7 +49,6 @@ struct LegalizeResult
     // one whose layout survived), surfaced through FlowResult and the
     // CLI's --report json for profiling 1000+ qubit instances.
     double spiralSeconds = 0.0;      ///< Qubit spiral search.
-    double flowRefineSeconds = 0.0;  ///< Min-cost-flow refinement.
     double tetrisSeconds = 0.0;      ///< Segment Tetris scan.
     double integrationSeconds = 0.0; ///< Integration-aware repair.
 };

@@ -76,11 +76,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: assigner.resonatorBand must have positive span");
     check(legalizer.cellUm > 0.0,
           "FlowParams: legalizer.cellUm must be positive");
-    check(legalizer.flowSparseThreshold >= 0,
-          "FlowParams: legalizer.flowSparseThreshold must be "
-          "non-negative (0 = always sparse)");
-    check(legalizer.flowSparseNeighbors >= 1,
-          "FlowParams: legalizer.flowSparseNeighbors must be at least 1");
     check(legalizer.integrationParams.maxRounds >= 0,
           "FlowParams: legalizer.integrationParams.maxRounds must be >= 0");
     check(legalizer.integrationParams.adjacencyTolUm >= 0.0 &&

@@ -19,9 +19,6 @@ const char *const kKnownSetKeys[] = {
     "builder.reference",
     "builder.serialBelow",
     "legalizer.cellUm",
-    "legalizer.flowRefine",
-    "legalizer.flowSparseThreshold",
-    "legalizer.flowSparseNeighbors",
     "legalizer.referenceProbes",
     "legalizer.integration",
     "hotspot.adjacencyTolUm",
@@ -93,11 +90,6 @@ applyOverrides(const Config &cfg, FlowParams &params)
 
     LegalizerParams &lp = params.legalizer;
     lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);
-    lp.flowRefine = cfg.getBool("legalizer.flowRefine", lp.flowRefine);
-    lp.flowSparseThreshold = static_cast<int>(
-        cfg.getInt("legalizer.flowSparseThreshold", lp.flowSparseThreshold));
-    lp.flowSparseNeighbors = static_cast<int>(
-        cfg.getInt("legalizer.flowSparseNeighbors", lp.flowSparseNeighbors));
     // The reference probe engine exists for A/B timing (see
     // bench/legalize_scale); layouts are identical either way.
     lp.probeEngine =

@@ -119,7 +119,7 @@ class GlobalPlaceStage final : public FlowStage
     }
 };
 
-/** Fig. 7d: spiral + min-cost-flow + Tetris + integration repair. */
+/** Fig. 7d: spiral + Tetris + integration repair. */
 class LegalizeStage final : public FlowStage
 {
   public:

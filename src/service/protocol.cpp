@@ -510,8 +510,9 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
 
     JsonValue legal_stages = JsonValue::object();
     legal_stages.set("spiral", JsonValue::number(r.legal.spiralSeconds));
-    legal_stages.set("flow_refine",
-                     JsonValue::number(r.legal.flowRefineSeconds));
+    // flow_report/1 keeps this key; the legalizer has no such stage,
+    // so it is always 0.
+    legal_stages.set("flow_refine", JsonValue::number(std::int64_t{0}));
     legal_stages.set("tetris", JsonValue::number(r.legal.tetrisSeconds));
     legal_stages.set("integration",
                      JsonValue::number(r.legal.integrationSeconds));
@@ -541,8 +542,8 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
                      r.hotspots.impactedQubits.size())));
     job.set("hotspots", std::move(hotspots));
 
-    // The CLI's fidelity proxy needs circuit evaluation the service
-    // does not run; null keeps the job shape compatible.
+    // The fidelity proxy needs circuit evaluation, which only the CLI
+    // runs (it replaces this member); null keeps the job shape.
     job.set("fidelity", JsonValue::null());
 
     if (r.detailed.ran) {

@@ -175,12 +175,13 @@ JsonValue makeIteration(const std::string &id, int iteration,
 JsonValue makeResult(const std::string &id, JsonValue report);
 
 /**
- * One job object in the qplacer.flow_report/1 shape the CLI's
- * --report json emits (docs/REPORT_SCHEMA.md), plus the additive
+ * One job object of the qplacer.flow_report/1 schema
+ * (docs/REPORT_SCHEMA.md), the single serializer behind both the
+ * server's results and the CLI's --report json. Carries the additive
  * "incremental" member for warm-started runs, the additive "detailed"
  * member when the annealing stage ran, and the additive "portfolio"
- * member for portfolio runs. The CLI-only fidelity proxy is reported
- * as null.
+ * member for portfolio runs. "fidelity" is null; the CLI replaces it
+ * with its proxy.
  */
 JsonValue jobReportJson(const FlowResult &result, std::uint64_t seed);
 

@@ -86,46 +86,5 @@ TEST(SpatialHash, OutOfRegionPointsAreClamped)
     EXPECT_EQ(hash.query({150, 150}, 5).size(), 1u);
 }
 
-TEST(SpatialHash, KNearestMatchesBruteForce)
-{
-    Rng rng(29);
-    SpatialHash hash(Rect(0, 0, 1000, 1000), 50);
-    std::vector<Vec2> points;
-    for (int i = 0; i < 250; ++i) {
-        points.emplace_back(rng.uniform(0, 1000), rng.uniform(0, 1000));
-        hash.insert(i, points.back());
-    }
-    for (int trial = 0; trial < 25; ++trial) {
-        const Vec2 c(rng.uniform(0, 1000), rng.uniform(0, 1000));
-        const int k = static_cast<int>(rng.range(1, 24));
-        const auto got = hash.kNearest(c, k);
-
-        std::vector<std::int32_t> want(250);
-        for (int i = 0; i < 250; ++i)
-            want[i] = i;
-        std::sort(want.begin(), want.end(),
-                  [&](std::int32_t a, std::int32_t b) {
-                      const double da = (points[a] - c).normSq();
-                      const double db = (points[b] - c).normSq();
-                      if (da != db)
-                          return da < db;
-                      return a < b;
-                  });
-        want.resize(static_cast<std::size_t>(k));
-        EXPECT_EQ(got, want) << "trial " << trial;
-    }
-}
-
-TEST(SpatialHash, KNearestHandlesSmallSetsAndZeroK)
-{
-    SpatialHash hash(Rect(0, 0, 100, 100), 10);
-    EXPECT_TRUE(hash.kNearest({50, 50}, 3).empty());
-    hash.insert(4, {20, 20});
-    hash.insert(9, {80, 80});
-    EXPECT_TRUE(hash.kNearest({50, 50}, 0).empty());
-    const auto got = hash.kNearest({25, 25}, 5);
-    EXPECT_EQ(got, (std::vector<std::int32_t>{4, 9}));
-}
-
 } // namespace
 } // namespace qplacer

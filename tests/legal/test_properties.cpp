@@ -123,12 +123,11 @@ TEST_P(LegalizerProperties, CenterClusterIsLegalized)
 
 TEST_P(LegalizerProperties, EdgeClusterWithoutRefinePasses)
 {
-    // The spiral legalizer alone (flow refine and integration off)
-    // must already establish the occupancy invariants.
+    // The spiral legalizer alone (integration off) must already
+    // establish the occupancy invariants.
     Netlist nl = builtNetlist(4, 4);
     clusterPositions(nl, GetParam() + 2000, 0.9, 0.2);
     LegalizerParams params;
-    params.flowRefine = false;
     params.integration = false;
     const LegalizeResult result = Legalizer(params).legalize(nl);
     expectLegalizedInvariants(nl, result);

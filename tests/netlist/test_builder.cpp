@@ -47,6 +47,18 @@ struct CellSpec
     int paper_cells;
 };
 
+// Prints e.g. "Aspen_11_lb300". Without it gtest prints the raw bytes
+// of `name`'s pointer, so the discovered CTest names change with ASLR.
+void
+PrintTo(const CellSpec &spec, std::ostream *os)
+{
+    std::string n = spec.name;
+    for (char &c : n)
+        if (c == '-')
+            c = '_';
+    *os << n << "_lb" << static_cast<int>(spec.lb);
+}
+
 class TableIICells : public ::testing::TestWithParam<CellSpec>
 {
 };
@@ -76,14 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CellSpec{"Falcon", 400, 218},
                       CellSpec{"Eagle", 300, 1801},
                       CellSpec{"Aspen-11", 300, 598},
-                      CellSpec{"Aspen-M", 300, 1310}),
-    [](const auto &info) {
-        std::string n = info.param.name;
-        for (char &c : n)
-            if (c == '-')
-                c = '_';
-        return n + "_lb" + std::to_string(static_cast<int>(info.param.lb));
-    });
+                      CellSpec{"Aspen-M", 300, 1310}));
 
 TEST(Builder, NetsChainSegmentsBetweenQubits)
 {

@@ -17,16 +17,25 @@ namespace {
 class EndToEnd : public ::testing::Test
 {
   protected:
+    static FlowResult
+    runMode(PlacerMode mode)
+    {
+        FlowParams params;
+        params.mode = mode;
+        // Pinned to one thread like the goldens: auto thread counts
+        // tie the layout, and with it these orderings, to the host's
+        // core count.
+        params.placer.threads = 1;
+        return QplacerFlow(params).run(*topo_);
+    }
+
     static void
     SetUpTestSuite()
     {
         topo_ = new Topology(makeTopology("Falcon"));
-        qplacer_ = new FlowResult(
-            QplacerFlow::runMode(*topo_, PlacerMode::Qplacer));
-        classic_ = new FlowResult(
-            QplacerFlow::runMode(*topo_, PlacerMode::Classic));
-        human_ = new FlowResult(
-            QplacerFlow::runMode(*topo_, PlacerMode::Human));
+        qplacer_ = new FlowResult(runMode(PlacerMode::Qplacer));
+        classic_ = new FlowResult(runMode(PlacerMode::Classic));
+        human_ = new FlowResult(runMode(PlacerMode::Human));
     }
 
     static void

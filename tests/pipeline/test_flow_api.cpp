@@ -273,16 +273,6 @@ TEST(FlowApi, NormalizedValidatesRanges)
     p.legalizer.cellUm = 0.0;
     EXPECT_NE(firstError(p).find("cellUm"), std::string::npos);
 
-    p = FlowParams{};
-    p.legalizer.flowSparseThreshold = -1;
-    EXPECT_NE(firstError(p).find("flowSparseThreshold"),
-              std::string::npos);
-
-    p = FlowParams{};
-    p.legalizer.flowSparseNeighbors = 0;
-    EXPECT_NE(firstError(p).find("flowSparseNeighbors"),
-              std::string::npos);
-
     // Without the out-param the first violation throws (fatal()).
     p = FlowParams{};
     p.targetUtil = -1.0;

@@ -146,7 +146,7 @@ TEST(Protocol, ParsesFullSubmit)
     ASSERT_TRUE(parseRequest(
         R"({"type":"submit","id":"j2","topology":"grid3x3",)"
         R"("mode":"classic","seed":18446744073709551615,"segment":250,)"
-        R"("set":{"placer.maxIters":120,"legalizer.flowRefine":false},)"
+        R"("set":{"placer.maxIters":120,"legalizer.integration":false},)"
         R"("progress":10,"layout":true,)"
         R"("base":"j1","dirty_qubits":[0,3]})",
         req, &error))
@@ -155,7 +155,7 @@ TEST(Protocol, ParsesFullSubmit)
     EXPECT_EQ(req.submit.seed, UINT64_MAX);
     EXPECT_EQ(req.submit.segmentUm, 250.0);
     EXPECT_EQ(req.submit.set.getString("placer.maxIters", ""), "120");
-    EXPECT_EQ(req.submit.set.getString("legalizer.flowRefine", ""), "0");
+    EXPECT_EQ(req.submit.set.getString("legalizer.integration", ""), "0");
     EXPECT_EQ(req.submit.progressEvery, 10);
     EXPECT_TRUE(req.submit.wantLayout);
     EXPECT_TRUE(req.submit.isIncremental());
@@ -218,6 +218,8 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","progress":1e10})",
         R"({"type":"submit","id":"x","topology":"g","progress":0.5})",
         R"({"type":"submit","id":"x","topology":"g","set":{"bogus":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.flowRefine":0}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.flowSparseThreshold":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"placer.maxIters":[1]}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",
         R"({"type":"submit","id":"x","topology":"g","mode":"human","base":"y"})",

@@ -13,6 +13,18 @@ struct TopoSpec
     int couplers;
 };
 
+// Prints e.g. "Aspen_11". Without it gtest prints the raw bytes of
+// `name`'s pointer, so the discovered CTest names change with ASLR.
+void
+PrintTo(const TopoSpec &spec, std::ostream *os)
+{
+    std::string n = spec.name;
+    for (char &c : n)
+        if (c == '-')
+            c = '_';
+    *os << n;
+}
+
 // Table I qubit counts; coupler counts are the ones implied by the
 // paper's Table II cell counts (see DESIGN.md section 5).
 class PaperTopologies : public ::testing::TestWithParam<TopoSpec>
@@ -37,14 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
                       TopoSpec{"Falcon", 27, 28},
                       TopoSpec{"Eagle", 127, 144},
                       TopoSpec{"Aspen-11", 40, 48},
-                      TopoSpec{"Aspen-M", 80, 106}),
-    [](const auto &info) {
-        std::string n = info.param.name;
-        for (char &c : n)
-            if (c == '-')
-                c = '_';
-        return n;
-    });
+                      TopoSpec{"Aspen-M", 80, 106}));
 
 TEST(Topologies, GridStructure)
 {

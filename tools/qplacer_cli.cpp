@@ -102,10 +102,7 @@ Options:
                       assigner.distance2, assigner.detuningThresholdGHz,
                       assigner.referenceEngine,
                       builder.reference, builder.serialBelow,
-                      legalizer.cellUm, legalizer.flowRefine,
-                      legalizer.flowSparseThreshold,
-                      legalizer.flowSparseNeighbors,
-                      legalizer.referenceProbes,
+                      legalizer.cellUm, legalizer.referenceProbes,
                       legalizer.integration, hotspot.adjacencyTolUm,
                       incremental.maxIters, incremental.snapToleranceUm,
                       detailed.enabled, detailed.iters,
@@ -399,54 +396,10 @@ fidelityBenchmarkFor(const Topology &topo)
     return nullptr;
 }
 
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNum(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
 /**
- * Machine-readable flow report (--report json): one object per job
- * with the structured status, per-stage seconds, and the headline
- * metrics, plus a batch aggregate. Schema is versioned so service/CI
- * consumers can detect changes.
+ * Machine-readable flow report (--report json): the batch envelope of
+ * the versioned qplacer.flow_report/1 schema around one jobReportJson
+ * object per job, each with its bv fidelity proxy filled in.
  */
 void
 printReportJson(std::ostream &os, const Topology &topo,
@@ -463,149 +416,45 @@ printReportJson(std::ostream &os, const Topology &topo,
     const Circuit circuit = benchmark != nullptr ? makeBenchmark(benchmark)
                                                  : Circuit(1, "none");
 
-    os << "{\n";
-    os << "  \"schema\": \"qplacer.flow_report/1\",\n";
-    os << "  \"topology\": \"" << jsonEscape(topo.name) << "\",\n";
-    os << "  \"mode\": \"" << placerModeName(opts.mode) << "\",\n";
-    os << "  \"qubits\": " << topo.numQubits() << ",\n";
-    os << "  \"jobs\": [\n";
-    int ok_jobs = 0;
+    JsonValue jobs = JsonValue::array();
+    std::int64_t ok_jobs = 0;
     for (std::size_t job = 0; job < results.size(); ++job) {
         const FlowResult &r = results[job];
         ok_jobs += r.status.ok() ? 1 : 0;
-        os << "    {\n";
-        os << "      \"seed\": " << reportSeed(opts, job, r) << ",\n";
-        os << "      \"status\": {\"code\": \""
-           << flowCodeName(r.status.code) << "\", \"stage\": \""
-           << jsonEscape(r.status.stage) << "\", \"message\": \""
-           << jsonEscape(r.status.message) << "\"},\n";
-        os << "      \"stages\": [";
-        for (std::size_t s = 0; s < r.stageTimings.size(); ++s) {
-            os << (s ? ", " : "") << "{\"stage\": \""
-               << jsonEscape(r.stageTimings[s].stage)
-               << "\", \"seconds\": " << jsonNum(r.stageTimings[s].seconds)
-               << "}";
-        }
-        os << "],\n";
-        os << "      \"cells\": " << r.netlist.numInstances() << ",\n";
-        os << "      \"freq_slots\": " << r.freqs.numQubitSlots << ",\n";
-        os << "      \"assign\": {\"stages\": {\"interference\": "
-           << jsonNum(r.assignStats.interferenceSeconds)
-           << ", \"qubit_color\": "
-           << jsonNum(r.assignStats.qubitColorSeconds)
-           << ", \"resonator_graph\": "
-           << jsonNum(r.assignStats.resonatorGraphSeconds)
-           << ", \"resonator_color\": "
-           << jsonNum(r.assignStats.resonatorColorSeconds) << "}},\n";
-        os << "      \"build\": {\"threads\": " << r.buildStats.threads
-           << ", \"stages\": {\"segments\": "
-           << jsonNum(r.buildStats.segmentsSeconds)
-           << ", \"instances\": "
-           << jsonNum(r.buildStats.instancesSeconds)
-           << ", \"warm_start\": "
-           << jsonNum(r.buildStats.warmStartSeconds)
-           << ", \"finalize\": " << jsonNum(r.buildStats.finalizeSeconds)
-           << "}},\n";
-        os << "      \"place\": {\"iterations\": " << r.place.iterations
-           << ", \"converged\": " << (r.place.converged ? "true" : "false")
-           << ", \"cancelled\": " << (r.place.cancelled ? "true" : "false")
-           << ", \"overflow\": " << jsonNum(r.place.finalOverflow)
-           << ", \"hpwl_um\": " << jsonNum(r.place.finalHpwl) << "},\n";
-        os << "      \"legal\": {\"legal\": "
-           << (r.legal.legal ? "true" : "false")
-           << ", \"qubit_disp_um\": "
-           << jsonNum(r.legal.qubitDisplacementUm)
-           << ", \"segment_disp_um\": "
-           << jsonNum(r.legal.segmentDisplacementUm)
-           << ", \"unintegrated\": " << r.legal.integration.unintegrated
-           << ", \"stages\": {\"spiral\": "
-           << jsonNum(r.legal.spiralSeconds)
-           << ", \"flow_refine\": " << jsonNum(r.legal.flowRefineSeconds)
-           << ", \"tetris\": " << jsonNum(r.legal.tetrisSeconds)
-           << ", \"integration\": "
-           << jsonNum(r.legal.integrationSeconds) << "}},\n";
-        os << "      \"area\": {\"amer_um2\": " << jsonNum(r.area.amerUm2)
-           << ", \"apoly_um2\": " << jsonNum(r.area.apolyUm2)
-           << ", \"utilization\": " << jsonNum(r.area.utilization)
-           << "},\n";
-        os << "      \"hotspots\": {\"ph_percent\": "
-           << jsonNum(r.hotspots.phPercent)
-           << ", \"pairs\": " << r.hotspots.pairs.size()
-           << ", \"impacted_qubits\": " << r.hotspots.impactedQubits.size()
-           << "},\n";
-        // Additive members, mirroring jobReportJson: present only when
-        // the corresponding stage actually ran.
-        if (r.multidie.active) {
-            os << "      \"multidie\": {\"dies\": " << r.multidie.dies
-               << ", \"crossing_couplers\": "
-               << r.multidie.crossingCouplers << ", \"crossing_wl_um\": "
-               << jsonNum(r.multidie.crossingWirelengthUm)
-               << ", \"per_die\": [";
-            for (std::size_t d = 0; d < r.multidie.dieInstances.size();
-                 ++d) {
-                os << (d ? ", " : "") << "{\"instances\": "
-                   << r.multidie.dieInstances[d] << ", \"utilization\": "
-                   << jsonNum(r.multidie.dieUtilization[d]) << "}";
-            }
-            os << "]},\n";
-        }
-        if (r.detailed.ran) {
-            os << "      \"detailed\": {\"sweeps\": " << r.detailed.sweeps
-               << ", \"proposed\": " << r.detailed.proposed
-               << ", \"accepted\": " << r.detailed.accepted
-               << ", \"swaps\": " << r.detailed.swaps
-               << ", \"relocates\": " << r.detailed.relocates
-               << ", \"hpwl_before_um\": " << jsonNum(r.detailed.hpwlBefore)
-               << ", \"hpwl_after_um\": " << jsonNum(r.detailed.hpwlAfter)
-               << ", \"collisions_before\": "
-               << r.detailed.collisionsBefore
-               << ", \"collisions_after\": " << r.detailed.collisionsAfter
-               << ", \"seconds\": " << jsonNum(r.detailed.seconds)
-               << "},\n";
-        }
-        if (r.portfolioStats.portfolio) {
-            const PortfolioStats &p = r.portfolioStats;
-            os << "      \"portfolio\": {\"seeds\": " << p.seeds
-               << ", \"rungs\": " << p.rungs << ", \"winner_seed\": "
-               << p.winnerSeed << ", \"candidates\": [";
-            for (std::size_t c = 0; c < p.candidates.size(); ++c) {
-                const PortfolioCandidate &cand = p.candidates[c];
-                os << (c ? ", " : "") << "{\"seed\": " << cand.seed
-                   << ", \"pruned_at\": " << cand.prunedAtIters
-                   << ", \"probe_overflow\": "
-                   << jsonNum(cand.probeOverflow)
-                   << ", \"probe_hpwl_um\": " << jsonNum(cand.probeHpwl)
-                   << ", \"ran_full\": "
-                   << (cand.ranFull ? "true" : "false")
-                   << ", \"final_hpwl_um\": " << jsonNum(cand.finalHpwl)
-                   << ", \"winner\": " << (cand.winner ? "true" : "false")
-                   << "}";
-            }
-            os << "]},\n";
-        }
+        JsonValue entry = jobReportJson(r, reportSeed(opts, job, r));
         if (benchmark != nullptr && r.status.ok()) {
             const BenchmarkResult b =
                 evaluator.evaluate(topo, r.netlist, circuit);
-            os << "      \"fidelity\": {\"benchmark\": \"" << benchmark
-               << "\", \"mean\": " << jsonNum(b.meanFidelity)
-               << ", \"min\": " << jsonNum(b.minFidelity)
-               << ", \"max\": " << jsonNum(b.maxFidelity) << "},\n";
-        } else {
-            os << "      \"fidelity\": null,\n";
+            JsonValue fidelity = JsonValue::object();
+            fidelity.set("benchmark", JsonValue::string(benchmark));
+            fidelity.set("mean", JsonValue::number(b.meanFidelity));
+            fidelity.set("min", JsonValue::number(b.minFidelity));
+            fidelity.set("max", JsonValue::number(b.maxFidelity));
+            entry.set("fidelity", std::move(fidelity));
         }
-        os << "      \"seconds\": " << jsonNum(r.seconds) << "\n";
-        os << "    }" << (job + 1 < results.size() ? "," : "") << "\n";
+        jobs.push(std::move(entry));
     }
-    os << "  ],\n";
-    os << "  \"aggregate\": {\"jobs\": " << results.size()
-       << ", \"ok\": " << ok_jobs
-       << ", \"wall_seconds\": " << jsonNum(wall_seconds)
-       << ", \"placements_per_sec\": "
-       << jsonNum(wall_seconds > 0.0
-                      ? static_cast<double>(results.size()) / wall_seconds
-                      : 0.0)
-       << "}\n";
-    os << "}\n";
+
+    const auto num_jobs = static_cast<std::int64_t>(results.size());
+    JsonValue aggregate = JsonValue::object();
+    aggregate.set("jobs", JsonValue::number(num_jobs));
+    aggregate.set("ok", JsonValue::number(ok_jobs));
+    aggregate.set("wall_seconds", JsonValue::number(wall_seconds));
+    aggregate.set("placements_per_sec",
+                  JsonValue::number(wall_seconds > 0.0
+                                        ? static_cast<double>(num_jobs) /
+                                              wall_seconds
+                                        : 0.0));
+
+    JsonValue report = JsonValue::object();
+    report.set("schema", JsonValue::string("qplacer.flow_report/1"));
+    report.set("topology", JsonValue::string(topo.name));
+    report.set("mode", JsonValue::string(placerModeName(opts.mode)));
+    report.set("qubits", JsonValue::number(
+                             static_cast<std::int64_t>(topo.numQubits())));
+    report.set("jobs", std::move(jobs));
+    report.set("aggregate", std::move(aggregate));
+    os << report.serialize() << "\n";
 }
 
 /** Compact one-row-per-job table for batch runs. */
