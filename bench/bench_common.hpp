@@ -92,8 +92,7 @@ struct SpectralWorkload
 /**
  * The workloads the density/spectral engine drivers time: the largest
  * paper device and a 1024-qubit parametric grid (past every paper
- * device, the north-star scale). Shared so parallel_density and
- * dct_plan always bench the same instances.
+ * device, the north-star scale).
  */
 inline std::vector<SpectralWorkload>
 spectralWorkloads()

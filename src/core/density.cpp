@@ -10,12 +10,11 @@
 namespace qplacer {
 
 DensityModel::DensityModel(const Netlist &netlist, int bins,
-                           double target_density, ThreadPool *pool,
-                           PoissonSolver::Path path)
+                           double target_density, ThreadPool *pool)
     : netlist_(netlist),
       grid_(netlist.region(), bins, bins),
       solver_(bins, bins, netlist.region().width(),
-              netlist.region().height(), pool, path),
+              netlist.region().height(), pool),
       targetDensity_(target_density),
       pool_(pool)
 {

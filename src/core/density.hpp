@@ -35,14 +35,9 @@ class DensityModel
      *                       accumulated per chunk and reduced in chunk
      *                       order, so results are deterministic for a
      *                       fixed thread count.
-     * @param path           Poisson DCT execution path (the default
-     *                       planned path is bitwise-identical to the
-     *                       unplanned one; the knob exists for the
-     *                       planned-vs-unplanned benchmark).
      */
     DensityModel(const Netlist &netlist, int bins, double target_density,
-                 ThreadPool *pool = nullptr,
-                 PoissonSolver::Path path = PoissonSolver::Path::Planned);
+                 ThreadPool *pool = nullptr);
 
     /**
      * Evaluate the density penalty at @p positions.

@@ -11,9 +11,8 @@
 namespace qplacer {
 
 PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
-                             ThreadPool *pool, Path path)
-    : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool),
-      path_(path)
+                             ThreadPool *pool)
+    : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool)
 {
     if (!Fft::isPowerOfTwo(static_cast<std::size_t>(nx)) ||
         !Fft::isPowerOfTwo(static_cast<std::size_t>(ny))) {
@@ -43,21 +42,12 @@ PoissonSolver::solve(const std::vector<double> &density) const
     if (density.size() != cells)
         panic("PoissonSolver::solve: density map size mismatch");
 
-    // Row/column transform passes on the selected execution path (the
-    // two are bitwise-identical; Unplanned is the benchmark baseline).
+    // Row/column transform passes through the cached plans.
     const auto rows = [&](std::vector<double> &map, Dct::Kind kind) {
-        if (path_ == Path::Planned)
-            rowPlan_->transformRows(map, nx_, ny_, kind, pool_,
-                                    scratch_);
-        else
-            Dct::transformRowsUnplanned(map, nx_, ny_, kind, pool_);
+        rowPlan_->transformRows(map, nx_, ny_, kind, pool_, scratch_);
     };
     const auto cols = [&](std::vector<double> &map, Dct::Kind kind) {
-        if (path_ == Path::Planned)
-            colPlan_->transformCols(map, nx_, ny_, kind, pool_,
-                                    scratch_);
-        else
-            Dct::transformColsUnplanned(map, nx_, ny_, kind, pool_);
+        colPlan_->transformCols(map, nx_, ny_, kind, pool_, scratch_);
     };
 
     // Forward 2-D DCT of the density -> eigenbasis coefficients.

@@ -12,9 +12,7 @@
  * The solver grabs the cached DctPlans for its row/column lengths at
  * construction and runs every transform pass through them with owned,
  * reusable scratch (see math/dct_plan): after the first solve no pass
- * allocates. The plan-free PR-2 kernels remain reachable via
- * Path::Unplanned for benchmarking and equivalence testing; both paths
- * produce bitwise-identical solutions.
+ * allocates.
  */
 
 #ifndef QPLACER_CORE_POISSON_HPP
@@ -33,13 +31,6 @@ class ThreadPool;
 class PoissonSolver
 {
   public:
-    /** Which DCT execution path solve() uses. */
-    enum class Path
-    {
-        Planned,   ///< Cached DctPlan + reusable scratch (default).
-        Unplanned, ///< Plan-free reference kernels (per-call alloc).
-    };
-
     /**
      * @param nx, ny    Grid dimensions (powers of two).
      * @param width     Physical region width (um).
@@ -48,11 +39,9 @@ class PoissonSolver
      *                  (null = serial). Not owned; must outlive the
      *                  solver. Results are bitwise-identical for any
      *                  thread count (rows/columns are independent).
-     * @param path      DCT execution path; Unplanned exists for the
-     *                  planned-vs-unplanned benchmark and tests.
      */
     PoissonSolver(int nx, int ny, double width, double height,
-                  ThreadPool *pool = nullptr, Path path = Path::Planned);
+                  ThreadPool *pool = nullptr);
 
     /** Result maps, row-major (index = iy*nx + ix). */
     struct Solution
@@ -76,16 +65,12 @@ class PoissonSolver
     int nx() const { return nx_; }
     int ny() const { return ny_; }
 
-    /** Execution path selected at construction. */
-    Path path() const { return path_; }
-
   private:
     int nx_;
     int ny_;
     double width_;
     double height_;
     ThreadPool *pool_; ///< Transform worker pool (null = serial).
-    Path path_;
     std::vector<double> wu_; ///< Eigen-frequencies along x.
     std::vector<double> wv_; ///< Eigen-frequencies along y.
     std::shared_ptr<const DctPlan> rowPlan_; ///< Plan for length nx.

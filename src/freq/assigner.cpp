@@ -21,7 +21,7 @@ namespace {
  * O(sum deg^2) instead of the all-pairs O(m^2).
  */
 Graph
-resonatorShareGraphSparse(const Graph &coupling)
+resonatorShareGraph(const Graph &coupling)
 {
     const int nr = coupling.numEdges();
     Graph res(nr);
@@ -35,25 +35,6 @@ resonatorShareGraphSparse(const Graph &coupling)
         for (std::size_t i = 0; i < list.size(); ++i)
             for (std::size_t j = i + 1; j < list.size(); ++j)
                 res.addEdge(list[i], list[j]);
-    }
-    return res;
-}
-
-/** The pre-scaling all-pairs share-graph build (Reference engine). */
-Graph
-resonatorShareGraphAllPairs(const Graph &coupling)
-{
-    const int nr = coupling.numEdges();
-    Graph res(nr);
-    for (int a = 0; a < nr; ++a) {
-        const auto &[a1, a2] = coupling.edges()[a];
-        for (int b = a + 1; b < nr; ++b) {
-            const auto &[b1, b2] = coupling.edges()[b];
-            const bool share =
-                a1 == b1 || a1 == b2 || a2 == b1 || a2 == b2;
-            if (share)
-                res.addEdge(a, b);
-        }
     }
     return res;
 }
@@ -82,10 +63,10 @@ FrequencyAssigner::dsatur(const Graph &graph)
                                     0);
     std::vector<int> sat(n, 0);
 
-    // Candidate order = the reference scan's selection: maximum
-    // saturation, ties by maximum degree, then smallest index. A node
-    // is re-keyed only when a neighbour's colouring grows its
-    // saturation, so total maintenance is O((n + m) log n).
+    // Candidate order: maximum saturation, ties by maximum degree,
+    // then smallest index. A node is re-keyed only when a neighbour's
+    // colouring grows its saturation, so total maintenance is
+    // O((n + m) log n).
     using Key = std::tuple<int, int, int>; // (-sat, -degree, index)
     std::set<Key> candidates;
     for (int v = 0; v < n; ++v)
@@ -125,48 +106,6 @@ FrequencyAssigner::dsatur(const Graph &graph)
     return color;
 }
 
-std::vector<int>
-FrequencyAssigner::dsaturReference(const Graph &graph)
-{
-    const int n = graph.numNodes();
-    std::vector<int> color(n, -1);
-    std::vector<std::set<int>> neighbor_colors(n);
-
-    for (int step = 0; step < n; ++step) {
-        // Pick the uncoloured node with maximum saturation, breaking
-        // ties by degree then by index (deterministic).
-        int best = -1;
-        for (int v = 0; v < n; ++v) {
-            if (color[v] >= 0)
-                continue;
-            if (best < 0)
-                best = v;
-            const auto sat_v = neighbor_colors[v].size();
-            const auto sat_b = neighbor_colors[best].size();
-            if (sat_v > sat_b ||
-                (sat_v == sat_b && graph.degree(v) > graph.degree(best))) {
-                best = v;
-            }
-        }
-        // Smallest colour not used by neighbours.
-        int c = 0;
-        while (neighbor_colors[best].count(c))
-            ++c;
-        color[best] = c;
-        for (int u : graph.neighbors(best))
-            neighbor_colors[u].insert(c);
-    }
-    return color;
-}
-
-std::vector<int>
-FrequencyAssigner::colorGraph(const Graph &graph) const
-{
-    return params_.engine == AssignEngine::Reference
-               ? dsaturReference(graph)
-               : dsatur(graph);
-}
-
 std::vector<double>
 FrequencyAssigner::colorsToFrequencies(const std::vector<int> &colors,
                                        const Graph &hard_edges,
@@ -200,7 +139,7 @@ FrequencyAssigner::colorsToFrequencies(const std::vector<int> &colors,
     warn(str("frequency assigner: ", num_colors, " colours exceed the ",
              capacity, " available slots; partitioning slots between "
                        "hard colour classes"));
-    const std::vector<int> hard = colorGraph(hard_edges);
+    const std::vector<int> hard = dsatur(hard_edges);
     int num_hard = 0;
     for (int c : hard)
         num_hard = std::max(num_hard, c + 1);
@@ -264,20 +203,18 @@ FrequencyAssigner::assign(const Topology &topo, AssignStats *stats) const
     local.interferenceSeconds = timer.seconds();
 
     timer.reset();
-    out.qubitColor = colorGraph(interference);
+    out.qubitColor = dsatur(interference);
     out.qubitFreqHz =
         colorsToFrequencies(out.qubitColor, coupling, params_.qubitBand,
                             &out.numQubitSlots);
     local.qubitColorSeconds = timer.seconds();
 
     timer.reset();
-    const Graph res_graph = params_.engine == AssignEngine::Reference
-                                ? resonatorShareGraphAllPairs(coupling)
-                                : resonatorShareGraphSparse(coupling);
+    const Graph res_graph = resonatorShareGraph(coupling);
     local.resonatorGraphSeconds = timer.seconds();
 
     timer.reset();
-    out.resonatorColor = colorGraph(res_graph);
+    out.resonatorColor = dsatur(res_graph);
     out.resonatorFreqHz =
         colorsToFrequencies(out.resonatorColor, res_graph,
                             params_.resonatorBand,
@@ -301,27 +238,9 @@ FrequencyAssigner::countDomainViolations(
         }
     }
     const auto &edges = topo.coupling.edges();
-    if (params_.engine == AssignEngine::Reference) {
-        for (std::size_t a = 0; a < edges.size(); ++a) {
-            for (std::size_t b = a + 1; b < edges.size(); ++b) {
-                const bool share = edges[a].first == edges[b].first ||
-                                   edges[a].first == edges[b].second ||
-                                   edges[a].second == edges[b].first ||
-                                   edges[a].second == edges[b].second;
-                if (share &&
-                    isResonant(assignment.resonatorFreqHz[a],
-                               assignment.resonatorFreqHz[b],
-                               params_.detuningThresholdHz)) {
-                    ++violations;
-                }
-            }
-        }
-        return violations;
-    }
-
     // Sparse pass: two couplers share at most one qubit, so each
     // sharing pair is seen exactly once across the incident lists --
-    // the count matches the all-pairs scan above.
+    // the count matches an all-pairs scan.
     std::vector<std::vector<int>> incident(topo.coupling.numNodes());
     for (std::size_t e = 0; e < edges.size(); ++e) {
         incident[edges[e].first].push_back(static_cast<int>(e));

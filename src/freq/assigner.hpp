@@ -11,13 +11,11 @@
  * frequency components are graph-distant and become the placement
  * engine's spatial-isolation workload.
  *
- * Scaling: the default engine selects DSATUR candidates from an ordered
- * saturation heap with per-node colour bitsets (O((n + m) log n)) and
- * builds the resonator share graph from per-qubit incident-coupler
- * lists (O(sum deg^2)); the pre-scaling linear-scan / all-pairs code
- * survives as AssignEngine::Reference for A/B timing and the
- * equivalence suites -- both engines produce identical assignments
- * (gated in bench/assign_scale and ctest -L assign).
+ * Scaling: DSATUR selects candidates from an ordered saturation heap
+ * with per-node colour bitsets (O((n + m) log n)) and the resonator
+ * share graph is built from per-qubit incident-coupler lists
+ * (O(sum deg^2)). Assignments are identical to the linear-scan /
+ * all-pairs oracles in tests/oracles (gated by ctest -L assign).
  */
 
 #ifndef QPLACER_FREQ_ASSIGNER_HPP
@@ -52,20 +50,6 @@ struct FrequencyAssignment
     int numResonatorSlots = 0;
 };
 
-/** Which assigner implementation runs (identical outputs either way). */
-enum class AssignEngine
-{
-    /** Saturation-heap DSATUR + sparse incident-list graph loops. */
-    Fast,
-
-    /**
-     * The pre-scaling code: linear-scan-over-std::set DSATUR and
-     * all-pairs resonator loops. Kept for the equivalence suites and
-     * the bench/assign_scale speedup gate.
-     */
-    Reference,
-};
-
 /**
  * Sub-stage wall clocks of one assign() call, surfaced through
  * FlowResult as "assign.stages" in qplacer_cli --report json.
@@ -87,9 +71,6 @@ struct AssignerParams
 
     /** Also separate distance-2 qubit pairs in frequency when possible. */
     bool distance2 = true;
-
-    /** Implementation to run (--set assigner.referenceEngine=1). */
-    AssignEngine engine = AssignEngine::Fast;
 };
 
 /** Graph-colouring frequency assigner. */
@@ -109,24 +90,16 @@ class FrequencyAssigner
      * DSATUR greedy colouring of @p graph; returns colour per node.
      * Selection order -- maximum saturation, then maximum degree, then
      * smallest index -- is implemented with an ordered candidate set
-     * and per-node colour bitsets; colourings are identical to
-     * dsaturReference on every graph. Exposed for testing.
+     * and per-node colour bitsets; colourings are identical to the
+     * linear-scan oracle on every graph. Exposed for testing.
      */
     static std::vector<int> dsatur(const Graph &graph);
 
     /**
-     * The pre-scaling DSATUR: O(n) linear scan per selection over
-     * per-node std::set colour sets. Retained as the equivalence
-     * baseline for dsatur() and the bench/assign_scale gate.
-     */
-    static std::vector<int> dsaturReference(const Graph &graph);
-
-    /**
      * Verify that no *coupled* pair of qubits (and no two resonators
      * sharing a qubit) is resonant under @p assignment. Returns the
-     * number of violations. The resonator pass follows the configured
-     * engine: per-qubit incident-coupler lists (Fast) or the all-pairs
-     * scan (Reference); counts agree.
+     * number of violations. The resonator pass walks per-qubit
+     * incident-coupler lists; counts agree with an all-pairs scan.
      */
     int countDomainViolations(const Topology &topo,
                               const FrequencyAssignment &assignment) const;
@@ -146,9 +119,6 @@ class FrequencyAssigner
     colorsToFrequencies(const std::vector<int> &colors,
                         const Graph &hard_edges,
                         const FrequencyBand &band, int *slots_used) const;
-
-    /** Engine-dispatched DSATUR. */
-    std::vector<int> colorGraph(const Graph &graph) const;
 
     AssignerParams params_;
 };

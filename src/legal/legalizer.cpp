@@ -81,7 +81,6 @@ Legalizer::attempt(Netlist &netlist, LegalizeResult &result,
 {
     result = LegalizeResult{};
     OccupancyGrid grid(netlist.region(), params_.cellUm);
-    grid.setProbeEngine(params_.probeEngine);
 
     // Multi-die: resolve the partition against the *current* region
     // (it may have grown between attempts) and reserve the cut gaps
@@ -156,7 +155,6 @@ Legalizer::attemptScoped(Netlist &netlist,
     OccupancyGrid grid(netlist.region(), params_.cellUm);
     for (int restart = 0;; ++restart) {
         grid = OccupancyGrid(netlist.region(), params_.cellUm);
-        grid.setProbeEngine(params_.probeEngine);
         if (multi)
             for (const Rect &band : plan.gapBands())
                 grid.block(band);

@@ -10,7 +10,6 @@
 #define QPLACER_LEGAL_LEGALIZER_HPP
 
 #include "legal/integration.hpp"
-#include "legal/occupancy.hpp"
 #include "netlist/netlist.hpp"
 #include "util/cancel.hpp"
 
@@ -21,13 +20,6 @@ struct LegalizerParams
 {
     /** Occupancy cell size; must divide all padded footprints. */
     double cellUm = 100.0;
-
-    /**
-     * Occupancy probe implementation (spiral + canPlace). Reference is
-     * the pre-bitset per-cell scan, kept for the equivalence suite and
-     * the legalize_scale speedup gate; results are bitwise-identical.
-     */
-    ProbeEngine probeEngine = ProbeEngine::Fast;
 
     /** Run the integration-aware repair pass. */
     bool integration = true;

@@ -92,8 +92,7 @@ OccupancyGrid::canPlaceIgnoring(const Rect &rect,
     s.y1 = std::min(ny_ - 1, s.y1);
     if (s.x0 > s.x1 || s.y0 > s.y1)
         return true;
-    return engine_ == ProbeEngine::Fast ? spanFree(s, ignore_id)
-                                        : spanFreeScan(s, ignore_id);
+    return spanFree(s, ignore_id);
 }
 
 bool
@@ -153,20 +152,6 @@ OccupancyGrid::spanFree(const CellSpan &s, std::int32_t ignore_id) const
                 if (o != ignore_id)
                     return false;
             }
-        }
-    }
-    return true;
-}
-
-bool
-OccupancyGrid::spanFreeScan(const CellSpan &s, std::int32_t ignore_id) const
-{
-    for (int iy = s.y0; iy <= s.y1; ++iy) {
-        for (int ix = s.x0; ix <= s.x1; ++ix) {
-            const std::int32_t o =
-                owner_[static_cast<std::size_t>(iy) * nx_ + ix];
-            if (o != -1 && o != ignore_id)
-                return false;
         }
     }
     return true;

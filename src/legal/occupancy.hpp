@@ -15,9 +15,8 @@
  * nextPlaceableY() expose "first free slot at or after" scans so the
  * spiral legalizer can skip fully-occupied stretches of a ring
  * wholesale. Every fast query is exact: the bitsets mirror the owner
- * map bit for bit, so results are identical to the per-cell reference
- * scan (ProbeEngine::Reference keeps that scan alive for equivalence
- * tests and the legalize_scale benchmark).
+ * map bit for bit, so results are identical to a per-cell owner scan
+ * (tests/legal/test_fast_equivalence keeps that scan as its oracle).
  */
 
 #ifndef QPLACER_LEGAL_OCCUPANCY_HPP
@@ -29,19 +28,6 @@
 #include "geometry/rect.hpp"
 
 namespace qplacer {
-
-/**
- * Which canPlace/spiral implementation to use. Fast (the default) runs
- * the bitset word probes and ring skips; Reference runs the original
- * per-cell owner scan. Both are exact and produce bitwise-identical
- * layouts -- Reference exists as the baseline for the equivalence
- * suite and the legalize_scale speedup gate.
- */
-enum class ProbeEngine
-{
-    Fast,
-    Reference,
-};
 
 /**
  * Owner id of cells reserved by block() (multi-die cut gaps). Distinct
@@ -128,10 +114,6 @@ class OccupancyGrid
     /** Vertical counterpart of nextPlaceableX (returns ny() if none). */
     int nextPlaceableY(int x0, int x1, int y_from, int span_h) const;
 
-    /** Probe implementation used by canPlace and the spiral search. */
-    ProbeEngine probeEngine() const { return engine_; }
-    void setProbeEngine(ProbeEngine engine) { engine_ = engine; }
-
     double cellUm() const { return cellUm_; }
     const Rect &region() const { return region_; }
     int nx() const { return nx_; }
@@ -141,11 +123,8 @@ class OccupancyGrid
     CellSpan spanOf(const Rect &rect) const;
     bool inRegion(const Rect &rect) const;
 
-    /** Fast span test: masked word reads + full-block summary reject. */
+    /** Span test: masked word reads + full-block summary reject. */
     bool spanFree(const CellSpan &s, std::int32_t ignore_id) const;
-
-    /** Reference span test: the original per-cell owner scan. */
-    bool spanFreeScan(const CellSpan &s, std::int32_t ignore_id) const;
 
     /** Recompute the full-block summary bits touching cell span @p s. */
     void refreshSummary(const CellSpan &s);
@@ -154,7 +133,6 @@ class OccupancyGrid
     double cellUm_;
     int nx_;
     int ny_;
-    ProbeEngine engine_ = ProbeEngine::Fast;
     std::vector<std::int32_t> owner_;
 
     // Occupancy bitset: wordsPerRow_ words per row, bit ix%64 of word

@@ -9,44 +9,19 @@ namespace qplacer {
 namespace {
 
 /**
- * Reference ring walk: probe every candidate of every ring through
- * canPlace. Kept verbatim as the baseline the fast path must match
- * bit for bit (equivalence suite + legalize_scale gate).
+ * Ring walk: rings of growing radius, each side in a fixed candidate
+ * order. Each ring side keeps a "first free slot at or after" cursor
+ * (nextPlaceableX/Y over the occupancy bitset), so probes inside a
+ * known-occupied stretch are skipped without being tested. A probe is
+ * only ever skipped when its cell span is fully on-grid and the cursor
+ * proves the span occupied -- conditions under which canPlace() is
+ * guaranteed false -- so the first accepted candidate is exactly the
+ * one a probe of every candidate would find.
  */
 template <typename TryAt>
 std::optional<Vec2>
-ringWalkReference(int max_radius, const TryAt &try_at)
-{
-    for (int r = 1; r <= max_radius; ++r) {
-        for (int dx = -r; dx <= r; ++dx) {
-            if (auto hit = try_at(dx, -r))
-                return hit;
-            if (auto hit = try_at(dx, r))
-                return hit;
-        }
-        for (int dy = -r + 1; dy <= r - 1; ++dy) {
-            if (auto hit = try_at(-r, dy))
-                return hit;
-            if (auto hit = try_at(r, dy))
-                return hit;
-        }
-    }
-    return std::nullopt;
-}
-
-/**
- * Fast ring walk: identical candidate order, but each ring side keeps
- * a "first free slot at or after" cursor (nextPlaceableX/Y over the
- * occupancy bitset), so probes inside a known-occupied stretch are
- * skipped without being tested. A probe is only ever skipped when its
- * cell span is fully on-grid and the cursor proves the span occupied
- * -- conditions under which canPlace() is guaranteed false -- so the
- * first accepted candidate is exactly the reference one.
- */
-template <typename TryAt>
-std::optional<Vec2>
-ringWalkFast(const OccupancyGrid &grid, const OccupancyGrid::CellSpan &base,
-             int max_radius, const TryAt &try_at)
+ringWalk(const OccupancyGrid &grid, const OccupancyGrid::CellSpan &base,
+         int max_radius, const TryAt &try_at)
 {
     const int nx = grid.nx();
     const int ny = grid.ny();
@@ -160,12 +135,9 @@ spiralSearchFiltered(const OccupancyGrid &grid, Vec2 desired, double w,
     if (auto hit = try_at(0, 0))
         return hit;
 
-    if (grid.probeEngine() == ProbeEngine::Reference)
-        return ringWalkReference(max_radius, try_at);
-
     const OccupancyGrid::CellSpan base =
         grid.cellSpanOf(Rect::fromCenter(snapped, w, h));
-    return ringWalkFast(grid, base, max_radius, try_at);
+    return ringWalk(grid, base, max_radius, try_at);
 }
 
 } // namespace qplacer

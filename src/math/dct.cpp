@@ -137,52 +137,6 @@ Dct::transformCols(std::vector<double> &map, int nx, int ny, Kind kind,
         ->transformCols(map, nx, ny, kind, pool, scratch);
 }
 
-void
-Dct::transformRowsUnplanned(std::vector<double> &map, int nx, int ny,
-                            Kind kind, ThreadPool *pool)
-{
-    if (map.size() != static_cast<std::size_t>(nx) * ny)
-        panic(str("Dct::transformRows: map size ", map.size(),
-                  " != ", nx, "x", ny));
-    parallelFor(
-        pool, static_cast<std::size_t>(ny),
-        [&](std::size_t begin, std::size_t end) {
-            std::vector<double> row(static_cast<std::size_t>(nx));
-            for (std::size_t iy = begin; iy < end; ++iy) {
-                double *base = map.data() + iy * nx;
-                row.assign(base, base + nx);
-                const std::vector<double> out = apply(kind, row);
-                for (int ix = 0; ix < nx; ++ix)
-                    base[ix] = out[ix];
-            }
-        },
-        ThreadPool::kGrainCoarse);
-}
-
-void
-Dct::transformColsUnplanned(std::vector<double> &map, int nx, int ny,
-                            Kind kind, ThreadPool *pool)
-{
-    if (map.size() != static_cast<std::size_t>(nx) * ny)
-        panic(str("Dct::transformCols: map size ", map.size(),
-                  " != ", nx, "x", ny));
-    parallelFor(
-        pool, static_cast<std::size_t>(nx),
-        [&](std::size_t begin, std::size_t end) {
-            std::vector<double> col(static_cast<std::size_t>(ny));
-            for (std::size_t ix = begin; ix < end; ++ix) {
-                for (int iy = 0; iy < ny; ++iy)
-                    col[iy] =
-                        map[static_cast<std::size_t>(iy) * nx + ix];
-                const std::vector<double> out = apply(kind, col);
-                for (int iy = 0; iy < ny; ++iy)
-                    map[static_cast<std::size_t>(iy) * nx + ix] =
-                        out[iy];
-            }
-        },
-        ThreadPool::kGrainCoarse);
-}
-
 std::vector<double>
 Dct::dct2Direct(const std::vector<double> &x)
 {

@@ -17,7 +17,8 @@
  * The 1-D kernels here allocate workspaces per call and serve as the
  * reference implementations; the batched row/column passes execute
  * through the cached DctPlan (math/dct_plan, math/plan_cache), which
- * is bitwise-identical but reuses precomputed tables and scratch.
+ * is bitwise-identical but reuses precomputed tables and scratch (the
+ * plan-free passes live on as test oracles in tests/oracles).
  */
 
 #ifndef QPLACER_MATH_DCT_HPP
@@ -73,21 +74,6 @@ class Dct
     /** Column-wise counterpart of transformRows (length-@p ny cols). */
     static void transformCols(std::vector<double> &map, int nx, int ny,
                               Kind kind, ThreadPool *pool);
-
-    /**
-     * Plan-free reference row pass: per-row apply() with per-call
-     * workspaces (the pre-plan implementation). Kept for the
-     * plan-equivalence tests and the planned-vs-unplanned benchmark;
-     * bitwise-identical to transformRows.
-     */
-    static void transformRowsUnplanned(std::vector<double> &map, int nx,
-                                       int ny, Kind kind,
-                                       ThreadPool *pool);
-
-    /** Plan-free reference column pass (see transformRowsUnplanned). */
-    static void transformColsUnplanned(std::vector<double> &map, int nx,
-                                       int ny, Kind kind,
-                                       ThreadPool *pool);
 
     /** O(N^2) reference implementations used to validate the fast paths. */
     static std::vector<double> dct2Direct(const std::vector<double> &x);

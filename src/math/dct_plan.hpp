@@ -85,8 +85,7 @@ class DctPlan
      * Apply @p kind along every length-@p nx row of the row-major
      * @p ny x @p nx map (requires nx == length()), rows chunked
      * across @p pool (null = serial) with one scratch lane per chunk.
-     * Bitwise-identical to Dct::transformRowsUnplanned for any thread
-     * count.
+     * Bitwise-identical to a per-row Dct::apply for any thread count.
      */
     void transformRows(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,

@@ -3,12 +3,12 @@
  * Netlist construction: topology + frequency assignment + preprocessing
  * parameters -> placement netlist (Fig. 7 a-b).
  *
- * Scaling: the default engine precomputes per-coupler segment counts,
+ * Scaling: the builder precomputes per-coupler segment counts,
  * prefix-sums the instance and net offsets, and fills instances, nets,
  * resonator records, and warm-start positions in parallel on the
  * flow's worker pool with deterministic chunking -- the netlist is
- * bitwise-identical to the sequential-append reference path at any
- * thread count (gated in bench/assign_scale and ctest -L assign).
+ * bitwise-identical to a sequential append at any thread count (gated
+ * against the oracle in tests/oracles by ctest -L assign).
  */
 
 #ifndef QPLACER_NETLIST_BUILDER_HPP
@@ -52,8 +52,9 @@ class NetlistBuilder
      * on the (scaled) topology embedding: qubits at their embedded spots,
      * segments spread along the straight line between their endpoints.
      *
-     * @p pool (optional, borrowed) parallelizes the fast engine's fill
-     * loops; null or 1 thread runs serially with identical output.
+     * @p pool (optional, borrowed) parallelizes the fill loops (chunked
+     * at ThreadPool::kGrainMedium); null or 1 thread runs serially with
+     * identical output.
      * @p stats (optional) receives the sub-stage wall clocks.
      */
     Netlist build(const Topology &topo,
@@ -64,17 +65,6 @@ class NetlistBuilder
     const PartitionParams &params() const { return params_; }
 
   private:
-    /** The original sequential append path (BuildEngine::Reference). */
-    Netlist buildReference(const Topology &topo,
-                           const FrequencyAssignment &freqs,
-                           double target_util, BuildStats &stats) const;
-
-    /** Prefix-summed offsets + pool-parallel fill (BuildEngine::Fast). */
-    Netlist buildFast(const Topology &topo,
-                      const FrequencyAssignment &freqs,
-                      double target_util, ThreadPool *pool,
-                      BuildStats &stats) const;
-
     PartitionParams params_;
 };
 

@@ -184,7 +184,7 @@ bool bitwiseSameLayout(const Netlist &a, const Netlist &b);
  * Bitwise equality of the whole problem instance -- every instance
  * field (memcmp on the doubles), nets, resonator records, and the
  * region. The threaded builder's equivalence contract against the
- * sequential reference builder at any thread count.
+ * sequential-append oracle in tests/oracles at any thread count.
  */
 bool bitwiseSameNetlist(const Netlist &a, const Netlist &b);
 

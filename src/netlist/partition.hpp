@@ -15,20 +15,6 @@
 
 namespace qplacer {
 
-/** Which construction path NetlistBuilder::build runs. */
-enum class BuildEngine
-{
-    /**
-     * Prefix-summed instance/net offsets filled in parallel on the
-     * flow's worker pool; bitwise-identical to Reference at any thread
-     * count (gated in bench/assign_scale and ctest -L assign).
-     */
-    Fast,
-
-    /** The original sequential append (A/B timing baseline). */
-    Reference,
-};
-
 /** Parameters of the preprocessing step (padding + partitioning). */
 struct PartitionParams
 {
@@ -36,17 +22,6 @@ struct PartitionParams
     double wireWidthUm = kResonatorWireWidthUm;
     double qubitPadUm = kQubitPadUm;     ///< d_q.
     double resonatorPadUm = kResonatorPadUm; ///< d_r.
-
-    /** Builder path (--set builder.reference=1 for the baseline). */
-    BuildEngine buildEngine = BuildEngine::Fast;
-
-    /**
-     * Instance count below which the fast builder's fill loops stay
-     * serial (waking the pool costs more than the loop). 0 forces the
-     * parallel path at any size -- the equivalence suites use that.
-     * Validated in FlowParams::normalized().
-     */
-    int buildSerialBelow = 256;
 };
 
 /**

@@ -1,13 +1,10 @@
 #include "pipeline/flow.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
-#include <utility>
 
-#include "pipeline/context.hpp"
+#include "pipeline/session.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qplacer {
 
@@ -48,9 +45,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: partition.wireWidthUm must be positive");
     check(partition.qubitPadUm >= 0.0 && partition.resonatorPadUm >= 0.0,
           "FlowParams: partition pads must be non-negative");
-    check(partition.buildSerialBelow >= 0,
-          "FlowParams: partition.buildSerialBelow must be non-negative "
-          "(0 = always parallel)");
     check(placer.targetDensity > 0.0 && placer.targetDensity <= 1.0,
           "FlowParams: placer.targetDensity must be in (0, 1]");
     check(placer.maxIters >= 1,
@@ -138,29 +132,19 @@ QplacerFlow::run(const Topology &topo) const
 {
     // No error out-param: invalid configuration fatal()s, matching the
     // pre-session API (PlacementSession reports via FlowResult::status).
-    const FlowParams normalized = params_.normalized();
+    params_.normalized();
 
-    FlowContext ctx;
-    ctx.topo = &topo;
-    ctx.params = normalized;
-
-    // A private pool per run (Human mode has no parallel stage, so
-    // skip the thread spawn entirely), sized exactly like the
-    // pre-session flow so fixed-seed layouts stay bitwise-identical
-    // to it. Sessions amortize this construction across runs.
-    std::unique_ptr<ThreadPool> pool;
-    if (normalized.mode != PlacerMode::Human) {
-        pool = std::make_unique<ThreadPool>(normalized.placer.threads);
-        ctx.pool = pool->threads() > 1 ? pool.get() : nullptr;
-    }
-
-    runStages(ctx, makeDefaultStages(normalized));
+    // A one-shot session: pool sizing, context setup and the stage list
+    // are exactly PlacementSession::run's, so fixed-seed layouts are
+    // bitwise those of a session run.
+    PlacementSession session;
+    FlowResult result = session.run(topo, params_);
 
     // Exception compatibility: a failed stage used to surface as the
     // fatal() it threw; re-throw instead of returning a partial result.
-    if (ctx.result.status.code == FlowCode::StageError)
-        throw std::runtime_error(ctx.result.status.message);
-    return std::move(ctx.result);
+    if (result.status.code == FlowCode::StageError)
+        throw std::runtime_error(result.status.message);
+    return result;
 }
 
 FlowResult

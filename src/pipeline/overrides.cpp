@@ -15,11 +15,7 @@ const char *const kKnownSetKeys[] = {
     "placer.threads",
     "assigner.distance2",
     "assigner.detuningThresholdGHz",
-    "assigner.referenceEngine",
-    "builder.reference",
-    "builder.serialBelow",
     "legalizer.cellUm",
-    "legalizer.referenceProbes",
     "legalizer.integration",
     "hotspot.adjacencyTolUm",
     "multidie.cutWeight",
@@ -73,30 +69,9 @@ applyOverrides(const Config &cfg, FlowParams &params)
         cfg.getDouble("assigner.detuningThresholdGHz",
                       ap.detuningThresholdHz / 1e9) *
         1e9;
-    // The reference assigner/builder engines exist for A/B timing (see
-    // bench/assign_scale); outputs are identical either way.
-    ap.engine = cfg.getBool("assigner.referenceEngine",
-                            ap.engine == AssignEngine::Reference)
-                    ? AssignEngine::Reference
-                    : AssignEngine::Fast;
-
-    PartitionParams &bp = params.partition;
-    bp.buildEngine = cfg.getBool("builder.reference",
-                                 bp.buildEngine == BuildEngine::Reference)
-                         ? BuildEngine::Reference
-                         : BuildEngine::Fast;
-    bp.buildSerialBelow = static_cast<int>(
-        cfg.getInt("builder.serialBelow", bp.buildSerialBelow));
 
     LegalizerParams &lp = params.legalizer;
     lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);
-    // The reference probe engine exists for A/B timing (see
-    // bench/legalize_scale); layouts are identical either way.
-    lp.probeEngine =
-        cfg.getBool("legalizer.referenceProbes",
-                    lp.probeEngine == ProbeEngine::Reference)
-            ? ProbeEngine::Reference
-            : ProbeEngine::Fast;
     lp.integration = cfg.getBool("legalizer.integration", lp.integration);
 
     params.hotspot.adjacencyTolUm =

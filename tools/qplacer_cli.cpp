@@ -94,22 +94,10 @@ Options:
                       Incompatible with --jobs > 1.
   --segment UM        Resonator segment size l_b in um (default: 300).
   --set KEY=VALUE     Override a flow parameter; repeatable. Keys:
-                      targetUtil, placer.maxIters, placer.minIters,
-                      placer.targetDensity, placer.bins,
-                      placer.stopOverflow, placer.freqForce,
-                      placer.freqWeight, placer.freqCutoffFactor,
-                      placer.threads,
-                      assigner.distance2, assigner.detuningThresholdGHz,
-                      assigner.referenceEngine,
-                      builder.reference, builder.serialBelow,
-                      legalizer.cellUm, legalizer.referenceProbes,
-                      legalizer.integration, hotspot.adjacencyTolUm,
-                      incremental.maxIters, incremental.snapToleranceUm,
-                      detailed.enabled, detailed.iters,
-                      detailed.tempStart, detailed.tempDecay,
-                      portfolio.seeds, portfolio.pruneAt,
-                      portfolio.keepFrac.
-  --csv PATH          Write a metrics CSV to PATH (one row per job).
+)";
+
+const char *kUsageTail =
+    R"(  --csv PATH          Write a metrics CSV to PATH (one row per job).
   --svg PATH          Render the placed layout to PATH as SVG (--jobs 1).
   --layout PATH       Save instance positions ("id kind x y freq") to PATH
                       (--jobs 1).
@@ -122,6 +110,30 @@ Options:
   --quiet             Suppress status logging (errors still shown).
   --help              Show this message.
 )";
+
+/**
+ * The usage text, with the --set key list printed from kKnownSetKeys
+ * (comma-separated, wrapped under the option descriptions) so the help
+ * can never drift from the keys the parser accepts.
+ */
+std::string
+usage()
+{
+    const std::string indent(22, ' ');
+    std::string text = kUsage;
+    std::string line;
+    for (std::size_t i = 0; i < numKnownSetKeys(); ++i) {
+        std::string key = kKnownSetKeys[i];
+        key += i + 1 < numKnownSetKeys() ? "," : ".";
+        if (!line.empty() &&
+            indent.size() + line.size() + 1 + key.size() > 78) {
+            text += indent + line + "\n";
+            line.clear();
+        }
+        line += (line.empty() ? "" : " ") + key;
+    }
+    return text + indent + line + "\n" + kUsageTail;
+}
 
 /** std::stod with a CLI-grade error message; rejects nan/inf. */
 double
@@ -528,7 +540,7 @@ run(int argc, char **argv)
 {
     const CliOptions opts = parseArgs(argc, argv);
     if (opts.help) {
-        std::cout << kUsage;
+        std::cout << usage();
         return 0;
     }
     if (opts.listTopologies) {
