@@ -77,9 +77,9 @@ run(int argc, char **argv)
         FlowParams folio_params = params;
         folio_params.detailed.enabled = true;
         folio_params.detailed.iters = detailed_iters;
+        folio_params.portfolio.seeds = seeds;
         Timer folio_timer;
-        const FlowResult folio =
-            session.runPortfolio(topo, folio_params, seeds);
+        const FlowResult folio = session.runPortfolio(topo, folio_params);
         const double folio_s = folio_timer.seconds();
 
         const bool ok = single.status.ok() && folio.status.ok();

@@ -10,6 +10,29 @@
 
 namespace qplacer {
 
+bool
+resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
+            const IntegrationParams &params, const Instance &inst, Vec2 pos,
+            std::vector<std::int32_t> &scratch, int ignore_a, int ignore_b)
+{
+    if (!params.resonanceCheck)
+        return true;
+    const Rect probe =
+        Rect::fromCenter(pos, inst.paddedWidth(), inst.paddedHeight())
+            .inflated(params.probeTolUm);
+    grid.ownersIn(probe, scratch);
+    for (std::int32_t other : scratch) {
+        if (other == inst.id || other == ignore_a || other == ignore_b)
+            continue;
+        const Instance &o = netlist.instance(other);
+        if (inst.resonator >= 0 && o.resonator == inst.resonator)
+            continue;
+        if (isResonant(inst.freqHz, o.freqHz, params.detuningThresholdHz))
+            return false;
+    }
+    return true;
+}
+
 IntegrationLegalizer::IntegrationLegalizer(IntegrationParams params)
     : params_(params)
 {
@@ -63,32 +86,6 @@ IntegrationLegalizer::integrationLegal(const Netlist &netlist,
     for (const auto &cluster : cls) {
         if (cluster.size() < 2)
             return false; // an isolated segment cannot be routed through
-    }
-    return true;
-}
-
-bool
-IntegrationLegalizer::resonanceOk(const Netlist &netlist,
-                                  const OccupancyGrid &grid,
-                                  const Instance &inst, Vec2 pos,
-                                  int ignore_a, int ignore_b) const
-{
-    if (!params_.resonanceCheck)
-        return true;
-    const Rect probe =
-        Rect::fromCenter(pos, inst.paddedWidth(), inst.paddedHeight())
-            .inflated(params_.probeTolUm);
-    grid.ownersIn(probe, ownerScratch_);
-    for (std::int32_t other : ownerScratch_) {
-        if (other == inst.id || other == ignore_a || other == ignore_b)
-            continue;
-        const Instance &o = netlist.instance(other);
-        if (inst.resonator >= 0 && o.resonator == inst.resonator)
-            continue;
-        if (isResonant(inst.freqHz, o.freqHz,
-                       params_.detuningThresholdHz)) {
-            return false;
-        }
     }
     return true;
 }
@@ -162,8 +159,8 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                                 Rect::fromCenter(snapped, w, h);
                             if (!grid.canPlaceIgnoring(rect, seg_id))
                                 continue;
-                            if (!resonanceOk(netlist, grid, seg, snapped,
-                                             -1, -1))
+                            if (!resonanceOk(netlist, grid, params_, seg,
+                                             snapped, ownerScratch_))
                                 continue;
                             grid.release(
                                 Rect::fromCenter(seg.pos, w, h), seg_id);
@@ -201,10 +198,12 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                                 cand.height != seg.height)
                                 continue;
                             // tau checks at both destinations.
-                            if (!resonanceOk(netlist, grid, seg, cand.pos,
-                                             cand_id, -1) ||
-                                !resonanceOk(netlist, grid, cand, seg.pos,
-                                             seg_id, -1)) {
+                            if (!resonanceOk(netlist, grid, params_, seg,
+                                             cand.pos, ownerScratch_,
+                                             cand_id) ||
+                                !resonanceOk(netlist, grid, params_, cand,
+                                             seg.pos, ownerScratch_,
+                                             seg_id)) {
                                 continue;
                             }
                             // Swap must not break the partner's own
@@ -298,7 +297,8 @@ IntegrationLegalizer::replaceChain(Netlist &netlist, OccupancyGrid &grid,
             return a.gap(b) <= params_.adjacencyTolUm;
         };
         auto tau_ok = [&](Vec2 center) {
-            return resonanceOk(netlist, grid, seg, center, -1, -1);
+            return resonanceOk(netlist, grid, params_, seg, center,
+                               ownerScratch_);
         };
         const int radius =
             static_cast<int>(12.0 * w / grid.cellUm());

@@ -55,6 +55,20 @@ struct IntegrationParams
     bool chainReplace = true;
 };
 
+/**
+ * The resonance checker tau, shared by the Tetris scan and Algorithm 1:
+ * true if instance @p inst, hypothetically centered at @p pos, has no
+ * near-resonant foreign instance within params.probeTolUm. Segments of
+ * its own resonator and the owners @p ignore_a / @p ignore_b (swap
+ * partners) are skipped. Always passes when params.resonanceCheck is
+ * off. @p scratch is the ownersIn buffer, reused so the probe -- run
+ * once per candidate slot -- never allocates.
+ */
+bool resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
+                 const IntegrationParams &params, const Instance &inst,
+                 Vec2 pos, std::vector<std::int32_t> &scratch,
+                 int ignore_a = -1, int ignore_b = -1);
+
 /** Runs Algorithm 1 on a legalized netlist. */
 class IntegrationLegalizer
 {
@@ -103,16 +117,6 @@ class IntegrationLegalizer
      * @return true if the resonator is integration-legal afterwards.
      */
     bool replaceChain(Netlist &netlist, OccupancyGrid &grid, int r) const;
-
-    /**
-     * tau check for placing instance @p inst (hypothetically centered at
-     * @p pos) next to its neighbours: no near-resonant foreign instance
-     * within the adjacency tolerance. Always passes when resonance
-     * checking is disabled.
-     */
-    bool resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
-                     const Instance &inst, Vec2 pos,
-                     int ignore_a, int ignore_b) const;
 
     IntegrationParams params_;
 

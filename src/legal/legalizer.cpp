@@ -1,7 +1,6 @@
 #include "legal/legalizer.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "geometry/spatial_hash.hpp"
 #include "legal/spiral.hpp"
@@ -76,64 +75,8 @@ Legalizer::Legalizer(LegalizerParams params)
 }
 
 bool
-Legalizer::attempt(Netlist &netlist, LegalizeResult &result,
-                   const CancelToken *cancel) const
-{
-    result = LegalizeResult{};
-    OccupancyGrid grid(netlist.region(), params_.cellUm);
-
-    // Multi-die: resolve the partition against the *current* region
-    // (it may have grown between attempts) and reserve the cut gaps
-    // before anything is placed -- no footprint can straddle a cut.
-    DiePlan plan;
-    const bool multi = netlist.dieSpec().active();
-    if (multi) {
-        plan = DiePlan::resolve(netlist.dieSpec(), netlist.region());
-        for (const Rect &band : plan.gapBands())
-            grid.block(band);
-    }
-
-    // --- Stage 1: qubits (greedy spiral, central-first order). ---
-    Timer stage_timer;
-    std::vector<int> qubits(netlist.numQubits());
-    std::iota(qubits.begin(), qubits.end(), 0);
-    if (!spiralLegalizeQubits(netlist, grid, multi ? &plan : nullptr,
-                              qubits, result.qubitDisplacementUm))
-        return false;
-    result.spiralSeconds = stage_timer.seconds();
-
-    // --- Stage 2: segments (Tetris). ---
-    if (cancel && cancel->cancelled()) {
-        result.cancelled = true;
-        return true;
-    }
-    stage_timer.reset();
-    if (!tetrisLegalizeSegments(netlist, grid,
-                                params_.integrationParams,
-                                result.segmentDisplacementUm)) {
-        return false;
-    }
-    result.tetrisSeconds = stage_timer.seconds();
-
-    // --- Stage 3: integration-aware repair. ---
-    if (cancel && cancel->cancelled()) {
-        result.cancelled = true;
-        return true;
-    }
-    stage_timer.reset();
-    if (params_.integration) {
-        IntegrationLegalizer integrator(params_.integrationParams);
-        result.integration = integrator.run(netlist, grid);
-    }
-    result.integrationSeconds = stage_timer.seconds();
-    return true;
-}
-
-bool
-Legalizer::attemptScoped(Netlist &netlist,
-                         const std::vector<char> &is_movable_in,
-                         LegalizeResult &result,
-                         const CancelToken *cancel) const
+Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
+                   LegalizeResult &result, const CancelToken *cancel) const
 {
     result = LegalizeResult{};
     std::vector<char> is_movable = is_movable_in;
@@ -154,7 +97,8 @@ Legalizer::attemptScoped(Netlist &netlist,
 
     OccupancyGrid grid(netlist.region(), params_.cellUm);
     for (int restart = 0;; ++restart) {
-        grid = OccupancyGrid(netlist.region(), params_.cellUm);
+        if (restart > 0)
+            grid = OccupancyGrid(netlist.region(), params_.cellUm);
         if (multi)
             for (const Rect &band : plan.gapBands())
                 grid.block(band);
@@ -196,7 +140,7 @@ Legalizer::attemptScoped(Netlist &netlist,
         return false;
     result.spiralSeconds = stage_timer.seconds();
 
-    // --- Stage 2: movable segments (scoped Tetris). ---
+    // --- Stage 2: movable segments (Tetris). ---
     if (cancel && cancel->cancelled()) {
         result.cancelled = true;
         return true;
@@ -213,7 +157,7 @@ Legalizer::attemptScoped(Netlist &netlist,
     }
     result.tetrisSeconds = stage_timer.seconds();
 
-    // --- Stage 3: integration repair, scoped to the moved chains. ---
+    // --- Stage 3: integration-aware repair of the moved chains. ---
     if (cancel && cancel->cancelled()) {
         result.cancelled = true;
         return true;
@@ -228,68 +172,28 @@ Legalizer::attemptScoped(Netlist &netlist,
 }
 
 LegalizeResult
-Legalizer::legalizeScoped(Netlist &netlist, const std::vector<int> &movable,
-                          const CancelToken *cancel) const
+Legalizer::legalize(Netlist &netlist, const CancelToken *cancel,
+                    const std::vector<int> *movable) const
 {
-    // Closure: a resonator with any movable segment moves as a whole,
-    // so the scoped Tetris scan re-drops complete chains.
-    std::vector<char> is_movable(netlist.numInstances(), 0);
-    for (int id : movable)
-        if (id >= 0 && id < netlist.numInstances())
-            is_movable[id] = 1;
-    for (const Resonator &res : netlist.resonators()) {
-        bool any = false;
-        for (int seg : res.segments)
-            any = any || (is_movable[seg] != 0);
-        if (any)
+    std::vector<char> is_movable(netlist.numInstances(), movable ? 0 : 1);
+    if (movable) {
+        // Closure: a resonator with any movable segment moves as a
+        // whole, so the Tetris scan re-drops complete chains.
+        for (int id : *movable)
+            if (id >= 0 && id < netlist.numInstances())
+                is_movable[id] = 1;
+        for (const Resonator &res : netlist.resonators()) {
+            bool any = false;
             for (int seg : res.segments)
-                is_movable[seg] = 1;
-    }
-
-    std::vector<Vec2> snapshot(netlist.numInstances());
-    for (int i = 0; i < netlist.numInstances(); ++i)
-        snapshot[i] = netlist.instance(i).pos;
-    const Rect original_region = netlist.region();
-
-    LegalizeResult result;
-    for (int attempt_idx = 0; attempt_idx < 4; ++attempt_idx) {
-        if (cancel && cancel->cancelled()) {
-            result.cancelled = true;
-            return result;
-        }
-        if (attempt_idx > 0) {
-            const double grow =
-                1.0 + 0.08 * static_cast<double>(attempt_idx);
-            Rect region = original_region;
-            region.hi.x = region.lo.x + original_region.width() * grow;
-            region.hi.y = region.lo.y + original_region.height() * grow;
-            netlist.setRegion(region);
-            // Fixed instances keep their legal sites; only the movable
-            // set restarts from the warm-placement input.
-            for (int i = 0; i < netlist.numInstances(); ++i)
-                if (is_movable[i])
-                    netlist.instance(i).pos = snapshot[i];
-            warn(str("Legalizer: scoped retry with region grown ",
-                     (grow - 1.0) * 100.0, "%"));
-        }
-        if (attemptScoped(netlist, is_movable, result, cancel)) {
-            if (result.cancelled)
-                return result;
-            result.legal = isLegal(netlist);
-            if (!result.legal)
-                warn("Legalizer: scoped layout has residual overlaps");
-            return result;
+                any = any || (is_movable[seg] != 0);
+            if (any)
+                for (int seg : res.segments)
+                    is_movable[seg] = 1;
         }
     }
-    fatal("Legalizer: scoped legalization failed even after region "
-          "expansion");
-}
 
-LegalizeResult
-Legalizer::legalize(Netlist &netlist, const CancelToken *cancel) const
-{
-    // Snapshot the global-placement solution so retries with a larger
-    // region restart from the same input.
+    // Snapshot the input so retries with a larger region restart from
+    // the same positions.
     std::vector<Vec2> snapshot(netlist.numInstances());
     for (int i = 0; i < netlist.numInstances(); ++i)
         snapshot[i] = netlist.instance(i).pos;
@@ -308,17 +212,18 @@ Legalizer::legalize(Netlist &netlist, const CancelToken *cancel) const
             const double grow =
                 1.0 + 0.08 * static_cast<double>(attempt_idx);
             Rect region = original_region;
-            region.hi.x =
-                region.lo.x + original_region.width() * grow;
-            region.hi.y =
-                region.lo.y + original_region.height() * grow;
+            region.hi.x = region.lo.x + original_region.width() * grow;
+            region.hi.y = region.lo.y + original_region.height() * grow;
             netlist.setRegion(region);
+            // Fixed instances keep their legal sites; only the movable
+            // set restarts from the input.
             for (int i = 0; i < netlist.numInstances(); ++i)
-                netlist.instance(i).pos = snapshot[i];
+                if (is_movable[i])
+                    netlist.instance(i).pos = snapshot[i];
             warn(str("Legalizer: retrying with region grown ",
                      (grow - 1.0) * 100.0, "%"));
         }
-        if (attempt(netlist, result, cancel)) {
+        if (attempt(netlist, is_movable, result, cancel)) {
             if (result.cancelled)
                 return result;
             result.legal = isLegal(netlist);

@@ -57,25 +57,20 @@ class Legalizer
      * giving up with fatal(). @p cancel (optional) is polled at pass
      * boundaries; on cancellation the partially legalized layout is
      * left in place and the result carries cancelled = true.
+     *
+     * @p movable (optional) scopes the pass for incremental re-place:
+     * only those instances (plus closure) may move, and every other
+     * instance is a fixed obstacle at its current -- already legal --
+     * position. The closure keeps resonator chains whole: any
+     * resonator with a movable segment becomes fully movable, and a
+     * fixed instance whose footprint conflicts (stale prior site
+     * overlapping another fixed instance) is demoted to movable rather
+     * than corrupting the grid. Retries restore only the movable
+     * instances. Null means every instance is movable.
      */
     LegalizeResult legalize(Netlist &netlist,
-                            const CancelToken *cancel = nullptr) const;
-
-    /**
-     * Region-scoped legalization for incremental re-place: only the
-     * instances in @p movable (plus closure) may move; every other
-     * instance is treated as a fixed obstacle at its current -- already
-     * legal -- position. The closure rules keep the invariants of the
-     * full pass: any resonator with a movable segment becomes fully
-     * movable (chains stay contiguous), and a fixed instance whose
-     * footprint conflicts (stale prior site overlapping another fixed
-     * instance) is demoted to movable rather than corrupting the grid.
-     * Retries with region growth like legalize(), restoring only the
-     * movable instances between attempts.
-     */
-    LegalizeResult legalizeScoped(Netlist &netlist,
-                                  const std::vector<int> &movable,
-                                  const CancelToken *cancel = nullptr) const;
+                            const CancelToken *cancel = nullptr,
+                            const std::vector<int> *movable = nullptr) const;
 
     /**
      * Verify no two padded footprints overlap (with small tolerance)
@@ -84,14 +79,12 @@ class Legalizer
     static bool isLegal(const Netlist &netlist, double tol_um = 1.0);
 
   private:
-    /** One legalization pass; false if the region ran out of room. */
-    bool attempt(Netlist &netlist, LegalizeResult &result,
-                 const CancelToken *cancel) const;
-
-    /** One scoped pass over @p is_movable (per-instance flags). */
-    bool attemptScoped(Netlist &netlist, const std::vector<char> &is_movable,
-                       LegalizeResult &result,
-                       const CancelToken *cancel) const;
+    /**
+     * One pass over @p is_movable (per-instance flags); false if the
+     * region ran out of room.
+     */
+    bool attempt(Netlist &netlist, const std::vector<char> &is_movable,
+                 LegalizeResult &result, const CancelToken *cancel) const;
 
     LegalizerParams params_;
 };

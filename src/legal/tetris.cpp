@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "freq/spectrum.hpp"
 #include "legal/spiral.hpp"
 #include "util/logging.hpp"
 
@@ -64,23 +63,8 @@ tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                 // tau-checked search first, within a bounded radius so
                 // a hopeless neighbourhood degrades gracefully.
                 auto tau_ok = [&](Vec2 center) {
-                    const Rect probe =
-                        Rect::fromCenter(center, w, h)
-                            .inflated(params.probeTolUm);
-                    grid.ownersIn(probe, owner_scratch);
-                    for (std::int32_t other : owner_scratch) {
-                        if (other == id)
-                            continue;
-                        const Instance &o = netlist.instance(other);
-                        if (o.resonator == seg.resonator &&
-                            o.resonator >= 0)
-                            continue;
-                        if (isResonant(seg.freqHz, o.freqHz,
-                                       params.detuningThresholdHz)) {
-                            return false;
-                        }
-                    }
-                    return true;
+                    return resonanceOk(netlist, grid, params, seg, center,
+                                       owner_scratch);
                 };
                 const int radius = static_cast<int>(
                     12.0 * seg.paddedWidth() / grid.cellUm());

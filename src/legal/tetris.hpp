@@ -28,7 +28,7 @@ namespace qplacer {
  * no clean one exists), so the tau constraint survives legalization.
  *
  * When @p only_resonators is non-null, just those resonator ids are
- * processed (scoped re-legalization, Legalizer::legalizeScoped); all
+ * processed (Legalizer::legalize with a movable set); all
  * other segments must already occupy @p grid and are treated as fixed
  * obstacles. The scan order among the subset matches the full scan.
  *

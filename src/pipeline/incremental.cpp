@@ -175,26 +175,12 @@ class WarmPlaceStage final : public FlowStage
         if (st.reusedPrior)
             return;
 
-        PlaceMonitor monitor;
-        monitor.cancel = ctx.cancel;
-        if (ctx.observer) {
-            monitor.onIteration = [&ctx](const PlaceProgress &progress) {
-                ctx.observer->onIteration(ctx, progress);
-            };
-        }
-
         PlacerParams pp = ctx.params.placer;
         pp.maxIters = std::max(1, ctx.params.incremental.maxIters);
         pp.minIters = std::min(pp.minIters, pp.maxIters);
         pp.jitterFrac = 0.0; // the warm start already broke symmetry
 
-        const GlobalPlacer placer(pp);
-        ctx.result.place =
-            placer.place(ctx.result.netlist, ctx.pool, monitor);
-        if (ctx.result.place.cancelled) {
-            ctx.result.status = {FlowCode::Cancelled, name(),
-                                 "cancelled during global placement"};
-        }
+        runGlobalPlacer(ctx, pp, name());
     }
 };
 
@@ -202,7 +188,7 @@ class WarmPlaceStage final : public FlowStage
  * Scoped legalization: clean instances that stayed within
  * IncrementalPlaceParams::snapToleranceUm of their prior site snap
  * back and are held fixed; everything else (dirty closure + drifters)
- * goes through Legalizer::legalizeScoped.
+ * goes through Legalizer::legalize with that movable set.
  */
 class ScopedLegalizeStage final : public FlowStage
 {
@@ -235,8 +221,7 @@ class ScopedLegalizeStage final : public FlowStage
             static_cast<int>(movable.size());
 
         const Legalizer legalizer(ctx.params.legalizer);
-        ctx.result.legal =
-            legalizer.legalizeScoped(netlist, movable, ctx.cancel);
+        ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable);
         if (ctx.result.legal.cancelled) {
             ctx.result.status = {FlowCode::Cancelled, name(),
                                  "cancelled during legalization"};

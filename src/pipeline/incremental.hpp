@@ -18,7 +18,7 @@
  * place runs a short jitter-free Nesterov re-solve
  * (IncrementalPlaceParams::maxIters), and legalize snaps undrifted
  * clean instances back to their prior sites and runs
- * Legalizer::legalizeScoped over the movers. An empty delta on an
+ * Legalizer::legalize with the movers as its movable set. An empty delta on an
  * unchanged topology short-circuits: the prior layout is reproduced
  * exactly (bitwiseSameLayout) and the place/legalize stages no-op.
  */

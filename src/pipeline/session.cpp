@@ -47,38 +47,28 @@ class TrajectoryRecorder final : public FlowObserver
     std::vector<std::vector<PlaceProgress>> traj_;
 };
 
-/**
- * One truncated portfolio probe: assign -> build -> place only (no
- * legalization or metrics -- the ranking needs the optimizer
- * trajectory, nothing downstream), serial, quiet.
- */
+/** A job that never ran: its parameters failed validation. */
 FlowResult
-runTruncatedProbe(const Topology &topo, const FlowParams &params,
-                  int job_index, FlowObserver *observer,
-                  const CancelToken *cancel)
+rejected(std::string message)
 {
-    FlowContext ctx;
-    ctx.topo = &topo;
+    FlowResult result;
+    result.status = {FlowCode::InvalidParams, "", std::move(message)};
+    return result;
+}
 
-    std::string error;
-    ctx.params = params.normalized(&error);
-    if (!error.empty()) {
-        ctx.result.status = {FlowCode::InvalidParams, "", error};
-        return std::move(ctx.result);
-    }
-
-    ctx.jobIndex = job_index;
-    ctx.pool = nullptr;
-    ctx.observer = observer;
-    ctx.cancel = cancel;
-    ctx.logging = false;
-
+/**
+ * The portfolio probe pipeline: assign -> build -> place only (no
+ * legalization or metrics -- the ranking needs the optimizer
+ * trajectory, nothing downstream).
+ */
+std::vector<std::unique_ptr<FlowStage>>
+makeProbeStages(const FlowParams &)
+{
     std::vector<std::unique_ptr<FlowStage>> stages;
     stages.push_back(makeAssignStage());
     stages.push_back(makeBuildStage());
     stages.push_back(makeGlobalPlaceStage());
-    runStages(ctx, stages);
-    return std::move(ctx.result);
+    return stages;
 }
 
 } // namespace
@@ -89,9 +79,13 @@ PlacementSession::PlacementSession(SessionParams params)
 }
 
 ThreadPool *
-PlacementSession::innerPool(int threads)
+PlacementSession::innerPool(const FlowParams &params)
 {
-    const int resolved = ThreadPool::resolveThreadCount(threads);
+    // Human mode has no parallel stage; don't build (or keep alive) a
+    // pool for it.
+    if (params.mode == PlacerMode::Human)
+        return nullptr;
+    const int resolved = ThreadPool::resolveThreadCount(params.placer.threads);
     if (resolved <= 1)
         return nullptr;
     // Reuse the live pool whenever the size matches -- this is the
@@ -105,25 +99,54 @@ PlacementSession::innerPool(int threads)
 
 FlowResult
 PlacementSession::runJob(const Topology &topo, const FlowParams &params,
-                         int job_index, ThreadPool *pool, bool logging)
+                         int job_index, ThreadPool *pool, bool logging,
+                         FlowObserver *observer, StageMaker make_stages,
+                         IncrementalState *incremental)
 {
     FlowContext ctx;
     ctx.topo = &topo;
 
     std::string error;
     ctx.params = params.normalized(&error);
-    if (!error.empty()) {
-        ctx.result.status = {FlowCode::InvalidParams, "", error};
-        return std::move(ctx.result);
-    }
+    if (!error.empty())
+        return rejected(error);
 
     ctx.jobIndex = job_index;
     ctx.pool = pool;
-    ctx.observer = observer_;
+    ctx.observer = observer;
     ctx.cancel = &cancel_;
     ctx.logging = logging;
-    runStages(ctx, makeDefaultStages(ctx.params));
+    ctx.incremental = incremental;
+    runStages(ctx, make_stages(ctx.params));
     return std::move(ctx.result);
+}
+
+void
+PlacementSession::forEachJob(
+    std::size_t n, const std::function<void(std::size_t, bool)> &job)
+{
+    const int workers =
+        std::min<int>(ThreadPool::resolveThreadCount(params_.workers),
+                      static_cast<int>(n));
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            job(i, /*concurrent=*/false);
+        return;
+    }
+
+    if (!batch_ || batch_->threads() != workers)
+        batch_ = std::make_unique<ThreadPool>(workers);
+
+    // Every worker pulls the next unclaimed job (dynamic scheduling --
+    // placements vary wildly in cost, so a static split would idle
+    // half the pool on the tail).
+    std::atomic<std::size_t> next{0};
+    batch_->forChunks(static_cast<std::size_t>(workers),
+                      [&](int, std::size_t, std::size_t) {
+                          for (std::size_t i = next.fetch_add(1); i < n;
+                               i = next.fetch_add(1))
+                              job(i, /*concurrent=*/true);
+                      });
 }
 
 FlowResult
@@ -133,44 +156,28 @@ PlacementSession::run(const Topology &topo)
 }
 
 FlowResult
+PlacementSession::run(const Topology &topo, const FlowParams &params)
+{
+    return runJob(topo, params, /*job_index=*/0, innerPool(params),
+                  /*logging=*/true, observer_, makeDefaultStages);
+}
+
+FlowResult
 PlacementSession::runIncremental(const Topology &topo,
                                  const FlowParams &params,
                                  const PriorLayout &prior,
                                  const NetlistDelta &delta)
 {
-    FlowContext ctx;
-    ctx.topo = &topo;
-
-    std::string error;
-    ctx.params = params.normalized(&error);
-    if (error.empty() && params.mode == PlacerMode::Human)
-        error = "incremental re-place supports Qplacer/Classic modes only";
-    if (!error.empty()) {
-        ctx.result.status = {FlowCode::InvalidParams, "", error};
-        return std::move(ctx.result);
-    }
+    if (params.mode == PlacerMode::Human)
+        return rejected(
+            "incremental re-place supports Qplacer/Classic modes only");
 
     IncrementalState state;
     state.prior = &prior;
     state.delta = delta;
-
-    ctx.pool = innerPool(params.placer.threads);
-    ctx.observer = observer_;
-    ctx.cancel = &cancel_;
-    ctx.incremental = &state;
-    runStages(ctx, makeIncrementalStages(ctx.params));
-    return std::move(ctx.result);
-}
-
-FlowResult
-PlacementSession::run(const Topology &topo, const FlowParams &params)
-{
-    // Human mode has no parallel stage; don't build (or keep alive) a
-    // pool for it.
-    ThreadPool *pool = params.mode == PlacerMode::Human
-                           ? nullptr
-                           : innerPool(params.placer.threads);
-    return runJob(topo, params, /*job_index=*/0, pool, /*logging=*/true);
+    return runJob(topo, params, /*job_index=*/0, innerPool(params),
+                  /*logging=*/true, observer_, makeIncrementalStages,
+                  &state);
 }
 
 std::vector<FlowResult>
@@ -197,76 +204,39 @@ PlacementSession::runBatch(const Topology &topo,
 std::vector<FlowResult>
 PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs)
 {
+    // A serial batch keeps each job's requested intra-placement thread
+    // count. Concurrent jobs place single-threaded (inner pool = null):
+    // nesting regions on one pool is illegal, and the per-job serial
+    // path is exactly what makes batch results bitwise-equal to
+    // placer.threads=1 serial runs. runJob never throws (stage errors
+    // land in the per-job status), so one failing job cannot take down
+    // the batch.
     std::vector<FlowResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
-    const int workers =
-        std::min<int>(ThreadPool::resolveThreadCount(params_.workers),
-                      static_cast<int>(jobs.size()));
-
-    if (workers <= 1) {
-        // Serial batch: jobs run in order on this thread and keep
-        // their requested intra-placement thread count.
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            ThreadPool *pool =
-                jobs[i].params->mode == PlacerMode::Human
-                    ? nullptr
-                    : innerPool(jobs[i].params->placer.threads);
-            results[i] = runJob(*jobs[i].topo, *jobs[i].params,
-                                static_cast<int>(i), pool,
-                                /*logging=*/true);
-        }
-        return results;
-    }
-
-    if (!batch_ || batch_->threads() != workers)
-        batch_ = std::make_unique<ThreadPool>(workers);
-
-    // Concurrent batch: every worker pulls the next unclaimed job
-    // (dynamic scheduling -- placements vary wildly in cost, so a
-    // static split would idle half the pool on the tail). Each job is
-    // placed single-threaded (inner pool = null): nesting regions on
-    // one pool is illegal, and the per-job serial path is exactly what
-    // makes batch results bitwise-equal to placer.threads=1 serial
-    // runs. runJob never throws (stage errors land in the per-job
-    // status), so one failing job cannot take down the batch.
-    std::atomic<std::size_t> next{0};
-    batch_->forChunks(
-        static_cast<std::size_t>(workers),
-        [&](int, std::size_t, std::size_t) {
-            for (std::size_t i = next.fetch_add(1); i < jobs.size();
-                 i = next.fetch_add(1)) {
-                FlowParams job_params = *jobs[i].params;
-                job_params.placer.threads = 1;
-                results[i] = runJob(*jobs[i].topo, job_params,
-                                    static_cast<int>(i), nullptr,
-                                    /*logging=*/false);
-            }
-        });
+    forEachJob(jobs.size(), [&](std::size_t i, bool concurrent) {
+        FlowParams params = *jobs[i].params;
+        if (concurrent)
+            params.placer.threads = 1;
+        results[i] = runJob(*jobs[i].topo, params, static_cast<int>(i),
+                            concurrent ? nullptr : innerPool(params),
+                            /*logging=*/!concurrent, observer_,
+                            makeDefaultStages);
+    });
     return results;
 }
 
 FlowResult
 PlacementSession::runPortfolio(const Topology &topo,
-                               const FlowParams &params, int n_seeds)
+                               const FlowParams &params)
 {
-    FlowParams base = params;
-    if (n_seeds > 0)
-        base.portfolio.seeds = n_seeds;
-
     std::string error;
-    const FlowParams normalized = base.normalized(&error);
-    if (!error.empty()) {
-        FlowResult failed;
-        failed.status = {FlowCode::InvalidParams, "", error};
-        return failed;
-    }
+    const FlowParams normalized = params.normalized(&error);
+    if (!error.empty())
+        return rejected(error);
 
     // One seed is the exact single-seed path (bitwise); Human mode has
     // no seed sensitivity worth exploring.
-    if (normalized.portfolio.seeds <= 1 || base.mode == PlacerMode::Human)
-        return run(topo, base);
+    if (normalized.portfolio.seeds <= 1 || params.mode == PlacerMode::Human)
+        return run(topo, params);
 
     const int n = normalized.portfolio.seeds;
     PortfolioStats stats;
@@ -277,7 +247,7 @@ PlacementSession::runPortfolio(const Topology &topo,
         // Seed offsets wrap mod 2^64 (unsigned arithmetic is defined);
         // n consecutive values are always distinct.
         stats.candidates[static_cast<std::size_t>(i)].seed =
-            base.placer.seed + static_cast<std::uint64_t>(i);
+            params.placer.seed + static_cast<std::uint64_t>(i);
     }
 
     std::vector<int> alive(static_cast<std::size_t>(n));
@@ -285,6 +255,15 @@ PlacementSession::runPortfolio(const Topology &topo,
         alive[static_cast<std::size_t>(i)] = i;
     std::vector<char> probe_ok(static_cast<std::size_t>(n), 1);
     TrajectoryRecorder recorder(static_cast<std::size_t>(n));
+
+    // Every candidate run, probe or full, places single-threaded with
+    // its own seed.
+    const auto candidate = [&](int ci) {
+        FlowParams cand = params;
+        cand.placer.seed = stats.candidates[static_cast<std::size_t>(ci)].seed;
+        cand.placer.threads = 1;
+        return cand;
+    };
 
     // Successive-halving probe rungs: truncated placements at a
     // doubling iteration budget, ranked on the trajectory tails.
@@ -301,34 +280,13 @@ PlacementSession::runPortfolio(const Topology &topo,
 
         recorder.clear();
         std::vector<FlowResult> probes(alive.size());
-        const auto probe_job = [&](std::size_t k) {
-            const int ci = alive[k];
-            FlowParams probe = base;
-            probe.placer.seed =
-                stats.candidates[static_cast<std::size_t>(ci)].seed;
+        forEachJob(alive.size(), [&](std::size_t k, bool) {
+            FlowParams probe = candidate(alive[k]);
             probe.placer.maxIters = static_cast<int>(checkpoint);
-            probe.placer.threads = 1;
-            probes[k] = runTruncatedProbe(topo, probe, ci, &recorder,
-                                          &cancel_);
-        };
-        const int workers = std::min<int>(
-            ThreadPool::resolveThreadCount(params_.workers),
-            static_cast<int>(alive.size()));
-        if (workers <= 1) {
-            for (std::size_t k = 0; k < alive.size(); ++k)
-                probe_job(k);
-        } else {
-            if (!batch_ || batch_->threads() != workers)
-                batch_ = std::make_unique<ThreadPool>(workers);
-            std::atomic<std::size_t> next{0};
-            batch_->forChunks(
-                static_cast<std::size_t>(workers),
-                [&](int, std::size_t, std::size_t) {
-                    for (std::size_t k = next.fetch_add(1);
-                         k < alive.size(); k = next.fetch_add(1))
-                        probe_job(k);
-                });
-        }
+            probes[k] = runJob(topo, probe, alive[k], nullptr,
+                               /*logging=*/false, &recorder,
+                               makeProbeStages);
+        });
         ++stats.rungs;
 
         for (std::size_t k = 0; k < alive.size(); ++k) {
@@ -383,22 +341,15 @@ PlacementSession::runPortfolio(const Topology &topo,
     }
 
     // Survivors run the complete flow (detailed stage included when
-    // enabled), each single-threaded so the winner is bitwise-identical
-    // to a serial replay of its seed. The external observer stays
-    // detached: per-candidate events would interleave meaninglessly.
-    std::vector<FlowParams> fulls;
-    fulls.reserve(alive.size());
-    for (const int ci : alive) {
-        FlowParams full = base;
-        full.placer.seed =
-            stats.candidates[static_cast<std::size_t>(ci)].seed;
-        full.placer.threads = 1;
-        fulls.push_back(full);
-    }
-    FlowObserver *const saved = observer_;
-    observer_ = nullptr;
-    std::vector<FlowResult> finals = runBatch(topo, fulls);
-    observer_ = saved;
+    // enabled), single-threaded so the winner is bitwise-identical to
+    // a serial replay of its seed. The session observer gets no events:
+    // per-candidate events would interleave meaninglessly.
+    std::vector<FlowResult> finals(alive.size());
+    forEachJob(alive.size(), [&](std::size_t k, bool concurrent) {
+        finals[k] = runJob(topo, candidate(alive[k]), static_cast<int>(k),
+                           nullptr, /*logging=*/!concurrent, nullptr,
+                           makeDefaultStages);
+    });
 
     std::size_t winner_k = 0;
     bool have_winner = false;

@@ -28,6 +28,8 @@
 #ifndef QPLACER_PIPELINE_SESSION_HPP
 #define QPLACER_PIPELINE_SESSION_HPP
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -117,12 +119,10 @@ class PlacementSession
      * than the single-seed flow. With seeds <= 1 (or Human mode) this
      * forwards to run() -- the exact single-seed path, bitwise.
      *
-     * @p n_seeds > 0 overrides params.portfolio.seeds. The external
-     * observer is detached while candidates run (per-candidate events
-     * would interleave meaninglessly); it is restored on return.
+     * The session's observer sees no events while candidates run
+     * (per-candidate events would interleave meaninglessly).
      */
-    FlowResult runPortfolio(const Topology &topo, const FlowParams &params,
-                            int n_seeds = 0);
+    FlowResult runPortfolio(const Topology &topo, const FlowParams &params);
 
     /**
      * Incremental re-place (incremental.hpp): place @p topo warm-
@@ -161,23 +161,42 @@ class PlacementSession
         const FlowParams *params;
     };
 
+    /** Builds a job's stage sequence from its normalized parameters. */
+    using StageMaker =
+        std::vector<std::unique_ptr<FlowStage>> (*)(const FlowParams &);
+
     /** Shared implementation of both runBatch overloads. */
     std::vector<FlowResult> runBatchRefs(const std::vector<JobRef> &jobs);
 
     /**
-     * Execute one job on the calling thread. @p pool is the inner
+     * Execute one job on the calling thread: normalize @p params
+     * (failing validation returns InvalidParams without running), then
+     * drive the stages @p make_stages builds. @p pool is the inner
      * (intra-placement) pool, null for serial; @p logging gates
-     * inform() chatter.
+     * inform() chatter; @p incremental is the warm-start state, null
+     * for a cold run. Never throws: stage errors land in the status.
      */
     FlowResult runJob(const Topology &topo, const FlowParams &params,
-                      int job_index, ThreadPool *pool, bool logging);
+                      int job_index, ThreadPool *pool, bool logging,
+                      FlowObserver *observer, StageMaker make_stages,
+                      IncrementalState *incremental = nullptr);
+
+    /**
+     * Call @p job(i, concurrent) for i in [0, n). With fewer than two
+     * batch workers the jobs run serially, in order, on this thread
+     * (concurrent = false); otherwise the batch pool's workers pull
+     * them dynamically (concurrent = true).
+     */
+    void forEachJob(std::size_t n,
+                    const std::function<void(std::size_t, bool)> &job);
 
     /**
      * The shared intra-placement pool for single runs and serial
-     * batches, lazily (re)built to match the resolved thread request;
-     * null when the request resolves to serial.
+     * batches, lazily (re)built to match the resolved
+     * params.placer.threads; null when that resolves to serial or in
+     * Human mode.
      */
-    ThreadPool *innerPool(int threads);
+    ThreadPool *innerPool(const FlowParams &params);
 
     SessionParams params_;
     FlowObserver *observer_ = nullptr;

@@ -27,6 +27,7 @@ namespace qplacer {
 struct FlowContext;
 struct FlowParams;
 struct PlaceProgress;
+struct PlacerParams;
 
 /** How a flow run ended. */
 enum class FlowCode
@@ -147,6 +148,15 @@ std::unique_ptr<FlowStage> makeAssignStage();
 std::unique_ptr<FlowStage> makeBuildStage();
 std::unique_ptr<FlowStage> makeGlobalPlaceStage();
 std::unique_ptr<FlowStage> makeMetricsStage();
+
+/**
+ * Global placement of ctx.result.netlist with @p params on ctx.pool,
+ * shared by the cold and warm place stages: iterations stream to
+ * ctx.observer, ctx.cancel is polled, and a cancelled run sets the
+ * Cancelled status for @p stage.
+ */
+void runGlobalPlacer(FlowContext &ctx, const PlacerParams &params,
+                     const char *stage);
 
 /**
  * Drive @p stages over @p ctx in order: per-stage timing, observer

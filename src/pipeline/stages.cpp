@@ -101,21 +101,7 @@ class GlobalPlaceStage final : public FlowStage
                        ctx.pool->threads(), " threads"));
         }
 
-        PlaceMonitor monitor;
-        monitor.cancel = ctx.cancel;
-        if (ctx.observer) {
-            monitor.onIteration = [&ctx](const PlaceProgress &progress) {
-                ctx.observer->onIteration(ctx, progress);
-            };
-        }
-
-        const GlobalPlacer placer(ctx.params.placer);
-        ctx.result.place =
-            placer.place(ctx.result.netlist, ctx.pool, monitor);
-        if (ctx.result.place.cancelled) {
-            ctx.result.status = {FlowCode::Cancelled, name(),
-                                 "cancelled during global placement"};
-        }
+        runGlobalPlacer(ctx, ctx.params.placer, name());
     }
 };
 
@@ -230,6 +216,26 @@ makeDefaultStages(const FlowParams &params)
     }
     stages.push_back(std::make_unique<MetricsStage>());
     return stages;
+}
+
+void
+runGlobalPlacer(FlowContext &ctx, const PlacerParams &params,
+                const char *stage)
+{
+    PlaceMonitor monitor;
+    monitor.cancel = ctx.cancel;
+    if (ctx.observer) {
+        monitor.onIteration = [&ctx](const PlaceProgress &progress) {
+            ctx.observer->onIteration(ctx, progress);
+        };
+    }
+
+    const GlobalPlacer placer(params);
+    ctx.result.place = placer.place(ctx.result.netlist, ctx.pool, monitor);
+    if (ctx.result.place.cancelled) {
+        ctx.result.status = {FlowCode::Cancelled, stage,
+                             "cancelled during global placement"};
+    }
 }
 
 void

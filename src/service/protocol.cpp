@@ -145,6 +145,8 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
                 error, "incremental re-place requires qplacer|classic mode");
     }
 
+    // The portfolio object is shorthand for the portfolio.* set keys
+    // and overrides them; the server decides from the resolved values.
     if (const JsonValue *portfolio = doc.find("portfolio")) {
         if (!portfolio->isObject())
             return failParse(error, "'portfolio' must be an object");
@@ -154,7 +156,8 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
             seeds->asDouble() < 1.0)
             return failParse(error,
                              "'portfolio.seeds' must be a positive integer");
-        req.portfolioSeeds = static_cast<int>(seeds->asDouble());
+        req.set.set("portfolio.seeds",
+                    std::to_string(static_cast<int>(seeds->asDouble())));
         if (const JsonValue *prune = portfolio->find("prune_at")) {
             if (!prune->isNumber() ||
                 !isSmallNonNegativeInt(prune->asDouble()) ||
@@ -162,21 +165,16 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
                 return failParse(
                     error,
                     "'portfolio.prune_at' must be a positive integer");
-            req.portfolioPruneAt = static_cast<int>(prune->asDouble());
+            req.set.set("portfolio.pruneAt",
+                        std::to_string(static_cast<int>(prune->asDouble())));
         }
         if (const JsonValue *keep = portfolio->find("keep_frac")) {
             if (!keep->isNumber() || !(keep->asDouble() > 0.0) ||
                 keep->asDouble() > 1.0)
                 return failParse(
                     error, "'portfolio.keep_frac' must be in (0, 1]");
-            req.portfolioKeepFrac = keep->asDouble();
+            req.set.set("portfolio.keepFrac", keep->numberText());
         }
-        if (!req.baseId.empty() && req.portfolioSeeds > 1)
-            return failParse(
-                error, "'portfolio' and 'base' are mutually exclusive");
-        if (req.mode == PlacerMode::Human && req.portfolioSeeds > 1)
-            return failParse(
-                error, "portfolio requires qplacer|classic mode");
     }
 
     if (const JsonValue *dirty = doc.find("dirty_qubits")) {

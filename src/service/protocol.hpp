@@ -35,7 +35,7 @@ struct SubmitRequest
     PlacerMode mode = PlacerMode::Qplacer;
     std::uint64_t seed = 1;
     double segmentUm = 300.0;  ///< Resonator segment length.
-    Config set;                ///< --set style knob overrides.
+    Config set;                ///< --set overrides, portfolio object too.
 
     /**
      * Progress streaming: -1 = none (default), 0 = stage events only,
@@ -68,18 +68,7 @@ struct SubmitRequest
      */
     std::vector<std::pair<int, int>> dirtyCouplers;
 
-    /**
-     * Multi-start portfolio (the optional "portfolio" submit object):
-     * candidate count, first pruning checkpoint, and keep fraction.
-     * seeds <= 1 is the plain single-seed flow; pruneAt/keepFrac of
-     * 0 keep the server defaults. Mutually exclusive with "base".
-     */
-    int portfolioSeeds = 1;
-    int portfolioPruneAt = 0;
-    double portfolioKeepFrac = 0.0;
-
     bool isIncremental() const { return !baseId.empty(); }
-    bool isPortfolio() const { return portfolioSeeds > 1; }
 };
 
 /** Any parsed request. */

@@ -493,6 +493,19 @@ PlacementServer::runJob(int worker_index, Job &job)
     params.placer.seed = req.seed;
     params.partition.segmentUm = req.segmentUm;
     applyOverrides(req.set, params);
+    // A portfolio runs on the resolved portfolio.seeds, whether "set"
+    // or the "portfolio" shorthand supplied it.
+    const bool portfolio = params.portfolio.seeds > 1;
+    if (portfolio && req.isIncremental()) {
+        emit(job.sink, makeError(req.id, "'portfolio' and 'base' are "
+                                         "mutually exclusive"));
+        return;
+    }
+    if (portfolio && params.mode == PlacerMode::Human) {
+        emit(job.sink,
+             makeError(req.id, "portfolio requires qplacer|classic mode"));
+        return;
+    }
     // The bitwise contract: with concurrent workers every job places
     // single-threaded, exactly like PlacementSession::runBatch.
     if (workers() > 1)
@@ -538,12 +551,8 @@ PlacementServer::runJob(int worker_index, Job &job)
             delta.dirtyQubits.push_back(coupler.second);
         }
         result = session.runIncremental(*topo, params, *prior, delta);
-    } else if (req.isPortfolio()) {
-        if (req.portfolioPruneAt > 0)
-            params.portfolio.pruneAt = req.portfolioPruneAt;
-        if (req.portfolioKeepFrac > 0.0)
-            params.portfolio.keepFrac = req.portfolioKeepFrac;
-        result = session.runPortfolio(*topo, params, req.portfolioSeeds);
+    } else if (portfolio) {
+        result = session.runPortfolio(*topo, params);
     } else {
         result = session.run(*topo, params);
     }

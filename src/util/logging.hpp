@@ -73,7 +73,8 @@ std::string
 str(Args &&...args)
 {
     std::ostringstream oss;
-    (oss << ... << args);
+    // The cast keeps str() with no arguments (a bare `oss`) warning-free.
+    (void)(oss << ... << args);
     return oss.str();
 }
 

@@ -90,8 +90,9 @@ TEST(Tetris, ChainsStayContiguous)
             close += a.dist(b) <= 900.0;
             ++total;
         }
-        if (total > 0)
+        if (total > 0) {
             EXPECT_GT(close * 2, total) << "resonator " << res.id;
+        }
     }
 }
 

@@ -135,6 +135,29 @@ execute_process(
 if(bad_rc EQUAL 0)
     message(FATAL_ERROR "qplacer_cli accepted --portfolio with --jobs > 1")
 endif()
+# --set portfolio.seeds alone runs the portfolio (--portfolio N is
+# shorthand for it) and counts for the --jobs conflict too.
+execute_process(
+    COMMAND "${QPLACER_CLI}" --topology grid3x3 --seed 1 --threads 1
+            --set portfolio.seeds=3 --set placer.maxIters=80
+            --report json --quiet
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE set_folio_json ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "qplacer_cli --set portfolio.seeds=3 exited ${rc}\n${err}")
+endif()
+string(FIND "${set_folio_json}" "\"portfolio\":{\"seeds\":3," found)
+if(found EQUAL -1)
+    message(FATAL_ERROR "--set portfolio.seeds=3 ran no 3-seed portfolio:\n${set_folio_json}")
+endif()
+execute_process(
+    COMMAND "${QPLACER_CLI}" --topology grid3x3 --set portfolio.seeds=2
+            --jobs 2 --quiet
+    RESULT_VARIABLE bad_rc
+    OUTPUT_QUIET ERROR_QUIET)
+if(bad_rc EQUAL 0)
+    message(FATAL_ERROR "qplacer_cli accepted portfolio.seeds=2 with --jobs > 1")
+endif()
 
 # --- --help: the --set key list is printed from kKnownSetKeys. ---
 execute_process(

@@ -39,7 +39,7 @@ TEST(Portfolio, SeedsOneIsExactlyTheSingleSeedFlow)
 
     PlacementSession session;
     const FlowResult plain = session.run(topo, params);
-    const FlowResult portfolio = session.runPortfolio(topo, params, 1);
+    const FlowResult portfolio = session.runPortfolio(topo, params);
 
     ASSERT_TRUE(plain.status.ok());
     ASSERT_TRUE(portfolio.status.ok());
@@ -55,11 +55,12 @@ TEST(Portfolio, WinnerReplayIsBitwiseIdenticalToSerialRun)
     FlowParams params = quickParams(1, 200);
     params.detailed.enabled = true;
     params.detailed.iters = 10;
+    params.portfolio.seeds = 4;
 
     SessionParams sparams;
     sparams.workers = 2;
     PlacementSession session(sparams);
-    const FlowResult result = session.runPortfolio(topo, params, 4);
+    const FlowResult result = session.runPortfolio(topo, params);
     ASSERT_TRUE(result.status.ok());
     ASSERT_TRUE(result.portfolioStats.portfolio);
 
@@ -77,10 +78,11 @@ TEST(Portfolio, WinnerReplayIsBitwiseIdenticalToSerialRun)
 TEST(Portfolio, StatsDescribeEveryCandidate)
 {
     const Topology topo = makeGrid(4, 4);
-    const FlowParams params = quickParams(1, 200);
+    FlowParams params = quickParams(1, 200);
+    params.portfolio.seeds = 4;
 
     PlacementSession session;
-    const FlowResult result = session.runPortfolio(topo, params, 4);
+    const FlowResult result = session.runPortfolio(topo, params);
     ASSERT_TRUE(result.status.ok());
 
     const PortfolioStats &stats = result.portfolioStats;
@@ -116,8 +118,9 @@ checkPortfolioDominatesSingleSeed(const Topology &topo, int max_iters)
     FlowParams portfolio_params = single_params;
     portfolio_params.detailed.enabled = true;
     portfolio_params.detailed.iters = 15;
+    portfolio_params.portfolio.seeds = 3;
     const FlowResult portfolio =
-        session.runPortfolio(topo, portfolio_params, 3);
+        session.runPortfolio(topo, portfolio_params);
     ASSERT_TRUE(portfolio.status.ok());
 
     EXPECT_TRUE(portfolio.legal.legal);

@@ -382,6 +382,40 @@ TEST(Server, PortfolioSubmitReportsWinnerBitwise)
               serialLayout(makeGrid(3, 3), winner_seed, kIters));
 }
 
+TEST(Server, PortfolioThroughSetKeysAlone)
+{
+    // The "portfolio" object is only shorthand: portfolio.seeds in
+    // "set" races the same candidates, and also excludes "base".
+    constexpr int kIters = 100;
+    Loopback client;
+    EXPECT_TRUE(client.send(
+        "{\"type\":\"submit\",\"id\":\"setfolio\",\"topology\":"
+        "\"grid3x3\",\"seed\":1,\"set\":{\"placer.maxIters\":" +
+        std::to_string(kIters) +
+        ",\"portfolio.seeds\":3},\"layout\":true}"));
+    client.server().drain();
+
+    const JsonValue result = client.resultFor("setfolio");
+    const JsonValue *report = result.find("report");
+    ASSERT_EQ(report->find("status")->find("code")->asString(), "ok");
+    const JsonValue *portfolio = report->find("portfolio");
+    ASSERT_NE(portfolio, nullptr);
+    EXPECT_EQ(portfolio->find("seeds")->asInt(), 3);
+    const std::uint64_t winner_seed = static_cast<std::uint64_t>(
+        portfolio->find("winner_seed")->asInt());
+    ASSERT_NE(result.find("layout"), nullptr);
+    EXPECT_EQ(result.find("layout")->serialize(),
+              serialLayout(makeGrid(3, 3), winner_seed, kIters));
+
+    EXPECT_TRUE(client.send(
+        "{\"type\":\"submit\",\"id\":\"both\",\"topology\":"
+        "\"grid3x3\",\"base\":\"setfolio\",\"set\":"
+        "{\"portfolio.seeds\":2}}"));
+    client.server().drain();
+    EXPECT_EQ(client.count("error", "both"), 1);
+    EXPECT_EQ(client.count("result", "both"), 0);
+}
+
 TEST(Server, PortfolioAndBaseAreMutuallyExclusive)
 {
     Loopback client;

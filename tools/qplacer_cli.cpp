@@ -45,7 +45,6 @@ struct CliOptions
     int threads = 0;
     int jobs = 1;
     int workers = 0;
-    int portfolioSeeds = 1;
     double segmentUm = 300.0;
     Config overrides;
     std::string csvPath;
@@ -88,9 +87,11 @@ Options:
                       seed..seed+N-1 (wrapping mod 2^64), prune the
                       weak half at doubling checkpoints, and keep the
                       winner's layout (default: 1 = plain single-seed
-                      flow). Tune with --set portfolio.pruneAt /
-                      portfolio.keepFrac; add --set detailed.enabled=1
-                      for an annealing polish of the winner.
+                      flow). Shorthand for --set portfolio.seeds=N (the
+                      later of the two wins). Tune with --set
+                      portfolio.pruneAt / portfolio.keepFrac; add --set
+                      detailed.enabled=1 for an annealing polish of the
+                      winner.
                       Incompatible with --jobs > 1.
   --segment UM        Resonator segment size l_b in um (default: 300).
   --set KEY=VALUE     Override a flow parameter; repeatable. Keys:
@@ -255,7 +256,8 @@ parseArgs(int argc, char **argv)
             if (seeds > 1024)
                 fatal("--portfolio capped at 1024, got " +
                       std::to_string(seeds));
-            opts.portfolioSeeds = static_cast<int>(seeds);
+            // Shorthand for --set portfolio.seeds=N.
+            opts.overrides.set("portfolio.seeds", std::to_string(seeds));
         } else if (arg == "--report") {
             const std::string format = toLower(need(i, arg));
             if (format == "table")
@@ -572,8 +574,9 @@ run(int argc, char **argv)
     if (opts.jobs > 1 &&
         (!opts.svgPath.empty() || !opts.layoutPath.empty()))
         fatal("--svg/--layout need a single layout; use --jobs 1");
-    if (opts.portfolioSeeds > 1 && opts.jobs > 1)
-        fatal("--portfolio races seeds inside one job; use --jobs 1");
+    if (params.portfolio.seeds > 1 && opts.jobs > 1)
+        fatal("--portfolio (portfolio.seeds) races seeds inside one job; "
+              "use --jobs 1");
     if (opts.jobs > 1)
         rejectDuplicateSeeds(opts);
 
@@ -584,9 +587,8 @@ run(int argc, char **argv)
 
     Timer wall;
     std::vector<FlowResult> results;
-    if (opts.portfolioSeeds > 1) {
-        results.push_back(
-            session.runPortfolio(topo, params, opts.portfolioSeeds));
+    if (params.portfolio.seeds > 1) {
+        results.push_back(session.runPortfolio(topo, params));
     } else if (opts.jobs <= 1) {
         results.push_back(session.run(topo, params));
     } else {
