@@ -19,7 +19,7 @@ main()
     std::printf("device: %s (%d qubits)\n\n", topo.name.c_str(),
                 topo.numQubits());
     std::printf("%-14s %-6s %-10s %-8s %-10s\n", "qubit band", "slots",
-                "collisions", "Ph(%)", "impacted");
+                "resonant", "Ph(%)", "impacted");
 
     for (const double span_ghz : {0.1, 0.2, 0.4, 0.8}) {
         FlowParams params;
@@ -31,14 +31,13 @@ main()
         const QplacerFlow flow(params);
         const FlowResult r = flow.run(topo);
 
-        // Count the qubit-qubit collision pairs the placement engine
+        // Count the resonant qubit-qubit pairs the placement engine
         // had to separate spatially.
-        const CollisionMap collisions(r.netlist.frequencies(),
-                                      r.netlist.resonatorGroups());
         std::size_t qubit_pairs = 0;
-        for (int q = 0; q < r.netlist.numQubits(); ++q) {
-            for (std::int32_t j : collisions.partners(q)) {
-                if (j > q && j < r.netlist.numQubits())
+        for (int a = 0; a < r.netlist.numQubits(); ++a) {
+            for (int b = a + 1; b < r.netlist.numQubits(); ++b) {
+                if (isResonant(r.netlist.instance(a).freqHz,
+                               r.netlist.instance(b).freqHz))
                     ++qubit_pairs;
             }
         }

@@ -2,24 +2,162 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qplacer {
 
+namespace {
+
+/**
+ * Relative slack on the squared neighbour distance: a pair is handed to
+ * the pair body if it is within its radius up to this margin, and the
+ * body's own `d >= radius` test (on the hypot distance) decides. The
+ * slack only has to absorb the rounding gap between hypot and the
+ * squared norm.
+ */
+constexpr double kRadiusSlack = 1e-9;
+
+/** Grid cells allowed per instance before the cell size grows. */
+constexpr double kMaxCellsPerInstance = 4.0;
+
+bool
+isFinite(Vec2 p)
+{
+    return std::isfinite(p.x) && std::isfinite(p.y);
+}
+
+/** Grid column (or row) of coordinate @p x, clamped to [0, n). */
+int
+cellIndex(double x, double origin, double cell, int n)
+{
+    return std::clamp(static_cast<int>((x - origin) / cell), 0, n - 1);
+}
+
+} // namespace
+
 FreqForceModel::FreqForceModel(const Netlist &netlist, double threshold_hz,
                                double cutoff_factor, ThreadPool *pool)
-    : netlist_(netlist),
-      map_(netlist.frequencies(), netlist.resonatorGroups(), threshold_hz),
+    : freqs_(netlist.frequencies()),
+      groups_(netlist.resonatorGroups()),
+      thresholdHz_(threshold_hz),
       cutoffFactor_(cutoff_factor),
       pool_(pool)
 {
     if (cutoff_factor <= 0.0)
         fatal("FreqForceModel: non-positive cutoff factor");
     charge_.resize(netlist.instances().size());
-    for (std::size_t i = 0; i < charge_.size(); ++i)
+    double max_charge = 0.0;
+    for (std::size_t i = 0; i < charge_.size(); ++i) {
         charge_[i] = std::sqrt(netlist.instances()[i].paddedArea());
+        max_charge = std::max(max_charge, charge_[i]);
+    }
+    maxRadius_ = cutoffFactor_ * 2.0 * max_charge;
+    byFreq_.resize(freqs_.size());
+    std::iota(byFreq_.begin(), byFreq_.end(), 0);
+    std::stable_sort(byFreq_.begin(), byFreq_.end(),
+                     [&](std::int32_t a, std::int32_t b) {
+                         return freqs_[a] < freqs_[b];
+                     });
+}
+
+FreqForceModel::Grid
+FreqForceModel::bucketPositions(const std::vector<Vec2> &positions) const
+{
+    Grid grid;
+    Vec2 hi(-HUGE_VAL, -HUGE_VAL);
+    grid.lo = Vec2(HUGE_VAL, HUGE_VAL);
+    for (const Vec2 &p : positions) {
+        if (!isFinite(p))
+            continue;
+        grid.lo = Vec2(std::min(grid.lo.x, p.x), std::min(grid.lo.y, p.y));
+        hi = Vec2(std::max(hi.x, p.x), std::max(hi.y, p.y));
+    }
+    if (grid.lo.x > hi.x || !(maxRadius_ > 0.0))
+        return grid; // nx = 0: nothing can interact
+
+    // Cell = the largest pair radius, so a query spans at most 3x3
+    // cells. Far-flung positions would make that grid huge; coarsen it
+    // to O(n) cells (a coarser grid only adds candidates).
+    const double w = hi.x - grid.lo.x;
+    const double h = hi.y - grid.lo.y;
+    const double max_cells =
+        kMaxCellsPerInstance * static_cast<double>(positions.size());
+    grid.cell = std::max({maxRadius_, std::sqrt(w * h / max_cells),
+                          w / max_cells, h / max_cells});
+    grid.nx = static_cast<int>(w / grid.cell) + 1;
+    grid.ny = static_cast<int>(h / grid.cell) + 1;
+
+    // Counting sort by cell, filled in frequency order so every cell's
+    // slots ascend in frequency.
+    const std::size_t cells = static_cast<std::size_t>(grid.nx) * grid.ny;
+    cellOf_.resize(positions.size());
+    cellStart_.assign(cells + 1, 0);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+        const Vec2 &p = positions[i];
+        if (!isFinite(p)) {
+            cellOf_[i] = -1;
+            continue;
+        }
+        cellOf_[i] = cellIndex(p.y, grid.lo.y, grid.cell, grid.ny) * grid.nx +
+                     cellIndex(p.x, grid.lo.x, grid.cell, grid.nx);
+        ++cellStart_[cellOf_[i] + 1];
+    }
+    for (std::size_t c = 0; c < cells; ++c)
+        cellStart_[c + 1] += cellStart_[c];
+    slots_.resize(static_cast<std::size_t>(cellStart_[cells]));
+    for (std::int32_t i : byFreq_) {
+        if (cellOf_[i] >= 0)
+            slots_[cellStart_[cellOf_[i]]++] =
+                Slot{freqs_[i], positions[i], i};
+    }
+    // The fill advanced each start to the next cell's; shift back.
+    for (std::size_t c = cells; c > 0; --c)
+        cellStart_[c] = cellStart_[c - 1];
+    cellStart_[0] = 0;
+    return grid;
+}
+
+void
+FreqForceModel::resonantNeighbours(const Grid &grid,
+                                   const std::vector<Vec2> &positions,
+                                   std::size_t i,
+                                   std::vector<std::int32_t> &out) const
+{
+    const Vec2 p = positions[i];
+    const double f = freqs_[i];
+    const double r = maxRadius_ * (1.0 + kRadiusSlack);
+    const int ix0 = cellIndex(p.x - r, grid.lo.x, grid.cell, grid.nx);
+    const int ix1 = cellIndex(p.x + r, grid.lo.x, grid.cell, grid.nx);
+    const int iy0 = cellIndex(p.y - r, grid.lo.y, grid.cell, grid.ny);
+    const int iy1 = cellIndex(p.y + r, grid.lo.y, grid.cell, grid.ny);
+    for (int iy = iy0; iy <= iy1; ++iy) {
+        for (int ix = ix0; ix <= ix1; ++ix) {
+            const std::size_t c = static_cast<std::size_t>(iy) * grid.nx + ix;
+            const Slot *s = slots_.data() + cellStart_[c];
+            const Slot *end = slots_.data() + cellStart_[c + 1];
+            // The slots with |f - f_j| < threshold (isResonant) are one
+            // contiguous run: both differences are monotone in f_j.
+            s = std::partition_point(s, end, [&](const Slot &slot) {
+                return f - slot.freqHz >= thresholdHz_;
+            });
+            for (; s != end && s->freqHz - f < thresholdHz_; ++s) {
+                const std::int32_t j = s->id;
+                if (static_cast<std::size_t>(j) <= i)
+                    continue; // handle each unordered pair once
+                if (groups_[i] >= 0 && groups_[i] == groups_[j])
+                    continue; // same resonator: excluded by (1 - delta)
+                const double radius =
+                    cutoffFactor_ * (charge_[i] + charge_[j]);
+                if ((p - s->pos).normSq() >
+                    radius * radius * (1.0 + kRadiusSlack))
+                    continue;
+                out.push_back(j);
+            }
+        }
+    }
 }
 
 double
@@ -29,10 +167,15 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     if (positions.size() != charge_.size())
         panic("FreqForceModel::evaluate: position count mismatch");
     gradient.assign(positions.size(), Vec2());
+    const Grid grid = bucketPositions(positions);
+    if (grid.nx == 0)
+        return 0.0;
 
     // Each unordered pair is handled once, by its lower index i; pairs
     // are chunked over i, with per-chunk gradient slices so the writes
-    // to both endpoints never collide across threads.
+    // to both endpoints never collide across threads. Within i the
+    // partners run in ascending j, so the pair body sees the pairs in
+    // the same order whatever the grid geometry.
     const std::size_t n = positions.size();
     const int chunks =
         parallelChunkCount(pool_, n, ThreadPool::kGrainMedium);
@@ -41,6 +184,8 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
         gradScratch_.assign(static_cast<std::size_t>(chunks) * n, Vec2());
         scratch = gradScratch_.data();
     }
+    if (nearScratch_.size() < static_cast<std::size_t>(chunks))
+        nearScratch_.resize(static_cast<std::size_t>(chunks));
     std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
 
     parallelForChunks(
@@ -49,11 +194,15 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
             Vec2 *g = chunks == 1
                           ? gradient.data()
                           : scratch + static_cast<std::size_t>(chunk) * n;
+            std::vector<std::int32_t> &near = nearScratch_[chunk];
             double potential = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
-                for (std::int32_t j : map_.partners(i)) {
-                    if (static_cast<std::size_t>(j) <= i)
-                        continue; // handle each unordered pair once
+                if (cellOf_[i] < 0)
+                    continue; // non-finite position
+                near.clear();
+                resonantNeighbours(grid, positions, i, near);
+                std::sort(near.begin(), near.end());
+                for (std::int32_t j : near) {
                     const double s = charge_[i] * charge_[j];
                     const double radius =
                         cutoffFactor_ * (charge_[i] + charge_[j]);

@@ -2,17 +2,20 @@
  * @file
  * Frequency repulsive force F(i, j; x, y) (Eq. 9/10).
  *
- * Near-resonant instance pairs (from the precomputed collision map,
- * same-resonator pairs excluded) repel each other with a Coulomb 1/r
- * potential, so minimizing the penalty drives them apart spatially.
+ * Near-resonant instance pairs (same-resonator pairs excluded) repel
+ * each other with a Coulomb 1/r potential, so minimizing the penalty
+ * drives them apart spatially. The potential is truncated at a per-pair
+ * radius, so each evaluation buckets the positions into a uniform grid
+ * (cells sorted by frequency) and each instance visits only its
+ * resonant spatial neighbours: O(n) in the instance count.
  */
 
 #ifndef QPLACER_CORE_FREQ_FORCE_HPP
 #define QPLACER_CORE_FREQ_FORCE_HPP
 
+#include <cstdint>
 #include <vector>
 
-#include "freq/collision_map.hpp"
 #include "geometry/vec2.hpp"
 #include "netlist/netlist.hpp"
 
@@ -25,13 +28,15 @@ class FreqForceModel
 {
   public:
     /**
-     * @param netlist       Netlist (kept by reference).
+     * @param netlist       Netlist (read once, at construction).
      * @param threshold_hz  Detuning threshold Delta_c.
      * @param cutoff_factor Pairs further apart than
      *                      cutoff_factor * (size_i + size_j) feel no
      *                      force; this truncation keeps the repulsion a
      *                      local separation constraint instead of a
-     *                      long-range scatter force.
+     *                      long-range scatter force. The largest
+     *                      such radius is also the neighbour-grid cell
+     *                      size.
      *
      * The per-pair strength is scaled by the geometric mean of the two
      * padded footprints so that large components repel proportionally.
@@ -50,20 +55,55 @@ class FreqForceModel
      *   U = sum_pairs s_ij * (1/dist - 1/R_ij)  for dist < R_ij
      * and its gradient. Distances are clamped below at a fraction of
      * the instance size to keep the force finite when instances
-     * coincide.
+     * coincide. Instances at non-finite positions feel no force.
      */
     double evaluate(const std::vector<Vec2> &positions,
                     std::vector<Vec2> &gradient) const;
 
-    /** The collision map the force iterates over. */
-    const CollisionMap &collisionMap() const { return map_; }
-
   private:
-    const Netlist &netlist_;
-    CollisionMap map_;
+    /** One bucketed instance; a cell's slots ascend in frequency. */
+    struct Slot
+    {
+        double freqHz;
+        Vec2 pos;
+        std::int32_t id;
+    };
+
+    /** Uniform cell grid over the bounding box of the positions. */
+    struct Grid
+    {
+        Vec2 lo;
+        double cell = 0.0;
+        int nx = 0; ///< 0 when no position is finite.
+        int ny = 0;
+    };
+
+    /** Bucket the finite positions into slots_ by cell, then frequency. */
+    Grid bucketPositions(const std::vector<Vec2> &positions) const;
+
+    /**
+     * Append to @p out every j > i resonant with i, not on i's
+     * resonator, within the pair radius (up to a tiny slack).
+     */
+    void resonantNeighbours(const Grid &grid,
+                            const std::vector<Vec2> &positions,
+                            std::size_t i,
+                            std::vector<std::int32_t> &out) const;
+
     std::vector<double> charge_; ///< Per-instance repulsion scale.
+    std::vector<double> freqs_;  ///< Per-instance frequency (Hz).
+    std::vector<int> groups_;    ///< Resonator id (-1 for qubits).
+    std::vector<std::int32_t> byFreq_; ///< Instances by (freq, index).
+    double thresholdHz_;
     double cutoffFactor_;
+    double maxRadius_ = 0.0; ///< Largest pair radius (grid cell size).
     ThreadPool *pool_;
+    /** Grid storage, rebuilt by every evaluate(). */
+    mutable std::vector<std::int32_t> cellOf_;
+    mutable std::vector<std::int32_t> cellStart_;
+    mutable std::vector<Slot> slots_;
+    /** Per-chunk neighbour buffers. */
+    mutable std::vector<std::vector<std::int32_t>> nearScratch_;
     /** Per-chunk gradient scatter buffers (chunks x instances). */
     mutable std::vector<Vec2> gradScratch_;
 };

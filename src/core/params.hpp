@@ -90,7 +90,7 @@ struct PlacerParams
      */
     int patience = 250;
 
-    /** Detuning threshold Delta_c for the collision map. */
+    /** Detuning threshold Delta_c for the frequency force. */
     double detuningThresholdHz = kDetuningThresholdHz;
 
     /**

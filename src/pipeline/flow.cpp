@@ -100,10 +100,11 @@ FlowParams::normalized(std::string *error) const
         fatal(first_error);
 
     // The assigner's detuning threshold is the single source of truth:
-    // the collision map the placer pushes apart, the tau check the
-    // integration legalizer validates against, and the hotspot metric
-    // must all judge resonance exactly like the frequencies were
-    // assigned (flow.cpp and qplacer_cli used to hand-copy these).
+    // the resonant pairs the frequency force pushes apart, the tau
+    // check the integration legalizer validates against, and the
+    // hotspot metric must all judge resonance exactly like the
+    // frequencies were assigned (flow.cpp and qplacer_cli used to
+    // hand-copy these).
     p.placer.detuningThresholdHz = assigner.detuningThresholdHz;
     p.legalizer.integrationParams.detuningThresholdHz =
         assigner.detuningThresholdHz;

@@ -18,7 +18,6 @@
 #include "eval/fidelity.hpp"
 #include "eval/hotspot.hpp"
 #include "freq/assigner.hpp"
-#include "freq/collision_map.hpp"
 #include "io/layout_io.hpp"
 #include "io/meander.hpp"
 #include "io/svg.hpp"

@@ -191,20 +191,6 @@ PlacementServer::handleLine(const std::string &line,
             return true;
         }
     }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        bool taken = false;
-        for (const Job &job : queue_)
-            taken = taken || job.request.id == req.id;
-        for (const auto &worker : workers_)
-            taken = taken || worker->runningId == req.id;
-        if (taken) {
-            emit(sink, makeError(req.id, "job id '" + req.id +
-                                             "' is already queued or "
-                                             "running"));
-            return true;
-        }
-    }
     submit(req.submit, sink);
     return true;
 }
@@ -235,6 +221,13 @@ PlacementServer::submit(const SubmitRequest &request, ResponseSink sink)
                 response = makeErrorCode(request.id, "shutting_down",
                                          "server is shutting down; "
                                          "submit rejected");
+            } else if (idActiveLocked(request.id)) {
+                // Checked in the same critical section as the push, so
+                // two same-id submits racing on two connections cannot
+                // both be admitted.
+                response = makeError(request.id,
+                                     "job id '" + request.id +
+                                         "' is already queued or running");
             } else if (options_.maxQueue > 0 &&
                        static_cast<int>(queue_.size()) >=
                            options_.maxQueue) {
@@ -334,6 +327,18 @@ PlacementServer::activeJobs() const
         if (!worker->runningId.empty())
             ++active;
     return active;
+}
+
+bool
+PlacementServer::idActiveLocked(const std::string &id) const
+{
+    for (const Job &job : queue_)
+        if (job.request.id == id)
+            return true;
+    for (const auto &worker : workers_)
+        if (worker->runningId == id)
+            return true;
+    return false;
 }
 
 double

@@ -154,7 +154,8 @@ class PlacementServer
      * (the result arrives later via @p sink) and returns true; on
      * rejection emits a structured error ("overloaded" past maxQueue,
      * "shutting_down" after shutdown began, "injected" under the
-     * queue-admission failpoint) and returns false. The ack is
+     * queue-admission failpoint, or an error when a job with the same
+     * id is already queued or running) and returns false. The ack is
      * guaranteed to precede every other response of the job.
      */
     bool submit(const SubmitRequest &request, ResponseSink sink);
@@ -216,6 +217,9 @@ class PlacementServer
     /** Cached parse of a topology spec; false + error on bad specs. */
     bool topologyFor(const std::string &spec, const Topology *&out,
                      std::string &error);
+
+    /** True if job @p id is queued or running (under mu_). */
+    bool idActiveLocked(const std::string &id) const;
 
     /** Backoff hint for "overloaded" rejections (under mu_). */
     double retryAfterMsLocked() const;

@@ -138,8 +138,162 @@ TEST(FreqForce, SameResonatorSegmentsExcluded)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_DOUBLE_EQ(model.evaluate(pos, grad), 0.0);
-    EXPECT_EQ(model.collisionMap().numPairs(), 0u);
+    EXPECT_EQ(model.evaluate(pos, grad), 0.0);
+    for (const Vec2 &g : grad) {
+        EXPECT_EQ(g.x, 0.0);
+        EXPECT_EQ(g.y, 0.0);
+    }
+}
+
+/** True if instance @p i feels any force. */
+bool
+pushed(const std::vector<Vec2> &grad, std::size_t i)
+{
+    return grad[i].x != 0.0 || grad[i].y != 0.0;
+}
+
+TEST(FreqForce, OnlyNearResonantPairsRepel)
+{
+    const Netlist nl =
+        freqNetlist({5.00e9, 5.05e9, 5.30e9}, {-1, -1, -1});
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> pos{{1000, 1000}, {1400, 1000}, {1200, 1300}};
+    std::vector<Vec2> grad;
+    EXPECT_GT(model.evaluate(pos, grad), 0.0);
+    EXPECT_TRUE(pushed(grad, 0));
+    EXPECT_TRUE(pushed(grad, 1));
+    EXPECT_FALSE(pushed(grad, 2));
+}
+
+TEST(FreqForce, ThresholdIsStrict)
+{
+    // Exactly Delta_c apart, with the lower frequency on either index.
+    for (const std::vector<double> &freqs :
+         {std::vector<double>{5.0e9, 5.1e9},
+          std::vector<double>{5.1e9, 5.0e9}}) {
+        const Netlist nl = freqNetlist(freqs, {-1, -1});
+        const FreqForceModel model(nl, 0.1e9);
+        std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
+        std::vector<Vec2> grad;
+        EXPECT_EQ(model.evaluate(pos, grad), 0.0);
+        EXPECT_FALSE(pushed(grad, 0));
+    }
+}
+
+TEST(FreqForce, SameResonatorExcludedOtherResonatorsRepel)
+{
+    // Eq. 10's (1 - delta) term: segments of one resonator never repel,
+    // but a segment of another resonator at the same frequency does.
+    Netlist nl;
+    for (int r : {3, 3, 7}) {
+        Instance seg;
+        seg.kind = InstanceKind::ResonatorSegment;
+        seg.resonator = r;
+        seg.segment = r == 3 ? static_cast<int>(nl.instances().size()) : 0;
+        seg.width = seg.height = 300;
+        seg.pad = 100;
+        seg.freqHz = 6.5e9;
+        nl.addInstance(seg);
+    }
+    nl.setRegion(Rect(0, 0, 10000, 10000));
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> grad;
+    std::vector<Vec2> apart{{1000, 1000}, {1100, 1000}, {5000, 5000}};
+    EXPECT_EQ(model.evaluate(apart, grad), 0.0);
+    std::vector<Vec2> near{{1000, 1000}, {1100, 1000}, {1050, 1100}};
+    EXPECT_GT(model.evaluate(near, grad), 0.0);
+    EXPECT_TRUE(pushed(grad, 0));
+    EXPECT_TRUE(pushed(grad, 1));
+    EXPECT_TRUE(pushed(grad, 2));
+}
+
+TEST(FreqForce, QubitAndResonatorBandsNeverRepel)
+{
+    const Netlist nl = freqNetlist({5.2e9, 6.0e9}, {-1, 0});
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
+    std::vector<Vec2> grad;
+    EXPECT_EQ(model.evaluate(pos, grad), 0.0);
+}
+
+TEST(FreqForce, CustomThreshold)
+{
+    const Netlist nl = freqNetlist({5.0e9, 5.3e9}, {-1, -1});
+    std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
+    std::vector<Vec2> grad;
+    EXPECT_GT(FreqForceModel(nl, 0.5e9).evaluate(pos, grad), 0.0);
+    EXPECT_EQ(FreqForceModel(nl, 0.2e9).evaluate(pos, grad), 0.0);
+}
+
+TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
+{
+    // 30 qubits on 3 frequency slots in one tight cluster: the force is
+    // the sum of the three per-slot forces.
+    std::vector<double> freqs;
+    std::vector<Vec2> pos;
+    for (int i = 0; i < 30; ++i) {
+        freqs.push_back(5.0e9 + (i % 3) * 0.15e9);
+        pos.emplace_back(1000.0 + 90.0 * (i % 6), 1000.0 + 110.0 * (i / 6));
+    }
+    const Netlist nl = freqNetlist(freqs, std::vector<int>(30, -1));
+    std::vector<Vec2> grad;
+    const double total = FreqForceModel(nl, 0.1e9).evaluate(pos, grad);
+
+    double per_slot = 0.0;
+    for (int slot = 0; slot < 3; ++slot) {
+        std::vector<double> slot_freqs;
+        std::vector<Vec2> slot_pos;
+        for (int i = slot; i < 30; i += 3) {
+            slot_freqs.push_back(freqs[i]);
+            slot_pos.push_back(pos[i]);
+        }
+        const Netlist slot_nl =
+            freqNetlist(slot_freqs, std::vector<int>(10, -1));
+        std::vector<Vec2> slot_grad;
+        per_slot += FreqForceModel(slot_nl, 0.1e9)
+                        .evaluate(slot_pos, slot_grad);
+        for (std::size_t k = 0; k < slot_grad.size(); ++k) {
+            const std::size_t i = slot + 3 * k;
+            EXPECT_NEAR(grad[i].x, slot_grad[k].x,
+                        1e-12 * (1.0 + std::abs(slot_grad[k].x)));
+            EXPECT_NEAR(grad[i].y, slot_grad[k].y,
+                        1e-12 * (1.0 + std::abs(slot_grad[k].y)));
+        }
+    }
+    EXPECT_GT(per_slot, 0.0);
+    EXPECT_NEAR(total, per_slot, 1e-12 * per_slot);
+}
+
+TEST(FreqForce, ForcesAreEqualAndOpposite)
+{
+    const Netlist nl = freqNetlist({5.0e9, 5.01e9, 5.02e9}, {-1, -1, -1});
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> pos{{1000, 1000}, {1300, 1100}, {1100, 1400}};
+    std::vector<Vec2> grad;
+    EXPECT_GT(model.evaluate(pos, grad), 0.0);
+    const Vec2 net = grad[0] + grad[1] + grad[2];
+    const double scale = grad[0].norm() + grad[1].norm() + grad[2].norm();
+    EXPECT_GT(scale, 0.0);
+    EXPECT_NEAR(net.norm(), 0.0, 1e-12 * scale);
+}
+
+TEST(FreqForce, PositionCountMismatchPanics)
+{
+    const Netlist nl = freqNetlist({5.0e9, 5.0e9}, {-1, -1});
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> grad;
+    EXPECT_THROW(model.evaluate({{0, 0}}, grad), std::logic_error);
+}
+
+TEST(FreqForce, NonFinitePositionsFeelNoForce)
+{
+    const Netlist nl = freqNetlist({5.0e9, 5.0e9, 5.0e9}, {-1, -1, -1});
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> pos{{1000, 1000}, {1500, 1000}, {NAN, 1000}};
+    std::vector<Vec2> grad;
+    EXPECT_TRUE(std::isfinite(model.evaluate(pos, grad)));
+    EXPECT_TRUE(pushed(grad, 0));
+    EXPECT_FALSE(pushed(grad, 2));
 }
 
 } // namespace

@@ -1,0 +1,191 @@
+/**
+ * @file
+ * The neighbour-grid frequency force against the all-distance pair-list
+ * oracle in tests/oracles: potential and gradient must match bit for bit
+ * (memcmp) on paper devices and a 256-qubit grid, at the warm start and
+ * after 50 and 200 Nesterov iterations, with coincident instances and
+ * with positions outside the region, at 1, 2 and 4 threads (each model
+ * run against the oracle at the same thread count). ctest -L plan.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <ostream>
+#include <string>
+
+#include "core/freq_force.hpp"
+#include "core/placer.hpp"
+#include "freq/assigner.hpp"
+#include "netlist/builder.hpp"
+#include "oracles/oracles.hpp"
+#include "topology/generators.hpp"
+#include "util/thread_pool.hpp"
+
+namespace qplacer {
+namespace {
+
+constexpr int kThreadCounts[] = {1, 2, 4};
+
+Netlist
+buildNetlist(const Topology &topo)
+{
+    const auto freqs = FrequencyAssigner().assign(topo);
+    return NetlistBuilder().build(topo, freqs);
+}
+
+std::vector<Vec2>
+positionsOf(const Netlist &nl)
+{
+    std::vector<Vec2> pos;
+    pos.reserve(nl.instances().size());
+    for (const Instance &inst : nl.instances())
+        pos.push_back(inst.pos);
+    return pos;
+}
+
+/** Positions after @p iters Nesterov iterations from the warm start. */
+std::vector<Vec2>
+placedPositions(const Topology &topo, int iters)
+{
+    Netlist nl = buildNetlist(topo);
+    PlacerParams params;
+    params.threads = 1;
+    params.maxIters = iters;
+    params.minIters = iters;
+    params.stopOverflow = 0.0; // run the whole budget
+    GlobalPlacer(params).place(nl);
+    return positionsOf(nl);
+}
+
+/**
+ * Evaluate the production force and the oracle on @p pos at every
+ * thread count and require identical bits. Returns the number of
+ * instances that felt a force (so callers can check the case is live).
+ */
+int
+expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
+                   const std::string &what)
+{
+    const PlacerParams defaults;
+    int pushed = 0;
+    for (int threads : kThreadCounts) {
+        ThreadPool pool(threads);
+        const FreqForceModel model(nl, defaults.detuningThresholdHz,
+                                   defaults.freqCutoffFactor, &pool);
+        const oracle::PairListFreqForce ref(
+            nl, defaults.detuningThresholdHz, defaults.freqCutoffFactor,
+            &pool);
+        std::vector<Vec2> grad;
+        std::vector<Vec2> grad_ref;
+        const double u = model.evaluate(pos, grad);
+        const double u_ref = ref.evaluate(pos, grad_ref);
+        EXPECT_EQ(std::memcmp(&u, &u_ref, sizeof u), 0)
+            << what << " threads=" << threads << ": potential " << u
+            << " vs " << u_ref;
+        if (grad.size() != grad_ref.size()) {
+            ADD_FAILURE() << what << ": gradient sizes differ";
+            return 0;
+        }
+        EXPECT_EQ(std::memcmp(grad.data(), grad_ref.data(),
+                              grad.size() * sizeof(Vec2)),
+                  0)
+            << what << " threads=" << threads << ": gradient differs";
+        // Evaluating twice reuses the grid storage; the bits must hold.
+        const double again = model.evaluate(pos, grad);
+        EXPECT_EQ(std::memcmp(&again, &u, sizeof u), 0) << what;
+        EXPECT_EQ(std::memcmp(grad.data(), grad_ref.data(),
+                              grad.size() * sizeof(Vec2)),
+                  0)
+            << what << " threads=" << threads << ": re-evaluation";
+        pushed = 0;
+        for (const Vec2 &g : grad)
+            pushed += g.x != 0.0 || g.y != 0.0;
+    }
+    return pushed;
+}
+
+struct Device
+{
+    const char *name;
+    Topology (*make)();
+};
+
+void
+PrintTo(const Device &device, std::ostream *os)
+{
+    *os << device.name;
+}
+
+Topology
+makeGrid16x16()
+{
+    return makeGrid(16, 16);
+}
+
+class FreqForceEquivalence : public ::testing::TestWithParam<Device>
+{
+};
+
+TEST_P(FreqForceEquivalence, WarmStartAndNesterovIterates)
+{
+    const Topology topo = GetParam().make();
+    const Netlist nl = buildNetlist(topo);
+    ASSERT_GE(nl.instances().size(), ThreadPool::kGrainMedium)
+        << "too small to exercise the chunked scatter";
+    // The force is dormant whenever every resonant pair happens to be
+    // isolated, so only require it live at some snapshot.
+    int pushed = expectBitIdentical(nl, positionsOf(nl), "warm start");
+    for (int iters : {50, 200}) {
+        pushed += expectBitIdentical(
+            nl, placedPositions(topo, iters),
+            "after " + std::to_string(iters) + " iterations");
+    }
+    EXPECT_GT(pushed, 0) << "force dormant at every snapshot";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, FreqForceEquivalence,
+    ::testing::Values(Device{"Falcon", &makeFalcon},
+                      Device{"AspenM", &makeAspenM},
+                      Device{"Grid16x16", &makeGrid16x16}),
+    [](const ::testing::TestParamInfo<Device> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(FreqForceEquivalenceEdge, CoincidentInstances)
+{
+    // Every instance on one of three points: the clamp and the
+    // index-derived tie-break direction must match, and the grid sees
+    // a degenerate (zero-area) bounding box.
+    const Netlist nl = buildNetlist(makeAspenM());
+    std::vector<Vec2> pos = positionsOf(nl);
+    const Vec2 points[] = {{500, 500}, {500, 500}, {900, 700}};
+    for (std::size_t i = 0; i < pos.size(); ++i)
+        pos[i] = points[i % 3];
+    EXPECT_GT(expectBitIdentical(nl, pos, "coincident"), 0);
+
+    std::vector<Vec2> one_point(pos.size(), Vec2(1234.5, -77.0));
+    EXPECT_GT(expectBitIdentical(nl, one_point, "one point"), 0);
+}
+
+TEST(FreqForceEquivalenceEdge, PositionsOutsideTheRegion)
+{
+    // The warm start translated and scaled so most instances fall
+    // outside the region, plus a few far-flung outliers that stretch
+    // the bounding box far beyond the cell budget.
+    const Netlist nl = buildNetlist(makeAspenM());
+    const Rect region = nl.region();
+    std::vector<Vec2> pos = positionsOf(nl);
+    for (Vec2 &p : pos)
+        p = Vec2(p.x * 0.5 - region.width(), p.y * 0.5 + region.height());
+    EXPECT_GT(expectBitIdentical(nl, pos, "shifted"), 0);
+
+    pos[0] = Vec2(-1e9, -1e9);
+    pos[1] = Vec2(1e9, 3e8);
+    pos[2] = pos[1];
+    EXPECT_GT(expectBitIdentical(nl, pos, "outliers"), 0);
+}
+
+} // namespace
+} // namespace qplacer

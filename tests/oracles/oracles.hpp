@@ -9,15 +9,19 @@
  *    all-pairs violation count (freq/test_assign_equivalence);
  *  - the sequential-append netlist builder (freq/test_assign_equivalence,
  *    netlist/test_builder_scale);
- *  - the plan-free DCT row/column passes (math/test_dct_plan).
+ *  - the plan-free DCT row/column passes (math/test_dct_plan);
+ *  - the frequency force over an all-distance collision map
+ *    (core/test_freq_force_equivalence).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
 #define QPLACER_TESTS_ORACLES_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "freq/assigner.hpp"
+#include "geometry/vec2.hpp"
 #include "math/dct.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/partition.hpp"
@@ -60,6 +64,29 @@ void transformRowsUnplanned(std::vector<double> &map, int nx, int ny,
 /** Plan-free column pass (see transformRowsUnplanned). */
 void transformColsUnplanned(std::vector<double> &map, int nx, int ny,
                             Dct::Kind kind, ThreadPool *pool);
+
+/**
+ * FreqForceModel over the all-distance collision map: a sorted-frequency
+ * window sweep lists, per instance, every near-resonant partner at any
+ * distance (same resonator excluded), and evaluate() scans each list,
+ * skipping the pairs beyond their cutoff radius.
+ */
+class PairListFreqForce
+{
+  public:
+    PairListFreqForce(const Netlist &netlist, double threshold_hz,
+                      double cutoff_factor, ThreadPool *pool);
+
+    /** FreqForceModel::evaluate over the pair lists. */
+    double evaluate(const std::vector<Vec2> &positions,
+                    std::vector<Vec2> &gradient) const;
+
+  private:
+    std::vector<std::vector<std::int32_t>> partners_;
+    std::vector<double> charge_;
+    double cutoffFactor_;
+    ThreadPool *pool_;
+};
 
 } // namespace oracle
 } // namespace qplacer

@@ -306,6 +306,43 @@ TEST(Server, RejectsDuplicateActiveJobId)
     EXPECT_EQ(client.count("result", "dup"), 2);
 }
 
+TEST(Server, ConcurrentDuplicateIdsAdmitExactlyOne)
+{
+    // Two connections race the same id, many rounds over: admission
+    // must ack exactly one and reject the other, and nothing may hang.
+    // A blocker holds the only worker, so every raced job is still
+    // queued when its twin arrives.
+    constexpr int kRounds = 40;
+    Loopback client;
+    EXPECT_TRUE(client.send(
+        R"({"type":"submit","id":"blocker","topology":"grid3x3",)"
+        R"("set":{"placer.maxIters":1000000,"placer.minIters":1000000}})"));
+    for (int round = 0; round < kRounds; ++round) {
+        const std::string id = "race" + std::to_string(round);
+        const std::string line = submitLine(id, "grid3x3", 1, 20);
+        std::thread a([&] { client.send(line); });
+        std::thread b([&] { client.send(line); });
+        a.join();
+        b.join();
+        EXPECT_EQ(client.count("ack", id), 1) << id;
+        int duplicates = 0;
+        for (const JsonValue &r : client.responses()) {
+            const JsonValue *rid = r.find("id");
+            const JsonValue *msg = r.find("message");
+            if (rid && rid->asString() == id && msg &&
+                msg->asString().find("already queued or running") !=
+                    std::string::npos)
+                ++duplicates;
+        }
+        EXPECT_EQ(duplicates, 1) << id;
+    }
+    EXPECT_TRUE(client.server().cancel("blocker"));
+    client.server().drain();
+    for (int round = 0; round < kRounds; ++round)
+        EXPECT_EQ(client.count("result", "race" + std::to_string(round)),
+                  1);
+}
+
 TEST(Server, PingCancelErrorsAndShutdown)
 {
     Loopback client;
