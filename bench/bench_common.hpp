@@ -142,7 +142,7 @@ inline SpectralInstance
 prepare(const SpectralWorkload &wl)
 {
     FlowParams params;
-    const FrequencyAssigner assigner(params.assigner);
+    const FrequencyAssigner assigner(params.assigner, params.crosstalk);
     const auto freqs = assigner.assign(wl.topo);
     const NetlistBuilder builder(params.partition);
     SpectralInstance inst;

@@ -26,12 +26,12 @@ runPlacement(const std::string &topo_name, double lb_um)
     const Topology topo = makeTopology(topo_name);
     FlowParams params;
     params.partition.segmentUm = lb_um;
-    const FrequencyAssigner assigner(params.assigner);
+    const FrequencyAssigner assigner(params.assigner, params.crosstalk);
     const auto freqs = assigner.assign(topo);
     const NetlistBuilder builder(params.partition);
     Netlist netlist = builder.build(topo, freqs, params.targetUtil);
 
-    const GlobalPlacer placer(params.placer);
+    const GlobalPlacer placer(params.placer, params.crosstalk);
     const PlaceResult r = placer.place(netlist);
 
     RunStats stats;

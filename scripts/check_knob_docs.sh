@@ -7,8 +7,11 @@
 #     appear in BUILDING.md's knob table, and every row of that table
 #     must name a key in kKnownSetKeys (no stale rows for removed
 #     knobs).
-#  2. Every qplacer_server flag must be documented in BUILDING.md.
-#  3. The service documentation set must exist and be linked from
+#  2. Every key in kKnownSetKeys must be read by a cfg.get...("<key>"
+#     call in applyOverrides: a listed key that nothing reads is
+#     accepted and silently ignored.
+#  3. Every qplacer_server flag must be documented in BUILDING.md.
+#  4. The service documentation set must exist and be linked from
 #     BUILDING.md.
 #
 # Run from the repository root: scripts/check_knob_docs.sh
@@ -62,6 +65,24 @@ while IFS= read -r row; do
     fi
 done <<<"$rows"
 echo "checked $count knob table rows against $overrides"
+
+# Every listed key must be read by applyOverrides (the function body,
+# joined onto one line so wrapped calls still match).
+apply_body=$(awk '/^applyOverrides\(/,/^}/' "$overrides" | tr -s ' \n' ' ')
+if [[ -z "$apply_body" ]]; then
+    echo "FAIL: could not extract applyOverrides from $overrides" >&2
+    exit 1
+fi
+count=0
+while IFS= read -r key; do
+    count=$((count + 1))
+    if ! grep -q -E "cfg\.get(Int|Double|Bool)\( ?\"${key//./\\.}\"" \
+        <<<"$apply_body"; then
+        echo "FAIL: --set key '$key' is never read by applyOverrides" >&2
+        fail=1
+    fi
+done <<<"$keys"
+echo "checked $count --set keys against applyOverrides"
 
 # Every qplacer_server CLI flag must be documented in BUILDING.md.
 server_main=tools/qplacer_server.cpp

@@ -28,6 +28,7 @@ l1Norm(ThreadPool *pool, const std::vector<Vec2> &g)
 
 PlacementObjective::PlacementObjective(const Netlist &netlist,
                                        const PlacerParams &params,
+                                       const CrosstalkRule &rule,
                                        ThreadPool *pool)
     : netlist_(netlist),
       params_(params),
@@ -44,7 +45,7 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
 {
     if (params.freqForce) {
         freqForce_ = std::make_unique<FreqForceModel>(
-            netlist, params.detuningThresholdHz,
+            netlist, rule.detuningThresholdHz,
             params.freqCutoffFactor, pool_);
     }
     if (params.cutWeight > 0.0 && netlist.dieSpec().active()) {

@@ -29,10 +29,12 @@ class PlacementObjective
 {
   public:
     /**
+     * @param rule Crosstalk rule; the frequency force reads Delta_c.
      * @param pool Worker pool shared by every component model (null =
      *             serial; not owned, must outlive the objective).
      */
     PlacementObjective(const Netlist &netlist, const PlacerParams &params,
+                       const CrosstalkRule &rule,
                        ThreadPool *pool = nullptr);
 
     /** Component values from the last evaluate(). */

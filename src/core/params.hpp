@@ -8,16 +8,11 @@
 
 #include <cstdint>
 
-#include "physics/constants.hpp"
-
 namespace qplacer {
 
 /** Global placement engine knobs (defaults follow Section V-C). */
 struct PlacerParams
 {
-    /** Region fill target used when sizing the substrate. */
-    double targetUtil = 0.72;
-
     /**
      * Target bin density D-hat relative to a full bin; the density
      * penalty pushes every bin at or below this.
@@ -89,9 +84,6 @@ struct PlacerParams
      * reached).
      */
     int patience = 250;
-
-    /** Detuning threshold Delta_c for the frequency force. */
-    double detuningThresholdHz = kDetuningThresholdHz;
 
     /**
      * Worker threads for the density/DCT hot path (0 = hardware

@@ -11,8 +11,8 @@
 
 namespace qplacer {
 
-GlobalPlacer::GlobalPlacer(PlacerParams params)
-    : params_(params)
+GlobalPlacer::GlobalPlacer(PlacerParams params, CrosstalkRule rule)
+    : params_(params), rule_(rule)
 {
 }
 
@@ -57,7 +57,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
 
     ThreadPool *pool_ptr = pool && pool->threads() > 1 ? pool : nullptr;
 
-    PlacementObjective objective(netlist, params_, pool_ptr);
+    PlacementObjective objective(netlist, params_, rule_, pool_ptr);
     NesterovOptimizer optimizer(netlist.region(), half_sizes, 0.05,
                                 pool_ptr);
     optimizer.reset(positions);

@@ -61,7 +61,8 @@ struct PlaceMonitor
 class GlobalPlacer
 {
   public:
-    explicit GlobalPlacer(PlacerParams params = {});
+    /** The frequency force reads Delta_c from @p rule. */
+    explicit GlobalPlacer(PlacerParams params = {}, CrosstalkRule rule = {});
 
     /**
      * Place @p netlist in-place: instance positions are updated to the
@@ -86,6 +87,7 @@ class GlobalPlacer
 
   private:
     PlacerParams params_;
+    CrosstalkRule rule_;
 };
 
 } // namespace qplacer

@@ -29,7 +29,7 @@ Evaluator::evaluate(const Topology &topo, const Netlist &netlist,
 
     // Layout-dependent state, computed once.
     const HotspotReport hotspots =
-        analyzeHotspots(netlist, params_.hotspot);
+        analyzeHotspots(netlist, params_.crosstalk);
     const FidelityModel model(params_.fidelity);
     const Mapper mapper(topo.coupling);
 

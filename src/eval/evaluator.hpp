@@ -25,7 +25,8 @@ struct EvaluatorParams
 {
     int numSubsets = 50;        ///< Mappings per benchmark (paper: 50).
     std::uint64_t subsetSeed = 7; ///< Shared across placers.
-    HotspotParams hotspot;
+    /** The run's crosstalk rule: the fidelity proxy's hotspot pairs. */
+    CrosstalkRule crosstalk;
     FidelityParams fidelity;
 };
 

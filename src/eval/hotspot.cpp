@@ -3,14 +3,13 @@
 #include <algorithm>
 
 #include "eval/area.hpp"
-#include "freq/spectrum.hpp"
 #include "geometry/spatial_hash.hpp"
 #include "util/logging.hpp"
 
 namespace qplacer {
 
 HotspotReport
-analyzeHotspots(const Netlist &netlist, HotspotParams params)
+analyzeHotspots(const Netlist &netlist, const CrosstalkRule &rule)
 {
     HotspotReport report;
     const auto &instances = netlist.instances();
@@ -31,22 +30,17 @@ analyzeHotspots(const Netlist &netlist, HotspotParams params)
     for (const Instance &inst : instances)
         hash.insert(inst.id, inst.pos);
 
-    const double query_radius = max_extent + params.adjacencyTolUm;
+    const double query_radius = max_extent + rule.adjacencyTolUm;
     for (const Instance &inst : instances) {
         const Rect mine = inst.paddedRect();
         for (std::int32_t other : hash.query(inst.pos, query_radius)) {
             if (other <= inst.id)
                 continue; // each unordered pair once
             const Instance &o = instances[other];
-            if (inst.resonator >= 0 && inst.resonator == o.resonator)
-                continue; // same physical resonator
-            if (!isResonant(inst.freqHz, o.freqHz,
-                            params.detuningThresholdHz))
+            double gap = 0.0;
+            if (!rule.hotspotPair(inst, o, gap))
                 continue;
             const Rect theirs = o.paddedRect();
-            const double gap = mine.gap(theirs);
-            if (gap > params.adjacencyTolUm)
-                continue;
 
             HotspotPair pair;
             pair.a = inst.id;
@@ -56,9 +50,9 @@ analyzeHotspots(const Netlist &netlist, HotspotParams params)
             // Shared-boundary length: inflate by half the tolerance so
             // barely-separated footprints still register a length.
             pair.overlapLenUm =
-                mine.inflated(params.adjacencyTolUm / 2.0)
+                mine.inflated(rule.adjacencyTolUm / 2.0)
                     .overlapLength(
-                        theirs.inflated(params.adjacencyTolUm / 2.0));
+                        theirs.inflated(rule.adjacencyTolUm / 2.0));
             report.pairs.push_back(pair);
         }
     }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "physics/constants.hpp"
 
 namespace qplacer {
 
@@ -38,19 +37,12 @@ struct HotspotReport
     std::vector<int> impactedQubits;
 };
 
-/** Hotspot analyzer parameters. */
-struct HotspotParams
-{
-    /** Padded footprints closer than this count as adjacent (um). */
-    double adjacencyTolUm = 50.0;
-
-    /** Detuning threshold for the resonance indicator tau. */
-    double detuningThresholdHz = kDetuningThresholdHz;
-};
-
-/** Scan a placed netlist for hotspots. */
+/**
+ * Scan a placed netlist for hotspots: the pairs @p rule flags as
+ * resonant and adjacent (CrosstalkRule::hotspotPair).
+ */
 HotspotReport analyzeHotspots(const Netlist &netlist,
-                              HotspotParams params = {});
+                              const CrosstalkRule &rule = {});
 
 } // namespace qplacer
 

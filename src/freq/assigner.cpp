@@ -41,8 +41,9 @@ resonatorShareGraph(const Graph &coupling)
 
 } // namespace
 
-FrequencyAssigner::FrequencyAssigner(AssignerParams params)
-    : params_(params)
+FrequencyAssigner::FrequencyAssigner(AssignerParams params,
+                                     CrosstalkRule rule)
+    : params_(params), rule_(rule)
 {
 }
 
@@ -116,7 +117,7 @@ FrequencyAssigner::colorsToFrequencies(const std::vector<int> &colors,
     for (int c : colors)
         num_colors = std::max(num_colors, c + 1);
 
-    const int capacity = band.maxSlots(params_.detuningThresholdHz);
+    const int capacity = band.maxSlots(rule_.detuningThresholdHz);
     const int used = std::min(std::max(num_colors, 1), capacity);
     const std::vector<double> slot_freqs = band.slots(used);
     if (slots_used)
@@ -233,7 +234,7 @@ FrequencyAssigner::countDomainViolations(
     int violations = 0;
     for (const auto &[u, v] : topo.coupling.edges()) {
         if (isResonant(assignment.qubitFreqHz[u], assignment.qubitFreqHz[v],
-                       params_.detuningThresholdHz)) {
+                       rule_.detuningThresholdHz)) {
             ++violations;
         }
     }
@@ -251,7 +252,7 @@ FrequencyAssigner::countDomainViolations(
             for (std::size_t j = i + 1; j < list.size(); ++j) {
                 if (isResonant(assignment.resonatorFreqHz[list[i]],
                                assignment.resonatorFreqHz[list[j]],
-                               params_.detuningThresholdHz)) {
+                               rule_.detuningThresholdHz)) {
                     ++violations;
                 }
             }

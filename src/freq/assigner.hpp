@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "freq/spectrum.hpp"
+#include "netlist/netlist.hpp"
 #include "topology/topology.hpp"
 
 namespace qplacer {
@@ -67,7 +68,6 @@ struct AssignerParams
 {
     FrequencyBand qubitBand = FrequencyBand::qubitBand();
     FrequencyBand resonatorBand = FrequencyBand::resonatorBand();
-    double detuningThresholdHz = kDetuningThresholdHz;
 
     /** Also separate distance-2 qubit pairs in frequency when possible. */
     bool distance2 = true;
@@ -77,7 +77,9 @@ struct AssignerParams
 class FrequencyAssigner
 {
   public:
-    explicit FrequencyAssigner(AssignerParams params = {});
+    /** Slots are spaced, and violations judged, by @p rule's Delta_c. */
+    explicit FrequencyAssigner(AssignerParams params = {},
+                               CrosstalkRule rule = {});
 
     /**
      * Assign frequencies for @p topo. @p stats (optional) receives the
@@ -121,6 +123,7 @@ class FrequencyAssigner
                         const FrequencyBand &band, int *slots_used) const;
 
     AssignerParams params_;
+    CrosstalkRule rule_;
 };
 
 } // namespace qplacer

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "freq/spectrum.hpp"
 #include "legal/occupancy.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -26,13 +25,6 @@ constexpr double kFidelityWeight = 4.0;
 /** Relocation reach per axis, in occupancy cells. */
 constexpr int kRelocateReachCells = 4;
 
-/** Segments of one resonator are exempt, exactly like eval/hotspot. */
-bool
-sameResonator(const Instance &a, const Instance &b)
-{
-    return a.resonator >= 0 && a.resonator == b.resonator;
-}
-
 /** Collision count + fidelity hinge of a set of hotspot pairs. */
 struct PairStats
 {
@@ -46,26 +38,21 @@ struct PairStats
         hinge += o.hinge;
         return *this;
     }
-};
 
-/**
- * The near-resonant-adjacency predicate of eval/hotspot.hpp: true when
- * the pair is a spatial violation, with the hinge depth in @p hinge.
- */
-bool
-hotspotPair(const Instance &a, const Instance &b,
-            const HotspotParams &hotspot, double &hinge)
-{
-    if (sameResonator(a, b))
-        return false;
-    if (!isResonant(a.freqHz, b.freqHz, hotspot.detuningThresholdHz))
-        return false;
-    const double gap = a.paddedRect().gap(b.paddedRect());
-    if (gap > hotspot.adjacencyTolUm)
-        return false;
-    hinge = hotspot.adjacencyTolUm - gap;
-    return true;
-}
+    /**
+     * Count the pair when @p rule flags it as a hotspot, with hinge
+     * depth adjacencyTol - gap.
+     */
+    void
+    add(const CrosstalkRule &rule, const Instance &a, const Instance &b)
+    {
+        double gap = 0.0;
+        if (rule.hotspotPair(a, b, gap)) {
+            ++count;
+            hinge += rule.adjacencyTolUm - gap;
+        }
+    }
+};
 
 /** One proposed move: a relocation of i, or a swap when j >= 0. */
 struct Proposal
@@ -81,8 +68,8 @@ class Walk
 {
   public:
     Walk(Netlist &netlist, const DetailedPlaceParams &params,
-         const HotspotParams &hotspot, double cell_um)
-        : netlist_(netlist), params_(params), hotspot_(hotspot),
+         const CrosstalkRule &rule, double cell_um)
+        : netlist_(netlist), params_(params), rule_(rule),
           grid_(netlist.region(), cell_um),
           multi_(netlist.dieSpec().active())
     {
@@ -146,12 +133,7 @@ class Walk
             for (const std::int32_t o : ownerScratch_) {
                 if (o <= inst.id)
                     continue; // Count each unordered pair once.
-                double hinge = 0.0;
-                if (hotspotPair(inst, netlist_.instance(o), hotspot_,
-                                hinge)) {
-                    ++total.count;
-                    total.hinge += hinge;
-                }
+                total.add(rule_, inst, netlist_.instance(o));
             }
         }
         return total;
@@ -171,11 +153,7 @@ class Walk
         for (const std::int32_t o : ownerScratch_) {
             if (o == m || o == exclude)
                 continue;
-            double hinge = 0.0;
-            if (hotspotPair(mine, netlist_.instance(o), hotspot_, hinge)) {
-                ++stats.count;
-                stats.hinge += hinge;
-            }
+            stats.add(rule_, mine, netlist_.instance(o));
         }
         return stats;
     }
@@ -239,7 +217,7 @@ class Walk
 
     Netlist &netlist_;
     const DetailedPlaceParams &params_;
-    const HotspotParams &hotspot_;
+    const CrosstalkRule &rule_;
     OccupancyGrid grid_;
     bool multi_;   ///< Active multi-die partition?
     DiePlan plan_; ///< Resolved when multi_.
@@ -255,7 +233,7 @@ class Walk
         // tolerance + one cell over-covers every candidate with
         // gap <= tolerance; the exact gap predicate filters the rest.
         const Rect query = inst.paddedRect().inflated(
-            hotspot_.adjacencyTolUm + grid_.cellUm());
+            rule_.adjacencyTolUm + grid_.cellUm());
         grid_.ownersIn(query, ownerScratch_);
     }
 
@@ -279,23 +257,19 @@ layoutHpwl(const Netlist &netlist)
 }
 
 double
-detailedObjective(const Netlist &netlist, const HotspotParams &hotspot)
+detailedObjective(const Netlist &netlist, const CrosstalkRule &rule)
 {
-    double hinge_total = 0.0;
+    PairStats pairs;
     const auto &instances = netlist.instances();
-    for (std::size_t a = 0; a < instances.size(); ++a) {
-        for (std::size_t b = a + 1; b < instances.size(); ++b) {
-            double hinge = 0.0;
-            if (hotspotPair(instances[a], instances[b], hotspot, hinge))
-                hinge_total += hinge;
-        }
-    }
-    return layoutHpwl(netlist) + kFidelityWeight * hinge_total;
+    for (std::size_t a = 0; a < instances.size(); ++a)
+        for (std::size_t b = a + 1; b < instances.size(); ++b)
+            pairs.add(rule, instances[a], instances[b]);
+    return layoutHpwl(netlist) + kFidelityWeight * pairs.hinge;
 }
 
 DetailedPlacer::DetailedPlacer(DetailedPlaceParams params,
-                               LegalizerParams legal, HotspotParams hotspot)
-    : params_(params), legal_(legal), hotspot_(hotspot)
+                               LegalizerParams legal, CrosstalkRule rule)
+    : params_(params), legal_(legal), rule_(rule)
 {
 }
 
@@ -310,7 +284,7 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
     if (params_.iters <= 0 || n < 2 || netlist.nets().empty())
         return stats; // ran = false: nothing to refine, layout untouched.
 
-    Walk walk(netlist, params_, hotspot_, legal_.cellUm);
+    Walk walk(netlist, params_, rule_, legal_.cellUm);
     if (!walk.build())
         return stats; // Input not legal on this cell grid; hands off.
     stats.ran = true;

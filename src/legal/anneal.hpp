@@ -8,8 +8,8 @@
  *
  *  - HPWL: weighted Manhattan half-perimeter over the nets incident to
  *    the moved instances (O(degree) per proposal);
- *  - collisions: the count of near-resonant adjacent pairs (the exact
- *    pair predicate of eval/hotspot.hpp) touching the moved instances.
+ *  - collisions: the count of hotspot pairs (CrosstalkRule::hotspotPair,
+ *    the hotspot metric's predicate) touching the moved instances.
  *    Any move that increases this count is rejected outright, so the
  *    refined layout never has more hotspot pairs than the input;
  *  - fidelity: a hinge sum of (adjacencyTol - gap) over the surviving
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "eval/hotspot.hpp"
 #include "legal/legalizer.hpp"
 #include "netlist/netlist.hpp"
 #include "util/cancel.hpp"
@@ -91,7 +90,7 @@ class DetailedPlacer
 {
   public:
     DetailedPlacer(DetailedPlaceParams params, LegalizerParams legal,
-                   HotspotParams hotspot);
+                   CrosstalkRule rule);
 
     /**
      * Test/diagnostic hook: invoked after every accepted move with the
@@ -116,7 +115,7 @@ class DetailedPlacer
   private:
     DetailedPlaceParams params_;
     LegalizerParams legal_;
-    HotspotParams hotspot_;
+    CrosstalkRule rule_;
 };
 
 /**
@@ -135,7 +134,7 @@ double layoutHpwl(const Netlist &netlist);
  * non-increasing -- the property the anneal test suite checks.
  */
 double detailedObjective(const Netlist &netlist,
-                         const HotspotParams &hotspot);
+                         const CrosstalkRule &rule);
 
 } // namespace qplacer
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "freq/spectrum.hpp"
 #include "legal/spiral.hpp"
 #include "math/union_find.hpp"
 #include "util/logging.hpp"
@@ -12,30 +11,35 @@ namespace qplacer {
 
 bool
 resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
-            const IntegrationParams &params, const Instance &inst, Vec2 pos,
-            std::vector<std::int32_t> &scratch, int ignore_a, int ignore_b)
+            const CrosstalkRule &rule, const Instance &inst, Vec2 pos,
+            std::vector<std::int32_t> &scratch, int ignore)
 {
-    if (!params.resonanceCheck)
-        return true;
     const Rect probe =
         Rect::fromCenter(pos, inst.paddedWidth(), inst.paddedHeight())
-            .inflated(params.probeTolUm);
+            .inflated(rule.adjacencyTolUm);
     grid.ownersIn(probe, scratch);
     for (std::int32_t other : scratch) {
-        if (other == inst.id || other == ignore_a || other == ignore_b)
-            continue;
-        const Instance &o = netlist.instance(other);
-        if (inst.resonator >= 0 && o.resonator == inst.resonator)
-            continue;
-        if (isResonant(inst.freqHz, o.freqHz, params.detuningThresholdHz))
+        if (other != inst.id && other != ignore &&
+            rule.resonantPair(inst, netlist.instance(other)))
             return false;
     }
     return true;
 }
 
-IntegrationLegalizer::IntegrationLegalizer(IntegrationParams params)
-    : params_(params)
+IntegrationLegalizer::IntegrationLegalizer(IntegrationParams params,
+                                           CrosstalkRule rule)
+    : params_(params), rule_(rule)
 {
+}
+
+bool
+IntegrationLegalizer::tauOk(const Netlist &netlist,
+                            const OccupancyGrid &grid, const Instance &inst,
+                            Vec2 pos, int ignore) const
+{
+    return !params_.resonanceCheck ||
+           resonanceOk(netlist, grid, rule_, inst, pos, ownerScratch_,
+                       ignore);
 }
 
 bool
@@ -159,8 +163,7 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                                 Rect::fromCenter(snapped, w, h);
                             if (!grid.canPlaceIgnoring(rect, seg_id))
                                 continue;
-                            if (!resonanceOk(netlist, grid, params_, seg,
-                                             snapped, ownerScratch_))
+                            if (!tauOk(netlist, grid, seg, snapped))
                                 continue;
                             grid.release(
                                 Rect::fromCenter(seg.pos, w, h), seg_id);
@@ -198,12 +201,10 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                                 cand.height != seg.height)
                                 continue;
                             // tau checks at both destinations.
-                            if (!resonanceOk(netlist, grid, params_, seg,
-                                             cand.pos, ownerScratch_,
-                                             cand_id) ||
-                                !resonanceOk(netlist, grid, params_, cand,
-                                             seg.pos, ownerScratch_,
-                                             seg_id)) {
+                            if (!tauOk(netlist, grid, seg, cand.pos,
+                                       cand_id) ||
+                                !tauOk(netlist, grid, cand, seg.pos,
+                                       seg_id)) {
                                 continue;
                             }
                             // Swap must not break the partner's own
@@ -297,8 +298,7 @@ IntegrationLegalizer::replaceChain(Netlist &netlist, OccupancyGrid &grid,
             return a.gap(b) <= params_.adjacencyTolUm;
         };
         auto tau_ok = [&](Vec2 center) {
-            return resonanceOk(netlist, grid, params_, seg, center,
-                               ownerScratch_);
+            return tauOk(netlist, grid, seg, center);
         };
         const int radius =
             static_cast<int>(12.0 * w / grid.cellUm());

@@ -31,18 +31,8 @@ struct IntegrationParams
      */
     double adjacencyTolUm = 150.0;
 
-    /**
-     * Probe inflation (um) for the tau resonance check; matches the
-     * hotspot analyzer's adjacency threshold so the legalizer guards
-     * exactly the pairs the metric would flag.
-     */
-    double probeTolUm = 50.0;
-
     /** Validate moves/swaps against the resonance checker tau. */
     bool resonanceCheck = true;
-
-    /** Detuning threshold for tau. */
-    double detuningThresholdHz = 0.1e9;
 
     /** Repair passes over all resonators. */
     int maxRounds = 8;
@@ -58,22 +48,21 @@ struct IntegrationParams
 /**
  * The resonance checker tau, shared by the Tetris scan and Algorithm 1:
  * true if instance @p inst, hypothetically centered at @p pos, has no
- * near-resonant foreign instance within params.probeTolUm. Segments of
- * its own resonator and the owners @p ignore_a / @p ignore_b (swap
- * partners) are skipped. Always passes when params.resonanceCheck is
- * off. @p scratch is the ownersIn buffer, reused so the probe -- run
- * once per candidate slot -- never allocates.
+ * grid owner within rule.adjacencyTolUm of its padded footprint that
+ * @p rule calls a resonant pair with it. The owner @p ignore (a swap
+ * partner) is skipped. @p scratch is the ownersIn buffer, reused so
+ * the probe -- run once per candidate slot -- never allocates.
  */
 bool resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
-                 const IntegrationParams &params, const Instance &inst,
-                 Vec2 pos, std::vector<std::int32_t> &scratch,
-                 int ignore_a = -1, int ignore_b = -1);
+                 const CrosstalkRule &rule, const Instance &inst, Vec2 pos,
+                 std::vector<std::int32_t> &scratch, int ignore = -1);
 
 /** Runs Algorithm 1 on a legalized netlist. */
 class IntegrationLegalizer
 {
   public:
-    explicit IntegrationLegalizer(IntegrationParams params = {});
+    explicit IntegrationLegalizer(IntegrationParams params = {},
+                                  CrosstalkRule rule = {});
 
     /** Outcome summary. */
     struct Result
@@ -111,6 +100,10 @@ class IntegrationLegalizer
     /** True if two instances' padded rects are within the tolerance. */
     bool adjacent(const Instance &a, const Instance &b) const;
 
+    /** resonanceOk under rule_; true when resonanceCheck is off. */
+    bool tauOk(const Netlist &netlist, const OccupancyGrid &grid,
+               const Instance &inst, Vec2 pos, int ignore = -1) const;
+
     /**
      * Rip up and contiguously re-place the full segment chain of
      * resonator @p r (the final repair of Algorithm 1 failures).
@@ -119,6 +112,7 @@ class IntegrationLegalizer
     bool replaceChain(Netlist &netlist, OccupancyGrid &grid, int r) const;
 
     IntegrationParams params_;
+    CrosstalkRule rule_;
 
     /**
      * ownersIn scratch for resonanceOk: the tau probe runs once per

@@ -69,8 +69,8 @@ spiralLegalizeQubits(Netlist &netlist, OccupancyGrid &grid,
 
 } // namespace
 
-Legalizer::Legalizer(LegalizerParams params)
-    : params_(params)
+Legalizer::Legalizer(LegalizerParams params, CrosstalkRule rule)
+    : params_(params), rule_(rule)
 {
 }
 
@@ -151,7 +151,7 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
         if (!res.segments.empty() && is_movable[res.segments.front()])
             movable_res.push_back(res.id);
     if (!tetrisLegalizeSegments(netlist, grid, params_.integrationParams,
-                                result.segmentDisplacementUm,
+                                rule_, result.segmentDisplacementUm,
                                 &movable_res)) {
         return false;
     }
@@ -164,7 +164,7 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
     }
     stage_timer.reset();
     if (params_.integration && !movable_res.empty()) {
-        IntegrationLegalizer integrator(params_.integrationParams);
+        IntegrationLegalizer integrator(params_.integrationParams, rule_);
         result.integration = integrator.run(netlist, grid, &movable_res);
     }
     result.integrationSeconds = stage_timer.seconds();

@@ -49,7 +49,8 @@ struct LegalizeResult
 class Legalizer
 {
   public:
-    explicit Legalizer(LegalizerParams params = {});
+    /** @p rule is the crosstalk rule of the tau-checked passes. */
+    explicit Legalizer(LegalizerParams params = {}, CrosstalkRule rule = {});
 
     /**
      * Legalize @p netlist in place. If the region is too fragmented to
@@ -87,6 +88,7 @@ class Legalizer
                  LegalizeResult &result, const CancelToken *cancel) const;
 
     LegalizerParams params_;
+    CrosstalkRule rule_;
 };
 
 } // namespace qplacer

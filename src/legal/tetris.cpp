@@ -11,7 +11,7 @@ namespace qplacer {
 bool
 tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                        const IntegrationParams &params,
-                       double &displacement_um,
+                       const CrosstalkRule &rule, double &displacement_um,
                        const std::vector<int> *only_resonators)
 {
     displacement_um = 0.0;
@@ -63,7 +63,7 @@ tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                 // tau-checked search first, within a bounded radius so
                 // a hopeless neighbourhood degrades gracefully.
                 auto tau_ok = [&](Vec2 center) {
-                    return resonanceOk(netlist, grid, params, seg, center,
+                    return resonanceOk(netlist, grid, rule, seg, center,
                                        owner_scratch);
                 };
                 const int radius = static_cast<int>(

@@ -23,9 +23,10 @@ namespace qplacer {
  * occupies the grid.
  *
  * When @p params.resonanceCheck is set (Qplacer mode), candidate slots
- * adjacent to a near-resonant foreign instance are skipped within a
- * bounded search radius (falling back to the plain nearest slot when
- * no clean one exists), so the tau constraint survives legalization.
+ * that fail the tau probe under @p rule (resonanceOk) are skipped
+ * within a bounded search radius (falling back to the plain nearest
+ * slot when no clean one exists), so the tau constraint survives
+ * legalization.
  *
  * When @p only_resonators is non-null, just those resonator ids are
  * processed (Legalizer::legalize with a movable set); all
@@ -38,6 +39,7 @@ namespace qplacer {
  */
 bool tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                             const IntegrationParams &params,
+                            const CrosstalkRule &rule,
                             double &displacement_um,
                             const std::vector<int> *only_resonators = nullptr);
 

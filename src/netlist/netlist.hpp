@@ -15,6 +15,7 @@
 
 #include "geometry/rect.hpp"
 #include "multidie/die_plan.hpp"
+#include "physics/constants.hpp"
 
 namespace qplacer {
 
@@ -61,6 +62,25 @@ struct Instance
     {
         return Rect::fromCenter(pos, paddedWidth(), paddedHeight());
     }
+};
+
+/**
+ * The crosstalk rule: two instances on different resonators interact
+ * when their frequencies are within Delta_c (tau, Eq. 9) and their
+ * padded footprints are adjacent. FlowParams owns the one copy; every
+ * stage that judges crosstalk reads it (docs/ARCHITECTURE.md).
+ */
+struct CrosstalkRule
+{
+    double detuningThresholdHz = kDetuningThresholdHz; ///< Delta_c.
+    double adjacencyTolUm = 50.0; ///< Max padded-footprint gap (um).
+
+    /** tau: distinct resonators (or qubits) within Delta_c. */
+    bool resonantPair(const Instance &a, const Instance &b) const;
+
+    /** resonantPair() and adjacent; @p gap_um gets the padded gap. */
+    bool hotspotPair(const Instance &a, const Instance &b,
+                     double &gap_um) const;
 };
 
 /** A connection to be kept short (2-pin; stars are decomposed). */

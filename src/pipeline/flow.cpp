@@ -62,8 +62,14 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: placer.jitterFrac must be non-negative");
     check(placer.cutWeight >= 0.0,
           "FlowParams: placer.cutWeight must be non-negative");
-    check(assigner.detuningThresholdHz > 0.0,
-          "FlowParams: assigner.detuningThresholdHz must be positive");
+    check(placer.freqWeight >= 0.0,
+          "FlowParams: placer.freqWeight must be non-negative");
+    check(placer.freqCutoffFactor > 0.0,
+          "FlowParams: placer.freqCutoffFactor must be positive");
+    check(crosstalk.detuningThresholdHz > 0.0,
+          "FlowParams: crosstalk.detuningThresholdHz must be positive");
+    check(crosstalk.adjacencyTolUm >= 0.0,
+          "FlowParams: crosstalk.adjacencyTolUm must be non-negative");
     check(assigner.qubitBand.span() > 0.0,
           "FlowParams: assigner.qubitBand must have positive span");
     check(assigner.resonatorBand.span() > 0.0,
@@ -72,11 +78,8 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: legalizer.cellUm must be positive");
     check(legalizer.integrationParams.maxRounds >= 0,
           "FlowParams: legalizer.integrationParams.maxRounds must be >= 0");
-    check(legalizer.integrationParams.adjacencyTolUm >= 0.0 &&
-              legalizer.integrationParams.probeTolUm >= 0.0,
-          "FlowParams: integration tolerances must be non-negative");
-    check(hotspot.adjacencyTolUm >= 0.0,
-          "FlowParams: hotspot.adjacencyTolUm must be non-negative");
+    check(legalizer.integrationParams.adjacencyTolUm >= 0.0,
+          "FlowParams: integration adjacencyTolUm must be non-negative");
     check(incremental.maxIters >= 1,
           "FlowParams: incremental.maxIters must be at least 1");
     check(incremental.snapToleranceUm >= 0.0,
@@ -98,20 +101,6 @@ FlowParams::normalized(std::string *error) const
         *error = first_error;
     else if (!first_error.empty())
         fatal(first_error);
-
-    // The assigner's detuning threshold is the single source of truth:
-    // the resonant pairs the frequency force pushes apart, the tau
-    // check the integration legalizer validates against, and the
-    // hotspot metric must all judge resonance exactly like the
-    // frequencies were assigned (flow.cpp and qplacer_cli used to
-    // hand-copy these).
-    p.placer.detuningThresholdHz = assigner.detuningThresholdHz;
-    p.legalizer.integrationParams.detuningThresholdHz =
-        assigner.detuningThresholdHz;
-    p.hotspot.detuningThresholdHz = assigner.detuningThresholdHz;
-
-    // The region is sized once, from the flow-level utilization target.
-    p.placer.targetUtil = targetUtil;
 
     // minIters is a convergence floor under the iteration budget;
     // callers routinely lower only maxIters (quick runs, sweeps), so a

@@ -103,7 +103,7 @@ struct FlowParams
     PartitionParams partition;
     PlacerParams placer;
     LegalizerParams legalizer;
-    HotspotParams hotspot;
+    CrosstalkRule crosstalk; ///< The one copy; every stage reads it.
     IncrementalPlaceParams incremental;
     DetailedPlaceParams detailed; ///< Post-legalization annealing stage.
     PortfolioParams portfolio;    ///< Multi-start knobs (runPortfolio).
@@ -113,12 +113,6 @@ struct FlowParams
      * Validated, self-consistent copy of these parameters -- the only
      * form the staged pipeline accepts. Normalization:
      *
-     *  - assigner.detuningThresholdHz is the single source of truth
-     *    for the detuning threshold; the copy in the placer, the
-     *    integration legalizer, and the hotspot analyzer is
-     *    overwritten with it (previously each caller hand-copied it,
-     *    or forgot to);
-     *  - targetUtil is mirrored into placer.targetUtil;
      *  - Classic mode disables the frequency force and the resonance
      *    check (Section V-B);
      *  - placer.minIters (a convergence floor) is clamped to the

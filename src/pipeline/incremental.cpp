@@ -220,7 +220,8 @@ class ScopedLegalizeStage final : public FlowStage
         ctx.result.incremental.movableInstances =
             static_cast<int>(movable.size());
 
-        const Legalizer legalizer(ctx.params.legalizer);
+        const Legalizer legalizer(ctx.params.legalizer,
+                                  ctx.params.crosstalk);
         ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable);
         if (ctx.result.legal.cancelled) {
             ctx.result.status = {FlowCode::Cancelled, name(),

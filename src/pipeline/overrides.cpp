@@ -46,54 +46,66 @@ isKnownSetKey(const std::string &key)
 }
 
 void
-applyOverrides(const Config &cfg, FlowParams &params)
+applyOverrides(const Config &cfg, FlowParams &params, std::string *error)
 {
-    params.targetUtil = cfg.getDouble("targetUtil", params.targetUtil);
+    params.targetUtil =
+        cfg.getDouble("targetUtil", params.targetUtil, error);
 
     PlacerParams &pp = params.placer;
-    pp.maxIters = static_cast<int>(cfg.getInt("placer.maxIters", pp.maxIters));
-    pp.minIters = static_cast<int>(cfg.getInt("placer.minIters", pp.minIters));
-    pp.bins = static_cast<int>(cfg.getInt("placer.bins", pp.bins));
-    pp.targetDensity = cfg.getDouble("placer.targetDensity", pp.targetDensity);
-    pp.stopOverflow = cfg.getDouble("placer.stopOverflow", pp.stopOverflow);
-    pp.freqForce = cfg.getBool("placer.freqForce", pp.freqForce);
-    pp.freqWeight = cfg.getDouble("placer.freqWeight", pp.freqWeight);
+    pp.maxIters = cfg.getInt("placer.maxIters", pp.maxIters, error);
+    pp.minIters = cfg.getInt("placer.minIters", pp.minIters, error);
+    pp.bins = cfg.getInt("placer.bins", pp.bins, error);
+    pp.targetDensity =
+        cfg.getDouble("placer.targetDensity", pp.targetDensity, error);
+    pp.stopOverflow =
+        cfg.getDouble("placer.stopOverflow", pp.stopOverflow, error);
+    pp.freqForce = cfg.getBool("placer.freqForce", pp.freqForce, error);
+    pp.freqWeight = cfg.getDouble("placer.freqWeight", pp.freqWeight, error);
     pp.freqCutoffFactor =
-        cfg.getDouble("placer.freqCutoffFactor", pp.freqCutoffFactor);
-    pp.threads = static_cast<int>(cfg.getInt("placer.threads", pp.threads));
-    pp.cutWeight = cfg.getDouble("multidie.cutWeight", pp.cutWeight);
+        cfg.getDouble("placer.freqCutoffFactor", pp.freqCutoffFactor, error);
+    pp.threads = cfg.getInt("placer.threads", pp.threads, error);
+    pp.cutWeight = cfg.getDouble("multidie.cutWeight", pp.cutWeight, error);
 
     AssignerParams &ap = params.assigner;
-    ap.distance2 = cfg.getBool("assigner.distance2", ap.distance2);
-    ap.detuningThresholdHz =
+    ap.distance2 = cfg.getBool("assigner.distance2", ap.distance2, error);
+
+    CrosstalkRule &rule = params.crosstalk;
+    rule.detuningThresholdHz =
         cfg.getDouble("assigner.detuningThresholdGHz",
-                      ap.detuningThresholdHz / 1e9) *
+                      rule.detuningThresholdHz / 1e9, error) *
         1e9;
+    rule.adjacencyTolUm =
+        cfg.getDouble("hotspot.adjacencyTolUm", rule.adjacencyTolUm, error);
 
     LegalizerParams &lp = params.legalizer;
-    lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);
-    lp.integration = cfg.getBool("legalizer.integration", lp.integration);
-
-    params.hotspot.adjacencyTolUm =
-        cfg.getDouble("hotspot.adjacencyTolUm", params.hotspot.adjacencyTolUm);
+    lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm, error);
+    lp.integration =
+        cfg.getBool("legalizer.integration", lp.integration, error);
 
     IncrementalPlaceParams &ip = params.incremental;
-    ip.maxIters =
-        static_cast<int>(cfg.getInt("incremental.maxIters", ip.maxIters));
-    ip.snapToleranceUm =
-        cfg.getDouble("incremental.snapToleranceUm", ip.snapToleranceUm);
+    ip.maxIters = cfg.getInt("incremental.maxIters", ip.maxIters, error);
+    ip.snapToleranceUm = cfg.getDouble("incremental.snapToleranceUm",
+                                       ip.snapToleranceUm, error);
 
     DetailedPlaceParams &dp = params.detailed;
-    dp.enabled = cfg.getBool("detailed.enabled", dp.enabled);
-    dp.iters = static_cast<int>(cfg.getInt("detailed.iters", dp.iters));
-    dp.tempStart = cfg.getDouble("detailed.tempStart", dp.tempStart);
-    dp.tempDecay = cfg.getDouble("detailed.tempDecay", dp.tempDecay);
+    dp.enabled = cfg.getBool("detailed.enabled", dp.enabled, error);
+    dp.iters = cfg.getInt("detailed.iters", dp.iters, error);
+    dp.tempStart = cfg.getDouble("detailed.tempStart", dp.tempStart, error);
+    dp.tempDecay = cfg.getDouble("detailed.tempDecay", dp.tempDecay, error);
 
     PortfolioParams &fp = params.portfolio;
-    fp.seeds = static_cast<int>(cfg.getInt("portfolio.seeds", fp.seeds));
-    fp.pruneAt =
-        static_cast<int>(cfg.getInt("portfolio.pruneAt", fp.pruneAt));
-    fp.keepFrac = cfg.getDouble("portfolio.keepFrac", fp.keepFrac);
+    fp.seeds = cfg.getInt("portfolio.seeds", fp.seeds, error);
+    fp.pruneAt = cfg.getInt("portfolio.pruneAt", fp.pruneAt, error);
+    fp.keepFrac = cfg.getDouble("portfolio.keepFrac", fp.keepFrac, error);
+}
+
+std::string
+checkOverrides(const Config &cfg)
+{
+    FlowParams scratch;
+    std::string error;
+    applyOverrides(cfg, scratch, &error);
+    return error;
 }
 
 } // namespace qplacer

@@ -3,9 +3,9 @@
  * The user-facing `--set KEY=VALUE` knob surface, shared by the CLI,
  * the server protocol ("set" maps in submit requests), and the doc
  * lint (scripts/check_knob_docs.sh greps kKnownSetKeys so BUILDING.md
- * cannot silently drop a knob). Only leaf-value mapping lives here;
- * cross-parameter consistency (detuning propagation, targetUtil
- * mirroring, range validation) stays in FlowParams::normalized().
+ * cannot silently drop a knob, and checks applyOverrides reads every
+ * key). Only leaf-value mapping and value syntax live here; range
+ * validation stays in FlowParams::normalized().
  */
 
 #ifndef QPLACER_PIPELINE_OVERRIDES_HPP
@@ -31,9 +31,19 @@ bool isKnownSetKey(const std::string &key);
 /**
  * Map override values from @p cfg onto the flow parameter tree.
  * Unknown keys in @p cfg are ignored here; reject them at intake with
- * isKnownSetKey() so the error names the offending key.
+ * isKnownSetKey() so the error names the offending key. A malformed
+ * value (not an int, a finite number or a boolean, as its key
+ * requires) fatal()s, or with @p error non-null is recorded there the
+ * way Config's typed getters do.
  */
-void applyOverrides(const Config &cfg, FlowParams &params);
+void applyOverrides(const Config &cfg, FlowParams &params,
+                    std::string *error = nullptr);
+
+/**
+ * The non-throwing intake check of the CLI and the server's request
+ * parser: applyOverrides' first error for @p cfg, or "".
+ */
+std::string checkOverrides(const Config &cfg);
 
 } // namespace qplacer
 

@@ -41,7 +41,8 @@ class AssignStage final : public FlowStage
 
     void run(FlowContext &ctx) const override
     {
-        const FrequencyAssigner assigner(ctx.params.assigner);
+        const FrequencyAssigner assigner(ctx.params.assigner,
+                                         ctx.params.crosstalk);
         ctx.result.freqs =
             assigner.assign(*ctx.topo, &ctx.result.assignStats);
     }
@@ -113,7 +114,8 @@ class LegalizeStage final : public FlowStage
 
     void run(FlowContext &ctx) const override
     {
-        const Legalizer legalizer(ctx.params.legalizer);
+        const Legalizer legalizer(ctx.params.legalizer,
+                                  ctx.params.crosstalk);
         ctx.result.legal =
             legalizer.legalize(ctx.result.netlist, ctx.cancel);
         if (ctx.result.legal.cancelled) {
@@ -133,7 +135,7 @@ class DetailedPlaceStage final : public FlowStage
     {
         const DetailedPlacer placer(ctx.params.detailed,
                                     ctx.params.legalizer,
-                                    ctx.params.hotspot);
+                                    ctx.params.crosstalk);
         ctx.result.detailed = placer.refine(
             ctx.result.netlist, ctx.params.placer.seed, ctx.cancel);
         if (ctx.result.detailed.cancelled) {
@@ -153,7 +155,7 @@ class MetricsStage final : public FlowStage
     {
         ctx.result.area = computeArea(ctx.result.netlist);
         ctx.result.hotspots =
-            analyzeHotspots(ctx.result.netlist, ctx.params.hotspot);
+            analyzeHotspots(ctx.result.netlist, ctx.params.crosstalk);
         if (ctx.result.netlist.dieSpec().active()) {
             ctx.result.multidie = computeCrossCut(
                 ctx.result.netlist,
@@ -230,7 +232,7 @@ runGlobalPlacer(FlowContext &ctx, const PlacerParams &params,
         };
     }
 
-    const GlobalPlacer placer(params);
+    const GlobalPlacer placer(params, ctx.params.crosstalk);
     ctx.result.place = placer.place(ctx.result.netlist, ctx.pool, monitor);
     if (ctx.result.place.cancelled) {
         ctx.result.status = {FlowCode::Cancelled, stage,

@@ -108,6 +108,11 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
                                             "' must be a scalar"));
             }
         }
+        // Malformed values are rejected here, before the ack: the
+        // worker that applies them must never see one.
+        const std::string bad_value = checkOverrides(req.set);
+        if (!bad_value.empty())
+            return failParse(error, bad_value);
     }
 
     if (const JsonValue *progress = doc.find("progress")) {

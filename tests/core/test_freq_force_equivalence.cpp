@@ -68,13 +68,14 @@ expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
                    const std::string &what)
 {
     const PlacerParams defaults;
+    const CrosstalkRule rule;
     int pushed = 0;
     for (int threads : kThreadCounts) {
         ThreadPool pool(threads);
-        const FreqForceModel model(nl, defaults.detuningThresholdHz,
+        const FreqForceModel model(nl, rule.detuningThresholdHz,
                                    defaults.freqCutoffFactor, &pool);
         const oracle::PairListFreqForce ref(
-            nl, defaults.detuningThresholdHz, defaults.freqCutoffFactor,
+            nl, rule.detuningThresholdHz, defaults.freqCutoffFactor,
             &pool);
         std::vector<Vec2> grad;
         std::vector<Vec2> grad_ref;

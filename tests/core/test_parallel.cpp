@@ -228,7 +228,7 @@ TEST(ParallelObjective, FullGradientMatchesSerial)
         positions[i] = netlist.instances()[i].pos;
 
     PlacerParams params;
-    PlacementObjective serial(netlist, params);
+    PlacementObjective serial(netlist, params, CrosstalkRule());
     serial.initPenalties(positions);
     std::vector<Vec2> ref_grad;
     const auto ref = serial.evaluate(positions, ref_grad);
@@ -240,7 +240,8 @@ TEST(ParallelObjective, FullGradientMatchesSerial)
 
     for (const int threads : {2, 8}) {
         ThreadPool pool(threads);
-        PlacementObjective threaded(netlist, params, &pool);
+        PlacementObjective threaded(netlist, params, CrosstalkRule(),
+                                    &pool);
         threaded.initPenalties(positions);
         std::vector<Vec2> grad;
         const auto out = threaded.evaluate(positions, grad);

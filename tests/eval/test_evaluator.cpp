@@ -90,6 +90,30 @@ TEST_F(EvaluatorTest, BenchmarkLargerThanDeviceIsFatal)
         std::runtime_error);
 }
 
+TEST_F(EvaluatorTest, FidelityProxyFollowsTheRuleTolerance)
+{
+    // The Qplacer layout keeps resonant pairs 50 um apart, not 150 um:
+    // widening the rule's adjacency must add hotspot pairs, and the
+    // fidelity proxy must price them.
+    const Netlist &layout = qplacer_->netlist;
+    CrosstalkRule wide;
+    wide.adjacencyTolUm = 150.0;
+    const std::size_t pairs_50 = analyzeHotspots(layout).pairs.size();
+    const std::size_t pairs_150 =
+        analyzeHotspots(layout, wide).pairs.size();
+    EXPECT_GT(pairs_150, pairs_50);
+
+    EvaluatorParams params;
+    params.numSubsets = 10;
+    const Circuit bv = makeBenchmark("bv-9");
+    const double f_50 =
+        Evaluator(params).evaluate(*topo_, layout, bv).meanFidelity;
+    params.crosstalk = wide;
+    const double f_150 =
+        Evaluator(params).evaluate(*topo_, layout, bv).meanFidelity;
+    EXPECT_LT(f_150, f_50);
+}
+
 TEST_F(EvaluatorTest, SwapsReportedForSparseTopologies)
 {
     EvaluatorParams params;

@@ -139,10 +139,10 @@ TEST(Hotspot, CustomThreshold)
 {
     Layout l(5.0e9, 5.15e9, 6.3e9, 6.7e9);
     l.nl.instance(1).pos = {2800, 2000};
-    HotspotParams params;
-    EXPECT_TRUE(analyzeHotspots(l.nl, params).pairs.empty());
-    params.detuningThresholdHz = 0.2e9;
-    EXPECT_EQ(analyzeHotspots(l.nl, params).pairs.size(), 1u);
+    CrosstalkRule rule;
+    EXPECT_TRUE(analyzeHotspots(l.nl, rule).pairs.empty());
+    rule.detuningThresholdHz = 0.2e9;
+    EXPECT_EQ(analyzeHotspots(l.nl, rule).pairs.size(), 1u);
 }
 
 } // namespace

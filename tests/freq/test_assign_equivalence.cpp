@@ -187,10 +187,11 @@ TEST(AssignEquivalence, CrowdedHardClassesAliasDeterministically)
             topo.coupling.addEdge(u, v);
     topo.embedding = {{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}};
 
+    const CrosstalkRule rule;
     AssignerParams params;
     params.qubitBand =
-        FrequencyBand(5.0e9, 5.0e9 + 2.0 * params.detuningThresholdHz);
-    const FrequencyAssigner assigner(params);
+        FrequencyBand(5.0e9, 5.0e9 + 2.0 * rule.detuningThresholdHz);
+    const FrequencyAssigner assigner(params, rule);
 
     const auto out = assigner.assign(topo);
     expectOracleColorings(topo, out);
@@ -199,7 +200,7 @@ TEST(AssignEquivalence, CrowdedHardClassesAliasDeterministically)
     // 6 classes on 3 slots: pairs (0,3), (1,4), (2,5) alias.
     const int violations = assigner.countDomainViolations(topo, out);
     EXPECT_EQ(violations, oracle::countDomainViolationsAllPairs(
-                              topo, out, params.detuningThresholdHz));
+                              topo, out, rule.detuningThresholdHz));
     EXPECT_EQ(violations, 3);
 }
 

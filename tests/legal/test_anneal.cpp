@@ -54,7 +54,7 @@ placerWith(int iters, double temp_start)
     params.enabled = true;
     params.iters = iters;
     params.tempStart = temp_start;
-    return DetailedPlacer(params, LegalizerParams(), HotspotParams());
+    return DetailedPlacer(params, LegalizerParams(), CrosstalkRule());
 }
 
 class AnnealProperties : public ::testing::TestWithParam<std::uint64_t>
@@ -79,11 +79,11 @@ TEST_P(AnnealProperties, EveryAcceptedMovePreservesLegality)
 TEST_P(AnnealProperties, ObjectiveIsMonotoneAtZeroTemperature)
 {
     Netlist nl = legalizedNetlist(4, 4, GetParam() + 100);
-    const HotspotParams hotspot;
-    double prev = detailedObjective(nl, hotspot);
+    const CrosstalkRule rule;
+    double prev = detailedObjective(nl, rule);
     const DetailedStats stats = placerWith(15, /*temp_start=*/0.0).refine(
         nl, GetParam(), nullptr, [&](const Netlist &state) {
-            const double now = detailedObjective(state, hotspot);
+            const double now = detailedObjective(state, rule);
             // Deltas are incremental; allow only FP noise uphill.
             EXPECT_LE(now, prev + 1e-6 * (1.0 + std::abs(prev)));
             prev = now;

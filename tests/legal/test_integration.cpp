@@ -160,9 +160,41 @@ TEST(Integration, ResonanceCheckBlocksBadMoves)
     const Rect stray_fp = stray.paddedRect();
     for (int seg : f.nl.resonator(f.resB).segments) {
         const Rect other = f.nl.instance(seg).paddedRect();
-        EXPECT_GT(stray_fp.gap(other), params.probeTolUm)
+        EXPECT_GT(stray_fp.gap(other), CrosstalkRule().adjacencyTolUm)
             << "stray re-attached next to a resonant foreign segment";
     }
+}
+
+TEST(Integration, TauProbeReachFollowsTheRuleTolerance)
+{
+    // A resonant foreign segment whose padded footprint sits 100 um
+    // from the probed site: the probe must see it under a 150 um rule
+    // and miss it under the default 50 um one.
+    Fixture f(1, 1);
+    const Instance &foreign =
+        f.nl.instance(f.nl.resonator(f.resB).segments.front());
+    f.nl.instance(foreign.id).pos = Vec2(2000, 2000);
+    OccupancyGrid grid(f.nl.region(), 100);
+    grid.occupy(foreign.paddedRect(), foreign.id);
+
+    const Instance &seg =
+        f.nl.instance(f.nl.resonator(f.resA).segments.front());
+    const Vec2 site(2000 + foreign.paddedWidth() + 100, 2000);
+    ASSERT_DOUBLE_EQ(Rect::fromCenter(site, seg.paddedWidth(),
+                                      seg.paddedHeight())
+                         .gap(foreign.paddedRect()),
+                     100.0);
+
+    std::vector<std::int32_t> scratch;
+    CrosstalkRule rule;
+    rule.adjacencyTolUm = 50.0;
+    EXPECT_TRUE(resonanceOk(f.nl, grid, rule, seg, site, scratch));
+    rule.adjacencyTolUm = 150.0;
+    EXPECT_FALSE(resonanceOk(f.nl, grid, rule, seg, site, scratch));
+    // Detuned beyond the threshold, the same neighbour is harmless.
+    rule.detuningThresholdHz = 1e3;
+    f.nl.instance(foreign.id).freqHz += 1e6;
+    EXPECT_TRUE(resonanceOk(f.nl, grid, rule, seg, site, scratch));
 }
 
 } // namespace

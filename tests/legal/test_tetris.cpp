@@ -40,7 +40,8 @@ TEST(Tetris, PlacesAllSegmentsWithoutOverlap)
 
     double displacement = 0.0;
     IntegrationParams params;
-    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, displacement));
+    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, CrosstalkRule(),
+                                       displacement));
     EXPECT_GE(displacement, 0.0);
 
     // No padded overlaps among all instances.
@@ -77,7 +78,8 @@ TEST(Tetris, ChainsStayContiguous)
     }
     double displacement = 0.0;
     IntegrationParams params;
-    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, displacement));
+    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, CrosstalkRule(),
+                                       displacement));
 
     // Consecutive chain segments end up near each other (the anchor
     // policy): median consecutive distance is a small number of blocks.
@@ -104,7 +106,8 @@ TEST(Tetris, FailsGracefullyWhenRegionTooSmall)
     OccupancyGrid grid(nl.region(), 100);
     double displacement = 0.0;
     IntegrationParams params;
-    EXPECT_FALSE(tetrisLegalizeSegments(nl, grid, params, displacement));
+    EXPECT_FALSE(tetrisLegalizeSegments(nl, grid, params, CrosstalkRule(),
+                                        displacement));
 }
 
 } // namespace

@@ -185,6 +185,51 @@ foreach(key assigner.referenceEngine builder.reference builder.serialBelow
     endif()
 endforeach()
 
+# --- Error path: a --set value outside int is rejected, not truncated. ---
+execute_process(
+    COMMAND "${QPLACER_CLI}" --topology grid3x3
+            --set placer.maxIters=4294967297 --quiet
+    RESULT_VARIABLE bad_rc
+    OUTPUT_QUIET ERROR_VARIABLE err)
+if(bad_rc EQUAL 0 OR NOT err MATCHES "placer.maxIters")
+    message(FATAL_ERROR "qplacer_cli accepted placer.maxIters=2^32+1: ${err}")
+endif()
+
+# --- One crosstalk rule: hotspot.adjacencyTolUm reaches the legalizer. ---
+# At the default 50 um the Falcon layout leaves 68 resonant pairs within
+# 150 um; with the rule widened, the tau-checked legalizer must guard
+# them too, so the layout changes and far fewer pairs remain.
+set(rule_layouts "")
+foreach(tol 50 150)
+    set(rule_layout "${WORK_DIR}/falcon_adj${tol}.txt")
+    execute_process(
+        COMMAND "${QPLACER_CLI}" --topology Falcon --seed 1 --threads 1
+                --set hotspot.adjacencyTolUm=${tol} --layout "${rule_layout}"
+                --report json --quiet
+        RESULT_VARIABLE rc
+        OUTPUT_VARIABLE rule_json ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "qplacer_cli Falcon adjacencyTolUm=${tol} exited ${rc}\n${err}")
+    endif()
+    list(APPEND rule_layouts "${rule_layout}")
+endforeach()
+if(NOT rule_json MATCHES "\"hotspots\":{\"ph_percent\":[^,]*,\"pairs\":([0-9]+)")
+    message(FATAL_ERROR "no hotspot pair count in:\n${rule_json}")
+endif()
+if(NOT CMAKE_MATCH_1 LESS 68)
+    message(FATAL_ERROR "adjacencyTolUm=150 left ${CMAKE_MATCH_1} hotspot pairs (>= 68)")
+endif()
+if(NOT rule_json MATCHES "\"legal\":{\"legal\":true")
+    message(FATAL_ERROR "adjacencyTolUm=150 layout is not legal:\n${rule_json}")
+endif()
+list(GET rule_layouts 0 rule_a)
+list(GET rule_layouts 1 rule_b)
+file(READ "${rule_a}" text_a)
+file(READ "${rule_b}" text_b)
+if(text_a STREQUAL text_b)
+    message(FATAL_ERROR "hotspot.adjacencyTolUm=150 did not change the layout")
+endif()
+
 # --- Error path: unknown topology must fail cleanly. ---
 execute_process(
     COMMAND "${QPLACER_CLI}" --topology no-such-device --quiet

@@ -1,8 +1,8 @@
 /**
  * @file
  * Staged-flow API contract: observer event ordering, cooperative
- * cancellation mid-placement, FlowParams::normalized() propagation and
- * validation, and the structured FlowStatus error paths.
+ * cancellation mid-placement, FlowParams::normalized() Classic-mode
+ * handling and validation, and the structured FlowStatus error paths.
  */
 
 #include <gtest/gtest.h>
@@ -206,32 +206,40 @@ TEST(FlowApi, InvalidJobDoesNotPoisonTheBatch)
     EXPECT_TRUE(results[2].legal.legal);
 }
 
-TEST(FlowApi, NormalizedPropagatesDetuningEverywhere)
-{
-    FlowParams params;
-    params.assigner.detuningThresholdHz = 0.123e9;
-    // Stale hand-copies that normalized() must overwrite.
-    params.placer.detuningThresholdHz = 1.0;
-    params.legalizer.integrationParams.detuningThresholdHz = 2.0;
-    params.hotspot.detuningThresholdHz = 3.0;
-    params.targetUtil = 0.6;
-
-    const FlowParams n = params.normalized();
-    EXPECT_EQ(n.placer.detuningThresholdHz, 0.123e9);
-    EXPECT_EQ(n.legalizer.integrationParams.detuningThresholdHz, 0.123e9);
-    EXPECT_EQ(n.hotspot.detuningThresholdHz, 0.123e9);
-    EXPECT_EQ(n.placer.targetUtil, 0.6);
-    EXPECT_TRUE(n.placer.freqForce);
-    EXPECT_TRUE(n.legalizer.integrationParams.resonanceCheck);
-}
-
 TEST(FlowApi, NormalizedClassicDisablesFrequencyAwareness)
 {
     FlowParams params;
+    FlowParams n = params.normalized();
+    EXPECT_TRUE(n.placer.freqForce);
+    EXPECT_TRUE(n.legalizer.integrationParams.resonanceCheck);
+
     params.mode = PlacerMode::Classic;
-    const FlowParams n = params.normalized();
+    n = params.normalized();
     EXPECT_FALSE(n.placer.freqForce);
     EXPECT_FALSE(n.legalizer.integrationParams.resonanceCheck);
+}
+
+TEST(FlowApi, BadForceKnobsAreInvalidParamsNotStageErrors)
+{
+    // A bad frequency-force knob must be rejected before the run, not
+    // surface from the place stage.
+    PlacementSession session;
+    FlowParams params = quickParams();
+    for (const double cutoff : {0.0, -1.0}) {
+        params.placer.freqCutoffFactor = cutoff;
+        const FlowResult r = session.run(makeGrid(3, 3), params);
+        EXPECT_EQ(r.status.code, FlowCode::InvalidParams) << cutoff;
+        EXPECT_NE(r.status.message.find("freqCutoffFactor"),
+                  std::string::npos);
+        EXPECT_TRUE(r.stageTimings.empty());
+    }
+
+    params = quickParams();
+    params.placer.freqWeight = -1.0;
+    const FlowResult r = session.run(makeGrid(3, 3), params);
+    EXPECT_EQ(r.status.code, FlowCode::InvalidParams);
+    EXPECT_NE(r.status.message.find("freqWeight"), std::string::npos);
+    EXPECT_TRUE(r.stageTimings.empty());
 }
 
 TEST(FlowApi, NormalizedValidatesRanges)
@@ -265,9 +273,21 @@ TEST(FlowApi, NormalizedValidatesRanges)
     EXPECT_NE(firstError(p).find("minIters"), std::string::npos);
 
     p = FlowParams{};
-    p.assigner.detuningThresholdHz = 0.0;
+    p.crosstalk.detuningThresholdHz = 0.0;
     EXPECT_NE(firstError(p).find("detuningThresholdHz"),
               std::string::npos);
+
+    p = FlowParams{};
+    p.crosstalk.adjacencyTolUm = -1.0;
+    EXPECT_NE(firstError(p).find("adjacencyTolUm"), std::string::npos);
+
+    p = FlowParams{};
+    p.placer.freqCutoffFactor = 0.0;
+    EXPECT_NE(firstError(p).find("freqCutoffFactor"), std::string::npos);
+
+    p = FlowParams{};
+    p.placer.freqWeight = -0.5;
+    EXPECT_NE(firstError(p).find("freqWeight"), std::string::npos);
 
     p = FlowParams{};
     p.legalizer.cellUm = 0.0;

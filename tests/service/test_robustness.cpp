@@ -414,5 +414,54 @@ TEST(Robustness, DeadlineParseRejectsBadValues)
     EXPECT_EQ(client.count("ack"), 0);
 }
 
+/**
+ * Submit one malformed "set" value. It must be answered with an error
+ * before any ack, and the server must keep serving: a later ping is
+ * answered and a well-formed job still runs. (A bad value that reached
+ * the worker used to abort the whole process.)
+ */
+void
+expectSetValueRejected(const std::string &key, const std::string &value)
+{
+    Loopback client;
+    EXPECT_TRUE(client.send(
+        R"({"type":"submit","id":"bad","topology":"grid3x3","set":{")" +
+        key + R"(":)" + value + "}}"));
+    EXPECT_FALSE(client.errorFor("bad").isNull()) << key << "=" << value;
+    EXPECT_EQ(client.count("ack"), 0);
+
+    EXPECT_TRUE(client.send(R"({"type":"ping"})"));
+    client.lastPong();
+    EXPECT_TRUE(client.send(submitLine("good", "grid3x3", 1, 10)));
+    client.server().drain();
+    EXPECT_EQ(statusCode(client.resultFor("good")), "ok");
+}
+
+TEST(Robustness, SetRejectsNonNumericInt)
+{
+    expectSetValueRejected("placer.maxIters", R"("abc")");
+}
+
+TEST(Robustness, SetRejectsNonBooleanBool)
+{
+    expectSetValueRejected("placer.freqForce", R"("maybe")");
+}
+
+TEST(Robustness, SetRejectsNan)
+{
+    expectSetValueRejected("placer.freqWeight", R"("nan")");
+}
+
+TEST(Robustness, SetRejectsInf)
+{
+    expectSetValueRejected("hotspot.adjacencyTolUm", R"("inf")");
+}
+
+TEST(Robustness, SetRejectsIntBeyondIntRange)
+{
+    // 2^32 + 1 used to truncate to 1 iteration.
+    expectSetValueRejected("placer.maxIters", "4294967297");
+}
+
 } // namespace
 } // namespace qplacer

@@ -46,6 +46,30 @@ TEST(Config, BoolParsing)
     EXPECT_THROW(c.getBool("bad", false), std::runtime_error);
 }
 
+TEST(Config, MalformedValuesReportThroughTheErrorOutParam)
+{
+    Config c;
+    c.set("nan", "nan");
+    c.set("inf", "-inf");
+    c.set("huge", "99999999999999999999");
+    c.set("word", "abc");
+    EXPECT_THROW(c.getDouble("nan", 0.0), std::runtime_error);
+
+    std::string error;
+    EXPECT_EQ(c.getDouble("nan", 1.5, &error), 1.5);
+    EXPECT_NE(error.find("'nan'"), std::string::npos);
+    // The first message wins.
+    EXPECT_EQ(c.getDouble("inf", 2.5, &error), 2.5);
+    EXPECT_NE(error.find("'nan'"), std::string::npos);
+
+    error.clear();
+    EXPECT_EQ(c.getInt("huge", 7, &error), 7);
+    EXPECT_NE(error.find("'huge'"), std::string::npos);
+    error.clear();
+    EXPECT_TRUE(c.getBool("word", true, &error));
+    EXPECT_NE(error.find("'word'"), std::string::npos);
+}
+
 TEST(Config, EnvOverrides)
 {
     ::setenv("QP_TEST_ENV_INT", "123", 1);

@@ -296,6 +296,10 @@ parseArgs(int argc, char **argv)
             fatal("unknown option '" + arg + "' (see --help)");
         }
     }
+    // A malformed --set value fails here, before any placement runs.
+    const std::string bad_value = checkOverrides(opts.overrides);
+    if (!bad_value.empty())
+        fatal(bad_value);
     return opts;
 }
 
@@ -417,13 +421,14 @@ fidelityBenchmarkFor(const Topology &topo)
  */
 void
 printReportJson(std::ostream &os, const Topology &topo,
-                const CliOptions &opts,
+                const CliOptions &opts, const CrosstalkRule &rule,
                 const std::vector<FlowResult> &results,
                 double wall_seconds)
 {
     const char *benchmark = fidelityBenchmarkFor(topo);
     EvaluatorParams eparams;
     eparams.numSubsets = 8;
+    eparams.crosstalk = rule;
     const Evaluator evaluator(eparams);
     // One circuit for the whole batch; only the mapping differs per
     // job (the placeholder is never evaluated).
@@ -617,7 +622,8 @@ run(int argc, char **argv)
     }
 
     if (opts.report == ReportFormat::Json) {
-        printReportJson(std::cout, topo, opts, results, wall_seconds);
+        printReportJson(std::cout, topo, opts, params.crosstalk, results,
+                        wall_seconds);
     } else if (!opts.quiet) {
         if (results.size() == 1)
             printSummary(topo, opts, results.front());
