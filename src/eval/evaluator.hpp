@@ -25,8 +25,7 @@ struct EvaluatorParams
 {
     int numSubsets = 50;        ///< Mappings per benchmark (paper: 50).
     std::uint64_t subsetSeed = 7; ///< Shared across placers.
-    /** The run's crosstalk rule: the fidelity proxy's hotspot pairs. */
-    CrosstalkRule crosstalk;
+    CrosstalkRule crosstalk; ///< The run's rule (hotspot pairs).
     FidelityParams fidelity;
 };
 

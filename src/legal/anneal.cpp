@@ -39,10 +39,7 @@ struct PairStats
         return *this;
     }
 
-    /**
-     * Count the pair when @p rule flags it as a hotspot, with hinge
-     * depth adjacencyTol - gap.
-     */
+    /** Count the pair if @p rule flags it, hinge depth tol - gap. */
     void
     add(const CrosstalkRule &rule, const Instance &a, const Instance &b)
     {

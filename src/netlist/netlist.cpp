@@ -4,28 +4,9 @@
 #include <cmath>
 #include <cstring>
 
-#include "freq/spectrum.hpp"
 #include "util/logging.hpp"
 
 namespace qplacer {
-
-bool
-CrosstalkRule::resonantPair(const Instance &a, const Instance &b) const
-{
-    if (a.resonator >= 0 && a.resonator == b.resonator)
-        return false;
-    return isResonant(a.freqHz, b.freqHz, detuningThresholdHz);
-}
-
-bool
-CrosstalkRule::hotspotPair(const Instance &a, const Instance &b,
-                           double &gap_um) const
-{
-    if (!resonantPair(a, b))
-        return false;
-    gap_um = a.paddedRect().gap(b.paddedRect());
-    return gap_um <= adjacencyTolUm;
-}
 
 int
 Netlist::addInstance(Instance inst)

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "freq/spectrum.hpp"
 #include "geometry/rect.hpp"
 #include "multidie/die_plan.hpp"
-#include "physics/constants.hpp"
 
 namespace qplacer {
 
@@ -76,11 +76,21 @@ struct CrosstalkRule
     double adjacencyTolUm = 50.0; ///< Max padded-footprint gap (um).
 
     /** tau: distinct resonators (or qubits) within Delta_c. */
-    bool resonantPair(const Instance &a, const Instance &b) const;
+    bool resonantPair(const Instance &a, const Instance &b) const
+    {
+        return (a.resonator < 0 || a.resonator != b.resonator) &&
+               isResonant(a.freqHz, b.freqHz, detuningThresholdHz);
+    }
 
     /** resonantPair() and adjacent; @p gap_um gets the padded gap. */
     bool hotspotPair(const Instance &a, const Instance &b,
-                     double &gap_um) const;
+                     double &gap_um) const
+    {
+        if (!resonantPair(a, b))
+            return false;
+        gap_um = a.paddedRect().gap(b.paddedRect());
+        return gap_um <= adjacencyTolUm;
+    }
 };
 
 /** A connection to be kept short (2-pin; stars are decomposed). */

@@ -1,5 +1,7 @@
 #include "pipeline/overrides.hpp"
 
+#include <stdexcept>
+
 namespace qplacer {
 
 const char *const kKnownSetKeys[] = {
@@ -46,66 +48,67 @@ isKnownSetKey(const std::string &key)
 }
 
 void
-applyOverrides(const Config &cfg, FlowParams &params, std::string *error)
+applyOverrides(const Config &cfg, FlowParams &params)
 {
-    params.targetUtil =
-        cfg.getDouble("targetUtil", params.targetUtil, error);
+    params.targetUtil = cfg.getDouble("targetUtil", params.targetUtil);
 
     PlacerParams &pp = params.placer;
-    pp.maxIters = cfg.getInt("placer.maxIters", pp.maxIters, error);
-    pp.minIters = cfg.getInt("placer.minIters", pp.minIters, error);
-    pp.bins = cfg.getInt("placer.bins", pp.bins, error);
-    pp.targetDensity =
-        cfg.getDouble("placer.targetDensity", pp.targetDensity, error);
-    pp.stopOverflow =
-        cfg.getDouble("placer.stopOverflow", pp.stopOverflow, error);
-    pp.freqForce = cfg.getBool("placer.freqForce", pp.freqForce, error);
-    pp.freqWeight = cfg.getDouble("placer.freqWeight", pp.freqWeight, error);
+    pp.maxIters = static_cast<int>(cfg.getInt("placer.maxIters", pp.maxIters));
+    pp.minIters = static_cast<int>(cfg.getInt("placer.minIters", pp.minIters));
+    pp.bins = static_cast<int>(cfg.getInt("placer.bins", pp.bins));
+    pp.targetDensity = cfg.getDouble("placer.targetDensity", pp.targetDensity);
+    pp.stopOverflow = cfg.getDouble("placer.stopOverflow", pp.stopOverflow);
+    pp.freqForce = cfg.getBool("placer.freqForce", pp.freqForce);
+    pp.freqWeight = cfg.getDouble("placer.freqWeight", pp.freqWeight);
     pp.freqCutoffFactor =
-        cfg.getDouble("placer.freqCutoffFactor", pp.freqCutoffFactor, error);
-    pp.threads = cfg.getInt("placer.threads", pp.threads, error);
-    pp.cutWeight = cfg.getDouble("multidie.cutWeight", pp.cutWeight, error);
+        cfg.getDouble("placer.freqCutoffFactor", pp.freqCutoffFactor);
+    pp.threads = static_cast<int>(cfg.getInt("placer.threads", pp.threads));
+    pp.cutWeight = cfg.getDouble("multidie.cutWeight", pp.cutWeight);
 
     AssignerParams &ap = params.assigner;
-    ap.distance2 = cfg.getBool("assigner.distance2", ap.distance2, error);
+    ap.distance2 = cfg.getBool("assigner.distance2", ap.distance2);
 
     CrosstalkRule &rule = params.crosstalk;
     rule.detuningThresholdHz =
         cfg.getDouble("assigner.detuningThresholdGHz",
-                      rule.detuningThresholdHz / 1e9, error) *
+                      rule.detuningThresholdHz / 1e9) *
         1e9;
     rule.adjacencyTolUm =
-        cfg.getDouble("hotspot.adjacencyTolUm", rule.adjacencyTolUm, error);
+        cfg.getDouble("hotspot.adjacencyTolUm", rule.adjacencyTolUm);
 
     LegalizerParams &lp = params.legalizer;
-    lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm, error);
-    lp.integration =
-        cfg.getBool("legalizer.integration", lp.integration, error);
+    lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);
+    lp.integration = cfg.getBool("legalizer.integration", lp.integration);
 
     IncrementalPlaceParams &ip = params.incremental;
-    ip.maxIters = cfg.getInt("incremental.maxIters", ip.maxIters, error);
-    ip.snapToleranceUm = cfg.getDouble("incremental.snapToleranceUm",
-                                       ip.snapToleranceUm, error);
+    ip.maxIters =
+        static_cast<int>(cfg.getInt("incremental.maxIters", ip.maxIters));
+    ip.snapToleranceUm =
+        cfg.getDouble("incremental.snapToleranceUm", ip.snapToleranceUm);
 
     DetailedPlaceParams &dp = params.detailed;
-    dp.enabled = cfg.getBool("detailed.enabled", dp.enabled, error);
-    dp.iters = cfg.getInt("detailed.iters", dp.iters, error);
-    dp.tempStart = cfg.getDouble("detailed.tempStart", dp.tempStart, error);
-    dp.tempDecay = cfg.getDouble("detailed.tempDecay", dp.tempDecay, error);
+    dp.enabled = cfg.getBool("detailed.enabled", dp.enabled);
+    dp.iters = static_cast<int>(cfg.getInt("detailed.iters", dp.iters));
+    dp.tempStart = cfg.getDouble("detailed.tempStart", dp.tempStart);
+    dp.tempDecay = cfg.getDouble("detailed.tempDecay", dp.tempDecay);
 
     PortfolioParams &fp = params.portfolio;
-    fp.seeds = cfg.getInt("portfolio.seeds", fp.seeds, error);
-    fp.pruneAt = cfg.getInt("portfolio.pruneAt", fp.pruneAt, error);
-    fp.keepFrac = cfg.getDouble("portfolio.keepFrac", fp.keepFrac, error);
+    fp.seeds = static_cast<int>(cfg.getInt("portfolio.seeds", fp.seeds));
+    fp.pruneAt =
+        static_cast<int>(cfg.getInt("portfolio.pruneAt", fp.pruneAt));
+    fp.keepFrac = cfg.getDouble("portfolio.keepFrac", fp.keepFrac);
 }
 
 std::string
 checkOverrides(const Config &cfg)
 {
     FlowParams scratch;
-    std::string error;
-    applyOverrides(cfg, scratch, &error);
-    return error;
+    try {
+        applyOverrides(cfg, scratch);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return {};
 }
 
 } // namespace qplacer

@@ -32,17 +32,11 @@ bool isKnownSetKey(const std::string &key);
  * Map override values from @p cfg onto the flow parameter tree.
  * Unknown keys in @p cfg are ignored here; reject them at intake with
  * isKnownSetKey() so the error names the offending key. A malformed
- * value (not an int, a finite number or a boolean, as its key
- * requires) fatal()s, or with @p error non-null is recorded there the
- * way Config's typed getters do.
+ * value fatal()s.
  */
-void applyOverrides(const Config &cfg, FlowParams &params,
-                    std::string *error = nullptr);
+void applyOverrides(const Config &cfg, FlowParams &params);
 
-/**
- * The non-throwing intake check of the CLI and the server's request
- * parser: applyOverrides' first error for @p cfg, or "".
- */
+/** applyOverrides' error for @p cfg, or "": the no-throw intake check. */
 std::string checkOverrides(const Config &cfg);
 
 } // namespace qplacer

@@ -108,8 +108,7 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
                                             "' must be a scalar"));
             }
         }
-        // Malformed values are rejected here, before the ack: the
-        // worker that applies them must never see one.
+        // Reject malformed values before the ack, not on the worker.
         const std::string bad_value = checkOverrides(req.set);
         if (!bad_value.empty())
             return failParse(error, bad_value);

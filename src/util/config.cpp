@@ -1,6 +1,5 @@
 #include "util/config.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -28,45 +27,23 @@ Config::getString(const std::string &key, const std::string &fallback) const
     return it == values_.end() ? fallback : it->second;
 }
 
-namespace {
-
-/** A malformed value: fatal(), or the message into an empty *error. */
-template <typename T>
-T
-malformed(const std::string &key, const std::string &value,
-          const char *what, T fallback, std::string *error)
-{
-    const std::string message =
-        "Config: key '" + key + "' is not " + what + ": " + value;
-    if (!error)
-        fatal(message);
-    if (error->empty())
-        *error = message;
-    return fallback;
-}
-
-} // namespace
-
-int
-Config::getInt(const std::string &key, int fallback,
-               std::string *error) const
+long long
+Config::getInt(const std::string &key, long long fallback) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
-    errno = 0;
     char *end = nullptr;
     const long long v = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE ||
+    if (end == it->second.c_str() || *end != '\0' ||
         v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max())
-        return malformed(key, it->second, "an int", fallback, error);
-    return static_cast<int>(v);
+        fatal("Config: key '" + key + "' is not an int: " + it->second);
+    return v;
 }
 
 double
-Config::getDouble(const std::string &key, double fallback,
-                  std::string *error) const
+Config::getDouble(const std::string &key, double fallback) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
@@ -74,14 +51,12 @@ Config::getDouble(const std::string &key, double fallback,
     char *end = nullptr;
     const double v = std::strtod(it->second.c_str(), &end);
     if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v))
-        return malformed(key, it->second, "a finite number", fallback,
-                         error);
+        fatal("Config: key '" + key + "' is not a number: " + it->second);
     return v;
 }
 
 bool
-Config::getBool(const std::string &key, bool fallback,
-                std::string *error) const
+Config::getBool(const std::string &key, bool fallback) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
@@ -91,7 +66,7 @@ Config::getBool(const std::string &key, bool fallback,
         return true;
     if (v == "0" || v == "false" || v == "no")
         return false;
-    return malformed(key, v, "a boolean", fallback, error);
+    fatal("Config: key '" + key + "' is not a boolean: " + v);
 }
 
 long long

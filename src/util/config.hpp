@@ -30,18 +30,14 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &fallback = "") const;
 
-    /**
-     * Typed values, or @p fallback when the key is absent: an int (not
-     * truncated), a finite double, a boolean (0/1/true/false/yes/no).
-     * A malformed value fatal()s; with @p error non-null it instead
-     * returns @p fallback and records the message in *error, if empty.
-     */
-    int getInt(const std::string &key, int fallback,
-               std::string *error = nullptr) const;
-    double getDouble(const std::string &key, double fallback,
-                     std::string *error = nullptr) const;
-    bool getBool(const std::string &key, bool fallback,
-                 std::string *error = nullptr) const;
+    /** Integer value or @p fallback; fatal() on unparsable or not an int. */
+    long long getInt(const std::string &key, long long fallback) const;
+
+    /** Double value or @p fallback; fatal() on unparsable, nan or inf. */
+    double getDouble(const std::string &key, double fallback) const;
+
+    /** Boolean: accepts 0/1/true/false/yes/no. */
+    bool getBool(const std::string &key, bool fallback) const;
 
     /**
      * Read an environment variable, falling back to @p fallback.

@@ -296,10 +296,6 @@ parseArgs(int argc, char **argv)
             fatal("unknown option '" + arg + "' (see --help)");
         }
     }
-    // A malformed --set value fails here, before any placement runs.
-    const std::string bad_value = checkOverrides(opts.overrides);
-    if (!bad_value.empty())
-        fatal(bad_value);
     return opts;
 }
 
