@@ -1,6 +1,7 @@
 #include "core/density.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -42,84 +43,36 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
 
     gradient.assign(positions.size(), Vec2());
 
-    // Rasterize charges; the density map stores charge per bin. Each
-    // chunk splats into its own grid, and the grids are summed bin-wise
-    // in chunk order (deterministic for a fixed thread count).
-    grid_.clear();
-    const int splat_chunks = parallelChunkCount(
-        pool_, instances.size(), ThreadPool::kGrainMedium);
-    // Chunks 1..k-1 accumulate into private grids (allocated on first
-    // threaded use; chunk 0 writes straight into grid_).
-    if (splat_chunks > 1 &&
-        splatScratch_.size() <
-            static_cast<std::size_t>(splat_chunks - 1)) {
-        splatScratch_.assign(static_cast<std::size_t>(splat_chunks - 1),
-                             grid_);
-    }
-    parallelForChunks(
-        pool_, instances.size(),
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            BinGrid &g = chunk == 0 ? grid_ : splatScratch_[chunk - 1];
-            if (chunk != 0)
-                g.clear();
+    // Rasterize charges; the density map stores charge per bin.
+    parallelScatter(
+        pool_, instances.size(), std::span<double>(grid_.data()),
+        [&](int, std::size_t begin, std::size_t end, double *bins) {
             for (std::size_t i = begin; i < end; ++i) {
                 const Instance &inst = instances[i];
                 const Rect fp =
                     Rect::fromCenter(positions[i], inst.paddedWidth(),
                                      inst.paddedHeight());
-                g.splat(fp, inst.paddedArea());
+                grid_.splat(fp, inst.paddedArea(), bins);
             }
+            return 0.0;
         },
         ThreadPool::kGrainMedium);
-    const std::size_t cells = grid_.data().size();
-    if (splat_chunks > 1) {
-        // Sum only the chunks that actually held instances, in chunk
-        // order; a chunk that was empty never cleared its grid.
-        std::vector<const double *> parts;
-        for (int c = 1; c < splat_chunks; ++c) {
-            const std::size_t n = instances.size();
-            if (ThreadPool::chunkBegin(n, splat_chunks, c) <
-                ThreadPool::chunkBegin(n, splat_chunks, c + 1))
-                parts.push_back(splatScratch_[c - 1].data().data());
-        }
-        parallelFor(
-            pool_, cells,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    double q = grid_.data()[i];
-                    for (const double *part : parts)
-                        q += part[i];
-                    grid_.data()[i] = q;
-                }
-            },
-            ThreadPool::kGrainFine);
-    }
 
     // Overflow: charge above the per-bin capacity.
     const double capacity = targetDensity_ * grid_.binArea();
-    const int chunks = parallelChunks(pool_);
-    std::vector<double> over_part(static_cast<std::size_t>(chunks), 0.0);
-    std::vector<double> charge_part(static_cast<std::size_t>(chunks), 0.0);
-    parallelForChunks(
+    const std::size_t cells = grid_.data().size();
+    const auto [over, total_charge] = parallelReduce(
         pool_, cells,
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            double over = 0.0;
-            double charge = 0.0;
+        [&](std::size_t begin, std::size_t end) {
+            std::array<double, 2> sums{};
             for (std::size_t i = begin; i < end; ++i) {
                 const double q = grid_.data()[i];
-                over += std::max(0.0, q - capacity);
-                charge += q;
+                sums[0] += std::max(0.0, q - capacity);
+                sums[1] += q;
             }
-            over_part[chunk] = over;
-            charge_part[chunk] = charge;
+            return sums;
         },
         ThreadPool::kGrainFine);
-    double over = 0.0;
-    double total_charge = 0.0;
-    for (int c = 0; c < chunks; ++c) {
-        over += over_part[c];
-        total_charge += charge_part[c];
-    }
     overflow_ = total_charge > 0.0 ? over / total_charge : 0.0;
 
     // Normalize the map to charge density (charge / bin area) before the
@@ -145,8 +98,7 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
     ex.data() = std::move(sol.fieldX);
     ey.data() = std::move(sol.fieldY);
 
-    // Instances are sampled independently; only the energy needs a
-    // chunk-ordered reduction.
+    // Instances are sampled independently; only the energy is summed.
     return parallelReduce(
         pool_, instances.size(),
         [&](std::size_t begin, std::size_t end) {

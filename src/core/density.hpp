@@ -31,10 +31,7 @@ class DensityModel
      * @param bins           Bins per axis (power of two).
      * @param target_density Target bin fill D-hat in [0, 1].
      * @param pool           Worker pool shared with the Poisson solver
-     *                       (null = serial; not owned). Bin charges are
-     *                       accumulated per chunk and reduced in chunk
-     *                       order, so results are deterministic for a
-     *                       fixed thread count.
+     *                       (null = serial; not owned).
      */
     DensityModel(const Netlist &netlist, int bins, double target_density,
                  ThreadPool *pool = nullptr);
@@ -68,11 +65,6 @@ class DensityModel
     double targetDensity_;
     ThreadPool *pool_;
     double overflow_ = 1.0;
-    /**
-     * Per-chunk charge grids for the parallel splat (chunks 1..k-1),
-     * allocated lazily on the first threaded evaluate().
-     */
-    std::vector<BinGrid> splatScratch_;
 };
 
 } // namespace qplacer

@@ -171,29 +171,19 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     if (grid.nx == 0)
         return 0.0;
 
-    // Each unordered pair is handled once, by its lower index i; pairs
-    // are chunked over i, with per-chunk gradient slices so the writes
-    // to both endpoints never collide across threads. Within i the
+    // Each unordered pair is handled once, by its lower index i, and
+    // pushes both endpoints; pairs are chunked over i. Within i the
     // partners run in ascending j, so the pair body sees the pairs in
     // the same order whatever the grid geometry.
     const std::size_t n = positions.size();
-    const int chunks =
-        parallelChunkCount(pool_, n, ThreadPool::kGrainMedium);
-    Vec2 *scratch = nullptr;
-    if (chunks > 1) {
-        gradScratch_.assign(static_cast<std::size_t>(chunks) * n, Vec2());
-        scratch = gradScratch_.data();
-    }
-    if (nearScratch_.size() < static_cast<std::size_t>(chunks))
-        nearScratch_.resize(static_cast<std::size_t>(chunks));
-    std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
+    const auto chunks = static_cast<std::size_t>(
+        parallelChunkCount(pool_, n, ThreadPool::kGrainMedium));
+    if (nearScratch_.size() < chunks)
+        nearScratch_.resize(chunks);
 
-    parallelForChunks(
-        pool_, n,
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            Vec2 *g = chunks == 1
-                          ? gradient.data()
-                          : scratch + static_cast<std::size_t>(chunk) * n;
+    return parallelScatter(
+        pool_, n, std::span<Vec2>(gradient),
+        [&](int chunk, std::size_t begin, std::size_t end, Vec2 *g) {
             std::vector<std::int32_t> &near = nearScratch_[chunk];
             double potential = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
@@ -231,28 +221,9 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                     g[j] -= delta * coef;
                 }
             }
-            partial[chunk] = potential;
+            return potential;
         },
         ThreadPool::kGrainMedium);
-
-    if (chunks > 1) {
-        parallelFor(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    Vec2 acc;
-                    for (int c = 0; c < chunks; ++c)
-                        acc += scratch[static_cast<std::size_t>(c) * n +
-                                       i];
-                    gradient[i] = acc;
-                }
-            },
-            ThreadPool::kGrainFine);
-    }
-    double total = 0.0;
-    for (double p : partial)
-        total += p;
-    return total;
 }
 
 } // namespace qplacer

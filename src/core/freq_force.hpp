@@ -42,9 +42,7 @@ class FreqForceModel
      * padded footprints so that large components repel proportionally.
      *
      * @param pool Worker pool (null = serial; not owned). Pairs are
-     *             chunked by their lower instance index and per-chunk
-     *             gradients reduced in chunk order, deterministic for a
-     *             fixed thread count.
+     *             chunked by their lower instance index.
      */
     FreqForceModel(const Netlist &netlist, double threshold_hz,
                    double cutoff_factor = 0.75,
@@ -104,8 +102,6 @@ class FreqForceModel
     mutable std::vector<Slot> slots_;
     /** Per-chunk neighbour buffers. */
     mutable std::vector<std::vector<std::int32_t>> nearScratch_;
-    /** Per-chunk gradient scatter buffers (chunks x instances). */
-    mutable std::vector<Vec2> gradScratch_;
 };
 
 } // namespace qplacer

@@ -1,6 +1,7 @@
 #include "core/nesterov.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -57,35 +58,22 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
         panic("NesterovOptimizer::step: gradient size mismatch");
 
     const std::size_t n = v_.size();
-    const int chunks = parallelChunks(pool_);
 
     // Barzilai-Borwein step length from successive lookahead gradients.
     if (havePrev_) {
-        std::vector<double> num_part(static_cast<std::size_t>(chunks),
-                                     0.0);
-        std::vector<double> den_part(static_cast<std::size_t>(chunks),
-                                     0.0);
-        parallelForChunks(
+        const auto [num, den] = parallelReduce(
             pool_, n,
-            [&](int chunk, std::size_t begin, std::size_t end) {
-                double num = 0.0;
-                double den = 0.0;
+            [&](std::size_t begin, std::size_t end) {
+                std::array<double, 2> sums{};
                 for (std::size_t i = begin; i < end; ++i) {
                     const Vec2 ds = v_[i] - prevV_[i];
                     const Vec2 dg = gradient[i] - prevG_[i];
-                    num += ds.normSq();
-                    den += ds.dot(dg);
+                    sums[0] += ds.normSq();
+                    sums[1] += ds.dot(dg);
                 }
-                num_part[chunk] = num;
-                den_part[chunk] = den;
+                return sums;
             },
             ThreadPool::kGrainFine);
-        double num = 0.0;
-        double den = 0.0;
-        for (int c = 0; c < chunks; ++c) {
-            num += num_part[c];
-            den += den_part[c];
-        }
         if (den > 1e-16)
             alpha_ = num / den;
         // Otherwise keep the previous step length (curvature estimate
@@ -95,20 +83,16 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
     // max() is exact, so per-chunk maxima combine to the serial result
     // regardless of chunking.
     auto grad_max = [&](auto &&value) {
-        std::vector<double> part(static_cast<std::size_t>(chunks), 0.0);
-        parallelForChunks(
+        return parallelReduce(
             pool_, n,
-            [&](int chunk, std::size_t begin, std::size_t end) {
+            [&](std::size_t begin, std::size_t end) {
                 double m = 0.0;
                 for (std::size_t i = begin; i < end; ++i)
                     m = std::max(m, value(gradient[i]));
-                part[chunk] = m;
+                return m;
             },
-            ThreadPool::kGrainFine);
-        double m = 0.0;
-        for (int c = 0; c < chunks; ++c)
-            m = std::max(m, part[c]);
-        return m;
+            ThreadPool::kGrainFine,
+            [](double a, double b) { return std::max(a, b); });
     };
 
     if (alpha_ <= 0.0) {

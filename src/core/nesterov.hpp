@@ -31,9 +31,7 @@ class NesterovOptimizer
      * @param max_step_frac Cap on per-iteration movement, as a fraction
      *                  of the region diagonal.
      * @param pool      Worker pool for the per-instance loops (null =
-     *                  serial; not owned). Reductions sum per-chunk
-     *                  partials in chunk order, deterministic for a
-     *                  fixed thread count.
+     *                  serial; not owned).
      */
     NesterovOptimizer(Rect region, std::vector<Vec2> half_sizes,
                       double max_step_frac = 0.05,

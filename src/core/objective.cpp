@@ -72,39 +72,22 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
     if (freqForce_) {
         out.freq = freqForce_->evaluate(positions, gradFreq_);
         // The truncated force is often dormant at the warm start (all
-        // pairs isolated); initialize its penalty weight the first time
-        // it produces a gradient.
-        if (!freqLambdaLive_) {
-            const double fr_norm = l1Norm(pool_, gradFreq_);
-            if (fr_norm > 1e-12) {
-                freqLambda_ =
-                    params_.freqWeight * l1Norm(pool_, gradWl_) / fr_norm;
-                freqLambdaInit_ = freqLambda_;
-                freqLambdaLive_ = true;
-            }
-        }
+        // pairs isolated); its multiplier starts the first time it
+        // produces a gradient.
+        activate(freq_, params_.freqWeight, gradFreq_);
     } else {
         gradFreq_.assign(positions.size(), Vec2());
     }
     if (cutPenalty_) {
         out.cut = cutPenalty_->evaluate(positions, gradCut_);
-        // Same lazy initialization as the frequency force: the penalty
-        // weight is meaningless until some net actually crosses a cut.
-        if (!cutLambdaLive_) {
-            const double cut_norm = l1Norm(pool_, gradCut_);
-            if (cut_norm > 1e-12) {
-                cutLambda_ = params_.cutWeight * l1Norm(pool_, gradWl_) /
-                             cut_norm;
-                cutLambdaInit_ = cutLambda_;
-                cutLambdaLive_ = true;
-            }
-        }
+        // Likewise, until some net actually crosses a cut.
+        activate(cut_, params_.cutWeight, gradCut_);
     }
 
     out.total =
-        out.wirelength + lambda_ * out.density + freqLambda_ * out.freq;
+        out.wirelength + lambda_ * out.density + freq_.lambda * out.freq;
     if (cutPenalty_)
-        out.total += cutLambda_ * out.cut;
+        out.total += cut_.lambda * out.cut;
 
     gradient.assign(positions.size(), Vec2());
     const auto &instances = netlist_.instances();
@@ -114,12 +97,12 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 Vec2 g = gradWl_[i] + gradDen_[i] * lambda_ +
-                         gradFreq_[i] * freqLambda_;
+                         gradFreq_[i] * freq_.lambda;
                 // Guarded so single-die runs combine the exact same FP
                 // expression as before (adding a 0.0 term could still
                 // flip signed zeros).
                 if (with_cut)
-                    g = g + gradCut_[i] * cutLambda_;
+                    g = g + gradCut_[i] * cut_.lambda;
                 // Jacobi preconditioner (ePlace): net degree + lambda *
                 // charge.
                 const double h = std::max(
@@ -141,29 +124,29 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
     const double den_norm = l1Norm(pool_, gradDen_);
     lambda_ = den_norm > 1e-12 ? wl_norm / den_norm : 0.0;
 
-    freqLambda_ = 0.0;
-    freqLambdaLive_ = false;
-    wlGradNorm_ = wl_norm;
+    freq_ = LazyPenalty();
     if (freqForce_) {
         freqForce_->evaluate(positions, gradFreq_);
-        const double fr_norm = l1Norm(pool_, gradFreq_);
-        if (fr_norm > 1e-12) {
-            freqLambda_ = params_.freqWeight * wl_norm / fr_norm;
-            freqLambdaInit_ = freqLambda_;
-            freqLambdaLive_ = true;
-        }
+        activate(freq_, params_.freqWeight, gradFreq_);
     }
-
-    cutLambda_ = 0.0;
-    cutLambdaLive_ = false;
+    cut_ = LazyPenalty();
     if (cutPenalty_) {
         cutPenalty_->evaluate(positions, gradCut_);
-        const double cut_norm = l1Norm(pool_, gradCut_);
-        if (cut_norm > 1e-12) {
-            cutLambda_ = params_.cutWeight * wl_norm / cut_norm;
-            cutLambdaInit_ = cutLambda_;
-            cutLambdaLive_ = true;
-        }
+        activate(cut_, params_.cutWeight, gradCut_);
+    }
+}
+
+void
+PlacementObjective::activate(LazyPenalty &penalty, double weight,
+                             const std::vector<Vec2> &grad) const
+{
+    if (penalty.live)
+        return;
+    const double norm = l1Norm(pool_, grad);
+    if (norm > 1e-12) {
+        penalty.lambda = weight * l1Norm(pool_, gradWl_) / norm;
+        penalty.init = penalty.lambda;
+        penalty.live = true;
     }
 }
 
@@ -171,16 +154,11 @@ void
 PlacementObjective::growPenalties()
 {
     lambda_ *= params_.lambdaGrowth;
-    if (freqLambdaLive_) {
-        const double cap =
-            freqLambdaInit_ * params_.freqLambdaMaxFactor;
-        freqLambda_ =
-            std::min(freqLambda_ * params_.freqLambdaGrowth, cap);
-    }
-    if (cutLambdaLive_) {
-        const double cap = cutLambdaInit_ * params_.freqLambdaMaxFactor;
-        cutLambda_ =
-            std::min(cutLambda_ * params_.freqLambdaGrowth, cap);
+    for (LazyPenalty *penalty : {&freq_, &cut_}) {
+        if (penalty->live)
+            penalty->lambda =
+                std::min(penalty->lambda * params_.freqLambdaGrowth,
+                         penalty->init * params_.freqLambdaMaxFactor);
     }
 }
 

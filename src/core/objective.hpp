@@ -73,10 +73,27 @@ class PlacementObjective
     double hpwl(const std::vector<Vec2> &positions) const;
 
     double lambda() const { return lambda_; }
-    double freqLambda() const { return freqLambda_; }
-    double cutLambda() const { return cutLambda_; }
+    double freqLambda() const { return freq_.lambda; }
+    double cutLambda() const { return cut_.lambda; }
 
   private:
+    /**
+     * Multiplier of a term that can be dormant (the frequency force,
+     * the cut penalty): zero until the term's gradient first turns
+     * non-zero, then weight * |grad WL|_1 / |grad|_1, grown each step
+     * by freqLambdaGrowth up to freqLambdaMaxFactor x that start.
+     */
+    struct LazyPenalty
+    {
+        double lambda = 0.0;
+        double init = 0.0; ///< lambda at activation.
+        bool live = false;
+    };
+
+    /** Start @p penalty if it is dormant and @p grad is non-zero. */
+    void activate(LazyPenalty &penalty, double weight,
+                  const std::vector<Vec2> &grad) const;
+
     const Netlist &netlist_;
     PlacerParams params_;
     ThreadPool *pool_;
@@ -87,13 +104,8 @@ class PlacementObjective
     std::vector<double> netDegree_;
     double gammaBase_;
     double lambda_ = 0.0;
-    double freqLambda_ = 0.0;
-    bool freqLambdaLive_ = false; ///< Set once the force first activates.
-    double freqLambdaInit_ = 0.0;
-    double wlGradNorm_ = 0.0;     ///< Reference norm for lazy freq init.
-    double cutLambda_ = 0.0;
-    bool cutLambdaLive_ = false; ///< Set once a net first crosses a cut.
-    double cutLambdaInit_ = 0.0;
+    LazyPenalty freq_;
+    LazyPenalty cut_;
     std::vector<Vec2> gradWl_;
     std::vector<Vec2> gradDen_;
     std::vector<Vec2> gradFreq_;

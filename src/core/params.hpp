@@ -88,8 +88,9 @@ struct PlacerParams
     /**
      * Worker threads for the density/DCT hot path (0 = hardware
      * concurrency, capped; 1 = serial). Results are bitwise-
-     * deterministic for a fixed thread count and match across thread
-     * counts within floating-point tolerance.
+     * deterministic for a fixed thread count; different counts round
+     * the sums differently and yield different layouts (see
+     * ARCHITECTURE.md, "Determinism").
      */
     int threads = 0;
 

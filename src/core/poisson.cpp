@@ -2,8 +2,6 @@
 
 #include <numbers>
 
-#include "math/dct.hpp"
-#include "math/fft.hpp"
 #include "math/plan_cache.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -14,8 +12,8 @@ PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
                              ThreadPool *pool)
     : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool)
 {
-    if (!Fft::isPowerOfTwo(static_cast<std::size_t>(nx)) ||
-        !Fft::isPowerOfTwo(static_cast<std::size_t>(ny))) {
+    if (!isPowerOfTwo(static_cast<std::size_t>(nx)) ||
+        !isPowerOfTwo(static_cast<std::size_t>(ny))) {
         panic(str("PoissonSolver: grid ", nx, "x", ny,
                   " must be powers of two"));
     }
@@ -43,17 +41,17 @@ PoissonSolver::solve(const std::vector<double> &density) const
         panic("PoissonSolver::solve: density map size mismatch");
 
     // Row/column transform passes through the cached plans.
-    const auto rows = [&](std::vector<double> &map, Dct::Kind kind) {
+    const auto rows = [&](std::vector<double> &map, DctPlan::Kind kind) {
         rowPlan_->transformRows(map, nx_, ny_, kind, pool_, scratch_);
     };
-    const auto cols = [&](std::vector<double> &map, Dct::Kind kind) {
+    const auto cols = [&](std::vector<double> &map, DctPlan::Kind kind) {
         colPlan_->transformCols(map, nx_, ny_, kind, pool_, scratch_);
     };
 
     // Forward 2-D DCT of the density -> eigenbasis coefficients.
     std::vector<double> coeff = density;
-    rows(coeff, Dct::Kind::Dct2);
-    cols(coeff, Dct::Kind::Dct2);
+    rows(coeff, DctPlan::Kind::Dct2);
+    cols(coeff, DctPlan::Kind::Dct2);
     const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
     parallelFor(
         pool_, cells,
@@ -83,8 +81,8 @@ PoissonSolver::solve(const std::vector<double> &density) const
 
     // Potential psi.
     sol.potential = psi_coeff;
-    rows(sol.potential, Dct::Kind::CosSeries);
-    cols(sol.potential, Dct::Kind::CosSeries);
+    rows(sol.potential, DctPlan::Kind::CosSeries);
+    cols(sol.potential, DctPlan::Kind::CosSeries);
 
     // Field xi_x: sine series in x of (w_u * psi_coeff).
     sol.fieldX.assign(cells, 0.0);
@@ -95,8 +93,8 @@ PoissonSolver::solve(const std::vector<double> &density) const
                 sol.fieldX[i] = wu_[i % nx_] * psi_coeff[i];
         },
         ThreadPool::kGrainFine);
-    rows(sol.fieldX, Dct::Kind::SinSeries);
-    cols(sol.fieldX, Dct::Kind::CosSeries);
+    rows(sol.fieldX, DctPlan::Kind::SinSeries);
+    cols(sol.fieldX, DctPlan::Kind::CosSeries);
 
     // Field xi_y: sine series in y of (w_v * psi_coeff).
     sol.fieldY.assign(cells, 0.0);
@@ -107,8 +105,8 @@ PoissonSolver::solve(const std::vector<double> &density) const
                 sol.fieldY[i] = wv_[i / nx_] * psi_coeff[i];
         },
         ThreadPool::kGrainFine);
-    rows(sol.fieldY, Dct::Kind::CosSeries);
-    cols(sol.fieldY, Dct::Kind::SinSeries);
+    rows(sol.fieldY, DctPlan::Kind::CosSeries);
+    cols(sol.fieldY, DctPlan::Kind::SinSeries);
 
     return sol;
 }

@@ -27,7 +27,7 @@ double
 WirelengthModel::evaluate(const std::vector<Vec2> &positions,
                           std::vector<Vec2> &gradient) const
 {
-    gradient.assign(positions.size(), Vec2());
+    gradient.resize(positions.size());
 
     // For a 2-pin net the log-sum-exp wirelength reduces to the stable
     // closed form |d| + 2*gamma*log1p(exp(-|d|/gamma)) per axis, with
@@ -38,26 +38,10 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
         grad = std::tanh(d / (2.0 * gamma_));
     };
 
-    // Nets sharing an instance collide on the gradient, so each chunk
-    // scatters into a private slice (the output itself when a single
-    // chunk runs); the slices are then summed per instance in chunk
-    // order.
     const auto &nets = netlist_.nets();
-    const std::size_t n = positions.size();
-    const int chunks = parallelChunkCount(pool_, nets.size(),
-                                          ThreadPool::kGrainMedium);
-    Vec2 *scratch = nullptr;
-    if (chunks > 1) {
-        gradScratch_.assign(static_cast<std::size_t>(chunks) * n, Vec2());
-        scratch = gradScratch_.data();
-    }
-    std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-    parallelForChunks(
-        pool_, nets.size(),
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            Vec2 *g = chunks == 1
-                          ? gradient.data()
-                          : scratch + static_cast<std::size_t>(chunk) * n;
+    return parallelScatter(
+        pool_, nets.size(), std::span<Vec2>(gradient),
+        [&](int, std::size_t begin, std::size_t end, Vec2 *g) {
             double acc = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
                 const Net &net = nets[i];
@@ -72,27 +56,9 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
                 g[net.b].x -= net.weight * gx;
                 g[net.b].y -= net.weight * gy;
             }
-            partial[chunk] = acc;
+            return acc;
         },
         ThreadPool::kGrainMedium);
-    if (chunks > 1) {
-        parallelFor(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    Vec2 acc;
-                    for (int c = 0; c < chunks; ++c)
-                        acc += scratch[static_cast<std::size_t>(c) * n +
-                                       i];
-                    gradient[i] = acc;
-                }
-            },
-            ThreadPool::kGrainFine);
-    }
-    double total = 0.0;
-    for (double p : partial)
-        total += p;
-    return total;
 }
 
 double

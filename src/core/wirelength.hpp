@@ -24,10 +24,7 @@ class WirelengthModel
      * @param netlist Netlist whose nets are measured (kept by pointer;
      *                must outlive the model).
      * @param gamma   Smoothing parameter (um); smaller = closer to HPWL.
-     * @param pool    Worker pool (null = serial; not owned). Nets are
-     *                chunked and per-chunk gradients are reduced in
-     *                chunk order, so results are deterministic for a
-     *                fixed thread count.
+     * @param pool    Worker pool (null = serial; not owned).
      */
     WirelengthModel(const Netlist &netlist, double gamma,
                     ThreadPool *pool = nullptr);
@@ -35,7 +32,7 @@ class WirelengthModel
     /**
      * Smooth wirelength of the current @p positions and its gradient.
      * @param positions   Center per instance.
-     * @param gradient    Output, accumulated (resized/zeroed inside).
+     * @param gradient    Output (resized and overwritten).
      * @return smooth wirelength value (um).
      */
     double evaluate(const std::vector<Vec2> &positions,
@@ -53,8 +50,6 @@ class WirelengthModel
     const Netlist &netlist_;
     double gamma_;
     ThreadPool *pool_;
-    /** Per-chunk gradient scatter buffers (chunks x instances). */
-    mutable std::vector<Vec2> gradScratch_;
 };
 
 } // namespace qplacer

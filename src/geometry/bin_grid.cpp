@@ -88,7 +88,7 @@ BinGrid::clampRect(const Rect &r) const
 }
 
 void
-BinGrid::splat(const Rect &rect, double amount)
+BinGrid::splat(const Rect &rect, double amount, double *bins) const
 {
     const Rect r = clampRect(rect);
     if (r.empty())
@@ -104,7 +104,7 @@ BinGrid::splat(const Rect &rect, double amount)
         for (int ix = ix0; ix <= ix1; ++ix) {
             const double w = binRect(ix, iy).overlapArea(r) / total_area;
             if (w > 0.0)
-                data_[static_cast<std::size_t>(iy) * nx_ + ix] +=
+                bins[static_cast<std::size_t>(iy) * nx_ + ix] +=
                     amount * w;
         }
     }

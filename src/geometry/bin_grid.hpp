@@ -64,7 +64,13 @@ class BinGrid
      * proportionally to overlap area. Parts of @p rect outside the region
      * are clamped onto the boundary bins so no charge is lost.
      */
-    void splat(const Rect &rect, double amount);
+    void splat(const Rect &rect, double amount)
+    {
+        splat(rect, amount, data_.data());
+    }
+
+    /** splat() into @p bins, a row-major buffer laid out like data(). */
+    void splat(const Rect &rect, double amount, double *bins) const;
 
     /**
      * Area-weighted average of the grid over @p rect (e.g. average

@@ -10,7 +10,7 @@ namespace qplacer {
 
 namespace {
 
-using Complex = Fft::Complex;
+using Complex = FftPlan::Complex;
 
 constexpr double kPi = std::numbers::pi;
 
@@ -31,7 +31,6 @@ DctPlan::DctPlan(std::size_t n) : n_(n), fft_(n)
     for (std::size_t k = 0; k < n; ++k) {
         const double ang = kPi * static_cast<double>(k) /
                            (2.0 * static_cast<double>(n));
-        // Same cos/sin evaluations as Dct::dct2 / Dct::idct2.
         fwdTwiddle_[k] = Complex(std::cos(-ang), std::sin(-ang));
         invTwiddle_[k] = Complex(std::cos(ang), std::sin(ang));
     }

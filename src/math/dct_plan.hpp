@@ -1,20 +1,29 @@
 /**
  * @file
- * Precomputed execution plan for the DCT/DST kernels (FFTW-style).
+ * Precomputed execution plan for the DCT/DST kernels (FFTW-style)
+ * behind the spectral Poisson solver of the density force, built on
+ * the radix-2 FFT with Makhoul's method:
  *
- * The static Dct kernels heap-allocate an FFT workspace and re-derive
- * the Makhoul twiddles on every call — once per row/column of every
- * 2-D pass of every Poisson solve. A DctPlan is built once per
- * transform length and holds:
+ *  - Dct2:      X[k] = sum_n x[n] cos(pi*(n+0.5)*k/N)          (DCT-II)
+ *  - Idct2:     exact inverse of Dct2 (i.e. a scaled DCT-III)
+ *  - CosSeries: y[n] = c[0] + 2*sum_{k>=1} c[k] cos(pi*(n+0.5)*k/N)
+ *  - SinSeries: y[n] = 2*sum_{k>=1} c[k] sin(pi*(n+0.5)*k/N)
+ *
+ * CosSeries evaluates a Neumann-boundary eigenfunction expansion on the
+ * half-sample grid; SinSeries is its x-derivative counterpart (used for
+ * the electric field). All lengths must be powers of two.
+ *
+ * A DctPlan is built once per transform length and holds:
  *
  *  - an FftPlan (bit-reversal pairs + per-stage FFT twiddles), and
  *  - the forward/inverse Makhoul post/pre-twiddles e^(+-i*pi*k/(2N)),
  *
  * while a DctScratch provides per-chunk reusable buffers so the
  * batched row/column passes transform in place without a single
- * allocation after warm-up. Every kernel is bitwise-identical to its
- * Dct:: counterpart (same operations, same order — only the transcend-
- * ental evaluations are hoisted to plan construction).
+ * allocation after warm-up. Every kernel is bitwise-identical to the
+ * plan-free per-call kernel it replaced (same operations, same order;
+ * only the transcendental evaluations are hoisted to plan
+ * construction), which lives on as oracle::Dct in tests/oracles.
  *
  * Thread-safety: a plan is immutable and may be shared freely (see
  * PlanCache); a DctScratch must be owned by one transform call chain
@@ -27,7 +36,6 @@
 
 #include <vector>
 
-#include "math/dct.hpp"
 #include "math/fft_plan.hpp"
 
 namespace qplacer {
@@ -41,7 +49,7 @@ class DctScratch
     /** Buffers one executing chunk (thread) transforms through. */
     struct Lane
     {
-        std::vector<Fft::Complex> spectrum; ///< FFT workspace.
+        std::vector<FftPlan::Complex> spectrum; ///< FFT workspace.
         std::vector<double> line; ///< Column gather/scatter row.
         std::vector<double> flip; ///< sinSeries coefficient reversal.
     };
@@ -63,11 +71,18 @@ class DctScratch
     std::vector<Lane> lanes_;
 };
 
-/** Plan for every Dct kernel at one transform length. */
+/** Plan for every DCT/DST kernel at one transform length. */
 class DctPlan
 {
   public:
-    using Kind = Dct::Kind;
+    /** 1-D kernel selector (see the file comment). */
+    enum class Kind
+    {
+        Dct2,
+        Idct2,
+        CosSeries,
+        SinSeries,
+    };
 
     /** Build tables for length @p n (must be a power of two). */
     explicit DctPlan(std::size_t n);
@@ -77,7 +92,7 @@ class DctPlan
 
     /**
      * Apply @p kind in place to x[0..length()), working through
-     * @p lane. Bitwise-identical to Dct::apply on the same input.
+     * @p lane.
      */
     void apply(Kind kind, double *x, DctScratch::Lane &lane) const;
 
@@ -85,7 +100,8 @@ class DctPlan
      * Apply @p kind along every length-@p nx row of the row-major
      * @p ny x @p nx map (requires nx == length()), rows chunked
      * across @p pool (null = serial) with one scratch lane per chunk.
-     * Bitwise-identical to a per-row Dct::apply for any thread count.
+     * Rows are independent, so the result is bitwise-identical for any
+     * thread count.
      */
     void transformRows(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,
@@ -109,9 +125,9 @@ class DctPlan
     std::size_t n_;
     FftPlan fft_;
     /** Forward Makhoul twiddles e^(-i*pi*k/(2N)), k = 0..N-1. */
-    std::vector<Fft::Complex> fwdTwiddle_;
+    std::vector<FftPlan::Complex> fwdTwiddle_;
     /** Inverse Makhoul twiddles e^(+i*pi*k/(2N)). */
-    std::vector<Fft::Complex> invTwiddle_;
+    std::vector<FftPlan::Complex> invTwiddle_;
 };
 
 } // namespace qplacer

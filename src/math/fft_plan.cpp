@@ -9,7 +9,7 @@ namespace qplacer {
 
 FftPlan::FftPlan(std::size_t n) : n_(n)
 {
-    if (!Fft::isPowerOfTwo(n))
+    if (!isPowerOfTwo(n))
         panic(str("FftPlan: length ", n, " is not a power of two"));
     if (n == 1)
         return;
@@ -28,10 +28,10 @@ FftPlan::FftPlan(std::size_t n) : n_(n)
         }
     }
 
-    // Stage twiddles. Fft::transform restarts w at (1, 0) for every
-    // block of a stage and advances it with w *= wlen, so one table of
-    // len/2 entries per stage, generated by the identical recurrence,
-    // reproduces every w it ever computes bit for bit.
+    // Stage twiddles. The plan-free kernel restarts w at (1, 0) for
+    // every block of a stage and advances it with w *= wlen, so one
+    // table of len/2 entries per stage, generated by the identical
+    // recurrence, reproduces every w it ever computes bit for bit.
     fwdTwiddle_.reserve(n - 1);
     invTwiddle_.reserve(n - 1);
     for (std::size_t len = 2; len <= n; len <<= 1) {

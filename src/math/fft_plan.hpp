@@ -2,13 +2,13 @@
  * @file
  * Precomputed execution plan for the radix-2 FFT (FFTW-style).
  *
- * Fft::transform re-derives every twiddle factor and the bit-reversal
- * permutation on each call. An FftPlan hoists that work to
- * construction time: it stores the swap pairs of the bit-reversal
+ * A plain radix-2 FFT re-derives every twiddle factor and the
+ * bit-reversal permutation on each call. An FftPlan hoists that work
+ * to construction time: it stores the swap pairs of the bit-reversal
  * permutation and one twiddle table per butterfly stage, generated
- * with the exact same iterated-product recurrence the naive kernel
- * uses, so executing a plan is bitwise-identical to Fft::forward /
- * Fft::inverse on any input.
+ * with the iterated-product recurrence of the plan-free kernel, so
+ * executing a plan is bitwise-identical to it on any input (the
+ * plan-free kernel is the oracle::Fft the plan tests compare against).
  *
  * Plans are immutable after construction and safe to share across
  * threads; execution works in place on caller-owned buffers.
@@ -17,18 +17,25 @@
 #ifndef QPLACER_MATH_FFT_PLAN_HPP
 #define QPLACER_MATH_FFT_PLAN_HPP
 
+#include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "math/fft.hpp"
-
 namespace qplacer {
+
+/** True if @p n is a power of two (and > 0). */
+inline bool
+isPowerOfTwo(std::size_t n)
+{
+    return n > 0 && (n & (n - 1)) == 0;
+}
 
 /** Reusable twiddle/bit-reversal tables for one transform length. */
 class FftPlan
 {
   public:
-    using Complex = Fft::Complex;
+    using Complex = std::complex<double>;
 
     /** Build tables for length @p n (must be a power of two). */
     explicit FftPlan(std::size_t n);
@@ -37,12 +44,12 @@ class FftPlan
     std::size_t length() const { return n_; }
 
     /**
-     * In-place forward transform of data[0..length()); bitwise equal
-     * to Fft::forward on the same input.
+     * In-place forward transform (no normalization) of
+     * data[0..length()): X[k] = sum_n x[n] exp(-2*pi*i*k*n/N).
      */
     void forward(Complex *data) const { execute(data, false); }
 
-    /** In-place inverse transform (1/N-normalized), ditto. */
+    /** In-place inverse transform, 1/N-normalized. */
     void inverse(Complex *data) const { execute(data, true); }
 
   private:
@@ -54,8 +61,8 @@ class FftPlan
     std::vector<std::uint32_t> swapHi_;
     /**
      * Per-stage twiddles, stages len = 2, 4, ..., n concatenated
-     * (len/2 entries each, n-1 total); generated by the same w *= wlen
-     * recurrence as Fft::transform so lookups are bitwise-faithful.
+     * (len/2 entries each, n-1 total); generated by the w *= wlen
+     * recurrence of the plan-free kernel so lookups are bitwise-faithful.
      */
     std::vector<Complex> fwdTwiddle_;
     std::vector<Complex> invTwiddle_; ///< Same for the inverse sign.

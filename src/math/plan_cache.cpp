@@ -9,39 +9,24 @@ namespace {
 
 std::mutex g_mutex;
 std::map<std::size_t, std::shared_ptr<const DctPlan>> g_dct;
-std::map<std::size_t, std::shared_ptr<const FftPlan>> g_fft;
-
-template <class Plan>
-std::shared_ptr<const Plan>
-lookup(std::map<std::size_t, std::shared_ptr<const Plan>> &cache,
-       std::size_t n)
-{
-    const std::lock_guard<std::mutex> lock(g_mutex);
-    auto it = cache.find(n);
-    if (it == cache.end())
-        it = cache.emplace(n, std::make_shared<const Plan>(n)).first;
-    return it->second;
-}
 
 } // namespace
 
 std::shared_ptr<const DctPlan>
 PlanCache::dct(std::size_t n)
 {
-    return lookup(g_dct, n);
-}
-
-std::shared_ptr<const FftPlan>
-PlanCache::fft(std::size_t n)
-{
-    return lookup(g_fft, n);
+    const std::lock_guard<std::mutex> lock(g_mutex);
+    auto it = g_dct.find(n);
+    if (it == g_dct.end())
+        it = g_dct.emplace(n, std::make_shared<const DctPlan>(n)).first;
+    return it->second;
 }
 
 std::size_t
 PlanCache::size()
 {
     const std::lock_guard<std::mutex> lock(g_mutex);
-    return g_dct.size() + g_fft.size();
+    return g_dct.size();
 }
 
 } // namespace qplacer

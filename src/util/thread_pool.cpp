@@ -123,12 +123,6 @@ ThreadPool::forChunks(std::size_t n, const ChunkBody &body,
 }
 
 int
-parallelChunks(const ThreadPool *pool)
-{
-    return pool ? pool->threads() : 1;
-}
-
-int
 parallelChunkCount(const ThreadPool *pool, std::size_t n,
                    std::size_t serial_below)
 {
@@ -160,27 +154,6 @@ parallelFor(ThreadPool *pool, std::size_t n,
             body(begin, end);
         },
         serial_below);
-}
-
-double
-parallelReduce(ThreadPool *pool, std::size_t n,
-               const std::function<double(std::size_t, std::size_t)> &body,
-               std::size_t serial_below)
-{
-    if (n == 0)
-        return 0.0;
-    std::vector<double> partial(
-        static_cast<std::size_t>(parallelChunks(pool)), 0.0);
-    parallelForChunks(
-        pool, n,
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            partial[static_cast<std::size_t>(chunk)] = body(begin, end);
-        },
-        serial_below);
-    double total = 0.0;
-    for (double p : partial)
-        total += p;
-    return total;
 }
 
 } // namespace qplacer

@@ -1,17 +1,21 @@
 /**
  * @file
- * Fixed-size worker pool with a deterministic parallel-for.
+ * Fixed-size worker pool with a deterministic parallel-for, and the
+ * chunk-ordered reduce/scatter helpers every threaded kernel combines
+ * its partial results through.
  *
  * The pool splits an index range [0, n) into exactly threads() chunks
- * with boundaries that depend only on (n, threads()), runs one chunk
- * per thread (chunk 0 on the caller), and lets the caller combine
- * per-chunk partial results in chunk-index order. This makes every
- * parallel region bitwise-deterministic for a fixed thread count and
- * reproducible within floating-point tolerance across thread counts.
+ * with boundaries that depend only on (n, threads()) and runs one
+ * chunk per thread (chunk 0 on the caller). parallelReduce and
+ * parallelScatter then fold the per-chunk partials in chunk-index
+ * order, so every parallel region is bitwise-deterministic for a fixed
+ * thread count. Different thread counts split the sums differently:
+ * one evaluation differs only in rounding, but those differences
+ * compound over a placement's iterations, so whole layouts do differ
+ * between thread counts.
  *
  * With threads() == 1 (or a null pool passed to the free helpers) the
- * range runs serially as a single chunk on the calling thread, which
- * is bitwise-identical to the pre-threading code paths.
+ * range runs serially as a single chunk on the calling thread.
  *
  * Usage notes:
  *  - parallelFor bodies must not throw for control flow; an escaping
@@ -27,12 +31,15 @@
 #ifndef QPLACER_UTIL_THREAD_POOL_HPP
 #define QPLACER_UTIL_THREAD_POOL_HPP
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace qplacer {
@@ -115,12 +122,6 @@ class ThreadPool
 };
 
 /**
- * Upper bound on the chunks a region over @p pool uses (1 for a null
- * pool). Size per-chunk scratch buffers with this.
- */
-int parallelChunks(const ThreadPool *pool);
-
-/**
  * Chunk count a region over [0, n) actually uses: 1 for a null pool
  * or when the serial_below cutoff applies, pool->threads() otherwise.
  */
@@ -141,14 +142,117 @@ void parallelFor(ThreadPool *pool, std::size_t n,
                  const std::function<void(std::size_t, std::size_t)> &body,
                  std::size_t serial_below = 0);
 
+namespace detail {
+
 /**
- * Sum of body(begin, end) over all chunks, accumulated in chunk-index
- * order so the result is deterministic for a fixed chunk count.
+ * body(chunk, begin, end) of every chunk, in chunk order; T{} for a
+ * chunk that ran nothing.
  */
+template <class T, class Body>
+std::vector<T>
+chunkPartials(ThreadPool *pool, std::size_t n, std::size_t serial_below,
+              const Body &body)
+{
+    std::vector<T> partial(static_cast<std::size_t>(
+        parallelChunkCount(pool, n, serial_below)));
+    parallelForChunks(
+        pool, n,
+        [&](int chunk, std::size_t begin, std::size_t end) {
+            partial[static_cast<std::size_t>(chunk)] =
+                body(chunk, begin, end);
+        },
+        serial_below);
+    return partial;
+}
+
+/** op-fold of @p partial in chunk order from +0, lane by lane. */
+template <class T, class Op>
+T
+foldPartials(const std::vector<T> &partial, const Op &op)
+{
+    T acc{};
+    for (const T &p : partial) {
+        if constexpr (std::is_arithmetic_v<T>) {
+            acc = op(acc, p);
+        } else {
+            for (std::size_t lane = 0; lane < acc.size(); ++lane)
+                acc[lane] = op(acc[lane], p[lane]);
+        }
+    }
+    return acc;
+}
+
+} // namespace detail
+
+/**
+ * Chunk-ordered reduction over [0, n). body(begin, end) returns its
+ * chunk's partial: a double, or a std::array<double, K> of K
+ * independent lanes. The partials are folded with @p op, lane by lane,
+ * in chunk-index order starting from +0:
+ *   result = op(...op(op(+0, p_0), p_1)..., p_last).
+ * With the default op this is the sum, and since a sum that starts at
+ * +0 never becomes -0, op(+0, p_0) == p_0 and the zero partial of a
+ * chunk that ran nothing adds nothing. Any op for which +0 is neutral
+ * on the partials works the same way (e.g. max of non-negatives).
+ */
+template <class Body, class Op = std::plus<>>
+auto
+parallelReduce(ThreadPool *pool, std::size_t n, const Body &body,
+               std::size_t serial_below = 0, const Op &op = {})
+{
+    using T = std::invoke_result_t<const Body &, std::size_t, std::size_t>;
+    return detail::foldPartials(
+        detail::chunkPartials<T>(
+            pool, n, serial_below,
+            [&](int, std::size_t begin, std::size_t end) {
+                return body(begin, end);
+            }),
+        op);
+}
+
+/**
+ * Chunked scatter over [0, n) into @p out.
+ * body(chunk, begin, end, slice) accumulates the items [begin, end)
+ * into slice[0, out.size()), a zeroed array of its chunk's own, and
+ * returns a scalar partial. Chunk 0's slice is @p out itself, so a
+ * region that runs as one chunk allocates no slice and sums nothing.
+ * Otherwise each element ends as the sum of the slices in chunk-index
+ * order. Returns the chunk-ordered sum of the scalars, as
+ * parallelReduce.
+ */
+template <class T, class Body>
 double
-parallelReduce(ThreadPool *pool, std::size_t n,
-               const std::function<double(std::size_t, std::size_t)> &body,
-               std::size_t serial_below = 0);
+parallelScatter(ThreadPool *pool, std::size_t n, std::span<T> out,
+                const Body &body, std::size_t serial_below = 0)
+{
+    const std::size_t width = out.size();
+    const std::size_t chunks = static_cast<std::size_t>(
+        parallelChunkCount(pool, n, serial_below));
+    std::fill(out.begin(), out.end(), T{});
+    std::vector<T> slices((chunks - 1) * width);
+    const std::vector<double> partial = detail::chunkPartials<double>(
+        pool, n, serial_below,
+        [&](int chunk, std::size_t begin, std::size_t end) {
+            const auto c = static_cast<std::size_t>(chunk);
+            T *slice =
+                c == 0 ? out.data() : slices.data() + (c - 1) * width;
+            return body(chunk, begin, end, slice);
+        });
+    if (chunks > 1) {
+        parallelFor(
+            pool, width,
+            [&](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                    T acc = out[i];
+                    for (std::size_t c = 1; c < chunks; ++c)
+                        acc += slices[(c - 1) * width + i];
+                    out[i] = acc;
+                }
+            },
+            ThreadPool::kGrainFine);
+    }
+    return detail::foldPartials(partial, std::plus<>());
+}
 
 } // namespace qplacer
 

@@ -15,7 +15,7 @@
 #include "core/placer.hpp"
 #include "core/poisson.hpp"
 #include "freq/assigner.hpp"
-#include "math/dct.hpp"
+#include "math/plan_cache.hpp"
 #include "netlist/builder.hpp"
 #include "topology/generators.hpp"
 #include "util/thread_pool.hpp"
@@ -42,6 +42,26 @@ gridNetlist(int rows, int cols)
     return NetlistBuilder().build(topo, freqs);
 }
 
+/** One batched row pass through the cached plan for length @p nx. */
+void
+transformRows(std::vector<double> &map, int nx, int ny,
+              DctPlan::Kind kind, ThreadPool *pool)
+{
+    DctScratch scratch;
+    PlanCache::dct(static_cast<std::size_t>(nx))
+        ->transformRows(map, nx, ny, kind, pool, scratch);
+}
+
+/** One batched column pass through the cached plan for length @p ny. */
+void
+transformCols(std::vector<double> &map, int nx, int ny,
+              DctPlan::Kind kind, ThreadPool *pool)
+{
+    DctScratch scratch;
+    PlanCache::dct(static_cast<std::size_t>(ny))
+        ->transformCols(map, nx, ny, kind, pool, scratch);
+}
+
 double
 maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -60,8 +80,9 @@ maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
  */
 TEST(ParallelDct, BatchTransformsMatchSerialAcrossThreadCounts)
 {
-    const Dct::Kind kinds[] = {Dct::Kind::Dct2, Dct::Kind::Idct2,
-                               Dct::Kind::CosSeries, Dct::Kind::SinSeries};
+    const DctPlan::Kind kinds[] = {
+        DctPlan::Kind::Dct2, DctPlan::Kind::Idct2,
+        DctPlan::Kind::CosSeries, DctPlan::Kind::SinSeries};
     struct Shape
     {
         int nx; ///< Transform length (power of two).
@@ -75,14 +96,13 @@ TEST(ParallelDct, BatchTransformsMatchSerialAcrossThreadCounts)
     for (const Shape &shape : shapes) {
         const std::vector<double> input = syntheticMap(
             static_cast<std::size_t>(shape.nx) * shape.ny, 2.0);
-        for (const Dct::Kind kind : kinds) {
+        for (const DctPlan::Kind kind : kinds) {
             std::vector<double> serial = input;
-            Dct::transformRows(serial, shape.nx, shape.ny, kind, nullptr);
+            transformRows(serial, shape.nx, shape.ny, kind, nullptr);
             for (const int threads : {1, 2, 8}) {
                 ThreadPool pool(threads);
                 std::vector<double> parallel = input;
-                Dct::transformRows(parallel, shape.nx, shape.ny, kind,
-                                   &pool);
+                transformRows(parallel, shape.nx, shape.ny, kind, &pool);
                 // Rows are independent: any thread count must
                 // reproduce the serial pass bit for bit.
                 EXPECT_EQ(serial, parallel)
@@ -102,11 +122,11 @@ TEST(ParallelDct, BatchColumnsMatchSerialAcrossThreadCounts)
         const std::vector<double> input =
             syntheticMap(static_cast<std::size_t>(nx) * ny, 1.0);
         std::vector<double> serial = input;
-        Dct::transformCols(serial, nx, ny, Dct::Kind::Dct2, nullptr);
+        transformCols(serial, nx, ny, DctPlan::Kind::Dct2, nullptr);
         for (const int threads : {2, 8}) {
             ThreadPool pool(threads);
             std::vector<double> parallel = input;
-            Dct::transformCols(parallel, nx, ny, Dct::Kind::Dct2, &pool);
+            transformCols(parallel, nx, ny, DctPlan::Kind::Dct2, &pool);
             EXPECT_EQ(serial, parallel) << threads << " threads";
         }
     }
@@ -120,8 +140,8 @@ TEST(ParallelDct, RoundTripSurvivesThreading)
     const std::vector<double> input =
         syntheticMap(static_cast<std::size_t>(nx) * ny, 3.0);
     std::vector<double> map = input;
-    Dct::transformRows(map, nx, ny, Dct::Kind::Dct2, &pool);
-    Dct::transformRows(map, nx, ny, Dct::Kind::Idct2, &pool);
+    transformRows(map, nx, ny, DctPlan::Kind::Dct2, &pool);
+    transformRows(map, nx, ny, DctPlan::Kind::Idct2, &pool);
     EXPECT_LT(maxAbsDiff(map, input), 1e-9);
 }
 

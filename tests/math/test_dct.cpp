@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "math/dct.hpp"
+#include "oracles/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace qplacer {
 namespace {
+
+using oracle::Dct;
 
 std::vector<double>
 randomVector(std::size_t n, std::uint64_t seed)

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "core/poisson.hpp"
-#include "math/dct.hpp"
 #include "math/dct_plan.hpp"
-#include "math/fft.hpp"
 #include "math/fft_plan.hpp"
 #include "math/plan_cache.hpp"
 #include "oracles/oracles.hpp"
@@ -27,6 +25,9 @@
 
 namespace qplacer {
 namespace {
+
+using oracle::Dct;
+using oracle::Fft;
 
 std::vector<double>
 randomVector(std::size_t n, std::uint64_t seed)
@@ -154,7 +155,9 @@ TEST_P(PlanThreads, TransformRowsMatchesUnplannedBitwise)
         std::vector<double> reference = map;
         std::vector<double> planned = map;
         oracle::transformRowsUnplanned(reference, nx, ny, kind, pool());
-        Dct::transformRows(planned, nx, ny, kind, pool());
+        DctScratch scratch;
+        PlanCache::dct(nx)->transformRows(planned, nx, ny, kind, pool(),
+                                          scratch);
         EXPECT_TRUE(bitwiseEqual(reference, planned))
             << "kind " << static_cast<int>(kind) << " threads "
             << GetParam();
@@ -172,7 +175,9 @@ TEST_P(PlanThreads, TransformColsMatchesUnplannedBitwise)
         std::vector<double> reference = map;
         std::vector<double> planned = map;
         oracle::transformColsUnplanned(reference, nx, ny, kind, pool());
-        Dct::transformCols(planned, nx, ny, kind, pool());
+        DctScratch scratch;
+        PlanCache::dct(ny)->transformCols(planned, nx, ny, kind, pool(),
+                                          scratch);
         EXPECT_TRUE(bitwiseEqual(reference, planned))
             << "kind " << static_cast<int>(kind) << " threads "
             << GetParam();
@@ -207,8 +212,7 @@ TEST(PlanCache, SharesOnePlanPerLength)
     const auto b = PlanCache::dct(64);
     EXPECT_EQ(a.get(), b.get());
     EXPECT_NE(a.get(), PlanCache::dct(128).get());
-    EXPECT_EQ(PlanCache::fft(64).get(), PlanCache::fft(64).get());
-    EXPECT_GE(PlanCache::size(), 3u);
+    EXPECT_GE(PlanCache::size(), 2u);
 }
 
 TEST(PlanCache, RectangularMapsUseBothLengths)

@@ -3,21 +3,23 @@
 #include <cmath>
 #include <numbers>
 
-#include "math/fft.hpp"
+#include "math/fft_plan.hpp"
+#include "oracles/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace qplacer {
 namespace {
 
+using oracle::Fft;
 using Complex = Fft::Complex;
 
 TEST(Fft, PowerOfTwoDetection)
 {
-    EXPECT_TRUE(Fft::isPowerOfTwo(1));
-    EXPECT_TRUE(Fft::isPowerOfTwo(64));
-    EXPECT_FALSE(Fft::isPowerOfTwo(0));
-    EXPECT_FALSE(Fft::isPowerOfTwo(3));
-    EXPECT_FALSE(Fft::isPowerOfTwo(96));
+    EXPECT_TRUE(isPowerOfTwo(1));
+    EXPECT_TRUE(isPowerOfTwo(64));
+    EXPECT_FALSE(isPowerOfTwo(0));
+    EXPECT_FALSE(isPowerOfTwo(3));
+    EXPECT_FALSE(isPowerOfTwo(96));
 }
 
 TEST(Fft, ForwardMatchesDirectDft)

@@ -1,17 +1,10 @@
-#include "math/fft.hpp"
-
 #include <cmath>
 #include <numbers>
 
+#include "oracles/oracles.hpp"
 #include "util/logging.hpp"
 
-namespace qplacer {
-
-bool
-Fft::isPowerOfTwo(std::size_t n)
-{
-    return n > 0 && (n & (n - 1)) == 0;
-}
+namespace qplacer::oracle {
 
 void
 Fft::transform(std::vector<Complex> &data, bool invert)
@@ -68,4 +61,4 @@ Fft::inverse(std::vector<Complex> &data)
     transform(data, true);
 }
 
-} // namespace qplacer
+} // namespace qplacer::oracle

@@ -9,7 +9,9 @@
  *    all-pairs violation count (freq/test_assign_equivalence);
  *  - the sequential-append netlist builder (freq/test_assign_equivalence,
  *    netlist/test_builder_scale);
- *  - the plan-free DCT row/column passes (math/test_dct_plan);
+ *  - the plan-free FFT and DCT/DST kernels, their row/column passes
+ *    and the O(N^2) DCT references (math/test_fft, math/test_dct,
+ *    math/test_dct_plan);
  *  - the frequency force over an all-distance collision map
  *    (core/test_freq_force_equivalence).
  */
@@ -22,7 +24,7 @@
 
 #include "freq/assigner.hpp"
 #include "geometry/vec2.hpp"
-#include "math/dct.hpp"
+#include "math/dct_plan.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/partition.hpp"
 #include "topology/graph.hpp"
@@ -56,6 +58,49 @@ int countDomainViolationsAllPairs(const Topology &topo,
 Netlist buildReference(const Topology &topo,
                        const FrequencyAssignment &freqs,
                        double target_util, const PartitionParams &params);
+
+/**
+ * Plan-free in-place radix-2 FFT over power-of-two-length data: it
+ * re-derives the twiddles and the bit-reversal order on every call.
+ * FftPlan executes the same operations from precomputed tables.
+ */
+class Fft
+{
+  public:
+    using Complex = FftPlan::Complex;
+
+    /** X[k] = sum_n x[n] exp(-2*pi*i*k*n/N), no normalization. */
+    static void forward(std::vector<Complex> &data);
+
+    /** Inverse with 1/N normalization: inverse(forward(x)) == x. */
+    static void inverse(std::vector<Complex> &data);
+
+  private:
+    static void transform(std::vector<Complex> &data, bool invert);
+};
+
+/**
+ * Plan-free DCT/DST kernels (the DctPlan kinds, see math/dct_plan.hpp)
+ * that allocate their workspaces and evaluate their twiddles per call,
+ * plus O(N^2) direct-sum references.
+ */
+class Dct
+{
+  public:
+    using Kind = DctPlan::Kind;
+
+    static std::vector<double> dct2(const std::vector<double> &x);
+    static std::vector<double> idct2(const std::vector<double> &X);
+    static std::vector<double> cosSeries(const std::vector<double> &c);
+    static std::vector<double> sinSeries(const std::vector<double> &c);
+
+    /** Apply the kernel selected by @p kind to one vector. */
+    static std::vector<double> apply(Kind kind, const std::vector<double> &x);
+
+    static std::vector<double> dct2Direct(const std::vector<double> &x);
+    static std::vector<double> cosSeriesDirect(const std::vector<double> &c);
+    static std::vector<double> sinSeriesDirect(const std::vector<double> &c);
+};
 
 /** Plan-free row pass: per-row Dct::apply with per-call workspaces. */
 void transformRowsUnplanned(std::vector<double> &map, int nx, int ny,
