@@ -1,11 +1,12 @@
 /**
  * @file
- * Ablation study of QPlacer's design choices (the knobs DESIGN.md calls
- * out). Each variant disables one frequency-aware ingredient on Falcon
- * and reports hotspot proportion, impacted qubits, substrate box-mode
- * margin, and bv-4 fidelity.
+ * Ablation study of QPlacer's design choices: the frequency force, the
+ * tau-checked legalization and distance-2 colouring. Each variant
+ * disables one frequency-aware ingredient on Aspen-M and reports hotspot
+ * proportion, impacted qubits, substrate box-mode margin, and bv-4
+ * fidelity.
  *
- * Finding (recorded in EXPERIMENTS.md): in this implementation the
+ * Finding: in this implementation the
  * tau-checked legalization is the decisive ingredient -- the global
  * frequency force pre-separates resonant groups, but without the tau
  * checks the packing legalizer erases that separation (and the force's
@@ -59,7 +60,7 @@ main()
         FlowParams params;
         params.placer.seed = bench::placementSeed();
         params.placer.freqForce = v.freqForce;
-        params.legalizer.integrationParams.resonanceCheck = v.tauLegal;
+        params.legalizer.resonanceCheck = v.tauLegal;
         params.assigner.distance2 = v.distance2;
 
         const FlowResult r = QplacerFlow(params).run(topo);

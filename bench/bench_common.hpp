@@ -1,7 +1,9 @@
 /**
  * @file
- * Shared helpers for the experiment harness binaries (one per table or
- * figure of the paper; see DESIGN.md section 3).
+ * Shared helpers for the benchmark drivers: the paper-figure drivers
+ * whose output is an artifact (a layout, a sweep table) and the engine
+ * benches. The paper's headline claims are asserted by `ctest -L paper`
+ * instead (docs/ARCHITECTURE.md, "The paper-claim suite").
  *
  * Environment overrides:
  *   QP_SUBSETS   mappings per benchmark (default 50, the paper's count)

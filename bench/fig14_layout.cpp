@@ -1,8 +1,8 @@
 /**
  * @file
  * Fig. 14: the Falcon layout prototype. Prints the input spectra and
- * layout statistics and writes SVG renderings (the GDS-export
- * substitute; see DESIGN.md) of the optimized layout.
+ * layout statistics and writes SVG renderings of the optimized layout
+ * (standing in for the paper's GDS export).
  */
 
 #include <algorithm>

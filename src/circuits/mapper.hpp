@@ -1,7 +1,8 @@
 /**
  * @file
  * Logical-to-physical mapping of benchmark circuits onto a device
- * subset (the Qiskit-transpiler substitute; see DESIGN.md section 1).
+ * subset. It stands in for the Qiskit transpiler the paper uses, so the
+ * evaluation needs no Python dependency.
  */
 
 #ifndef QPLACER_CIRCUITS_MAPPER_HPP

@@ -10,6 +10,22 @@ namespace qplacer {
 
 namespace {
 
+/** Wirelength smoothing gamma as a fraction of the region width. */
+constexpr double kGammaFrac = 0.04;
+
+/** Per-iteration multiplier of the density penalty. */
+constexpr double kLambdaGrowth = 1.05;
+
+/** Per-iteration multiplier of the frequency and cut penalties. */
+constexpr double kFreqLambdaGrowth = 1.05;
+
+/**
+ * Cap on the frequency and cut penalties, as a multiple of their value
+ * at activation. Keeps the engine in a stable compromise when full
+ * separation is infeasible (crowded spectra), instead of oscillating.
+ */
+constexpr double kFreqLambdaMaxFactor = 300.0;
+
 double
 l1Norm(ThreadPool *pool, const std::vector<Vec2> &g)
 {
@@ -34,8 +50,7 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
       params_(params),
       pool_(pool),
       wirelength_(netlist,
-                  std::max(1e-3, params.gammaFrac *
-                                     netlist.region().width()),
+                  std::max(1e-3, kGammaFrac * netlist.region().width()),
                   pool),
       density_(netlist,
                params.bins > 0
@@ -153,12 +168,12 @@ PlacementObjective::activate(LazyPenalty &penalty, double weight,
 void
 PlacementObjective::growPenalties()
 {
-    lambda_ *= params_.lambdaGrowth;
+    lambda_ *= kLambdaGrowth;
     for (LazyPenalty *penalty : {&freq_, &cut_}) {
         if (penalty->live)
             penalty->lambda =
-                std::min(penalty->lambda * params_.freqLambdaGrowth,
-                         penalty->init * params_.freqLambdaMaxFactor);
+                std::min(penalty->lambda * kFreqLambdaGrowth,
+                         penalty->init * kFreqLambdaMaxFactor);
     }
 }
 

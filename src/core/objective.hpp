@@ -81,7 +81,7 @@ class PlacementObjective
      * Multiplier of a term that can be dormant (the frequency force,
      * the cut penalty): zero until the term's gradient first turns
      * non-zero, then weight * |grad WL|_1 / |grad|_1, grown each step
-     * by freqLambdaGrowth up to freqLambdaMaxFactor x that start.
+     * by a fixed factor up to a fixed multiple of that start.
      */
     struct LazyPenalty
     {

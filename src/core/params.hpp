@@ -31,15 +31,6 @@ struct PlacerParams
     /** Stop when density overflow drops below this fraction. */
     double stopOverflow = 0.07;
 
-    /** Wirelength smoothing gamma as a fraction of the region size. */
-    double gammaFrac = 0.04;
-
-    /** Per-iteration multiplier applied to the density penalty. */
-    double lambdaGrowth = 1.05;
-
-    /** Per-iteration multiplier applied to the frequency penalty. */
-    double freqLambdaGrowth = 1.05;
-
     /**
      * Enable the frequency repulsive force (Eq. 9/10). Disabled for the
      * Classic baseline.
@@ -61,29 +52,14 @@ struct PlacerParams
     double freqCutoffFactor = 0.8;
 
     /**
-     * Cap on the frequency penalty: lambda_f stops growing past
-     * freqLambdaMaxFactor times its initial value. Keeps the engine in
-     * a stable compromise when full separation is infeasible (crowded
-     * spectra), instead of oscillating.
-     */
-    double freqLambdaMaxFactor = 300.0;
-
-    /**
      * Multi-die cut-crossing penalty weight (the "multidie.cutWeight"
      * knob): initial weight of the cut penalty relative to the
      * wirelength gradient, like freqWeight. 0 disables the term; it is
      * also inert unless the netlist carries an active die spec. Grows
-     * on the frequency-penalty schedule (freqLambdaGrowth, capped at
-     * freqLambdaMaxFactor x initial).
+     * on the frequency-penalty schedule (PlacementObjective::
+     * growPenalties).
      */
     double cutWeight = 0.0;
-
-    /**
-     * Stop early when the density overflow has not improved for this
-     * many iterations (the plateau means the penalty equilibrium is
-     * reached).
-     */
-    int patience = 250;
 
     /**
      * Worker threads for the density/DCT hot path (0 = hardware

@@ -11,6 +11,13 @@
 
 namespace qplacer {
 
+namespace {
+
+/** Iterations without an overflow improvement that end the loop. */
+constexpr int kPatience = 250;
+
+} // namespace
+
 GlobalPlacer::GlobalPlacer(PlacerParams params, CrosstalkRule rule)
     : params_(params), rule_(rule)
 {
@@ -94,7 +101,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
         if (overflow < best_overflow - 1e-3) {
             best_overflow = overflow;
             since_improvement = 0;
-        } else if (++since_improvement >= params_.patience &&
+        } else if (++since_improvement >= kPatience &&
                    iter >= params_.minIters) {
             break;
         }

@@ -1,7 +1,7 @@
 /**
  * @file
- * SVG rendering of placed layouts (the Fig. 14 artifact; see DESIGN.md
- * for the GDS -> SVG substitution). Components are colour-coded by
+ * SVG rendering of placed layouts (the Fig. 14 artifact, drawn as SVG
+ * where the paper exports GDS). Components are colour-coded by
  * frequency and resonator meanders are drawn through their segment
  * chains.
  */

@@ -9,6 +9,20 @@
 
 namespace qplacer {
 
+namespace {
+
+/**
+ * Max gap (um) between padded rects that counts as adjacent for cluster
+ * connectivity (rilc's reach). Covers one occupancy cell plus diagonal
+ * corner gaps, so snapped layouts cluster robustly.
+ */
+constexpr double kClusterReachUm = 150.0;
+
+/** Move/swap repair passes over all resonators. */
+constexpr int kMaxRounds = 8;
+
+} // namespace
+
 bool
 resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
             const CrosstalkRule &rule, const Instance &inst, Vec2 pos,
@@ -26,9 +40,9 @@ resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
     return true;
 }
 
-IntegrationLegalizer::IntegrationLegalizer(IntegrationParams params,
+IntegrationLegalizer::IntegrationLegalizer(bool resonance_check,
                                            CrosstalkRule rule)
-    : params_(params), rule_(rule)
+    : resonanceCheck_(resonance_check), rule_(rule)
 {
 }
 
@@ -37,7 +51,7 @@ IntegrationLegalizer::tauOk(const Netlist &netlist,
                             const OccupancyGrid &grid, const Instance &inst,
                             Vec2 pos, int ignore) const
 {
-    return !params_.resonanceCheck ||
+    return !resonanceCheck_ ||
            resonanceOk(netlist, grid, rule_, inst, pos, ownerScratch_,
                        ignore);
 }
@@ -45,7 +59,7 @@ IntegrationLegalizer::tauOk(const Netlist &netlist,
 bool
 IntegrationLegalizer::adjacent(const Instance &a, const Instance &b) const
 {
-    return a.paddedRect().gap(b.paddedRect()) <= params_.adjacencyTolUm;
+    return a.paddedRect().gap(b.paddedRect()) <= kClusterReachUm;
 }
 
 std::vector<std::vector<int>>
@@ -116,7 +130,7 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
 
     const double cell = grid.cellUm();
 
-    for (int round = 0; round < params_.maxRounds; ++round) {
+    for (int round = 0; round < kMaxRounds; ++round) {
         bool progress = false;
         for (int r : targets) {
             auto cls = clusters(netlist, r);
@@ -187,7 +201,7 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                         const Instance &m = netlist.instance(member);
                         const Rect frontier =
                             m.paddedRect().inflated(
-                                params_.adjacencyTolUm + cell);
+                                kClusterReachUm + cell);
                         for (std::int32_t cand_id :
                              grid.ownersIn(frontier)) {
                             if (cand_id == seg_id || cand_id == member)
@@ -246,11 +260,9 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
 
     // Final repair: rip up and contiguously re-place any resonator the
     // local moves/swaps could not fix.
-    if (params_.chainReplace) {
-        for (int r : targets) {
-            if (!integrationLegal(netlist, r))
-                replaceChain(netlist, grid, r);
-        }
+    for (int r : targets) {
+        if (!integrationLegal(netlist, r))
+            replaceChain(netlist, grid, r);
     }
 
     for (int r : targets) {
@@ -295,7 +307,7 @@ IntegrationLegalizer::replaceChain(Netlist &netlist, OccupancyGrid &grid,
                 return true;
             const Rect a = Rect::fromCenter(center, w, h);
             const Rect b = Rect::fromCenter(prev, w, h);
-            return a.gap(b) <= params_.adjacencyTolUm;
+            return a.gap(b) <= kClusterReachUm;
         };
         auto tau_ok = [&](Vec2 center) {
             return tauOk(netlist, grid, seg, center);
@@ -308,7 +320,7 @@ IntegrationLegalizer::replaceChain(Netlist &netlist, OccupancyGrid &grid,
         std::optional<Vec2> spot = spiralSearchFiltered(
             grid, prev, w, h,
             [&](Vec2 c) { return near_prev(c) && tau_ok(c); }, radius);
-        if (!spot && params_.resonanceCheck)
+        if (!spot && resonanceCheck_)
             spot = spiralSearchFiltered(grid, prev, w, h, tau_ok, radius);
         if (!spot)
             spot = spiralSearch(grid, prev, w, h);

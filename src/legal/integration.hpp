@@ -21,30 +21,6 @@
 
 namespace qplacer {
 
-/** Knobs of the integration legalizer. */
-struct IntegrationParams
-{
-    /**
-     * Max gap (um) between padded rects that counts as adjacent for
-     * cluster connectivity. Covers one occupancy cell plus diagonal
-     * corner gaps, so snapped layouts cluster robustly.
-     */
-    double adjacencyTolUm = 150.0;
-
-    /** Validate moves/swaps against the resonance checker tau. */
-    bool resonanceCheck = true;
-
-    /** Repair passes over all resonators. */
-    int maxRounds = 8;
-
-    /**
-     * After move/swap rounds, rip up each still-broken resonator and
-     * re-place its whole segment chain contiguously (tau-checked with
-     * plain-nearest fallback).
-     */
-    bool chainReplace = true;
-};
-
 /**
  * The resonance checker tau, shared by the Tetris scan and Algorithm 1:
  * true if instance @p inst, hypothetically centered at @p pos, has no
@@ -61,7 +37,11 @@ bool resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
 class IntegrationLegalizer
 {
   public:
-    explicit IntegrationLegalizer(IntegrationParams params = {},
+    /**
+     * @p resonance_check validates moves/swaps against the resonance
+     * checker tau under @p rule.
+     */
+    explicit IntegrationLegalizer(bool resonance_check = true,
                                   CrosstalkRule rule = {});
 
     /** Outcome summary. */
@@ -111,7 +91,7 @@ class IntegrationLegalizer
      */
     bool replaceChain(Netlist &netlist, OccupancyGrid &grid, int r) const;
 
-    IntegrationParams params_;
+    bool resonanceCheck_;
     CrosstalkRule rule_;
 
     /**

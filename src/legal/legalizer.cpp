@@ -150,7 +150,7 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
     for (const Resonator &res : netlist.resonators())
         if (!res.segments.empty() && is_movable[res.segments.front()])
             movable_res.push_back(res.id);
-    if (!tetrisLegalizeSegments(netlist, grid, params_.integrationParams,
+    if (!tetrisLegalizeSegments(netlist, grid, params_.resonanceCheck,
                                 rule_, result.segmentDisplacementUm,
                                 &movable_res)) {
         return false;
@@ -164,7 +164,7 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
     }
     stage_timer.reset();
     if (params_.integration && !movable_res.empty()) {
-        IntegrationLegalizer integrator(params_.integrationParams, rule_);
+        IntegrationLegalizer integrator(params_.resonanceCheck, rule_);
         result.integration = integrator.run(netlist, grid, &movable_res);
     }
     result.integrationSeconds = stage_timer.seconds();

@@ -24,8 +24,11 @@ struct LegalizerParams
     /** Run the integration-aware repair pass. */
     bool integration = true;
 
-    /** Parameters forwarded to the integration legalizer. */
-    IntegrationParams integrationParams;
+    /**
+     * Validate Tetris slots and Algorithm 1 moves/swaps against the
+     * resonance checker tau (off in Classic mode).
+     */
+    bool resonanceCheck = true;
 };
 
 /** Legalization outcome. */

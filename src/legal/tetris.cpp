@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "legal/integration.hpp"
 #include "legal/spiral.hpp"
 #include "util/logging.hpp"
 
@@ -10,7 +11,7 @@ namespace qplacer {
 
 bool
 tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
-                       const IntegrationParams &params,
+                       bool resonance_check,
                        const CrosstalkRule &rule, double &displacement_um,
                        const std::vector<int> *only_resonators)
 {
@@ -59,7 +60,7 @@ tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
             const Vec2 desired = have_anchor ? anchor : seg.pos;
 
             std::optional<Vec2> spot;
-            if (params.resonanceCheck) {
+            if (resonance_check) {
                 // tau-checked search first, within a bounded radius so
                 // a hopeless neighbourhood degrades gracefully.
                 auto tau_ok = [&](Vec2 center) {

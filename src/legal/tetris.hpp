@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "legal/integration.hpp"
 #include "legal/occupancy.hpp"
 #include "netlist/netlist.hpp"
 
@@ -22,7 +21,7 @@ namespace qplacer {
  * already contains the fixed qubits). Updates instance positions and
  * occupies the grid.
  *
- * When @p params.resonanceCheck is set (Qplacer mode), candidate slots
+ * When @p resonance_check is set (Qplacer mode), candidate slots
  * that fail the tau probe under @p rule (resonanceOk) are skipped
  * within a bounded search radius (falling back to the plain nearest
  * slot when no clean one exists), so the tau constraint survives
@@ -38,7 +37,7 @@ namespace qplacer {
  *         retry with a larger region).
  */
 bool tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
-                            const IntegrationParams &params,
+                            bool resonance_check,
                             const CrosstalkRule &rule,
                             double &displacement_um,
                             const std::vector<int> *only_resonators = nullptr);

@@ -39,7 +39,8 @@ struct Instance
      * extends pad/2 per side, so two touching padded footprints leave
      * a (pad_i + pad_j)/2 gap between the bare shapes -- the shared-
      * padding reading of Section IV-B1 that reproduces the paper's
-     * area numbers (see DESIGN.md).
+     * Fig. 13 area ratios (asserted by the paper-claim suite; see
+     * docs/ARCHITECTURE.md).
      */
     double pad = 0.0;
     Vec2 pos; ///< Center position (um).

@@ -26,8 +26,8 @@ CapacitanceModel::qubitQubit()
 {
     // Calibrated so that two resonant qubits whose padded footprints abut
     // (center distance ~0.8 mm) exchange energy strongly on program time
-    // scales (g ~ MHz), while pairs a pitch further out are far weaker.
-    // See DESIGN.md.
+    // scales (g ~ MHz), while pairs a pitch further out are far weaker
+    // (Coupling.DistanceChainBehavesLikeFig5 checks both ends).
     return CapacitanceModel(50.0, 150.0, 4.0);
 }
 

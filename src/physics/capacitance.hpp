@@ -5,7 +5,8 @@
  * The paper extracts Cp(d) from Qiskit Metal EM simulation (Fig. 5b,
  * Fig. 6c); we substitute a calibrated closed-form decay with the same
  * qualitative behaviour: monotone decreasing, ~fF at contact, negligible
- * beyond a few qubit pitches. See DESIGN.md section 1.
+ * beyond a few qubit pitches. tests/physics/test_capacitance.cpp
+ * asserts each of those properties.
  */
 
 #ifndef QPLACER_PHYSICS_CAPACITANCE_HPP

@@ -4,8 +4,8 @@
  *
  * Implements Eq. (6) for capacitive coupling strength, the dispersive
  * effective coupling g^2/Delta, and the (generalized) Rabi transition
- * probability used by the crosstalk error model (Eq. 16; see DESIGN.md
- * for the sign-typo note).
+ * probability used by the crosstalk error model (Eq. 16). Each
+ * function states the formula it evaluates.
  */
 
 #ifndef QPLACER_PHYSICS_COUPLING_HPP

@@ -53,10 +53,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: placer.minIters must be non-negative");
     check(placer.stopOverflow >= 0.0,
           "FlowParams: placer.stopOverflow must be non-negative");
-    check(placer.gammaFrac > 0.0,
-          "FlowParams: placer.gammaFrac must be positive");
-    check(placer.lambdaGrowth >= 1.0 && placer.freqLambdaGrowth >= 1.0,
-          "FlowParams: penalty growth factors must be >= 1");
     check(placer.bins >= 0, "FlowParams: placer.bins must be >= 0");
     check(placer.jitterFrac >= 0.0,
           "FlowParams: placer.jitterFrac must be non-negative");
@@ -76,10 +72,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: assigner.resonatorBand must have positive span");
     check(legalizer.cellUm > 0.0,
           "FlowParams: legalizer.cellUm must be positive");
-    check(legalizer.integrationParams.maxRounds >= 0,
-          "FlowParams: legalizer.integrationParams.maxRounds must be >= 0");
-    check(legalizer.integrationParams.adjacencyTolUm >= 0.0,
-          "FlowParams: integration adjacencyTolUm must be non-negative");
     check(incremental.maxIters >= 1,
           "FlowParams: incremental.maxIters must be at least 1");
     check(incremental.snapToleranceUm >= 0.0,
@@ -112,7 +104,7 @@ FlowParams::normalized(std::string *error) const
         // Classic: the same engine and hyper-parameters, minus every
         // frequency-aware ingredient (Section V-B).
         p.placer.freqForce = false;
-        p.legalizer.integrationParams.resonanceCheck = false;
+        p.legalizer.resonanceCheck = false;
     }
     return p;
 }

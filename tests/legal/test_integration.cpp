@@ -150,9 +150,7 @@ TEST(Integration, ResonanceCheckBlocksBadMoves)
                         inst.id);
         }
     }
-    IntegrationParams params;
-    params.resonanceCheck = true;
-    const IntegrationLegalizer legalizer(params);
+    const IntegrationLegalizer legalizer(/*resonance_check=*/true);
     legalizer.run(f.nl, grid);
 
     // Wherever the stray ended up, it must not be adjacent to the

@@ -39,9 +39,8 @@ TEST(Tetris, PlacesAllSegmentsWithoutOverlap)
     }
 
     double displacement = 0.0;
-    IntegrationParams params;
-    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, CrosstalkRule(),
-                                       displacement));
+    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, /*resonance_check=*/true,
+                                       CrosstalkRule(), displacement));
     EXPECT_GE(displacement, 0.0);
 
     // No padded overlaps among all instances.
@@ -77,9 +76,8 @@ TEST(Tetris, ChainsStayContiguous)
                     q);
     }
     double displacement = 0.0;
-    IntegrationParams params;
-    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, CrosstalkRule(),
-                                       displacement));
+    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, /*resonance_check=*/true,
+                                       CrosstalkRule(), displacement));
 
     // Consecutive chain segments end up near each other (the anchor
     // policy): median consecutive distance is a small number of blocks.
@@ -105,9 +103,8 @@ TEST(Tetris, FailsGracefullyWhenRegionTooSmall)
     nl.clampIntoRegion();
     OccupancyGrid grid(nl.region(), 100);
     double displacement = 0.0;
-    IntegrationParams params;
-    EXPECT_FALSE(tetrisLegalizeSegments(nl, grid, params, CrosstalkRule(),
-                                        displacement));
+    EXPECT_FALSE(tetrisLegalizeSegments(nl, grid, /*resonance_check=*/true,
+                                        CrosstalkRule(), displacement));
 }
 
 } // namespace

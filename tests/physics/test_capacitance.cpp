@@ -7,12 +7,17 @@ namespace {
 
 TEST(Capacitance, MonotonicallyDecreasing)
 {
-    const CapacitanceModel m = CapacitanceModel::qubitQubit();
-    double prev = m.cp(0.0);
-    for (double d = 50.0; d <= 5000.0; d += 50.0) {
-        const double c = m.cp(d);
-        EXPECT_LT(c, prev) << "at d=" << d;
-        prev = c;
+    // Fig. 5 (qubits) and Fig. 6c (resonators): Cp grows as the
+    // components approach.
+    for (const CapacitanceModel &m :
+         {CapacitanceModel::qubitQubit(),
+          CapacitanceModel::resonatorResonator()}) {
+        double prev = m.cp(0.0);
+        for (double d = 50.0; d <= 5000.0; d += 50.0) {
+            const double c = m.cp(d);
+            EXPECT_LT(c, prev) << "at d=" << d;
+            prev = c;
+        }
     }
 }
 

@@ -211,12 +211,12 @@ TEST(FlowApi, NormalizedClassicDisablesFrequencyAwareness)
     FlowParams params;
     FlowParams n = params.normalized();
     EXPECT_TRUE(n.placer.freqForce);
-    EXPECT_TRUE(n.legalizer.integrationParams.resonanceCheck);
+    EXPECT_TRUE(n.legalizer.resonanceCheck);
 
     params.mode = PlacerMode::Classic;
     n = params.normalized();
     EXPECT_FALSE(n.placer.freqForce);
-    EXPECT_FALSE(n.legalizer.integrationParams.resonanceCheck);
+    EXPECT_FALSE(n.legalizer.resonanceCheck);
 }
 
 TEST(FlowApi, BadForceKnobsAreInvalidParamsNotStageErrors)

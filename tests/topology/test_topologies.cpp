@@ -26,7 +26,7 @@ PrintTo(const TopoSpec &spec, std::ostream *os)
 }
 
 // Table I qubit counts; coupler counts are the ones implied by the
-// paper's Table II cell counts (see DESIGN.md section 5).
+// paper's Table II cell counts (Table I lists qubits only).
 class PaperTopologies : public ::testing::TestWithParam<TopoSpec>
 {
 };
