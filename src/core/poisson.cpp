@@ -53,58 +53,42 @@ PoissonSolver::solve(const std::vector<double> &density) const
     rows(coeff, DctPlan::Kind::Dct2);
     cols(coeff, DctPlan::Kind::Dct2);
     const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
-    parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                coeff[i] *= norm;
-        },
-        ThreadPool::kGrainFine);
 
-    // Divide by the Laplacian eigenvalues; drop the DC term.
-    std::vector<double> psi_coeff(cells, 0.0);
+    // Scale to eigenbasis coefficients psi = coeff*norm / (wu^2 + wv^2),
+    // dropping the DC term, and the field coefficients of each axis
+    // (w_u * psi for xi_x, w_v * psi for xi_y), one grid row at a time.
+    Solution sol;
+    sol.potential.assign(cells, 0.0);
+    sol.fieldX.assign(cells, 0.0);
+    sol.fieldY.assign(cells, 0.0);
+    const auto nx = static_cast<std::size_t>(nx_);
     parallelFor(
-        pool_, cells,
+        pool_, static_cast<std::size_t>(ny_),
         [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const int u = static_cast<int>(i % nx_);
-                const int v = static_cast<int>(i / nx_);
-                if (u == 0 && v == 0)
-                    continue;
-                const double w2 = wu_[u] * wu_[u] + wv_[v] * wv_[v];
-                psi_coeff[i] = coeff[i] / w2;
+            for (std::size_t v = begin; v < end; ++v) {
+                const double wv = wv_[v];
+                const double wv2 = wv * wv;
+                for (std::size_t u = v == 0 ? 1 : 0; u < nx; ++u) {
+                    const std::size_t i = v * nx + u;
+                    const double psi =
+                        coeff[i] * norm / (wu_[u] * wu_[u] + wv2);
+                    sol.potential[i] = psi;
+                    sol.fieldX[i] = wu_[u] * psi;
+                    sol.fieldY[i] = wv * psi;
+                }
             }
         },
-        ThreadPool::kGrainFine);
+        ThreadPool::kGrainFine / nx);
 
-    Solution sol;
-
-    // Potential psi.
-    sol.potential = psi_coeff;
+    // Potential psi: cosine series in both axes.
     rows(sol.potential, DctPlan::Kind::CosSeries);
     cols(sol.potential, DctPlan::Kind::CosSeries);
 
-    // Field xi_x: sine series in x of (w_u * psi_coeff).
-    sol.fieldX.assign(cells, 0.0);
-    parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                sol.fieldX[i] = wu_[i % nx_] * psi_coeff[i];
-        },
-        ThreadPool::kGrainFine);
+    // Field xi_x: sine series in x of (w_u * psi).
     rows(sol.fieldX, DctPlan::Kind::SinSeries);
     cols(sol.fieldX, DctPlan::Kind::CosSeries);
 
-    // Field xi_y: sine series in y of (w_v * psi_coeff).
-    sol.fieldY.assign(cells, 0.0);
-    parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                sol.fieldY[i] = wv_[i / nx_] * psi_coeff[i];
-        },
-        ThreadPool::kGrainFine);
+    // Field xi_y: sine series in y of (w_v * psi).
     rows(sol.fieldY, DctPlan::Kind::CosSeries);
     cols(sol.fieldY, DctPlan::Kind::SinSeries);
 

@@ -19,11 +19,26 @@
  *  - the forward/inverse Makhoul post/pre-twiddles e^(+-i*pi*k/(2N)),
  *
  * while a DctScratch provides per-chunk reusable buffers so the
- * batched row/column passes transform in place without a single
- * allocation after warm-up. Every kernel is bitwise-identical to the
- * plan-free per-call kernel it replaced (same operations, same order;
- * only the transcendental evaluations are hoisted to plan
- * construction), which lives on as oracle::Dct in tests/oracles.
+ * batched row/column passes run without a single allocation after
+ * warm-up.
+ *
+ * One kernel, transformLines(), transforms a tile of lines at once,
+ * interleaved across lines: element k of line c is x[k*stride + c],
+ * and the FFT workspace splits real and imaginary parts into separate
+ * arrays laid out the same way (see FftPlan::execute). Every Makhoul
+ * reorder and twiddle, butterfly and SinSeries flip is an inner loop
+ * across the lines of the tile, which the compiler vectorizes. A
+ * column pass runs on the map in place with stride nx, a tile of
+ * adjacent columns at a time; a row pass transposes a tile of rows
+ * into the lane's tile buffer and back. apply() is the one-line case.
+ *
+ * Each element gets the same multiplies and adds, in the same order,
+ * as the plan-free per-line kernel (oracle::Dct in tests/oracles; only
+ * the transcendental evaluations are hoisted to plan construction), so
+ * on finite input every kernel is bitwise-identical to it. The one
+ * exception is std::complex's NaN-recovery branch, which the oracle
+ * takes when both parts of a product come out NaN: it only matters once
+ * a product overflows.
  *
  * Thread-safety: a plan is immutable and may be shared freely (see
  * PlanCache); a DctScratch must be owned by one transform call chain
@@ -49,9 +64,9 @@ class DctScratch
     /** Buffers one executing chunk (thread) transforms through. */
     struct Lane
     {
-        std::vector<FftPlan::Complex> spectrum; ///< FFT workspace.
-        std::vector<double> line; ///< Column gather/scatter row.
-        std::vector<double> flip; ///< sinSeries coefficient reversal.
+        std::vector<double> re;   ///< FFT workspace, real parts.
+        std::vector<double> im;   ///< FFT workspace, imaginary parts.
+        std::vector<double> tile; ///< Transposed tile of a row pass.
     };
 
     /**
@@ -92,16 +107,17 @@ class DctPlan
 
     /**
      * Apply @p kind in place to x[0..length()), working through
-     * @p lane.
+     * @p lane (the one-line case of transformLines).
      */
     void apply(Kind kind, double *x, DctScratch::Lane &lane) const;
 
     /**
      * Apply @p kind along every length-@p nx row of the row-major
      * @p ny x @p nx map (requires nx == length()), rows chunked
-     * across @p pool (null = serial) with one scratch lane per chunk.
-     * Rows are independent, so the result is bitwise-identical for any
-     * thread count.
+     * across @p pool (null = serial) with one scratch lane per chunk;
+     * a chunk transforms its rows a tile at a time through its lane's
+     * transposed tile. Rows are independent, so the result is
+     * bitwise-identical for any thread count.
      */
     void transformRows(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,
@@ -109,18 +125,21 @@ class DctPlan
 
     /**
      * Column-wise counterpart (requires ny == length()); each chunk
-     * gathers columns through its lane's reusable line buffer instead
-     * of allocating per-column vectors.
+     * transforms its columns in place on the map, a tile of adjacent
+     * columns at a time (stride nx).
      */
     void transformCols(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,
                        DctScratch &scratch) const;
 
   private:
-    void dct2(double *x, DctScratch::Lane &lane) const;
-    void idct2(double *x, DctScratch::Lane &lane) const;
-    void cosSeries(double *x, DctScratch::Lane &lane) const;
-    void sinSeries(double *x, DctScratch::Lane &lane) const;
+    /**
+     * Apply @p kind in place to @p lines interleaved lines, element k
+     * of line c being x[k*stride + c] (stride >= lines), working
+     * through @p lane.
+     */
+    void transformLines(Kind kind, double *x, std::size_t lines,
+                        std::size_t stride, DctScratch::Lane &lane) const;
 
     std::size_t n_;
     FftPlan fft_;

@@ -7,6 +7,48 @@
 
 namespace qplacer {
 
+namespace {
+
+void
+swapLines(double *__restrict a, double *__restrict b, std::size_t lines)
+{
+    for (std::size_t c = 0; c < lines; ++c)
+        std::swap(a[c], b[c]);
+}
+
+/**
+ * The radix-2 butterfly (u, v) -> (u + v*w, u - v*w) across a batch of
+ * lines, with the product v*w expanded the way std::complex evaluates
+ * it: (vr*wr - vi*wi) + i(vr*wi + vi*wr).
+ */
+void
+butterfly(double *__restrict ur, double *__restrict ui,
+          double *__restrict vr, double *__restrict vi,
+          FftPlan::Complex w, std::size_t lines)
+{
+    const double wr = w.real();
+    const double wi = w.imag();
+    for (std::size_t c = 0; c < lines; ++c) {
+        const double tr = vr[c] * wr - vi[c] * wi;
+        const double ti = vr[c] * wi + vi[c] * wr;
+        const double xr = ur[c];
+        const double xi = ui[c];
+        ur[c] = xr + tr;
+        ui[c] = xi + ti;
+        vr[c] = xr - tr;
+        vi[c] = xi - ti;
+    }
+}
+
+void
+scaleLine(double *__restrict x, double factor, std::size_t lines)
+{
+    for (std::size_t c = 0; c < lines; ++c)
+        x[c] *= factor;
+}
+
+} // namespace
+
 FftPlan::FftPlan(std::size_t n) : n_(n)
 {
     if (!isPowerOfTwo(n))
@@ -52,13 +94,18 @@ FftPlan::FftPlan(std::size_t n) : n_(n)
 }
 
 void
-FftPlan::execute(Complex *data, bool invert) const
+FftPlan::execute(double *re, double *im, std::size_t lines,
+                 std::size_t stride, bool invert) const
 {
     if (n_ == 1)
         return;
 
-    for (std::size_t s = 0; s < swapLo_.size(); ++s)
-        std::swap(data[swapLo_[s]], data[swapHi_[s]]);
+    for (std::size_t s = 0; s < swapLo_.size(); ++s) {
+        swapLines(re + swapLo_[s] * stride, re + swapHi_[s] * stride,
+                  lines);
+        swapLines(im + swapLo_[s] * stride, im + swapHi_[s] * stride,
+                  lines);
+    }
 
     const Complex *table =
         invert ? invTwiddle_.data() : fwdTwiddle_.data();
@@ -67,10 +114,10 @@ FftPlan::execute(Complex *data, bool invert) const
         const std::size_t half = len / 2;
         for (std::size_t i = 0; i < n_; i += len) {
             for (std::size_t k = 0; k < half; ++k) {
-                const Complex u = data[i + k];
-                const Complex v = data[i + k + half] * table[offset + k];
-                data[i + k] = u + v;
-                data[i + k + half] = u - v;
+                const std::size_t a = (i + k) * stride;
+                const std::size_t b = (i + k + half) * stride;
+                butterfly(re + a, im + a, re + b, im + b,
+                          table[offset + k], lines);
             }
         }
         offset += half;
@@ -78,8 +125,10 @@ FftPlan::execute(Complex *data, bool invert) const
 
     if (invert) {
         const double inv_n = 1.0 / static_cast<double>(n_);
-        for (std::size_t i = 0; i < n_; ++i)
-            data[i] *= inv_n;
+        for (std::size_t k = 0; k < n_; ++k) {
+            scaleLine(re + k * stride, inv_n, lines);
+            scaleLine(im + k * stride, inv_n, lines);
+        }
     }
 }
 

@@ -6,9 +6,21 @@
  * bit-reversal permutation on each call. An FftPlan hoists that work
  * to construction time: it stores the swap pairs of the bit-reversal
  * permutation and one twiddle table per butterfly stage, generated
- * with the iterated-product recurrence of the plan-free kernel, so
- * executing a plan is bitwise-identical to it on any input (the
- * plan-free kernel is the oracle::Fft the plan tests compare against).
+ * with the iterated-product recurrence of the plan-free kernel.
+ *
+ * One kernel, execute(), transforms a batch of lines at once. The
+ * lines are interleaved and split into real and imaginary arrays:
+ * element k of line c is re[k*stride + c] + i*im[k*stride + c]. Every
+ * butterfly then runs as an inner loop across the lines, which the
+ * compiler vectorizes. forward()/inverse() on one std::complex array
+ * are the one-line case (re/im = the interleaved parts, stride 2).
+ *
+ * Each element goes through the same multiplies and adds, in the same
+ * order, as the plan-free kernel (the oracle::Fft the plan tests
+ * compare against), so on finite input the result is bitwise-identical
+ * to it. Only std::complex's NaN-recovery branch, which re-evaluates a
+ * product whose real and imaginary parts both came out NaN, is not
+ * reproduced; it matters only once a product overflows.
  *
  * Plans are immutable after construction and safe to share across
  * threads; execution works in place on caller-owned buffers.
@@ -47,13 +59,27 @@ class FftPlan
      * In-place forward transform (no normalization) of
      * data[0..length()): X[k] = sum_n x[n] exp(-2*pi*i*k*n/N).
      */
-    void forward(Complex *data) const { execute(data, false); }
+    void forward(Complex *data) const { executeComplex(data, false); }
 
     /** In-place inverse transform, 1/N-normalized. */
-    void inverse(Complex *data) const { execute(data, true); }
+    void inverse(Complex *data) const { executeComplex(data, true); }
+
+    /**
+     * In-place forward (or 1/N-normalized inverse) transform of
+     * @p lines lines of length length(), element k of line c being
+     * re[k*stride + c] + i*im[k*stride + c]. Lines must not overlap.
+     */
+    void execute(double *re, double *im, std::size_t lines,
+                 std::size_t stride, bool invert) const;
 
   private:
-    void execute(Complex *data, bool invert) const;
+    /** One std::complex line: its interleaved parts at stride 2. */
+    void
+    executeComplex(Complex *data, bool invert) const
+    {
+        auto *parts = reinterpret_cast<double *>(data);
+        execute(parts, parts + 1, 1, 2, invert);
+    }
 
     std::size_t n_;
     /** Bit-reversal swap pairs (i < j only, in ascending i order). */

@@ -5,6 +5,10 @@
  * to the plan-free reference kernels (the 1-D Dct kernels and the
  * row/column oracle passes in tests/oracles), over random inputs at
  * every power-of-two length from 2 to 1024 and across thread counts.
+ * The batched passes transform tiles of lines, so the suite also
+ * covers chunk spans that are not a multiple of the tile (3 and 7
+ * threads), maps with fewer lines than one tile, and inputs seeded
+ * with signed zeros and subnormals.
  * The Poisson solver composes exactly these planned passes, so its
  * solutions are those of the plan-free kernels.
  */
@@ -12,7 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/poisson.hpp"
@@ -37,6 +44,22 @@ randomVector(std::size_t n, std::uint64_t seed)
     for (auto &x : v)
         x = rng.uniform(-2.0, 2.0);
     return v;
+}
+
+/**
+ * The inputs every kernel is checked on: uniform random values, and
+ * the same values with every third element replaced, in turn, by
+ * +0.0, -0.0, a positive and a negative subnormal.
+ */
+std::vector<std::vector<double>>
+inputs(std::size_t n, std::uint64_t seed)
+{
+    std::vector<double> special = randomVector(n, seed);
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double values[] = {0.0, -0.0, 12345.0 * tiny, -67.0 * tiny};
+    for (std::size_t i = 0; i < n; i += 3)
+        special[i] = values[(i / 3) % 4];
+    return {randomVector(n, seed), special};
 }
 
 /** memcmp equality: same bits, not merely same values. */
@@ -69,23 +92,26 @@ class PlanSizes : public ::testing::TestWithParam<std::size_t>
 TEST_P(PlanSizes, FftPlanMatchesFftBitwise)
 {
     const std::size_t n = GetParam();
-    const auto re = randomVector(n, 100 + n);
-    const auto im = randomVector(n, 200 + n);
-    std::vector<Fft::Complex> reference(n);
-    for (std::size_t i = 0; i < n; ++i)
-        reference[i] = Fft::Complex(re[i], im[i]);
-    std::vector<Fft::Complex> planned = reference;
-
+    const auto re = inputs(n, 100 + n);
+    const auto im = inputs(n, 200 + n);
     const FftPlan plan(n);
-    Fft::forward(reference);
-    plan.forward(planned.data());
-    ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
-                             n * sizeof(Fft::Complex)));
+    for (std::size_t input = 0; input < re.size(); ++input) {
+        SCOPED_TRACE(input);
+        std::vector<Fft::Complex> reference(n);
+        for (std::size_t i = 0; i < n; ++i)
+            reference[i] = Fft::Complex(re[input][i], im[input][i]);
+        std::vector<Fft::Complex> planned = reference;
 
-    Fft::inverse(reference);
-    plan.inverse(planned.data());
-    ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
-                             n * sizeof(Fft::Complex)));
+        Fft::forward(reference);
+        plan.forward(planned.data());
+        ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
+                                 n * sizeof(Fft::Complex)));
+
+        Fft::inverse(reference);
+        plan.inverse(planned.data());
+        ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
+                                 n * sizeof(Fft::Complex)));
+    }
 }
 
 TEST_P(PlanSizes, ApplyMatchesDctKernelsBitwise)
@@ -95,13 +121,14 @@ TEST_P(PlanSizes, ApplyMatchesDctKernelsBitwise)
     DctScratch scratch;
     scratch.ensure(1);
     for (const Dct::Kind kind : kKinds) {
-        const auto x =
-            randomVector(n, 300 + n + static_cast<std::size_t>(kind));
-        const std::vector<double> reference = Dct::apply(kind, x);
-        std::vector<double> planned = x;
-        plan.apply(kind, planned.data(), scratch.lane(0));
-        EXPECT_TRUE(bitwiseEqual(reference, planned))
-            << "kind " << static_cast<int>(kind) << " length " << n;
+        for (const auto &x :
+             inputs(n, 300 + n + static_cast<std::size_t>(kind))) {
+            const std::vector<double> reference = Dct::apply(kind, x);
+            std::vector<double> planned = x;
+            plan.apply(kind, planned.data(), scratch.lane(0));
+            EXPECT_TRUE(bitwiseEqual(reference, planned))
+                << "kind " << static_cast<int>(kind) << " length " << n;
+        }
     }
 }
 
@@ -144,43 +171,55 @@ class PlanThreads : public ::testing::TestWithParam<int>
     std::unique_ptr<ThreadPool> pool_;
 };
 
+// Each pass runs on three maps: one whose lines engage the pool (more
+// than kGrainCoarse of them), one with fewer lines than a tile of the
+// batched pass, and one of length-2 lines.
+
 TEST_P(PlanThreads, TransformRowsMatchesUnplannedBitwise)
 {
-    const int nx = 64;
-    const int ny = 128; // Above kGrainCoarse so the pool engages.
-    for (const Dct::Kind kind : kKinds) {
-        const auto map = randomVector(
-            static_cast<std::size_t>(nx) * ny,
-            500 + static_cast<std::size_t>(kind));
-        std::vector<double> reference = map;
-        std::vector<double> planned = map;
-        oracle::transformRowsUnplanned(reference, nx, ny, kind, pool());
-        DctScratch scratch;
-        PlanCache::dct(nx)->transformRows(planned, nx, ny, kind, pool(),
-                                          scratch);
-        EXPECT_TRUE(bitwiseEqual(reference, planned))
-            << "kind " << static_cast<int>(kind) << " threads "
-            << GetParam();
+    const std::pair<int, int> shapes[] = {{64, 128}, {1024, 2}, {2, 1024}};
+    for (std::size_t shape = 0; shape < std::size(shapes); ++shape) {
+        const auto [nx, ny] = shapes[shape];
+        for (const Dct::Kind kind : kKinds) {
+            for (const auto &map :
+                 inputs(static_cast<std::size_t>(nx) * ny,
+                        500 + 8 * shape + static_cast<std::size_t>(kind))) {
+                std::vector<double> reference = map;
+                std::vector<double> planned = map;
+                oracle::transformRowsUnplanned(reference, nx, ny, kind,
+                                               pool());
+                DctScratch scratch;
+                PlanCache::dct(nx)->transformRows(planned, nx, ny, kind,
+                                                  pool(), scratch);
+                EXPECT_TRUE(bitwiseEqual(reference, planned))
+                    << nx << "x" << ny << " kind " << static_cast<int>(kind)
+                    << " threads " << GetParam();
+            }
+        }
     }
 }
 
 TEST_P(PlanThreads, TransformColsMatchesUnplannedBitwise)
 {
-    const int nx = 128;
-    const int ny = 64;
-    for (const Dct::Kind kind : kKinds) {
-        const auto map = randomVector(
-            static_cast<std::size_t>(nx) * ny,
-            600 + static_cast<std::size_t>(kind));
-        std::vector<double> reference = map;
-        std::vector<double> planned = map;
-        oracle::transformColsUnplanned(reference, nx, ny, kind, pool());
-        DctScratch scratch;
-        PlanCache::dct(ny)->transformCols(planned, nx, ny, kind, pool(),
-                                          scratch);
-        EXPECT_TRUE(bitwiseEqual(reference, planned))
-            << "kind " << static_cast<int>(kind) << " threads "
-            << GetParam();
+    const std::pair<int, int> shapes[] = {{128, 64}, {2, 1024}, {1024, 2}};
+    for (std::size_t shape = 0; shape < std::size(shapes); ++shape) {
+        const auto [nx, ny] = shapes[shape];
+        for (const Dct::Kind kind : kKinds) {
+            for (const auto &map :
+                 inputs(static_cast<std::size_t>(nx) * ny,
+                        600 + 8 * shape + static_cast<std::size_t>(kind))) {
+                std::vector<double> reference = map;
+                std::vector<double> planned = map;
+                oracle::transformColsUnplanned(reference, nx, ny, kind,
+                                               pool());
+                DctScratch scratch;
+                PlanCache::dct(ny)->transformCols(planned, nx, ny, kind,
+                                                  pool(), scratch);
+                EXPECT_TRUE(bitwiseEqual(reference, planned))
+                    << nx << "x" << ny << " kind " << static_cast<int>(kind)
+                    << " threads " << GetParam();
+            }
+        }
     }
 }
 
@@ -203,8 +242,10 @@ TEST_P(PlanThreads, RepeatedSolvesReuseScratchBitwise)
     EXPECT_TRUE(bitwiseEqual(first.fieldY, again.fieldY));
 }
 
+// 3 and 7 threads split the lines into chunk spans that are not a
+// multiple of the pass tile.
 INSTANTIATE_TEST_SUITE_P(Threads, PlanThreads,
-                         ::testing::Values(1, 2, 8));
+                         ::testing::Values(1, 2, 3, 7, 8));
 
 TEST(PlanCache, SharesOnePlanPerLength)
 {
