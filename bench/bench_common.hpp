@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared helpers for the benchmark drivers: the paper-figure drivers
- * whose output is an artifact (a layout, a sweep table) and the engine
- * benches. The paper's headline claims are asserted by `ctest -L paper`
- * instead (docs/ARCHITECTURE.md, "The paper-claim suite").
+ * whose output is a table (the l_b sweep, the design ablation) and the
+ * engine benches. The paper's headline claims are asserted by
+ * `ctest -L paper` instead (docs/ARCHITECTURE.md, "The paper-claim
+ * suite").
  *
  * Environment overrides:
  *   QP_SUBSETS   mappings per benchmark (default 50, the paper's count)

@@ -254,8 +254,10 @@ Legalizer::isLegal(const Netlist &netlist, double tol_um)
     }
     for (const Instance &inst : instances) {
         const Rect mine = inst.paddedRect();
+        // A box query: footprints that meet at a corner can overlap with
+        // centres farther apart than any one extent.
         for (std::int32_t other :
-             hash.query(inst.pos, max_extent + tol_um)) {
+             hash.queryRect(mine.inflated(max_extent / 2.0 + tol_um))) {
             if (other <= inst.id)
                 continue;
             const Rect theirs = instances[other].paddedRect();

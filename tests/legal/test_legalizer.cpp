@@ -71,6 +71,20 @@ TEST(Legalizer, IsLegalDetectsOverlap)
     // Force an overlap.
     nl.instance(1).pos = nl.instance(0).pos;
     EXPECT_FALSE(Legalizer::isLegal(nl));
+
+    // Two 800 um padded qubits overlapping 160 x 160 um at a corner:
+    // their centres are 905 um apart, farther than one padded extent.
+    Netlist corner;
+    corner.setRegion(Rect(0.0, 0.0, 4000.0, 4000.0));
+    for (const Vec2 pos : {Vec2(1000.0, 1000.0), Vec2(1640.0, 1640.0)}) {
+        Instance qubit;
+        qubit.width = 400.0;
+        qubit.height = 400.0;
+        qubit.pad = 400.0;
+        qubit.pos = pos;
+        corner.addInstance(qubit);
+    }
+    EXPECT_FALSE(Legalizer::isLegal(corner));
 }
 
 TEST(Legalizer, IsLegalDetectsOutOfRegion)
