@@ -5,8 +5,8 @@
  *
  * For each topology the driver splats the real netlist density once,
  * then times PoissonSolver::solve and the full DensityModel::evaluate
- * at 1, 2, 4, and 8 threads, verifying that every threaded solution
- * matches the serial one within 1e-9. Results go to stdout and a CSV
+ * at 1, 2, 4, and 8 threads, verifying that both threaded field maps
+ * match the serial ones within 1e-9. Results go to stdout and a CSV
  * (first argv, default parallel_density.csv) for the nightly CI
  * artifact trail.
  *
@@ -54,11 +54,9 @@ solutionDiff(const PoissonSolver::Solution &a,
              const PoissonSolver::Solution &b)
 {
     const double scale = std::max(
-        1.0, std::max({maxAbsValue(b.potential), maxAbsValue(b.fieldX),
-                       maxAbsValue(b.fieldY)}));
-    return std::max({maxAbsDiff(a.potential, b.potential),
-                     maxAbsDiff(a.fieldX, b.fieldX),
-                     maxAbsDiff(a.fieldY, b.fieldY)}) /
+        1.0, std::max(maxAbsValue(b.fieldX), maxAbsValue(b.fieldY)));
+    return std::max(maxAbsDiff(a.fieldX, b.fieldX),
+                    maxAbsDiff(a.fieldY, b.fieldY)) /
            scale;
 }
 
@@ -113,7 +111,7 @@ main(int argc, char **argv)
                 const PoissonSolver::Solution sol =
                     solver.solve(density);
                 // Defeat over-eager optimizers.
-                if (sol.potential.empty())
+                if (sol.fieldX.empty())
                     std::printf("impossible\n");
             }
             const double solve_ms = solve_timer.millis() / reps;

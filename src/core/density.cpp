@@ -33,7 +33,7 @@ DensityModel::autoBinCount(int num_instances)
     return bins;
 }
 
-double
+void
 DensityModel::evaluate(const std::vector<Vec2> &positions,
                        std::vector<Vec2> &gradient)
 {
@@ -54,7 +54,6 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
                                      inst.paddedHeight());
                 grid_.splat(fp, inst.paddedArea(), bins);
             }
-            return 0.0;
         },
         ThreadPool::kGrainMedium);
 
@@ -89,33 +88,27 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
 
     PoissonSolver::Solution sol = solver_.solve(density);
 
-    // Energy and per-instance gradient: sample psi / xi over the
-    // footprint (area-weighted average over overlapped bins).
-    BinGrid psi(grid_.region(), grid_.nx(), grid_.ny());
+    // Per-instance gradient: sample xi over the footprint (area-weighted
+    // average over overlapped bins).
     BinGrid ex(grid_.region(), grid_.nx(), grid_.ny());
     BinGrid ey(grid_.region(), grid_.nx(), grid_.ny());
-    psi.data() = std::move(sol.potential);
     ex.data() = std::move(sol.fieldX);
     ey.data() = std::move(sol.fieldY);
 
-    // Instances are sampled independently; only the energy is summed.
-    return parallelReduce(
+    parallelFor(
         pool_, instances.size(),
         [&](std::size_t begin, std::size_t end) {
-            double energy = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
                 const Instance &inst = instances[i];
                 const double q = inst.paddedArea();
                 const Rect fp =
                     Rect::fromCenter(positions[i], inst.paddedWidth(),
                                      inst.paddedHeight());
-                energy += q * psi.sample(fp);
                 // d(energy)/dx = -q * xi_x (descending moves along the
                 // field).
                 gradient[i].x = -q * ex.sample(fp);
                 gradient[i].y = -q * ey.sample(fp);
             }
-            return energy;
         },
         ThreadPool::kGrainMedium);
 }

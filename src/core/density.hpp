@@ -3,9 +3,8 @@
  * Electrostatic density penalty D(x, y) (Eq. 11/13).
  *
  * Instances are charges of magnitude equal to their padded area; the
- * density map is splatted onto a bin grid, the Poisson potential is
- * solved spectrally, and each instance feels force = charge * field.
- * The penalty value is the total potential energy sum_i q_i psi(x_i).
+ * density map is splatted onto a bin grid, the Poisson field is solved
+ * spectrally, and each instance feels force = charge * field.
  */
 
 #ifndef QPLACER_CORE_DENSITY_HPP
@@ -37,14 +36,13 @@ class DensityModel
                  ThreadPool *pool = nullptr);
 
     /**
-     * Evaluate the density penalty at @p positions.
+     * Gradient of the density penalty at @p positions.
      * @param positions Instance centers.
      * @param gradient  Output gradient (resized/zeroed inside):
      *                  d(energy)/d(x_i) = -q_i * xi_x(x_i).
-     * @return electrostatic energy sum_i q_i psi_i.
      */
-    double evaluate(const std::vector<Vec2> &positions,
-                    std::vector<Vec2> &gradient);
+    void evaluate(const std::vector<Vec2> &positions,
+                  std::vector<Vec2> &gradient);
 
     /**
      * Density overflow after the last evaluate(): total charge above the

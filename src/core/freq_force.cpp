@@ -160,7 +160,7 @@ FreqForceModel::resonantNeighbours(const Grid &grid,
     }
 }
 
-double
+void
 FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                          std::vector<Vec2> &gradient) const
 {
@@ -169,7 +169,7 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     gradient.assign(positions.size(), Vec2());
     const Grid grid = bucketPositions(positions);
     if (grid.nx == 0)
-        return 0.0;
+        return;
 
     // Each unordered pair is handled once, by its lower index i, and
     // pushes both endpoints; pairs are chunked over i. Within i the
@@ -181,11 +181,10 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     if (nearScratch_.size() < chunks)
         nearScratch_.resize(chunks);
 
-    return parallelScatter(
+    parallelScatter(
         pool_, n, std::span<Vec2>(gradient),
         [&](int chunk, std::size_t begin, std::size_t end, Vec2 *g) {
             std::vector<std::int32_t> &near = nearScratch_[chunk];
-            double potential = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
                 if (cellOf_[i] < 0)
                     continue; // non-finite position
@@ -214,14 +213,12 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                         delta = delta * (d_min / d);
                         d = d_min;
                     }
-                    potential += s * (1.0 / d - 1.0 / radius);
                     // dU/dx_i = -s (x_i - x_j) / d^3.
                     const double coef = -s / (d * d * d);
                     g[i] += delta * coef;
                     g[j] -= delta * coef;
                 }
             }
-            return potential;
         },
         ThreadPool::kGrainMedium);
 }

@@ -49,14 +49,14 @@ class FreqForceModel
                    ThreadPool *pool = nullptr);
 
     /**
-     * Truncated Coulomb potential
-     *   U = sum_pairs s_ij * (1/dist - 1/R_ij)  for dist < R_ij
-     * and its gradient. Distances are clamped below at a fraction of
-     * the instance size to keep the force finite when instances
-     * coincide. Instances at non-finite positions feel no force.
+     * Gradient of the truncated Coulomb potential
+     *   U = sum_pairs s_ij * (1/dist - 1/R_ij)  for dist < R_ij.
+     * Distances are clamped below at a fraction of the instance size to
+     * keep the force finite when instances coincide. Instances at
+     * non-finite positions feel no force.
      */
-    double evaluate(const std::vector<Vec2> &positions,
-                    std::vector<Vec2> &gradient) const;
+    void evaluate(const std::vector<Vec2> &positions,
+                  std::vector<Vec2> &gradient) const;
 
   private:
     /** One bucketed instance; a cell's slots ascend in frequency. */

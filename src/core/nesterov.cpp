@@ -51,7 +51,7 @@ NesterovOptimizer::clamp(std::vector<Vec2> &positions) const
         ThreadPool::kGrainFine);
 }
 
-double
+void
 NesterovOptimizer::step(const std::vector<Vec2> &gradient)
 {
     if (gradient.size() != v_.size())
@@ -142,7 +142,6 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
 
     x_ = std::move(x_new);
     theta_ = theta_new;
-    return alpha;
 }
 
 } // namespace qplacer

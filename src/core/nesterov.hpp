@@ -49,11 +49,8 @@ class NesterovOptimizer
     /** Current major solution. */
     const std::vector<Vec2> &solution() const { return x_; }
 
-    /**
-     * Advance one iteration given the gradient at lookahead().
-     * @return the step length used.
-     */
-    double step(const std::vector<Vec2> &gradient);
+    /** Advance one iteration given the gradient at lookahead(). */
+    void step(const std::vector<Vec2> &gradient);
 
   private:
     void clamp(std::vector<Vec2> &positions) const;

@@ -77,15 +77,14 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
     }
 }
 
-PlacementObjective::Components
+void
 PlacementObjective::evaluate(const std::vector<Vec2> &positions,
                              std::vector<Vec2> &gradient)
 {
-    Components out;
-    out.wirelength = wirelength_.evaluate(positions, gradWl_);
-    out.density = density_.evaluate(positions, gradDen_);
+    wirelength_.evaluate(positions, gradWl_);
+    density_.evaluate(positions, gradDen_);
     if (freqForce_) {
-        out.freq = freqForce_->evaluate(positions, gradFreq_);
+        freqForce_->evaluate(positions, gradFreq_);
         // The truncated force is often dormant at the warm start (all
         // pairs isolated); its multiplier starts the first time it
         // produces a gradient.
@@ -94,15 +93,10 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
         gradFreq_.assign(positions.size(), Vec2());
     }
     if (cutPenalty_) {
-        out.cut = cutPenalty_->evaluate(positions, gradCut_);
+        cutPenalty_->evaluate(positions, gradCut_);
         // Likewise, until some net actually crosses a cut.
         activate(cut_, params_.cutWeight, gradCut_);
     }
-
-    out.total =
-        out.wirelength + lambda_ * out.density + freq_.lambda * out.freq;
-    if (cutPenalty_)
-        out.total += cut_.lambda * out.cut;
 
     gradient.assign(positions.size(), Vec2());
     const auto &instances = netlist_.instances();
@@ -127,7 +121,6 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
             }
         },
         ThreadPool::kGrainFine);
-    return out;
 }
 
 void

@@ -37,22 +37,14 @@ class PlacementObjective
                        const CrosstalkRule &rule,
                        ThreadPool *pool = nullptr);
 
-    /** Component values from the last evaluate(). */
-    struct Components
-    {
-        double wirelength = 0.0;
-        double density = 0.0;
-        double freq = 0.0;
-        double cut = 0.0; ///< Multi-die cut-crossing penalty (else 0).
-        double total = 0.0;
-    };
-
     /**
-     * Evaluate the penalized objective and its gradient (per instance,
-     * Jacobi-preconditioned by net degree + lambda * charge).
+     * Gradient of the penalized objective (per instance,
+     * Jacobi-preconditioned by net degree + lambda * charge). Every
+     * term is gradient-only: the Nesterov step reads the gradient and
+     * the density overflow, never an objective value.
      */
-    Components evaluate(const std::vector<Vec2> &positions,
-                        std::vector<Vec2> &gradient);
+    void evaluate(const std::vector<Vec2> &positions,
+                  std::vector<Vec2> &gradient);
 
     /**
      * Initialize lambda and lambda_f from the gradient norms at @p

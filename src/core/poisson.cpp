@@ -54,11 +54,10 @@ PoissonSolver::solve(const std::vector<double> &density) const
     cols(coeff, DctPlan::Kind::Dct2);
     const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
 
-    // Scale to eigenbasis coefficients psi = coeff*norm / (wu^2 + wv^2),
-    // dropping the DC term, and the field coefficients of each axis
-    // (w_u * psi for xi_x, w_v * psi for xi_y), one grid row at a time.
+    // Scale to the field coefficients of each axis (w_u * psi for xi_x,
+    // w_v * psi for xi_y, with psi = coeff*norm / (wu^2 + wv^2)),
+    // dropping the DC term, one grid row at a time.
     Solution sol;
-    sol.potential.assign(cells, 0.0);
     sol.fieldX.assign(cells, 0.0);
     sol.fieldY.assign(cells, 0.0);
     const auto nx = static_cast<std::size_t>(nx_);
@@ -72,17 +71,12 @@ PoissonSolver::solve(const std::vector<double> &density) const
                     const std::size_t i = v * nx + u;
                     const double psi =
                         coeff[i] * norm / (wu_[u] * wu_[u] + wv2);
-                    sol.potential[i] = psi;
                     sol.fieldX[i] = wu_[u] * psi;
                     sol.fieldY[i] = wv * psi;
                 }
             }
         },
         ThreadPool::kGrainFine / nx);
-
-    // Potential psi: cosine series in both axes.
-    rows(sol.potential, DctPlan::Kind::CosSeries);
-    cols(sol.potential, DctPlan::Kind::CosSeries);
 
     // Field xi_x: sine series in x of (w_u * psi).
     rows(sol.fieldX, DctPlan::Kind::SinSeries);

@@ -6,8 +6,9 @@
  * Given a charge density map rho, solves
  *     laplacian(psi) = -rho
  * by expanding rho in the cosine eigenbasis cos(w_u x) cos(w_v y),
- * dividing by (w_u^2 + w_v^2), and evaluating the potential psi and the
- * field xi = -grad(psi) via the DCT/DST kernels in math/dct.
+ * dividing by (w_u^2 + w_v^2), and evaluating only the field
+ * xi = -grad(psi) as sine/cosine series: the placer reads the forces,
+ * never the potential itself.
  *
  * The solver grabs the cached DctPlans for its row/column lengths at
  * construction and runs every transform pass through them with owned,
@@ -46,9 +47,8 @@ class PoissonSolver
     /** Result maps, row-major (index = iy*nx + ix). */
     struct Solution
     {
-        std::vector<double> potential; ///< psi.
-        std::vector<double> fieldX;    ///< xi_x = -d(psi)/dx.
-        std::vector<double> fieldY;    ///< xi_y = -d(psi)/dy.
+        std::vector<double> fieldX; ///< xi_x = -d(psi)/dx.
+        std::vector<double> fieldY; ///< xi_y = -d(psi)/dy.
     };
 
     /**

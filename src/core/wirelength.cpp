@@ -23,7 +23,7 @@ WirelengthModel::setGamma(double gamma)
     gamma_ = gamma;
 }
 
-double
+void
 WirelengthModel::evaluate(const std::vector<Vec2> &positions,
                           std::vector<Vec2> &gradient) const
 {
@@ -32,31 +32,23 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
     // For a 2-pin net the log-sum-exp wirelength reduces to the stable
     // closed form |d| + 2*gamma*log1p(exp(-|d|/gamma)) per axis, with
     // gradient tanh(d / (2*gamma)).
-    auto axis = [this](double d, double &value, double &grad) {
-        const double a = std::abs(d);
-        value = a + 2.0 * gamma_ * std::log1p(std::exp(-a / gamma_));
-        grad = std::tanh(d / (2.0 * gamma_));
-    };
+    auto axis = [this](double d) { return std::tanh(d / (2.0 * gamma_)); };
 
     const auto &nets = netlist_.nets();
-    return parallelScatter(
+    parallelScatter(
         pool_, nets.size(), std::span<Vec2>(gradient),
         [&](int, std::size_t begin, std::size_t end, Vec2 *g) {
-            double acc = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
                 const Net &net = nets[i];
                 const Vec2 &pa = positions[net.a];
                 const Vec2 &pb = positions[net.b];
-                double vx, gx, vy, gy;
-                axis(pa.x - pb.x, vx, gx);
-                axis(pa.y - pb.y, vy, gy);
-                acc += net.weight * (vx + vy);
+                const double gx = axis(pa.x - pb.x);
+                const double gy = axis(pa.y - pb.y);
                 g[net.a].x += net.weight * gx;
                 g[net.a].y += net.weight * gy;
                 g[net.b].x -= net.weight * gx;
                 g[net.b].y -= net.weight * gy;
             }
-            return acc;
         },
         ThreadPool::kGrainMedium);
 }

@@ -1,7 +1,9 @@
 /**
  * @file
- * Smooth wirelength model: per-net log-sum-exp approximation of HPWL
- * with analytic gradient (the WL(e; x, y) term of Eq. 12).
+ * Smooth wirelength model: the analytic gradient of the per-net
+ * log-sum-exp approximation of HPWL (the WL(e; x, y) term of Eq. 12).
+ * The optimizer reads only the gradient, so the smooth value itself is
+ * never formed; hpwl() is the exact reporting metric.
  */
 
 #ifndef QPLACER_CORE_WIRELENGTH_HPP
@@ -30,13 +32,12 @@ class WirelengthModel
                     ThreadPool *pool = nullptr);
 
     /**
-     * Smooth wirelength of the current @p positions and its gradient.
+     * Gradient of the smooth wirelength at @p positions.
      * @param positions   Center per instance.
      * @param gradient    Output (resized and overwritten).
-     * @return smooth wirelength value (um).
      */
-    double evaluate(const std::vector<Vec2> &positions,
-                    std::vector<Vec2> &gradient) const;
+    void evaluate(const std::vector<Vec2> &positions,
+                  std::vector<Vec2> &gradient) const;
 
     /** Exact half-perimeter wirelength (reporting metric). */
     double hpwl(const std::vector<Vec2> &positions) const;

@@ -12,12 +12,11 @@ CutPenaltyModel::CutPenaltyModel(const Netlist &netlist, const DiePlan &plan)
 {
 }
 
-double
+void
 CutPenaltyModel::evaluate(const std::vector<Vec2> &positions,
                           std::vector<Vec2> &gradient) const
 {
     gradient.assign(positions.size(), Vec2());
-    double total = 0.0;
     for (const Net &net : netlist_.nets()) {
         const std::size_t a = static_cast<std::size_t>(net.a);
         const std::size_t b = static_cast<std::size_t>(net.b);
@@ -33,7 +32,6 @@ CutPenaltyModel::evaluate(const std::vector<Vec2> &positions,
             const double prod = da * db;
             if (prod >= 0.0)
                 continue; // Same side of the cut: no penalty.
-            total += -prod * scale;
             // d(-da*db)/da = -db (> 0 when da < 0): the gradient pushes
             // each endpoint toward -- and past -- the cut line.
             if (cut.vertical) {
@@ -45,7 +43,6 @@ CutPenaltyModel::evaluate(const std::vector<Vec2> &positions,
             }
         }
     }
-    return total;
 }
 
 } // namespace qplacer

@@ -34,11 +34,11 @@ class CutPenaltyModel
     CutPenaltyModel(const Netlist &netlist, const DiePlan &plan);
 
     /**
-     * Total penalty at @p positions; @p gradient is resized and
-     * overwritten with dF/dposition per instance.
+     * Gradient of the penalty at @p positions: @p gradient is resized
+     * and overwritten with dF/dposition per instance.
      */
-    double evaluate(const std::vector<Vec2> &positions,
-                    std::vector<Vec2> &gradient) const;
+    void evaluate(const std::vector<Vec2> &positions,
+                  std::vector<Vec2> &gradient) const;
 
   private:
     const Netlist &netlist_;

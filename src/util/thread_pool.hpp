@@ -6,13 +6,13 @@
  *
  * The pool splits an index range [0, n) into exactly threads() chunks
  * with boundaries that depend only on (n, threads()) and runs one
- * chunk per thread (chunk 0 on the caller). parallelReduce and
- * parallelScatter then fold the per-chunk partials in chunk-index
- * order, so every parallel region is bitwise-deterministic for a fixed
- * thread count. Different thread counts split the sums differently:
- * one evaluation differs only in rounding, but those differences
- * compound over a placement's iterations, so whole layouts do differ
- * between thread counts.
+ * chunk per thread (chunk 0 on the caller). parallelReduce folds the
+ * per-chunk partials, and parallelScatter the per-chunk slices, in
+ * chunk-index order, so every parallel region is bitwise-deterministic
+ * for a fixed thread count. Different thread counts split the sums
+ * differently: one evaluation differs only in rounding, but those
+ * differences compound over a placement's iterations, so whole layouts
+ * do differ between thread counts.
  *
  * With threads() == 1 (or a null pool passed to the free helpers) the
  * range runs serially as a single chunk on the calling thread.
@@ -213,15 +213,13 @@ parallelReduce(ThreadPool *pool, std::size_t n, const Body &body,
 /**
  * Chunked scatter over [0, n) into @p out.
  * body(chunk, begin, end, slice) accumulates the items [begin, end)
- * into slice[0, out.size()), a zeroed array of its chunk's own, and
- * returns a scalar partial. Chunk 0's slice is @p out itself, so a
- * region that runs as one chunk allocates no slice and sums nothing.
- * Otherwise each element ends as the sum of the slices in chunk-index
- * order. Returns the chunk-ordered sum of the scalars, as
- * parallelReduce.
+ * into slice[0, out.size()), a zeroed array of its chunk's own. Chunk
+ * 0's slice is @p out itself, so a region that runs as one chunk
+ * allocates no slice and sums nothing. Otherwise each element ends as
+ * the sum of the slices in chunk-index order.
  */
 template <class T, class Body>
-double
+void
 parallelScatter(ThreadPool *pool, std::size_t n, std::span<T> out,
                 const Body &body, std::size_t serial_below = 0)
 {
@@ -230,14 +228,15 @@ parallelScatter(ThreadPool *pool, std::size_t n, std::span<T> out,
         parallelChunkCount(pool, n, serial_below));
     std::fill(out.begin(), out.end(), T{});
     std::vector<T> slices((chunks - 1) * width);
-    const std::vector<double> partial = detail::chunkPartials<double>(
-        pool, n, serial_below,
+    parallelForChunks(
+        pool, n,
         [&](int chunk, std::size_t begin, std::size_t end) {
             const auto c = static_cast<std::size_t>(chunk);
             T *slice =
                 c == 0 ? out.data() : slices.data() + (c - 1) * width;
-            return body(chunk, begin, end, slice);
-        });
+            body(chunk, begin, end, slice);
+        },
+        serial_below);
     if (chunks > 1) {
         parallelFor(
             pool, width,
@@ -251,7 +250,6 @@ parallelScatter(ThreadPool *pool, std::size_t n, std::span<T> out,
             },
             ThreadPool::kGrainFine);
     }
-    return detail::foldPartials(partial, std::plus<>());
 }
 
 } // namespace qplacer

@@ -58,19 +58,6 @@ TEST(Density, GradientPushesApartStackedInstances)
     EXPECT_LT(grad[1].x, 0.0);
 }
 
-TEST(Density, EnergyDropsWhenSpreading)
-{
-    Netlist nl = blockNetlist(4, 400, 4000);
-    DensityModel model(nl, 32, 0.9);
-    std::vector<Vec2> grad;
-    const std::vector<Vec2> stacked(4, Vec2(2000, 2000));
-    const double e_stacked = model.evaluate(stacked, grad);
-    const std::vector<Vec2> spread{
-        {800, 800}, {3200, 800}, {800, 3200}, {3200, 3200}};
-    const double e_spread = model.evaluate(spread, grad);
-    EXPECT_LT(e_spread, e_stacked);
-}
-
 TEST(Density, AutoBinCountIsPowerOfTwoInRange)
 {
     EXPECT_EQ(DensityModel::autoBinCount(10), 32);

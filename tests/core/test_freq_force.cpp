@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/freq_force.hpp"
+#include "oracles/oracles.hpp"
 
 namespace qplacer {
 namespace {
@@ -38,6 +39,24 @@ freqNetlist(const std::vector<double> &freqs,
     return nl;
 }
 
+/** True if instance @p i feels any force. */
+bool
+pushed(const std::vector<Vec2> &grad, std::size_t i)
+{
+    return grad[i].x != 0.0 || grad[i].y != 0.0;
+}
+
+/** True if some gradient component is non-zero. */
+bool
+anyForce(const std::vector<Vec2> &grad)
+{
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+        if (pushed(grad, i))
+            return true;
+    }
+    return false;
+}
+
 TEST(FreqForce, ResonantPairsRepel)
 {
     const Netlist nl =
@@ -45,8 +64,7 @@ TEST(FreqForce, ResonantPairsRepel)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1500, 1000}};
     std::vector<Vec2> grad;
-    const double u = model.evaluate(pos, grad);
-    EXPECT_GT(u, 0.0);
+    model.evaluate(pos, grad);
     // Descending the gradient pushes them apart along x.
     EXPECT_GT(grad[0].x, 0.0);
     EXPECT_LT(grad[1].x, 0.0);
@@ -59,8 +77,8 @@ TEST(FreqForce, DetunedPairsIgnoreEachOther)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_DOUBLE_EQ(model.evaluate(pos, grad), 0.0);
-    EXPECT_EQ(grad[0].x, 0.0);
+    model.evaluate(pos, grad);
+    EXPECT_FALSE(anyForce(grad));
 }
 
 TEST(FreqForce, TruncatedBeyondCutoff)
@@ -70,19 +88,29 @@ TEST(FreqForce, TruncatedBeyondCutoff)
     // charge = 800 each -> cutoff radius 0.8 * 1600 = 1280 um.
     std::vector<Vec2> far{{1000, 1000}, {3000, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_DOUBLE_EQ(model.evaluate(far, grad), 0.0);
+    model.evaluate(far, grad);
+    EXPECT_FALSE(anyForce(grad));
 
     std::vector<Vec2> near{{1000, 1000}, {2000, 1000}};
-    EXPECT_GT(model.evaluate(near, grad), 0.0);
+    model.evaluate(near, grad);
+    EXPECT_TRUE(anyForce(grad));
 }
 
 TEST(FreqForce, PotentialContinuousAtCutoff)
 {
     const Netlist nl = freqNetlist({5.0e9, 5.0e9}, {-1, -1});
+    // The production model forms only the gradient; the potential it
+    // descends is the pair-list oracle's, whose gradient it reproduces.
     const FreqForceModel model(nl, 0.1e9, 0.8);
-    std::vector<Vec2> grad;
+    const oracle::PairListFreqForce potential(nl, 0.1e9, 0.8, nullptr);
     std::vector<Vec2> pos{{0, 0}, {1279.9, 0}};
-    const double just_inside = model.evaluate(pos, grad);
+    std::vector<Vec2> grad;
+    std::vector<Vec2> oracle_grad;
+    model.evaluate(pos, grad);
+    const double just_inside = potential.evaluate(pos, oracle_grad);
+    EXPECT_TRUE(anyForce(grad));
+    EXPECT_EQ(grad[0].x, oracle_grad[0].x);
+    EXPECT_EQ(grad[1].x, oracle_grad[1].x);
     EXPECT_NEAR(just_inside, 0.0, 1.0); // ~0 at the boundary
 }
 
@@ -91,6 +119,7 @@ TEST(FreqForce, GradientMatchesFiniteDifference)
     const Netlist nl =
         freqNetlist({5.0e9, 5.05e9, 5.02e9}, {-1, -1, -1});
     const FreqForceModel model(nl, 0.1e9);
+    const oracle::PairListFreqForce potential(nl, 0.1e9, 0.75, nullptr);
     std::vector<Vec2> pos{{900, 1000}, {1500, 1100}, {1100, 1600}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -102,9 +131,9 @@ TEST(FreqForce, GradientMatchesFiniteDifference)
         auto minus = pos;
         plus[i].x += h;
         minus[i].x -= h;
-        const double fd =
-            (model.evaluate(plus, dummy) - model.evaluate(minus, dummy)) /
-            (2 * h);
+        const double fd = (potential.evaluate(plus, dummy) -
+                           potential.evaluate(minus, dummy)) /
+                          (2 * h);
         EXPECT_NEAR(grad[i].x, fd, 1e-4 * (1.0 + std::abs(fd)));
     }
 }
@@ -115,10 +144,10 @@ TEST(FreqForce, CoincidentInstancesGetFinitePush)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1000, 1000}};
     std::vector<Vec2> grad;
-    const double u = model.evaluate(pos, grad);
-    EXPECT_TRUE(std::isfinite(u));
+    model.evaluate(pos, grad);
     EXPECT_GT(grad[0].norm(), 0.0);
     EXPECT_TRUE(std::isfinite(grad[0].x));
+    EXPECT_TRUE(std::isfinite(grad[0].y));
 }
 
 TEST(FreqForce, SameResonatorSegmentsExcluded)
@@ -138,18 +167,8 @@ TEST(FreqForce, SameResonatorSegmentsExcluded)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_EQ(model.evaluate(pos, grad), 0.0);
-    for (const Vec2 &g : grad) {
-        EXPECT_EQ(g.x, 0.0);
-        EXPECT_EQ(g.y, 0.0);
-    }
-}
-
-/** True if instance @p i feels any force. */
-bool
-pushed(const std::vector<Vec2> &grad, std::size_t i)
-{
-    return grad[i].x != 0.0 || grad[i].y != 0.0;
+    model.evaluate(pos, grad);
+    EXPECT_FALSE(anyForce(grad));
 }
 
 TEST(FreqForce, OnlyNearResonantPairsRepel)
@@ -159,7 +178,7 @@ TEST(FreqForce, OnlyNearResonantPairsRepel)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1400, 1000}, {1200, 1300}};
     std::vector<Vec2> grad;
-    EXPECT_GT(model.evaluate(pos, grad), 0.0);
+    model.evaluate(pos, grad);
     EXPECT_TRUE(pushed(grad, 0));
     EXPECT_TRUE(pushed(grad, 1));
     EXPECT_FALSE(pushed(grad, 2));
@@ -175,8 +194,8 @@ TEST(FreqForce, ThresholdIsStrict)
         const FreqForceModel model(nl, 0.1e9);
         std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
         std::vector<Vec2> grad;
-        EXPECT_EQ(model.evaluate(pos, grad), 0.0);
-        EXPECT_FALSE(pushed(grad, 0));
+        model.evaluate(pos, grad);
+        EXPECT_FALSE(anyForce(grad));
     }
 }
 
@@ -199,9 +218,10 @@ TEST(FreqForce, SameResonatorExcludedOtherResonatorsRepel)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> grad;
     std::vector<Vec2> apart{{1000, 1000}, {1100, 1000}, {5000, 5000}};
-    EXPECT_EQ(model.evaluate(apart, grad), 0.0);
+    model.evaluate(apart, grad);
+    EXPECT_FALSE(anyForce(grad));
     std::vector<Vec2> near{{1000, 1000}, {1100, 1000}, {1050, 1100}};
-    EXPECT_GT(model.evaluate(near, grad), 0.0);
+    model.evaluate(near, grad);
     EXPECT_TRUE(pushed(grad, 0));
     EXPECT_TRUE(pushed(grad, 1));
     EXPECT_TRUE(pushed(grad, 2));
@@ -213,7 +233,8 @@ TEST(FreqForce, QubitAndResonatorBandsNeverRepel)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_EQ(model.evaluate(pos, grad), 0.0);
+    model.evaluate(pos, grad);
+    EXPECT_FALSE(anyForce(grad));
 }
 
 TEST(FreqForce, CustomThreshold)
@@ -221,8 +242,10 @@ TEST(FreqForce, CustomThreshold)
     const Netlist nl = freqNetlist({5.0e9, 5.3e9}, {-1, -1});
     std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_GT(FreqForceModel(nl, 0.5e9).evaluate(pos, grad), 0.0);
-    EXPECT_EQ(FreqForceModel(nl, 0.2e9).evaluate(pos, grad), 0.0);
+    FreqForceModel(nl, 0.5e9).evaluate(pos, grad);
+    EXPECT_TRUE(anyForce(grad));
+    FreqForceModel(nl, 0.2e9).evaluate(pos, grad);
+    EXPECT_FALSE(anyForce(grad));
 }
 
 TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
@@ -237,9 +260,9 @@ TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
     }
     const Netlist nl = freqNetlist(freqs, std::vector<int>(30, -1));
     std::vector<Vec2> grad;
-    const double total = FreqForceModel(nl, 0.1e9).evaluate(pos, grad);
+    FreqForceModel(nl, 0.1e9).evaluate(pos, grad);
+    EXPECT_TRUE(anyForce(grad));
 
-    double per_slot = 0.0;
     for (int slot = 0; slot < 3; ++slot) {
         std::vector<double> slot_freqs;
         std::vector<Vec2> slot_pos;
@@ -250,8 +273,7 @@ TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
         const Netlist slot_nl =
             freqNetlist(slot_freqs, std::vector<int>(10, -1));
         std::vector<Vec2> slot_grad;
-        per_slot += FreqForceModel(slot_nl, 0.1e9)
-                        .evaluate(slot_pos, slot_grad);
+        FreqForceModel(slot_nl, 0.1e9).evaluate(slot_pos, slot_grad);
         for (std::size_t k = 0; k < slot_grad.size(); ++k) {
             const std::size_t i = slot + 3 * k;
             EXPECT_NEAR(grad[i].x, slot_grad[k].x,
@@ -260,8 +282,6 @@ TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
                         1e-12 * (1.0 + std::abs(slot_grad[k].y)));
         }
     }
-    EXPECT_GT(per_slot, 0.0);
-    EXPECT_NEAR(total, per_slot, 1e-12 * per_slot);
 }
 
 TEST(FreqForce, ForcesAreEqualAndOpposite)
@@ -270,7 +290,7 @@ TEST(FreqForce, ForcesAreEqualAndOpposite)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1300, 1100}, {1100, 1400}};
     std::vector<Vec2> grad;
-    EXPECT_GT(model.evaluate(pos, grad), 0.0);
+    model.evaluate(pos, grad);
     const Vec2 net = grad[0] + grad[1] + grad[2];
     const double scale = grad[0].norm() + grad[1].norm() + grad[2].norm();
     EXPECT_GT(scale, 0.0);
@@ -291,7 +311,11 @@ TEST(FreqForce, NonFinitePositionsFeelNoForce)
     const FreqForceModel model(nl, 0.1e9);
     std::vector<Vec2> pos{{1000, 1000}, {1500, 1000}, {NAN, 1000}};
     std::vector<Vec2> grad;
-    EXPECT_TRUE(std::isfinite(model.evaluate(pos, grad)));
+    model.evaluate(pos, grad);
+    for (const Vec2 &g : grad) {
+        EXPECT_TRUE(std::isfinite(g.x));
+        EXPECT_TRUE(std::isfinite(g.y));
+    }
     EXPECT_TRUE(pushed(grad, 0));
     EXPECT_FALSE(pushed(grad, 2));
 }

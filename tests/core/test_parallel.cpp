@@ -6,6 +6,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,15 @@ transformCols(std::vector<double> &map, int nx, int ny,
     DctScratch scratch;
     PlanCache::dct(static_cast<std::size_t>(ny))
         ->transformCols(map, nx, ny, kind, pool, scratch);
+}
+
+/** memcmp equality: same bits, not merely same values. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     a.size() * sizeof(double)) == 0);
 }
 
 double
@@ -147,14 +157,17 @@ TEST(ParallelDct, RoundTripSurvivesThreading)
 
 TEST(ParallelPoisson, SolutionMatchesSerialAcrossThreadCounts)
 {
-    // Odd/even mix is impossible for the grid itself (powers of two
-    // required), so cover square and non-square grids instead.
+    // Rows and columns are transformed independently, so every thread
+    // count reproduces the serial field maps bit for bit. Grids must be
+    // powers of two, so cover square and non-square shapes on both sides
+    // of the serial grain; 3 and 7 threads give uneven chunk spans.
     struct Shape
     {
         int nx;
         int ny;
     };
-    const Shape shapes[] = {{16, 16}, {32, 16}, {16, 32}, {64, 64}};
+    const Shape shapes[] = {{16, 16}, {32, 16},  {16, 32},
+                            {64, 64}, {128, 32}, {256, 256}};
 
     for (const Shape &shape : shapes) {
         const std::vector<double> density = syntheticMap(
@@ -162,40 +175,22 @@ TEST(ParallelPoisson, SolutionMatchesSerialAcrossThreadCounts)
         const PoissonSolver serial(shape.nx, shape.ny, 1000.0, 800.0);
         const PoissonSolver::Solution ref = serial.solve(density);
 
-        for (const int threads : {1, 2, 8}) {
+        for (const int threads : {1, 2, 3, 4, 7, 8}) {
             ThreadPool pool(threads);
             const PoissonSolver threaded(shape.nx, shape.ny, 1000.0,
                                          800.0, &pool);
             const PoissonSolver::Solution sol = threaded.solve(density);
-            EXPECT_LT(maxAbsDiff(sol.potential, ref.potential), 1e-9)
-                << shape.nx << "x" << shape.ny << " potential, "
-                << threads << " threads";
-            EXPECT_LT(maxAbsDiff(sol.fieldX, ref.fieldX), 1e-9)
+            EXPECT_TRUE(sameBits(sol.fieldX, ref.fieldX))
                 << shape.nx << "x" << shape.ny << " fieldX, " << threads
                 << " threads";
-            EXPECT_LT(maxAbsDiff(sol.fieldY, ref.fieldY), 1e-9)
+            EXPECT_TRUE(sameBits(sol.fieldY, ref.fieldY))
                 << shape.nx << "x" << shape.ny << " fieldY, " << threads
                 << " threads";
         }
     }
 }
 
-TEST(ParallelPoisson, FixedThreadCountIsBitwiseDeterministic)
-{
-    // 64x64 sits above the serial grain, so the threaded path runs.
-    const std::vector<double> density = syntheticMap(64 * 64, 4.0);
-    for (const int threads : {2, 8}) {
-        ThreadPool pool(threads);
-        const PoissonSolver solver(64, 64, 500.0, 500.0, &pool);
-        const PoissonSolver::Solution a = solver.solve(density);
-        const PoissonSolver::Solution b = solver.solve(density);
-        EXPECT_EQ(a.potential, b.potential) << threads << " threads";
-        EXPECT_EQ(a.fieldX, b.fieldX) << threads << " threads";
-        EXPECT_EQ(a.fieldY, b.fieldY) << threads << " threads";
-    }
-}
-
-TEST(ParallelDensity, EnergyAndGradientMatchSerial)
+TEST(ParallelDensity, GradientMatchesSerial)
 {
     const Netlist netlist = gridNetlist(5, 5);
     // Large enough that the instance loops take the threaded path
@@ -207,13 +202,13 @@ TEST(ParallelDensity, EnergyAndGradientMatchSerial)
 
     DensityModel serial(netlist, 32, 0.9);
     std::vector<Vec2> ref_grad;
-    const double ref_energy = serial.evaluate(positions, ref_grad);
+    serial.evaluate(positions, ref_grad);
     const double ref_overflow = serial.overflow();
 
-    // Chunked splat/energy reductions reorder large-magnitude sums, so
-    // compare relative to the gradient scale: 1e-9 of the largest
-    // component (~1e-12 relative error in practice).
-    double scale = std::abs(ref_energy);
+    // The chunked splat reorders large-magnitude sums, so compare
+    // relative to the gradient scale: 1e-9 of the largest component
+    // (~1e-12 relative error in practice).
+    double scale = 0.0;
     for (const Vec2 &g : ref_grad)
         scale = std::max({scale, std::abs(g.x), std::abs(g.y)});
     const double tol = 1e-9 * std::max(1.0, scale);
@@ -222,8 +217,7 @@ TEST(ParallelDensity, EnergyAndGradientMatchSerial)
         ThreadPool pool(threads);
         DensityModel threaded(netlist, 32, 0.9, &pool);
         std::vector<Vec2> grad;
-        const double energy = threaded.evaluate(positions, grad);
-        EXPECT_NEAR(energy, ref_energy, tol) << threads << " threads";
+        threaded.evaluate(positions, grad);
         EXPECT_NEAR(threaded.overflow(), ref_overflow, 1e-12);
         ASSERT_EQ(grad.size(), ref_grad.size());
         for (std::size_t i = 0; i < grad.size(); ++i) {
@@ -251,9 +245,9 @@ TEST(ParallelObjective, FullGradientMatchesSerial)
     PlacementObjective serial(netlist, params, CrosstalkRule());
     serial.initPenalties(positions);
     std::vector<Vec2> ref_grad;
-    const auto ref = serial.evaluate(positions, ref_grad);
+    serial.evaluate(positions, ref_grad);
 
-    double scale = std::abs(ref.total);
+    double scale = 0.0;
     for (const Vec2 &g : ref_grad)
         scale = std::max({scale, std::abs(g.x), std::abs(g.y)});
     const double tol = 1e-9 * std::max(1.0, scale);
@@ -264,8 +258,7 @@ TEST(ParallelObjective, FullGradientMatchesSerial)
                                     &pool);
         threaded.initPenalties(positions);
         std::vector<Vec2> grad;
-        const auto out = threaded.evaluate(positions, grad);
-        EXPECT_NEAR(out.total, ref.total, tol) << threads << " threads";
+        threaded.evaluate(positions, grad);
         ASSERT_EQ(grad.size(), ref_grad.size());
         for (std::size_t i = 0; i < grad.size(); ++i) {
             EXPECT_NEAR(grad[i].x, ref_grad[i].x, tol)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/wirelength.hpp"
+#include "oracles/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace qplacer {
@@ -42,30 +45,51 @@ randomPositions(int n, std::uint64_t seed)
     return pos;
 }
 
+/** HPWL subgradient: per net, +-w * sign(d) on each endpoint. */
+std::vector<Vec2>
+hpwlSubgradient(const Netlist &nl, const std::vector<Vec2> &pos)
+{
+    const auto sign = [](double d) { return d > 0.0 ? 1.0 : -1.0; };
+    std::vector<Vec2> g(pos.size());
+    for (const Net &net : nl.nets()) {
+        const Vec2 d = pos[net.a] - pos[net.b];
+        const Vec2 step(net.weight * sign(d.x), net.weight * sign(d.y));
+        g[net.a] += step;
+        g[net.b] -= step;
+    }
+    return g;
+}
+
 TEST(Wirelength, ApproachesHpwlAsGammaShrinks)
 {
+    // Pins at least 900 um apart on each axis, so at gamma = 1 every
+    // |d| >> gamma and tanh(d / (2 gamma)) is sign(d) to the last bit:
+    // the gradient is the HPWL subgradient. At gamma = 500 it is not.
     const Netlist nl = twoPinNetlist(10, 15, 1);
-    const auto pos = randomPositions(10, 2);
-    std::vector<Vec2> grad;
+    std::vector<Vec2> pos(10);
+    for (int i = 0; i < 10; ++i)
+        pos[i] = Vec2(500.0 + 900.0 * i, 500.0 + 900.0 * ((7 * i) % 10));
+    const std::vector<Vec2> sub = hpwlSubgradient(nl, pos);
 
-    const WirelengthModel coarse(nl, 500.0);
-    const WirelengthModel fine(nl, 1.0);
-    const double hpwl = coarse.hpwl(pos);
-    // Smooth WL upper-bounds HPWL and tightens as gamma -> 0.
-    const double v_coarse =
-        const_cast<WirelengthModel &>(coarse).evaluate(pos, grad);
-    const double v_fine =
-        const_cast<WirelengthModel &>(fine).evaluate(pos, grad);
-    EXPECT_GE(v_coarse, hpwl);
-    EXPECT_GE(v_fine, hpwl);
-    EXPECT_LT(v_fine - hpwl, v_coarse - hpwl);
-    EXPECT_NEAR(v_fine, hpwl, 0.01 * hpwl + 50.0);
+    const auto max_gap = [&](double gamma) {
+        WirelengthModel model(nl, gamma);
+        std::vector<Vec2> grad;
+        model.evaluate(pos, grad);
+        double gap = 0.0;
+        for (std::size_t i = 0; i < pos.size(); ++i)
+            gap = std::max({gap, std::abs(grad[i].x - sub[i].x),
+                            std::abs(grad[i].y - sub[i].y)});
+        return gap;
+    };
+    EXPECT_NEAR(max_gap(1.0), 0.0, 1e-12);
+    EXPECT_GT(max_gap(500.0), 1e-3);
 }
 
 TEST(Wirelength, GradientMatchesFiniteDifference)
 {
     const Netlist nl = twoPinNetlist(8, 12, 3);
-    WirelengthModel model(nl, 200.0);
+    const double gamma = 200.0;
+    WirelengthModel model(nl, gamma);
     auto pos = randomPositions(8, 4);
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -76,10 +100,9 @@ TEST(Wirelength, GradientMatchesFiniteDifference)
         auto minus = pos;
         plus[i].x += h;
         minus[i].x -= h;
-        std::vector<Vec2> dummy;
-        const double fd =
-            (model.evaluate(plus, dummy) - model.evaluate(minus, dummy)) /
-            (2 * h);
+        const double fd = (oracle::smoothWirelength(nl, gamma, plus) -
+                           oracle::smoothWirelength(nl, gamma, minus)) /
+                          (2 * h);
         EXPECT_NEAR(grad[i].x, fd, 1e-5 * (1 + std::abs(fd)))
             << "instance " << i;
 
@@ -87,9 +110,9 @@ TEST(Wirelength, GradientMatchesFiniteDifference)
         minus = pos;
         plus[i].y += h;
         minus[i].y -= h;
-        const double fdy =
-            (model.evaluate(plus, dummy) - model.evaluate(minus, dummy)) /
-            (2 * h);
+        const double fdy = (oracle::smoothWirelength(nl, gamma, plus) -
+                            oracle::smoothWirelength(nl, gamma, minus)) /
+                           (2 * h);
         EXPECT_NEAR(grad[i].y, fdy, 1e-5 * (1 + std::abs(fdy)));
     }
 }
@@ -116,9 +139,12 @@ TEST(Wirelength, CoincidentPinsGiveSmoothMinimum)
     WirelengthModel model(nl, 100.0);
     std::vector<Vec2> pos{{500, 500}, {500, 500}};
     std::vector<Vec2> grad;
-    const double v = model.evaluate(pos, grad);
-    EXPECT_GT(v, 0.0); // smooth overestimate at coincidence
-    EXPECT_NEAR(grad[0].x, 0.0, 1e-12);
+    model.evaluate(pos, grad);
+    // The smooth model has a stationary point where HPWL has its kink.
+    for (const Vec2 &g : grad) {
+        EXPECT_NEAR(g.x, 0.0, 1e-12);
+        EXPECT_NEAR(g.y, 0.0, 1e-12);
+    }
     EXPECT_DOUBLE_EQ(model.hpwl(pos), 0.0);
 }
 

@@ -237,7 +237,6 @@ TEST_P(PlanThreads, RepeatedSolvesReuseScratchBitwise)
     const PoissonSolver::Solution first = solver.solve(density);
     solver.solve(other);
     const PoissonSolver::Solution again = solver.solve(density);
-    EXPECT_TRUE(bitwiseEqual(first.potential, again.potential));
     EXPECT_TRUE(bitwiseEqual(first.fieldX, again.fieldX));
     EXPECT_TRUE(bitwiseEqual(first.fieldY, again.fieldY));
 }

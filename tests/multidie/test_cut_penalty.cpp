@@ -1,7 +1,8 @@
 /**
  * @file
- * CutPenaltyModel: zero on same-side nets, positive on crossings, and
- * an analytic gradient that matches central finite differences.
+ * CutPenaltyModel: no gradient on same-side nets, a pull toward the cut
+ * on crossings, and an analytic gradient that matches central finite
+ * differences of the closed-form penalty (tests/oracles).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "multidie/cut_penalty.hpp"
 #include "multidie/die_plan.hpp"
 #include "netlist/netlist.hpp"
+#include "oracles/oracles.hpp"
 
 namespace qplacer {
 namespace {
@@ -55,7 +57,7 @@ TEST(CutPenalty, ZeroWhenAllNetsOnOneSide)
         Vec2(1300.0, 300.0), Vec2(2100.0, 700.0), // Net 1: both right.
     };
     std::vector<Vec2> gradient;
-    EXPECT_DOUBLE_EQ(model.evaluate(positions, gradient), 0.0);
+    model.evaluate(positions, gradient);
     ASSERT_EQ(gradient.size(), positions.size());
     for (const Vec2 &g : gradient) {
         EXPECT_DOUBLE_EQ(g.x, 0.0);
@@ -74,18 +76,24 @@ TEST(CutPenalty, CrossingNetPaysAndWeightScales)
         Vec2(1000.0, 500.0), Vec2(1200.0, 500.0),
         Vec2(100.0, 100.0),  Vec2(200.0, 200.0),
     };
-    const double penalty_one = model.evaluate(one, gradient);
-    EXPECT_GT(penalty_one, 0.0);
-    // Expected: w * (c - a)(b - c) / W = 1 * 100 * 100 / 2200.
-    EXPECT_NEAR(penalty_one, 100.0 * 100.0 / 2200.0, 1e-12);
+    model.evaluate(one, gradient);
+    // Expected: d(w * (c - a)(b - c) / W)/da = -w * (b - c) / W, and
+    // +w * (c - a) / W for b, with w = 1 and both depths 100.
+    const double pull = 100.0 / 2200.0;
+    EXPECT_NEAR(gradient[0].x, -pull, 1e-15);
+    EXPECT_NEAR(gradient[1].x, pull, 1e-15);
+    EXPECT_DOUBLE_EQ(gradient[2].x, 0.0);
+    EXPECT_DOUBLE_EQ(gradient[3].x, 0.0);
 
     // Same straddle on net 1 (weight 2.5) costs 2.5x as much.
     const std::vector<Vec2> two = {
         Vec2(100.0, 100.0),  Vec2(200.0, 200.0),
         Vec2(1000.0, 500.0), Vec2(1200.0, 500.0),
     };
-    const double penalty_two = model.evaluate(two, gradient);
-    EXPECT_NEAR(penalty_two, 2.5 * penalty_one, 1e-12);
+    model.evaluate(two, gradient);
+    EXPECT_NEAR(gradient[2].x, -2.5 * pull, 1e-15);
+    EXPECT_NEAR(gradient[3].x, 2.5 * pull, 1e-15);
+    EXPECT_DOUBLE_EQ(gradient[0].x, 0.0);
 }
 
 TEST(CutPenalty, GradientMatchesFiniteDifferences)
@@ -104,15 +112,16 @@ TEST(CutPenalty, GradientMatchesFiniteDifferences)
     ASSERT_EQ(analytic.size(), positions.size());
 
     const double h = 1e-3;
-    std::vector<Vec2> scratch;
     for (std::size_t i = 0; i < positions.size(); ++i) {
         for (int axis = 0; axis < 2; ++axis) {
             double &coord = axis == 0 ? positions[i].x : positions[i].y;
             const double saved = coord;
             coord = saved + h;
-            const double up = model.evaluate(positions, scratch);
+            const double up =
+                oracle::cutPenalty(fx.netlist, fx.plan, positions);
             coord = saved - h;
-            const double down = model.evaluate(positions, scratch);
+            const double down =
+                oracle::cutPenalty(fx.netlist, fx.plan, positions);
             coord = saved;
             const double numeric = (up - down) / (2.0 * h);
             const double exact =
@@ -166,10 +175,9 @@ TEST(CutPenalty, HorizontalCutUsesYAxis)
     const std::vector<Vec2> positions = {Vec2(500.0, 1000.0),
                                          Vec2(500.0, 1200.0)};
     std::vector<Vec2> gradient;
-    const double penalty = model.evaluate(positions, gradient);
-    EXPECT_NEAR(penalty, 100.0 * 100.0 / 2200.0, 1e-12);
-    EXPECT_LT(gradient[0].y, 0.0);
-    EXPECT_GT(gradient[1].y, 0.0);
+    model.evaluate(positions, gradient);
+    EXPECT_NEAR(gradient[0].y, -100.0 / 2200.0, 1e-15);
+    EXPECT_NEAR(gradient[1].y, 100.0 / 2200.0, 1e-15);
     EXPECT_DOUBLE_EQ(gradient[0].x, 0.0);
 }
 

@@ -13,7 +13,12 @@
  *    and the O(N^2) DCT references (math/test_fft, math/test_dct,
  *    math/test_dct_plan);
  *  - the frequency force over an all-distance collision map
- *    (core/test_freq_force_equivalence).
+ *    (core/test_freq_force_equivalence), whose potential is also the
+ *    energy the production force's finite-difference check differences
+ *    (core/test_freq_force);
+ *  - the closed-form values of the smooth wirelength and the cut
+ *    penalty, which the gradient-only production terms never form
+ *    (core/test_wirelength, multidie/test_cut_penalty).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
@@ -25,6 +30,7 @@
 #include "freq/assigner.hpp"
 #include "geometry/vec2.hpp"
 #include "math/dct_plan.hpp"
+#include "multidie/die_plan.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/partition.hpp"
 #include "topology/graph.hpp"
@@ -132,6 +138,22 @@ class PairListFreqForce
     double cutoffFactor_;
     ThreadPool *pool_;
 };
+
+/**
+ * Smooth wirelength of WirelengthModel at smoothing @p gamma: per 2-pin
+ * net and axis w * (|d| + 2*gamma*log1p(exp(-|d|/gamma))), the
+ * log-sum-exp form whose gradient is w * tanh(d / (2*gamma)).
+ */
+double smoothWirelength(const Netlist &netlist, double gamma,
+                        const std::vector<Vec2> &positions);
+
+/**
+ * Cut-crossing penalty of CutPenaltyModel: per 2-pin net and cut line,
+ * w * max(0, -(a - c) * (b - c)) / L with L the region extent on the
+ * cut's axis.
+ */
+double cutPenalty(const Netlist &netlist, const DiePlan &plan,
+                  const std::vector<Vec2> &positions);
 
 } // namespace oracle
 } // namespace qplacer
