@@ -90,8 +90,8 @@ main(int argc, char **argv)
         const PoissonSolver serial_solver(
             wl.bins, wl.bins, netlist.region().width(),
             netlist.region().height());
-        const PoissonSolver::Solution reference =
-            serial_solver.solve(density);
+        PoissonSolver::Solution reference;
+        serial_solver.solve(density, reference);
 
         double serial_solve_ms = 0.0;
         double serial_eval_ms = 0.0;
@@ -103,17 +103,13 @@ main(int argc, char **argv)
                                        netlist.region().height(),
                                        pool_ptr);
 
-            const double diff =
-                solutionDiff(solver.solve(density), reference);
+            PoissonSolver::Solution sol;
+            solver.solve(density, sol); // warm-up
+            const double diff = solutionDiff(sol, reference);
 
             Timer solve_timer;
-            for (int r = 0; r < reps; ++r) {
-                const PoissonSolver::Solution sol =
-                    solver.solve(density);
-                // Defeat over-eager optimizers.
-                if (sol.fieldX.empty())
-                    std::printf("impossible\n");
-            }
+            for (int r = 0; r < reps; ++r)
+                solver.solve(density, sol);
             const double solve_ms = solve_timer.millis() / reps;
 
             DensityModel model(netlist, wl.bins, 0.9, pool_ptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -41,18 +40,20 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
     if (positions.size() != instances.size())
         panic("DensityModel::evaluate: position count mismatch");
 
-    gradient.assign(positions.size(), Vec2());
+    gradient.resize(positions.size());
+    stencils_.resize(instances.size());
 
-    // Rasterize charges; the density map stores charge per bin.
+    // Rasterize charges; the density map stores charge per bin. Each
+    // footprint's stencil is kept for the field gather below.
     parallelScatter(
         pool_, instances.size(), std::span<double>(grid_.data()),
         [&](int, std::size_t begin, std::size_t end, double *bins) {
             for (std::size_t i = begin; i < end; ++i) {
                 const Instance &inst = instances[i];
-                const Rect fp =
+                stencils_[i] = grid_.stencil(
                     Rect::fromCenter(positions[i], inst.paddedWidth(),
-                                     inst.paddedHeight());
-                grid_.splat(fp, inst.paddedArea(), bins);
+                                     inst.paddedHeight()));
+                grid_.splat(stencils_[i], inst.paddedArea(), bins);
             }
         },
         ThreadPool::kGrainMedium);
@@ -76,38 +77,32 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
 
     // Normalize the map to charge density (charge / bin area) before the
     // Poisson solve so the field scale is resolution-independent.
-    std::vector<double> density = grid_.data();
+    density_.resize(cells);
     const double inv_bin_area = 1.0 / grid_.binArea();
     parallelFor(
         pool_, cells,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i)
-                density[i] *= inv_bin_area;
+                density_[i] = grid_.data()[i] * inv_bin_area;
         },
         ThreadPool::kGrainFine);
 
-    PoissonSolver::Solution sol = solver_.solve(density);
+    solver_.solve(density_, field_);
 
-    // Per-instance gradient: sample xi over the footprint (area-weighted
-    // average over overlapped bins).
-    BinGrid ex(grid_.region(), grid_.nx(), grid_.ny());
-    BinGrid ey(grid_.region(), grid_.nx(), grid_.ny());
-    ex.data() = std::move(sol.fieldX);
-    ey.data() = std::move(sol.fieldY);
-
+    // Per-instance gradient: xi averaged over the footprint's stencil
+    // (overlap-weighted over its bins), both axes in one walk.
     parallelFor(
         pool_, instances.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                const Instance &inst = instances[i];
-                const double q = inst.paddedArea();
-                const Rect fp =
-                    Rect::fromCenter(positions[i], inst.paddedWidth(),
-                                     inst.paddedHeight());
+                const double q = instances[i].paddedArea();
+                const Vec2 xi = grid_.gather(stencils_[i],
+                                             field_.fieldX.data(),
+                                             field_.fieldY.data());
                 // d(energy)/dx = -q * xi_x (descending moves along the
                 // field).
-                gradient[i].x = -q * ex.sample(fp);
-                gradient[i].y = -q * ey.sample(fp);
+                gradient[i].x = -q * xi.x;
+                gradient[i].y = -q * xi.y;
             }
         },
         ThreadPool::kGrainMedium);

@@ -5,6 +5,14 @@
  * Instances are charges of magnitude equal to their padded area; the
  * density map is splatted onto a bin grid, the Poisson field is solved
  * spectrally, and each instance feels force = charge * field.
+ *
+ * One evaluation builds each instance's footprint stencil (the
+ * footprint clamped into the region and its bin span, see
+ * geometry/bin_grid) once; the splat and the gather of both field
+ * components walk that same stencil. The stencils, the normalized
+ * density map and the field maps are members reused across calls, so
+ * at a fixed instance count a serial evaluation allocates nothing after
+ * the first.
  */
 
 #ifndef QPLACER_CORE_DENSITY_HPP
@@ -38,7 +46,8 @@ class DensityModel
     /**
      * Gradient of the density penalty at @p positions.
      * @param positions Instance centers.
-     * @param gradient  Output gradient (resized/zeroed inside):
+     * @param gradient  Output gradient (resized inside, every element
+     *                  overwritten):
      *                  d(energy)/d(x_i) = -q_i * xi_x(x_i).
      */
     void evaluate(const std::vector<Vec2> &positions,
@@ -63,6 +72,9 @@ class DensityModel
     double targetDensity_;
     ThreadPool *pool_;
     double overflow_ = 1.0;
+    std::vector<BinStencil> stencils_; ///< Per-instance, last evaluate().
+    std::vector<double> density_;      ///< Charge per unit area.
+    PoissonSolver::Solution field_;    ///< Field of density_.
 };
 
 } // namespace qplacer

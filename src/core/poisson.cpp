@@ -33,8 +33,9 @@ PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
     colPlan_ = PlanCache::dct(static_cast<std::size_t>(ny));
 }
 
-PoissonSolver::Solution
-PoissonSolver::solve(const std::vector<double> &density) const
+void
+PoissonSolver::solve(const std::vector<double> &density,
+                     Solution &sol) const
 {
     const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
     if (density.size() != cells)
@@ -49,17 +50,19 @@ PoissonSolver::solve(const std::vector<double> &density) const
     };
 
     // Forward 2-D DCT of the density -> eigenbasis coefficients.
-    std::vector<double> coeff = density;
-    rows(coeff, DctPlan::Kind::Dct2);
-    cols(coeff, DctPlan::Kind::Dct2);
+    coeff_.assign(density.begin(), density.end());
+    rows(coeff_, DctPlan::Kind::Dct2);
+    cols(coeff_, DctPlan::Kind::Dct2);
     const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
 
     // Scale to the field coefficients of each axis (w_u * psi for xi_x,
     // w_v * psi for xi_y, with psi = coeff*norm / (wu^2 + wv^2)),
-    // dropping the DC term, one grid row at a time.
-    Solution sol;
-    sol.fieldX.assign(cells, 0.0);
-    sol.fieldY.assign(cells, 0.0);
+    // dropping the DC term, one grid row at a time. Every other element
+    // of both maps is written below.
+    sol.fieldX.resize(cells);
+    sol.fieldY.resize(cells);
+    sol.fieldX[0] = 0.0;
+    sol.fieldY[0] = 0.0;
     const auto nx = static_cast<std::size_t>(nx_);
     parallelFor(
         pool_, static_cast<std::size_t>(ny_),
@@ -70,7 +73,7 @@ PoissonSolver::solve(const std::vector<double> &density) const
                 for (std::size_t u = v == 0 ? 1 : 0; u < nx; ++u) {
                     const std::size_t i = v * nx + u;
                     const double psi =
-                        coeff[i] * norm / (wu_[u] * wu_[u] + wv2);
+                        coeff_[i] * norm / (wu_[u] * wu_[u] + wv2);
                     sol.fieldX[i] = wu_[u] * psi;
                     sol.fieldY[i] = wv * psi;
                 }
@@ -85,8 +88,6 @@ PoissonSolver::solve(const std::vector<double> &density) const
     // Field xi_y: sine series in y of (w_v * psi).
     rows(sol.fieldY, DctPlan::Kind::CosSeries);
     cols(sol.fieldY, DctPlan::Kind::SinSeries);
-
-    return sol;
 }
 
 } // namespace qplacer

@@ -12,8 +12,10 @@
  *
  * The solver grabs the cached DctPlans for its row/column lengths at
  * construction and runs every transform pass through them with owned,
- * reusable scratch (see math/dct_plan): after the first solve no pass
- * allocates.
+ * reusable scratch (see math/dct_plan). solve() writes into
+ * caller-owned field maps and keeps its coefficient map as a member:
+ * once the maps and the scratch have their size, a solve allocates
+ * nothing.
  */
 
 #ifndef QPLACER_CORE_POISSON_HPP
@@ -52,15 +54,17 @@ class PoissonSolver
     };
 
     /**
-     * Solve for the given density map (row-major, size nx*ny). The mean
+     * Solve for the given density map (row-major, size nx*ny) into
+     * @p sol, whose maps are resized to nx*ny and fully overwritten:
+     * reusing one Solution across solves keeps its storage. The mean
      * (DC) component is dropped, as standard: only deviations from the
      * average density generate forces.
      *
-     * Reuses the solver's internal transform scratch: concurrent
-     * solve() calls on the same instance must be externally
-     * synchronized (distinct instances are independent).
+     * Reuses the solver's internal coefficient map and transform
+     * scratch: concurrent solve() calls on the same instance must be
+     * externally synchronized (distinct instances are independent).
      */
-    Solution solve(const std::vector<double> &density) const;
+    void solve(const std::vector<double> &density, Solution &sol) const;
 
     int nx() const { return nx_; }
     int ny() const { return ny_; }
@@ -75,6 +79,7 @@ class PoissonSolver
     std::vector<double> wv_; ///< Eigen-frequencies along y.
     std::shared_ptr<const DctPlan> rowPlan_; ///< Plan for length nx.
     std::shared_ptr<const DctPlan> colPlan_; ///< Plan for length ny.
+    mutable std::vector<double> coeff_; ///< Density DCT coefficients.
     mutable DctScratch scratch_; ///< Per-chunk transform workspaces.
 };
 

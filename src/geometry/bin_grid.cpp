@@ -55,24 +55,10 @@ BinGrid::clampY(double y) const
     return std::clamp(iy, 0, ny_ - 1);
 }
 
-Rect
-BinGrid::binRect(int ix, int iy) const
+BinStencil
+BinGrid::stencil(const Rect &footprint) const
 {
-    const double x0 = region_.lo.x + ix * binW_;
-    const double y0 = region_.lo.y + iy * binH_;
-    return Rect(x0, y0, x0 + binW_, y0 + binH_);
-}
-
-Vec2
-BinGrid::binCenter(int ix, int iy) const
-{
-    return binRect(ix, iy).center();
-}
-
-Rect
-BinGrid::clampRect(const Rect &r) const
-{
-    Rect out = r;
+    Rect out = footprint;
     // Shift (not clip) so the full charge stays on the grid; this mirrors
     // how the placer clamps instance centers into the region.
     if (out.lo.x < region_.lo.x)
@@ -84,52 +70,15 @@ BinGrid::clampRect(const Rect &r) const
     if (out.hi.y > region_.hi.y)
         out = out.translated({0.0, region_.hi.y - out.hi.y});
     // If the rect is larger than the region, fall back to clipping.
-    return out.intersect(region_);
-}
-
-void
-BinGrid::splat(const Rect &rect, double amount, double *bins) const
-{
-    const Rect r = clampRect(rect);
-    if (r.empty())
-        return;
-    const double total_area = r.area();
-    if (total_area <= 0.0)
-        return;
-    const int ix0 = clampX(r.lo.x);
-    const int ix1 = clampX(r.hi.x - 1e-12);
-    const int iy0 = clampY(r.lo.y);
-    const int iy1 = clampY(r.hi.y - 1e-12);
-    for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
-            const double w = binRect(ix, iy).overlapArea(r) / total_area;
-            if (w > 0.0)
-                bins[static_cast<std::size_t>(iy) * nx_ + ix] +=
-                    amount * w;
-        }
-    }
-}
-
-double
-BinGrid::sample(const Rect &rect) const
-{
-    const Rect r = clampRect(rect);
-    if (r.empty())
-        return 0.0;
-    const int ix0 = clampX(r.lo.x);
-    const int ix1 = clampX(r.hi.x - 1e-12);
-    const int iy0 = clampY(r.lo.y);
-    const int iy1 = clampY(r.hi.y - 1e-12);
-    double acc = 0.0;
-    double wsum = 0.0;
-    for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
-            const double w = binRect(ix, iy).overlapArea(r);
-            acc += w * data_[static_cast<std::size_t>(iy) * nx_ + ix];
-            wsum += w;
-        }
-    }
-    return wsum > 0.0 ? acc / wsum : 0.0;
+    BinStencil s;
+    s.rect = out.intersect(region_);
+    if (s.rect.empty())
+        return s;
+    s.ix0 = clampX(s.rect.lo.x);
+    s.ix1 = clampX(s.rect.hi.x - 1e-12);
+    s.iy0 = clampY(s.rect.lo.y);
+    s.iy1 = clampY(s.rect.hi.y - 1e-12);
+    return s;
 }
 
 double

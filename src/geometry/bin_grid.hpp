@@ -2,20 +2,36 @@
  * @file
  * Uniform bin grid over the placement region.
  *
- * The density force rasterizes instance areas into this grid; the
- * legalizers reuse it as an occupancy map. Bin counts are powers of two so
- * the spectral Poisson solver can run FFT-based transforms directly on the
- * density map.
+ * The density force rasterizes instance areas into this grid and reads
+ * the field maps back through the same per-footprint stencil (see
+ * core/density). Bin counts are powers of two so the spectral Poisson
+ * solver can run FFT-based transforms directly on the density map.
  */
 
 #ifndef QPLACER_GEOMETRY_BIN_GRID_HPP
 #define QPLACER_GEOMETRY_BIN_GRID_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "geometry/rect.hpp"
 
 namespace qplacer {
+
+/**
+ * A footprint clamped into a BinGrid's region and the span of bins it
+ * covers (inclusive). An empty clamp has an empty span (ix1 < ix0), so
+ * a walk over it visits no bin.
+ */
+struct BinStencil
+{
+    Rect rect;
+    int ix0 = 0;
+    int ix1 = -1;
+    int iy0 = 0;
+    int iy1 = -1;
+};
 
 /** 2-D grid of double-valued bins covering a rectangular region. */
 class BinGrid
@@ -53,38 +69,88 @@ class BinGrid
     /** Bin y-index containing coordinate @p y, clamped into range. */
     int clampY(double y) const;
 
-    /** Rectangle of bin (ix, iy). */
-    Rect binRect(int ix, int iy) const;
-
-    /** Center of bin (ix, iy). */
-    Vec2 binCenter(int ix, int iy) const;
+    /**
+     * Stencil of @p footprint: the footprint shifted (not clipped) into
+     * the region so no charge is lost, clipped only where it is larger
+     * than the region, and the bins the result overlaps.
+     */
+    BinStencil stencil(const Rect &footprint) const;
 
     /**
-     * Add @p amount distributed over the bins overlapping @p rect,
-     * proportionally to overlap area. Parts of @p rect outside the region
-     * are clamped onto the boundary bins so no charge is lost.
+     * Call fn(k, w) for every bin of @p s in row-major order, k being
+     * the bin's index in data() and w its overlap area with s.rect
+     * (0 where they only touch). Each row's overlap height is formed
+     * once; w is exactly the area of the intersection of the bin's
+     * rectangle with s.rect.
      */
-    void splat(const Rect &rect, double amount)
+    template <class Fn>
+    void
+    forEachOverlap(const BinStencil &s, Fn &&fn) const
     {
-        splat(rect, amount, data_.data());
+        const Rect &r = s.rect;
+        for (int iy = s.iy0; iy <= s.iy1; ++iy) {
+            const double y0 = region_.lo.y + iy * binH_;
+            const double dy =
+                std::min(y0 + binH_, r.hi.y) - std::max(y0, r.lo.y);
+            const std::size_t row = static_cast<std::size_t>(iy) * nx_;
+            for (int ix = s.ix0; ix <= s.ix1; ++ix) {
+                const double x0 = region_.lo.x + ix * binW_;
+                const double dx =
+                    std::min(x0 + binW_, r.hi.x) - std::max(x0, r.lo.x);
+                fn(row + static_cast<std::size_t>(ix),
+                   (dx <= 0.0 || dy <= 0.0) ? 0.0 : dx * dy);
+            }
+        }
     }
 
-    /** splat() into @p bins, a row-major buffer laid out like data(). */
-    void splat(const Rect &rect, double amount, double *bins) const;
+    /**
+     * Add @p amount distributed over the bins of @p s, proportionally
+     * to overlap area, into @p bins (a row-major buffer laid out like
+     * data()).
+     */
+    void
+    splat(const BinStencil &s, double amount, double *bins) const
+    {
+        const double total_area = s.rect.area();
+        if (total_area <= 0.0)
+            return;
+        forEachOverlap(s, [&](std::size_t k, double a) {
+            const double w = a / total_area;
+            if (w > 0.0)
+                bins[k] += amount * w;
+        });
+    }
+
+    /** splat() of @p rect into data(). */
+    void
+    splat(const Rect &rect, double amount)
+    {
+        splat(stencil(rect), amount, data_.data());
+    }
 
     /**
-     * Area-weighted average of the grid over @p rect (e.g. average
-     * electric field over an instance footprint).
+     * Overlap-weighted averages of the maps @p fx and @p fy (laid out
+     * like data()) over @p s, accumulated in one walk; (0, 0) when the
+     * stencil overlaps no bin area.
      */
-    double sample(const Rect &rect) const;
+    Vec2
+    gather(const BinStencil &s, const double *fx, const double *fy) const
+    {
+        double ax = 0.0;
+        double ay = 0.0;
+        double ws = 0.0;
+        forEachOverlap(s, [&](std::size_t k, double w) {
+            ax += w * fx[k];
+            ay += w * fy[k];
+            ws += w;
+        });
+        return ws > 0.0 ? Vec2(ax / ws, ay / ws) : Vec2(0.0, 0.0);
+    }
 
     /** Sum over all bins. */
     double total() const;
 
   private:
-    /** Clamp @p r into the region, preserving area by shifting. */
-    Rect clampRect(const Rect &r) const;
-
     Rect region_;
     int nx_;
     int ny_;

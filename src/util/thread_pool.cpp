@@ -129,31 +129,4 @@ parallelChunkCount(const ThreadPool *pool, std::size_t n,
     return pool && n >= serial_below ? pool->threads() : 1;
 }
 
-void
-parallelForChunks(ThreadPool *pool, std::size_t n,
-                  const ThreadPool::ChunkBody &body,
-                  std::size_t serial_below)
-{
-    if (n == 0)
-        return;
-    if (!pool) {
-        body(0, 0, n);
-        return;
-    }
-    pool->forChunks(n, body, serial_below);
-}
-
-void
-parallelFor(ThreadPool *pool, std::size_t n,
-            const std::function<void(std::size_t, std::size_t)> &body,
-            std::size_t serial_below)
-{
-    parallelForChunks(
-        pool, n,
-        [&](int, std::size_t begin, std::size_t end) {
-            body(begin, end);
-        },
-        serial_below);
-}
-
 } // namespace qplacer

@@ -130,17 +130,43 @@ int parallelChunkCount(const ThreadPool *pool, std::size_t n,
 
 /**
  * Chunked loop over [0, n): body(chunk, begin, end). Serial single
- * chunk when @p pool is null or n < @p serial_below; otherwise
- * pool->forChunks.
+ * chunk when @p pool is null (a direct call) or n < @p serial_below;
+ * otherwise pool->forChunks. The pool sees the body through a lambda
+ * holding one reference, which std::function stores without
+ * allocating, so no region allocates for its body.
  */
-void parallelForChunks(ThreadPool *pool, std::size_t n,
-                       const ThreadPool::ChunkBody &body,
-                       std::size_t serial_below = 0);
+template <class Body>
+void
+parallelForChunks(ThreadPool *pool, std::size_t n, const Body &body,
+                  std::size_t serial_below = 0)
+{
+    if (n == 0)
+        return;
+    if (!pool) {
+        body(0, std::size_t{0}, n);
+        return;
+    }
+    pool->forChunks(
+        n,
+        [&body](int chunk, std::size_t begin, std::size_t end) {
+            body(chunk, begin, end);
+        },
+        serial_below);
+}
 
 /** Plain parallel loop over [0, n): body(begin, end) per chunk. */
-void parallelFor(ThreadPool *pool, std::size_t n,
-                 const std::function<void(std::size_t, std::size_t)> &body,
-                 std::size_t serial_below = 0);
+template <class Body>
+void
+parallelFor(ThreadPool *pool, std::size_t n, const Body &body,
+            std::size_t serial_below = 0)
+{
+    parallelForChunks(
+        pool, n,
+        [&body](int, std::size_t begin, std::size_t end) {
+            body(begin, end);
+        },
+        serial_below);
+}
 
 namespace detail {
 
@@ -165,13 +191,13 @@ chunkPartials(ThreadPool *pool, std::size_t n, std::size_t serial_below,
     return partial;
 }
 
-/** op-fold of @p partial in chunk order from +0, lane by lane. */
+/** op-fold of partial[0, count) in chunk order from +0, lane by lane. */
 template <class T, class Op>
 T
-foldPartials(const std::vector<T> &partial, const Op &op)
+foldPartials(const T *partial, std::size_t count, const Op &op)
 {
     T acc{};
-    for (const T &p : partial) {
+    for (const T &p : std::span<const T>(partial, count)) {
         if constexpr (std::is_arithmetic_v<T>) {
             acc = op(acc, p);
         } else {
@@ -201,13 +227,17 @@ parallelReduce(ThreadPool *pool, std::size_t n, const Body &body,
                std::size_t serial_below = 0, const Op &op = {})
 {
     using T = std::invoke_result_t<const Body &, std::size_t, std::size_t>;
-    return detail::foldPartials(
-        detail::chunkPartials<T>(
-            pool, n, serial_below,
-            [&](int, std::size_t begin, std::size_t end) {
-                return body(begin, end);
-            }),
-        op);
+    if (parallelChunkCount(pool, n, serial_below) == 1) {
+        // One chunk: its partial needs no per-chunk buffer.
+        const T partial = n == 0 ? T{} : body(std::size_t{0}, n);
+        return detail::foldPartials(&partial, 1, op);
+    }
+    const std::vector<T> partial = detail::chunkPartials<T>(
+        pool, n, serial_below,
+        [&](int, std::size_t begin, std::size_t end) {
+            return body(begin, end);
+        });
+    return detail::foldPartials(partial.data(), partial.size(), op);
 }
 
 /**

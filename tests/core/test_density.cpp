@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "core/density.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qplacer {
 namespace {
@@ -75,6 +79,55 @@ TEST(Density, ChargeEqualsPaddedArea)
     std::vector<Vec2> pos{{1000, 1000}};
     model.evaluate(pos, grad);
     EXPECT_NEAR(model.grid().total(), 800.0 * 800.0, 1.0);
+}
+
+/** memcmp equality of two gradients. */
+bool
+sameBits(const std::vector<Vec2> &a, const std::vector<Vec2> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec2)) == 0;
+}
+
+TEST(Density, RepeatedEvaluationsAreStateless)
+{
+    // The stencils, density and field maps persist across evaluate()
+    // calls; none of them may carry state into the next one. Evaluate
+    // P, then Q, then P: both P results must be bit-equal, and Q must
+    // match a fresh model. 300 instances engage the threaded paths.
+    const int n = 300;
+    Netlist nl = blockNetlist(n, 300, 8000);
+    Rng rng(31);
+    std::vector<Vec2> p(n);
+    std::vector<Vec2> q(n);
+    for (int i = 0; i < n; ++i) {
+        p[i] = Vec2(rng.uniform(-400.0, 8400.0), rng.uniform(0.0, 8000.0));
+        q[i] = Vec2(rng.uniform(0.0, 8000.0), rng.uniform(-400.0, 8400.0));
+    }
+
+    for (const int threads : {1, 4}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 1)
+            pool = std::make_unique<ThreadPool>(threads);
+        DensityModel model(nl, 64, 0.9, pool.get());
+        std::vector<Vec2> grad;
+        model.evaluate(p, grad);
+        const std::vector<Vec2> first = grad;
+        const double first_overflow = model.overflow();
+
+        model.evaluate(q, grad);
+        DensityModel fresh(nl, 64, 0.9, pool.get());
+        std::vector<Vec2> fresh_grad;
+        fresh.evaluate(q, fresh_grad);
+        EXPECT_TRUE(sameBits(grad, fresh_grad)) << threads << " threads";
+
+        model.evaluate(p, grad);
+        EXPECT_TRUE(sameBits(grad, first)) << threads << " threads";
+        const double again_overflow = model.overflow();
+        EXPECT_EQ(0, std::memcmp(&again_overflow, &first_overflow,
+                                 sizeof(double)))
+            << threads << " threads";
+    }
 }
 
 TEST(Density, InvalidTargetIsFatal)

@@ -57,13 +57,17 @@ TEST(BinGrid, ClampIndices)
 
 TEST(BinGrid, SampleAveragesOverFootprint)
 {
-    BinGrid g(Rect(0, 0, 20, 10), 2, 1);
-    g.at(0, 0) = 2.0;
-    g.at(1, 0) = 6.0;
+    const BinGrid g(Rect(0, 0, 20, 10), 2, 1);
+    const double fx[] = {2.0, 6.0};
+    const double fy[] = {-1.0, 3.0};
     // Rect centered on the boundary: equal-weight average.
-    EXPECT_NEAR(g.sample(Rect(5, 0, 15, 10)), 4.0, 1e-9);
+    const Vec2 mid = g.gather(g.stencil(Rect(5, 0, 15, 10)), fx, fy);
+    EXPECT_NEAR(mid.x, 4.0, 1e-9);
+    EXPECT_NEAR(mid.y, 1.0, 1e-9);
     // Rect inside one bin: that bin's value.
-    EXPECT_NEAR(g.sample(Rect(1, 1, 5, 5)), 2.0, 1e-9);
+    const Vec2 left = g.gather(g.stencil(Rect(1, 1, 5, 5)), fx, fy);
+    EXPECT_NEAR(left.x, 2.0, 1e-9);
+    EXPECT_NEAR(left.y, -1.0, 1e-9);
 }
 
 TEST(BinGrid, ClearResets)

@@ -225,26 +225,36 @@ TEST_P(PlanThreads, TransformColsMatchesUnplannedBitwise)
 
 TEST_P(PlanThreads, RepeatedSolvesReuseScratchBitwise)
 {
-    // The solver's internal scratch must carry no state between
-    // solves: identical inputs give identical outputs, and a solve on
-    // different data in between must not perturb that.
+    // Neither the solver's coefficient map and transform scratch nor a
+    // reused Solution may carry state between solves: solving A, then
+    // B, then A into one Solution must give, each time, what a fresh
+    // solver writes into a fresh Solution.
     const int n = 64;
-    const auto density =
-        randomVector(static_cast<std::size_t>(n) * n, 800);
-    const auto other =
-        randomVector(static_cast<std::size_t>(n) * n, 801);
+    const auto a = randomVector(static_cast<std::size_t>(n) * n, 800);
+    const auto b = randomVector(static_cast<std::size_t>(n) * n, 801);
+    const auto fresh = [&](const std::vector<double> &density) {
+        PoissonSolver::Solution sol;
+        PoissonSolver(n, n, 2000.0, 2000.0, pool()).solve(density, sol);
+        return sol;
+    };
+    const PoissonSolver::Solution fresh_a = fresh(a);
+    const PoissonSolver::Solution fresh_b = fresh(b);
+
     const PoissonSolver solver(n, n, 2000.0, 2000.0, pool());
-    const PoissonSolver::Solution first = solver.solve(density);
-    solver.solve(other);
-    const PoissonSolver::Solution again = solver.solve(density);
-    EXPECT_TRUE(bitwiseEqual(first.fieldX, again.fieldX));
-    EXPECT_TRUE(bitwiseEqual(first.fieldY, again.fieldY));
+    PoissonSolver::Solution reused;
+    for (const char input : {'A', 'B', 'A'}) {
+        solver.solve(input == 'A' ? a : b, reused);
+        const PoissonSolver::Solution &expected =
+            input == 'A' ? fresh_a : fresh_b;
+        EXPECT_TRUE(bitwiseEqual(reused.fieldX, expected.fieldX)) << input;
+        EXPECT_TRUE(bitwiseEqual(reused.fieldY, expected.fieldY)) << input;
+    }
 }
 
 // 3 and 7 threads split the lines into chunk spans that are not a
 // multiple of the pass tile.
 INSTANTIATE_TEST_SUITE_P(Threads, PlanThreads,
-                         ::testing::Values(1, 2, 3, 7, 8));
+                         ::testing::Values(1, 2, 3, 4, 7, 8));
 
 TEST(PlanCache, SharesOnePlanPerLength)
 {

@@ -18,7 +18,9 @@
  *    (core/test_freq_force);
  *  - the closed-form values of the smooth wirelength and the cut
  *    penalty, which the gradient-only production terms never form
- *    (core/test_wirelength, multidie/test_cut_penalty).
+ *    (core/test_wirelength, multidie/test_cut_penalty);
+ *  - the bin-by-bin splat and field sample over per-bin rectangles
+ *    that the density stencil walk replaced (geometry/test_bin_stencil).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "freq/assigner.hpp"
+#include "geometry/bin_grid.hpp"
 #include "geometry/vec2.hpp"
 #include "math/dct_plan.hpp"
 #include "multidie/die_plan.hpp"
@@ -154,6 +157,22 @@ double smoothWirelength(const Netlist &netlist, double gamma,
  */
 double cutPenalty(const Netlist &netlist, const DiePlan &plan,
                   const std::vector<Vec2> &positions);
+
+/**
+ * BinGrid splat one bin rectangle at a time: @p rect shifted into the
+ * region (clipped where larger), then amount * overlapArea / area added
+ * to each overlapped bin of @p bins, a map laid out like grid.data().
+ */
+void binSplat(const BinGrid &grid, const Rect &rect, double amount,
+              double *bins);
+
+/**
+ * Overlap-weighted average of @p map (laid out like grid.data()) over
+ * @p rect clamped as binSplat clamps it, one bin rectangle at a time;
+ * 0 when no bin area is covered.
+ */
+double binSample(const BinGrid &grid, const std::vector<double> &map,
+                 const Rect &rect);
 
 } // namespace oracle
 } // namespace qplacer
