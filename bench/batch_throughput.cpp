@@ -44,8 +44,8 @@ run(int argc, char **argv)
                 topo.name.c_str(), topo.numQubits(), jobs, workers,
                 max_iters);
 
-    // Per-job parameters: single-threaded placement (the batch
-    // contract) with per-job seeds.
+    // Per-job parameters: single-threaded placement, as concurrent
+    // batch jobs place, with per-job seeds.
     const auto jobParams = [&](int j) {
         FlowParams params;
         params.placer.maxIters = max_iters;

@@ -5,8 +5,9 @@
  *
  * For each topology the driver splats the real netlist density once,
  * then times PoissonSolver::solve and the full DensityModel::evaluate
- * at 1, 2, 4, and 8 threads, verifying that both threaded field maps
- * match the serial ones within 1e-9. Results go to stdout and a CSV
+ * at 1, 2, 4, and 8 threads, failing unless every thread count
+ * reproduces the serial field maps and density gradient bit for bit
+ * (memcmp). Results go to stdout and a CSV
  * (first argv, default parallel_density.csv) for the nightly CI
  * artifact trail.
  *
@@ -14,9 +15,8 @@
  *   QP_BENCH_REPS  solves per timing sample (default 20)
  */
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,34 +30,14 @@ using namespace qplacer;
 
 namespace {
 
-double
-maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
+/** memcmp equality: same bits, not merely same values. */
+template <class T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
 {
-    double m = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        m = std::max(m, std::abs(a[i] - b[i]));
-    return m;
-}
-
-double
-maxAbsValue(const std::vector<double> &v)
-{
-    double m = 0.0;
-    for (double x : v)
-        m = std::max(m, std::abs(x));
-    return m;
-}
-
-/** Max abs difference normalized by the reference magnitude. */
-double
-solutionDiff(const PoissonSolver::Solution &a,
-             const PoissonSolver::Solution &b)
-{
-    const double scale = std::max(
-        1.0, std::max(maxAbsValue(b.fieldX), maxAbsValue(b.fieldY)));
-    return std::max(maxAbsDiff(a.fieldX, b.fieldX),
-                    maxAbsDiff(a.fieldY, b.fieldY)) /
-           scale;
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     a.size() * sizeof(T)) == 0);
 }
 
 } // namespace
@@ -72,8 +52,8 @@ main(int argc, char **argv)
 
     CsvWriter csv(csv_path);
     csv.header({"topology", "qubits", "instances", "bins", "threads",
-                "reps", "solve_ms", "solve_speedup", "solve_rel_diff",
-                "evaluate_ms", "evaluate_speedup"});
+                "reps", "solve_ms", "solve_speedup", "evaluate_ms",
+                "evaluate_speedup"});
 
     bench::banner("parallel density engine: serial vs. threaded");
     for (const bench::SpectralWorkload &wl : bench::spectralWorkloads()) {
@@ -86,12 +66,15 @@ main(int argc, char **argv)
                     wl.name.c_str(), wl.topo.numQubits(),
                     netlist.numInstances(), wl.bins, wl.bins);
 
-        // Serial reference (thread count 1, no pool at all).
+        // Serial references (thread count 1, no pool at all).
         const PoissonSolver serial_solver(
             wl.bins, wl.bins, netlist.region().width(),
             netlist.region().height());
         PoissonSolver::Solution reference;
         serial_solver.solve(density, reference);
+        DensityModel serial_model(netlist, wl.bins, 0.9);
+        std::vector<Vec2> reference_gradient;
+        serial_model.evaluate(positions, reference_gradient);
 
         double serial_solve_ms = 0.0;
         double serial_eval_ms = 0.0;
@@ -105,7 +88,8 @@ main(int argc, char **argv)
 
             PoissonSolver::Solution sol;
             solver.solve(density, sol); // warm-up
-            const double diff = solutionDiff(sol, reference);
+            const bool same_solve = sameBits(sol.fieldX, reference.fieldX) &&
+                                    sameBits(sol.fieldY, reference.fieldY);
 
             Timer solve_timer;
             for (int r = 0; r < reps; ++r)
@@ -115,6 +99,7 @@ main(int argc, char **argv)
             DensityModel model(netlist, wl.bins, 0.9, pool_ptr);
             std::vector<Vec2> gradient;
             model.evaluate(positions, gradient); // warm-up
+            const bool same_gradient = sameBits(gradient, reference_gradient);
             Timer eval_timer;
             for (int r = 0; r < reps; ++r)
                 model.evaluate(positions, gradient);
@@ -128,12 +113,13 @@ main(int argc, char **argv)
             const double eval_speedup = serial_eval_ms / eval_ms;
 
             std::printf("   %d thread%s: solve %8.3f ms (%.2fx)  "
-                        "evaluate %8.3f ms (%.2fx)  rel|diff| %.3g\n",
+                        "evaluate %8.3f ms (%.2fx)\n",
                         threads, threads == 1 ? " " : "s", solve_ms,
-                        solve_speedup, eval_ms, eval_speedup, diff);
-            if (diff > 1e-9) {
-                std::printf("FAIL: threaded solve diverged (%g > 1e-9)\n",
-                            diff);
+                        solve_speedup, eval_ms, eval_speedup);
+            if (!same_solve || !same_gradient) {
+                std::printf("FAIL: %d-thread %s differs from serial\n",
+                            threads,
+                            same_solve ? "density gradient" : "solve");
                 return 1;
             }
 
@@ -147,7 +133,6 @@ main(int argc, char **argv)
                      CsvWriter::cell(static_cast<long long>(reps)),
                      CsvWriter::cell(solve_ms),
                      CsvWriter::cell(solve_speedup),
-                     CsvWriter::cell(diff),
                      CsvWriter::cell(eval_ms),
                      CsvWriter::cell(eval_speedup)});
         }

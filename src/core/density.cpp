@@ -1,7 +1,6 @@
 #include "core/density.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -43,36 +42,50 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
     gradient.resize(positions.size());
     stencils_.resize(instances.size());
 
-    // Rasterize charges; the density map stores charge per bin. Each
-    // footprint's stencil is kept for the field gather below.
-    parallelScatter(
-        pool_, instances.size(), std::span<double>(grid_.data()),
-        [&](int, std::size_t begin, std::size_t end, double *bins) {
+    // Each footprint's stencil, kept for the splat and the field gather
+    // below.
+    parallelFor(
+        pool_, instances.size(),
+        [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 const Instance &inst = instances[i];
                 stencils_[i] = grid_.stencil(
                     Rect::fromCenter(positions[i], inst.paddedWidth(),
                                      inst.paddedHeight()));
-                grid_.splat(stencils_[i], inst.paddedArea(), bins);
             }
         },
         ThreadPool::kGrainMedium);
 
+    // Rasterize charges; the density map stores charge per bin. Each
+    // chunk owns a band of bin rows and splats every instance's part in
+    // that band, in instance order, so every bin adds its charges in the
+    // serial order whatever the split. Every band walks all instances,
+    // so the instance count decides whether the pool wakes.
+    std::vector<double> &bins = grid_.data();
+    const auto rows = static_cast<std::size_t>(grid_.ny());
+    const auto nx = static_cast<std::size_t>(grid_.nx());
+    parallelFor(
+        pool_, rows,
+        [&](std::size_t row0, std::size_t row1) {
+            std::fill(bins.begin() + row0 * nx, bins.begin() + row1 * nx, 0.0);
+            for (std::size_t i = 0; i < instances.size(); ++i) {
+                BinStencil band = stencils_[i];
+                band.iy0 = std::max(band.iy0, static_cast<int>(row0));
+                band.iy1 = std::min(band.iy1, static_cast<int>(row1) - 1);
+                grid_.splat(band, instances[i].paddedArea(), bins.data());
+            }
+        },
+        instances.size() < ThreadPool::kGrainMedium ? rows + 1 : 0);
+
     // Overflow: charge above the per-bin capacity.
     const double capacity = targetDensity_ * grid_.binArea();
-    const std::size_t cells = grid_.data().size();
-    const auto [over, total_charge] = parallelReduce(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            std::array<double, 2> sums{};
-            for (std::size_t i = begin; i < end; ++i) {
-                const double q = grid_.data()[i];
-                sums[0] += std::max(0.0, q - capacity);
-                sums[1] += q;
-            }
-            return sums;
-        },
-        ThreadPool::kGrainFine);
+    const std::size_t cells = bins.size();
+    double over = 0.0;
+    double total_charge = 0.0;
+    for (const double q : bins) {
+        over += std::max(0.0, q - capacity);
+        total_charge += q;
+    }
     overflow_ = total_charge > 0.0 ? over / total_charge : 0.0;
 
     // Normalize the map to charge density (charge / bin area) before the
@@ -83,7 +96,7 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
         pool_, cells,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i)
-                density_[i] = grid_.data()[i] * inv_bin_area;
+                density_[i] = bins[i] * inv_bin_area;
         },
         ThreadPool::kGrainFine);
 

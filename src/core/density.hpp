@@ -11,8 +11,8 @@
  * geometry/bin_grid) once; the splat and the gather of both field
  * components walk that same stencil. The stencils, the normalized
  * density map and the field maps are members reused across calls, so
- * at a fixed instance count a serial evaluation allocates nothing after
- * the first.
+ * at a fixed instance count an evaluation allocates nothing after the
+ * first, at any thread count.
  */
 
 #ifndef QPLACER_CORE_DENSITY_HPP

@@ -145,8 +145,8 @@ FreqForceModel::resonantNeighbours(const Grid &grid,
             });
             for (; s != end && s->freqHz - f < thresholdHz_; ++s) {
                 const std::int32_t j = s->id;
-                if (static_cast<std::size_t>(j) <= i)
-                    continue; // handle each unordered pair once
+                if (static_cast<std::size_t>(j) == i)
+                    continue; // i itself
                 if (groups_[i] >= 0 && groups_[i] == groups_[j])
                     continue; // same resonator: excluded by (1 - delta)
                 const double radius =
@@ -171,27 +171,34 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     if (grid.nx == 0)
         return;
 
-    // Each unordered pair is handled once, by its lower index i, and
-    // pushes both endpoints; pairs are chunked over i. Within i the
-    // partners run in ascending j, so the pair body sees the pairs in
-    // the same order whatever the grid geometry.
+    // Instance k gathers every pair it is in, partners ascending: first
+    // its lower partners' pushes, then its higher partners'. That is the
+    // order in which a serial loop over the pairs (each pair once, by its
+    // lower index, both ascending) would add them to k. Every pair is
+    // formed as (i, j) = (lower, higher), so its delta, clamp, tie-break
+    // angle and coefficient are the same from either end.
     const std::size_t n = positions.size();
     const auto chunks = static_cast<std::size_t>(
         parallelChunkCount(pool_, n, ThreadPool::kGrainMedium));
     if (nearScratch_.size() < chunks)
         nearScratch_.resize(chunks);
 
-    parallelScatter(
-        pool_, n, std::span<Vec2>(gradient),
-        [&](int chunk, std::size_t begin, std::size_t end, Vec2 *g) {
+    parallelForChunks(
+        pool_, n,
+        [&](int chunk, std::size_t begin, std::size_t end) {
             std::vector<std::int32_t> &near = nearScratch_[chunk];
-            for (std::size_t i = begin; i < end; ++i) {
-                if (cellOf_[i] < 0)
+            for (std::size_t k = begin; k < end; ++k) {
+                if (cellOf_[k] < 0)
                     continue; // non-finite position
                 near.clear();
-                resonantNeighbours(grid, positions, i, near);
+                resonantNeighbours(grid, positions, k, near);
                 std::sort(near.begin(), near.end());
-                for (std::int32_t j : near) {
+                Vec2 g;
+                for (std::int32_t m : near) {
+                    const std::size_t i =
+                        std::min(k, static_cast<std::size_t>(m));
+                    const std::size_t j =
+                        std::max(k, static_cast<std::size_t>(m));
                     const double s = charge_[i] * charge_[j];
                     const double radius =
                         cutoffFactor_ * (charge_[i] + charge_[j]);
@@ -213,11 +220,14 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                         delta = delta * (d_min / d);
                         d = d_min;
                     }
-                    // dU/dx_i = -s (x_i - x_j) / d^3.
+                    // dU/dx_i = -s (x_i - x_j) / d^3 = -dU/dx_j.
                     const double coef = -s / (d * d * d);
-                    g[i] += delta * coef;
-                    g[j] -= delta * coef;
+                    if (k == i)
+                        g += delta * coef;
+                    else
+                        g -= delta * coef;
                 }
+                gradient[k] = g;
             }
         },
         ThreadPool::kGrainMedium);

@@ -41,8 +41,9 @@ class FreqForceModel
      * The per-pair strength is scaled by the geometric mean of the two
      * padded footprints so that large components repel proportionally.
      *
-     * @param pool Worker pool (null = serial; not owned). Pairs are
-     *             chunked by their lower instance index.
+     * @param pool Worker pool (null = serial; not owned). Each
+     *             instance gathers its own pairs, so any pool size
+     *             gives the serial bits.
      */
     FreqForceModel(const Netlist &netlist, double threshold_hz,
                    double cutoff_factor = 0.75,
@@ -80,7 +81,7 @@ class FreqForceModel
     Grid bucketPositions(const std::vector<Vec2> &positions) const;
 
     /**
-     * Append to @p out every j > i resonant with i, not on i's
+     * Append to @p out every j != i resonant with i, not on i's
      * resonator, within the pair radius (up to a tiny slack).
      */
     void resonantNeighbours(const Grid &grid,

@@ -1,7 +1,6 @@
 #include "core/nesterov.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -61,38 +60,25 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
 
     // Barzilai-Borwein step length from successive lookahead gradients.
     if (havePrev_) {
-        const auto [num, den] = parallelReduce(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                std::array<double, 2> sums{};
-                for (std::size_t i = begin; i < end; ++i) {
-                    const Vec2 ds = v_[i] - prevV_[i];
-                    const Vec2 dg = gradient[i] - prevG_[i];
-                    sums[0] += ds.normSq();
-                    sums[1] += ds.dot(dg);
-                }
-                return sums;
-            },
-            ThreadPool::kGrainFine);
+        double num = 0.0;
+        double den = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Vec2 ds = v_[i] - prevV_[i];
+            const Vec2 dg = gradient[i] - prevG_[i];
+            num += ds.normSq();
+            den += ds.dot(dg);
+        }
         if (den > 1e-16)
             alpha_ = num / den;
         // Otherwise keep the previous step length (curvature estimate
         // unavailable this iteration).
     }
 
-    // max() is exact, so per-chunk maxima combine to the serial result
-    // regardless of chunking.
     auto grad_max = [&](auto &&value) {
-        return parallelReduce(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                double m = 0.0;
-                for (std::size_t i = begin; i < end; ++i)
-                    m = std::max(m, value(gradient[i]));
-                return m;
-            },
-            ThreadPool::kGrainFine,
-            [](double a, double b) { return std::max(a, b); });
+        double m = 0.0;
+        for (const Vec2 &g : gradient)
+            m = std::max(m, value(g));
+        return m;
     };
 
     if (alpha_ <= 0.0) {

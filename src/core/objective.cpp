@@ -27,17 +27,12 @@ constexpr double kFreqLambdaGrowth = 1.05;
 constexpr double kFreqLambdaMaxFactor = 300.0;
 
 double
-l1Norm(ThreadPool *pool, const std::vector<Vec2> &g)
+l1Norm(const std::vector<Vec2> &g)
 {
-    return parallelReduce(
-        pool, g.size(),
-        [&](std::size_t begin, std::size_t end) {
-            double acc = 0.0;
-            for (std::size_t i = begin; i < end; ++i)
-                acc += std::abs(g[i].x) + std::abs(g[i].y);
-            return acc;
-        },
-        ThreadPool::kGrainFine);
+    double acc = 0.0;
+    for (const Vec2 &v : g)
+        acc += std::abs(v.x) + std::abs(v.y);
+    return acc;
 }
 
 } // namespace
@@ -128,8 +123,8 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
 {
     wirelength_.evaluate(positions, gradWl_);
     density_.evaluate(positions, gradDen_);
-    const double wl_norm = l1Norm(pool_, gradWl_);
-    const double den_norm = l1Norm(pool_, gradDen_);
+    const double wl_norm = l1Norm(gradWl_);
+    const double den_norm = l1Norm(gradDen_);
     lambda_ = den_norm > 1e-12 ? wl_norm / den_norm : 0.0;
 
     freq_ = LazyPenalty();
@@ -150,9 +145,9 @@ PlacementObjective::activate(LazyPenalty &penalty, double weight,
 {
     if (penalty.live)
         return;
-    const double norm = l1Norm(pool_, grad);
+    const double norm = l1Norm(grad);
     if (norm > 1e-12) {
-        penalty.lambda = weight * l1Norm(pool_, gradWl_) / norm;
+        penalty.lambda = weight * l1Norm(gradWl_) / norm;
         penalty.init = penalty.lambda;
         penalty.live = true;
     }

@@ -62,10 +62,9 @@ struct PlacerParams
     double cutWeight = 0.0;
 
     /**
-     * Worker threads for the density/DCT hot path (0 = hardware
-     * concurrency, capped; 1 = serial). Results are bitwise-
-     * deterministic for a fixed thread count; different counts round
-     * the sums differently and yield different layouts (see
+     * Worker threads for the placement hot path (0 = hardware
+     * concurrency, capped; 1 = serial). Changes speed only: the same
+     * seed gives the same bits at any thread count (see
      * ARCHITECTURE.md, "Determinism").
      */
     int threads = 0;

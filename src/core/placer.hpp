@@ -76,7 +76,7 @@ class GlobalPlacer
      * of params().threads) and optional monitor hooks. Sessions pass a
      * long-lived pool here so repeated placements never re-spawn
      * threads; results are bitwise-identical to the owning overload
-     * whenever the pool size matches the resolved params().threads.
+     * at any pool size.
      * On cancellation the current (last-iterate) solution is written
      * back and the result carries cancelled = true.
      */

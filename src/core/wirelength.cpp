@@ -13,6 +13,23 @@ WirelengthModel::WirelengthModel(const Netlist &netlist, double gamma,
 {
     if (gamma <= 0.0)
         fatal("WirelengthModel: gamma must be positive");
+
+    // Incident-net lists by counting sort; filling them in net order
+    // (a end before b end) leaves every list in net order.
+    const auto &nets = netlist.nets();
+    pinStart_.assign(netlist.instances().size() + 1, 0);
+    for (const Net &net : nets) {
+        ++pinStart_[static_cast<std::size_t>(net.a) + 1];
+        ++pinStart_[static_cast<std::size_t>(net.b) + 1];
+    }
+    for (std::size_t k = 1; k < pinStart_.size(); ++k)
+        pinStart_[k] += pinStart_[k - 1];
+    std::vector<std::size_t> fill(pinStart_.begin(), pinStart_.end() - 1);
+    pins_.resize(2 * nets.size());
+    for (std::size_t e = 0; e < nets.size(); ++e) {
+        pins_[fill[static_cast<std::size_t>(nets[e].a)]++] = 2 * e;
+        pins_[fill[static_cast<std::size_t>(nets[e].b)]++] = 2 * e + 1;
+    }
 }
 
 void
@@ -27,6 +44,8 @@ void
 WirelengthModel::evaluate(const std::vector<Vec2> &positions,
                           std::vector<Vec2> &gradient) const
 {
+    if (positions.size() + 1 != pinStart_.size())
+        panic("WirelengthModel::evaluate: position count mismatch");
     gradient.resize(positions.size());
 
     // For a 2-pin net the log-sum-exp wirelength reduces to the stable
@@ -35,19 +54,36 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
     auto axis = [this](double d) { return std::tanh(d / (2.0 * gamma_)); };
 
     const auto &nets = netlist_.nets();
-    parallelScatter(
-        pool_, nets.size(), std::span<Vec2>(gradient),
-        [&](int, std::size_t begin, std::size_t end, Vec2 *g) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const Net &net = nets[i];
+    netPull_.resize(nets.size());
+    parallelFor(
+        pool_, nets.size(),
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t e = begin; e < end; ++e) {
+                const Net &net = nets[e];
                 const Vec2 &pa = positions[net.a];
                 const Vec2 &pb = positions[net.b];
-                const double gx = axis(pa.x - pb.x);
-                const double gy = axis(pa.y - pb.y);
-                g[net.a].x += net.weight * gx;
-                g[net.a].y += net.weight * gy;
-                g[net.b].x -= net.weight * gx;
-                g[net.b].y -= net.weight * gy;
+                netPull_[e] = Vec2(net.weight * axis(pa.x - pb.x),
+                                   net.weight * axis(pa.y - pb.y));
+            }
+        },
+        ThreadPool::kGrainMedium);
+
+    // Each instance sums its nets' pulls in net order, adding at its a
+    // end and subtracting at its b end.
+    parallelFor(
+        pool_, positions.size(),
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t k = begin; k < end; ++k) {
+                Vec2 g;
+                for (std::size_t p = pinStart_[k]; p < pinStart_[k + 1];
+                     ++p) {
+                    const Vec2 &pull = netPull_[pins_[p] / 2];
+                    if (pins_[p] % 2 == 0)
+                        g += pull;
+                    else
+                        g -= pull;
+                }
+                gradient[k] = g;
             }
         },
         ThreadPool::kGrainMedium);
@@ -56,21 +92,13 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
 double
 WirelengthModel::hpwl(const std::vector<Vec2> &positions) const
 {
-    const auto &nets = netlist_.nets();
-    return parallelReduce(
-        pool_, nets.size(),
-        [&](std::size_t begin, std::size_t end) {
-            double partial = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-                const Net &net = nets[i];
-                const Vec2 &pa = positions[net.a];
-                const Vec2 &pb = positions[net.b];
-                partial += net.weight * (std::abs(pa.x - pb.x) +
-                                         std::abs(pa.y - pb.y));
-            }
-            return partial;
-        },
-        ThreadPool::kGrainMedium);
+    double total = 0.0;
+    for (const Net &net : netlist_.nets()) {
+        const Vec2 &pa = positions[net.a];
+        const Vec2 &pb = positions[net.b];
+        total += net.weight * (std::abs(pa.x - pb.x) + std::abs(pa.y - pb.y));
+    }
+    return total;
 }
 
 } // namespace qplacer

@@ -206,8 +206,8 @@ class Netlist
 
 /**
  * Bitwise instance-position equality (memcmp, not FP tolerance) --
- * the determinism contract the engine guarantees for a fixed seed and
- * thread count, and PlacementSession's batch-vs-serial gate.
+ * the determinism contract the engine guarantees for a fixed seed at
+ * any thread count, and PlacementSession's batch-vs-serial gate.
  */
 bool bitwiseSameLayout(const Netlist &a, const Netlist &b);
 

@@ -37,7 +37,7 @@ struct FlowContext
     /**
      * Worker pool for the placement hot path (borrowed; null = serial).
      * Sessions pass a long-lived pool so repeated runs never re-spawn
-     * threads; results are bitwise-identical for a fixed pool size.
+     * threads; results are bitwise-identical at any pool size.
      */
     ThreadPool *pool = nullptr;
 

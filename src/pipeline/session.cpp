@@ -89,9 +89,9 @@ PlacementSession::innerPool(const FlowParams &params)
     if (resolved <= 1)
         return nullptr;
     // Reuse the live pool whenever the size matches -- this is the
-    // amortization a session exists for. A changed request rebuilds it
-    // (chunk boundaries depend on the pool size, so reusing a
-    // wrong-sized pool would silently change results).
+    // amortization a session exists for. A changed request rebuilds it,
+    // so the job gets the parallelism it asked for (the results are the
+    // same at any pool size).
     if (!inner_ || inner_->threads() != resolved)
         inner_ = std::make_unique<ThreadPool>(resolved);
     return inner_.get();
@@ -206,16 +206,13 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs)
 {
     // A serial batch keeps each job's requested intra-placement thread
     // count. Concurrent jobs place single-threaded (inner pool = null):
-    // nesting regions on one pool is illegal, and the per-job serial
-    // path is exactly what makes batch results bitwise-equal to
-    // placer.threads=1 serial runs. runJob never throws (stage errors
-    // land in the per-job status), so one failing job cannot take down
-    // the batch.
+    // nesting regions on one pool is illegal, and the workers already
+    // keep the cores busy. Either way a job's result is the same as a
+    // lone run of it. runJob never throws (stage errors land in the
+    // per-job status), so one failing job cannot take down the batch.
     std::vector<FlowResult> results(jobs.size());
     forEachJob(jobs.size(), [&](std::size_t i, bool concurrent) {
-        FlowParams params = *jobs[i].params;
-        if (concurrent)
-            params.placer.threads = 1;
+        const FlowParams &params = *jobs[i].params;
         results[i] = runJob(*jobs[i].topo, params, static_cast<int>(i),
                             concurrent ? nullptr : innerPool(params),
                             /*logging=*/!concurrent, observer_,
@@ -256,12 +253,11 @@ PlacementSession::runPortfolio(const Topology &topo,
     std::vector<char> probe_ok(static_cast<std::size_t>(n), 1);
     TrajectoryRecorder recorder(static_cast<std::size_t>(n));
 
-    // Every candidate run, probe or full, places single-threaded with
-    // its own seed.
+    // Every candidate run, probe or full, places with its own seed and
+    // no pool: candidates may run concurrently.
     const auto candidate = [&](int ci) {
         FlowParams cand = params;
         cand.placer.seed = stats.candidates[static_cast<std::size_t>(ci)].seed;
-        cand.placer.threads = 1;
         return cand;
     };
 
@@ -341,9 +337,9 @@ PlacementSession::runPortfolio(const Topology &topo,
     }
 
     // Survivors run the complete flow (detailed stage included when
-    // enabled), single-threaded so the winner is bitwise-identical to
-    // a serial replay of its seed. The session observer gets no events:
-    // per-candidate events would interleave meaninglessly.
+    // enabled), so the winner is bitwise-identical to a replay of its
+    // seed. The session observer gets no events: per-candidate events
+    // would interleave meaninglessly.
     std::vector<FlowResult> finals(alive.size());
     forEachJob(alive.size(), [&](std::size_t k, bool concurrent) {
         finals[k] = runJob(topo, candidate(alive[k]), static_cast<int>(k),

@@ -511,8 +511,9 @@ PlacementServer::runJob(int worker_index, Job &job)
              makeError(req.id, "portfolio requires qplacer|classic mode"));
         return;
     }
-    // The bitwise contract: with concurrent workers every job places
-    // single-threaded, exactly like PlacementSession::runBatch.
+    // Concurrent workers already keep the cores busy, so each job
+    // places single-threaded rather than oversubscribe them, like
+    // PlacementSession::runBatch. The layout is the same either way.
     if (workers() > 1)
         params.placer.threads = 1;
 

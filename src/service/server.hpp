@@ -35,10 +35,12 @@
  *    QPLACER_FAILPOINTS / the "failpoint" request behind
  *    ServerOptions::enableFailpoints.
  *
- * Determinism contract: with workers > 1 every job is forced to
- * placer.threads = 1, exactly like PlacementSession::runBatch, so a
- * stream of concurrent jobs is bitwise-identical to running each
- * serially. Responses for one job arrive in order (ack -> progress* ->
+ * Determinism contract: a job's layout depends on its seed and
+ * parameters, never on the thread count, so a stream of concurrent
+ * jobs is bitwise-identical to running each serially. With workers > 1
+ * every job places with placer.threads = 1, like
+ * PlacementSession::runBatch, so the workers do not oversubscribe the
+ * cores. Responses for one job arrive in order (ack -> progress* ->
  * result); responses of different jobs interleave.
  */
 

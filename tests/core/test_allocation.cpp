@@ -1,9 +1,10 @@
 /**
  * @file
  * Steady-state allocation suite: once its maps and scratch have their
- * size, a serial DensityModel::evaluate or PoissonSolver::solve makes
- * no heap allocation. This binary replaces the global operator new to
- * count every allocation the process makes.
+ * size, a DensityModel::evaluate or WirelengthModel::evaluate (serial
+ * or on a 4-thread pool) or a PoissonSolver::solve makes no heap
+ * allocation. This binary replaces the global operator new to count
+ * every allocation the process makes.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 
 #include "core/density.hpp"
 #include "core/poisson.hpp"
+#include "core/wirelength.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -65,9 +68,23 @@ TEST(SteadyStateAllocation, CounterSeesAllocations)
     EXPECT_GE(allocationsOf([] { std::vector<double> v(16); }), 1u);
 }
 
-TEST(SteadyStateAllocation, DensityEvaluateAllocatesNothingAfterFirstCall)
+/** 400 random qubits, two position sets and 600 random nets. */
+struct RandomCase
 {
     Netlist netlist;
+    std::vector<Vec2> a; ///< Partly left and right of the region.
+    std::vector<Vec2> b; ///< Partly below and above it.
+};
+
+/**
+ * Qubits in an 8000 um square, then positions, then nets, all from one
+ * stream. 400 instances and 600 nets are above the serial grain, so a
+ * 4-thread pool runs the threaded paths.
+ */
+RandomCase
+randomCase()
+{
+    RandomCase c;
     Rng rng(23);
     for (int i = 0; i < 400; ++i) {
         Instance q;
@@ -75,21 +92,51 @@ TEST(SteadyStateAllocation, DensityEvaluateAllocatesNothingAfterFirstCall)
         q.width = rng.uniform(50.0, 400.0);
         q.height = rng.uniform(50.0, 400.0);
         q.pad = 20.0;
-        netlist.addInstance(q);
+        c.netlist.addInstance(q);
     }
-    netlist.setRegion(Rect(0, 0, 8000, 8000));
-    std::vector<Vec2> a(400);
-    std::vector<Vec2> b(400);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        a[i] = Vec2(rng.uniform(-500.0, 8500.0), rng.uniform(0.0, 8000.0));
-        b[i] = Vec2(rng.uniform(0.0, 8000.0), rng.uniform(-500.0, 8500.0));
+    c.netlist.setRegion(Rect(0, 0, 8000, 8000));
+    c.a.resize(400);
+    c.b.resize(400);
+    for (std::size_t i = 0; i < c.a.size(); ++i) {
+        c.a[i] = Vec2(rng.uniform(-500.0, 8500.0), rng.uniform(0.0, 8000.0));
+        c.b[i] = Vec2(rng.uniform(0.0, 8000.0), rng.uniform(-500.0, 8500.0));
     }
+    for (int e = 0; e < 600; ++e) {
+        const auto a = static_cast<int>(rng.below(400));
+        c.netlist.addNet(a, (a + 1 + static_cast<int>(rng.below(399))) % 400);
+    }
+    return c;
+}
 
-    DensityModel model(netlist, 64, 0.9);
-    std::vector<Vec2> gradient;
-    model.evaluate(a, gradient);
-    EXPECT_EQ(allocationsOf([&] { model.evaluate(b, gradient); }), 0u);
-    EXPECT_EQ(allocationsOf([&] { model.evaluate(a, gradient); }), 0u);
+TEST(SteadyStateAllocation, DensityEvaluateAllocatesNothingAfterFirstCall)
+{
+    const RandomCase c = randomCase();
+    ThreadPool four(4);
+    for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &four}) {
+        DensityModel model(c.netlist, 64, 0.9, pool);
+        std::vector<Vec2> gradient;
+        model.evaluate(c.a, gradient);
+        EXPECT_EQ(allocationsOf([&] { model.evaluate(c.b, gradient); }), 0u)
+            << (pool ? "4 threads" : "serial");
+        EXPECT_EQ(allocationsOf([&] { model.evaluate(c.a, gradient); }), 0u)
+            << (pool ? "4 threads" : "serial");
+    }
+}
+
+TEST(SteadyStateAllocation, WirelengthEvaluateAllocatesNothingAfterFirstCall)
+{
+    const RandomCase c = randomCase();
+    ThreadPool one(1);
+    ThreadPool four(4);
+    for (ThreadPool *pool : {&one, &four}) {
+        const WirelengthModel model(c.netlist, 150.0, pool);
+        std::vector<Vec2> gradient;
+        model.evaluate(c.a, gradient);
+        EXPECT_EQ(allocationsOf([&] { model.evaluate(c.b, gradient); }), 0u)
+            << pool->threads() << " threads";
+        EXPECT_EQ(allocationsOf([&] { model.evaluate(c.a, gradient); }), 0u)
+            << pool->threads() << " threads";
+    }
 }
 
 TEST(SteadyStateAllocation, PoissonSolveAllocatesNothingAfterFirstCall)

@@ -102,7 +102,7 @@ TEST(FreqForce, PotentialContinuousAtCutoff)
     // The production model forms only the gradient; the potential it
     // descends is the pair-list oracle's, whose gradient it reproduces.
     const FreqForceModel model(nl, 0.1e9, 0.8);
-    const oracle::PairListFreqForce potential(nl, 0.1e9, 0.8, nullptr);
+    const oracle::PairListFreqForce potential(nl, 0.1e9, 0.8);
     std::vector<Vec2> pos{{0, 0}, {1279.9, 0}};
     std::vector<Vec2> grad;
     std::vector<Vec2> oracle_grad;
@@ -119,7 +119,7 @@ TEST(FreqForce, GradientMatchesFiniteDifference)
     const Netlist nl =
         freqNetlist({5.0e9, 5.05e9, 5.02e9}, {-1, -1, -1});
     const FreqForceModel model(nl, 0.1e9);
-    const oracle::PairListFreqForce potential(nl, 0.1e9, 0.75, nullptr);
+    const oracle::PairListFreqForce potential(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{900, 1000}, {1500, 1100}, {1100, 1600}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);

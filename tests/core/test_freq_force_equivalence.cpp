@@ -4,8 +4,8 @@
  * oracle in tests/oracles: the gradient must match bit for bit (memcmp)
  * on paper devices and a 256-qubit grid, at the warm start and after 50
  * and 200 Nesterov iterations, with coincident instances and with
- * positions outside the region, at 1, 2 and 4 threads (each model run
- * against the oracle at the same thread count). ctest -L plan.
+ * positions outside the region, at 1, 2 and 4 threads, each against
+ * one serial oracle evaluation. ctest -L plan.
  */
 
 #include <gtest/gtest.h>
@@ -59,9 +59,10 @@ placedPositions(const Topology &topo, int iters)
 }
 
 /**
- * Evaluate the production force and the oracle on @p pos at every
- * thread count and require identical bits. Returns the number of
- * instances that felt a force (so callers can check the case is live).
+ * Evaluate the oracle on @p pos once, serially, and the production
+ * force at every thread count, and require identical bits. Returns the
+ * number of instances that felt a force (so callers can check the case
+ * is live).
  */
 int
 expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
@@ -69,18 +70,20 @@ expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
 {
     const PlacerParams defaults;
     const CrosstalkRule rule;
+    const oracle::PairListFreqForce ref(nl, rule.detuningThresholdHz,
+                                        defaults.freqCutoffFactor);
+    std::vector<Vec2> grad_ref;
+    ref.evaluate(pos, grad_ref);
     int pushed = 0;
+    for (const Vec2 &g : grad_ref)
+        pushed += g.x != 0.0 || g.y != 0.0;
+
     for (int threads : kThreadCounts) {
         ThreadPool pool(threads);
         const FreqForceModel model(nl, rule.detuningThresholdHz,
                                    defaults.freqCutoffFactor, &pool);
-        const oracle::PairListFreqForce ref(
-            nl, rule.detuningThresholdHz, defaults.freqCutoffFactor,
-            &pool);
         std::vector<Vec2> grad;
-        std::vector<Vec2> grad_ref;
         model.evaluate(pos, grad);
-        ref.evaluate(pos, grad_ref);
         if (grad.size() != grad_ref.size()) {
             ADD_FAILURE() << what << ": gradient sizes differ";
             return 0;
@@ -95,9 +98,6 @@ expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
                               grad.size() * sizeof(Vec2)),
                   0)
             << what << " threads=" << threads << ": re-evaluation";
-        pushed = 0;
-        for (const Vec2 &g : grad)
-            pushed += g.x != 0.0 || g.y != 0.0;
     }
     return pushed;
 }
@@ -129,7 +129,7 @@ TEST_P(FreqForceEquivalence, WarmStartAndNesterovIterates)
     const Topology topo = GetParam().make();
     const Netlist nl = buildNetlist(topo);
     ASSERT_GE(nl.instances().size(), ThreadPool::kGrainMedium)
-        << "too small to exercise the chunked scatter";
+        << "too small to exercise the threaded gather";
     // The force is dormant whenever every resonant pair happens to be
     // isolated, so only require it live at some snapshot.
     int pushed = expectBitIdentical(nl, positionsOf(nl), "warm start");

@@ -4,14 +4,13 @@
 
 #include "oracles/oracles.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qplacer::oracle {
 
 PairListFreqForce::PairListFreqForce(const Netlist &netlist,
                                      double threshold_hz,
-                                     double cutoff_factor, ThreadPool *pool)
-    : cutoffFactor_(cutoff_factor), pool_(pool)
+                                     double cutoff_factor)
+    : cutoffFactor_(cutoff_factor)
 {
     if (cutoff_factor <= 0.0)
         fatal("PairListFreqForce: non-positive cutoff factor");
@@ -60,80 +59,38 @@ PairListFreqForce::evaluate(const std::vector<Vec2> &positions,
         panic("PairListFreqForce::evaluate: position count mismatch");
     gradient.assign(positions.size(), Vec2());
 
-    // Each unordered pair is handled once, by its lower index i; pairs
-    // are chunked over i, with per-chunk gradient slices so the writes
-    // to both endpoints never collide across threads.
-    const std::size_t n = positions.size();
-    const int chunks =
-        parallelChunkCount(pool_, n, ThreadPool::kGrainMedium);
-    std::vector<Vec2> grad_scratch;
-    Vec2 *scratch = nullptr;
-    if (chunks > 1) {
-        grad_scratch.assign(static_cast<std::size_t>(chunks) * n, Vec2());
-        scratch = grad_scratch.data();
-    }
-    std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-
-    parallelForChunks(
-        pool_, n,
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            Vec2 *g = chunks == 1
-                          ? gradient.data()
-                          : scratch + static_cast<std::size_t>(chunk) * n;
-            double potential = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-                for (std::int32_t j : partners_[i]) {
-                    if (static_cast<std::size_t>(j) <= i)
-                        continue; // handle each unordered pair once
-                    const double s = charge_[i] * charge_[j];
-                    const double radius =
-                        cutoffFactor_ * (charge_[i] + charge_[j]);
-                    Vec2 delta = positions[i] - positions[j];
-                    double d = delta.norm();
-                    if (d >= radius)
-                        continue; // already spatially isolated
-                    // Clamp so coincident instances still get a finite,
-                    // directed push (deterministic tie-break direction
-                    // from the indices).
-                    const double d_min =
-                        0.25 * (charge_[i] + charge_[j]);
-                    if (d < 1e-9) {
-                        const double ang = 0.7548776662 *
-                                           static_cast<double>(i * 31 + j);
-                        delta = Vec2(std::cos(ang), std::sin(ang)) * d_min;
-                        d = d_min;
-                    } else if (d < d_min) {
-                        delta = delta * (d_min / d);
-                        d = d_min;
-                    }
-                    potential += s * (1.0 / d - 1.0 / radius);
-                    // dU/dx_i = -s (x_i - x_j) / d^3.
-                    const double coef = -s / (d * d * d);
-                    g[i] += delta * coef;
-                    g[j] -= delta * coef;
-                }
-            }
-            partial[chunk] = potential;
-        },
-        ThreadPool::kGrainMedium);
-
-    if (chunks > 1) {
-        parallelFor(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    Vec2 acc;
-                    for (int c = 0; c < chunks; ++c)
-                        acc += scratch[static_cast<std::size_t>(c) * n +
-                                       i];
-                    gradient[i] = acc;
-                }
-            },
-            ThreadPool::kGrainFine);
-    }
+    // Each unordered pair is handled once, by its lower index i, in
+    // ascending (i, j) order, and pushes both endpoints.
     double total = 0.0;
-    for (double p : partial)
-        total += p;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+        for (std::int32_t j : partners_[i]) {
+            if (static_cast<std::size_t>(j) <= i)
+                continue; // handle each unordered pair once
+            const double s = charge_[i] * charge_[j];
+            const double radius = cutoffFactor_ * (charge_[i] + charge_[j]);
+            Vec2 delta = positions[i] - positions[j];
+            double d = delta.norm();
+            if (d >= radius)
+                continue; // already spatially isolated
+            // Clamp so coincident instances still get a finite, directed
+            // push (deterministic tie-break direction from the indices).
+            const double d_min = 0.25 * (charge_[i] + charge_[j]);
+            if (d < 1e-9) {
+                const double ang =
+                    0.7548776662 * static_cast<double>(i * 31 + j);
+                delta = Vec2(std::cos(ang), std::sin(ang)) * d_min;
+                d = d_min;
+            } else if (d < d_min) {
+                delta = delta * (d_min / d);
+                d = d_min;
+            }
+            total += s * (1.0 / d - 1.0 / radius);
+            // dU/dx_i = -s (x_i - x_j) / d^3.
+            const double coef = -s / (d * d * d);
+            gradient[i] += delta * coef;
+            gradient[j] -= delta * coef;
+        }
+    }
     return total;
 }
 

@@ -123,15 +123,19 @@ void transformColsUnplanned(std::vector<double> &map, int nx, int ny,
  * FreqForceModel over the all-distance collision map: a sorted-frequency
  * window sweep lists, per instance, every near-resonant partner at any
  * distance (same resonator excluded), and evaluate() scans each list,
- * skipping the pairs beyond their cutoff radius.
+ * skipping the pairs beyond their cutoff radius. It runs serially: each
+ * pair once, by its lower index, pushing both endpoints.
  */
 class PairListFreqForce
 {
   public:
     PairListFreqForce(const Netlist &netlist, double threshold_hz,
-                      double cutoff_factor, ThreadPool *pool);
+                      double cutoff_factor);
 
-    /** FreqForceModel::evaluate over the pair lists. */
+    /**
+     * FreqForceModel::evaluate over the pair lists; returns the
+     * truncated Coulomb energy.
+     */
     double evaluate(const std::vector<Vec2> &positions,
                     std::vector<Vec2> &gradient) const;
 
@@ -139,7 +143,6 @@ class PairListFreqForce
     std::vector<std::vector<std::int32_t>> partners_;
     std::vector<double> charge_;
     double cutoffFactor_;
-    ThreadPool *pool_;
 };
 
 /**

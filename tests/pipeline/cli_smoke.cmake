@@ -55,27 +55,32 @@ if(NOT svg_text MATCHES "</svg>")
     message(FATAL_ERROR "SVG is not closed with </svg>")
 endif()
 
-# --- Threaded run: --threads must work and reproduce the layout. ---
+# --- Threaded runs: --threads must work and never change the layout. ---
 # grid8x8 (~1400 instances, 64 bins) sits above every serial-grain
 # cutoff, so worker threads genuinely run; a capped iteration budget
-# keeps the smoke fast while still exercising hundreds of regions.
-set(layout_a "${WORK_DIR}/threads_a.txt")
-set(layout_b "${WORK_DIR}/threads_b.txt")
-foreach(layout IN ITEMS "${layout_a}" "${layout_b}")
+# keeps the smoke fast while still exercising hundreds of regions. The
+# runs at 2 (twice) and 3 threads must write the --threads 1 file.
+foreach(run IN ITEMS 1 2a 2b 3)
+    string(SUBSTRING "${run}" 0 1 threads)
+    set(layout "${WORK_DIR}/threads_${run}.txt")
     execute_process(
-        COMMAND "${QPLACER_CLI}" --topology grid8x8 --seed 3 --threads 2
-                --set placer.maxIters=120 --layout "${layout}" --quiet
+        COMMAND "${QPLACER_CLI}" --topology grid8x8 --seed 3
+                --threads ${threads} --set placer.maxIters=120
+                --layout "${layout}" --quiet
         RESULT_VARIABLE rc
         OUTPUT_QUIET ERROR_VARIABLE err)
     if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "qplacer_cli --threads 2 exited ${rc}\n${err}")
+        message(FATAL_ERROR
+            "qplacer_cli --threads ${threads} exited ${rc}\n${err}")
+    endif()
+    file(READ "${layout}" text)
+    if(run STREQUAL "1")
+        set(text_serial "${text}")
+    elseif(NOT text STREQUAL text_serial)
+        message(FATAL_ERROR
+            "--threads ${threads} layout (run ${run}) differs from --threads 1")
     endif()
 endforeach()
-file(READ "${layout_a}" text_a)
-file(READ "${layout_b}" text_b)
-if(NOT text_a STREQUAL text_b)
-    message(FATAL_ERROR "--threads 2 runs with the same seed diverged")
-endif()
 
 # --- Seed wraparound: --jobs near UINT64_MAX wraps mod 2^64. ---
 # Base seed 2^64 - 2 with 3 jobs must resolve to the deterministic

@@ -21,8 +21,9 @@
 namespace qplacer {
 namespace paper_claims {
 
-/** One placement job, pinned to one thread like the goldens: the
- *  layout, and with it every ordering, depends on the thread count. */
+/** One placement job, pinned to one thread like the goldens so
+ *  parallel ctest runs do not oversubscribe the cores; the layout is
+ *  the same at any thread count. */
 inline FlowParams
 job(PlacerMode mode, std::uint64_t seed)
 {

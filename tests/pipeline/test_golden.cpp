@@ -48,10 +48,9 @@ checkGolden(const Topology &topo, const Golden &g)
     params.mode = PlacerMode::Qplacer;
     params.partition.segmentUm = 300.0;
     params.placer.seed = kSeed;
-    // Pinned to one thread: the goldens were measured serially, and
-    // auto thread counts would tie them to the runner's core count
-    // (cross-thread-count results agree only within FP tolerance,
-    // which the optimizer amplifies over hundreds of iterations).
+    // Pinned to one thread so parallel ctest runs do not oversubscribe
+    // the runner; the layout, and so the golden, is the same at any
+    // thread count.
     params.placer.threads = 1;
     const FlowResult r = QplacerFlow(params).run(topo);
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * PlacementSession determinism contract: a concurrent batch must be
- * bitwise-identical to serial QplacerFlow runs with the same seeds
- * (and placer.threads = 1, the batch's per-job configuration), and a
- * session reusing its pool across runs must reproduce the one-shot
- * flow exactly.
+ * bitwise-identical to serial QplacerFlow runs with the same seeds,
+ * and a session reusing its pool across runs must reproduce the
+ * one-shot flow exactly.
  */
 
 #include <gtest/gtest.h>

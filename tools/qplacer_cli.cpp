@@ -71,16 +71,16 @@ Options:
   --seed N            RNG seed for the placer (default: 1).
   --threads N         Worker threads for the placement hot path
                       (default 0 = hardware concurrency, capped; 1 =
-                      serial). Same seed + thread count reproduces the
-                      placement bit for bit.
+                      serial). The thread count changes speed only: the
+                      same seed reproduces the placement bit for bit.
   --jobs N            Place the topology N times with seeds seed..seed+N-1
                       through one PlacementSession (default: 1). Per-job
                       seeds wrap modulo 2^64: a base seed near
                       UINT64_MAX deterministically continues at 0, 1,
                       ... Jobs run concurrently (see --workers); each
                       job is placed single-threaded when jobs run
-                      concurrently, so a batch reproduces N serial
-                      --threads 1 runs bit for bit.
+                      concurrently, and a batch reproduces N single
+                      runs bit for bit.
   --workers M         Concurrent jobs for --jobs (default 0 = hardware
                       concurrency, capped; 1 = serial batch).
   --portfolio N       Multi-start portfolio: race N candidates seeded

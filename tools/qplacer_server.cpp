@@ -81,8 +81,9 @@ Usage: qplacer_server [options]
 Options:
   --workers N    Concurrent jobs (default 0 = hardware concurrency,
                  capped; 1 = strictly ordered). With N > 1 each job is
-                 placed single-threaded, so results stay bitwise-
-                 identical to serial runs.
+                 placed single-threaded so workers do not oversubscribe
+                 the cores; the same seed gives the same layout either
+                 way.
   --socket PATH  Serve on a Unix domain socket instead of stdin/stdout
                  (one protocol session per connection; POSIX only).
   --state-dir PATH
