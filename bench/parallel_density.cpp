@@ -1,15 +1,18 @@
 /**
  * @file
- * Serial vs. threaded Poisson/DCT density engine on Eagle-127 and a
- * 1000+ qubit parametric grid.
+ * Serial vs. threaded placement kernels: the Poisson/DCT density engine
+ * on Eagle-127 and a 1000+ qubit parametric grid, and the frequency
+ * force on Aspen-M and Eagle.
  *
- * For each topology the driver splats the real netlist density once,
- * then times PoissonSolver::solve and the full DensityModel::evaluate
- * at 1, 2, 4, and 8 threads, failing unless every thread count
- * reproduces the serial field maps and density gradient bit for bit
- * (memcmp). Results go to stdout and a CSV
- * (first argv, default parallel_density.csv) for the nightly CI
- * artifact trail.
+ * For each density topology the driver splats the real netlist density
+ * once, then times PoissonSolver::solve and the full
+ * DensityModel::evaluate. For each force topology it times
+ * FreqForceModel::evaluate at the warm start and after 200 Nesterov
+ * iterations. Every kernel runs at 1, 2, 4, and 8 threads, and the
+ * driver fails unless every thread count reproduces the serial field
+ * maps and gradients bit for bit (memcmp). Results go to stdout and a
+ * CSV (first argv, default parallel_density.csv; one row per kernel,
+ * workload and thread count) for the nightly CI artifact trail.
  *
  * Environment overrides:
  *   QP_BENCH_REPS  solves per timing sample (default 20)
@@ -22,6 +25,7 @@
 
 #include "bench_common.hpp"
 #include "core/density.hpp"
+#include "core/freq_force.hpp"
 #include "core/poisson.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -40,6 +44,68 @@ sameBits(const std::vector<T> &a, const std::vector<T> &b)
                                      a.size() * sizeof(T)) == 0);
 }
 
+/** One CSV row: a kernel's mean time at a thread count. */
+void
+writeRow(CsvWriter &csv, const char *kernel, const std::string &topology,
+         const char *snapshot, const Netlist &netlist, int qubits, int bins,
+         int threads, int reps, double ms, double speedup)
+{
+    csv.row({CsvWriter::cell(kernel), CsvWriter::cell(topology),
+             CsvWriter::cell(snapshot),
+             CsvWriter::cell(static_cast<long long>(qubits)),
+             CsvWriter::cell(static_cast<long long>(netlist.numInstances())),
+             CsvWriter::cell(static_cast<long long>(bins)),
+             CsvWriter::cell(static_cast<long long>(threads)),
+             CsvWriter::cell(static_cast<long long>(reps)),
+             CsvWriter::cell(ms), CsvWriter::cell(speedup)});
+}
+
+/**
+ * Time FreqForceModel::evaluate on @p positions at 1, 2, 4 and 8
+ * threads against a serial reference; false if any thread count
+ * changes a bit.
+ */
+bool
+benchFreqForce(CsvWriter &csv, const std::string &topology, int qubits,
+               const char *snapshot, const Netlist &netlist,
+               const std::vector<Vec2> &positions, const FlowParams &params,
+               int reps)
+{
+    const double threshold = params.crosstalk.detuningThresholdHz;
+    const double cutoff = params.placer.freqCutoffFactor;
+    const FreqForceModel serial(netlist, threshold, cutoff);
+    std::vector<Vec2> reference;
+    serial.evaluate(positions, reference);
+
+    double serial_ms = 0.0;
+    for (const int threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        const FreqForceModel model(netlist, threshold, cutoff,
+                                   threads > 1 ? &pool : nullptr);
+        std::vector<Vec2> gradient;
+        model.evaluate(positions, gradient); // warm-up
+        const bool same = sameBits(gradient, reference);
+        Timer timer;
+        for (int r = 0; r < reps; ++r)
+            model.evaluate(positions, gradient);
+        const double ms = timer.millis() / reps;
+        if (threads == 1)
+            serial_ms = ms;
+        std::printf("   %-10s %d thread%s: evaluate %8.3f ms (%.2fx)\n",
+                    snapshot, threads, threads == 1 ? " " : "s", ms,
+                    serial_ms / ms);
+        if (!same) {
+            std::printf("FAIL: %d-thread frequency force differs from "
+                        "serial\n",
+                        threads);
+            return false;
+        }
+        writeRow(csv, "freq_force_evaluate", topology, snapshot, netlist,
+                 qubits, 0, threads, reps, ms, serial_ms / ms);
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -51,9 +117,8 @@ main(int argc, char **argv)
         static_cast<int>(Config::envInt("QP_BENCH_REPS", 20));
 
     CsvWriter csv(csv_path);
-    csv.header({"topology", "qubits", "instances", "bins", "threads",
-                "reps", "solve_ms", "solve_speedup", "evaluate_ms",
-                "evaluate_speedup"});
+    csv.header({"kernel", "topology", "snapshot", "qubits", "instances",
+                "bins", "threads", "reps", "ms", "speedup"});
 
     bench::banner("parallel density engine: serial vs. threaded");
     for (const bench::SpectralWorkload &wl : bench::spectralWorkloads()) {
@@ -123,19 +188,43 @@ main(int argc, char **argv)
                 return 1;
             }
 
-            csv.row({CsvWriter::cell(wl.name),
-                     CsvWriter::cell(
-                         static_cast<long long>(wl.topo.numQubits())),
-                     CsvWriter::cell(static_cast<long long>(
-                         netlist.numInstances())),
-                     CsvWriter::cell(static_cast<long long>(wl.bins)),
-                     CsvWriter::cell(static_cast<long long>(threads)),
-                     CsvWriter::cell(static_cast<long long>(reps)),
-                     CsvWriter::cell(solve_ms),
-                     CsvWriter::cell(solve_speedup),
-                     CsvWriter::cell(eval_ms),
-                     CsvWriter::cell(eval_speedup)});
+            writeRow(csv, "poisson_solve", wl.name, "warm_start", netlist,
+                     wl.topo.numQubits(), wl.bins, threads, reps, solve_ms,
+                     solve_speedup);
+            writeRow(csv, "density_evaluate", wl.name, "warm_start",
+                     netlist, wl.topo.numQubits(), wl.bins, threads, reps,
+                     eval_ms, eval_speedup);
         }
+    }
+
+    bench::banner("frequency force: serial vs. threaded");
+    const FlowParams params;
+    for (const char *name : {"Aspen-M", "Eagle"}) {
+        const Topology topo = makeTopology(name);
+        const FrequencyAssigner assigner(params.assigner, params.crosstalk);
+        Netlist netlist = NetlistBuilder(params.partition)
+                              .build(topo, assigner.assign(topo),
+                                     params.targetUtil);
+        std::printf("-- %s: %d qubits, %d instances\n", name,
+                    topo.numQubits(), netlist.numInstances());
+        std::vector<Vec2> positions;
+        for (const Instance &inst : netlist.instances())
+            positions.push_back(inst.pos);
+        if (!benchFreqForce(csv, name, topo.numQubits(), "warm_start",
+                            netlist, positions, params, reps))
+            return 1;
+
+        PlacerParams placer = params.placer;
+        placer.threads = 1;
+        placer.maxIters = 200;
+        placer.minIters = 200;
+        placer.stopOverflow = 0.0; // run the whole budget
+        GlobalPlacer(placer, params.crosstalk).place(netlist);
+        for (std::size_t i = 0; i < positions.size(); ++i)
+            positions[i] = netlist.instances()[i].pos;
+        if (!benchFreqForce(csv, name, topo.numQubits(), "iter_200",
+                            netlist, positions, params, reps))
+            return 1;
     }
     std::printf("CSV written to %s\n", csv_path.c_str());
     return 0;

@@ -49,61 +49,91 @@ FreqForceModel::FreqForceModel(const Netlist &netlist, double threshold_hz,
     if (cutoff_factor <= 0.0)
         fatal("FreqForceModel: non-positive cutoff factor");
     charge_.resize(netlist.instances().size());
-    double max_charge = 0.0;
-    for (std::size_t i = 0; i < charge_.size(); ++i) {
+    for (std::size_t i = 0; i < charge_.size(); ++i)
         charge_[i] = std::sqrt(netlist.instances()[i].paddedArea());
-        max_charge = std::max(max_charge, charge_[i]);
-    }
-    maxRadius_ = cutoffFactor_ * 2.0 * max_charge;
     byFreq_.resize(freqs_.size());
     std::iota(byFreq_.begin(), byFreq_.end(), 0);
     std::stable_sort(byFreq_.begin(), byFreq_.end(),
                      [&](std::int32_t a, std::int32_t b) {
                          return freqs_[a] < freqs_[b];
                      });
+
+    // A new band starts wherever two consecutive frequencies fail the
+    // resonance test (same subtraction, same comparison). Rounded
+    // subtraction is monotone, so any two instances on either side of
+    // that gap are at least as far apart: no resonant pair crosses it.
+    bandOf_.resize(byFreq_.size());
+    double max_charge = 0.0;
+    for (std::size_t k = 0; k < byFreq_.size(); ++k) {
+        const std::int32_t i = byFreq_[k];
+        if (k == 0 ||
+            freqs_[i] - freqs_[byFreq_[k - 1]] >= thresholdHz_) {
+            bands_.push_back(Band{k, k, 0.0});
+            max_charge = 0.0;
+        }
+        max_charge = std::max(max_charge, charge_[i]);
+        bands_.back().end = k + 1;
+        bands_.back().radius = cutoffFactor_ * 2.0 * max_charge;
+        bandOf_[i] = static_cast<std::int32_t>(bands_.size() - 1);
+    }
+    grids_.resize(bands_.size());
 }
 
-FreqForceModel::Grid
+void
 FreqForceModel::bucketPositions(const std::vector<Vec2> &positions) const
 {
-    Grid grid;
-    Vec2 hi(-HUGE_VAL, -HUGE_VAL);
-    grid.lo = Vec2(HUGE_VAL, HUGE_VAL);
-    for (const Vec2 &p : positions) {
-        if (!isFinite(p))
-            continue;
-        grid.lo = Vec2(std::min(grid.lo.x, p.x), std::min(grid.lo.y, p.y));
-        hi = Vec2(std::max(hi.x, p.x), std::max(hi.y, p.y));
+    // Each band gets a grid over its own bounding box whose cell is the
+    // band's largest pair radius, so a query spans at most 3x3 cells.
+    // Far-flung positions would make that grid huge; coarsen it to
+    // O(band size) cells (a coarser grid only adds candidates). The
+    // bands' cells are numbered consecutively.
+    std::size_t cells = 0;
+    for (std::size_t b = 0; b < bands_.size(); ++b) {
+        const Band &band = bands_[b];
+        Grid &grid = grids_[b];
+        grid = Grid();
+        grid.base = cells;
+        Vec2 hi(-HUGE_VAL, -HUGE_VAL);
+        grid.lo = Vec2(HUGE_VAL, HUGE_VAL);
+        for (std::size_t k = band.begin; k < band.end; ++k) {
+            const Vec2 &p = positions[byFreq_[k]];
+            if (!isFinite(p))
+                continue;
+            grid.lo = Vec2(std::min(grid.lo.x, p.x), std::min(grid.lo.y, p.y));
+            hi = Vec2(std::max(hi.x, p.x), std::max(hi.y, p.y));
+        }
+        if (grid.lo.x > hi.x || !(band.radius > 0.0))
+            continue; // nx = 0: nothing in the band can interact
+        const double w = hi.x - grid.lo.x;
+        const double h = hi.y - grid.lo.y;
+        const double max_cells =
+            kMaxCellsPerInstance * static_cast<double>(band.end - band.begin);
+        grid.cell = std::max({band.radius, std::sqrt(w * h / max_cells),
+                              w / max_cells, h / max_cells});
+        grid.nx = static_cast<int>(w / grid.cell) + 1;
+        grid.ny = static_cast<int>(h / grid.cell) + 1;
+        cells += static_cast<std::size_t>(grid.nx) * grid.ny;
     }
-    if (grid.lo.x > hi.x || !(maxRadius_ > 0.0))
-        return grid; // nx = 0: nothing can interact
 
-    // Cell = the largest pair radius, so a query spans at most 3x3
-    // cells. Far-flung positions would make that grid huge; coarsen it
-    // to O(n) cells (a coarser grid only adds candidates).
-    const double w = hi.x - grid.lo.x;
-    const double h = hi.y - grid.lo.y;
-    const double max_cells =
-        kMaxCellsPerInstance * static_cast<double>(positions.size());
-    grid.cell = std::max({maxRadius_, std::sqrt(w * h / max_cells),
-                          w / max_cells, h / max_cells});
-    grid.nx = static_cast<int>(w / grid.cell) + 1;
-    grid.ny = static_cast<int>(h / grid.cell) + 1;
-
-    // Counting sort by cell, filled in frequency order so every cell's
-    // slots ascend in frequency.
-    const std::size_t cells = static_cast<std::size_t>(grid.nx) * grid.ny;
+    // One counting sort by cell, filled in frequency order so every
+    // cell's slots ascend in frequency.
     cellOf_.resize(positions.size());
     cellStart_.assign(cells + 1, 0);
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        const Vec2 &p = positions[i];
-        if (!isFinite(p)) {
-            cellOf_[i] = -1;
-            continue;
+    for (std::size_t b = 0; b < bands_.size(); ++b) {
+        const Grid &grid = grids_[b];
+        for (std::size_t k = bands_[b].begin; k < bands_[b].end; ++k) {
+            const std::int32_t i = byFreq_[k];
+            const Vec2 &p = positions[i];
+            if (grid.nx == 0 || !isFinite(p)) {
+                cellOf_[i] = -1;
+                continue;
+            }
+            const int ix = cellIndex(p.x, grid.lo.x, grid.cell, grid.nx);
+            const int iy = cellIndex(p.y, grid.lo.y, grid.cell, grid.ny);
+            cellOf_[i] = static_cast<std::int32_t>(
+                grid.base + static_cast<std::size_t>(iy) * grid.nx + ix);
+            ++cellStart_[cellOf_[i] + 1];
         }
-        cellOf_[i] = cellIndex(p.y, grid.lo.y, grid.cell, grid.ny) * grid.nx +
-                     cellIndex(p.x, grid.lo.x, grid.cell, grid.nx);
-        ++cellStart_[cellOf_[i] + 1];
     }
     for (std::size_t c = 0; c < cells; ++c)
         cellStart_[c + 1] += cellStart_[c];
@@ -117,25 +147,27 @@ FreqForceModel::bucketPositions(const std::vector<Vec2> &positions) const
     for (std::size_t c = cells; c > 0; --c)
         cellStart_[c] = cellStart_[c - 1];
     cellStart_[0] = 0;
-    return grid;
 }
 
 void
-FreqForceModel::resonantNeighbours(const Grid &grid,
-                                   const std::vector<Vec2> &positions,
+FreqForceModel::resonantNeighbours(const std::vector<Vec2> &positions,
                                    std::size_t i,
                                    std::vector<std::int32_t> &out) const
 {
+    // Every instance resonant with i is in i's band, within the band's
+    // radius.
+    const Grid &grid = grids_[bandOf_[i]];
     const Vec2 p = positions[i];
     const double f = freqs_[i];
-    const double r = maxRadius_ * (1.0 + kRadiusSlack);
+    const double r = bands_[bandOf_[i]].radius * (1.0 + kRadiusSlack);
     const int ix0 = cellIndex(p.x - r, grid.lo.x, grid.cell, grid.nx);
     const int ix1 = cellIndex(p.x + r, grid.lo.x, grid.cell, grid.nx);
     const int iy0 = cellIndex(p.y - r, grid.lo.y, grid.cell, grid.ny);
     const int iy1 = cellIndex(p.y + r, grid.lo.y, grid.cell, grid.ny);
     for (int iy = iy0; iy <= iy1; ++iy) {
         for (int ix = ix0; ix <= ix1; ++ix) {
-            const std::size_t c = static_cast<std::size_t>(iy) * grid.nx + ix;
+            const std::size_t c =
+                grid.base + static_cast<std::size_t>(iy) * grid.nx + ix;
             const Slot *s = slots_.data() + cellStart_[c];
             const Slot *end = slots_.data() + cellStart_[c + 1];
             // The slots with |f - f_j| < threshold (isResonant) are one
@@ -167,9 +199,7 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     if (positions.size() != charge_.size())
         panic("FreqForceModel::evaluate: position count mismatch");
     gradient.assign(positions.size(), Vec2());
-    const Grid grid = bucketPositions(positions);
-    if (grid.nx == 0)
-        return;
+    bucketPositions(positions);
 
     // Instance k gathers every pair it is in, partners ascending: first
     // its lower partners' pushes, then its higher partners'. That is the
@@ -191,7 +221,7 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                 if (cellOf_[k] < 0)
                     continue; // non-finite position
                 near.clear();
-                resonantNeighbours(grid, positions, k, near);
+                resonantNeighbours(positions, k, near);
                 std::sort(near.begin(), near.end());
                 Vec2 g;
                 for (std::int32_t m : near) {

@@ -5,9 +5,13 @@
  * Near-resonant instance pairs (same-resonator pairs excluded) repel
  * each other with a Coulomb 1/r potential, so minimizing the penalty
  * drives them apart spatially. The potential is truncated at a per-pair
- * radius, so each evaluation buckets the positions into a uniform grid
- * (cells sorted by frequency) and each instance visits only its
- * resonant spatial neighbours: O(n) in the instance count.
+ * radius. Sorted by frequency, the instances split into bands wherever
+ * two consecutive frequencies are Delta_c or more apart, so no resonant
+ * pair straddles two bands. Each evaluation buckets every band's
+ * positions into the band's own uniform grid (cells sorted by
+ * frequency), whose cell is the band's largest pair radius, and each
+ * instance visits only its own band's cells around it: O(n) in the
+ * instance count.
  */
 
 #ifndef QPLACER_CORE_FREQ_FORCE_HPP
@@ -34,9 +38,9 @@ class FreqForceModel
      *                      cutoff_factor * (size_i + size_j) feel no
      *                      force; this truncation keeps the repulsion a
      *                      local separation constraint instead of a
-     *                      long-range scatter force. The largest
-     *                      such radius is also the neighbour-grid cell
-     *                      size.
+     *                      long-range scatter force. A band's largest
+     *                      such radius is the cell size of the band's
+     *                      neighbour grid.
      *
      * The per-pair strength is scaled by the geometric mean of the two
      * padded footprints so that large components repel proportionally.
@@ -68,24 +72,35 @@ class FreqForceModel
         std::int32_t id;
     };
 
-    /** Uniform cell grid over the bounding box of the positions. */
+    /** A run of byFreq_ that no resonant pair leaves. */
+    struct Band
+    {
+        std::size_t begin; ///< First byFreq_ index.
+        std::size_t end;   ///< One past the last.
+        double radius;     ///< Largest pair radius within the band.
+    };
+
+    /** A band's uniform cell grid over its positions' bounding box. */
     struct Grid
     {
         Vec2 lo;
         double cell = 0.0;
-        int nx = 0; ///< 0 when no position is finite.
+        int nx = 0; ///< 0 when none of the band's positions is finite.
         int ny = 0;
+        std::size_t base = 0; ///< Index of the band's first cell.
     };
 
-    /** Bucket the finite positions into slots_ by cell, then frequency. */
-    Grid bucketPositions(const std::vector<Vec2> &positions) const;
+    /**
+     * Bucket the finite positions into slots_ by band, cell, then
+     * frequency; cellOf_ is -1 for a non-finite position.
+     */
+    void bucketPositions(const std::vector<Vec2> &positions) const;
 
     /**
      * Append to @p out every j != i resonant with i, not on i's
      * resonator, within the pair radius (up to a tiny slack).
      */
-    void resonantNeighbours(const Grid &grid,
-                            const std::vector<Vec2> &positions,
+    void resonantNeighbours(const std::vector<Vec2> &positions,
                             std::size_t i,
                             std::vector<std::int32_t> &out) const;
 
@@ -93,11 +108,13 @@ class FreqForceModel
     std::vector<double> freqs_;  ///< Per-instance frequency (Hz).
     std::vector<int> groups_;    ///< Resonator id (-1 for qubits).
     std::vector<std::int32_t> byFreq_; ///< Instances by (freq, index).
+    std::vector<Band> bands_;          ///< Partition of byFreq_.
+    std::vector<std::int32_t> bandOf_; ///< Per-instance band.
     double thresholdHz_;
     double cutoffFactor_;
-    double maxRadius_ = 0.0; ///< Largest pair radius (grid cell size).
     ThreadPool *pool_;
     /** Grid storage, rebuilt by every evaluate(). */
+    mutable std::vector<Grid> grids_; ///< Per band.
     mutable std::vector<std::int32_t> cellOf_;
     mutable std::vector<std::int32_t> cellStart_;
     mutable std::vector<Slot> slots_;

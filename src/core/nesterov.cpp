@@ -103,16 +103,16 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
     prevG_ = gradient;
     havePrev_ = true;
 
-    // Nesterov update.
-    std::vector<Vec2> x_new(n);
+    // Nesterov update, into the scratch that then becomes x_.
+    xNew_.resize(n);
     parallelFor(
         pool_, n,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i)
-                x_new[i] = v_[i] - gradient[i] * alpha;
+                xNew_[i] = v_[i] - gradient[i] * alpha;
         },
         ThreadPool::kGrainFine);
-    clamp(x_new);
+    clamp(xNew_);
 
     const double theta_new =
         (1.0 + std::sqrt(1.0 + 4.0 * theta_ * theta_)) / 2.0;
@@ -121,12 +121,12 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
         pool_, n,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i)
-                v_[i] = x_new[i] + (x_new[i] - x_[i]) * momentum;
+                v_[i] = xNew_[i] + (xNew_[i] - x_[i]) * momentum;
         },
         ThreadPool::kGrainFine);
     clamp(v_);
 
-    x_ = std::move(x_new);
+    x_.swap(xNew_);
     theta_ = theta_new;
 }
 

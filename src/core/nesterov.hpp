@@ -64,6 +64,7 @@ class NesterovOptimizer
     std::vector<Vec2> v_;      ///< Lookahead.
     std::vector<Vec2> prevV_;  ///< Previous lookahead (for BB).
     std::vector<Vec2> prevG_;  ///< Previous gradient (for BB).
+    std::vector<Vec2> xNew_;   ///< Next major solution (step scratch).
     double theta_ = 1.0;
     double alpha_ = 0.0;
     bool havePrev_ = false;

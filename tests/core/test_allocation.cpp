@@ -1,10 +1,11 @@
 /**
  * @file
  * Steady-state allocation suite: once its maps and scratch have their
- * size, a DensityModel::evaluate or WirelengthModel::evaluate (serial
- * or on a 4-thread pool) or a PoissonSolver::solve makes no heap
- * allocation. This binary replaces the global operator new to count
- * every allocation the process makes.
+ * size, a DensityModel::evaluate, WirelengthModel::evaluate,
+ * FreqForceModel::evaluate or NesterovOptimizer::step (serial or on a
+ * 4-thread pool) or a PoissonSolver::solve makes no heap allocation.
+ * This binary replaces the global operator new to count every
+ * allocation the process makes.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,14 @@
 #include <vector>
 
 #include "core/density.hpp"
+#include "core/freq_force.hpp"
+#include "core/nesterov.hpp"
+#include "core/params.hpp"
 #include "core/poisson.hpp"
 #include "core/wirelength.hpp"
+#include "freq/assigner.hpp"
+#include "netlist/builder.hpp"
+#include "topology/generators.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -136,6 +143,63 @@ TEST(SteadyStateAllocation, WirelengthEvaluateAllocatesNothingAfterFirstCall)
             << pool->threads() << " threads";
         EXPECT_EQ(allocationsOf([&] { model.evaluate(c.a, gradient); }), 0u)
             << pool->threads() << " threads";
+    }
+}
+
+TEST(SteadyStateAllocation, FreqForceEvaluateAllocatesNothingAfterFirstCall)
+{
+    // Aspen-M: seven frequency bands, qubits and resonator segments. The
+    // band grids, the neighbour lanes and their rows are members, so a
+    // second evaluation on the same positions reuses all of them.
+    const Topology topo = makeAspenM();
+    const Netlist nl =
+        NetlistBuilder().build(topo, FrequencyAssigner().assign(topo));
+    std::vector<Vec2> warm;
+    for (const Instance &inst : nl.instances())
+        warm.push_back(inst.pos);
+    std::vector<Vec2> squeezed = warm; // more pairs in range
+    for (Vec2 &p : squeezed)
+        p = p * 0.5;
+    const CrosstalkRule rule;
+    const double cutoff = PlacerParams().freqCutoffFactor;
+    ThreadPool one(1);
+    ThreadPool four(4);
+    for (ThreadPool *pool : {&one, &four}) {
+        const FreqForceModel model(nl, rule.detuningThresholdHz, cutoff,
+                                   pool);
+        std::vector<Vec2> gradient;
+        for (const std::vector<Vec2> *pos : {&warm, &squeezed}) {
+            model.evaluate(*pos, gradient);
+            EXPECT_EQ(
+                allocationsOf([&] { model.evaluate(*pos, gradient); }), 0u)
+                << pool->threads() << " threads";
+        }
+    }
+}
+
+TEST(SteadyStateAllocation, NesterovStepAllocatesNothingAfterFirstCall)
+{
+    // 5000 instances: above the elementwise grain, so a 4-thread pool
+    // runs the threaded loops.
+    const std::size_t n = 5000;
+    const Rect region(0, 0, 8000, 8000);
+    Rng rng(5);
+    std::vector<Vec2> start(n);
+    std::vector<Vec2> gradient(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        start[i] = Vec2(rng.uniform(0.0, 8000.0), rng.uniform(0.0, 8000.0));
+        gradient[i] = Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    }
+    ThreadPool four(4);
+    for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &four}) {
+        NesterovOptimizer opt(region, std::vector<Vec2>(n, Vec2(20, 30)),
+                              0.05, pool);
+        opt.reset(start);
+        opt.step(gradient);
+        EXPECT_EQ(allocationsOf([&] { opt.step(gradient); }), 0u)
+            << (pool ? "4 threads" : "serial");
+        EXPECT_EQ(allocationsOf([&] { opt.step(gradient); }), 0u)
+            << (pool ? "4 threads" : "serial");
     }
 }
 

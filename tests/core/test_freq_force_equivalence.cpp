@@ -1,16 +1,18 @@
 /**
  * @file
- * The neighbour-grid frequency force against the all-distance pair-list
- * oracle in tests/oracles: the gradient must match bit for bit (memcmp)
- * on paper devices and a 256-qubit grid, at the warm start and after 50
- * and 200 Nesterov iterations, with coincident instances and with
- * positions outside the region, at 1, 2 and 4 threads, each against
+ * The banded neighbour-grid frequency force against the all-distance
+ * pair-list oracle in tests/oracles: the gradient must match bit for
+ * bit (memcmp) on paper devices and a 256-qubit grid, at the warm start
+ * and after 50 and 200 Nesterov iterations, with coincident instances,
+ * with positions outside the region and on a synthetic netlist built
+ * around the frequency-band edges, at 1, 2 and 4 threads, each against
  * one serial oracle evaluation. ctest -L plan.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -145,6 +147,7 @@ INSTANTIATE_TEST_SUITE_P(
     Devices, FreqForceEquivalence,
     ::testing::Values(Device{"Falcon", &makeFalcon},
                       Device{"AspenM", &makeAspenM},
+                      Device{"Eagle", &makeEagle},
                       Device{"Grid16x16", &makeGrid16x16}),
     [](const ::testing::TestParamInfo<Device> &info) {
         return std::string(info.param.name);
@@ -182,6 +185,67 @@ TEST(FreqForceEquivalenceEdge, PositionsOutsideTheRegion)
     pos[1] = Vec2(1e9, 3e8);
     pos[2] = pos[1];
     EXPECT_GT(expectBitIdentical(nl, pos, "outliers"), 0);
+}
+
+TEST(FreqForceEquivalenceEdge, FrequencyBandEdges)
+{
+    // Charges (padded sizes) of 1000 um for qubits and 100 um for
+    // segments; at the default cutoff 0.8 the pair radii are 1600 um
+    // (qubit-qubit), 880 um (qubit-segment) and 160 um (segment-segment).
+    const double dc = CrosstalkRule().detuningThresholdHz;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Netlist nl;
+    std::vector<Vec2> pos;
+    const auto add = [&](InstanceKind kind, double freq_hz, int resonator,
+                         Vec2 p) {
+        Instance inst;
+        inst.kind = kind;
+        inst.width = inst.height =
+            kind == InstanceKind::Qubit ? 980.0 : 80.0;
+        inst.pad = 20.0;
+        inst.freqHz = freq_hz;
+        inst.resonator = resonator;
+        nl.addInstance(inst);
+        pos.push_back(p);
+    };
+    constexpr InstanceKind kQubit = InstanceKind::Qubit;
+    constexpr InstanceKind kSegment = InstanceKind::ResonatorSegment;
+
+    // A chain of qubits dc - 1 Hz apart, 300 um apart on a row: one band
+    // spanning 4 (dc - 1) Hz, in which only consecutive links resonate.
+    const double f0 = 5e9;
+    for (int k = 0; k < 5; ++k)
+        add(kQubit, f0 + k * (dc - 1.0), -1, Vec2(300.0 * k, 0.0));
+    // Exactly dc above the chain's top (no instance in between), a band
+    // mixing a qubit with segments on a row (added below, after every
+    // qubit). Every segment is within the qubit-segment radius of the
+    // qubit, but the 500 um and further ones lie beyond twice the
+    // segment-segment radius. Two segments share a resonator and never
+    // repel.
+    const double fm = f0 + 4.0 * (dc - 1.0) + dc;
+    add(kQubit, fm, -1, Vec2(0.0, 5000.0));
+    // A lone qubit, next to the chain in space only.
+    add(kQubit, 8e9, -1, Vec2(100.0, 100.0));
+    // A band with no finite position.
+    add(kQubit, 9e9, -1, Vec2(nan, 0.0));
+    add(kSegment, 9e9, 4, Vec2(inf, inf));
+    add(kSegment, 9e9 + 1e6, 5, Vec2(0.0, -inf));
+    // The mixed band's segments.
+    add(kSegment, fm + 1e6, 0, Vec2(300.0, 5000.0));
+    add(kSegment, fm + 2e6, 1, Vec2(500.0, 5000.0));
+    add(kSegment, fm, 2, Vec2(700.0, 5000.0));
+    add(kSegment, fm, 2, Vec2(750.0, 5000.0));
+    add(kSegment, fm + 3e6, 3, Vec2(820.0, 5000.0));
+
+    EXPECT_GT(expectBitIdentical(nl, pos, "band edges"), 0);
+
+    // Every finite position on one point: the index tie-break.
+    for (Vec2 &p : pos) {
+        if (std::isfinite(p.x) && std::isfinite(p.y))
+            p = Vec2(10.0, 20.0);
+    }
+    EXPECT_GT(expectBitIdentical(nl, pos, "band edges, one point"), 0);
 }
 
 } // namespace
