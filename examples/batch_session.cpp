@@ -23,11 +23,9 @@ namespace {
 class ProgressCounter : public FlowObserver
 {
   public:
-    void onStageEnd(const FlowContext &ctx,
-                    const StageTiming &timing) override
+    void onStageEnd(const FlowContext &, const std::string &,
+                    double) override
     {
-        (void)ctx;
-        (void)timing;
         stagesFinished.fetch_add(1, std::memory_order_relaxed);
     }
 

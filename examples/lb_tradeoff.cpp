@@ -24,7 +24,7 @@ main()
         const FlowResult r = QplacerFlow::runMode(
             topo, PlacerMode::Qplacer, lb_mm * 1000.0);
         std::printf("%-8.1f %-8d %-10.2f %-8.1f %-8.2f\n", lb_mm,
-                    r.netlist.numInstances(), r.seconds,
+                    r.netlist.numInstances(), r.seconds(),
                     100.0 * r.area.utilization, r.hotspots.phPercent);
     }
     std::printf("\nSmaller blocks pack better but multiply the cell "

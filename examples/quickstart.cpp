@@ -29,7 +29,7 @@ main()
                                                    PlacerMode::Qplacer);
 
     std::printf("placed %d instances in %.2fs (%d iterations)\n",
-                result.netlist.numInstances(), result.seconds,
+                result.netlist.numInstances(), result.seconds(),
                 result.place.iterations);
     std::printf("substrate: %.1f x %.1f mm, utilization %.1f%%\n",
                 result.area.enclosingRect.width() / 1000.0,

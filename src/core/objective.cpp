@@ -47,10 +47,7 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
       wirelength_(netlist,
                   std::max(1e-3, kGammaFrac * netlist.region().width()),
                   pool),
-      density_(netlist,
-               params.bins > 0
-                   ? params.bins
-                   : DensityModel::autoBinCount(netlist.numInstances()),
+      density_(netlist, DensityModel::autoBinCount(netlist.numInstances()),
                params.targetDensity, pool)
 {
     if (params.freqForce) {

@@ -19,9 +19,6 @@ struct PlacerParams
      */
     double targetDensity = 0.9;
 
-    /** Bin grid resolution (0 = pick a power of two automatically). */
-    int bins = 0;
-
     /** Iteration budget for the Nesterov loop. */
     int maxIters = 900;
 

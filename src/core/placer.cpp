@@ -7,7 +7,6 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace qplacer {
 
@@ -36,7 +35,6 @@ PlaceResult
 GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
                     const PlaceMonitor &monitor) const
 {
-    Timer timer;
     PlaceResult result;
 
     const auto &instances = netlist.instances();
@@ -117,7 +115,6 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
     result.iterations = iter;
     result.finalOverflow = overflow;
     result.finalHpwl = objective.hpwl(solution);
-    result.seconds = timer.seconds();
     debug(str("global place: ", result.iterations, " iters, overflow ",
               result.finalOverflow, ", HPWL ", result.finalHpwl));
     return result;

@@ -24,7 +24,6 @@ struct PlaceResult
     int iterations = 0;
     double finalOverflow = 1.0;
     double finalHpwl = 0.0;
-    double seconds = 0.0;
     bool converged = false;
     bool cancelled = false; ///< Stopped early by a CancelToken.
 };

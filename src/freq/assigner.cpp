@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "util/logging.hpp"
-#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace qplacer {
 namespace {
@@ -180,16 +180,15 @@ FrequencyAssigner::colorsToFrequencies(const std::vector<int> &colors,
 }
 
 FrequencyAssignment
-FrequencyAssigner::assign(const Topology &topo, AssignStats *stats) const
+FrequencyAssigner::assign(const Topology &topo, Trace *trace) const
 {
-    AssignStats local;
     FrequencyAssignment out;
     const Graph &coupling = topo.coupling;
     const int nq = coupling.numNodes();
 
     // Qubit interference graph: coupled pairs plus (optionally)
     // distance-2 pairs.
-    Timer timer;
+    Trace::Span interference_span(trace, "interference");
     Graph interference(nq);
     for (const auto &[u, v] : coupling.edges())
         interference.addEdge(u, v);
@@ -201,29 +200,25 @@ FrequencyAssigner::assign(const Topology &topo, AssignStats *stats) const
             }
         }
     }
-    local.interferenceSeconds = timer.seconds();
+    interference_span.stop();
 
-    timer.reset();
+    Trace::Span qubit_color(trace, "qubit_color");
     out.qubitColor = dsatur(interference);
     out.qubitFreqHz =
         colorsToFrequencies(out.qubitColor, coupling, params_.qubitBand,
                             &out.numQubitSlots);
-    local.qubitColorSeconds = timer.seconds();
+    qubit_color.stop();
 
-    timer.reset();
+    Trace::Span res_graph_span(trace, "resonator_graph");
     const Graph res_graph = resonatorShareGraph(coupling);
-    local.resonatorGraphSeconds = timer.seconds();
+    res_graph_span.stop();
 
-    timer.reset();
+    Trace::Span res_color(trace, "resonator_color");
     out.resonatorColor = dsatur(res_graph);
     out.resonatorFreqHz =
         colorsToFrequencies(out.resonatorColor, res_graph,
                             params_.resonatorBand,
                             &out.numResonatorSlots);
-    local.resonatorColorSeconds = timer.seconds();
-
-    if (stats)
-        *stats = local;
     return out;
 }
 

@@ -29,6 +29,8 @@
 
 namespace qplacer {
 
+class Trace;
+
 /** Frequencies chosen for one device. */
 struct FrequencyAssignment
 {
@@ -51,18 +53,6 @@ struct FrequencyAssignment
     int numResonatorSlots = 0;
 };
 
-/**
- * Sub-stage wall clocks of one assign() call, surfaced through
- * FlowResult as "assign.stages" in qplacer_cli --report json.
- */
-struct AssignStats
-{
-    double interferenceSeconds = 0.0;   ///< Qubit interference graph.
-    double qubitColorSeconds = 0.0;     ///< Qubit DSATUR + slot mapping.
-    double resonatorGraphSeconds = 0.0; ///< Resonator share graph.
-    double resonatorColorSeconds = 0.0; ///< Resonator DSATUR + slots.
-};
-
 /** Parameters of the frequency assigner. */
 struct AssignerParams
 {
@@ -82,11 +72,12 @@ class FrequencyAssigner
                                CrosstalkRule rule = {});
 
     /**
-     * Assign frequencies for @p topo. @p stats (optional) receives the
-     * sub-stage wall clocks of this call.
+     * Assign frequencies for @p topo. @p trace (optional) gets the
+     * sub-stage spans "interference", "qubit_color", "resonator_graph"
+     * and "resonator_color".
      */
     FrequencyAssignment assign(const Topology &topo,
-                               AssignStats *stats = nullptr) const;
+                               Trace *trace = nullptr) const;
 
     /**
      * DSATUR greedy colouring of @p graph; returns colour per node.

@@ -38,27 +38,6 @@ SpatialHash::insert(std::int32_t id, Vec2 pos)
     ++count_;
 }
 
-void
-SpatialHash::remove(std::int32_t id, Vec2 pos)
-{
-    auto &bucket = buckets_[bucketOf(pos)];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].id == id) {
-            bucket[i] = bucket.back();
-            bucket.pop_back();
-            --count_;
-            return;
-        }
-    }
-}
-
-void
-SpatialHash::move(std::int32_t id, Vec2 from, Vec2 to)
-{
-    remove(id, from);
-    insert(id, to);
-}
-
 std::vector<std::int32_t>
 SpatialHash::query(Vec2 center, double radius) const
 {

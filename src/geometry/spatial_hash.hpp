@@ -30,12 +30,6 @@ class SpatialHash
     /** Insert item @p id at @p pos. */
     void insert(std::int32_t id, Vec2 pos);
 
-    /** Remove item @p id located at @p pos (no-op if absent). */
-    void remove(std::int32_t id, Vec2 pos);
-
-    /** Move an item between positions. */
-    void move(std::int32_t id, Vec2 from, Vec2 to);
-
     /** Ids of items within @p radius of @p center (Euclidean). */
     std::vector<std::int32_t> query(Vec2 center, double radius) const;
 

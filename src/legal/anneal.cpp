@@ -10,17 +10,9 @@
 
 #include "legal/occupancy.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace qplacer {
 namespace {
-
-/**
- * Weight of the fidelity hinge (um of violation depth) against um of
- * HPWL in the move cost. Small on purpose: wirelength stays the primary
- * objective; the hinge only breaks ties toward wider detuning gaps.
- */
-constexpr double kFidelityWeight = 4.0;
 
 /** Relocation reach per axis, in occupancy cells. */
 constexpr int kRelocateReachCells = 4;
@@ -253,17 +245,6 @@ layoutHpwl(const Netlist &netlist)
     return sum;
 }
 
-double
-detailedObjective(const Netlist &netlist, const CrosstalkRule &rule)
-{
-    PairStats pairs;
-    const auto &instances = netlist.instances();
-    for (std::size_t a = 0; a < instances.size(); ++a)
-        for (std::size_t b = a + 1; b < instances.size(); ++b)
-            pairs.add(rule, instances[a], instances[b]);
-    return layoutHpwl(netlist) + kFidelityWeight * pairs.hinge;
-}
-
 DetailedPlacer::DetailedPlacer(DetailedPlaceParams params,
                                LegalizerParams legal, CrosstalkRule rule)
     : params_(params), legal_(legal), rule_(rule)
@@ -275,7 +256,6 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
                        const CancelToken *cancel,
                        const AcceptHook &on_accept) const
 {
-    Timer timer;
     DetailedStats stats;
     const std::size_t n = netlist.instances().size();
     if (params_.iters <= 0 || n < 2 || netlist.nets().empty())
@@ -411,7 +391,6 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
         netlist.instance(static_cast<int>(i)).pos = best_positions[i];
     stats.hpwlAfter = layoutHpwl(netlist);
     stats.collisionsAfter = best_collisions;
-    stats.seconds = timer.seconds();
     return stats;
 }
 

@@ -82,7 +82,6 @@ struct DetailedStats
     double hpwlAfter = 0.0;     ///< Exact layout HPWL of the result.
     int collisionsBefore = 0;   ///< Near-resonant adjacent pairs at entry.
     int collisionsAfter = 0;    ///< ... of the result (never larger).
-    double seconds = 0.0;       ///< Wall clock of the refinement.
 };
 
 /** The annealing detailed placer; see the file header for the contract. */
@@ -91,6 +90,14 @@ class DetailedPlacer
   public:
     DetailedPlacer(DetailedPlaceParams params, LegalizerParams legal,
                    CrosstalkRule rule);
+
+    /**
+     * Weight of the fidelity hinge (um of violation depth) against um
+     * of HPWL in the move cost. Small on purpose: wirelength stays the
+     * primary objective; the hinge only breaks ties toward wider
+     * detuning gaps.
+     */
+    static constexpr double kFidelityWeight = 4.0;
 
     /**
      * Test/diagnostic hook: invoked after every accepted move with the
@@ -125,16 +132,6 @@ class DetailedPlacer
  * positions.
  */
 double layoutHpwl(const Netlist &netlist);
-
-/**
- * The annealer's combined move objective on a whole layout: HPWL plus
- * the weighted fidelity hinge over near-resonant adjacent pairs.
- * Collision-count increases are hard-rejected (not priced), so along
- * any accepted trajectory at temperature 0 this value is
- * non-increasing -- the property the anneal test suite checks.
- */
-double detailedObjective(const Netlist &netlist,
-                         const CrosstalkRule &rule);
 
 } // namespace qplacer
 

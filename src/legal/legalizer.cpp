@@ -6,7 +6,7 @@
 #include "legal/spiral.hpp"
 #include "legal/tetris.hpp"
 #include "util/logging.hpp"
-#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace qplacer {
 
@@ -76,7 +76,8 @@ Legalizer::Legalizer(LegalizerParams params, CrosstalkRule rule)
 
 bool
 Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
-                   LegalizeResult &result, const CancelToken *cancel) const
+                   LegalizeResult &result, const CancelToken *cancel,
+                   Trace *trace) const
 {
     result = LegalizeResult{};
     std::vector<char> is_movable = is_movable_in;
@@ -130,7 +131,7 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
     }
 
     // --- Stage 1: movable qubits (greedy spiral, central-first). ---
-    Timer stage_timer;
+    Trace::Span spiral(trace, "spiral");
     std::vector<int> movable_qubits;
     for (int q = 0; q < netlist.numQubits(); ++q)
         if (is_movable[q])
@@ -138,14 +139,14 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
     if (!spiralLegalizeQubits(netlist, grid, multi ? &plan : nullptr,
                               movable_qubits, result.qubitDisplacementUm))
         return false;
-    result.spiralSeconds = stage_timer.seconds();
+    spiral.stop();
 
     // --- Stage 2: movable segments (Tetris). ---
     if (cancel && cancel->cancelled()) {
         result.cancelled = true;
         return true;
     }
-    stage_timer.reset();
+    Trace::Span tetris(trace, "tetris");
     std::vector<int> movable_res;
     for (const Resonator &res : netlist.resonators())
         if (!res.segments.empty() && is_movable[res.segments.front()])
@@ -155,25 +156,24 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
                                 &movable_res)) {
         return false;
     }
-    result.tetrisSeconds = stage_timer.seconds();
+    tetris.stop();
 
     // --- Stage 3: integration-aware repair of the moved chains. ---
     if (cancel && cancel->cancelled()) {
         result.cancelled = true;
         return true;
     }
-    stage_timer.reset();
+    Trace::Span integration(trace, "integration");
     if (params_.integration && !movable_res.empty()) {
         IntegrationLegalizer integrator(params_.resonanceCheck, rule_);
         result.integration = integrator.run(netlist, grid, &movable_res);
     }
-    result.integrationSeconds = stage_timer.seconds();
     return true;
 }
 
 LegalizeResult
 Legalizer::legalize(Netlist &netlist, const CancelToken *cancel,
-                    const std::vector<int> *movable) const
+                    const std::vector<int> *movable, Trace *trace) const
 {
     std::vector<char> is_movable(netlist.numInstances(), movable ? 0 : 1);
     if (movable) {
@@ -223,7 +223,7 @@ Legalizer::legalize(Netlist &netlist, const CancelToken *cancel,
             warn(str("Legalizer: retrying with region grown ",
                      (grow - 1.0) * 100.0, "%"));
         }
-        if (attempt(netlist, is_movable, result, cancel)) {
+        if (attempt(netlist, is_movable, result, cancel, trace)) {
             if (result.cancelled)
                 return result;
             result.legal = isLegal(netlist);

@@ -15,6 +15,8 @@
 
 namespace qplacer {
 
+class Trace;
+
 /** Legalizer configuration. */
 struct LegalizerParams
 {
@@ -39,13 +41,6 @@ struct LegalizeResult
     IntegrationLegalizer::Result integration;
     bool legal = false;     ///< No padded-footprint overlaps at exit.
     bool cancelled = false; ///< Stopped early by a CancelToken.
-
-    // Sub-stage wall clocks of the final legalization attempt (the
-    // one whose layout survived), surfaced through FlowResult and the
-    // CLI's --report json for profiling 1000+ qubit instances.
-    double spiralSeconds = 0.0;      ///< Qubit spiral search.
-    double tetrisSeconds = 0.0;      ///< Segment Tetris scan.
-    double integrationSeconds = 0.0; ///< Integration-aware repair.
 };
 
 /** End-to-end legalizer. */
@@ -71,10 +66,13 @@ class Legalizer
      * overlapping another fixed instance) is demoted to movable rather
      * than corrupting the grid. Retries restore only the movable
      * instances. Null means every instance is movable.
+     * @p trace (optional) gets the "spiral", "tetris" and
+     * "integration" pass spans, each summed over retried attempts.
      */
     LegalizeResult legalize(Netlist &netlist,
                             const CancelToken *cancel = nullptr,
-                            const std::vector<int> *movable = nullptr) const;
+                            const std::vector<int> *movable = nullptr,
+                            Trace *trace = nullptr) const;
 
     /**
      * Verify no two padded footprints overlap (with small tolerance)
@@ -88,7 +86,8 @@ class Legalizer
      * region ran out of room.
      */
     bool attempt(Netlist &netlist, const std::vector<char> &is_movable,
-                 LegalizeResult &result, const CancelToken *cancel) const;
+                 LegalizeResult &result, const CancelToken *cancel,
+                 Trace *trace) const;
 
     LegalizerParams params_;
     CrosstalkRule rule_;

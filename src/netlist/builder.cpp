@@ -6,7 +6,7 @@
 #include "physics/resonator.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace qplacer {
 
@@ -18,7 +18,7 @@ NetlistBuilder::NetlistBuilder(PartitionParams params)
 Netlist
 NetlistBuilder::build(const Topology &topo, const FrequencyAssignment &freqs,
                       double target_util, ThreadPool *pool,
-                      BuildStats *stats) const
+                      Trace *trace) const
 {
     const int nq = topo.numQubits();
     if (static_cast<int>(freqs.qubitFreqHz.size()) != nq ||
@@ -28,15 +28,12 @@ NetlistBuilder::build(const Topology &topo, const FrequencyAssignment &freqs,
               "topology");
     }
 
-    BuildStats local;
-    local.threads = pool != nullptr ? pool->threads() : 1;
-
     const int nc = topo.numCouplers();
     const auto &edges = topo.coupling.edges();
     const std::size_t grain = ThreadPool::kGrainMedium;
 
     // --- Per-coupler segment counts and prefix-summed offsets. ---
-    Timer timer;
+    Trace::Span segments(trace, "segments");
     std::vector<double> length_um(nc);
     std::vector<int> nseg(nc);
     parallelFor(
@@ -59,12 +56,12 @@ NetlistBuilder::build(const Topology &topo, const FrequencyAssignment &freqs,
         net_offset[e + 1] = net_offset[e] + nseg[e] + 1;
     }
     const int total_segments = seg_offset[nc];
-    local.segmentsSeconds = timer.seconds();
+    segments.stop();
 
     // --- Instance / net / resonator fill at precomputed offsets. ---
     // Every slot is written exactly once from per-item formulas, so
     // chunk boundaries cannot change a single bit of the result.
-    timer.reset();
+    Trace::Span fill(trace, "instances");
     std::vector<Instance> instances(
         static_cast<std::size_t>(nq) + total_segments);
     std::vector<Net> nets(static_cast<std::size_t>(net_offset[nc]));
@@ -124,17 +121,17 @@ NetlistBuilder::build(const Topology &topo, const FrequencyAssignment &freqs,
     Netlist netlist;
     netlist.adopt(std::move(instances), std::move(nets),
                   std::move(resonators), nq);
-    local.instancesSeconds = timer.seconds();
+    fill.stop();
 
-    timer.reset();
+    Trace::Span size_region(trace, "finalize");
     netlist.sizeRegion(target_util);
-    local.finalizeSeconds = timer.seconds();
+    size_region.stop();
 
     // --- Warm-start positions: qubits on the embedding scaled to fill
     // ~80% of the region, centered; segments evenly along the straight
     // line between their endpoints. The bbox scan stays serial: min/max
     // over nq points is cheap. ---
-    timer.reset();
+    Trace::Span warm_start(trace, "warm_start");
     Rect emb(std::numeric_limits<double>::max(),
              std::numeric_limits<double>::max(),
              std::numeric_limits<double>::lowest(),
@@ -183,14 +180,11 @@ NetlistBuilder::build(const Topology &topo, const FrequencyAssignment &freqs,
             }
         },
         grain);
-    local.warmStartSeconds = timer.seconds();
+    warm_start.stop();
 
-    timer.reset();
+    Trace::Span finalize(trace, "finalize");
     netlist.clampIntoRegion();
     netlist.validate();
-    local.finalizeSeconds += timer.seconds();
-    if (stats)
-        *stats = local;
     return netlist;
 }
 

@@ -22,19 +22,7 @@
 namespace qplacer {
 
 class ThreadPool;
-
-/**
- * Sub-stage wall clocks of one build() call, surfaced through
- * FlowResult as "build.stages" in qplacer_cli --report json.
- */
-struct BuildStats
-{
-    double segmentsSeconds = 0.0;  ///< Lengths, counts, prefix sums.
-    double instancesSeconds = 0.0; ///< Instance / net / resonator fill.
-    double warmStartSeconds = 0.0; ///< Embedding scale + positions.
-    double finalizeSeconds = 0.0;  ///< Region sizing, clamp, validate.
-    int threads = 1;               ///< Worker threads the fill could use.
-};
+class Trace;
 
 /** Builds the placement netlist for a device. */
 class NetlistBuilder
@@ -55,12 +43,13 @@ class NetlistBuilder
      * @p pool (optional, borrowed) parallelizes the fill loops (chunked
      * at ThreadPool::kGrainMedium); null or 1 thread runs serially with
      * identical output.
-     * @p stats (optional) receives the sub-stage wall clocks.
+     * @p trace (optional) gets the sub-stage spans "segments",
+     * "instances", "warm_start" and "finalize".
      */
     Netlist build(const Topology &topo,
                   const FrequencyAssignment &freqs,
                   double target_util = 0.72, ThreadPool *pool = nullptr,
-                  BuildStats *stats = nullptr) const;
+                  Trace *trace = nullptr) const;
 
     const PartitionParams &params() const { return params_; }
 

@@ -53,7 +53,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: placer.minIters must be non-negative");
     check(placer.stopOverflow >= 0.0,
           "FlowParams: placer.stopOverflow must be non-negative");
-    check(placer.bins >= 0, "FlowParams: placer.bins must be >= 0");
     check(placer.jitterFrac >= 0.0,
           "FlowParams: placer.jitterFrac must be non-negative");
     check(placer.cutWeight >= 0.0,

@@ -33,6 +33,7 @@
 #include "netlist/builder.hpp"
 #include "pipeline/stage.hpp"
 #include "topology/topology.hpp"
+#include "util/trace.hpp"
 
 namespace qplacer {
 
@@ -166,8 +167,7 @@ struct FlowResult
 {
     Netlist netlist; ///< Placed + legalized layout.
     FrequencyAssignment freqs;
-    AssignStats assignStats; ///< assign sub-stage wall clocks.
-    BuildStats buildStats;   ///< build sub-stage wall clocks (not Human).
+    int buildThreads = 1; ///< Worker threads the build fill could use.
     PlaceResult place;    ///< Global-placement stats (not for Human).
     LegalizeResult legal; ///< Legalization stats (not for Human).
     AreaMetrics area;
@@ -177,8 +177,10 @@ struct FlowResult
     IncrementalStats incremental; ///< Warm-start diagnostics, if any.
     DetailedStats detailed;       ///< Detailed-placement stats, if run.
     PortfolioStats portfolioStats; ///< Portfolio diagnostics, if any.
-    std::vector<StageTiming> stageTimings; ///< Per-stage wall clocks.
-    double seconds = 0.0; ///< End-to-end wall-clock.
+    Trace trace; ///< Wall clocks: kFlowSpan > stages > sub-stages.
+
+    /** End-to-end wall clock (the trace's kFlowSpan root). */
+    double seconds() const { return trace.seconds({kFlowSpan}); }
 };
 
 /** The placement flow driver. */

@@ -222,7 +222,8 @@ class ScopedLegalizeStage final : public FlowStage
 
         const Legalizer legalizer(ctx.params.legalizer,
                                   ctx.params.crosstalk);
-        ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable);
+        ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable,
+                                              &ctx.result.trace);
         if (ctx.result.legal.cancelled) {
             ctx.result.status = {FlowCode::Cancelled, name(),
                                  "cancelled during legalization"};

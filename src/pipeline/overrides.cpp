@@ -8,7 +8,6 @@ const char *const kKnownSetKeys[] = {
     "targetUtil",
     "placer.maxIters",
     "placer.minIters",
-    "placer.bins",
     "placer.targetDensity",
     "placer.stopOverflow",
     "placer.freqForce",
@@ -55,7 +54,6 @@ applyOverrides(const Config &cfg, FlowParams &params)
     PlacerParams &pp = params.placer;
     pp.maxIters = static_cast<int>(cfg.getInt("placer.maxIters", pp.maxIters));
     pp.minIters = static_cast<int>(cfg.getInt("placer.minIters", pp.minIters));
-    pp.bins = static_cast<int>(cfg.getInt("placer.bins", pp.bins));
     pp.targetDensity = cfg.getDouble("placer.targetDensity", pp.targetDensity);
     pp.stopOverflow = cfg.getDouble("placer.stopOverflow", pp.stopOverflow);
     pp.freqForce = cfg.getBool("placer.freqForce", pp.freqForce);

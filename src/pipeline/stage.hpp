@@ -6,8 +6,8 @@
  * A flow is a sequence of FlowStage objects (frequency assignment ->
  * netlist build -> global placement -> legalization -> metrics; see
  * makeDefaultStages). runStages() drives them with structured error
- * reporting (FlowStatus instead of silent success), per-stage wall
- * clocks, FlowObserver callbacks (stage begin/end and optimizer
+ * reporting (FlowStatus instead of silent success), per-stage spans in
+ * the job's Trace, FlowObserver callbacks (stage begin/end and optimizer
  * iteration progress), and cooperative cancellation.
  *
  * QplacerFlow::run() is a thin wrapper over this path; PlacementSession
@@ -59,12 +59,8 @@ struct FlowStatus
     bool ok() const { return code == FlowCode::Ok; }
 };
 
-/** Wall-clock of one completed (or aborted) stage. */
-struct StageTiming
-{
-    std::string stage;
-    double seconds = 0.0;
-};
+/** Root span of FlowResult::trace; each stage's span is its child. */
+inline constexpr const char *kFlowSpan = "flow";
 
 /**
  * Callback surface over a flow run. Default implementations do
@@ -87,12 +83,13 @@ class FlowObserver
         (void)stage;
     }
 
-    /** A stage finished (also fires for the stage that errored). */
+    /** A stage finished after @p seconds (also fires if it errored). */
     virtual void onStageEnd(const FlowContext &ctx,
-                            const StageTiming &timing)
+                            const std::string &stage, double seconds)
     {
         (void)ctx;
-        (void)timing;
+        (void)stage;
+        (void)seconds;
     }
 
     /**
@@ -120,7 +117,7 @@ class FlowStage
   public:
     virtual ~FlowStage() = default;
 
-    /** Stable stage name (used in timings, status, and observer events). */
+    /** Stable stage name (used in the trace, status, and observer events). */
     virtual const char *name() const = 0;
 
     /** Execute the stage against @p ctx. */
@@ -159,10 +156,11 @@ void runGlobalPlacer(FlowContext &ctx, const PlacerParams &params,
                      const char *stage);
 
 /**
- * Drive @p stages over @p ctx in order: per-stage timing, observer
- * events, cancellation polling between stages, and exception ->
- * FlowStatus conversion. On return ctx.result holds everything the
- * run produced (status, stage timings, end-to-end seconds included).
+ * Drive @p stages over @p ctx in order: a kFlowSpan span around the
+ * run and one span per stage in ctx.result.trace, observer events,
+ * cancellation polling between stages, and exception -> FlowStatus
+ * conversion. On return ctx.result holds everything the run produced
+ * (status and trace included).
  */
 void runStages(FlowContext &ctx,
                const std::vector<std::unique_ptr<FlowStage>> &stages);

@@ -9,7 +9,6 @@
 #include "pipeline/stage.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace qplacer {
 
@@ -43,8 +42,7 @@ class AssignStage final : public FlowStage
     {
         const FrequencyAssigner assigner(ctx.params.assigner,
                                          ctx.params.crosstalk);
-        ctx.result.freqs =
-            assigner.assign(*ctx.topo, &ctx.result.assignStats);
+        ctx.result.freqs = assigner.assign(*ctx.topo, &ctx.result.trace);
     }
 };
 
@@ -57,10 +55,11 @@ class BuildStage final : public FlowStage
     void run(FlowContext &ctx) const override
     {
         const NetlistBuilder builder(ctx.params.partition);
+        ctx.result.buildThreads = ctx.pool ? ctx.pool->threads() : 1;
         ctx.result.netlist =
             builder.build(*ctx.topo, ctx.result.freqs,
                           ctx.params.targetUtil, ctx.pool,
-                          &ctx.result.buildStats);
+                          &ctx.result.trace);
         // Multi-die only: widen the region by the cut gaps (so per-die
         // usable area matches the single-die total) and record the
         // partition on the netlist. Inactive specs leave the netlist
@@ -116,8 +115,8 @@ class LegalizeStage final : public FlowStage
     {
         const Legalizer legalizer(ctx.params.legalizer,
                                   ctx.params.crosstalk);
-        ctx.result.legal =
-            legalizer.legalize(ctx.result.netlist, ctx.cancel);
+        ctx.result.legal = legalizer.legalize(
+            ctx.result.netlist, ctx.cancel, nullptr, &ctx.result.trace);
         if (ctx.result.legal.cancelled) {
             ctx.result.status = {FlowCode::Cancelled, name(),
                                  "cancelled during legalization"};
@@ -244,7 +243,7 @@ void
 runStages(FlowContext &ctx,
           const std::vector<std::unique_ptr<FlowStage>> &stages)
 {
-    Timer total;
+    Trace::Span flow(&ctx.result.trace, kFlowSpan);
     for (const auto &stage : stages) {
         if (ctx.cancelled()) {
             ctx.result.status = {FlowCode::Cancelled, stage->name(),
@@ -254,7 +253,7 @@ runStages(FlowContext &ctx,
         if (ctx.observer)
             ctx.observer->onStageBegin(ctx, stage->name());
 
-        Timer timer;
+        Trace::Span span(&ctx.result.trace, stage->name());
         bool failed = false;
         try {
             stage->run(ctx);
@@ -264,10 +263,9 @@ runStages(FlowContext &ctx,
             failed = true;
         }
 
-        const StageTiming timing{stage->name(), timer.seconds()};
-        ctx.result.stageTimings.push_back(timing);
+        const double seconds = span.stop();
         if (ctx.observer)
-            ctx.observer->onStageEnd(ctx, timing);
+            ctx.observer->onStageEnd(ctx, stage->name(), seconds);
 
         // A stage either failed or flagged cancellation from within
         // (placer/legalizer polls); later stages must not run on the
@@ -275,7 +273,6 @@ runStages(FlowContext &ctx,
         if (failed || !ctx.result.status.ok())
             break;
     }
-    ctx.result.seconds = total.seconds();
 }
 
 } // namespace qplacer

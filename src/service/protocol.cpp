@@ -459,14 +459,22 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
     status.set("message", JsonValue::string(r.status.message));
     job.set("status", std::move(status));
 
+    // Every time below is read from the run's trace; a span that never
+    // opened (a skipped or cancelled stage) reads 0.
     JsonValue stages = JsonValue::array();
-    for (const StageTiming &timing : r.stageTimings) {
+    const int flow = r.trace.find(Trace::kRoot, kFlowSpan);
+    for (const Trace::Node &node : r.trace.nodes()) {
+        if (flow < 0 || node.parent != flow)
+            continue;
         JsonValue s = JsonValue::object();
-        s.set("stage", JsonValue::string(timing.stage));
-        s.set("seconds", JsonValue::number(timing.seconds));
+        s.set("stage", JsonValue::string(node.name));
+        s.set("seconds", JsonValue::number(node.seconds));
         stages.push(std::move(s));
     }
     job.set("stages", std::move(stages));
+    const auto span = [&r](const char *stage, const char *sub) {
+        return JsonValue::number(r.trace.seconds({kFlowSpan, stage, sub}));
+    };
 
     job.set("cells", JsonValue::number(
                          static_cast<std::int64_t>(r.netlist.numInstances())));
@@ -474,30 +482,19 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
                               r.freqs.numQubitSlots)));
 
     JsonValue assign_stages = JsonValue::object();
-    assign_stages.set("interference",
-                      JsonValue::number(r.assignStats.interferenceSeconds));
-    assign_stages.set("qubit_color",
-                      JsonValue::number(r.assignStats.qubitColorSeconds));
-    assign_stages.set("resonator_graph",
-                      JsonValue::number(r.assignStats.resonatorGraphSeconds));
-    assign_stages.set("resonator_color",
-                      JsonValue::number(r.assignStats.resonatorColorSeconds));
+    for (const char *sub : {"interference", "qubit_color", "resonator_graph",
+                            "resonator_color"})
+        assign_stages.set(sub, span("assign", sub));
     JsonValue assign = JsonValue::object();
     assign.set("stages", std::move(assign_stages));
     job.set("assign", std::move(assign));
 
     JsonValue build_stages = JsonValue::object();
-    build_stages.set("segments",
-                     JsonValue::number(r.buildStats.segmentsSeconds));
-    build_stages.set("instances",
-                     JsonValue::number(r.buildStats.instancesSeconds));
-    build_stages.set("warm_start",
-                     JsonValue::number(r.buildStats.warmStartSeconds));
-    build_stages.set("finalize",
-                     JsonValue::number(r.buildStats.finalizeSeconds));
+    for (const char *sub : {"segments", "instances", "warm_start", "finalize"})
+        build_stages.set(sub, span("build", sub));
     JsonValue build = JsonValue::object();
     build.set("threads", JsonValue::number(static_cast<std::int64_t>(
-                             r.buildStats.threads)));
+                             r.buildThreads)));
     build.set("stages", std::move(build_stages));
     job.set("build", std::move(build));
 
@@ -511,13 +508,12 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
     job.set("place", std::move(place));
 
     JsonValue legal_stages = JsonValue::object();
-    legal_stages.set("spiral", JsonValue::number(r.legal.spiralSeconds));
+    legal_stages.set("spiral", span("legalize", "spiral"));
     // flow_report/1 keeps this key; the legalizer has no such stage,
     // so it is always 0.
     legal_stages.set("flow_refine", JsonValue::number(std::int64_t{0}));
-    legal_stages.set("tetris", JsonValue::number(r.legal.tetrisSeconds));
-    legal_stages.set("integration",
-                     JsonValue::number(r.legal.integrationSeconds));
+    legal_stages.set("tetris", span("legalize", "tetris"));
+    legal_stages.set("integration", span("legalize", "integration"));
     JsonValue legal = JsonValue::object();
     legal.set("legal", JsonValue::boolean(r.legal.legal));
     legal.set("qubit_disp_um",
@@ -568,7 +564,8 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
         det.set("collisions_after",
                 JsonValue::number(static_cast<std::int64_t>(
                     r.detailed.collisionsAfter)));
-        det.set("seconds", JsonValue::number(r.detailed.seconds));
+        det.set("seconds",
+                JsonValue::number(r.trace.seconds({kFlowSpan, "detailed"})));
         job.set("detailed", std::move(det));
     }
 
@@ -635,7 +632,7 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
         job.set("incremental", std::move(inc));
     }
 
-    job.set("seconds", JsonValue::number(r.seconds));
+    job.set("seconds", JsonValue::number(r.seconds()));
     return job;
 }
 

@@ -48,10 +48,11 @@ class StreamObserver : public FlowObserver
     }
 
     void
-    onStageEnd(const FlowContext &, const StageTiming &timing) override
+    onStageEnd(const FlowContext &, const std::string &stage,
+               double seconds) override
     {
         if (progressEvery_ >= 0)
-            emit_(makeStageEnd(id_, timing.stage, timing.seconds));
+            emit_(makeStageEnd(id_, stage, seconds));
     }
 
     void

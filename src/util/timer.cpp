@@ -1,7 +1,5 @@
 #include "util/timer.hpp"
 
-#include "util/logging.hpp"
-
 namespace qplacer {
 
 void
@@ -15,25 +13,6 @@ Timer::seconds() const
 {
     const auto now = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(now - start_).count();
-}
-
-void
-AccumTimer::start()
-{
-    if (running_)
-        panic("AccumTimer::start: already running");
-    running_ = true;
-    current_.reset();
-}
-
-void
-AccumTimer::stop()
-{
-    if (!running_)
-        panic("AccumTimer::stop: not running");
-    running_ = false;
-    total_ += current_.seconds();
-    ++laps_;
 }
 
 } // namespace qplacer

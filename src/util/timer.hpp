@@ -29,34 +29,6 @@ class Timer
     std::chrono::steady_clock::time_point start_;
 };
 
-/**
- * Accumulates time across multiple start/stop windows; used to report
- * per-phase breakdowns of the placement flow.
- */
-class AccumTimer
-{
-  public:
-    AccumTimer() = default;
-
-    /** Open a timing window. */
-    void start();
-
-    /** Close the current window, adding its duration to the total. */
-    void stop();
-
-    /** Total accumulated seconds over all closed windows. */
-    double seconds() const { return total_; }
-
-    /** Number of closed windows. */
-    int laps() const { return laps_; }
-
-  private:
-    Timer current_;
-    double total_ = 0.0;
-    int laps_ = 0;
-    bool running_ = false;
-};
-
 } // namespace qplacer
 
 #endif // QPLACER_UTIL_TIMER_HPP

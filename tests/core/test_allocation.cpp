@@ -3,7 +3,9 @@
  * Steady-state allocation suite: once its maps and scratch have their
  * size, a DensityModel::evaluate, WirelengthModel::evaluate,
  * FreqForceModel::evaluate or NesterovOptimizer::step (serial or on a
- * 4-thread pool) or a PoissonSolver::solve makes no heap allocation.
+ * 4-thread pool) or a PoissonSolver::solve makes no heap allocation,
+ * and neither does a Trace::Span on a null trace or on a node the
+ * trace already holds.
  * This binary replaces the global operator new to count every
  * allocation the process makes.
  */
@@ -26,6 +28,7 @@
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace {
 
@@ -73,6 +76,23 @@ allocationsOf(Fn &&fn)
 TEST(SteadyStateAllocation, CounterSeesAllocations)
 {
     EXPECT_GE(allocationsOf([] { std::vector<double> v(16); }), 1u);
+}
+
+TEST(SteadyStateAllocation, TraceSpansAllocateNothingOnceTheirNodeExists)
+{
+    EXPECT_EQ(allocationsOf([] {
+                  Trace::Span outer(nullptr, "flow");
+                  Trace::Span inner(nullptr, "assign");
+              }),
+              0u);
+
+    Trace trace;
+    const auto spans = [&trace] {
+        Trace::Span outer(&trace, "flow");
+        Trace::Span inner(&trace, "legalize");
+    };
+    spans();
+    EXPECT_EQ(allocationsOf(spans), 0u);
 }
 
 /** 400 random qubits, two position sets and 600 random nets. */

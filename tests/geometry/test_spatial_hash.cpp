@@ -33,20 +33,6 @@ TEST(SpatialHash, RadiusIsEuclidean)
     EXPECT_EQ(hash.query({50, 50}, 10.0).size(), 2u);
 }
 
-TEST(SpatialHash, RemoveAndMove)
-{
-    SpatialHash hash(Rect(0, 0, 100, 100), 10);
-    hash.insert(1, {20, 20});
-    hash.remove(1, {20, 20});
-    EXPECT_EQ(hash.size(), 0u);
-    EXPECT_TRUE(hash.query({20, 20}, 5).empty());
-
-    hash.insert(2, {20, 20});
-    hash.move(2, {20, 20}, {80, 80});
-    EXPECT_TRUE(hash.query({20, 20}, 5).empty());
-    EXPECT_EQ(hash.query({80, 80}, 5).size(), 1u);
-}
-
 TEST(SpatialHash, QueryRect)
 {
     SpatialHash hash(Rect(0, 0, 100, 100), 25);

@@ -20,6 +20,7 @@
 #include "legal/anneal.hpp"
 #include "legal/legalizer.hpp"
 #include "netlist/builder.hpp"
+#include "oracles/oracles.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
 
@@ -80,10 +81,10 @@ TEST_P(AnnealProperties, ObjectiveIsMonotoneAtZeroTemperature)
 {
     Netlist nl = legalizedNetlist(4, 4, GetParam() + 100);
     const CrosstalkRule rule;
-    double prev = detailedObjective(nl, rule);
+    double prev = oracle::detailedObjective(nl, rule);
     const DetailedStats stats = placerWith(15, /*temp_start=*/0.0).refine(
         nl, GetParam(), nullptr, [&](const Netlist &state) {
-            const double now = detailedObjective(state, rule);
+            const double now = oracle::detailedObjective(state, rule);
             // Deltas are incremental; allow only FP noise uphill.
             EXPECT_LE(now, prev + 1e-6 * (1.0 + std::abs(prev)));
             prev = now;

@@ -16,6 +16,7 @@
 #include "netlist/builder.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace qplacer {
 namespace {
@@ -37,16 +38,18 @@ TEST(LegalizerScale, Grid32x32SmokesThroughTheFastPath)
     }
     nl.clampIntoRegion();
 
-    const LegalizeResult result = Legalizer().legalize(nl);
+    Trace trace;
+    const LegalizeResult result =
+        Legalizer().legalize(nl, nullptr, nullptr, &trace);
 
     EXPECT_TRUE(result.legal);
     EXPECT_TRUE(Legalizer::isLegal(nl));
     EXPECT_FALSE(result.cancelled);
 
-    // Sub-stage timings must be populated and sane.
-    EXPECT_GT(result.spiralSeconds, 0.0);
-    EXPECT_GT(result.tetrisSeconds, 0.0);
-    EXPECT_GE(result.integrationSeconds, 0.0);
+    // Sub-stage spans must be populated and sane.
+    EXPECT_GT(trace.seconds({"spiral"}), 0.0);
+    EXPECT_GT(trace.seconds({"tetris"}), 0.0);
+    EXPECT_GE(trace.find(Trace::kRoot, "integration"), 0);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "pipeline/flow.hpp"
 #include "topology/generators.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace qplacer {
 namespace {
@@ -29,9 +30,9 @@ TEST(BuilderScale, Grid32x32MatchesReferenceAppendOrder)
         oracle::buildReference(topo, freqs, 0.72, PartitionParams{});
 
     ThreadPool pool(8);
-    BuildStats stats;
+    Trace trace;
     const Netlist fast =
-        NetlistBuilder().build(topo, freqs, 0.72, &pool, &stats);
+        NetlistBuilder().build(topo, freqs, 0.72, &pool, &trace);
 
     ASSERT_EQ(fast.numQubits(), 1024);
     EXPECT_GT(fast.numInstances(), fast.numQubits());
@@ -62,35 +63,45 @@ TEST(BuilderScale, Grid32x32MatchesReferenceAppendOrder)
     EXPECT_EQ(next_instance, fast.numInstances());
     EXPECT_EQ(next_net, fast.nets().size());
 
-    EXPECT_EQ(stats.threads, 8);
-    EXPECT_GE(stats.segmentsSeconds, 0.0);
-    EXPECT_GE(stats.instancesSeconds, 0.0);
-    EXPECT_GE(stats.warmStartSeconds, 0.0);
-    EXPECT_GE(stats.finalizeSeconds, 0.0);
-    EXPECT_GT(stats.segmentsSeconds + stats.instancesSeconds +
-                  stats.warmStartSeconds + stats.finalizeSeconds,
-              0.0);
+    // One top-level span per sub-stage ("finalize" sums its two parts).
+    ASSERT_EQ(trace.nodes().size(), 4u);
+    EXPECT_EQ(trace.nodes()[0].name, "segments");
+    EXPECT_EQ(trace.nodes()[1].name, "instances");
+    EXPECT_EQ(trace.nodes()[2].name, "finalize");
+    EXPECT_EQ(trace.nodes()[3].name, "warm_start");
+    double total = 0.0;
+    for (const Trace::Node &node : trace.nodes())
+        total += node.seconds;
+    EXPECT_GT(total, 0.0);
 }
 
 TEST(BuilderScale, FlowSurfacesAssignAndBuildStageTimings)
 {
     FlowParams params;
     params.placer.maxIters = 30;
+    params.placer.threads = 2;
     const FlowResult result =
         QplacerFlow(params).run(makeGrid(4, 4));
 
     ASSERT_TRUE(result.status.ok());
-    EXPECT_GE(result.buildStats.threads, 1);
-    EXPECT_GT(result.assignStats.interferenceSeconds +
-                  result.assignStats.qubitColorSeconds +
-                  result.assignStats.resonatorGraphSeconds +
-                  result.assignStats.resonatorColorSeconds,
-              0.0);
-    EXPECT_GT(result.buildStats.segmentsSeconds +
-                  result.buildStats.instancesSeconds +
-                  result.buildStats.warmStartSeconds +
-                  result.buildStats.finalizeSeconds,
-              0.0);
+    EXPECT_EQ(result.buildThreads, 2); // the flow's pool fills the build
+    // Every sub-stage span sits under its stage's span.
+    const Trace &trace = result.trace;
+    const int flow = trace.find(Trace::kRoot, kFlowSpan);
+    const int assign = trace.find(flow, "assign");
+    const int build = trace.find(flow, "build");
+    ASSERT_GE(assign, 0);
+    ASSERT_GE(build, 0);
+    int assign_subs = 0;
+    int build_subs = 0;
+    for (const Trace::Node &node : trace.nodes()) {
+        assign_subs += node.parent == assign;
+        build_subs += node.parent == build;
+    }
+    EXPECT_EQ(assign_subs, 4);
+    EXPECT_EQ(build_subs, 4);
+    EXPECT_GT(trace.seconds({kFlowSpan, "assign", "qubit_color"}), 0.0);
+    EXPECT_GT(trace.seconds({kFlowSpan, "build", "instances"}), 0.0);
 }
 
 } // namespace

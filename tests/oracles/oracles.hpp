@@ -20,7 +20,9 @@
  *    penalty, which the gradient-only production terms never form
  *    (core/test_wirelength, multidie/test_cut_penalty);
  *  - the bin-by-bin splat and field sample over per-bin rectangles
- *    that the density stencil walk replaced (geometry/test_bin_stencil).
+ *    that the density stencil walk replaced (geometry/test_bin_stencil);
+ *  - the annealer's whole-layout objective by an all-pairs scan
+ *    (legal/test_anneal).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
@@ -176,6 +178,16 @@ void binSplat(const BinGrid &grid, const Rect &rect, double amount,
  */
 double binSample(const BinGrid &grid, const std::vector<double> &map,
                  const Rect &rect);
+
+/**
+ * The annealer's combined move objective on a whole layout: HPWL plus
+ * DetailedPlacer::kFidelityWeight times the hinge sum of
+ * (adjacencyTol - gap) over every hotspot pair, found by an all-pairs
+ * scan. Collision-count increases are hard-rejected (not priced), so
+ * along any accepted trajectory at temperature 0 this value is
+ * non-increasing.
+ */
+double detailedObjective(const Netlist &netlist, const CrosstalkRule &rule);
 
 } // namespace oracle
 } // namespace qplacer

@@ -60,8 +60,8 @@ TEST(Flow, ReportsWallClock)
 {
     const Topology topo = makeTopology("Grid");
     const FlowResult r = QplacerFlow::runMode(topo, PlacerMode::Qplacer);
-    EXPECT_GT(r.seconds, 0.0);
-    EXPECT_LT(r.seconds, 120.0);
+    EXPECT_GT(r.seconds(), 0.0);
+    EXPECT_LT(r.seconds(), 120.0);
 }
 
 } // namespace

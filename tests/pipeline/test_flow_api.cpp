@@ -27,6 +27,18 @@ quickParams(int max_iters = 120)
     return params;
 }
 
+/** The stage spans under the trace's flow root, in run order. */
+std::vector<Trace::Node>
+stageSpans(const FlowResult &r)
+{
+    std::vector<Trace::Node> out;
+    const int flow = r.trace.find(Trace::kRoot, kFlowSpan);
+    for (const Trace::Node &node : r.trace.nodes())
+        if (flow >= 0 && node.parent == flow)
+            out.push_back(node);
+    return out;
+}
+
 /** Records every event; optionally cancels at a given iteration. */
 class RecordingObserver : public FlowObserver
 {
@@ -36,10 +48,11 @@ class RecordingObserver : public FlowObserver
         events.push_back("begin:" + stage);
     }
 
-    void onStageEnd(const FlowContext &, const StageTiming &timing) override
+    void onStageEnd(const FlowContext &, const std::string &stage,
+                    double seconds) override
     {
-        events.push_back("end:" + timing.stage);
-        EXPECT_GE(timing.seconds, 0.0);
+        events.push_back("end:" + stage);
+        EXPECT_GE(seconds, 0.0);
     }
 
     void onIteration(const FlowContext &ctx,
@@ -85,15 +98,16 @@ TEST(FlowApi, ObserverSeesStagesInOrderWithIterationsInsidePlace)
         EXPECT_EQ(observer.iterations[i], static_cast<int>(i));
     EXPECT_EQ(observer.lastOverflow, r.place.finalOverflow);
 
-    // The result's stage timings mirror the event stream.
-    ASSERT_EQ(r.stageTimings.size(), 5u);
-    EXPECT_EQ(r.stageTimings[0].stage, "assign");
-    EXPECT_EQ(r.stageTimings[2].stage, "place");
-    EXPECT_EQ(r.stageTimings[4].stage, "metrics");
+    // The result's stage spans mirror the event stream.
+    const std::vector<Trace::Node> stages = stageSpans(r);
+    ASSERT_EQ(stages.size(), 5u);
+    EXPECT_EQ(stages[0].name, "assign");
+    EXPECT_EQ(stages[2].name, "place");
+    EXPECT_EQ(stages[4].name, "metrics");
     double staged = 0.0;
-    for (const StageTiming &t : r.stageTimings)
-        staged += t.seconds;
-    EXPECT_LE(staged, r.seconds + 0.05);
+    for (const Trace::Node &stage : stages)
+        staged += stage.seconds;
+    EXPECT_LE(staged, r.seconds());
 }
 
 TEST(FlowApi, HumanModeRunsManualLayoutStage)
@@ -140,8 +154,9 @@ TEST(FlowApi, CancellationMidPlacementStopsTheFlow)
     }
     // The aborted stage still reports a timing (and fired its end
     // event) so dashboards account for the spent time.
-    ASSERT_FALSE(r.stageTimings.empty());
-    EXPECT_EQ(r.stageTimings.back().stage, "place");
+    const std::vector<Trace::Node> stages = stageSpans(r);
+    ASSERT_FALSE(stages.empty());
+    EXPECT_EQ(stages.back().name, "place");
 
     // A cancelled session stays cancelled until reset, then works.
     const FlowResult still = session.run(makeGrid(3, 3), quickParams());
@@ -159,7 +174,7 @@ TEST(FlowApi, CancelBeforeRunReportsCancelledWithoutRunning)
     const FlowResult r = session.run(makeGrid(3, 3), quickParams());
     EXPECT_EQ(r.status.code, FlowCode::Cancelled);
     EXPECT_EQ(r.status.stage, "assign");
-    EXPECT_TRUE(r.stageTimings.empty());
+    EXPECT_TRUE(stageSpans(r).empty());
     EXPECT_EQ(r.netlist.numInstances(), 0);
 }
 
@@ -173,7 +188,7 @@ TEST(FlowApi, InvalidParamsAreStructuredErrorsInSessions)
     EXPECT_EQ(r.status.code, FlowCode::InvalidParams);
     EXPECT_NE(r.status.message.find("targetUtil"), std::string::npos);
     EXPECT_EQ(r.netlist.numInstances(), 0);
-    EXPECT_TRUE(r.stageTimings.empty());
+    EXPECT_TRUE(r.trace.nodes().empty());
 
     // The one-shot wrapper keeps its throwing contract.
     EXPECT_THROW(QplacerFlow(params).run(makeGrid(3, 3)),
@@ -231,7 +246,7 @@ TEST(FlowApi, BadForceKnobsAreInvalidParamsNotStageErrors)
         EXPECT_EQ(r.status.code, FlowCode::InvalidParams) << cutoff;
         EXPECT_NE(r.status.message.find("freqCutoffFactor"),
                   std::string::npos);
-        EXPECT_TRUE(r.stageTimings.empty());
+        EXPECT_TRUE(r.trace.nodes().empty());
     }
 
     params = quickParams();
@@ -239,7 +254,7 @@ TEST(FlowApi, BadForceKnobsAreInvalidParamsNotStageErrors)
     const FlowResult r = session.run(makeGrid(3, 3), params);
     EXPECT_EQ(r.status.code, FlowCode::InvalidParams);
     EXPECT_NE(r.status.message.find("freqWeight"), std::string::npos);
-    EXPECT_TRUE(r.stageTimings.empty());
+    EXPECT_TRUE(r.trace.nodes().empty());
 }
 
 TEST(FlowApi, NormalizedValidatesRanges)

@@ -23,30 +23,5 @@ TEST(Timer, ResetRestarts)
     EXPECT_LT(t.millis(), 8.0);
 }
 
-TEST(AccumTimer, AccumulatesLaps)
-{
-    AccumTimer t;
-    for (int i = 0; i < 3; ++i) {
-        t.start();
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        t.stop();
-    }
-    EXPECT_EQ(t.laps(), 3);
-    EXPECT_GE(t.seconds(), 0.012);
-}
-
-TEST(AccumTimer, DoubleStartPanics)
-{
-    AccumTimer t;
-    t.start();
-    EXPECT_THROW(t.start(), std::logic_error);
-}
-
-TEST(AccumTimer, StopWithoutStartPanics)
-{
-    AccumTimer t;
-    EXPECT_THROW(t.stop(), std::logic_error);
-}
-
 } // namespace
 } // namespace qplacer

@@ -383,7 +383,7 @@ writeMetricsCsv(const std::string &path, const Topology &topo,
              CsvWriter::cell(result.area.utilization),
              CsvWriter::cell(result.area.amerUm2),
              CsvWriter::cell(result.area.apolyUm2),
-             CsvWriter::cell(result.seconds),
+             CsvWriter::cell(result.seconds()),
              // As a string: uint64 seeds overflow long long and lose
              // precision through double.
              CsvWriter::cell(std::to_string(reportSeed(opts, job, result))),
@@ -491,7 +491,7 @@ printBatchSummary(const Topology &topo, const CliOptions &opts,
                    r.legal.legal ? "yes" : "no",
                    TextTable::num(r.hotspots.phPercent, 2),
                    TextTable::num(r.area.utilization, 4),
-                   TextTable::num(r.seconds, 2)});
+                   TextTable::num(r.seconds(), 2)});
     }
     std::cout << table.render();
     std::printf("%s: %zu jobs in %.2fs (%.2f placements/sec)\n",
@@ -534,7 +534,7 @@ printSummary(const Topology &topo, const CliOptions &opts,
     table.row({"P_h (%)", TextTable::num(result.hotspots.phPercent, 2)});
     table.row({"utilization", TextTable::num(result.area.utilization, 4)});
     table.row({"A_mer (um^2)", TextTable::num(result.area.amerUm2, 0)});
-    table.row({"wall clock (s)", TextTable::num(result.seconds, 2)});
+    table.row({"wall clock (s)", TextTable::num(result.seconds(), 2)});
     std::cout << table.render();
 }
 
