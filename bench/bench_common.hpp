@@ -93,14 +93,16 @@ struct SpectralWorkload
 };
 
 /**
- * The workloads the density/spectral engine drivers time: the largest
- * paper device and a 1024-qubit parametric grid (past every paper
- * device, the north-star scale).
+ * The workloads the density/spectral engine drivers time: Aspen-M on
+ * the 64x64 grid its Qplacer placement uses (DensityModel::autoBinCount
+ * of its 1356 instances), the largest paper device and a 1024-qubit
+ * parametric grid (past every paper device, the north-star scale).
  */
 inline std::vector<SpectralWorkload>
 spectralWorkloads()
 {
     std::vector<SpectralWorkload> workloads;
+    workloads.push_back({"Aspen-M", makeTopology("Aspen-M"), 64});
     workloads.push_back({"Eagle", makeTopology("Eagle"), 128});
     workloads.push_back({"grid32x32", makeGrid(32, 32), 256});
     return workloads;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Serial vs. threaded placement kernels: the Poisson/DCT density engine
- * on Eagle-127 and a 1000+ qubit parametric grid, and the frequency
- * force on Aspen-M and Eagle.
+ * on Aspen-M (its placement's own 64x64 grid), Eagle-127 and a 1000+
+ * qubit parametric grid, and the frequency force on Aspen-M and Eagle.
  *
  * For each density topology the driver splats the real netlist density
  * once, then times PoissonSolver::solve and the full

@@ -165,29 +165,26 @@ FreqForceModel::resonantNeighbours(const std::vector<Vec2> &positions,
     const int iy0 = cellIndex(p.y - r, grid.lo.y, grid.cell, grid.ny);
     const int iy1 = cellIndex(p.y + r, grid.lo.y, grid.cell, grid.ny);
     for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
-            const std::size_t c =
-                grid.base + static_cast<std::size_t>(iy) * grid.nx + ix;
-            const Slot *s = slots_.data() + cellStart_[c];
-            const Slot *end = slots_.data() + cellStart_[c + 1];
-            // The slots with |f - f_j| < threshold (isResonant) are one
-            // contiguous run: both differences are monotone in f_j.
-            s = std::partition_point(s, end, [&](const Slot &slot) {
-                return f - slot.freqHz >= thresholdHz_;
-            });
-            for (; s != end && s->freqHz - f < thresholdHz_; ++s) {
-                const std::int32_t j = s->id;
-                if (static_cast<std::size_t>(j) == i)
-                    continue; // i itself
-                if (groups_[i] >= 0 && groups_[i] == groups_[j])
-                    continue; // same resonator: excluded by (1 - delta)
-                const double radius =
-                    cutoffFactor_ * (charge_[i] + charge_[j]);
-                if ((p - s->pos).normSq() >
-                    radius * radius * (1.0 + kRadiusSlack))
-                    continue;
-                out.push_back(j);
-            }
+        // Cells ix0..ix1 of one row are adjacent in slots_, so the row
+        // is one run. Frequencies ascend only within a cell, so every
+        // slot takes the two-sided resonance test |f - f_j| < Delta_c.
+        const std::size_t row =
+            grid.base + static_cast<std::size_t>(iy) * grid.nx;
+        const Slot *s = slots_.data() + cellStart_[row + ix0];
+        const Slot *end = slots_.data() + cellStart_[row + ix1 + 1];
+        for (; s != end; ++s) {
+            const std::int32_t j = s->id;
+            if (static_cast<std::size_t>(j) <= i)
+                continue; // i itself, or a pair its lower end forms
+            if (!(f - s->freqHz < thresholdHz_ &&
+                  s->freqHz - f < thresholdHz_))
+                continue; // not resonant
+            if (groups_[i] >= 0 && groups_[i] == groups_[j])
+                continue; // same resonator: excluded by (1 - delta)
+            const double radius = cutoffFactor_ * (charge_[i] + charge_[j]);
+            if ((p - s->pos).normSq() > radius * radius * (1.0 + kRadiusSlack))
+                continue;
+            out.push_back(j);
         }
     }
 }
@@ -198,37 +195,35 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
 {
     if (positions.size() != charge_.size())
         panic("FreqForceModel::evaluate: position count mismatch");
-    gradient.assign(positions.size(), Vec2());
+    const std::size_t n = positions.size();
     bucketPositions(positions);
 
-    // Instance k gathers every pair it is in, partners ascending: first
-    // its lower partners' pushes, then its higher partners'. That is the
-    // order in which a serial loop over the pairs (each pair once, by its
-    // lower index, both ascending) would add them to k. Every pair is
-    // formed as (i, j) = (lower, higher), so its delta, clamp, tie-break
-    // angle and coefficient are the same from either end.
-    const std::size_t n = positions.size();
+    // Phase 1: each pair (i, j), i < j, is formed once, by i, which
+    // stores its push delta * coef in its chunk's lane, partners
+    // ascending. Every lane starts empty, so a chunk the pool skips
+    // contributes nothing.
     const auto chunks = static_cast<std::size_t>(
         parallelChunkCount(pool_, n, ThreadPool::kGrainMedium));
-    if (nearScratch_.size() < chunks)
-        nearScratch_.resize(chunks);
-
+    if (lanes_.size() < chunks)
+        lanes_.resize(chunks);
+    for (PairLane &lane : lanes_) {
+        lane.partner.clear();
+        lane.push.clear();
+    }
+    upperStart_.resize(n + 1);
+    upperStart_[0] = 0;
     parallelForChunks(
         pool_, n,
         [&](int chunk, std::size_t begin, std::size_t end) {
-            std::vector<std::int32_t> &near = nearScratch_[chunk];
-            for (std::size_t k = begin; k < end; ++k) {
-                if (cellOf_[k] < 0)
-                    continue; // non-finite position
-                near.clear();
-                resonantNeighbours(positions, k, near);
-                std::sort(near.begin(), near.end());
-                Vec2 g;
-                for (std::int32_t m : near) {
-                    const std::size_t i =
-                        std::min(k, static_cast<std::size_t>(m));
-                    const std::size_t j =
-                        std::max(k, static_cast<std::size_t>(m));
+            PairLane &lane = lanes_[chunk];
+            for (std::size_t i = begin; i < end; ++i) {
+                lane.near.clear();
+                if (cellOf_[i] >= 0) // else a non-finite position
+                    resonantNeighbours(positions, i, lane.near);
+                std::sort(lane.near.begin(), lane.near.end());
+                const std::size_t stored = lane.push.size();
+                for (std::int32_t m : lane.near) {
+                    const auto j = static_cast<std::size_t>(m);
                     const double s = charge_[i] * charge_[j];
                     const double radius =
                         cutoffFactor_ * (charge_[i] + charge_[j]);
@@ -252,15 +247,61 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                     }
                     // dU/dx_i = -s (x_i - x_j) / d^3 = -dU/dx_j.
                     const double coef = -s / (d * d * d);
-                    if (k == i)
-                        g += delta * coef;
-                    else
-                        g -= delta * coef;
+                    lane.partner.push_back(m);
+                    lane.push.push_back(delta * coef);
                 }
-                gradient[k] = g;
+                upperStart_[i + 1] =
+                    static_cast<std::uint32_t>(lane.push.size() - stored);
             }
         },
         ThreadPool::kGrainMedium);
+
+    // Phase 2: the lanes, in chunk (= index) order, are the pushes keyed
+    // by lower end; a counting sort by higher end transposes them, each
+    // instance's lower partners ascending.
+    for (std::size_t i = 0; i < n; ++i)
+        upperStart_[i + 1] += upperStart_[i];
+    upperPush_.resize(upperStart_[n]);
+    lowerPush_.resize(upperStart_[n]);
+    lowerStart_.assign(n + 1, 0);
+    auto upper = upperPush_.begin();
+    for (std::size_t c = 0; c < chunks; ++c) {
+        upper = std::copy(lanes_[c].push.begin(), lanes_[c].push.end(),
+                          upper);
+        for (std::int32_t j : lanes_[c].partner)
+            ++lowerStart_[j + 1];
+    }
+    for (std::size_t j = 0; j < n; ++j)
+        lowerStart_[j + 1] += lowerStart_[j];
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const PairLane &lane = lanes_[c];
+        for (std::size_t e = 0; e < lane.partner.size(); ++e)
+            lowerPush_[lowerStart_[lane.partner[e]]++] = lane.push[e];
+    }
+    // The fill advanced each start to the next instance's; shift back.
+    for (std::size_t j = n; j > 0; --j)
+        lowerStart_[j] = lowerStart_[j - 1];
+    lowerStart_[0] = 0;
+
+    // Phase 3: instance k subtracts its lower partners' pushes, then adds
+    // its higher partners', both ascending: the order in which a serial
+    // loop over the pairs (by lower index, then higher) would reach k.
+    gradient.resize(n);
+    parallelFor(
+        pool_, n,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t k = begin; k < end; ++k) {
+                Vec2 g;
+                for (std::uint32_t e = lowerStart_[k]; e < lowerStart_[k + 1];
+                     ++e)
+                    g -= lowerPush_[e];
+                for (std::uint32_t e = upperStart_[k]; e < upperStart_[k + 1];
+                     ++e)
+                    g += upperPush_[e];
+                gradient[k] = g;
+            }
+        },
+        ThreadPool::kGrainFine);
 }
 
 } // namespace qplacer

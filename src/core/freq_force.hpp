@@ -10,8 +10,14 @@
  * pair straddles two bands. Each evaluation buckets every band's
  * positions into the band's own uniform grid (cells sorted by
  * frequency), whose cell is the band's largest pair radius, and each
- * instance visits only its own band's cells around it: O(n) in the
- * instance count.
+ * instance scans only its own band's cells around it, one contiguous
+ * slot run per grid row: O(n) in the instance count.
+ *
+ * Each pair's body (distance, clamp, d^3 division) runs once, from its
+ * lower end, which stores the push; a counting sort hands every
+ * instance its lower partners' pushes, and each instance then sums the
+ * pushes of all its pairs, partners ascending, in the order of a serial
+ * loop over the pairs.
  */
 
 #ifndef QPLACER_CORE_FREQ_FORCE_HPP
@@ -45,9 +51,10 @@ class FreqForceModel
      * The per-pair strength is scaled by the geometric mean of the two
      * padded footprints so that large components repel proportionally.
      *
-     * @param pool Worker pool (null = serial; not owned). Each
-     *             instance gathers its own pairs, so any pool size
-     *             gives the serial bits.
+     * @param pool Worker pool (null = serial; not owned). Each pair
+     *             is formed by its lower end and each instance sums its
+     *             own pushes in a fixed order, so any pool size gives
+     *             the serial bits.
      */
     FreqForceModel(const Netlist &netlist, double threshold_hz,
                    double cutoff_factor = 0.75,
@@ -90,6 +97,14 @@ class FreqForceModel
         std::size_t base = 0; ///< Index of the band's first cell.
     };
 
+    /** One chunk's pairs, formed by their lower ends (see evaluate). */
+    struct PairLane
+    {
+        std::vector<std::int32_t> near;    ///< One instance's partners.
+        std::vector<std::int32_t> partner; ///< Each pair's higher end.
+        std::vector<Vec2> push;            ///< Each pair's delta * coef.
+    };
+
     /**
      * Bucket the finite positions into slots_ by band, cell, then
      * frequency; cellOf_ is -1 for a non-finite position.
@@ -97,7 +112,7 @@ class FreqForceModel
     void bucketPositions(const std::vector<Vec2> &positions) const;
 
     /**
-     * Append to @p out every j != i resonant with i, not on i's
+     * Append to @p out every j > i resonant with i, not on i's
      * resonator, within the pair radius (up to a tiny slack).
      */
     void resonantNeighbours(const std::vector<Vec2> &positions,
@@ -118,8 +133,14 @@ class FreqForceModel
     mutable std::vector<std::int32_t> cellOf_;
     mutable std::vector<std::int32_t> cellStart_;
     mutable std::vector<Slot> slots_;
-    /** Per-chunk neighbour buffers. */
-    mutable std::vector<std::vector<std::int32_t>> nearScratch_;
+    /** Pair storage, rebuilt by every evaluate(). */
+    mutable std::vector<PairLane> lanes_; ///< Per chunk.
+    /** CSR by lower end: instance i's pushes onto its higher partners. */
+    mutable std::vector<std::uint32_t> upperStart_;
+    mutable std::vector<Vec2> upperPush_;
+    /** CSR by higher end: the pushes of instance j's lower partners. */
+    mutable std::vector<std::uint32_t> lowerStart_;
+    mutable std::vector<Vec2> lowerPush_;
 };
 
 } // namespace qplacer

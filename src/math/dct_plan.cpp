@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <numbers>
 
 #include "util/logging.hpp"
@@ -19,48 +18,62 @@ constexpr double kPi = std::numbers::pi;
 /** Lines per tile of the batched row/column passes. */
 constexpr std::size_t kTileLines = 16;
 
-// The helpers below run across the lines of a tile (index c). Their
-// complex products expand the way std::complex evaluates w * v:
-// (wr*vr - wi*vi) + i(wr*vi + wi*vr).
+// The helpers below run across the lines of a tile (index c), line c
+// of the map at x[c * ls]. Their complex products expand the way
+// std::complex evaluates w * v: (wr*vr - wi*vi) + i(wr*vi + wi*vr).
 
-/** out[c] = (w * (re[c] + i*im[c])).real(). */
+/** out[c] = x[c*ls]. */
 void
-realOfProduct(double *__restrict out, Complex w,
+gather(double *__restrict out, const double *__restrict x, std::size_t ls,
+       std::size_t lines)
+{
+    for (std::size_t c = 0; c < lines; ++c)
+        out[c] = x[c * ls];
+}
+
+/** out[c*ls] = (w * (re[c] + i*im[c])).real(). */
+void
+realOfProduct(double *__restrict out, std::size_t ls, Complex w,
               const double *__restrict re, const double *__restrict im,
               std::size_t lines)
 {
     const double wr = w.real();
     const double wi = w.imag();
     for (std::size_t c = 0; c < lines; ++c)
-        out[c] = wr * re[c] - wi * im[c];
+        out[c * ls] = wr * re[c] - wi * im[c];
 }
 
-/** (re[c] + i*im[c]) = w * (re[c] + i*im[c]). */
+/**
+ * (re[c] + i*im[c]) = w * (real[c*ls] - i*imag[c*ls]); a null @p real
+ * or @p imag reads as 0.
+ */
 void
-multiplyInPlace(double *__restrict re, double *__restrict im, Complex w,
-                std::size_t lines)
+twiddleInto(double *__restrict re, double *__restrict im, Complex w,
+            const double *__restrict real, const double *__restrict imag,
+            std::size_t ls, std::size_t lines)
 {
     const double wr = w.real();
     const double wi = w.imag();
     for (std::size_t c = 0; c < lines; ++c) {
-        const double r = re[c];
-        const double i = im[c];
+        const double r = real ? real[c * ls] : 0.0;
+        const double i = imag ? -imag[c * ls] : 0.0;
         re[c] = wr * r - wi * i;
         im[c] = wr * i + wi * r;
     }
 }
 
-/** out[c] = src[c] * factor, negated if @p negate. */
+/** out[c*ls] = (src[c] * inv_n) * factor, negated if @p negate. */
 void
-scaleInto(double *__restrict out, const double *__restrict src,
-          double factor, bool negate, std::size_t lines)
+scaleInto(double *__restrict out, std::size_t ls,
+          const double *__restrict src, double inv_n, double factor,
+          bool negate, std::size_t lines)
 {
     if (negate) {
         for (std::size_t c = 0; c < lines; ++c)
-            out[c] = -(src[c] * factor);
+            out[c * ls] = -(src[c] * inv_n * factor);
     } else {
         for (std::size_t c = 0; c < lines; ++c)
-            out[c] = src[c] * factor;
+            out[c * ls] = src[c] * inv_n * factor;
     }
 }
 
@@ -89,18 +102,21 @@ DctPlan::DctPlan(std::size_t n) : n_(n), fft_(n)
 void
 DctPlan::apply(Kind kind, double *x, DctScratch::Lane &lane) const
 {
-    transformLines(kind, x, 1, 1, lane);
+    transformLines(kind, x, 1, 1, 1, lane);
 }
 
 void
 DctPlan::transformLines(Kind kind, double *x, std::size_t lines,
-                        std::size_t stride, DctScratch::Lane &lane) const
+                        std::size_t stride, std::size_t line_stride,
+                        DctScratch::Lane &lane) const
 {
     const std::size_t n = n_;
     const std::size_t half = (n + 1) / 2;
+    const std::size_t ls = line_stride;
     lane.re.resize(n * lines);
     lane.im.resize(n * lines);
-    // Element k of the tile: x at stride, the FFT workspace packed.
+    // Element k of the lines in x; the FFT workspace packed, lines
+    // innermost.
     const auto at = [x, stride](std::size_t k) { return x + k * stride; };
     const auto re = [&lane, lines](std::size_t k) {
         return lane.re.data() + k * lines;
@@ -110,20 +126,21 @@ DctPlan::transformLines(Kind kind, double *x, std::size_t lines,
     };
     // Makhoul reordering: FFT element k holds sample 2k for k < half
     // (even samples ascending) and sample 2(n-1-k)+1 above (odd samples
-    // descending).
+    // descending). FFT input element k goes straight to its
+    // bit-reversed slot.
     const auto sample = [n, half](std::size_t k) {
         return k < half ? 2 * k : 2 * (n - 1 - k) + 1;
     };
+    const std::uint32_t *slot = fft_.bitReversal().data();
 
     if (kind == Kind::Dct2) {
         // The reordered samples, as purely real FFT input.
-        for (std::size_t k = 0; k < n; ++k) {
-            std::copy_n(at(sample(k)), lines, re(k));
-            std::fill_n(im(k), lines, 0.0);
-        }
+        for (std::size_t k = 0; k < n; ++k)
+            gather(re(slot[k]), at(sample(k)), ls, lines);
+        std::fill(lane.im.begin(), lane.im.end(), 0.0);
         fft_.execute(re(0), im(0), lines, lines, false);
         for (std::size_t k = 0; k < n; ++k)
-            realOfProduct(at(k), fwdTwiddle_[k], re(k), im(k), lines);
+            realOfProduct(at(k), ls, fwdTwiddle_[k], re(k), im(k), lines);
         return;
     }
 
@@ -135,31 +152,24 @@ DctPlan::transformLines(Kind kind, double *x, std::size_t lines,
     // (-1)^n cos(pi*(n+0.5)*(N-k)/N)), with alternating output signs.
     // All of x is read before any of it is rewritten.
     const bool flip = kind == Kind::SinSeries;
-    for (std::size_t k = 0; k < n; ++k) {
-        if (k == 0) {
-            if (flip)
-                std::fill_n(re(0), lines, 0.0);
-            else
-                std::copy_n(at(0), lines, re(0));
-            std::fill_n(im(0), lines, 0.0);
-        } else {
-            const double *real = at(flip ? n - k : k);
-            const double *imag = at(flip ? k : n - k);
-            std::copy_n(real, lines, re(k));
-            std::transform(imag, imag + lines, im(k), std::negate<>());
-        }
-        multiplyInPlace(re(k), im(k), invTwiddle_[k], lines);
+    twiddleInto(re(0), im(0), invTwiddle_[0], flip ? nullptr : at(0),
+                nullptr, ls, lines);
+    for (std::size_t k = 1; k < n; ++k) {
+        twiddleInto(re(slot[k]), im(slot[k]), invTwiddle_[k],
+                    at(flip ? n - k : k), at(flip ? k : n - k), ls, lines);
     }
     fft_.execute(re(0), im(0), lines, lines, true);
 
-    // Idct2 keeps v.real(); the series scale it by N (y = N*idct2(c)).
+    // The FFT's 1/N lands on the real part only: Idct2 keeps v.real()
+    // (times 1, which is exact), and the series scale it by N
+    // (y = N*idct2(c)). Both multiplies stay, as N*(v/N) == v fails for
+    // subnormal v.
+    const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t k = 0; k < n; ++k) {
         const std::size_t m = sample(k);
-        if (kind == Kind::Idct2)
-            std::copy_n(re(k), lines, at(m));
-        else
-            scaleInto(at(m), re(k), static_cast<double>(n),
-                      flip && m % 2 == 1, lines);
+        scaleInto(at(m), ls, re(k), inv_n,
+                  kind == Kind::Idct2 ? 1.0 : static_cast<double>(n),
+                  flip && m % 2 == 1, lines);
     }
 }
 
@@ -180,19 +190,10 @@ DctPlan::transformRows(std::vector<double> &map, int nx, int ny,
         pool, static_cast<std::size_t>(ny),
         [&](int chunk, std::size_t begin, std::size_t end) {
             DctScratch::Lane &lane = scratch.lane(chunk);
-            lane.tile.resize(n_ * kTileLines);
-            double *tile = lane.tile.data();
-            for (std::size_t row = begin; row < end; row += kTileLines) {
-                const std::size_t lines = std::min(kTileLines, end - row);
-                double *rows = map.data() + row * n_;
-                for (std::size_t c = 0; c < lines; ++c)
-                    for (std::size_t k = 0; k < n_; ++k)
-                        tile[k * lines + c] = rows[c * n_ + k];
-                transformLines(kind, tile, lines, lines, lane);
-                for (std::size_t c = 0; c < lines; ++c)
-                    for (std::size_t k = 0; k < n_; ++k)
-                        rows[c * n_ + k] = tile[k * lines + c];
-            }
+            for (std::size_t row = begin; row < end; row += kTileLines)
+                transformLines(kind, map.data() + row * n_,
+                               std::min(kTileLines, end - row), 1, n_,
+                               lane);
         },
         ThreadPool::kGrainCoarse);
 }
@@ -217,7 +218,7 @@ DctPlan::transformCols(std::vector<double> &map, int nx, int ny,
             for (std::size_t col = begin; col < end; col += kTileLines)
                 transformLines(kind, map.data() + col,
                                std::min(kTileLines, end - col),
-                               static_cast<std::size_t>(nx), lane);
+                               static_cast<std::size_t>(nx), 1, lane);
         },
         ThreadPool::kGrainCoarse);
 }

@@ -15,22 +15,24 @@
  *
  * A DctPlan is built once per transform length and holds:
  *
- *  - an FftPlan (bit-reversal pairs + per-stage FFT twiddles), and
+ *  - an FftPlan (bit-reversal table + per-stage FFT twiddles), and
  *  - the forward/inverse Makhoul post/pre-twiddles e^(+-i*pi*k/(2N)),
  *
  * while a DctScratch provides per-chunk reusable buffers so the
  * batched row/column passes run without a single allocation after
  * warm-up.
  *
- * One kernel, transformLines(), transforms a tile of lines at once,
- * interleaved across lines: element k of line c is x[k*stride + c],
- * and the FFT workspace splits real and imaginary parts into separate
- * arrays laid out the same way (see FftPlan::execute). Every Makhoul
- * reorder and twiddle, butterfly and SinSeries flip is an inner loop
- * across the lines of the tile, which the compiler vectorizes. A
- * column pass runs on the map in place with stride nx, a tile of
- * adjacent columns at a time; a row pass transposes a tile of rows
- * into the lane's tile buffer and back. apply() is the one-line case.
+ * One kernel, transformLines(), transforms a tile of lines of the map
+ * in place: element k of line c is x[k*stride + c*line_stride] (a
+ * column pass: stride nx, line stride 1; a row pass: stride 1, line
+ * stride nx). The FFT workspace splits real and imaginary parts into
+ * separate arrays with the lines innermost (see FftPlan::execute), and
+ * every Makhoul reorder and twiddle, butterfly and SinSeries flip is an
+ * inner loop across the lines of the tile, which the compiler
+ * vectorizes. The reordered (or pre-twiddled) input goes straight into
+ * the FFT's bit-reversed slots, and the inverse's 1/N is applied as
+ * the result is written back, so no pass only moves data. apply() is
+ * the one-line case.
  *
  * Each element gets the same multiplies and adds, in the same order,
  * as the plan-free per-line kernel (oracle::Dct in tests/oracles; only
@@ -64,9 +66,8 @@ class DctScratch
     /** Buffers one executing chunk (thread) transforms through. */
     struct Lane
     {
-        std::vector<double> re;   ///< FFT workspace, real parts.
-        std::vector<double> im;   ///< FFT workspace, imaginary parts.
-        std::vector<double> tile; ///< Transposed tile of a row pass.
+        std::vector<double> re; ///< FFT workspace, real parts.
+        std::vector<double> im; ///< FFT workspace, imaginary parts.
     };
 
     /**
@@ -115,9 +116,9 @@ class DctPlan
      * Apply @p kind along every length-@p nx row of the row-major
      * @p ny x @p nx map (requires nx == length()), rows chunked
      * across @p pool (null = serial) with one scratch lane per chunk;
-     * a chunk transforms its rows a tile at a time through its lane's
-     * transposed tile. Rows are independent, so the result is
-     * bitwise-identical for any thread count.
+     * a chunk transforms its rows in place on the map, a tile of
+     * adjacent rows at a time (line stride nx). Rows are independent,
+     * so the result is bitwise-identical for any thread count.
      */
     void transformRows(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,
@@ -134,12 +135,13 @@ class DctPlan
 
   private:
     /**
-     * Apply @p kind in place to @p lines interleaved lines, element k
-     * of line c being x[k*stride + c] (stride >= lines), working
-     * through @p lane.
+     * Apply @p kind in place to @p lines lines, element k of line c
+     * being x[k*stride + c*line_stride] (no two elements shared),
+     * working through @p lane.
      */
     void transformLines(Kind kind, double *x, std::size_t lines,
-                        std::size_t stride, DctScratch::Lane &lane) const;
+                        std::size_t stride, std::size_t line_stride,
+                        DctScratch::Lane &lane) const;
 
     std::size_t n_;
     FftPlan fft_;

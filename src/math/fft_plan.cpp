@@ -9,13 +9,6 @@ namespace qplacer {
 
 namespace {
 
-void
-swapLines(double *__restrict a, double *__restrict b, std::size_t lines)
-{
-    for (std::size_t c = 0; c < lines; ++c)
-        std::swap(a[c], b[c]);
-}
-
 /**
  * The radix-2 butterfly (u, v) -> (u + v*w, u - v*w) across a batch of
  * lines, with the product v*w expanded the way std::complex evaluates
@@ -40,34 +33,21 @@ butterfly(double *__restrict ur, double *__restrict ui,
     }
 }
 
-void
-scaleLine(double *__restrict x, double factor, std::size_t lines)
-{
-    for (std::size_t c = 0; c < lines; ++c)
-        x[c] *= factor;
-}
-
 } // namespace
 
 FftPlan::FftPlan(std::size_t n) : n_(n)
 {
     if (!isPowerOfTwo(n))
         panic(str("FftPlan: length ", n, " is not a power of two"));
-    if (n == 1)
-        return;
-
-    // Bit-reversal permutation, recorded as the (i < j) swap pairs the
-    // naive kernel performs. Swaps are independent, so replaying them
-    // in any order reproduces the permutation exactly.
+    // Bit-reversal permutation, by the naive kernel's incremental
+    // reversal of j: slot j receives element i.
+    bitReversal_.assign(n, 0);
     for (std::size_t i = 1, j = 0; i < n; ++i) {
         std::size_t bit = n >> 1;
         for (; j & bit; bit >>= 1)
             j ^= bit;
         j ^= bit;
-        if (i < j) {
-            swapLo_.push_back(static_cast<std::uint32_t>(i));
-            swapHi_.push_back(static_cast<std::uint32_t>(j));
-        }
+        bitReversal_[i] = static_cast<std::uint32_t>(j);
     }
 
     // Stage twiddles. The plan-free kernel restarts w at (1, 0) for
@@ -97,16 +77,6 @@ void
 FftPlan::execute(double *re, double *im, std::size_t lines,
                  std::size_t stride, bool invert) const
 {
-    if (n_ == 1)
-        return;
-
-    for (std::size_t s = 0; s < swapLo_.size(); ++s) {
-        swapLines(re + swapLo_[s] * stride, re + swapHi_[s] * stride,
-                  lines);
-        swapLines(im + swapLo_[s] * stride, im + swapHi_[s] * stride,
-                  lines);
-    }
-
     const Complex *table =
         invert ? invTwiddle_.data() : fwdTwiddle_.data();
     std::size_t offset = 0;
@@ -121,14 +91,6 @@ FftPlan::execute(double *re, double *im, std::size_t lines,
             }
         }
         offset += half;
-    }
-
-    if (invert) {
-        const double inv_n = 1.0 / static_cast<double>(n_);
-        for (std::size_t k = 0; k < n_; ++k) {
-            scaleLine(re + k * stride, inv_n, lines);
-            scaleLine(im + k * stride, inv_n, lines);
-        }
     }
 }
 

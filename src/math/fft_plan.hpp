@@ -4,21 +4,25 @@
  *
  * A plain radix-2 FFT re-derives every twiddle factor and the
  * bit-reversal permutation on each call. An FftPlan hoists that work
- * to construction time: it stores the swap pairs of the bit-reversal
- * permutation and one twiddle table per butterfly stage, generated
- * with the iterated-product recurrence of the plan-free kernel.
+ * to construction time: it stores the bit-reversal table and one
+ * twiddle table per butterfly stage, generated with the iterated-product
+ * recurrence of the plan-free kernel.
  *
- * One kernel, execute(), transforms a batch of lines at once. The
- * lines are interleaved and split into real and imaginary arrays:
- * element k of line c is re[k*stride + c] + i*im[k*stride + c]. Every
- * butterfly then runs as an inner loop across the lines, which the
- * compiler vectorizes. forward()/inverse() on one std::complex array
- * are the one-line case (re/im = the interleaved parts, stride 2).
+ * One kernel, execute(), runs the butterflies on a batch of lines at
+ * once. The lines are interleaved and split into real and imaginary
+ * arrays: element k of line c is re[k*stride + c] + i*im[k*stride + c].
+ * Every butterfly then runs as an inner loop across the lines, which
+ * the compiler vectorizes. The caller writes each input element k into
+ * slot bitReversal()[k] as it builds the lines (DctPlan does so while
+ * it reorders or pre-twiddles), so no pass only moves data; the output
+ * comes out in natural order. The inverse is left unnormalized: the
+ * caller folds 1/N into the loop that reads the result.
  *
  * Each element goes through the same multiplies and adds, in the same
  * order, as the plan-free kernel (the oracle::Fft the plan tests
- * compare against), so on finite input the result is bitwise-identical
- * to it. Only std::complex's NaN-recovery branch, which re-evaluates a
+ * compare against, after permuting the input and scaling the inverse
+ * themselves), so on finite input the result is bitwise-identical to
+ * it. Only std::complex's NaN-recovery branch, which re-evaluates a
  * product whose real and imaginary parts both came out NaN, is not
  * reproduced; it matters only once a product overflows.
  *
@@ -56,35 +60,29 @@ class FftPlan
     std::size_t length() const { return n_; }
 
     /**
-     * In-place forward transform (no normalization) of
-     * data[0..length()): X[k] = sum_n x[n] exp(-2*pi*i*k*n/N).
+     * The bit-reversal permutation: element k of a line belongs in slot
+     * bitReversal()[k] before execute() (an involution).
      */
-    void forward(Complex *data) const { executeComplex(data, false); }
-
-    /** In-place inverse transform, 1/N-normalized. */
-    void inverse(Complex *data) const { executeComplex(data, true); }
+    const std::vector<std::uint32_t> &
+    bitReversal() const
+    {
+        return bitReversal_;
+    }
 
     /**
-     * In-place forward (or 1/N-normalized inverse) transform of
-     * @p lines lines of length length(), element k of line c being
-     * re[k*stride + c] + i*im[k*stride + c]. Lines must not overlap.
+     * In-place forward transform X[k] = sum_n x[n] exp(-2*pi*i*k*n/N)
+     * (or, with @p invert, the same sum with the opposite sign and no
+     * 1/N) of @p lines lines of length length(), element k of line c
+     * being re[k*stride + c] + i*im[k*stride + c]. The input must
+     * already be in bit-reversed order; the output is in natural
+     * order. Lines must not overlap.
      */
     void execute(double *re, double *im, std::size_t lines,
                  std::size_t stride, bool invert) const;
 
   private:
-    /** One std::complex line: its interleaved parts at stride 2. */
-    void
-    executeComplex(Complex *data, bool invert) const
-    {
-        auto *parts = reinterpret_cast<double *>(data);
-        execute(parts, parts + 1, 1, 2, invert);
-    }
-
     std::size_t n_;
-    /** Bit-reversal swap pairs (i < j only, in ascending i order). */
-    std::vector<std::uint32_t> swapLo_;
-    std::vector<std::uint32_t> swapHi_;
+    std::vector<std::uint32_t> bitReversal_;
     /**
      * Per-stage twiddles, stages len = 2, 4, ..., n concatenated
      * (len/2 entries each, n-1 total); generated by the w *= wlen

@@ -235,6 +235,18 @@ PlacementSession::runPortfolio(const Topology &topo,
     if (normalized.portfolio.seeds <= 1 || params.mode == PlacerMode::Human)
         return run(topo, params);
 
+    // The job's root span covers the probe rungs and every full run,
+    // so its seconds are the job's wall clock; the winner's stage spans
+    // are grafted beneath it at the end.
+    Trace trace;
+    Trace::Span job(&trace, kFlowSpan);
+    const auto jobTrace = [&](FlowResult &result) {
+        job.stop();
+        trace.graft(result.trace, result.trace.find(Trace::kRoot, kFlowSpan),
+                    trace.find(Trace::kRoot, kFlowSpan));
+        result.trace = std::move(trace);
+    };
+
     const int n = normalized.portfolio.seeds;
     PortfolioStats stats;
     stats.portfolio = true;
@@ -333,6 +345,7 @@ PlacementSession::runPortfolio(const Topology &topo,
         cancelled.status = {FlowCode::Cancelled, "portfolio",
                             "cancelled during portfolio probes"};
         cancelled.portfolioStats = std::move(stats);
+        jobTrace(cancelled);
         return cancelled;
     }
 
@@ -385,6 +398,7 @@ PlacementSession::runPortfolio(const Topology &topo,
     stats.candidates[winner_ci].winner = true;
     FlowResult result = std::move(finals[winner_k]);
     result.portfolioStats = std::move(stats);
+    jobTrace(result);
     return result;
 }
 

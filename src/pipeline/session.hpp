@@ -120,7 +120,9 @@ class PlacementSession
      * bitwise.
      *
      * The session's observer sees no events while candidates run
-     * (per-candidate events would interleave meaninglessly).
+     * (per-candidate events would interleave meaninglessly). The
+     * result's trace root spans the whole job, probe rungs and every
+     * full run included; the stages beneath it are the winner's.
      */
     FlowResult runPortfolio(const Topology &topo, const FlowParams &params);
 

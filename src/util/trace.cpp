@@ -53,4 +53,31 @@ Trace::seconds(std::initializer_list<std::string_view> path) const
                          : nodes_[static_cast<std::size_t>(node)].seconds;
 }
 
+void
+Trace::graft(const Trace &from, int node, int parent)
+{
+    // Where each of from's nodes lands here; a parent precedes its
+    // children, so one pass in order maps every descendant of node.
+    if (node < 0)
+        return;
+    constexpr int kOutside = kRoot - 1;
+    std::vector<int> to(from.nodes_.size(), kOutside);
+    to[static_cast<std::size_t>(node)] = parent;
+    for (std::size_t i = static_cast<std::size_t>(node) + 1;
+         i < from.nodes_.size(); ++i) {
+        const Node &src = from.nodes_[i];
+        if (src.parent == kRoot ||
+            to[static_cast<std::size_t>(src.parent)] == kOutside)
+            continue; // not below node
+        const int above = to[static_cast<std::size_t>(src.parent)];
+        int mine = find(above, src.name);
+        if (mine < 0) {
+            mine = static_cast<int>(nodes_.size());
+            nodes_.push_back(Node{src.name, above, 0.0});
+        }
+        nodes_[static_cast<std::size_t>(mine)].seconds += src.seconds;
+        to[i] = mine;
+    }
+}
+
 } // namespace qplacer

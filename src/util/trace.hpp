@@ -4,7 +4,9 @@
  * scoped timers: each node is {name, parent, seconds}, and a
  * Trace::Span opened while another is open becomes its child. The flow
  * opens a root span and one span per stage; assign, build and legalize
- * open their sub-stage spans beneath. A Trace is used from one thread
+ * open their sub-stage spans beneath; a portfolio job's root spans its
+ * whole run, with the winning candidate's stages grafted beneath. A
+ * Trace is used from one thread
  * at a time and is copied or moved only while no span is open on it.
  */
 
@@ -73,6 +75,14 @@ class Trace
      * level (0 when any step is absent).
      */
     double seconds(std::initializer_list<std::string_view> path) const;
+
+    /**
+     * Add the nodes below @p from's node @p node (not that node itself)
+     * below this trace's node @p parent (kRoot for the top level),
+     * keeping their shape; a name already under the same parent sums
+     * into the existing node. No span may be open on either trace.
+     */
+    void graft(const Trace &from, int node, int parent);
 
   private:
     std::vector<Node> nodes_;

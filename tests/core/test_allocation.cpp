@@ -48,6 +48,15 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
+// The nothrow form too (std::stable_sort's buffer comes from it): left
+// to the runtime's, its blocks would reach the free() below.
+[[gnu::noinline]] void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
+}
+
 [[gnu::noinline]] void
 operator delete(void *p) noexcept
 {

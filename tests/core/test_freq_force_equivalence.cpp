@@ -5,12 +5,15 @@
  * bit (memcmp) on paper devices and a 256-qubit grid, at the warm start
  * and after 50 and 200 Nesterov iterations, with coincident instances,
  * with positions outside the region and on a synthetic netlist built
- * around the frequency-band edges, at 1, 2 and 4 threads, each against
- * one serial oracle evaluation. ctest -L plan.
+ * around the frequency-band edges, and on a seeded crowd whose one band
+ * holds hundreds of distinct frequencies, at 1, 2, 3, 4 and 7 threads,
+ * each against one serial oracle evaluation. ctest -L plan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <ostream>
@@ -22,12 +25,13 @@
 #include "netlist/builder.hpp"
 #include "oracles/oracles.hpp"
 #include "topology/generators.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qplacer {
 namespace {
 
-constexpr int kThreadCounts[] = {1, 2, 4};
+constexpr int kThreadCounts[] = {1, 2, 3, 4, 7};
 
 Netlist
 buildNetlist(const Topology &topo)
@@ -246,6 +250,54 @@ TEST(FreqForceEquivalenceEdge, FrequencyBandEdges)
             p = Vec2(10.0, 20.0);
     }
     EXPECT_GT(expectBitIdentical(nl, pos, "band edges, one point"), 0);
+}
+
+TEST(FreqForceEquivalenceEdge, CrowdedBandOfDistinctFrequencies)
+{
+    // 800 instances, every frequency distinct and drawn from a 3 Delta_c
+    // window (so one band, in which a pair resonates only when its draws
+    // are closer than Delta_c), on a square about six band radii wide:
+    // a query row spans 3 cells whose slot frequencies jump at each cell
+    // boundary, and every instance has dozens of partners in range. The
+    // last third are segments, three to a resonator.
+    const double dc = CrosstalkRule().detuningThresholdHz;
+    const double cutoff = PlacerParams().freqCutoffFactor;
+    Rng rng(27);
+    Netlist nl;
+    std::vector<Vec2> pos;
+    for (int k = 0; k < 800; ++k) {
+        Instance inst;
+        const bool segment = k >= 536;
+        inst.kind = segment ? InstanceKind::ResonatorSegment
+                            : InstanceKind::Qubit;
+        inst.width = rng.uniform(160.0, 200.0);
+        inst.height = rng.uniform(160.0, 200.0);
+        inst.pad = 10.0;
+        inst.freqHz = 6e9 + rng.uniform(0.0, 3.0 * dc);
+        inst.resonator = segment ? (k - 536) / 3 : -1;
+        nl.addInstance(inst);
+        pos.push_back(Vec2(rng.uniform(0.0, 2000.0),
+                           rng.uniform(0.0, 2000.0)));
+    }
+
+    // The case is live only if its partner counts are what it claims.
+    const std::vector<double> freqs = nl.frequencies();
+    const std::vector<int> groups = nl.resonatorGroups();
+    int most = 0;
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+        int partners = 0;
+        const double qi = std::sqrt(nl.instances()[i].paddedArea());
+        for (std::size_t j = 0; j < pos.size(); ++j) {
+            const double qj = std::sqrt(nl.instances()[j].paddedArea());
+            partners += j != i && std::abs(freqs[i] - freqs[j]) < dc &&
+                        (groups[i] < 0 || groups[i] != groups[j]) &&
+                        (pos[i] - pos[j]).norm() < cutoff * (qi + qj);
+        }
+        most = std::max(most, partners);
+    }
+    EXPECT_GE(most, 36);
+
+    EXPECT_GT(expectBitIdentical(nl, pos, "crowded band"), 700);
 }
 
 } // namespace

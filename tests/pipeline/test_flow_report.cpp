@@ -1,8 +1,9 @@
 /**
  * @file
  * The qplacer.flow_report/1 job object: its ordered key set is pinned
- * (every path perfbench and other clients read included), and every
- * reported time is at least the sum of the times nested inside it.
+ * (every path perfbench and other clients read included), every
+ * reported time is at least the sum of the times nested inside it, and
+ * a portfolio job's time is the whole job's.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "pipeline/session.hpp"
 #include "service/protocol.hpp"
 #include "topology/factory.hpp"
+#include "util/timer.hpp"
 
 namespace qplacer {
 namespace {
@@ -189,6 +191,33 @@ TEST(FlowReport, EveryTimeCoversTheTimesNestedInIt)
     EXPECT_GT(sumOfStages(job, "legal"), 0.0);
     EXPECT_EQ(job.find("detailed")->find("seconds")->asDouble(),
               stage["detailed"]);
+}
+
+TEST(FlowReport, PortfolioJobSecondsAreItsWallClock)
+{
+    // Four seeds on one worker: the probe rungs and the losing
+    // candidates' full runs take most of the job, and run serially.
+    FlowParams params;
+    Config cfg;
+    cfg.set("portfolio.seeds", "4");
+    cfg.set("placer.threads", "1");
+    applyOverrides(cfg, params);
+    PlacementSession session({.flow = params, .workers = 1});
+    Timer wall;
+    const FlowResult r = session.runPortfolio(makeTopology("Falcon"), params);
+    const double wall_seconds = wall.seconds();
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
+    ASSERT_GE(r.portfolioStats.rungs, 1);
+    const JsonValue job = jobReportJson(r, params.placer.seed);
+
+    const double seconds = job.find("seconds")->asDouble();
+    EXPECT_LE(seconds, wall_seconds);
+    EXPECT_GE(seconds, 0.9 * wall_seconds);
+    double staged = 0.0;
+    for (const JsonValue &s : job.find("stages")->items())
+        staged += s.find("seconds")->asDouble();
+    EXPECT_GT(staged, 0.0);
+    EXPECT_GT(seconds, staged) << "the other candidates' runs are missing";
 }
 
 } // namespace

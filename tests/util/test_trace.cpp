@@ -82,6 +82,41 @@ TEST(Trace, StopClosesOnce)
     EXPECT_EQ(trace.seconds({"place"}), first);
 }
 
+TEST(Trace, GraftCopiesTheSubtreeBelowANode)
+{
+    Trace run;
+    {
+        Trace::Span flow(&run, "flow");
+        Trace::Span stage(&run, "legalize");
+        Trace::Span sub(&run, "spiral");
+        sleepMs(1);
+    }
+    Trace::Span other(&run, "other");
+    other.stop();
+
+    Trace job;
+    {
+        Trace::Span flow(&job, "flow");
+        Trace::Span stage(&job, "legalize");
+    }
+    const double before = job.seconds({"flow", "legalize"});
+    job.graft(run, run.find(Trace::kRoot, "flow"),
+              job.find(Trace::kRoot, "flow"));
+
+    // run's flow node itself and its sibling stay behind; legalize sums
+    // into the existing node, spiral is new beneath it.
+    ASSERT_EQ(job.nodes().size(), 3u);
+    EXPECT_EQ(job.nodes()[2].name, "spiral");
+    EXPECT_EQ(job.nodes()[2].parent, 1);
+    EXPECT_EQ(job.seconds({"flow", "legalize"}),
+              before + run.seconds({"flow", "legalize"}));
+    EXPECT_EQ(job.seconds({"flow", "legalize", "spiral"}),
+              run.seconds({"flow", "legalize", "spiral"}));
+
+    job.graft(run, -1, Trace::kRoot); // no such node: nothing to add
+    EXPECT_EQ(job.nodes().size(), 3u);
+}
+
 TEST(Trace, NullTraceSpanIsANoOp)
 {
     Trace::Span outer(nullptr, "flow");
