@@ -63,7 +63,7 @@ main()
         params.legalizer.resonanceCheck = v.tauLegal;
         params.assigner.distance2 = v.distance2;
 
-        const FlowResult r = QplacerFlow(params).run(topo);
+        const FlowResult r = bench::placeOrDie(topo, params);
         const double fidelity =
             evaluator.evaluate(topo, r.netlist, bv).meanFidelity;
         const double margin =

@@ -1,8 +1,8 @@
 /**
  * @file
  * Batch placement throughput: N independent jobs on one grid16x16
- * device, a serial QplacerFlow loop vs. PlacementSession::runBatch on
- * a shared worker pool. Reports placements/sec for both and the
+ * device, a serial loop of lone PlacementSession::run calls vs.
+ * PlacementSession::runBatch on a shared worker pool. Reports placements/sec for both and the
  * aggregate speedup, and *gates* the determinism contract: every batch
  * layout must be bitwise-identical to its serial counterpart (exit 1
  * otherwise). The speedup itself is gated in nightly CI from the CSV
@@ -54,18 +54,16 @@ run(int argc, char **argv)
         return params;
     };
 
-    // --- Serial reference: one QplacerFlow::run per job. ---
+    // --- Serial reference: one fresh session's run per job. ---
     Timer serial_timer;
     std::vector<FlowResult> serial;
     serial.reserve(static_cast<std::size_t>(jobs));
     for (int j = 0; j < jobs; ++j)
-        serial.push_back(QplacerFlow(jobParams(j)).run(topo));
+        serial.push_back(PlacementSession().run(topo, jobParams(j)));
     const double serial_s = serial_timer.seconds();
 
     // --- Batch: same jobs, concurrently, on one shared pool. ---
-    SessionParams sparams;
-    sparams.workers = workers;
-    PlacementSession session(sparams);
+    PlacementSession session(workers);
     std::vector<FlowParams> batch;
     batch.reserve(static_cast<std::size_t>(jobs));
     for (int j = 0; j < jobs; ++j)
@@ -77,7 +75,7 @@ run(int argc, char **argv)
     // --- Bitwise gate: batch == serial, job by job. ---
     bool identical = batched.size() == serial.size();
     for (std::size_t j = 0; identical && j < batched.size(); ++j) {
-        identical = batched[j].status.ok() &&
+        identical = serial[j].status.ok() && batched[j].status.ok() &&
                     bitwiseSameLayout(serial[j].netlist,
                                       batched[j].netlist) &&
                     serial[j].place.finalHpwl ==

@@ -23,6 +23,7 @@
 #include "qplacer.hpp"
 #include "util/config.hpp"
 #include "util/csv.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 
 namespace qplacer::bench {
@@ -41,6 +42,18 @@ placementSeed()
     return static_cast<std::uint64_t>(Config::envInt("QP_SEED", 1));
 }
 
+/** Place @p topo with @p params; a failed run ends the program. */
+inline FlowResult
+placeOrDie(const Topology &topo, const FlowParams &params)
+{
+    FlowResult r = PlacementSession().run(topo, params);
+    if (!r.status.ok()) {
+        fatal(topo.name + ": " + flowCodeName(r.status.code) + " in " +
+              r.status.stage + ": " + r.status.message);
+    }
+    return r;
+}
+
 /** Cache of flow results keyed by (topology, mode, l_b). */
 class FlowCache
 {
@@ -54,11 +67,13 @@ class FlowCache
             std::to_string(static_cast<int>(segment_um));
         auto it = cache_.find(key);
         if (it == cache_.end()) {
-            const Topology topo = makeTopology(topo_name);
+            FlowParams params;
+            params.mode = mode;
+            params.partition.segmentUm = segment_um;
+            params.placer.seed = placementSeed();
             it = cache_
                      .emplace(key,
-                              QplacerFlow::runMode(topo, mode, segment_um,
-                                                   placementSeed()))
+                              placeOrDie(makeTopology(topo_name), params))
                      .first;
         }
         return it->second;

@@ -5,7 +5,7 @@
  * base layout (small per-job deltas, the design-iteration workload the
  * service exists for). Reports placements/sec for both and the
  * incremental speedup, and *gates* two contracts (exit 1 otherwise):
- * every cold result must be bitwise-identical to a serial QplacerFlow
+ * every cold result must be bitwise-identical to a lone serial session
  * run with the same seed, and an empty-delta re-place must reproduce
  * the base layout exactly. The speedup itself is gated in nightly CI
  * from the CSV.
@@ -117,15 +117,16 @@ run(int argc, char **argv)
     server.drain();
     const double incr_s = incr_timer.seconds();
 
-    // --- Gate 1: cold results match serial QplacerFlow bitwise. ---
+    // --- Gate 1: cold results match lone serial runs bitwise. ---
     bool identical = true;
     for (int j = 0; j < jobs && identical; ++j) {
         FlowParams params;
         params.placer.maxIters = max_iters;
         params.placer.threads = 1; // The server's concurrent-job mode.
         params.placer.seed = seed + static_cast<std::uint64_t>(j);
-        const FlowResult serial = QplacerFlow(params).run(topo);
-        identical = store.layout("cold" + std::to_string(j)) ==
+        const FlowResult serial = PlacementSession().run(topo, params);
+        identical = serial.status.ok() &&
+                    store.layout("cold" + std::to_string(j)) ==
                     layoutJson(serial.netlist).serialize();
     }
 

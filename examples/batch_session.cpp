@@ -49,9 +49,7 @@ main()
     for (std::size_t j = 0; j < jobs.size(); ++j)
         jobs[j].placer.seed = j + 1;
 
-    SessionParams sparams;
-    sparams.workers = 0; // Auto: one job per core, capped.
-    PlacementSession session(sparams);
+    PlacementSession session(/*workers=*/0); // Auto: one per core, capped.
     ProgressCounter progress;
     session.setObserver(&progress);
 

@@ -21,6 +21,7 @@ main()
     std::printf("%-14s %-6s %-10s %-8s %-10s\n", "qubit band", "slots",
                 "resonant", "Ph(%)", "impacted");
 
+    PlacementSession session;
     for (const double span_ghz : {0.1, 0.2, 0.4, 0.8}) {
         FlowParams params;
         params.assigner.qubitBand =
@@ -28,8 +29,12 @@ main()
                           5.0e9 + span_ghz * 0.5e9);
         params.placer.seed = 3;
 
-        const QplacerFlow flow(params);
-        const FlowResult r = flow.run(topo);
+        const FlowResult r = session.run(topo, params);
+        if (!r.status.ok()) {
+            std::fprintf(stderr, "%.2f GHz band: %s\n", span_ghz,
+                         r.status.message.c_str());
+            return 1;
+        }
 
         // Count the resonant qubit-qubit pairs the placement engine
         // had to separate spatially.

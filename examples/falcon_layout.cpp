@@ -18,9 +18,17 @@ main()
     std::printf("== %s: %d qubits, %d bus resonators ==\n",
                 topo.name.c_str(), topo.numQubits(), topo.numCouplers());
 
+    PlacementSession session;
     for (const PlacerMode mode :
          {PlacerMode::Qplacer, PlacerMode::Classic, PlacerMode::Human}) {
-        const FlowResult r = QplacerFlow::runMode(topo, mode);
+        FlowParams params;
+        params.mode = mode;
+        const FlowResult r = session.run(topo, params);
+        if (!r.status.ok()) {
+            std::fprintf(stderr, "%s: %s\n", placerModeName(mode),
+                         r.status.message.c_str());
+            return 1;
+        }
         std::printf("%-8s A_mer %6.1f mm^2  util %5.1f%%  Ph %5.2f%%  "
                     "impacted qubits %zu\n",
                     placerModeName(mode), r.area.amerUm2 / 1e6,

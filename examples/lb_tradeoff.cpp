@@ -20,9 +20,16 @@ main()
     std::printf("%-8s %-8s %-10s %-8s %-8s\n", "lb(mm)", "#cells",
                 "runtime(s)", "util(%)", "Ph(%)");
 
+    PlacementSession session;
     for (const double lb_mm : {0.2, 0.3, 0.4}) {
-        const FlowResult r = QplacerFlow::runMode(
-            topo, PlacerMode::Qplacer, lb_mm * 1000.0);
+        FlowParams params;
+        params.partition.segmentUm = lb_mm * 1000.0;
+        const FlowResult r = session.run(topo, params);
+        if (!r.status.ok()) {
+            std::fprintf(stderr, "lb=%.1f mm: %s\n", lb_mm,
+                         r.status.message.c_str());
+            return 1;
+        }
         std::printf("%-8.1f %-8d %-10.2f %-8.1f %-8.2f\n", lb_mm,
                     r.netlist.numInstances(), r.seconds(),
                     100.0 * r.area.utilization, r.hotspots.phPercent);

@@ -42,7 +42,17 @@ main(int argc, char **argv)
 
     try {
         const Topology topo = makeTopology(topo_name);
-        const FlowResult r = QplacerFlow::runMode(topo, mode, lb, seed);
+        FlowParams params;
+        params.mode = mode;
+        params.partition.segmentUm = lb;
+        params.placer.seed = seed;
+        const FlowResult r = PlacementSession().run(topo, params);
+        if (!r.status.ok()) {
+            std::fprintf(stderr, "error: %s in %s: %s\n",
+                         flowCodeName(r.status.code),
+                         r.status.stage.c_str(), r.status.message.c_str());
+            return 1;
+        }
 
         std::printf("%s / %s / lb=%.0f um / seed %llu\n",
                     topo_name.c_str(), mode_name.c_str(), lb,

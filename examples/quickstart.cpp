@@ -4,8 +4,8 @@
  * metrics, and export an SVG.
  *
  * Build & run:
- *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart
+ *   cmake -B build -G Ninja -DQPLACER_BUILD_EXAMPLES=ON
+ *   cmake --build build && ./build/examples/example_quickstart
  */
 
 #include <cstdio>
@@ -24,9 +24,17 @@ main()
 
     // 2. Run the full frequency-aware flow: frequency assignment,
     //    padding + resonator partitioning, electrostatic placement,
-    //    integration-aware legalization.
-    const FlowResult result = QplacerFlow::runMode(topo,
-                                                   PlacerMode::Qplacer);
+    //    integration-aware legalization. Errors come back in the
+    //    result's status; nothing throws.
+    PlacementSession session;
+    const FlowResult result = session.run(topo, FlowParams{});
+    if (!result.status.ok()) {
+        std::fprintf(stderr, "%s in %s: %s\n",
+                     flowCodeName(result.status.code),
+                     result.status.stage.c_str(),
+                     result.status.message.c_str());
+        return 1;
+    }
 
     std::printf("placed %d instances in %.2fs (%d iterations)\n",
                 result.netlist.numInstances(), result.seconds(),

@@ -172,10 +172,4 @@ PlacementObjective::updateGamma(double overflow)
     wirelength_.setGamma(gamma);
 }
 
-double
-PlacementObjective::hpwl(const std::vector<Vec2> &positions) const
-{
-    return wirelength_.hpwl(positions);
-}
-
 } // namespace qplacer

@@ -61,9 +61,6 @@ class PlacementObjective
     /** Anneal the wirelength smoothing with the current overflow. */
     void updateGamma(double overflow);
 
-    /** Exact HPWL for reporting. */
-    double hpwl(const std::vector<Vec2> &positions) const;
-
     double lambda() const { return lambda_; }
     double freqLambda() const { return freq_.lambda; }
     double cutLambda() const { return cut_.lambda; }

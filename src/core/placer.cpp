@@ -87,7 +87,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
         if (monitor.onIteration) {
             monitor.onIteration({iter, overflow, objective.lambda(),
                                  objective.freqLambda(),
-                                 objective.hpwl(optimizer.lookahead())});
+                                 netlist.hpwl(optimizer.lookahead())});
         }
 
         if (iter >= params_.minIters && overflow < params_.stopOverflow) {
@@ -114,7 +114,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
 
     result.iterations = iter;
     result.finalOverflow = overflow;
-    result.finalHpwl = objective.hpwl(solution);
+    result.finalHpwl = netlist.hpwl(solution);
     debug(str("global place: ", result.iterations, " iters, overflow ",
               result.finalOverflow, ", HPWL ", result.finalHpwl));
     return result;

@@ -89,16 +89,4 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
         ThreadPool::kGrainMedium);
 }
 
-double
-WirelengthModel::hpwl(const std::vector<Vec2> &positions) const
-{
-    double total = 0.0;
-    for (const Net &net : netlist_.nets()) {
-        const Vec2 &pa = positions[net.a];
-        const Vec2 &pb = positions[net.b];
-        total += net.weight * (std::abs(pa.x - pb.x) + std::abs(pa.y - pb.y));
-    }
-    return total;
-}
-
 } // namespace qplacer

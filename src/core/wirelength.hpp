@@ -3,7 +3,7 @@
  * Smooth wirelength model: the analytic gradient of the per-net
  * log-sum-exp approximation of HPWL (the WL(e; x, y) term of Eq. 12).
  * The optimizer reads only the gradient, so the smooth value itself is
- * never formed; hpwl() is the exact reporting metric.
+ * never formed; Netlist::hpwl is the exact reporting metric.
  *
  * The gradient is gathered, not scattered: each net's pull is formed
  * once, then each instance sums the pulls of its incident nets in net
@@ -46,9 +46,6 @@ class WirelengthModel
      */
     void evaluate(const std::vector<Vec2> &positions,
                   std::vector<Vec2> &gradient) const;
-
-    /** Exact half-perimeter wirelength (reporting metric). */
-    double hpwl(const std::vector<Vec2> &positions) const;
 
     double gamma() const { return gamma_; }
 

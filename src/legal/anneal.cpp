@@ -232,19 +232,6 @@ class Walk
 
 } // namespace
 
-double
-layoutHpwl(const Netlist &netlist)
-{
-    double sum = 0.0;
-    for (const Net &net : netlist.nets()) {
-        const Vec2 &pa = netlist.instance(net.a).pos;
-        const Vec2 &pb = netlist.instance(net.b).pos;
-        sum += net.weight *
-               (std::abs(pa.x - pb.x) + std::abs(pa.y - pb.y));
-    }
-    return sum;
-}
-
 DetailedPlacer::DetailedPlacer(DetailedPlaceParams params,
                                LegalizerParams legal, CrosstalkRule rule)
     : params_(params), legal_(legal), rule_(rule)
@@ -266,7 +253,7 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
         return stats; // Input not legal on this cell grid; hands off.
     stats.ran = true;
 
-    double cur_hpwl = layoutHpwl(netlist);
+    double cur_hpwl = netlist.hpwl();
     int cur_collisions = walk.totalPairs().count;
     stats.hpwlBefore = cur_hpwl;
     stats.collisionsBefore = cur_collisions;
@@ -389,7 +376,7 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
     // Restore the best visited state (possibly the input itself).
     for (std::size_t i = 0; i < n; ++i)
         netlist.instance(static_cast<int>(i)).pos = best_positions[i];
-    stats.hpwlAfter = layoutHpwl(netlist);
+    stats.hpwlAfter = netlist.hpwl();
     stats.collisionsAfter = best_collisions;
     return stats;
 }

@@ -125,14 +125,6 @@ class DetailedPlacer
     CrosstalkRule rule_;
 };
 
-/**
- * Exact weighted HPWL of a layout (serial, deterministic summation
- * order) -- the quantity the annealer minimizes and the portfolio
- * winner is ranked by. Matches WirelengthModel::hpwl on the instance
- * positions.
- */
-double layoutHpwl(const Netlist &netlist);
-
 } // namespace qplacer
 
 #endif // QPLACER_LEGAL_ANNEAL_HPP

@@ -105,6 +105,40 @@ Netlist::totalPaddedArea() const
     return acc;
 }
 
+namespace {
+
+/** The one HPWL sum; @p pos(i) is instance i's center. */
+template <typename PosOf>
+double
+sumHpwl(const std::vector<Net> &nets, PosOf pos)
+{
+    double total = 0.0;
+    for (const Net &net : nets) {
+        const Vec2 &pa = pos(net.a);
+        const Vec2 &pb = pos(net.b);
+        total += net.weight * (std::abs(pa.x - pb.x) + std::abs(pa.y - pb.y));
+    }
+    return total;
+}
+
+} // namespace
+
+double
+Netlist::hpwl(const std::vector<Vec2> &positions) const
+{
+    return sumHpwl(nets_, [&](int i) -> const Vec2 & {
+        return positions[static_cast<std::size_t>(i)];
+    });
+}
+
+double
+Netlist::hpwl() const
+{
+    return sumHpwl(nets_, [this](int i) -> const Vec2 & {
+        return instances_[static_cast<std::size_t>(i)].pos;
+    });
+}
+
 void
 Netlist::sizeRegion(double target_util)
 {

@@ -189,6 +189,17 @@ class Netlist
     /** Resonator id per instance (-1 for qubits). */
     std::vector<int> resonatorGroups() const;
 
+    /**
+     * Exact weighted half-perimeter wirelength: the serial, net-order
+     * sum of weight * (|dx| + |dy|), with instance i at
+     * @p positions[i]. The placer's reported HPWL, the annealer's
+     * objective and the portfolio's ranking key.
+     */
+    double hpwl(const std::vector<Vec2> &positions) const;
+
+    /** hpwl() at the instances' own positions. */
+    double hpwl() const;
+
     /** Clamp every instance center so its padded rect stays in-region. */
     void clampIntoRegion();
 

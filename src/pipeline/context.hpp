@@ -10,6 +10,7 @@
 #define QPLACER_PIPELINE_CONTEXT_HPP
 
 #include "pipeline/flow.hpp"
+#include "pipeline/observer.hpp"
 #include "pipeline/stage.hpp"
 #include "topology/topology.hpp"
 #include "util/cancel.hpp"

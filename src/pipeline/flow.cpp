@@ -1,17 +1,8 @@
 #include "pipeline/flow.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "pipeline/session.hpp"
-#include "util/logging.hpp"
 
 namespace qplacer {
-
-QplacerFlow::QplacerFlow(FlowParams params)
-    : params_(params)
-{
-}
 
 const char *
 placerModeName(PlacerMode mode)
@@ -28,13 +19,13 @@ placerModeName(PlacerMode mode)
 }
 
 FlowParams
-FlowParams::normalized(std::string *error) const
+FlowParams::normalized(std::string &error) const
 {
     FlowParams p = *this;
-    std::string first_error;
+    error.clear();
     const auto check = [&](bool ok, const char *msg) {
-        if (!ok && first_error.empty())
-            first_error = msg;
+        if (!ok && error.empty())
+            error = msg;
     };
 
     check(targetUtil > 0.0 && targetUtil <= 1.0,
@@ -87,11 +78,9 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: portfolio.pruneAt must be at least 1");
     check(portfolio.keepFrac > 0.0 && portfolio.keepFrac <= 1.0,
           "FlowParams: portfolio.keepFrac must be in (0, 1]");
-
-    if (error)
-        *error = first_error;
-    else if (!first_error.empty())
-        fatal(first_error);
+    check(portfolio.seeds <= 1 || mode != PlacerMode::Human,
+          "FlowParams: portfolio.seeds > 1 requires qplacer|classic "
+          "mode (the Human layout has no seed to race)");
 
     // minIters is a convergence floor under the iteration budget;
     // callers routinely lower only maxIters (quick runs, sweeps), so a
@@ -106,37 +95,6 @@ FlowParams::normalized(std::string *error) const
         p.legalizer.resonanceCheck = false;
     }
     return p;
-}
-
-FlowResult
-QplacerFlow::run(const Topology &topo) const
-{
-    // No error out-param: invalid configuration fatal()s, matching the
-    // pre-session API (PlacementSession reports via FlowResult::status).
-    params_.normalized();
-
-    // A one-shot session: pool sizing, context setup and the stage list
-    // are exactly PlacementSession::run's, so fixed-seed layouts are
-    // bitwise those of a session run.
-    PlacementSession session;
-    FlowResult result = session.run(topo, params_);
-
-    // Exception compatibility: a failed stage used to surface as the
-    // fatal() it threw; re-throw instead of returning a partial result.
-    if (result.status.code == FlowCode::StageError)
-        throw std::runtime_error(result.status.message);
-    return result;
-}
-
-FlowResult
-QplacerFlow::runMode(const Topology &topo, PlacerMode mode,
-                     double segment_um, std::uint64_t seed)
-{
-    FlowParams params;
-    params.mode = mode;
-    params.partition.segmentUm = segment_um;
-    params.placer.seed = seed;
-    return QplacerFlow(params).run(topo);
 }
 
 } // namespace qplacer

@@ -4,19 +4,15 @@
  * preprocessing (padding + partitioning) -> frequency-aware global
  * placement -> integration-aware legalization -> metrics.
  *
- * One-shot entry point:
+ * This header holds the flow's vocabulary: its parameters (FlowParams)
+ * and everything a run produces (FlowResult). PlacementSession::run
+ * (session.hpp) is the one way to run it:
  *
  *   Topology topo = makeTopology("Falcon");
- *   FlowResult r = QplacerFlow().run(topo);
- *   writeLayoutSvg(r.netlist, "falcon.svg");
- *
- * QplacerFlow::run() is a thin wrapper over the staged pipeline
- * (stage.hpp): each run builds the default stage sequence and drives
- * it with a private worker pool. Services and batch workloads should
- * prefer PlacementSession (session.hpp), which reuses the pool and
- * spectral-plan cache across runs, streams FlowObserver progress
- * events, supports cooperative cancellation, and executes independent
- * jobs concurrently -- see the migration note on runMode() below.
+ *   PlacementSession session;
+ *   FlowResult r = session.run(topo, FlowParams{});
+ *   if (r.status.ok())
+ *       writeLayoutSvg(r.netlist, "falcon.svg");
  */
 
 #ifndef QPLACER_PIPELINE_FLOW_HPP
@@ -69,10 +65,9 @@ struct IncrementalPlaceParams
 };
 
 /**
- * Knobs of the multi-start portfolio (PlacementSession::runPortfolio).
- * With seeds <= 1 the portfolio degrades to the exact single-seed flow
- * (runPortfolio forwards to run(), bitwise-identical); ignored by the
- * plain run()/runBatch() paths.
+ * Knobs of the multi-start portfolio. PlacementSession::run races the
+ * seeds when seeds > 1; seeds = 1 is the exact single-seed flow.
+ * Ignored by runBatch and runIncremental.
  */
 struct PortfolioParams
 {
@@ -107,7 +102,7 @@ struct FlowParams
     CrosstalkRule crosstalk; ///< The one copy; every stage reads it.
     IncrementalPlaceParams incremental;
     DetailedPlaceParams detailed; ///< Post-legalization annealing stage.
-    PortfolioParams portfolio;    ///< Multi-start knobs (runPortfolio).
+    PortfolioParams portfolio;    ///< Multi-start knobs.
     double targetUtil = 0.72;
 
     /**
@@ -120,13 +115,13 @@ struct FlowParams
      *    iteration budget, so lowering only maxIters stays valid.
      *
      * Out-of-range values (non-positive segment size, targetUtil
-     * outside (0, 1], negative minIters, ...) are *errors*, caught
-     * here instead of surfacing as UB downstream: with @p error null
-     * the first violation fatal()s; otherwise *error receives the
-     * message (empty on success) and the partially normalized copy is
+     * outside (0, 1], negative minIters, a portfolio in Human mode,
+     * ...) are *errors*, caught here instead of surfacing as UB
+     * downstream: @p error receives the first violation's message
+     * (empty on success) and the partially normalized copy is
      * returned for inspection.
      */
-    FlowParams normalized(std::string *error = nullptr) const;
+    FlowParams normalized(std::string &error) const;
 };
 
 /** Diagnostics of an incremental re-place run (zero on cold runs). */
@@ -155,7 +150,7 @@ struct PortfolioCandidate
 /** Diagnostics of a portfolio run (zero/empty for single-seed runs). */
 struct PortfolioStats
 {
-    bool portfolio = false; ///< This result came from runPortfolio.
+    bool portfolio = false; ///< This result came from a portfolio run.
     int seeds = 0;          ///< Candidates launched.
     int rungs = 0;          ///< Pruning checkpoints evaluated.
     std::uint64_t winnerSeed = 0;
@@ -181,42 +176,6 @@ struct FlowResult
 
     /** End-to-end wall clock (the trace's kFlowSpan root). */
     double seconds() const { return trace.seconds({kFlowSpan}); }
-};
-
-/** The placement flow driver. */
-class QplacerFlow
-{
-  public:
-    explicit QplacerFlow(FlowParams params = {});
-
-    /**
-     * Run the configured flow on @p topo through the staged pipeline.
-     * Kept exception-compatible with the pre-session API: invalid
-     * parameters and stage failures throw (std::runtime_error via
-     * fatal()). PlacementSession::run returns them as FlowResult::status
-     * instead.
-     */
-    FlowResult run(const Topology &topo) const;
-
-    /**
-     * Convenience: run with a given mode, default everything else.
-     *
-     * Migration note: for anything beyond a one-shot run -- many
-     * placements, progress observation, cancellation, or non-throwing
-     * error handling -- use PlacementSession:
-     *
-     *   PlacementSession session;                 // pool reused across runs
-     *   FlowResult r = session.run(topo, params); // errors in r.status
-     *   auto results = session.runBatch(jobs);    // concurrent jobs
-     */
-    static FlowResult runMode(const Topology &topo, PlacerMode mode,
-                              double segment_um = 300.0,
-                              std::uint64_t seed = 1);
-
-    const FlowParams &params() const { return params_; }
-
-  private:
-    FlowParams params_;
 };
 
 /** Human-readable mode name. */

@@ -53,110 +53,105 @@ incrementalState(FlowContext &ctx)
  * netlist with an empty delta short-circuits the rest of the flow by
  * reproducing the prior layout exactly.
  */
-class WarmStartStage final : public FlowStage
+void
+warmStart(FlowContext &ctx)
 {
-  public:
-    const char *name() const override { return "warm_start"; }
+    IncrementalState &st = incrementalState(ctx);
+    const PriorLayout &prior = *st.prior;
+    Netlist &netlist = ctx.result.netlist;
+    const int n = netlist.numInstances();
 
-    void run(FlowContext &ctx) const override
-    {
-        IncrementalState &st = incrementalState(ctx);
-        const PriorLayout &prior = *st.prior;
-        Netlist &netlist = ctx.result.netlist;
-        const int n = netlist.numInstances();
+    st.dirty.assign(n, 0);
+    st.hasAnchor.assign(n, 0);
+    st.anchors.assign(n, Vec2());
+    st.reusedPrior = false;
 
-        st.dirty.assign(n, 0);
-        st.hasAnchor.assign(n, 0);
-        st.anchors.assign(n, Vec2());
-        st.reusedPrior = false;
+    const std::unordered_set<int> delta_qubits(
+        st.delta.dirtyQubits.begin(), st.delta.dirtyQubits.end());
 
-        const std::unordered_set<int> delta_qubits(
-            st.delta.dirtyQubits.begin(), st.delta.dirtyQubits.end());
-
-        int mapped = 0;
-        int fresh = 0;
-        int dirty_count = 0;
-        for (int i = 0; i < n; ++i) {
-            Instance &inst = netlist.instance(i);
-            const PriorSite *site = nullptr;
-            bool delta_dirty = false;
-            if (inst.kind == InstanceKind::Qubit) {
-                const auto it = prior.qubitSites.find(inst.qubit);
-                if (it != prior.qubitSites.end())
-                    site = &it->second;
-                delta_dirty = delta_qubits.count(inst.qubit) > 0;
-            } else if (inst.resonator >= 0) {
-                const Resonator &res = netlist.resonator(inst.resonator);
-                const PriorLayout::SegmentKey key{
-                    std::min(res.qubitA, res.qubitB),
-                    std::max(res.qubitA, res.qubitB), inst.segment};
-                const auto it = prior.segmentSites.find(key);
-                if (it != prior.segmentSites.end())
-                    site = &it->second;
-                delta_dirty = delta_qubits.count(res.qubitA) > 0 ||
-                              delta_qubits.count(res.qubitB) > 0;
-            }
-            if (site) {
-                ++mapped;
-                st.hasAnchor[i] = 1;
-                st.anchors[i] = site->pos;
-                // A drifted frequency means the assignment changed
-                // around this instance even if the caller's delta
-                // missed it; re-place it rather than trust the prior.
-                if (site->freqHz != inst.freqHz)
-                    delta_dirty = true;
-                if (!delta_dirty)
-                    inst.pos = site->pos;
-            } else {
-                ++fresh;
-            }
-            st.dirty[i] = (site == nullptr || delta_dirty) ? 1 : 0;
-            dirty_count += st.dirty[i];
+    int mapped = 0;
+    int fresh = 0;
+    int dirty_count = 0;
+    for (int i = 0; i < n; ++i) {
+        Instance &inst = netlist.instance(i);
+        const PriorSite *site = nullptr;
+        bool delta_dirty = false;
+        if (inst.kind == InstanceKind::Qubit) {
+            const auto it = prior.qubitSites.find(inst.qubit);
+            if (it != prior.qubitSites.end())
+                site = &it->second;
+            delta_dirty = delta_qubits.count(inst.qubit) > 0;
+        } else if (inst.resonator >= 0) {
+            const Resonator &res = netlist.resonator(inst.resonator);
+            const PriorLayout::SegmentKey key{
+                std::min(res.qubitA, res.qubitB),
+                std::max(res.qubitA, res.qubitB), inst.segment};
+            const auto it = prior.segmentSites.find(key);
+            if (it != prior.segmentSites.end())
+                site = &it->second;
+            delta_dirty = delta_qubits.count(res.qubitA) > 0 ||
+                          delta_qubits.count(res.qubitB) > 0;
         }
-
-        IncrementalStats &stats = ctx.result.incremental;
-        stats.incremental = true;
-        stats.mappedInstances = mapped;
-        stats.freshInstances = fresh;
-        stats.dirtyInstances = dirty_count;
-
-        if (dirty_count == 0 && fresh == 0 &&
-            n == prior.numInstances) {
-            // Nothing changed: the prior layout is already the answer.
-            netlist.setRegion(prior.region);
-            st.reusedPrior = true;
-            stats.reusedPrior = true;
-            if (ctx.logging)
-                inform("incremental: empty delta, reusing prior layout");
-            return;
+        if (site) {
+            ++mapped;
+            st.hasAnchor[i] = 1;
+            st.anchors[i] = site->pos;
+            // A drifted frequency means the assignment changed
+            // around this instance even if the caller's delta
+            // missed it; re-place it rather than trust the prior.
+            if (site->freqHz != inst.freqHz)
+                delta_dirty = true;
+            if (!delta_dirty)
+                inst.pos = site->pos;
+        } else {
+            ++fresh;
         }
-
-        // Fixed prior sites must stay in-region; the freshly sized
-        // region can be smaller than the prior's (both are anchored at
-        // the origin, so the union preserves occupancy-cell alignment).
-        netlist.setRegion(netlist.region().unionWith(prior.region));
-
-        // Jitter the dirty set exactly like a cold run seeds its
-        // start (same Rng stream over instance order), so stacked
-        // fresh segments split; clean instances stay put and the warm
-        // place below runs jitter-free.
-        Rng rng(ctx.params.placer.seed);
-        const double jitter =
-            ctx.params.placer.jitterFrac * netlist.region().width();
-        for (int i = 0; i < n; ++i) {
-            const Vec2 off(rng.gaussian(0.0, jitter),
-                           rng.gaussian(0.0, jitter));
-            if (st.dirty[i])
-                netlist.instance(i).pos += off;
-        }
-
-        if (ctx.logging) {
-            inform(str("incremental: ", mapped, " warm-started, ", fresh,
-                       " fresh, ", dirty_count, " dirty of ", n,
-                       " instances"));
-        }
+        st.dirty[i] = (site == nullptr || delta_dirty) ? 1 : 0;
+        dirty_count += st.dirty[i];
     }
-};
+
+    IncrementalStats &stats = ctx.result.incremental;
+    stats.incremental = true;
+    stats.mappedInstances = mapped;
+    stats.freshInstances = fresh;
+    stats.dirtyInstances = dirty_count;
+
+    if (dirty_count == 0 && fresh == 0 &&
+        n == prior.numInstances) {
+        // Nothing changed: the prior layout is already the answer.
+        netlist.setRegion(prior.region);
+        st.reusedPrior = true;
+        stats.reusedPrior = true;
+        if (ctx.logging)
+            inform("incremental: empty delta, reusing prior layout");
+        return;
+    }
+
+    // Fixed prior sites must stay in-region; the freshly sized
+    // region can be smaller than the prior's (both are anchored at
+    // the origin, so the union preserves occupancy-cell alignment).
+    netlist.setRegion(netlist.region().unionWith(prior.region));
+
+    // Jitter the dirty set exactly like a cold run seeds its
+    // start (same Rng stream over instance order), so stacked
+    // fresh segments split; clean instances stay put and the warm
+    // place below runs jitter-free.
+    Rng rng(ctx.params.placer.seed);
+    const double jitter =
+        ctx.params.placer.jitterFrac * netlist.region().width();
+    for (int i = 0; i < n; ++i) {
+        const Vec2 off(rng.gaussian(0.0, jitter),
+                       rng.gaussian(0.0, jitter));
+        if (st.dirty[i])
+            netlist.instance(i).pos += off;
+    }
+
+    if (ctx.logging) {
+        inform(str("incremental: ", mapped, " warm-started, ", fresh,
+                   " fresh, ", dirty_count, " dirty of ", n,
+                   " instances"));
+    }
+}
 
 /**
  * Short jitter-free Nesterov re-solve from the warm start. The system
@@ -164,25 +159,20 @@ class WarmStartStage final : public FlowStage
  * (a fraction of the cold budget) suffices; clean instances barely
  * move and later snap back to their prior sites.
  */
-class WarmPlaceStage final : public FlowStage
+void
+warmPlace(FlowContext &ctx)
 {
-  public:
-    const char *name() const override { return "place"; }
+    IncrementalState &st = incrementalState(ctx);
+    if (st.reusedPrior)
+        return;
 
-    void run(FlowContext &ctx) const override
-    {
-        IncrementalState &st = incrementalState(ctx);
-        if (st.reusedPrior)
-            return;
+    PlacerParams pp = ctx.params.placer;
+    pp.maxIters = std::max(1, ctx.params.incremental.maxIters);
+    pp.minIters = std::min(pp.minIters, pp.maxIters);
+    pp.jitterFrac = 0.0; // the warm start already broke symmetry
 
-        PlacerParams pp = ctx.params.placer;
-        pp.maxIters = std::max(1, ctx.params.incremental.maxIters);
-        pp.minIters = std::min(pp.minIters, pp.maxIters);
-        pp.jitterFrac = 0.0; // the warm start already broke symmetry
-
-        runGlobalPlacer(ctx, pp, name());
-    }
-};
+    runGlobalPlacer(ctx, pp);
+}
 
 /**
  * Scoped legalization: clean instances that stayed within
@@ -190,62 +180,53 @@ class WarmPlaceStage final : public FlowStage
  * back and are held fixed; everything else (dirty closure + drifters)
  * goes through Legalizer::legalize with that movable set.
  */
-class ScopedLegalizeStage final : public FlowStage
+void
+scopedLegalize(FlowContext &ctx)
 {
-  public:
-    const char *name() const override { return "legalize"; }
-
-    void run(FlowContext &ctx) const override
-    {
-        IncrementalState &st = incrementalState(ctx);
-        Netlist &netlist = ctx.result.netlist;
-        if (st.reusedPrior) {
-            ctx.result.legal.legal = Legalizer::isLegal(netlist);
-            return;
-        }
-
-        const double snap = ctx.params.incremental.snapToleranceUm;
-        std::vector<int> movable;
-        for (int i = 0; i < netlist.numInstances(); ++i) {
-            if (st.dirty[i] || !st.hasAnchor[i]) {
-                movable.push_back(i);
-                continue;
-            }
-            Instance &inst = netlist.instance(i);
-            if (inst.pos.dist(st.anchors[i]) > snap)
-                movable.push_back(i);
-            else
-                inst.pos = st.anchors[i];
-        }
-        ctx.result.incremental.movableInstances =
-            static_cast<int>(movable.size());
-
-        const Legalizer legalizer(ctx.params.legalizer,
-                                  ctx.params.crosstalk);
-        ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable,
-                                              &ctx.result.trace);
-        if (ctx.result.legal.cancelled) {
-            ctx.result.status = {FlowCode::Cancelled, name(),
-                                 "cancelled during legalization"};
-        }
+    IncrementalState &st = incrementalState(ctx);
+    Netlist &netlist = ctx.result.netlist;
+    if (st.reusedPrior) {
+        ctx.result.legal.legal = Legalizer::isLegal(netlist);
+        return;
     }
-};
+
+    const double snap = ctx.params.incremental.snapToleranceUm;
+    std::vector<int> movable;
+    for (int i = 0; i < netlist.numInstances(); ++i) {
+        if (st.dirty[i] || !st.hasAnchor[i]) {
+            movable.push_back(i);
+            continue;
+        }
+        Instance &inst = netlist.instance(i);
+        if (inst.pos.dist(st.anchors[i]) > snap)
+            movable.push_back(i);
+        else
+            inst.pos = st.anchors[i];
+    }
+    ctx.result.incremental.movableInstances =
+        static_cast<int>(movable.size());
+
+    const Legalizer legalizer(ctx.params.legalizer,
+                              ctx.params.crosstalk);
+    ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable,
+                                          &ctx.result.trace);
+    if (ctx.result.legal.cancelled) {
+        ctx.result.status = {FlowCode::Cancelled, "",
+                             "cancelled during legalization"};
+    }
+}
 
 } // namespace
 
-std::vector<std::unique_ptr<FlowStage>>
-makeIncrementalStages(const FlowParams &params)
+std::vector<FlowStage>
+makeIncrementalStages()
 {
-    if (params.mode == PlacerMode::Human)
-        fatal("incremental re-place supports Qplacer/Classic modes only");
-    std::vector<std::unique_ptr<FlowStage>> stages;
-    stages.push_back(makeAssignStage());
-    stages.push_back(makeBuildStage());
-    stages.push_back(std::make_unique<WarmStartStage>());
-    stages.push_back(std::make_unique<WarmPlaceStage>());
-    stages.push_back(std::make_unique<ScopedLegalizeStage>());
-    stages.push_back(makeMetricsStage());
-    return stages;
+    return {kAssignStage,
+            kBuildStage,
+            {"warm_start", warmStart},
+            {"place", warmPlace},
+            {"legalize", scopedLegalize},
+            kMetricsStage};
 }
 
 } // namespace qplacer

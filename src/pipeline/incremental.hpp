@@ -96,12 +96,11 @@ struct IncrementalState
 };
 
 /**
- * The incremental stage sequence for @p params (already normalized).
+ * The incremental stage sequence (Qplacer/Classic modes only).
  * FlowContext::incremental must point at an IncrementalState whose
  * prior is set; runStages drives it like any other pipeline.
  */
-std::vector<std::unique_ptr<FlowStage>>
-makeIncrementalStages(const FlowParams &params);
+std::vector<FlowStage> makeIncrementalStages();
 
 } // namespace qplacer
 

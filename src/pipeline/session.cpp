@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "legal/anneal.hpp"
 #include "pipeline/context.hpp"
 
 namespace qplacer {
@@ -56,25 +55,10 @@ rejected(std::string message)
     return result;
 }
 
-/**
- * The portfolio probe pipeline: assign -> build -> place only (no
- * legalization or metrics -- the ranking needs the optimizer
- * trajectory, nothing downstream).
- */
-std::vector<std::unique_ptr<FlowStage>>
-makeProbeStages(const FlowParams &)
-{
-    std::vector<std::unique_ptr<FlowStage>> stages;
-    stages.push_back(makeAssignStage());
-    stages.push_back(makeBuildStage());
-    stages.push_back(makeGlobalPlaceStage());
-    return stages;
-}
-
 } // namespace
 
-PlacementSession::PlacementSession(SessionParams params)
-    : params_(params)
+PlacementSession::PlacementSession(int workers)
+    : workers_(workers)
 {
 }
 
@@ -100,14 +84,15 @@ PlacementSession::innerPool(const FlowParams &params)
 FlowResult
 PlacementSession::runJob(const Topology &topo, const FlowParams &params,
                          int job_index, ThreadPool *pool, bool logging,
-                         FlowObserver *observer, StageMaker make_stages,
+                         FlowObserver *observer,
+                         const std::vector<FlowStage> *stages,
                          IncrementalState *incremental)
 {
     FlowContext ctx;
     ctx.topo = &topo;
 
     std::string error;
-    ctx.params = params.normalized(&error);
+    ctx.params = params.normalized(error);
     if (!error.empty())
         return rejected(error);
 
@@ -117,7 +102,7 @@ PlacementSession::runJob(const Topology &topo, const FlowParams &params,
     ctx.cancel = &cancel_;
     ctx.logging = logging;
     ctx.incremental = incremental;
-    runStages(ctx, make_stages(ctx.params));
+    runStages(ctx, stages ? *stages : makeDefaultStages(ctx.params));
     return std::move(ctx.result);
 }
 
@@ -126,7 +111,7 @@ PlacementSession::forEachJob(
     std::size_t n, const std::function<void(std::size_t, bool)> &job)
 {
     const int workers =
-        std::min<int>(ThreadPool::resolveThreadCount(params_.workers),
+        std::min<int>(ThreadPool::resolveThreadCount(workers_),
                       static_cast<int>(n));
     if (workers <= 1) {
         for (std::size_t i = 0; i < n; ++i)
@@ -150,16 +135,14 @@ PlacementSession::forEachJob(
 }
 
 FlowResult
-PlacementSession::run(const Topology &topo)
-{
-    return run(topo, params_.flow);
-}
-
-FlowResult
 PlacementSession::run(const Topology &topo, const FlowParams &params)
 {
+    // normalized() keeps portfolio.seeds as given; runPortfolio
+    // rejects an invalid portfolio request through its own check.
+    if (params.portfolio.seeds > 1)
+        return runPortfolio(topo, params);
     return runJob(topo, params, /*job_index=*/0, innerPool(params),
-                  /*logging=*/true, observer_, makeDefaultStages);
+                  /*logging=*/true, observer_);
 }
 
 FlowResult
@@ -175,9 +158,9 @@ PlacementSession::runIncremental(const Topology &topo,
     IncrementalState state;
     state.prior = &prior;
     state.delta = delta;
+    const std::vector<FlowStage> stages = makeIncrementalStages();
     return runJob(topo, params, /*job_index=*/0, innerPool(params),
-                  /*logging=*/true, observer_, makeIncrementalStages,
-                  &state);
+                  /*logging=*/true, observer_, &stages, &state);
 }
 
 std::vector<FlowResult>
@@ -215,8 +198,7 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs)
         const FlowParams &params = *jobs[i].params;
         results[i] = runJob(*jobs[i].topo, params, static_cast<int>(i),
                             concurrent ? nullptr : innerPool(params),
-                            /*logging=*/!concurrent, observer_,
-                            makeDefaultStages);
+                            /*logging=*/!concurrent, observer_);
     });
     return results;
 }
@@ -226,14 +208,9 @@ PlacementSession::runPortfolio(const Topology &topo,
                                const FlowParams &params)
 {
     std::string error;
-    const FlowParams normalized = params.normalized(&error);
+    const FlowParams normalized = params.normalized(error);
     if (!error.empty())
         return rejected(error);
-
-    // One seed is the exact single-seed path (bitwise); Human mode has
-    // no seed sensitivity worth exploring.
-    if (normalized.portfolio.seeds <= 1 || params.mode == PlacerMode::Human)
-        return run(topo, params);
 
     // The job's root span covers the probe rungs and every full run,
     // so its seconds are the job's wall clock; the winner's stage spans
@@ -264,6 +241,10 @@ PlacementSession::runPortfolio(const Topology &topo,
         alive[static_cast<std::size_t>(i)] = i;
     std::vector<char> probe_ok(static_cast<std::size_t>(n), 1);
     TrajectoryRecorder recorder(static_cast<std::size_t>(n));
+    // Probes stop after place: the ranking needs the optimizer
+    // trajectory, nothing downstream.
+    const std::vector<FlowStage> probe_stages{kAssignStage, kBuildStage,
+                                              kPlaceStage};
 
     // Every candidate run, probe or full, places with its own seed and
     // no pool: candidates may run concurrently.
@@ -293,7 +274,7 @@ PlacementSession::runPortfolio(const Topology &topo,
             probe.placer.maxIters = static_cast<int>(checkpoint);
             probes[k] = runJob(topo, probe, alive[k], nullptr,
                                /*logging=*/false, &recorder,
-                               makeProbeStages);
+                               &probe_stages);
         });
         ++stats.rungs;
 
@@ -356,8 +337,7 @@ PlacementSession::runPortfolio(const Topology &topo,
     std::vector<FlowResult> finals(alive.size());
     forEachJob(alive.size(), [&](std::size_t k, bool concurrent) {
         finals[k] = runJob(topo, candidate(alive[k]), static_cast<int>(k),
-                           nullptr, /*logging=*/!concurrent, nullptr,
-                           makeDefaultStages);
+                           nullptr, /*logging=*/!concurrent, nullptr);
     });
 
     std::size_t winner_k = 0;
@@ -367,7 +347,7 @@ PlacementSession::runPortfolio(const Topology &topo,
         stats.candidates[ci].ranFull = true;
         if (!finals[k].status.ok())
             continue;
-        stats.candidates[ci].finalHpwl = layoutHpwl(finals[k].netlist);
+        stats.candidates[ci].finalHpwl = finals[k].netlist.hpwl();
         const auto better = [&](std::size_t a, std::size_t b) {
             // Prefer legal layouts, then lower HPWL, then lower offset.
             const FlowResult &ra = finals[a];

@@ -1,28 +1,31 @@
 /**
  * @file
- * PlacementSession: the reusable, batch-capable front end of the
- * staged flow (the production entry point the ROADMAP's north star
- * asks for).
+ * PlacementSession: the one front end of the staged flow (stage.hpp).
+ * Every placement -- a single run, a portfolio, a batch, an
+ * incremental re-place -- goes through a session.
  *
  * A session amortizes the expensive per-run machinery across many
  * placements: the worker pool survives between run() calls (no thread
  * spawn/join per placement) and the process-wide spectral-plan cache
- * stays warm. On top of that it adds what a service needs and the
- * one-shot QplacerFlow cannot give: non-throwing structured errors
- * (FlowResult::status), FlowObserver progress streaming, cooperative
- * cancellation, and concurrent execution of independent jobs.
+ * stays warm. Errors never throw: invalid parameters, stage failures
+ * and cancellation come back in FlowResult::status. It also streams
+ * FlowObserver progress, cancels cooperatively, and runs independent
+ * jobs concurrently:
  *
- *   PlacementSession session({.flow = params, .workers = 8});
+ *   PlacementSession session(8);            // 8 concurrent jobs
+ *   FlowResult r = session.run(topo, params);
  *   std::vector<PlacementJob> jobs = ...;   // one topology+params each
  *   auto results = session.runBatch(jobs);  // all jobs, concurrently
  *
  * Determinism contract: runBatch(jobs) is **bitwise-identical** to
- * running each job through QplacerFlow::run with the same parameters.
- * A placement's bits depend on its seed, never on its thread count
- * (ARCHITECTURE.md, "Determinism"), so how jobs share the cores does
- * not matter: with workers > 1 each job places single-threaded
- * (parallelism across jobs instead of inside one); with workers <= 1
- * jobs run in order and keep their requested intra-job thread count.
+ * running each job alone through run() with the same parameters, in
+ * this session or a fresh one (a batch job places its own seed only,
+ * so this holds for portfolio.seeds = 1). A placement's bits depend
+ * on its seed, never on its thread count (ARCHITECTURE.md,
+ * "Determinism"), so how jobs share the cores does not matter: with
+ * workers > 1 each job places single-threaded (parallelism across
+ * jobs instead of inside one); with workers <= 1 jobs run in order
+ * and keep their requested intra-job thread count.
  */
 
 #ifndef QPLACER_PIPELINE_SESSION_HPP
@@ -35,6 +38,7 @@
 
 #include "pipeline/flow.hpp"
 #include "pipeline/incremental.hpp"
+#include "pipeline/observer.hpp"
 #include "topology/topology.hpp"
 #include "util/cancel.hpp"
 #include "util/thread_pool.hpp"
@@ -48,58 +52,21 @@ struct PlacementJob
     FlowParams params; ///< Seed lives in params.placer.seed.
 };
 
-/** Session-level configuration. */
-struct SessionParams
-{
-    /** Default flow parameters, used by run(topo) without overrides. */
-    FlowParams flow;
-
-    /**
-     * Concurrent jobs in runBatch (not intra-placement threads).
-     * 0 = hardware concurrency, capped like ThreadPool's auto choice;
-     * 1 = serial batches.
-     */
-    int workers = 0;
-};
-
 /** Reusable staged-flow engine; see the file header for the contract. */
 class PlacementSession
 {
   public:
-    explicit PlacementSession(SessionParams params = {});
-
-    /** Place @p topo with the session's default parameters. */
-    FlowResult run(const Topology &topo);
-
     /**
-     * Place @p topo with explicit parameters. Unlike QplacerFlow::run
-     * this never throws for flow-level failures: invalid parameters,
-     * stage errors, and cancellation all come back in
-     * FlowResult::status.
+     * @param workers Concurrent jobs in runBatch and the portfolio
+     *                (not intra-placement threads). 0 = hardware
+     *                concurrency, capped like ThreadPool's auto choice;
+     *                1 = serial.
      */
-    FlowResult run(const Topology &topo, const FlowParams &params);
+    explicit PlacementSession(int workers = 0);
 
     /**
-     * Execute independent placement jobs, `workers` at a time, on one
-     * shared pool. Results arrive indexed like @p jobs; each job's
-     * outcome (including per-job errors) is in its FlowResult::status.
-     * Cancellation applies to the whole batch: jobs already running
-     * stop at their next poll, jobs not yet started report Cancelled
-     * without running.
-     */
-    std::vector<FlowResult> runBatch(const std::vector<PlacementJob> &jobs);
-
-    /**
-     * Homogeneous batch: one device under many parameter sets (a seed
-     * sweep, a knob study). Same contract as the PlacementJob
-     * overload, but every job borrows @p topo instead of carrying a
-     * copy -- prefer this for large same-device batches.
-     */
-    std::vector<FlowResult> runBatch(const Topology &topo,
-                                     const std::vector<FlowParams> &jobs);
-
-    /**
-     * Multi-start portfolio: place @p topo under seeds
+     * Place @p topo cold. With params.portfolio.seeds > 1 this races
+     * the seeds as a multi-start portfolio: seeds
      * placer.seed .. placer.seed + seeds - 1 (wrapping mod 2^64),
      * candidates running concurrently on the batch pool, each
      * single-threaded. Candidates first run truncated probe placements
@@ -111,20 +78,37 @@ class PlacementSession
      * and the best final layout (legal first, then lowest HPWL, then
      * lowest seed offset) is returned with PortfolioStats attached.
      *
-     * Determinism contract: every candidate's full run places with
+     * Portfolio determinism: every candidate's full run places with
      * its own seed, so the winner is bitwise-identical to a
-     * QplacerFlow::run of that seed (with the same detailed knobs).
+     * single-seed run of that seed (with the same detailed knobs).
      * The base seed is exempt from pruning, so the portfolio result is
-     * never worse than the single-seed flow. With seeds <= 1 (or Human
-     * mode) this forwards to run() -- the exact single-seed path,
-     * bitwise.
-     *
-     * The session's observer sees no events while candidates run
-     * (per-candidate events would interleave meaninglessly). The
-     * result's trace root spans the whole job, probe rungs and every
-     * full run included; the stages beneath it are the winner's.
+     * never worse than the single-seed flow. The session's observer
+     * sees no events while candidates run (per-candidate events would
+     * interleave meaninglessly). The result's trace root spans the
+     * whole job, probe rungs and every full run included; the stages
+     * beneath it are the winner's.
      */
-    FlowResult runPortfolio(const Topology &topo, const FlowParams &params);
+    FlowResult run(const Topology &topo, const FlowParams &params);
+
+    /**
+     * Execute independent placement jobs, `workers` at a time, on one
+     * shared pool. Results arrive indexed like @p jobs; each job's
+     * outcome (including per-job errors) is in its FlowResult::status.
+     * Cancellation applies to the whole batch: jobs already running
+     * stop at their next poll, jobs not yet started report Cancelled
+     * without running. Each job places its own seed; params.portfolio
+     * is ignored.
+     */
+    std::vector<FlowResult> runBatch(const std::vector<PlacementJob> &jobs);
+
+    /**
+     * Homogeneous batch: one device under many parameter sets (a seed
+     * sweep, a knob study). Same contract as the PlacementJob
+     * overload, but every job borrows @p topo instead of carrying a
+     * copy -- prefer this for large same-device batches.
+     */
+    std::vector<FlowResult> runBatch(const Topology &topo,
+                                     const std::vector<FlowParams> &jobs);
 
     /**
      * Incremental re-place (incremental.hpp): place @p topo warm-
@@ -153,8 +137,6 @@ class PlacementSession
      */
     CancelToken &cancelToken() { return cancel_; }
 
-    const SessionParams &params() const { return params_; }
-
   private:
     /** One batch entry by reference (both borrowed for the call). */
     struct JobRef
@@ -163,24 +145,25 @@ class PlacementSession
         const FlowParams *params;
     };
 
-    /** Builds a job's stage sequence from its normalized parameters. */
-    using StageMaker =
-        std::vector<std::unique_ptr<FlowStage>> (*)(const FlowParams &);
-
     /** Shared implementation of both runBatch overloads. */
     std::vector<FlowResult> runBatchRefs(const std::vector<JobRef> &jobs);
+
+    /** The multi-start portfolio run() dispatches to. */
+    FlowResult runPortfolio(const Topology &topo, const FlowParams &params);
 
     /**
      * Execute one job on the calling thread: normalize @p params
      * (failing validation returns InvalidParams without running), then
-     * drive the stages @p make_stages builds. @p pool is the inner
-     * (intra-placement) pool, null for serial; @p logging gates
-     * inform() chatter; @p incremental is the warm-start state, null
-     * for a cold run. Never throws: stage errors land in the status.
+     * drive @p stages, or makeDefaultStages of the normalized params
+     * when @p stages is null. @p pool is the inner (intra-placement)
+     * pool, null for serial; @p logging gates inform() chatter;
+     * @p incremental is the warm-start state, null for a cold run.
+     * Never throws: stage errors land in the status.
      */
     FlowResult runJob(const Topology &topo, const FlowParams &params,
                       int job_index, ThreadPool *pool, bool logging,
-                      FlowObserver *observer, StageMaker make_stages,
+                      FlowObserver *observer,
+                      const std::vector<FlowStage> *stages = nullptr,
                       IncrementalState *incremental = nullptr);
 
     /**
@@ -200,7 +183,7 @@ class PlacementSession
      */
     ThreadPool *innerPool(const FlowParams &params);
 
-    SessionParams params_;
+    int workers_;
     FlowObserver *observer_ = nullptr;
     CancelToken cancel_;
     std::unique_ptr<ThreadPool> inner_; ///< Intra-placement pool.

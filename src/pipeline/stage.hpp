@@ -1,24 +1,20 @@
 /**
  * @file
- * The staged flow API: the Fig. 7 pipeline decomposed into explicit,
- * individually timed stages running over a shared FlowContext.
+ * The staged flow: the Fig. 7 pipeline as a list of named, individually
+ * timed stage functions running over a shared FlowContext.
  *
- * A flow is a sequence of FlowStage objects (frequency assignment ->
+ * A flow is a sequence of FlowStage values (frequency assignment ->
  * netlist build -> global placement -> legalization -> metrics; see
  * makeDefaultStages). runStages() drives them with structured error
  * reporting (FlowStatus instead of silent success), per-stage spans in
  * the job's Trace, FlowObserver callbacks (stage begin/end and optimizer
  * iteration progress), and cooperative cancellation.
- *
- * QplacerFlow::run() is a thin wrapper over this path; PlacementSession
- * (session.hpp) adds pool/plan reuse across runs and concurrent batch
- * execution on top of it.
+ * PlacementSession::run (session.hpp) is the one way to run it.
  */
 
 #ifndef QPLACER_PIPELINE_STAGE_HPP
 #define QPLACER_PIPELINE_STAGE_HPP
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,7 +22,6 @@ namespace qplacer {
 
 struct FlowContext;
 struct FlowParams;
-struct PlaceProgress;
 struct PlacerParams;
 
 /** How a flow run ended. */
@@ -63,66 +58,30 @@ struct FlowStatus
 inline constexpr const char *kFlowSpan = "flow";
 
 /**
- * Callback surface over a flow run. Default implementations do
- * nothing; override what you need. In a concurrent batch
- * (PlacementSession::runBatch with workers > 1) callbacks fire on pool
- * worker threads, possibly concurrently for different jobs -- an
- * observer shared across jobs must be thread-safe. Use
- * FlowContext::jobIndex to tell jobs apart.
+ * One step of the flow: a stable name (used in the trace, status, and
+ * observer events) and the function that runs it. Stages communicate
+ * exclusively through the FlowContext (read params/topology, fill in
+ * FlowContext::result), so a custom pipeline is just a different stage
+ * list. A stage reports failure by throwing (fatal()/panic() style) and
+ * cancellation by setting a Cancelled status; either way runStages
+ * stamps the status with the stage's name and stops.
  */
-class FlowObserver
+struct FlowStage
 {
-  public:
-    virtual ~FlowObserver() = default;
-
-    /** A stage is about to run. */
-    virtual void onStageBegin(const FlowContext &ctx,
-                              const std::string &stage)
-    {
-        (void)ctx;
-        (void)stage;
-    }
-
-    /** A stage finished after @p seconds (also fires if it errored). */
-    virtual void onStageEnd(const FlowContext &ctx,
-                            const std::string &stage, double seconds)
-    {
-        (void)ctx;
-        (void)stage;
-        (void)seconds;
-    }
-
-    /**
-     * Global-placement iteration progress (fires once per Nesterov
-     * iteration, after the objective evaluation). Cancel mid-placement
-     * by flipping the run's CancelToken from here.
-     */
-    virtual void onIteration(const FlowContext &ctx,
-                             const PlaceProgress &progress)
-    {
-        (void)ctx;
-        (void)progress;
-    }
+    const char *name;
+    void (*run)(FlowContext &ctx);
 };
 
 /**
- * One step of the flow. Stages communicate exclusively through the
- * FlowContext (read params/topology, fill in FlowContext::result), so
- * they compose: a custom pipeline is just a different stage vector.
- * Errors are reported by throwing (fatal()/panic() style); runStages
- * converts escaping exceptions into FlowStatus::StageError.
+ * The default stages other pipelines are composed from: the
+ * incremental re-place (incremental.hpp) wraps its warm-start stages in
+ * assign/build and metrics; the portfolio's probe pipeline stops after
+ * place.
  */
-class FlowStage
-{
-  public:
-    virtual ~FlowStage() = default;
-
-    /** Stable stage name (used in the trace, status, and observer events). */
-    virtual const char *name() const = 0;
-
-    /** Execute the stage against @p ctx. */
-    virtual void run(FlowContext &ctx) const = 0;
-};
+extern const FlowStage kAssignStage;
+extern const FlowStage kBuildStage;
+extern const FlowStage kPlaceStage;
+extern const FlowStage kMetricsStage;
 
 /**
  * The Fig. 7 stage sequence for @p params (which must already be
@@ -132,28 +91,15 @@ class FlowStage
  * (and not in Human mode), the annealing detailed-placement stage is
  * inserted between legalize and metrics.
  */
-std::vector<std::unique_ptr<FlowStage>>
-makeDefaultStages(const FlowParams &params);
-
-/**
- * Individual default stages, for composing custom pipelines (the
- * incremental re-place sequence in incremental.hpp reuses assign/build
- * and metrics around its own warm-start stages; the portfolio's probe
- * pipeline truncates after the global-place stage).
- */
-std::unique_ptr<FlowStage> makeAssignStage();
-std::unique_ptr<FlowStage> makeBuildStage();
-std::unique_ptr<FlowStage> makeGlobalPlaceStage();
-std::unique_ptr<FlowStage> makeMetricsStage();
+std::vector<FlowStage> makeDefaultStages(const FlowParams &params);
 
 /**
  * Global placement of ctx.result.netlist with @p params on ctx.pool,
  * shared by the cold and warm place stages: iterations stream to
- * ctx.observer, ctx.cancel is polled, and a cancelled run sets the
- * Cancelled status for @p stage.
+ * ctx.observer, ctx.cancel is polled, and a cancelled run sets a
+ * Cancelled status.
  */
-void runGlobalPlacer(FlowContext &ctx, const PlacerParams &params,
-                     const char *stage);
+void runGlobalPlacer(FlowContext &ctx, const PlacerParams &params);
 
 /**
  * Drive @p stages over @p ctx in order: a kFlowSpan span around the
@@ -162,8 +108,7 @@ void runGlobalPlacer(FlowContext &ctx, const PlacerParams &params,
  * conversion. On return ctx.result holds everything the run produced
  * (status and trace included).
  */
-void runStages(FlowContext &ctx,
-               const std::vector<std::unique_ptr<FlowStage>> &stages);
+void runStages(FlowContext &ctx, const std::vector<FlowStage> &stages);
 
 } // namespace qplacer
 

@@ -88,10 +88,8 @@ PlacementServer::PlacementServer(ServerOptions options)
     workers_.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         auto worker = std::make_unique<Worker>();
-        SessionParams sp;
-        sp.flow = options_.defaults;
-        sp.workers = 1; // Concurrency lives at the server's job level.
-        worker->session = std::make_unique<PlacementSession>(sp);
+        // Concurrency lives at the server's job level.
+        worker->session = std::make_unique<PlacementSession>(1);
         workers_.push_back(std::move(worker));
     }
     for (int i = 0; i < n; ++i)
@@ -558,8 +556,6 @@ PlacementServer::runJob(int worker_index, Job &job)
             delta.dirtyQubits.push_back(coupler.second);
         }
         result = session.runIncremental(*topo, params, *prior, delta);
-    } else if (portfolio) {
-        result = session.runPortfolio(*topo, params);
     } else {
         result = session.run(*topo, params);
     }

@@ -145,7 +145,7 @@ TEST(Wirelength, CoincidentPinsGiveSmoothMinimum)
         EXPECT_NEAR(g.x, 0.0, 1e-12);
         EXPECT_NEAR(g.y, 0.0, 1e-12);
     }
-    EXPECT_DOUBLE_EQ(model.hpwl(pos), 0.0);
+    EXPECT_DOUBLE_EQ(nl.hpwl(pos), 0.0);
 }
 
 TEST(Wirelength, WeightsScaleContribution)
@@ -161,7 +161,7 @@ TEST(Wirelength, WeightsScaleContribution)
     nl.setRegion(Rect(0, 0, 1000, 1000));
     WirelengthModel model(nl, 10.0);
     const std::vector<Vec2> pos{{0, 0}, {500, 0}};
-    EXPECT_NEAR(model.hpwl(pos), 1500.0, 1e-9);
+    EXPECT_NEAR(nl.hpwl(pos), 1500.0, 1e-9);
 }
 
 TEST(Wirelength, InvalidGammaIsFatal)

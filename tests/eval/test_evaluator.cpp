@@ -2,7 +2,7 @@
 
 #include "eval/evaluator.hpp"
 #include "circuits/benchmarks.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/factory.hpp"
 
 namespace qplacer {
@@ -15,10 +15,19 @@ class EvaluatorTest : public ::testing::Test
     SetUpTestSuite()
     {
         topo_ = new Topology(makeTopology("Grid"));
-        qplacer_ = new FlowResult(
-            QplacerFlow::runMode(*topo_, PlacerMode::Qplacer));
-        classic_ = new FlowResult(
-            QplacerFlow::runMode(*topo_, PlacerMode::Classic));
+        qplacer_ = new FlowResult(place(PlacerMode::Qplacer));
+        classic_ = new FlowResult(place(PlacerMode::Classic));
+    }
+
+    /** Place topo_ in @p mode; a failed run fails the suite. */
+    static FlowResult
+    place(PlacerMode mode)
+    {
+        FlowParams params;
+        params.mode = mode;
+        FlowResult r = PlacementSession().run(*topo_, params);
+        EXPECT_TRUE(r.status.ok()) << r.status.message;
+        return r;
     }
 
     static void

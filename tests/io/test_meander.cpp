@@ -4,7 +4,7 @@
 #include "io/meander.hpp"
 #include "legal/legalizer.hpp"
 #include "netlist/builder.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/generators.hpp"
 
 namespace qplacer {
@@ -23,9 +23,8 @@ class MeanderOnLayout : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        const Topology topo = makeGrid(3, 3);
-        flow_ = new FlowResult(
-            QplacerFlow::runMode(topo, PlacerMode::Qplacer));
+        flow_ = new FlowResult(PlacementSession().run(makeGrid(3, 3), {}));
+        EXPECT_TRUE(flow_->status.ok()) << flow_->status.message;
     }
 
     static void TearDownTestSuite() { delete flow_; }

@@ -100,7 +100,7 @@ TEST_P(AnnealProperties, NeverWorsensHpwlOrCollisions)
     EXPECT_LE(stats.hpwlAfter, stats.hpwlBefore);
     EXPECT_LE(stats.collisionsAfter, stats.collisionsBefore);
     // The reported after-HPWL is the exact HPWL of the returned layout.
-    EXPECT_EQ(stats.hpwlAfter, layoutHpwl(nl));
+    EXPECT_EQ(stats.hpwlAfter, nl.hpwl());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnnealProperties,

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/flow.hpp"
 #include "pipeline/session.hpp"
 #include "topology/factory.hpp"
 
@@ -52,7 +51,7 @@ flowParams(double cut_weight, std::uint64_t seed)
 FlowResult
 runFlow(const std::string &spec, double cut_weight = 0.0)
 {
-    return QplacerFlow(flowParams(cut_weight, 1)).run(resolve(spec));
+    return PlacementSession().run(resolve(spec), flowParams(cut_weight, 1));
 }
 
 TEST(MultidieGolden, SingleDieSuffixIsBitwiseIdentical)

@@ -15,7 +15,7 @@
 #include "legal/legalizer.hpp"
 #include "legal/occupancy.hpp"
 #include "multidie/die_plan.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/factory.hpp"
 
 namespace qplacer {
@@ -107,7 +107,7 @@ runFlow(const std::string &spec, bool detailed = false)
         params.detailed.enabled = true;
         params.detailed.iters = 20;
     }
-    return QplacerFlow(params).run(topo);
+    return PlacementSession().run(topo, params);
 }
 
 void

@@ -12,7 +12,7 @@
 #include "freq/assigner.hpp"
 #include "netlist/builder.hpp"
 #include "oracles/oracles.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/generators.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -80,8 +80,7 @@ TEST(BuilderScale, FlowSurfacesAssignAndBuildStageTimings)
     FlowParams params;
     params.placer.maxIters = 30;
     params.placer.threads = 2;
-    const FlowResult result =
-        QplacerFlow(params).run(makeGrid(4, 4));
+    const FlowResult result = PlacementSession().run(makeGrid(4, 4), params);
 
     ASSERT_TRUE(result.status.ok());
     EXPECT_EQ(result.buildThreads, 2); // the flow's pool fills the build

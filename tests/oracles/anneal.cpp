@@ -15,7 +15,7 @@ detailedObjective(const Netlist &netlist, const CrosstalkRule &rule)
                 hinge += rule.adjacencyTolUm - gap;
         }
     }
-    return layoutHpwl(netlist) + DetailedPlacer::kFidelityWeight * hinge;
+    return netlist.hpwl() + DetailedPlacer::kFidelityWeight * hinge;
 }
 
 } // namespace qplacer::oracle

@@ -163,6 +163,19 @@ execute_process(
 if(bad_rc EQUAL 0)
     message(FATAL_ERROR "qplacer_cli accepted portfolio.seeds=2 with --jobs > 1")
 endif()
+# Human mode has no seed to race: a portfolio there is a parameter
+# error up front, not a silent single-seed run.
+execute_process(
+    COMMAND "${QPLACER_CLI}" --topology Falcon --mode human --portfolio 3
+            --report json
+    RESULT_VARIABLE bad_rc
+    OUTPUT_QUIET ERROR_VARIABLE err)
+if(bad_rc EQUAL 0)
+    message(FATAL_ERROR "qplacer_cli accepted --portfolio in human mode")
+endif()
+if(NOT err MATCHES "qplacer_cli: fatal: .*portfolio.seeds")
+    message(FATAL_ERROR "human-mode portfolio error does not name portfolio.seeds:\n${err}")
+endif()
 
 # --- --help: the --set key list is printed from kKnownSetKeys. ---
 execute_process(

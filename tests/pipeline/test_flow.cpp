@@ -1,16 +1,27 @@
 #include <gtest/gtest.h>
 
 #include "legal/legalizer.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/factory.hpp"
 
 namespace qplacer {
 namespace {
 
+/** Place the Grid device in @p mode; a failed run fails the test. */
+FlowResult
+placeGrid(PlacerMode mode, double segment_um = 300.0)
+{
+    FlowParams params;
+    params.mode = mode;
+    params.partition.segmentUm = segment_um;
+    FlowResult r = PlacementSession().run(makeTopology("Grid"), params);
+    EXPECT_TRUE(r.status.ok()) << r.status.message;
+    return r;
+}
+
 TEST(Flow, QplacerModeProducesLegalConvergedLayout)
 {
-    const Topology topo = makeTopology("Grid");
-    const FlowResult r = QplacerFlow::runMode(topo, PlacerMode::Qplacer);
+    const FlowResult r = placeGrid(PlacerMode::Qplacer);
     EXPECT_TRUE(r.place.converged);
     EXPECT_TRUE(r.legal.legal);
     EXPECT_TRUE(Legalizer::isLegal(r.netlist));
@@ -20,11 +31,7 @@ TEST(Flow, QplacerModeProducesLegalConvergedLayout)
 
 TEST(Flow, ClassicModeDisablesFrequencyAwareness)
 {
-    FlowParams params;
-    params.mode = PlacerMode::Classic;
-    const QplacerFlow flow(params);
-    const Topology topo = makeTopology("Grid");
-    const FlowResult r = flow.run(topo);
+    const FlowResult r = placeGrid(PlacerMode::Classic);
     EXPECT_TRUE(r.legal.legal);
     // A frequency-blind layout of a crowded spectrum has hotspots.
     EXPECT_GT(r.hotspots.phPercent, 0.5);
@@ -32,8 +39,7 @@ TEST(Flow, ClassicModeDisablesFrequencyAwareness)
 
 TEST(Flow, HumanModeSkipsPlacement)
 {
-    const Topology topo = makeTopology("Grid");
-    const FlowResult r = QplacerFlow::runMode(topo, PlacerMode::Human);
+    const FlowResult r = placeGrid(PlacerMode::Human);
     EXPECT_EQ(r.place.iterations, 0);
     EXPECT_EQ(r.hotspots.pairs.size(), 0u);
 }
@@ -47,19 +53,15 @@ TEST(Flow, ModeNames)
 
 TEST(Flow, SegmentSizeChangesCellCount)
 {
-    const Topology topo = makeTopology("Grid");
-    const FlowResult coarse =
-        QplacerFlow::runMode(topo, PlacerMode::Qplacer, 400.0);
-    const FlowResult fine =
-        QplacerFlow::runMode(topo, PlacerMode::Qplacer, 200.0);
+    const FlowResult coarse = placeGrid(PlacerMode::Qplacer, 400.0);
+    const FlowResult fine = placeGrid(PlacerMode::Qplacer, 200.0);
     EXPECT_GT(fine.netlist.numInstances(),
               1.5 * coarse.netlist.numInstances());
 }
 
 TEST(Flow, ReportsWallClock)
 {
-    const Topology topo = makeTopology("Grid");
-    const FlowResult r = QplacerFlow::runMode(topo, PlacerMode::Qplacer);
+    const FlowResult r = placeGrid(PlacerMode::Qplacer);
     EXPECT_GT(r.seconds(), 0.0);
     EXPECT_LT(r.seconds(), 120.0);
 }

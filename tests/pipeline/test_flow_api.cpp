@@ -1,13 +1,13 @@
 /**
  * @file
- * Staged-flow API contract: observer event ordering, cooperative
- * cancellation mid-placement, FlowParams::normalized() Classic-mode
- * handling and validation, and the structured FlowStatus error paths.
+ * Staged-flow API contract: observer event ordering (the cold, Human
+ * and incremental stage lists), cooperative cancellation
+ * mid-placement, FlowParams::normalized() Classic-mode handling and
+ * validation, and the structured FlowStatus error paths.
  */
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -129,6 +129,45 @@ TEST(FlowApi, HumanModeRunsManualLayoutStage)
     EXPECT_TRUE(observer.iterations.empty());
 }
 
+TEST(FlowApi, IncrementalStageListIsPinned)
+{
+    // perfbench's daemon_edit workload reads the warm_start span; an
+    // empty delta short-circuits inside the stages, not by skipping
+    // them, so both runs show the same list.
+    const Topology topo = makeGrid(3, 3);
+    const FlowParams params = quickParams();
+    PlacementSession session;
+    const FlowResult cold = session.run(topo, params);
+    ASSERT_TRUE(cold.status.ok()) << cold.status.message;
+    const PriorLayout prior = PriorLayout::capture(cold.netlist);
+
+    const std::vector<std::string> names = {
+        "assign", "build", "warm_start", "place", "legalize", "metrics"};
+    NetlistDelta edit;
+    edit.dirtyQubits = {4};
+    for (const NetlistDelta &delta : {edit, NetlistDelta{}}) {
+        SCOPED_TRACE(delta.empty() ? "empty delta" : "one dirty qubit");
+        RecordingObserver observer;
+        session.setObserver(&observer);
+        const FlowResult r =
+            session.runIncremental(topo, params, prior, delta);
+        session.setObserver(nullptr);
+        ASSERT_TRUE(r.status.ok()) << r.status.message;
+        EXPECT_EQ(r.incremental.reusedPrior, delta.empty());
+
+        std::vector<std::string> begun;
+        for (const std::string &event : observer.events)
+            if (event.rfind("begin:", 0) == 0)
+                begun.push_back(event.substr(6));
+        EXPECT_EQ(begun, names);
+
+        std::vector<std::string> spans;
+        for (const Trace::Node &stage : stageSpans(r))
+            spans.push_back(stage.name);
+        EXPECT_EQ(spans, names);
+    }
+}
+
 TEST(FlowApi, CancellationMidPlacementStopsTheFlow)
 {
     PlacementSession session;
@@ -190,17 +229,38 @@ TEST(FlowApi, InvalidParamsAreStructuredErrorsInSessions)
     EXPECT_EQ(r.netlist.numInstances(), 0);
     EXPECT_TRUE(r.trace.nodes().empty());
 
-    // The one-shot wrapper keeps its throwing contract.
-    EXPECT_THROW(QplacerFlow(params).run(makeGrid(3, 3)),
-                 std::runtime_error);
+    // The portfolio path run() dispatches to reports the same way.
+    params.portfolio.seeds = 3;
+    const FlowResult p = session.run(makeGrid(3, 3), params);
+    EXPECT_EQ(p.status.code, FlowCode::InvalidParams);
+    EXPECT_NE(p.status.message.find("targetUtil"), std::string::npos);
+    EXPECT_FALSE(p.portfolioStats.portfolio);
+}
+
+TEST(FlowApi, HumanModePortfolioIsInvalidParams)
+{
+    FlowParams params = quickParams();
+    params.mode = PlacerMode::Human;
+    params.portfolio.seeds = 3;
+    std::string error;
+    params.normalized(error);
+    EXPECT_NE(error.find("portfolio.seeds"), std::string::npos);
+
+    PlacementSession session;
+    const FlowResult r = session.run(makeGrid(3, 3), params);
+    EXPECT_EQ(r.status.code, FlowCode::InvalidParams);
+    EXPECT_FALSE(r.portfolioStats.portfolio);
+    EXPECT_TRUE(r.trace.nodes().empty());
+
+    // One seed is the plain Human flow.
+    params.portfolio.seeds = 1;
+    EXPECT_TRUE(session.run(makeGrid(3, 3), params).status.ok());
 }
 
 TEST(FlowApi, InvalidJobDoesNotPoisonTheBatch)
 {
     const Topology topo = makeGrid(3, 3);
-    SessionParams sparams;
-    sparams.workers = 2;
-    PlacementSession session(sparams);
+    PlacementSession session(/*workers=*/2);
 
     std::vector<PlacementJob> jobs(3);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -224,12 +284,14 @@ TEST(FlowApi, InvalidJobDoesNotPoisonTheBatch)
 TEST(FlowApi, NormalizedClassicDisablesFrequencyAwareness)
 {
     FlowParams params;
-    FlowParams n = params.normalized();
+    std::string error;
+    FlowParams n = params.normalized(error);
     EXPECT_TRUE(n.placer.freqForce);
     EXPECT_TRUE(n.legalizer.resonanceCheck);
 
     params.mode = PlacerMode::Classic;
-    n = params.normalized();
+    n = params.normalized(error);
+    EXPECT_EQ(error, "");
     EXPECT_FALSE(n.placer.freqForce);
     EXPECT_FALSE(n.legalizer.resonanceCheck);
 }
@@ -261,7 +323,7 @@ TEST(FlowApi, NormalizedValidatesRanges)
 {
     const auto firstError = [](FlowParams params) {
         std::string error;
-        params.normalized(&error);
+        params.normalized(error);
         return error;
     };
 
@@ -280,8 +342,9 @@ TEST(FlowApi, NormalizedValidatesRanges)
     // quick runs lower only maxIters.
     p = FlowParams{};
     p.placer.maxIters = 10;
-    EXPECT_EQ(firstError(p), "");
-    EXPECT_EQ(p.normalized().placer.minIters, 10);
+    std::string error;
+    EXPECT_EQ(p.normalized(error).placer.minIters, 10);
+    EXPECT_EQ(error, "");
 
     p = FlowParams{};
     p.placer.minIters = -1;
@@ -308,10 +371,15 @@ TEST(FlowApi, NormalizedValidatesRanges)
     p.legalizer.cellUm = 0.0;
     EXPECT_NE(firstError(p).find("cellUm"), std::string::npos);
 
-    // Without the out-param the first violation throws (fatal()).
+    // Only the first violation is reported, and a valid copy clears
+    // a stale message.
     p = FlowParams{};
     p.targetUtil = -1.0;
-    EXPECT_THROW(p.normalized(), std::runtime_error);
+    p.legalizer.cellUm = 0.0;
+    EXPECT_EQ(firstError(p), "FlowParams: targetUtil must be in (0, 1]");
+    error = "stale";
+    FlowParams{}.normalized(error);
+    EXPECT_EQ(error, "");
 }
 
 TEST(FlowApi, FlowCodeNamesAreStable)

@@ -36,7 +36,7 @@ falconPortfolioJob(FlowParams &params)
     cfg.set("placer.threads", "1");
     applyOverrides(cfg, params);
     PlacementSession session;
-    return session.runPortfolio(makeTopology("Falcon"), params);
+    return session.run(makeTopology("Falcon"), params);
 }
 
 /**
@@ -202,9 +202,9 @@ TEST(FlowReport, PortfolioJobSecondsAreItsWallClock)
     cfg.set("portfolio.seeds", "4");
     cfg.set("placer.threads", "1");
     applyOverrides(cfg, params);
-    PlacementSession session({.flow = params, .workers = 1});
+    PlacementSession session(/*workers=*/1);
     Timer wall;
-    const FlowResult r = session.runPortfolio(makeTopology("Falcon"), params);
+    const FlowResult r = session.run(makeTopology("Falcon"), params);
     const double wall_seconds = wall.seconds();
     ASSERT_TRUE(r.status.ok()) << r.status.message;
     ASSERT_GE(r.portfolioStats.rungs, 1);

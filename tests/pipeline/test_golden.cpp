@@ -21,7 +21,7 @@
 #include "circuits/benchmarks.hpp"
 #include "eval/evaluator.hpp"
 #include "legal/legalizer.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/generators.hpp"
 
 namespace qplacer {
@@ -52,7 +52,8 @@ checkGolden(const Topology &topo, const Golden &g)
     // the runner; the layout, and so the golden, is the same at any
     // thread count.
     params.placer.threads = 1;
-    const FlowResult r = QplacerFlow(params).run(topo);
+    const FlowResult r = PlacementSession().run(topo, params);
+    ASSERT_TRUE(r.status.ok()) << g.name << ": " << r.status.message;
 
     // Printed so a deliberate quality change can copy the new goldens
     // straight from the test log.

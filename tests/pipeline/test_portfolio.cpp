@@ -2,7 +2,8 @@
  * @file
  * Multi-start portfolio contract (ctest -L anneal):
  *
- *  - portfolio.seeds = 1 degrades to the exact single-seed flow,
+ *  - portfolio.seeds = 1 is the exact single-seed flow, whatever the
+ *    other portfolio knobs say,
  *  - replaying the winning seed through a serial flow reproduces the
  *    portfolio's layout bit for bit,
  *  - portfolio + detailed placement never loses to the plain
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 
-#include "legal/anneal.hpp"
 #include "pipeline/session.hpp"
 #include "topology/generators.hpp"
 
@@ -39,10 +39,14 @@ TEST(Portfolio, SeedsOneIsExactlyTheSingleSeedFlow)
 {
     const Topology topo = makeGrid(4, 4);
     const FlowParams params = quickParams(5, 150);
+    FlowParams one_seed = params;
+    one_seed.portfolio.seeds = 1;
+    one_seed.portfolio.pruneAt = 7;
+    one_seed.portfolio.keepFrac = 0.25;
 
     PlacementSession session;
     const FlowResult plain = session.run(topo, params);
-    const FlowResult portfolio = session.runPortfolio(topo, params);
+    const FlowResult portfolio = session.run(topo, one_seed);
 
     ASSERT_TRUE(plain.status.ok());
     ASSERT_TRUE(portfolio.status.ok());
@@ -60,10 +64,8 @@ TEST(Portfolio, WinnerReplayIsBitwiseIdenticalToSerialRun)
     params.detailed.iters = 10;
     params.portfolio.seeds = 4;
 
-    SessionParams sparams;
-    sparams.workers = 2;
-    PlacementSession session(sparams);
-    const FlowResult result = session.runPortfolio(topo, params);
+    PlacementSession session(/*workers=*/2);
+    const FlowResult result = session.run(topo, params);
     ASSERT_TRUE(result.status.ok());
     ASSERT_TRUE(result.portfolioStats.portfolio);
 
@@ -72,7 +74,8 @@ TEST(Portfolio, WinnerReplayIsBitwiseIdenticalToSerialRun)
     // bit (every candidate runs single-threaded for exactly this).
     FlowParams replay = params;
     replay.placer.seed = result.portfolioStats.winnerSeed;
-    const FlowResult serial = QplacerFlow(replay).run(topo);
+    replay.portfolio.seeds = 1;
+    const FlowResult serial = PlacementSession().run(topo, replay);
     ASSERT_TRUE(serial.status.ok());
     EXPECT_TRUE(bitwiseSameLayout(serial.netlist, result.netlist));
     EXPECT_EQ(serial.place.finalHpwl, result.place.finalHpwl);
@@ -85,7 +88,7 @@ TEST(Portfolio, StatsDescribeEveryCandidate)
     params.portfolio.seeds = 4;
 
     PlacementSession session;
-    const FlowResult result = session.runPortfolio(topo, params);
+    const FlowResult result = session.run(topo, params);
     ASSERT_TRUE(result.status.ok());
 
     const PortfolioStats &stats = result.portfolioStats;
@@ -127,12 +130,11 @@ checkPortfolioDominatesSingleSeed(const Topology &topo)
         portfolio_params.detailed.enabled = true;
         portfolio_params.detailed.iters = 30;
         portfolio_params.portfolio.seeds = 4;
-        const FlowResult portfolio =
-            session.runPortfolio(topo, portfolio_params);
+        const FlowResult portfolio = session.run(topo, portfolio_params);
         ASSERT_TRUE(portfolio.status.ok());
 
-        const double single_hpwl = layoutHpwl(single.netlist);
-        const double portfolio_hpwl = layoutHpwl(portfolio.netlist);
+        const double single_hpwl = single.netlist.hpwl();
+        const double portfolio_hpwl = portfolio.netlist.hpwl();
         EXPECT_TRUE(portfolio.legal.legal);
         EXPECT_LE(portfolio_hpwl, single_hpwl);
         std::printf("%s seed %llu: HPWL single %.1f um, portfolio %.1f um "
@@ -184,7 +186,7 @@ TEST(Portfolio, InvalidKnobsAreRejectedUpFront)
     FlowParams bad_frac = quickParams(1, 100);
     bad_frac.portfolio.seeds = 4;
     bad_frac.portfolio.keepFrac = 0.0;
-    EXPECT_EQ(session.runPortfolio(topo, bad_frac).status.code,
+    EXPECT_EQ(session.run(topo, bad_frac).status.code,
               FlowCode::InvalidParams);
 
     FlowParams bad_decay = quickParams(1, 100);

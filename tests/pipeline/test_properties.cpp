@@ -7,12 +7,24 @@
 #include <gtest/gtest.h>
 
 #include "legal/legalizer.hpp"
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "topology/factory.hpp"
 #include "topology/generators.hpp"
 
 namespace qplacer {
 namespace {
+
+/** Place @p topo in @p mode at @p seed; a failed run fails the test. */
+FlowResult
+place(const Topology &topo, PlacerMode mode, std::uint64_t seed = 1)
+{
+    FlowParams params;
+    params.mode = mode;
+    params.placer.seed = seed;
+    FlowResult r = PlacementSession().run(topo, params);
+    EXPECT_TRUE(r.status.ok()) << r.status.message;
+    return r;
+}
 
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -21,10 +33,8 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(SeedSweep, LayoutAlwaysLegalAndBeatsClassic)
 {
     const Topology topo = makeGrid(4, 4);
-    const FlowResult q = QplacerFlow::runMode(topo, PlacerMode::Qplacer,
-                                              300.0, GetParam());
-    const FlowResult c = QplacerFlow::runMode(topo, PlacerMode::Classic,
-                                              300.0, GetParam());
+    const FlowResult q = place(topo, PlacerMode::Qplacer, GetParam());
+    const FlowResult c = place(topo, PlacerMode::Classic, GetParam());
     EXPECT_TRUE(Legalizer::isLegal(q.netlist));
     EXPECT_TRUE(Legalizer::isLegal(c.netlist));
     // The frequency-aware layout never has more hotspot pairs.
@@ -37,8 +47,7 @@ TEST_P(SeedSweep, LayoutAlwaysLegalAndBeatsClassic)
 TEST_P(SeedSweep, EveryInstanceInsideRegion)
 {
     const Topology topo = makeGrid(4, 4);
-    const FlowResult r = QplacerFlow::runMode(topo, PlacerMode::Qplacer,
-                                              300.0, GetParam());
+    const FlowResult r = place(topo, PlacerMode::Qplacer, GetParam());
     const Rect region = r.netlist.region().inflated(1.0);
     for (const Instance &inst : r.netlist.instances())
         EXPECT_TRUE(region.containsRect(inst.paddedRect()));
@@ -54,8 +63,7 @@ class DeviceSweep : public ::testing::TestWithParam<const char *>
 TEST_P(DeviceSweep, FlowInvariantsHoldOnEveryDevice)
 {
     const Topology topo = makeTopology(GetParam());
-    const FlowResult r =
-        QplacerFlow::runMode(topo, PlacerMode::Qplacer);
+    const FlowResult r = place(topo, PlacerMode::Qplacer);
     // Legal layout.
     EXPECT_TRUE(Legalizer::isLegal(r.netlist)) << GetParam();
     // Every qubit instance corresponds to its topology qubit.

@@ -1,9 +1,9 @@
 /**
  * @file
  * PlacementSession determinism contract: a concurrent batch must be
- * bitwise-identical to serial QplacerFlow runs with the same seeds,
- * and a session reusing its pool across runs must reproduce the
- * one-shot flow exactly.
+ * bitwise-identical to lone runs with the same seeds, and a session
+ * reusing its pool across runs must reproduce a fresh session's run
+ * exactly.
  */
 
 #include <gtest/gtest.h>
@@ -42,18 +42,14 @@ void
 checkBatchMatchesSerial(const Topology &topo, int max_iters, int jobs,
                         int workers)
 {
-    // Reference: independent one-shot flows, one per seed.
+    // Reference: independent lone runs, one fresh session per seed.
     std::vector<FlowResult> serial;
     for (int j = 0; j < jobs; ++j) {
-        serial.push_back(
-            QplacerFlow(quickParams(1 + static_cast<std::uint64_t>(j),
-                                    max_iters))
-                .run(topo));
+        serial.push_back(PlacementSession().run(
+            topo, quickParams(1 + static_cast<std::uint64_t>(j), max_iters)));
     }
 
-    SessionParams sparams;
-    sparams.workers = workers;
-    PlacementSession session(sparams);
+    PlacementSession session(workers);
     std::vector<PlacementJob> batch(static_cast<std::size_t>(jobs));
     for (int j = 0; j < jobs; ++j) {
         batch[static_cast<std::size_t>(j)].topo = topo;
@@ -93,36 +89,23 @@ TEST(Session, RunReusesPoolAndMatchesOneShotFlow)
     FlowParams params = quickParams(7, 120);
     params.placer.threads = 2; // Exercise the shared inner pool.
 
-    const FlowResult one_shot_a = QplacerFlow(params).run(topo);
-    const FlowResult one_shot_b = QplacerFlow(params).run(topo);
+    // A fresh session per run builds (and tears down) its own pool.
+    const FlowResult fresh_a = PlacementSession().run(topo, params);
+    const FlowResult fresh_b = PlacementSession().run(topo, params);
 
     PlacementSession session;
     const FlowResult session_a = session.run(topo, params);
     // Second run reuses the pool built by the first.
     const FlowResult session_b = session.run(topo, params);
 
-    expectBitwiseEqualResults(one_shot_a, session_a);
-    expectBitwiseEqualResults(one_shot_b, session_b);
-}
-
-TEST(Session, RunUsesSessionDefaultParams)
-{
-    const Topology topo = makeGrid(3, 3);
-    SessionParams sparams;
-    sparams.flow = quickParams(5, 120);
-    PlacementSession session(sparams);
-
-    const FlowResult r = session.run(topo);
-    ASSERT_TRUE(r.status.ok());
-    expectBitwiseEqualResults(QplacerFlow(sparams.flow).run(topo), r);
+    expectBitwiseEqualResults(fresh_a, session_a);
+    expectBitwiseEqualResults(fresh_b, session_b);
 }
 
 TEST(Session, DifferentSeedsProduceDifferentLayouts)
 {
     const Topology topo = makeGrid(3, 3);
-    SessionParams sparams;
-    sparams.workers = 2;
-    PlacementSession session(sparams);
+    PlacementSession session(/*workers=*/2);
 
     std::vector<PlacementJob> jobs(2);
     jobs[0].topo = topo;
@@ -140,8 +123,6 @@ TEST(Session, DifferentSeedsProduceDifferentLayouts)
 TEST(Session, HomogeneousBatchOverloadMatchesJobBatch)
 {
     const Topology topo = makeGrid(3, 3);
-    SessionParams sparams;
-    sparams.workers = 2;
 
     std::vector<PlacementJob> jobs(2);
     std::vector<FlowParams> sweep(2);
@@ -152,9 +133,9 @@ TEST(Session, HomogeneousBatchOverloadMatchesJobBatch)
     }
 
     const std::vector<FlowResult> via_jobs =
-        PlacementSession(sparams).runBatch(jobs);
+        PlacementSession(/*workers=*/2).runBatch(jobs);
     const std::vector<FlowResult> via_sweep =
-        PlacementSession(sparams).runBatch(topo, sweep);
+        PlacementSession(/*workers=*/2).runBatch(topo, sweep);
 
     ASSERT_EQ(via_jobs.size(), via_sweep.size());
     for (std::size_t j = 0; j < via_jobs.size(); ++j)

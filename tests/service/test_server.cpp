@@ -3,7 +3,7 @@
  * PlacementServer loopback tests: the in-process transport drives the
  * same handleLine() surface the daemon exposes, checking the service
  * contract end to end -- concurrent jobs bitwise-identical to serial
- * QplacerFlow runs, cancellation of queued and running jobs,
+ * single-job session runs, cancellation of queued and running jobs,
  * incremental re-place against a cached base, and the error paths a
  * long-lived daemon must answer instead of dying on.
  */
@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "pipeline/flow.hpp"
+#include "pipeline/session.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "topology/generators.hpp"
@@ -116,7 +116,7 @@ submitLine(const std::string &id, const std::string &topology,
            "},\"layout\":true" + extra + "}";
 }
 
-/** Serial reference for the bitwise contract: one-shot, 1 thread. */
+/** Serial reference for the bitwise contract: a lone run, 1 thread. */
 std::string
 serialLayout(const Topology &topo, std::uint64_t seed, int max_iters)
 {
@@ -124,7 +124,9 @@ serialLayout(const Topology &topo, std::uint64_t seed, int max_iters)
     params.placer.seed = seed;
     params.placer.maxIters = max_iters;
     params.placer.threads = 1;
-    return layoutJson(QplacerFlow(params).run(topo).netlist).serialize();
+    const FlowResult r = PlacementSession().run(topo, params);
+    EXPECT_TRUE(r.status.ok()) << r.status.message;
+    return layoutJson(r.netlist).serialize();
 }
 
 TEST(Server, ConcurrentJobsBitwiseIdenticalToSerial)

@@ -92,7 +92,7 @@ Options:
                       portfolio.pruneAt / portfolio.keepFrac; add --set
                       detailed.enabled=1 for an annealing polish of the
                       winner.
-                      Incompatible with --jobs > 1.
+                      Incompatible with --jobs > 1 and --mode human.
   --segment UM        Resonator segment size l_b in um (default: 300).
   --set KEY=VALUE     Override a flow parameter; repeatable. Keys:
 )";
@@ -568,7 +568,7 @@ run(int argc, char **argv)
     // Surface bad --set combinations as a CLI error up front instead
     // of a per-job status after the (possibly long) run started.
     std::string params_error;
-    params.normalized(&params_error);
+    params.normalized(params_error);
     if (!params_error.empty())
         fatal(params_error);
 
@@ -581,16 +581,11 @@ run(int argc, char **argv)
     if (opts.jobs > 1)
         rejectDuplicateSeeds(opts);
 
-    SessionParams session_params;
-    session_params.flow = params;
-    session_params.workers = opts.workers;
-    PlacementSession session(session_params);
+    PlacementSession session(opts.workers);
 
     Timer wall;
     std::vector<FlowResult> results;
-    if (params.portfolio.seeds > 1) {
-        results.push_back(session.runPortfolio(topo, params));
-    } else if (opts.jobs <= 1) {
+    if (opts.jobs <= 1) {
         results.push_back(session.run(topo, params));
     } else {
         std::vector<FlowParams> batch(static_cast<std::size_t>(opts.jobs),
