@@ -8,6 +8,26 @@
 
 namespace qplacer {
 
+double
+largestNorm(const std::vector<Vec2> &gradient)
+{
+    double m2 = 0.0;
+    bool any_nan = false;
+    for (const Vec2 &g : gradient) {
+        const double s = g.normSq();
+        m2 = std::max(m2, s);
+        any_nan |= std::isnan(s);
+    }
+    const bool filter = !any_nan && m2 > 1e-280 && m2 < 1e280;
+    const double cut = m2 * (1.0 - 1e-9);
+    double m = 0.0;
+    for (const Vec2 &g : gradient) {
+        if (!filter || g.normSq() >= cut)
+            m = std::max(m, g.norm());
+    }
+    return m;
+}
+
 NesterovOptimizer::NesterovOptimizer(Rect region,
                                      std::vector<Vec2> half_sizes,
                                      double max_step_frac, ThreadPool *pool)
@@ -74,27 +94,19 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
         // unavailable this iteration).
     }
 
-    auto grad_max = [&](auto &&value) {
-        double m = 0.0;
-        for (const Vec2 &g : gradient)
-            m = std::max(m, value(g));
-        return m;
-    };
-
     if (alpha_ <= 0.0) {
         // First iteration: normalize so the largest move is a small
         // fraction of the region.
-        const double gmax = grad_max([](const Vec2 &g) {
-            return std::max(std::abs(g.x), std::abs(g.y));
-        });
+        double gmax = 0.0;
+        for (const Vec2 &g : gradient)
+            gmax = std::max(gmax, std::max(std::abs(g.x), std::abs(g.y)));
         const double span =
             std::max(region_.width(), region_.height());
         alpha_ = gmax > 1e-16 ? 0.002 * span / gmax : 1.0;
     }
 
     // Cap the largest displacement at maxStep_.
-    const double gmax =
-        grad_max([](const Vec2 &g) { return g.norm(); });
+    const double gmax = largestNorm(gradient);
     double alpha = alpha_;
     if (gmax * alpha > maxStep_)
         alpha = maxStep_ / gmax;

@@ -18,6 +18,18 @@ namespace qplacer {
 class ThreadPool;
 
 /**
+ * max(0, max_i ‖gradient[i]‖), each norm by std::hypot, NaN norms
+ * skipped: the value of a std::max scan over every hypot, bit for bit.
+ * hypot is a libm call, so it is taken only on the candidates, the
+ * entries whose normSq is within a relative 1e-9 of the largest one,
+ * m2. The filter is exact while m2 lies in (1e-280, 1e280): no normSq
+ * has overflowed, and its rounding error, subnormal terms included, is
+ * far below 1e-9 of m2. Outside that range (0, subnormal, inf), or when
+ * some normSq is NaN (hypot(inf, NaN) is inf), every entry is scanned.
+ */
+double largestNorm(const std::vector<Vec2> &gradient);
+
+/**
  * Nesterov iteration state over a vector of 2-D positions with region
  * clamping. The objective gradient is supplied per step by the caller
  * (the driver owns the penalty schedule).

@@ -63,18 +63,60 @@ class BinGrid
     const std::vector<double> &data() const { return data_; }
     std::vector<double> &data() { return data_; }
 
-    /** Bin x-index containing coordinate @p x, clamped into range. */
-    int clampX(double x) const;
+    /**
+     * Bin x-index containing coordinate @p x, clamped into range.
+     *
+     * The index is a truncating cast, not std::floor: the two differ
+     * only for a negative quotient, which the clamp sends to 0 either
+     * way, so the result is floor's for every quotient the cast is
+     * defined on. Baseline x86-64 has no rounding instruction, so
+     * floor is a libm call, four per stencil in the density loop.
+     */
+    int
+    clampX(double x) const
+    {
+        const int ix = static_cast<int>((x - region_.lo.x) / binW_);
+        return std::clamp(ix, 0, nx_ - 1);
+    }
 
-    /** Bin y-index containing coordinate @p y, clamped into range. */
-    int clampY(double y) const;
+    /** Bin y-index containing coordinate @p y, clamped as clampX(). */
+    int
+    clampY(double y) const
+    {
+        const int iy = static_cast<int>((y - region_.lo.y) / binH_);
+        return std::clamp(iy, 0, ny_ - 1);
+    }
 
     /**
      * Stencil of @p footprint: the footprint shifted (not clipped) into
      * the region so no charge is lost, clipped only where it is larger
      * than the region, and the bins the result overlaps.
      */
-    BinStencil stencil(const Rect &footprint) const;
+    BinStencil
+    stencil(const Rect &footprint) const
+    {
+        Rect out = footprint;
+        // Shift (not clip) so the full charge stays on the grid; this
+        // mirrors how the placer clamps instance centers into the region.
+        if (out.lo.x < region_.lo.x)
+            out = out.translated({region_.lo.x - out.lo.x, 0.0});
+        if (out.hi.x > region_.hi.x)
+            out = out.translated({region_.hi.x - out.hi.x, 0.0});
+        if (out.lo.y < region_.lo.y)
+            out = out.translated({0.0, region_.lo.y - out.lo.y});
+        if (out.hi.y > region_.hi.y)
+            out = out.translated({0.0, region_.hi.y - out.hi.y});
+        // If the rect is larger than the region, fall back to clipping.
+        BinStencil s;
+        s.rect = out.intersect(region_);
+        if (s.rect.empty())
+            return s;
+        s.ix0 = clampX(s.rect.lo.x);
+        s.ix1 = clampX(s.rect.hi.x - 1e-12);
+        s.iy0 = clampY(s.rect.lo.y);
+        s.iy1 = clampY(s.rect.hi.y - 1e-12);
+        return s;
+    }
 
     /**
      * Call fn(k, w) for every bin of @p s in row-major order, k being

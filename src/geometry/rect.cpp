@@ -6,13 +6,6 @@
 
 namespace qplacer {
 
-Rect
-Rect::fromCenter(Vec2 center, double width, double height)
-{
-    return Rect(center.x - width / 2, center.y - height / 2,
-                center.x + width / 2, center.y + height / 2);
-}
-
 bool
 Rect::contains(Vec2 p) const
 {
@@ -31,13 +24,6 @@ Rect::overlaps(const Rect &other) const
 {
     return lo.x < other.hi.x && other.lo.x < hi.x && lo.y < other.hi.y &&
            other.lo.y < hi.y;
-}
-
-Rect
-Rect::intersect(const Rect &other) const
-{
-    return Rect(std::max(lo.x, other.lo.x), std::max(lo.y, other.lo.y),
-                std::min(hi.x, other.hi.x), std::min(hi.y, other.hi.y));
 }
 
 double
@@ -75,12 +61,6 @@ Rect
 Rect::inflated(double margin) const
 {
     return Rect(lo.x - margin, lo.y - margin, hi.x + margin, hi.y + margin);
-}
-
-Rect
-Rect::translated(Vec2 delta) const
-{
-    return Rect(lo + delta, hi + delta);
 }
 
 Rect

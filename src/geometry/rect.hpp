@@ -7,6 +7,7 @@
 #ifndef QPLACER_GEOMETRY_RECT_HPP
 #define QPLACER_GEOMETRY_RECT_HPP
 
+#include <algorithm>
 #include <vector>
 
 #include "geometry/vec2.hpp"
@@ -26,7 +27,12 @@ struct Rect
     {}
 
     /** Build a rectangle from its center and full width/height. */
-    static Rect fromCenter(Vec2 center, double width, double height);
+    static Rect
+    fromCenter(Vec2 center, double width, double height)
+    {
+        return Rect(center.x - width / 2, center.y - height / 2,
+                    center.x + width / 2, center.y + height / 2);
+    }
 
     double width() const { return hi.x - lo.x; }
     double height() const { return hi.y - lo.y; }
@@ -46,7 +52,12 @@ struct Rect
     bool overlaps(const Rect &other) const;
 
     /** Intersection rectangle (may be empty()). */
-    Rect intersect(const Rect &other) const;
+    Rect
+    intersect(const Rect &other) const
+    {
+        return Rect(std::max(lo.x, other.lo.x), std::max(lo.y, other.lo.y),
+                    std::min(hi.x, other.hi.x), std::min(hi.y, other.hi.y));
+    }
 
     /** Area of overlap with @p other (0 if disjoint). */
     double overlapArea(const Rect &other) const;
@@ -66,7 +77,7 @@ struct Rect
     Rect inflated(double margin) const;
 
     /** This rectangle translated by @p delta. */
-    Rect translated(Vec2 delta) const;
+    Rect translated(Vec2 delta) const { return Rect(lo + delta, hi + delta); }
 
     /** Smallest rectangle covering both. */
     Rect unionWith(const Rect &other) const;

@@ -18,8 +18,14 @@
  * comes out in natural order. The inverse is left unnormalized: the
  * caller folds 1/N into the loop that reads the result.
  *
- * Each element goes through the same multiplies and adds, in the same
- * order, as the plan-free kernel (the oracle::Fft the plan tests
+ * The stages run two per pass over the lines: stages len and 2*len
+ * together transform each group of rows {p, p+h, p+len, p+len+h}
+ * (h = len/2) while it is in registers, so a length-N transform
+ * streams its lines through the cache ceil(log2(N)/2) times instead
+ * of log2(N). An odd stage count ends with one plain radix-2 pass.
+ *
+ * Each element still goes through the same multiplies and adds, in the
+ * same order, as the plan-free kernel (the oracle::Fft the plan tests
  * compare against, after permuting the input and scaling the inverse
  * themselves), so on finite input the result is bitwise-identical to
  * it. Only std::complex's NaN-recovery branch, which re-evaluates a

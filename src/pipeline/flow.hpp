@@ -67,7 +67,8 @@ struct IncrementalPlaceParams
 /**
  * Knobs of the multi-start portfolio. PlacementSession::run races the
  * seeds when seeds > 1; seeds = 1 is the exact single-seed flow.
- * Ignored by runBatch and runIncremental.
+ * runBatch and runIncremental place one seed and reject seeds > 1
+ * as InvalidParams.
  */
 struct PortfolioParams
 {

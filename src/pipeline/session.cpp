@@ -46,6 +46,11 @@ class TrajectoryRecorder final : public FlowObserver
     std::vector<std::vector<PlaceProgress>> traj_;
 };
 
+/** Why runBatch and runIncremental reject a portfolio request. */
+constexpr const char *kOneSeedOnly =
+    "portfolio.seeds > 1: batch and incremental jobs place one seed; "
+    "race seeds through run()";
+
 /** A job that never ran: its parameters failed validation. */
 FlowResult
 rejected(std::string message)
@@ -154,6 +159,8 @@ PlacementSession::runIncremental(const Topology &topo,
     if (params.mode == PlacerMode::Human)
         return rejected(
             "incremental re-place supports Qplacer/Classic modes only");
+    if (params.portfolio.seeds > 1)
+        return rejected(kOneSeedOnly);
 
     IncrementalState state;
     state.prior = &prior;
@@ -196,6 +203,10 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs)
     std::vector<FlowResult> results(jobs.size());
     forEachJob(jobs.size(), [&](std::size_t i, bool concurrent) {
         const FlowParams &params = *jobs[i].params;
+        if (params.portfolio.seeds > 1) {
+            results[i] = rejected(kOneSeedOnly);
+            return;
+        }
         results[i] = runJob(*jobs[i].topo, params, static_cast<int>(i),
                             concurrent ? nullptr : innerPool(params),
                             /*logging=*/!concurrent, observer_);

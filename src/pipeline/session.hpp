@@ -19,8 +19,8 @@
  *
  * Determinism contract: runBatch(jobs) is **bitwise-identical** to
  * running each job alone through run() with the same parameters, in
- * this session or a fresh one (a batch job places its own seed only,
- * so this holds for portfolio.seeds = 1). A placement's bits depend
+ * this session or a fresh one (a batch job places its own seed only;
+ * one with portfolio.seeds > 1 is rejected). A placement's bits depend
  * on its seed, never on its thread count (ARCHITECTURE.md,
  * "Determinism"), so how jobs share the cores does not matter: with
  * workers > 1 each job places single-threaded (parallelism across
@@ -96,8 +96,9 @@ class PlacementSession
      * outcome (including per-job errors) is in its FlowResult::status.
      * Cancellation applies to the whole batch: jobs already running
      * stop at their next poll, jobs not yet started report Cancelled
-     * without running. Each job places its own seed; params.portfolio
-     * is ignored.
+     * without running. Each job places its own seed: a job with
+     * params.portfolio.seeds > 1 comes back InvalidParams without
+     * running (race seeds through run()).
      */
     std::vector<FlowResult> runBatch(const std::vector<PlacementJob> &jobs);
 
@@ -116,7 +117,8 @@ class PlacementSession
      * empty delta on an unchanged topology reproduces the prior layout
      * exactly (bitwiseSameLayout); a small delta re-solves briefly
      * (params.incremental.maxIters) and re-legalizes just the movers.
-     * Non-throwing like run(); Human mode is rejected via status.
+     * Non-throwing like run(); Human mode and
+     * params.portfolio.seeds > 1 are rejected via status.
      */
     FlowResult runIncremental(const Topology &topo, const FlowParams &params,
                               const PriorLayout &prior,

@@ -5,8 +5,11 @@
  * bin-by-bin splat and field sample it replaced (oracle::binSplat,
  * oracle::binSample in tests/oracles). Seeded random footprints cover
  * every clamp case: inside the region, straddling an edge, wholly
- * outside, larger than the region, bin-aligned on both edges, and of
- * zero width or height.
+ * outside, larger than the region, bin-aligned on both edges, of zero
+ * width or height, slivers thinner than the 1e-12 back-off on the
+ * region's low edge, and far edges whose back-off lands exactly on a
+ * bin edge. The stencil's bin span is checked against the oracle's
+ * std::floor indices, which the production clamp forms with a cast.
  */
 
 #include <gtest/gtest.h>
@@ -41,8 +44,24 @@ enum class Kind
     Larger,
     Aligned,
     ZeroWidth,
+    Sliver,
+    BackoffOnEdge,
 };
-constexpr int kKindCount = static_cast<int>(Kind::ZeroWidth) + 1;
+constexpr int kKindCount = static_cast<int>(Kind::BackoffOnEdge) + 1;
+
+/**
+ * A coordinate c > @p edge with c - 1e-12 == @p edge exactly, so the
+ * stencil's backed-off far edge lands on the bin edge; @p edge itself
+ * if no such double is near.
+ */
+double
+backoffOnto(double edge)
+{
+    double c = edge + 1e-12;
+    for (int step = 0; step < 8 && c - 1e-12 != edge; ++step)
+        c = std::nextafter(c, c - 1e-12 < edge ? HUGE_VAL : -HUGE_VAL);
+    return c - 1e-12 == edge ? c : edge;
+}
 
 /** A random footprint of kind @p kind on @p grid. */
 Rect
@@ -96,6 +115,29 @@ footprint(const BinGrid &grid, Kind kind, Rng &rng)
         return Rect(reg.lo.x + ix0 * bw, reg.lo.y + iy0 * bh,
                     reg.lo.x + ix1 * bw, reg.lo.y + iy1 * bh);
     }
+    if (kind == Kind::Sliver) {
+        // Thinner than the 1e-12 back-off, at or left of (below) the
+        // region's low edge, so the far edge's bin quotient lies in
+        // (-1, 0).
+        const double thin = rng.uniform(1e-13, 9e-13);
+        const double off = rng.below(2) == 0 ? 0.0 : rng.uniform(1.0, 50.0);
+        if (rng.below(2) == 0)
+            return Rect(reg.lo.x - off - thin, inside.y,
+                        reg.lo.x - off, inside.y + h);
+        return Rect(inside.x, reg.lo.y - off - thin, inside.x + w,
+                    reg.lo.y - off);
+    }
+    if (kind == Kind::BackoffOnEdge) {
+        // The far edge 1e-12 past a bin edge (as the walk computes it),
+        // the near edge on a bin edge or strictly inside a bin.
+        const auto ix = static_cast<int>(1 + rng.below(grid.nx()));
+        const auto iy = static_cast<int>(1 + rng.below(grid.ny()));
+        const double hx = backoffOnto(reg.lo.x + ix * bw);
+        const double hy = backoffOnto(reg.lo.y + iy * bh);
+        const double into = rng.below(2) == 0 ? 0.0 : rng.uniform(0.1, 0.9);
+        return Rect(reg.lo.x + (ix - 1) * bw + into * bw,
+                    reg.lo.y + (iy - 1) * bh + into * bh, hx, hy);
+    }
     // Kind::ZeroWidth: no width, or no height.
     return rng.below(2) == 0 ? Rect::fromCenter(inside, 0.0, h)
                              : Rect::fromCenter(inside, w, 0.0);
@@ -126,6 +168,64 @@ fieldMap(std::size_t cells, Rng &rng)
 }
 
 constexpr int kPerKind = 120;
+
+TEST(BinStencil, ClampIndexMatchesFloorOracle)
+{
+    for (const Shape &shape : kShapes) {
+        const BinGrid grid(kRegion, shape.nx, shape.ny);
+        const Rect &reg = grid.region();
+        const double bw = grid.binWidth();
+        const double bh = grid.binHeight();
+        // Quotients on every bin edge and just either side of it, in
+        // (-1, 0), at -1 and below it, and at or past the far edge.
+        std::vector<double> quotients = {-1e-300, -1e-17, -0.25, -0.5,
+                                         -0.999999, -1.0, -1.5, -7.0,
+                                         -1e6};
+        for (int k = 0; k <= std::max(shape.nx, shape.ny) + 2; ++k) {
+            quotients.push_back(k);
+            quotients.push_back(std::nextafter(double(k), -HUGE_VAL));
+            quotients.push_back(std::nextafter(double(k), HUGE_VAL));
+            quotients.push_back(k + 0.5);
+        }
+        for (const double q : quotients) {
+            SCOPED_TRACE(::testing::Message() << shape.nx << "x"
+                                              << shape.ny << " q " << q);
+            // At reg.lo + q * bin size (a bin edge as the walk computes
+            // it, for integer q) and backed off by 1e-12 from there.
+            for (const double back : {0.0, 1e-12}) {
+                const double x = reg.lo.x + q * bw - back;
+                const double y = reg.lo.y + q * bh - back;
+                EXPECT_EQ(grid.clampX(x), oracle::floorBinIndex(
+                                              x, reg.lo.x, bw, grid.nx()));
+                EXPECT_EQ(grid.clampY(y), oracle::floorBinIndex(
+                                              y, reg.lo.y, bh, grid.ny()));
+            }
+        }
+    }
+}
+
+TEST(BinStencil, SpanMatchesFloorOracle)
+{
+    for (const Shape &shape : kShapes) {
+        const BinGrid grid(kRegion, shape.nx, shape.ny);
+        Rng rng(3000 + shape.nx * 7 + shape.ny);
+        for (int k = 0; k < kKindCount; ++k) {
+            for (int i = 0; i < kPerKind; ++i) {
+                SCOPED_TRACE(::testing::Message()
+                             << shape.nx << "x" << shape.ny << " kind " << k
+                             << " footprint " << i);
+                const Rect fp = footprint(grid, Kind(k), rng);
+                const BinStencil s = grid.stencil(fp);
+                const BinStencil o = oracle::binStencil(grid, fp);
+                ASSERT_EQ(0, std::memcmp(&s.rect, &o.rect, sizeof(Rect)));
+                ASSERT_EQ(s.ix0, o.ix0);
+                ASSERT_EQ(s.ix1, o.ix1);
+                ASSERT_EQ(s.iy0, o.iy0);
+                ASSERT_EQ(s.iy1, o.iy1);
+            }
+        }
+    }
+}
 
 TEST(BinStencil, SplatMatchesOracleBitwise)
 {

@@ -1,5 +1,8 @@
 #include "oracles/oracles.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 namespace qplacer::oracle {
 
 namespace {
@@ -32,22 +35,43 @@ clampRect(const BinGrid &grid, const Rect &r)
 
 } // namespace
 
+int
+floorBinIndex(double v, double lo, double width, int n)
+{
+    return std::clamp(static_cast<int>(std::floor((v - lo) / width)), 0,
+                      n - 1);
+}
+
+BinStencil
+binStencil(const BinGrid &grid, const Rect &rect)
+{
+    BinStencil s;
+    s.rect = clampRect(grid, rect);
+    if (s.rect.empty())
+        return s;
+    const Rect &reg = grid.region();
+    const double bw = grid.binWidth();
+    const double bh = grid.binHeight();
+    s.ix0 = floorBinIndex(s.rect.lo.x, reg.lo.x, bw, grid.nx());
+    s.ix1 = floorBinIndex(s.rect.hi.x - 1e-12, reg.lo.x, bw, grid.nx());
+    s.iy0 = floorBinIndex(s.rect.lo.y, reg.lo.y, bh, grid.ny());
+    s.iy1 = floorBinIndex(s.rect.hi.y - 1e-12, reg.lo.y, bh, grid.ny());
+    return s;
+}
+
 void
 binSplat(const BinGrid &grid, const Rect &rect, double amount,
          double *bins)
 {
-    const Rect r = clampRect(grid, rect);
+    const BinStencil s = binStencil(grid, rect);
+    const Rect &r = s.rect;
     if (r.empty())
         return;
     const double total_area = r.area();
     if (total_area <= 0.0)
         return;
-    const int ix0 = grid.clampX(r.lo.x);
-    const int ix1 = grid.clampX(r.hi.x - 1e-12);
-    const int iy0 = grid.clampY(r.lo.y);
-    const int iy1 = grid.clampY(r.hi.y - 1e-12);
-    for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
+    for (int iy = s.iy0; iy <= s.iy1; ++iy) {
+        for (int ix = s.ix0; ix <= s.ix1; ++ix) {
             const double w =
                 binRect(grid, ix, iy).overlapArea(r) / total_area;
             if (w > 0.0)
@@ -61,17 +85,14 @@ double
 binSample(const BinGrid &grid, const std::vector<double> &map,
           const Rect &rect)
 {
-    const Rect r = clampRect(grid, rect);
+    const BinStencil s = binStencil(grid, rect);
+    const Rect &r = s.rect;
     if (r.empty())
         return 0.0;
-    const int ix0 = grid.clampX(r.lo.x);
-    const int ix1 = grid.clampX(r.hi.x - 1e-12);
-    const int iy0 = grid.clampY(r.lo.y);
-    const int iy1 = grid.clampY(r.hi.y - 1e-12);
     double acc = 0.0;
     double wsum = 0.0;
-    for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
+    for (int iy = s.iy0; iy <= s.iy1; ++iy) {
+        for (int ix = s.ix0; ix <= s.ix1; ++ix) {
             const double w = binRect(grid, ix, iy).overlapArea(r);
             acc += w * map[static_cast<std::size_t>(iy) * grid.nx() + ix];
             wsum += w;

@@ -22,7 +22,9 @@
  *  - the bin-by-bin splat and field sample over per-bin rectangles
  *    that the density stencil walk replaced (geometry/test_bin_stencil);
  *  - the annealer's whole-layout objective by an all-pairs scan
- *    (legal/test_anneal).
+ *    (legal/test_anneal);
+ *  - the Nesterov step's largest gradient norm by a std::hypot over
+ *    every entry (core/test_nesterov).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
@@ -164,9 +166,23 @@ double cutPenalty(const Netlist &netlist, const DiePlan &plan,
                   const std::vector<Vec2> &positions);
 
 /**
- * BinGrid splat one bin rectangle at a time: @p rect shifted into the
- * region (clipped where larger), then amount * overlapArea / area added
- * to each overlapped bin of @p bins, a map laid out like grid.data().
+ * Index of the bin of @p n bins of width @p width starting at @p lo
+ * that holds coordinate @p v: std::floor of the bin quotient, clamped
+ * into [0, n-1]. BinGrid::clampX/clampY form it with a truncating cast.
+ */
+int floorBinIndex(double v, double lo, double width, int n);
+
+/**
+ * BinGrid::stencil of @p rect: the rect shifted into the region
+ * (clipped where larger) and its inclusive bin span, each index taken
+ * by floorBinIndex (the far edge backed off by 1e-12).
+ */
+BinStencil binStencil(const BinGrid &grid, const Rect &rect);
+
+/**
+ * BinGrid splat one bin rectangle at a time over binStencil's span,
+ * adding amount * overlapArea / area to each overlapped bin of
+ * @p bins, a map laid out like grid.data().
  */
 void binSplat(const BinGrid &grid, const Rect &rect, double amount,
               double *bins);
@@ -188,6 +204,12 @@ double binSample(const BinGrid &grid, const std::vector<double> &map,
  * non-increasing.
  */
 double detailedObjective(const Netlist &netlist, const CrosstalkRule &rule);
+
+/**
+ * largestNorm (core/nesterov.hpp) without its candidate filter:
+ * std::max(m, std::hypot(g.x, g.y)) over every entry, from m = 0.
+ */
+double largestNorm(const std::vector<Vec2> &gradient);
 
 } // namespace oracle
 } // namespace qplacer

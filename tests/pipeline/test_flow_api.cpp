@@ -281,6 +281,40 @@ TEST(FlowApi, InvalidJobDoesNotPoisonTheBatch)
     EXPECT_TRUE(results[2].legal.legal);
 }
 
+TEST(FlowApi, BatchAndIncrementalPortfolioIsInvalidParams)
+{
+    // Only run() races seeds; a batch or incremental job that asks for
+    // a portfolio is rejected, not placed from its base seed alone.
+    const Topology topo = makeGrid(3, 3);
+    PlacementSession session(/*workers=*/2);
+    std::vector<FlowParams> jobs(3, quickParams());
+    jobs[1].portfolio.seeds = 3;
+    const std::vector<FlowResult> results = session.runBatch(topo, jobs);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].status.ok());
+    EXPECT_EQ(results[1].status.code, FlowCode::InvalidParams);
+    EXPECT_NE(results[1].status.message.find("portfolio.seeds"),
+              std::string::npos);
+    EXPECT_FALSE(results[1].portfolioStats.portfolio);
+    EXPECT_TRUE(results[1].trace.nodes().empty());
+    EXPECT_TRUE(results[2].status.ok());
+
+    // The PlacementJob overload, on one worker, says the same.
+    PlacementSession serial(/*workers=*/1);
+    const std::vector<FlowResult> one =
+        serial.runBatch({PlacementJob{topo, jobs[1]}});
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].status.code, FlowCode::InvalidParams);
+
+    const FlowResult cold = session.run(topo, jobs[0]);
+    ASSERT_TRUE(cold.status.ok());
+    const FlowResult warm = session.runIncremental(
+        topo, jobs[1], PriorLayout::capture(cold.netlist));
+    EXPECT_EQ(warm.status.code, FlowCode::InvalidParams);
+    EXPECT_NE(warm.status.message.find("portfolio.seeds"),
+              std::string::npos);
+}
+
 TEST(FlowApi, NormalizedClassicDisablesFrequencyAwareness)
 {
     FlowParams params;
