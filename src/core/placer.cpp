@@ -72,8 +72,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
     double overflow = 1.0;
     double best_overflow = 1.0;
     int since_improvement = 0;
-    int iter = 0;
-    for (; iter < params_.maxIters; ++iter) {
+    for (int iter = 0; iter < params_.maxIters; ++iter) {
         // Cooperative cancellation: poll at the top so a cancelled run
         // never pays for another full objective evaluation.
         if (monitor.cancel && monitor.cancel->cancelled()) {
@@ -83,6 +82,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
         objective.updateGamma(overflow);
         objective.evaluate(optimizer.lookahead(), gradient);
         overflow = objective.overflow();
+        ++result.iterations; // the evaluation that stops the run counts
 
         if (monitor.onIteration) {
             monitor.onIteration({iter, overflow, objective.lambda(),
@@ -112,7 +112,6 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
         netlist.instance(static_cast<int>(i)).pos = solution[i];
     netlist.clampIntoRegion();
 
-    result.iterations = iter;
     result.finalOverflow = overflow;
     result.finalHpwl = netlist.hpwl(solution);
     debug(str("global place: ", result.iterations, " iters, overflow ",

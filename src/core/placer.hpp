@@ -21,7 +21,7 @@ class ThreadPool;
 /** Outcome of a global placement run. */
 struct PlaceResult
 {
-    int iterations = 0;
+    int iterations = 0; ///< Objective evaluations (= onIteration events).
     double finalOverflow = 1.0;
     double finalHpwl = 0.0;
     bool converged = false;

@@ -74,10 +74,6 @@ FlowParams::normalized(std::string &error) const
           "FlowParams: detailed.tempDecay must be in (0, 1]");
     check(portfolio.seeds >= 1,
           "FlowParams: portfolio.seeds must be at least 1");
-    check(portfolio.pruneAt >= 1,
-          "FlowParams: portfolio.pruneAt must be at least 1");
-    check(portfolio.keepFrac > 0.0 && portfolio.keepFrac <= 1.0,
-          "FlowParams: portfolio.keepFrac must be in (0, 1]");
     check(portfolio.seeds <= 1 || mode != PlacerMode::Human,
           "FlowParams: portfolio.seeds > 1 requires qplacer|classic "
           "mode (the Human layout has no seed to race)");

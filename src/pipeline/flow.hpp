@@ -74,22 +74,10 @@ struct PortfolioParams
 {
     /**
      * Candidate count: seeds placer.seed .. placer.seed + seeds - 1
-     * (wrapping mod 2^64) run concurrently, each single-threaded.
+     * (wrapping mod 2^64), each run through the complete flow as one
+     * job of a batch.
      */
     int seeds = 1;
-
-    /**
-     * First pruning checkpoint, in global-placement iterations.
-     * Candidates run truncated probe placements to the checkpoint, the
-     * bottom (1 - keepFrac) is dropped, and the checkpoint doubles
-     * until one survivor remains or the budget is reached. The base
-     * seed is exempt from pruning, so the portfolio can never return a
-     * worse layout than the single-seed flow.
-     */
-    int pruneAt = 60;
-
-    /** Fraction of candidates kept at each checkpoint, in (0, 1]. */
-    double keepFrac = 0.5;
 };
 
 /** Full-flow configuration. */
@@ -139,13 +127,9 @@ struct IncrementalStats
 /** One candidate of a portfolio run (PortfolioStats::candidates). */
 struct PortfolioCandidate
 {
-    std::uint64_t seed = 0;  ///< Resolved placer seed.
-    int prunedAtIters = 0;   ///< Probe budget when dropped (0 = survived).
-    double probeOverflow = 1.0; ///< Last probe overflow snapshot.
-    double probeHpwl = 0.0;     ///< Last probe HPWL snapshot.
-    bool ranFull = false;       ///< Survived pruning, ran the full flow.
-    double finalHpwl = 0.0;     ///< Final layout HPWL (ranFull only).
-    bool winner = false;        ///< This candidate's layout was returned.
+    std::uint64_t seed = 0; ///< Resolved placer seed.
+    double finalHpwl = 0.0; ///< Final layout HPWL (0 when the run failed).
+    bool winner = false;    ///< This candidate's layout was returned.
 };
 
 /** Diagnostics of a portfolio run (zero/empty for single-seed runs). */
@@ -153,7 +137,6 @@ struct PortfolioStats
 {
     bool portfolio = false; ///< This result came from a portfolio run.
     int seeds = 0;          ///< Candidates launched.
-    int rungs = 0;          ///< Pruning checkpoints evaluated.
     std::uint64_t winnerSeed = 0;
     std::vector<PortfolioCandidate> candidates; ///< Indexed by offset.
 };

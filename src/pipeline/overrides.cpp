@@ -27,8 +27,6 @@ const char *const kKnownSetKeys[] = {
     "detailed.tempStart",
     "detailed.tempDecay",
     "portfolio.seeds",
-    "portfolio.pruneAt",
-    "portfolio.keepFrac",
 };
 
 std::size_t
@@ -92,9 +90,6 @@ applyOverrides(const Config &cfg, FlowParams &params)
 
     PortfolioParams &fp = params.portfolio;
     fp.seeds = static_cast<int>(cfg.getInt("portfolio.seeds", fp.seeds));
-    fp.pruneAt =
-        static_cast<int>(cfg.getInt("portfolio.pruneAt", fp.pruneAt));
-    fp.keepFrac = cfg.getDouble("portfolio.keepFrac", fp.keepFrac);
 }
 
 std::string

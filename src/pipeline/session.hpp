@@ -67,26 +67,23 @@ class PlacementSession
     /**
      * Place @p topo cold. With params.portfolio.seeds > 1 this races
      * the seeds as a multi-start portfolio: seeds
-     * placer.seed .. placer.seed + seeds - 1 (wrapping mod 2^64),
-     * candidates running concurrently on the batch pool, each
-     * single-threaded. Candidates first run truncated probe placements
-     * (assign -> build -> place, budget params.portfolio.pruneAt
-     * iterations, doubling per rung); at each checkpoint the ranking
-     * on the recorded PlaceProgress trajectory tails (overflow, then
-     * HPWL) drops the bottom 1 - keepFrac. Survivors then run the
-     * complete flow -- including the detailed stage when enabled --
-     * and the best final layout (legal first, then lowest HPWL, then
-     * lowest seed offset) is returned with PortfolioStats attached.
+     * placer.seed .. placer.seed + seeds - 1 (wrapping mod 2^64) run
+     * the complete flow -- including the detailed stage when enabled
+     * -- as one batch (runBatch's scheduling and determinism), and the
+     * best final layout (legal first, then lowest HPWL, then lowest
+     * seed offset) is returned with PortfolioStats attached. A
+     * cancelled candidate cancels the portfolio: its result (status
+     * Cancelled) comes back instead of a winner of a partial ranking.
      *
-     * Portfolio determinism: every candidate's full run places with
-     * its own seed, so the winner is bitwise-identical to a
-     * single-seed run of that seed (with the same detailed knobs).
-     * The base seed is exempt from pruning, so the portfolio result is
-     * never worse than the single-seed flow. The session's observer
-     * sees no events while candidates run (per-candidate events would
-     * interleave meaninglessly). The result's trace root spans the
-     * whole job, probe rungs and every full run included; the stages
-     * beneath it are the winner's.
+     * Portfolio determinism: every candidate places with its own seed,
+     * so the winner is bitwise-identical to a single-seed run of that
+     * seed (with the same detailed knobs). The base seed is a
+     * candidate, so the portfolio result is never worse than the
+     * single-seed flow. The session's observer sees no events while
+     * candidates run (per-candidate events would interleave
+     * meaninglessly). The result's trace root spans the whole job,
+     * every candidate's run included; the stages beneath it are the
+     * winner's.
      */
     FlowResult run(const Topology &topo, const FlowParams &params);
 
@@ -147,8 +144,12 @@ class PlacementSession
         const FlowParams *params;
     };
 
-    /** Shared implementation of both runBatch overloads. */
-    std::vector<FlowResult> runBatchRefs(const std::vector<JobRef> &jobs);
+    /**
+     * Shared implementation of both runBatch overloads and the
+     * portfolio; @p observer (borrowed, may be null) sees every job.
+     */
+    std::vector<FlowResult> runBatchRefs(const std::vector<JobRef> &jobs,
+                                         FlowObserver *observer);
 
     /** The multi-start portfolio run() dispatches to. */
     FlowResult runPortfolio(const Topology &topo, const FlowParams &params);

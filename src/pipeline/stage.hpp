@@ -73,14 +73,11 @@ struct FlowStage
 };
 
 /**
- * The default stages other pipelines are composed from: the
- * incremental re-place (incremental.hpp) wraps its warm-start stages in
- * assign/build and metrics; the portfolio's probe pipeline stops after
- * place.
+ * The default stages the incremental re-place (incremental.hpp) wraps
+ * its warm-start stages in.
  */
 extern const FlowStage kAssignStage;
 extern const FlowStage kBuildStage;
-extern const FlowStage kPlaceStage;
 extern const FlowStage kMetricsStage;
 
 /**

@@ -132,11 +132,12 @@ metrics(FlowContext &ctx)
     }
 }
 
+const FlowStage kPlaceStage{"place", place};
+
 } // namespace
 
 const FlowStage kAssignStage{"assign", assign};
 const FlowStage kBuildStage{"build", build};
-const FlowStage kPlaceStage{"place", place};
 const FlowStage kMetricsStage{"metrics", metrics};
 
 std::vector<FlowStage>

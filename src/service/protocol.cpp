@@ -149,8 +149,8 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
                 error, "incremental re-place requires qplacer|classic mode");
     }
 
-    // The portfolio object is shorthand for the portfolio.* set keys
-    // and overrides them; the server decides from the resolved values.
+    // The portfolio object is shorthand for the portfolio.seeds set key
+    // and overrides it; the server decides from the resolved value.
     if (const JsonValue *portfolio = doc.find("portfolio")) {
         if (!portfolio->isObject())
             return failParse(error, "'portfolio' must be an object");
@@ -162,22 +162,10 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
                              "'portfolio.seeds' must be a positive integer");
         req.set.set("portfolio.seeds",
                     std::to_string(static_cast<int>(seeds->asDouble())));
-        if (const JsonValue *prune = portfolio->find("prune_at")) {
-            if (!prune->isNumber() ||
-                !isSmallNonNegativeInt(prune->asDouble()) ||
-                prune->asDouble() < 1.0)
-                return failParse(
-                    error,
-                    "'portfolio.prune_at' must be a positive integer");
-            req.set.set("portfolio.pruneAt",
-                        std::to_string(static_cast<int>(prune->asDouble())));
-        }
-        if (const JsonValue *keep = portfolio->find("keep_frac")) {
-            if (!keep->isNumber() || !(keep->asDouble() > 0.0) ||
-                keep->asDouble() > 1.0)
-                return failParse(
-                    error, "'portfolio.keep_frac' must be in (0, 1]");
-            req.set.set("portfolio.keepFrac", keep->numberText());
+        for (const char *removed : {"prune_at", "keep_frac"}) {
+            if (portfolio->find(removed))
+                return failParse(error, str("'portfolio.", removed,
+                                            "' was removed (no probe rungs)"));
         }
     }
 
@@ -576,11 +564,12 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
             JsonValue cand = JsonValue::object();
             cand.set("seed",
                      JsonValue::numberLiteral(std::to_string(c.seed)));
-            cand.set("pruned_at", JsonValue::number(static_cast<std::int64_t>(
-                                      c.prunedAtIters)));
-            cand.set("probe_overflow", JsonValue::number(c.probeOverflow));
-            cand.set("probe_hpwl_um", JsonValue::number(c.probeHpwl));
-            cand.set("ran_full", JsonValue::boolean(c.ranFull));
+            // flow_report/1 keeps the probe fields (and "rungs") at
+            // their no-pruning values: every candidate runs in full.
+            cand.set("pruned_at", JsonValue::number(std::int64_t{0}));
+            cand.set("probe_overflow", JsonValue::number(1.0));
+            cand.set("probe_hpwl_um", JsonValue::number(0.0));
+            cand.set("ran_full", JsonValue::boolean(true));
             cand.set("final_hpwl_um", JsonValue::number(c.finalHpwl));
             cand.set("winner", JsonValue::boolean(c.winner));
             candidates.push(std::move(cand));
@@ -588,8 +577,7 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
         JsonValue portfolio = JsonValue::object();
         portfolio.set("seeds", JsonValue::number(static_cast<std::int64_t>(
                                    p.seeds)));
-        portfolio.set("rungs", JsonValue::number(static_cast<std::int64_t>(
-                                   p.rungs)));
+        portfolio.set("rungs", JsonValue::number(std::int64_t{0}));
         portfolio.set("winner_seed",
                       JsonValue::numberLiteral(std::to_string(p.winnerSeed)));
         portfolio.set("candidates", std::move(candidates));

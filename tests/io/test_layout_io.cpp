@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "freq/assigner.hpp"
 #include "io/layout_io.hpp"
 #include "netlist/builder.hpp"
+#include "scratch_path.hpp"
 #include "topology/generators.hpp"
 
 namespace qplacer {
@@ -14,8 +14,6 @@ namespace {
 class LayoutIoTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { std::remove(path_.c_str()); }
-
     Netlist
     build()
     {
@@ -24,7 +22,8 @@ class LayoutIoTest : public ::testing::Test
         return NetlistBuilder().build(topo, freqs);
     }
 
-    std::string path_ = "test_layout_io.txt";
+    ScratchPath file_{".txt"};
+    const std::string &path_ = file_.path;
 };
 
 TEST_F(LayoutIoTest, RoundTripsPositions)
@@ -61,8 +60,7 @@ TEST_F(LayoutIoTest, MismatchedNetlistIsFatal)
 TEST_F(LayoutIoTest, MissingFileIsFatal)
 {
     Netlist nl = build();
-    EXPECT_THROW(loadLayout(nl, "no_such_file.txt"),
-                 std::runtime_error);
+    EXPECT_THROW(loadLayout(nl, path_), std::runtime_error);
 }
 
 TEST_F(LayoutIoTest, MalformedHeaderIsFatal)

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "freq/assigner.hpp"
 #include "io/svg.hpp"
 #include "netlist/builder.hpp"
+#include "scratch_path.hpp"
 #include "topology/generators.hpp"
 
 namespace qplacer {
@@ -59,15 +59,14 @@ TEST(Svg, OptionsToggleFeatures)
 
 TEST(Svg, WritesFile)
 {
-    const std::string path = "test_layout.svg";
+    const ScratchPath file(".svg");
+    const std::string &path = file.path;
     writeLayoutSvg(smallLayout(), path);
     std::ifstream in(path);
     EXPECT_TRUE(in.good());
     std::string first;
     std::getline(in, first);
     EXPECT_EQ(first.rfind("<svg", 0), 0u);
-    in.close();
-    std::remove(path.c_str());
 }
 
 TEST(Svg, UnwritablePathIsFatal)

@@ -110,6 +110,31 @@ TEST(FlowApi, ObserverSeesStagesInOrderWithIterationsInsidePlace)
     EXPECT_LE(staged, r.seconds());
 }
 
+TEST(FlowApi, EarlyStopCountsTheEvaluationThatStoppedIt)
+{
+    // The 3x3 run above ends on its iteration budget. These stop early,
+    // on the overflow target and on the plateau rule (an unreachable
+    // target); the evaluation that stops the run is counted too.
+    FlowParams converges = quickParams(2000);
+    FlowParams plateaus = quickParams(2000);
+    plateaus.placer.stopOverflow = 0.0;
+    for (const FlowParams &params : {converges, plateaus}) {
+        const bool target = params.placer.stopOverflow > 0.0;
+        SCOPED_TRACE(target ? "overflow target" : "plateau");
+        PlacementSession session;
+        RecordingObserver observer;
+        session.setObserver(&observer);
+        const FlowResult r = session.run(makeGrid(3, 3), params);
+        ASSERT_TRUE(r.status.ok()) << r.status.message;
+
+        EXPECT_EQ(r.place.converged, target);
+        EXPECT_LT(r.place.iterations, params.placer.maxIters);
+        EXPECT_EQ(observer.iterations.size(),
+                  static_cast<std::size_t>(r.place.iterations));
+        EXPECT_EQ(observer.lastOverflow, r.place.finalOverflow);
+    }
+}
+
 TEST(FlowApi, HumanModeRunsManualLayoutStage)
 {
     PlacementSession session;

@@ -195,8 +195,8 @@ TEST(FlowReport, EveryTimeCoversTheTimesNestedInIt)
 
 TEST(FlowReport, PortfolioJobSecondsAreItsWallClock)
 {
-    // Four seeds on one worker: the probe rungs and the losing
-    // candidates' full runs take most of the job, and run serially.
+    // Four seeds on one worker: the losing candidates' full runs take
+    // most of the job, and run serially.
     FlowParams params;
     Config cfg;
     cfg.set("portfolio.seeds", "4");
@@ -207,7 +207,6 @@ TEST(FlowReport, PortfolioJobSecondsAreItsWallClock)
     const FlowResult r = session.run(makeTopology("Falcon"), params);
     const double wall_seconds = wall.seconds();
     ASSERT_TRUE(r.status.ok()) << r.status.message;
-    ASSERT_GE(r.portfolioStats.rungs, 1);
     const JsonValue job = jobReportJson(r, params.placer.seed);
 
     const double seconds = job.find("seconds")->asDouble();

@@ -15,31 +15,12 @@
 #include <memory>
 #include <string>
 
+#include "scratch_path.hpp"
 #include "service/prior_store.hpp"
 #include "util/failpoint.hpp"
 
 namespace qplacer {
 namespace {
-
-/** A scratch state directory, deleted on scope exit. */
-struct StateDir
-{
-    StateDir()
-    {
-        path = (std::filesystem::temp_directory_path() /
-                ("qplacer_prior_store_" +
-                 std::to_string(::testing::UnitTest::GetInstance()
-                                    ->random_seed()) +
-                 "_" + std::string(::testing::UnitTest::GetInstance()
-                                       ->current_test_info()
-                                       ->name())))
-                   .string();
-        std::filesystem::remove_all(path);
-    }
-    ~StateDir() { std::filesystem::remove_all(path); }
-
-    std::string path;
-};
 
 /**
  * A synthetic layout with awkward doubles (non-terminating binary
@@ -126,7 +107,7 @@ TEST(PriorStore, JsonRoundTripIsExact)
 
 TEST(PriorStore, PersistsAcrossRestartBitwise)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     const auto a = makePrior(1);
@@ -149,7 +130,7 @@ TEST(PriorStore, PersistsAcrossRestartBitwise)
 
 TEST(PriorStore, TornTailIsTruncatedNotFatal)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     {
@@ -180,7 +161,7 @@ TEST(PriorStore, TornTailIsTruncatedNotFatal)
 
 TEST(PriorStore, CorruptCrcDropsTheRecord)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     {
@@ -213,7 +194,7 @@ TEST(PriorStore, CorruptCrcDropsTheRecord)
 
 TEST(PriorStore, SnapshotCompactsJournal)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     options.snapshotEvery = 2;
@@ -243,7 +224,7 @@ TEST(PriorStore, SnapshotCompactsJournal)
 
 TEST(PriorStore, CapacityHoldsAcrossRestart)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     options.capacity = 2;
@@ -265,7 +246,7 @@ TEST(PriorStore, CapacityHoldsAcrossRestart)
 
 TEST(PriorStore, InjectedLoadFailureStartsEmptyAndServes)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     {
@@ -288,7 +269,7 @@ TEST(PriorStore, InjectedLoadFailureStartsEmptyAndServes)
 
 TEST(PriorStore, InjectedAppendFailureDegradesToMemory)
 {
-    StateDir dir;
+    ScratchPath dir;
     PriorStoreOptions options;
     options.stateDir = dir.path;
     {

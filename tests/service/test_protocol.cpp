@@ -225,6 +225,10 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.referenceProbes":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.flowSparseThreshold":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"placer.maxIters":[1]}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"portfolio.pruneAt":60}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"portfolio.keepFrac":1}})",
+        R"({"type":"submit","id":"x","topology":"g","portfolio":{"seeds":4,"prune_at":60}})",
+        R"({"type":"submit","id":"x","topology":"g","portfolio":{"seeds":4,"keep_frac":1}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",
         R"({"type":"submit","id":"x","topology":"g","mode":"human","base":"y"})",
         R"({"type":"submit","id":"x","topology":"g","dirty_qubits":[1]})",

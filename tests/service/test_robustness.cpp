@@ -11,13 +11,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "scratch_path.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "util/failpoint.hpp"
@@ -141,24 +141,6 @@ statusCode(const JsonValue &result)
         ->find("code")
         ->asString();
 }
-
-/** A scratch state directory, deleted on scope exit. */
-struct StateDir
-{
-    StateDir()
-    {
-        path = (std::filesystem::temp_directory_path() /
-                ("qplacer_robust_" +
-                 std::string(::testing::UnitTest::GetInstance()
-                                 ->current_test_info()
-                                 ->name())))
-                   .string();
-        std::filesystem::remove_all(path);
-    }
-    ~StateDir() { std::filesystem::remove_all(path); }
-
-    std::string path;
-};
 
 TEST(Robustness, OverloadShedsWithStructuredBackoff)
 {
@@ -374,7 +356,7 @@ TEST(Robustness, InjectedCaptureFailureDegradesGracefully)
 
 TEST(Robustness, PriorsSurviveServerRestartBitwise)
 {
-    StateDir dir;
+    ScratchPath dir;
     ServerOptions options;
     options.stateDir = dir.path;
     std::string baseLayout;

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "scratch_path.hpp"
 #include "util/csv.hpp"
 
 namespace qplacer {
@@ -21,8 +21,8 @@ slurp(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = "test_csv_output.csv";
+    ScratchPath file_{".csv"};
+    const std::string &path_ = file_.path;
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows)

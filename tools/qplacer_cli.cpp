@@ -81,17 +81,17 @@ Options:
                       job is placed single-threaded when jobs run
                       concurrently, and a batch reproduces N single
                       runs bit for bit.
-  --workers M         Concurrent jobs for --jobs (default 0 = hardware
-                      concurrency, capped; 1 = serial batch).
-  --portfolio N       Multi-start portfolio: race N candidates seeded
-                      seed..seed+N-1 (wrapping mod 2^64), prune the
-                      weak half at doubling checkpoints, and keep the
-                      winner's layout (default: 1 = plain single-seed
-                      flow). Shorthand for --set portfolio.seeds=N (the
-                      later of the two wins). Tune with --set
-                      portfolio.pruneAt / portfolio.keepFrac; add --set
-                      detailed.enabled=1 for an annealing polish of the
-                      winner.
+  --workers M         Concurrent jobs for --jobs, or candidates for
+                      --portfolio (default 0 = hardware concurrency,
+                      capped; 1 = serial batch).
+  --portfolio N       Multi-start portfolio: run the full flow for N
+                      candidates seeded seed..seed+N-1 (wrapping mod
+                      2^64) as one batch, and keep the winner's layout
+                      (legal first, then lowest HPWL; default: 1 = plain
+                      single-seed flow). Shorthand for --set
+                      portfolio.seeds=N (the later of the two wins); add
+                      --set detailed.enabled=1 for an annealing polish
+                      of every candidate.
                       Incompatible with --jobs > 1 and --mode human.
   --segment UM        Resonator segment size l_b in um (default: 300).
   --set KEY=VALUE     Override a flow parameter; repeatable. Keys:
