@@ -16,12 +16,12 @@ constexpr double kGammaFrac = 0.04;
 /** Per-iteration multiplier of the density penalty. */
 constexpr double kLambdaGrowth = 1.05;
 
-/** Per-iteration multiplier of the frequency and cut penalties. */
+/** Per-iteration multiplier of the frequency penalty. */
 constexpr double kFreqLambdaGrowth = 1.05;
 
 /**
- * Cap on the frequency and cut penalties, as a multiple of their value
- * at activation. Keeps the engine in a stable compromise when full
+ * Cap on the frequency penalty, as a multiple of its value at
+ * activation. Keeps the engine in a stable compromise when full
  * separation is infeasible (crowded spectra), instead of oscillating.
  */
 constexpr double kFreqLambdaMaxFactor = 300.0;
@@ -55,11 +55,6 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
             netlist, rule.detuningThresholdHz,
             params.freqCutoffFactor, pool_);
     }
-    if (params.cutWeight > 0.0 && netlist.dieSpec().active()) {
-        cutPenalty_ = std::make_unique<CutPenaltyModel>(
-            netlist, DiePlan::resolve(netlist.dieSpec(),
-                                      netlist.region()));
-    }
     gammaBase_ = density_.grid().binWidth();
 
     netDegree_.assign(netlist.instances().size(), 0.0);
@@ -84,26 +79,15 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
     } else {
         gradFreq_.assign(positions.size(), Vec2());
     }
-    if (cutPenalty_) {
-        cutPenalty_->evaluate(positions, gradCut_);
-        // Likewise, until some net actually crosses a cut.
-        activate(cut_, params_.cutWeight, gradCut_);
-    }
 
     gradient.assign(positions.size(), Vec2());
     const auto &instances = netlist_.instances();
-    const bool with_cut = cutPenalty_ != nullptr;
     parallelFor(
         pool_, positions.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                Vec2 g = gradWl_[i] + gradDen_[i] * lambda_ +
-                         gradFreq_[i] * freq_.lambda;
-                // Guarded so single-die runs combine the exact same FP
-                // expression as before (adding a 0.0 term could still
-                // flip signed zeros).
-                if (with_cut)
-                    g = g + gradCut_[i] * cut_.lambda;
+                const Vec2 g = gradWl_[i] + gradDen_[i] * lambda_ +
+                               gradFreq_[i] * freq_.lambda;
                 // Jacobi preconditioner (ePlace): net degree + lambda *
                 // charge.
                 const double h = std::max(
@@ -129,11 +113,6 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
         freqForce_->evaluate(positions, gradFreq_);
         activate(freq_, params_.freqWeight, gradFreq_);
     }
-    cut_ = LazyPenalty();
-    if (cutPenalty_) {
-        cutPenalty_->evaluate(positions, gradCut_);
-        activate(cut_, params_.cutWeight, gradCut_);
-    }
 }
 
 void
@@ -154,12 +133,9 @@ void
 PlacementObjective::growPenalties()
 {
     lambda_ *= kLambdaGrowth;
-    for (LazyPenalty *penalty : {&freq_, &cut_}) {
-        if (penalty->live)
-            penalty->lambda =
-                std::min(penalty->lambda * kFreqLambdaGrowth,
-                         penalty->init * kFreqLambdaMaxFactor);
-    }
+    if (freq_.live)
+        freq_.lambda = std::min(freq_.lambda * kFreqLambdaGrowth,
+                                freq_.init * kFreqLambdaMaxFactor);
 }
 
 void

@@ -17,7 +17,6 @@
 #include "core/freq_force.hpp"
 #include "core/params.hpp"
 #include "core/wirelength.hpp"
-#include "multidie/cut_penalty.hpp"
 #include "netlist/netlist.hpp"
 
 namespace qplacer {
@@ -63,14 +62,13 @@ class PlacementObjective
 
     double lambda() const { return lambda_; }
     double freqLambda() const { return freq_.lambda; }
-    double cutLambda() const { return cut_.lambda; }
 
   private:
     /**
-     * Multiplier of a term that can be dormant (the frequency force,
-     * the cut penalty): zero until the term's gradient first turns
-     * non-zero, then weight * |grad WL|_1 / |grad|_1, grown each step
-     * by a fixed factor up to a fixed multiple of that start.
+     * Multiplier of a term that can be dormant (the frequency force):
+     * zero until the term's gradient first turns non-zero, then
+     * weight * |grad WL|_1 / |grad|_1, grown each step by a fixed
+     * factor up to a fixed multiple of that start.
      */
     struct LazyPenalty
     {
@@ -89,16 +87,13 @@ class PlacementObjective
     WirelengthModel wirelength_;
     DensityModel density_;
     std::unique_ptr<FreqForceModel> freqForce_;
-    std::unique_ptr<CutPenaltyModel> cutPenalty_; ///< Active die spec only.
     std::vector<double> netDegree_;
     double gammaBase_;
     double lambda_ = 0.0;
     LazyPenalty freq_;
-    LazyPenalty cut_;
     std::vector<Vec2> gradWl_;
     std::vector<Vec2> gradDen_;
     std::vector<Vec2> gradFreq_;
-    std::vector<Vec2> gradCut_;
 };
 
 } // namespace qplacer

@@ -49,16 +49,6 @@ struct PlacerParams
     double freqCutoffFactor = 0.8;
 
     /**
-     * Multi-die cut-crossing penalty weight (the "multidie.cutWeight"
-     * knob): initial weight of the cut penalty relative to the
-     * wirelength gradient, like freqWeight. 0 disables the term; it is
-     * also inert unless the netlist carries an active die spec. Grows
-     * on the frequency-penalty schedule (PlacementObjective::
-     * growPenalties).
-     */
-    double cutWeight = 0.0;
-
-    /**
      * Worker threads for the placement hot path (0 = hardware
      * concurrency, capped; 1 = serial). Changes speed only: the same
      * seed gives the same bits at any thread count (see

@@ -46,8 +46,6 @@ FlowParams::normalized(std::string &error) const
           "FlowParams: placer.stopOverflow must be non-negative");
     check(placer.jitterFrac >= 0.0,
           "FlowParams: placer.jitterFrac must be non-negative");
-    check(placer.cutWeight >= 0.0,
-          "FlowParams: placer.cutWeight must be non-negative");
     check(placer.freqWeight >= 0.0,
           "FlowParams: placer.freqWeight must be non-negative");
     check(placer.freqCutoffFactor > 0.0,

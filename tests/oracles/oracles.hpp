@@ -16,9 +16,8 @@
  *    (core/test_freq_force_equivalence), whose potential is also the
  *    energy the production force's finite-difference check differences
  *    (core/test_freq_force);
- *  - the closed-form values of the smooth wirelength and the cut
- *    penalty, which the gradient-only production terms never form
- *    (core/test_wirelength, multidie/test_cut_penalty);
+ *  - the closed-form value of the smooth wirelength, which the
+ *    gradient-only production term never forms (core/test_wirelength);
  *  - the bin-by-bin splat and field sample over per-bin rectangles
  *    that the density stencil walk replaced (geometry/test_bin_stencil);
  *  - the annealer's whole-layout objective by an all-pairs scan
@@ -37,7 +36,6 @@
 #include "geometry/bin_grid.hpp"
 #include "geometry/vec2.hpp"
 #include "math/dct_plan.hpp"
-#include "multidie/die_plan.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/partition.hpp"
 #include "topology/graph.hpp"
@@ -156,14 +154,6 @@ class PairListFreqForce
  */
 double smoothWirelength(const Netlist &netlist, double gamma,
                         const std::vector<Vec2> &positions);
-
-/**
- * Cut-crossing penalty of CutPenaltyModel: per 2-pin net and cut line,
- * w * max(0, -(a - c) * (b - c)) / L with L the region extent on the
- * cut's axis.
- */
-double cutPenalty(const Netlist &netlist, const DiePlan &plan,
-                  const std::vector<Vec2> &positions);
 
 /**
  * Index of the bin of @p n bins of width @p width starting at @p lo

@@ -186,14 +186,14 @@ execute_process(
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "qplacer_cli --help exited ${rc}\n${err}")
 endif()
-string(FIND "${help_text}" "multidie.cutWeight" found)
+string(FIND "${help_text}" "portfolio.seeds" found)
 if(found EQUAL -1)
-    message(FATAL_ERROR "--help does not list multidie.cutWeight:\n${help_text}")
+    message(FATAL_ERROR "--help does not list portfolio.seeds:\n${help_text}")
 endif()
 
 # --- Error path: retired --set keys are unknown. ---
 foreach(key assigner.referenceEngine builder.reference builder.serialBelow
-            legalizer.referenceProbes)
+            legalizer.referenceProbes multidie.cutWeight)
     execute_process(
         COMMAND "${QPLACER_CLI}" --topology grid3x3 --set "${key}=1" --quiet
         RESULT_VARIABLE bad_rc

@@ -227,6 +227,7 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","set":{"placer.maxIters":[1]}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"portfolio.pruneAt":60}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"portfolio.keepFrac":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"multidie.cutWeight":2}})",
         R"({"type":"submit","id":"x","topology":"g","portfolio":{"seeds":4,"prune_at":60}})",
         R"({"type":"submit","id":"x","topology":"g","portfolio":{"seeds":4,"keep_frac":1}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",
