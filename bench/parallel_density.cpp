@@ -72,7 +72,7 @@ benchFreqForce(CsvWriter &csv, const std::string &topology, int qubits,
                int reps)
 {
     const double threshold = params.crosstalk.detuningThresholdHz;
-    const double cutoff = params.placer.freqCutoffFactor;
+    const double cutoff = FreqForceModel::kCutoffFactor;
     const FreqForceModel serial(netlist, threshold, cutoff);
     std::vector<Vec2> reference;
     serial.evaluate(positions, reference);
@@ -137,7 +137,7 @@ main(int argc, char **argv)
             netlist.region().height());
         PoissonSolver::Solution reference;
         serial_solver.solve(density, reference);
-        DensityModel serial_model(netlist, wl.bins, 0.9);
+        DensityModel serial_model(netlist, wl.bins);
         std::vector<Vec2> reference_gradient;
         serial_model.evaluate(positions, reference_gradient);
 
@@ -161,7 +161,7 @@ main(int argc, char **argv)
                 solver.solve(density, sol);
             const double solve_ms = solve_timer.millis() / reps;
 
-            DensityModel model(netlist, wl.bins, 0.9, pool_ptr);
+            DensityModel model(netlist, wl.bins, pool_ptr);
             std::vector<Vec2> gradient;
             model.evaluate(positions, gradient); // warm-up
             const bool same_gradient = sameBits(gradient, reference_gradient);

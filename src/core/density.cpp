@@ -8,17 +8,13 @@
 
 namespace qplacer {
 
-DensityModel::DensityModel(const Netlist &netlist, int bins,
-                           double target_density, ThreadPool *pool)
+DensityModel::DensityModel(const Netlist &netlist, int bins, ThreadPool *pool)
     : netlist_(netlist),
       grid_(netlist.region(), bins, bins),
       solver_(bins, bins, netlist.region().width(),
               netlist.region().height(), pool),
-      targetDensity_(target_density),
       pool_(pool)
 {
-    if (target_density <= 0.0 || target_density > 1.0)
-        fatal("DensityModel: target density must be in (0, 1]");
 }
 
 int
@@ -78,7 +74,7 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
         instances.size() < ThreadPool::kGrainMedium ? rows + 1 : 0);
 
     // Overflow: charge above the per-bin capacity.
-    const double capacity = targetDensity_ * grid_.binArea();
+    const double capacity = kTargetDensity * grid_.binArea();
     const std::size_t cells = bins.size();
     double over = 0.0;
     double total_charge = 0.0;

@@ -34,14 +34,18 @@ class DensityModel
 {
   public:
     /**
-     * @param netlist        Netlist (kept by reference).
-     * @param bins           Bins per axis (power of two).
-     * @param target_density Target bin fill D-hat in [0, 1].
-     * @param pool           Worker pool shared with the Poisson solver
-     *                       (null = serial; not owned).
+     * Target bin fill D-hat relative to a full bin; overflow() counts
+     * the charge above it.
      */
-    DensityModel(const Netlist &netlist, int bins, double target_density,
-                 ThreadPool *pool = nullptr);
+    static constexpr double kTargetDensity = 0.9;
+
+    /**
+     * @param netlist Netlist (kept by reference).
+     * @param bins    Bins per axis (power of two).
+     * @param pool    Worker pool shared with the Poisson solver
+     *                (null = serial; not owned).
+     */
+    DensityModel(const Netlist &netlist, int bins, ThreadPool *pool = nullptr);
 
     /**
      * Gradient of the density penalty at @p positions.
@@ -69,7 +73,6 @@ class DensityModel
     const Netlist &netlist_;
     BinGrid grid_;
     PoissonSolver solver_;
-    double targetDensity_;
     ThreadPool *pool_;
     double overflow_ = 1.0;
     std::vector<BinStencil> stencils_; ///< Per-instance, last evaluate().

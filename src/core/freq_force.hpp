@@ -38,6 +38,13 @@ class FreqForceModel
 {
   public:
     /**
+     * The placer's cutoff factor: 0.8 puts the cutoff comfortably past
+     * the hotspot adjacency threshold, leaving margin for legalization
+     * displacement.
+     */
+    static constexpr double kCutoffFactor = 0.8;
+
+    /**
      * @param netlist       Netlist (read once, at construction).
      * @param threshold_hz  Detuning threshold Delta_c.
      * @param cutoff_factor Pairs further apart than
@@ -57,8 +64,7 @@ class FreqForceModel
      *             the serial bits.
      */
     FreqForceModel(const Netlist &netlist, double threshold_hz,
-                   double cutoff_factor = 0.75,
-                   ThreadPool *pool = nullptr);
+                   double cutoff_factor, ThreadPool *pool = nullptr);
 
     /**
      * Gradient of the truncated Coulomb potential

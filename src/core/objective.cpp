@@ -48,12 +48,12 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
                   std::max(1e-3, kGammaFrac * netlist.region().width()),
                   pool),
       density_(netlist, DensityModel::autoBinCount(netlist.numInstances()),
-               params.targetDensity, pool)
+               pool)
 {
     if (params.freqForce) {
         freqForce_ = std::make_unique<FreqForceModel>(
-            netlist, rule.detuningThresholdHz,
-            params.freqCutoffFactor, pool_);
+            netlist, rule.detuningThresholdHz, FreqForceModel::kCutoffFactor,
+            pool_);
     }
     gammaBase_ = density_.grid().binWidth();
 

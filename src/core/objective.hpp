@@ -60,9 +60,6 @@ class PlacementObjective
     /** Anneal the wirelength smoothing with the current overflow. */
     void updateGamma(double overflow);
 
-    double lambda() const { return lambda_; }
-    double freqLambda() const { return freq_.lambda; }
-
   private:
     /**
      * Multiplier of a term that can be dormant (the frequency force):

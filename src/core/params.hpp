@@ -13,12 +13,6 @@ namespace qplacer {
 /** Global placement engine knobs (defaults follow Section V-C). */
 struct PlacerParams
 {
-    /**
-     * Target bin density D-hat relative to a full bin; the density
-     * penalty pushes every bin at or below this.
-     */
-    double targetDensity = 0.9;
-
     /** Iteration budget for the Nesterov loop. */
     int maxIters = 900;
 
@@ -39,14 +33,6 @@ struct PlacerParams
      * gradient (analogous to the density lambda initialization).
      */
     double freqWeight = 1.0;
-
-    /**
-     * Frequency-force cutoff: pairs beyond
-     * cutoff * (size_i + size_j) feel nothing. 0.8 puts the cutoff
-     * comfortably past the hotspot adjacency threshold, leaving margin
-     * for legalization displacement.
-     */
-    double freqCutoffFactor = 0.8;
 
     /**
      * Worker threads for the placement hot path (0 = hardware

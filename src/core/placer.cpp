@@ -85,9 +85,8 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
         ++result.iterations; // the evaluation that stops the run counts
 
         if (monitor.onIteration) {
-            monitor.onIteration({iter, overflow, objective.lambda(),
-                                 objective.freqLambda(),
-                                 netlist.hpwl(optimizer.lookahead())});
+            const double hpwl = netlist.hpwl(optimizer.lookahead());
+            monitor.onIteration({iter, overflow, hpwl});
         }
 
         if (iter >= params_.minIters && overflow < params_.stopOverflow) {

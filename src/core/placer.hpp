@@ -31,15 +31,13 @@ struct PlaceResult
 /** Per-iteration progress snapshot delivered to a PlaceMonitor. */
 struct PlaceProgress
 {
-    int iteration = 0;       ///< 0-based Nesterov iteration index.
-    double overflow = 1.0;   ///< Density overflow after evaluate().
-    double lambda = 0.0;     ///< Current density penalty weight.
-    double freqLambda = 0.0; ///< Current frequency penalty weight.
+    int iteration = 0;     ///< 0-based Nesterov iteration index.
+    double overflow = 1.0; ///< Density overflow after evaluate().
     /**
-     * Exact HPWL of the iterate the objective just evaluated. Only
-     * computed when a monitor is attached (an extra O(nets) reduction
-     * per iteration); 0 otherwise. Portfolio pruning ranks candidate
-     * trajectories on (overflow, hpwl) snapshots.
+     * Exact HPWL of the iterate the objective just evaluated (an extra
+     * O(nets) reduction per iteration, paid only when an onIteration
+     * hook is attached). The daemon streams it in its iteration
+     * events.
      */
     double hpwl = 0.0;
 };

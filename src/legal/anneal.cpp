@@ -17,6 +17,9 @@ namespace {
 /** Relocation reach per axis, in occupancy cells. */
 constexpr int kRelocateReachCells = 4;
 
+/** Temperature decay per sweep: T_k = tempStart * kTempDecay^k. */
+constexpr double kTempDecay = 0.92;
+
 /** Collision count + fidelity hinge of a set of hotspot pairs. */
 struct PairStats
 {
@@ -232,9 +235,8 @@ class Walk
 
 } // namespace
 
-DetailedPlacer::DetailedPlacer(DetailedPlaceParams params,
-                               LegalizerParams legal, CrosstalkRule rule)
-    : params_(params), legal_(legal), rule_(rule)
+DetailedPlacer::DetailedPlacer(DetailedPlaceParams params, CrosstalkRule rule)
+    : params_(params), rule_(rule)
 {
 }
 
@@ -248,7 +250,7 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
     if (params_.iters <= 0 || n < 2 || netlist.nets().empty())
         return stats; // ran = false: nothing to refine, layout untouched.
 
-    Walk walk(netlist, params_, rule_, legal_.cellUm);
+    Walk walk(netlist, params_, rule_, Legalizer::kCellUm);
     if (!walk.build())
         return stats; // Input not legal on this cell grid; hands off.
     stats.ran = true;
@@ -272,8 +274,7 @@ DetailedPlacer::refine(Netlist &netlist, std::uint64_t seed,
             stats.cancelled = true;
             break;
         }
-        const double temp =
-            params_.tempStart * std::pow(params_.tempDecay, sweep);
+        const double temp = params_.tempStart * std::pow(kTempDecay, sweep);
 
         for (std::size_t p = 0; p < n; ++p) {
             ++stats.proposed;

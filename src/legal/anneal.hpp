@@ -44,18 +44,13 @@ namespace qplacer {
 struct DetailedPlaceParams
 {
     /**
-     * Insert the detailed stage between legalize and metrics. Off by
-     * default: the analytic flow's golden layouts are the baseline
-     * contract, and refinement is opt-in on top of them.
-     */
-    bool enabled = false;
-
-    /**
      * Sweeps of the annealing walk (one sweep = numInstances move
-     * proposals). 0 is an exact no-op: the stage is not inserted and
-     * the legalized layout is returned untouched.
+     * proposals). 0, the default, is an exact no-op: the stage is not
+     * inserted and the legalized layout is returned untouched, because
+     * the analytic flow's golden layouts are the baseline contract and
+     * refinement is opt-in on top of them.
      */
-    int iters = 40;
+    int iters = 0;
 
     /**
      * Initial temperature in cost units (um of HPWL). Uphill moves of
@@ -63,9 +58,6 @@ struct DetailedPlaceParams
      * 0 = pure descent (only non-worsening moves accepted).
      */
     double tempStart = 75.0;
-
-    /** Geometric decay per sweep: T_k = tempStart * tempDecay^k. */
-    double tempDecay = 0.92;
 };
 
 /** Diagnostics of one detailed-placement run (FlowResult::detailed). */
@@ -88,8 +80,7 @@ struct DetailedStats
 class DetailedPlacer
 {
   public:
-    DetailedPlacer(DetailedPlaceParams params, LegalizerParams legal,
-                   CrosstalkRule rule);
+    DetailedPlacer(DetailedPlaceParams params, CrosstalkRule rule);
 
     /**
      * Weight of the fidelity hinge (um of violation depth) against um
@@ -121,7 +112,6 @@ class DetailedPlacer
 
   private:
     DetailedPlaceParams params_;
-    LegalizerParams legal_;
     CrosstalkRule rule_;
 };
 

@@ -96,10 +96,10 @@ Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
     if (multi)
         plan = DiePlan::resolve(netlist.dieSpec(), netlist.region());
 
-    OccupancyGrid grid(netlist.region(), params_.cellUm);
+    OccupancyGrid grid(netlist.region(), kCellUm);
     for (int restart = 0;; ++restart) {
         if (restart > 0)
-            grid = OccupancyGrid(netlist.region(), params_.cellUm);
+            grid = OccupancyGrid(netlist.region(), kCellUm);
         if (multi)
             for (const Rect &band : plan.gapBands())
                 grid.block(band);

@@ -20,9 +20,6 @@ class Trace;
 /** Legalizer configuration. */
 struct LegalizerParams
 {
-    /** Occupancy cell size; must divide all padded footprints. */
-    double cellUm = 100.0;
-
     /** Run the integration-aware repair pass. */
     bool integration = true;
 
@@ -47,6 +44,12 @@ struct LegalizeResult
 class Legalizer
 {
   public:
+    /**
+     * Occupancy cell size (um) of every legalized layout; must divide
+     * all padded footprints. The detailed placer walks the same grid.
+     */
+    static constexpr double kCellUm = 100.0;
+
     /** @p rule is the crosstalk rule of the tau-checked passes. */
     explicit Legalizer(LegalizerParams params = {}, CrosstalkRule rule = {});
 

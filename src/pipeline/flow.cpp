@@ -36,8 +36,6 @@ FlowParams::normalized(std::string &error) const
           "FlowParams: partition.wireWidthUm must be positive");
     check(partition.qubitPadUm >= 0.0 && partition.resonatorPadUm >= 0.0,
           "FlowParams: partition pads must be non-negative");
-    check(placer.targetDensity > 0.0 && placer.targetDensity <= 1.0,
-          "FlowParams: placer.targetDensity must be in (0, 1]");
     check(placer.maxIters >= 1,
           "FlowParams: placer.maxIters must be at least 1");
     check(placer.minIters >= 0,
@@ -48,8 +46,6 @@ FlowParams::normalized(std::string &error) const
           "FlowParams: placer.jitterFrac must be non-negative");
     check(placer.freqWeight >= 0.0,
           "FlowParams: placer.freqWeight must be non-negative");
-    check(placer.freqCutoffFactor > 0.0,
-          "FlowParams: placer.freqCutoffFactor must be positive");
     check(crosstalk.detuningThresholdHz > 0.0,
           "FlowParams: crosstalk.detuningThresholdHz must be positive");
     check(crosstalk.adjacencyTolUm >= 0.0,
@@ -58,18 +54,12 @@ FlowParams::normalized(std::string &error) const
           "FlowParams: assigner.qubitBand must have positive span");
     check(assigner.resonatorBand.span() > 0.0,
           "FlowParams: assigner.resonatorBand must have positive span");
-    check(legalizer.cellUm > 0.0,
-          "FlowParams: legalizer.cellUm must be positive");
     check(incremental.maxIters >= 1,
           "FlowParams: incremental.maxIters must be at least 1");
-    check(incremental.snapToleranceUm >= 0.0,
-          "FlowParams: incremental.snapToleranceUm must be non-negative");
     check(detailed.iters >= 0,
           "FlowParams: detailed.iters must be non-negative (0 = no-op)");
     check(detailed.tempStart >= 0.0,
           "FlowParams: detailed.tempStart must be non-negative");
-    check(detailed.tempDecay > 0.0 && detailed.tempDecay <= 1.0,
-          "FlowParams: detailed.tempDecay must be in (0, 1]");
     check(portfolio.seeds >= 1,
           "FlowParams: portfolio.seeds must be at least 1");
     check(portfolio.seeds <= 1 || mode != PlacerMode::Human,

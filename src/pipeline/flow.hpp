@@ -54,14 +54,6 @@ struct IncrementalPlaceParams
      * PlacerParams::maxIters.
      */
     int maxIters = 120;
-
-    /**
-     * Clean instances whose warm re-solve drift stays within this
-     * distance (um) snap back to their prior legal sites and are held
-     * fixed during scoped legalization; larger drifts make the
-     * instance movable.
-     */
-    double snapToleranceUm = 50.0;
 };
 
 /**

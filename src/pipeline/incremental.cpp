@@ -38,6 +38,13 @@ PriorLayout::capture(const Netlist &netlist)
 
 namespace {
 
+/**
+ * Clean instances whose warm re-solve drift stays within this distance
+ * (um) snap back to their prior legal sites and are held fixed during
+ * scoped legalization; larger drifts make the instance movable.
+ */
+constexpr double kSnapToleranceUm = 50.0;
+
 IncrementalState &
 incrementalState(FlowContext &ctx)
 {
@@ -176,9 +183,9 @@ warmPlace(FlowContext &ctx)
 
 /**
  * Scoped legalization: clean instances that stayed within
- * IncrementalPlaceParams::snapToleranceUm of their prior site snap
- * back and are held fixed; everything else (dirty closure + drifters)
- * goes through Legalizer::legalize with that movable set.
+ * kSnapToleranceUm of their prior site snap back and are held fixed;
+ * everything else (dirty closure + drifters) goes through
+ * Legalizer::legalize with that movable set.
  */
 void
 scopedLegalize(FlowContext &ctx)
@@ -190,7 +197,6 @@ scopedLegalize(FlowContext &ctx)
         return;
     }
 
-    const double snap = ctx.params.incremental.snapToleranceUm;
     std::vector<int> movable;
     for (int i = 0; i < netlist.numInstances(); ++i) {
         if (st.dirty[i] || !st.hasAnchor[i]) {
@@ -198,7 +204,7 @@ scopedLegalize(FlowContext &ctx)
             continue;
         }
         Instance &inst = netlist.instance(i);
-        if (inst.pos.dist(st.anchors[i]) > snap)
+        if (inst.pos.dist(st.anchors[i]) > kSnapToleranceUm)
             movable.push_back(i);
         else
             inst.pos = st.anchors[i];

@@ -8,23 +8,17 @@ const char *const kKnownSetKeys[] = {
     "targetUtil",
     "placer.maxIters",
     "placer.minIters",
-    "placer.targetDensity",
     "placer.stopOverflow",
     "placer.freqForce",
     "placer.freqWeight",
-    "placer.freqCutoffFactor",
     "placer.threads",
     "assigner.distance2",
     "assigner.detuningThresholdGHz",
-    "legalizer.cellUm",
     "legalizer.integration",
     "hotspot.adjacencyTolUm",
     "incremental.maxIters",
-    "incremental.snapToleranceUm",
-    "detailed.enabled",
     "detailed.iters",
     "detailed.tempStart",
-    "detailed.tempDecay",
     "portfolio.seeds",
 };
 
@@ -51,12 +45,9 @@ applyOverrides(const Config &cfg, FlowParams &params)
     PlacerParams &pp = params.placer;
     pp.maxIters = static_cast<int>(cfg.getInt("placer.maxIters", pp.maxIters));
     pp.minIters = static_cast<int>(cfg.getInt("placer.minIters", pp.minIters));
-    pp.targetDensity = cfg.getDouble("placer.targetDensity", pp.targetDensity);
     pp.stopOverflow = cfg.getDouble("placer.stopOverflow", pp.stopOverflow);
     pp.freqForce = cfg.getBool("placer.freqForce", pp.freqForce);
     pp.freqWeight = cfg.getDouble("placer.freqWeight", pp.freqWeight);
-    pp.freqCutoffFactor =
-        cfg.getDouble("placer.freqCutoffFactor", pp.freqCutoffFactor);
     pp.threads = static_cast<int>(cfg.getInt("placer.threads", pp.threads));
 
     AssignerParams &ap = params.assigner;
@@ -71,20 +62,15 @@ applyOverrides(const Config &cfg, FlowParams &params)
         cfg.getDouble("hotspot.adjacencyTolUm", rule.adjacencyTolUm);
 
     LegalizerParams &lp = params.legalizer;
-    lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);
     lp.integration = cfg.getBool("legalizer.integration", lp.integration);
 
     IncrementalPlaceParams &ip = params.incremental;
     ip.maxIters =
         static_cast<int>(cfg.getInt("incremental.maxIters", ip.maxIters));
-    ip.snapToleranceUm =
-        cfg.getDouble("incremental.snapToleranceUm", ip.snapToleranceUm);
 
     DetailedPlaceParams &dp = params.detailed;
-    dp.enabled = cfg.getBool("detailed.enabled", dp.enabled);
     dp.iters = static_cast<int>(cfg.getInt("detailed.iters", dp.iters));
     dp.tempStart = cfg.getDouble("detailed.tempStart", dp.tempStart);
-    dp.tempDecay = cfg.getDouble("detailed.tempDecay", dp.tempDecay);
 
     PortfolioParams &fp = params.portfolio;
     fp.seeds = static_cast<int>(cfg.getInt("portfolio.seeds", fp.seeds));

@@ -68,12 +68,13 @@ class PlacementSession
      * Place @p topo cold. With params.portfolio.seeds > 1 this races
      * the seeds as a multi-start portfolio: seeds
      * placer.seed .. placer.seed + seeds - 1 (wrapping mod 2^64) run
-     * the complete flow -- including the detailed stage when enabled
-     * -- as one batch (runBatch's scheduling and determinism), and the
-     * best final layout (legal first, then lowest HPWL, then lowest
-     * seed offset) is returned with PortfolioStats attached. A
-     * cancelled candidate cancels the portfolio: its result (status
-     * Cancelled) comes back instead of a winner of a partial ranking.
+     * the complete flow -- including the detailed stage when
+     * detailed.iters > 0 -- as one batch (runBatch's scheduling and
+     * determinism), and the best final layout (legal first, then
+     * lowest HPWL, then lowest seed offset) is returned with
+     * PortfolioStats attached. A cancelled candidate cancels the
+     * portfolio: its result (status Cancelled) comes back instead of a
+     * winner of a partial ranking.
      *
      * Portfolio determinism: every candidate places with its own seed,
      * so the winner is bitwise-identical to a single-seed run of that

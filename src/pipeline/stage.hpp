@@ -84,9 +84,9 @@ extern const FlowStage kMetricsStage;
  * The Fig. 7 stage sequence for @p params (which must already be
  * normalized): assign -> build -> place -> legalize -> metrics, with
  * build/place/legalize replaced by the manual layout stage in Human
- * mode. When params.detailed.enabled with a positive iteration budget
- * (and not in Human mode), the annealing detailed-placement stage is
- * inserted between legalize and metrics.
+ * mode. When params.detailed.iters is positive (and not in Human
+ * mode), the annealing detailed-placement stage is inserted between
+ * legalize and metrics.
  */
 std::vector<FlowStage> makeDefaultStages(const FlowParams &params);
 

@@ -100,8 +100,7 @@ legalize(FlowContext &ctx)
 void
 detailedPlace(FlowContext &ctx)
 {
-    const DetailedPlacer placer(ctx.params.detailed, ctx.params.legalizer,
-                                ctx.params.crosstalk);
+    const DetailedPlacer placer(ctx.params.detailed, ctx.params.crosstalk);
     ctx.result.detailed = placer.refine(ctx.result.netlist,
                                         ctx.params.placer.seed, ctx.cancel);
     if (ctx.result.detailed.cancelled) {
@@ -148,10 +147,10 @@ makeDefaultStages(const FlowParams &params)
 
     std::vector<FlowStage> stages{kAssignStage, kBuildStage, kPlaceStage,
                                   {"legalize", legalize}};
-    // detailed.iters == 0 is a contractual no-op: the stage is not
-    // even inserted, so the stage list (and with it every timing and
-    // observer event) is bitwise-identical to the pre-detailed flow.
-    if (params.detailed.enabled && params.detailed.iters > 0)
+    // detailed.iters is the stage's one switch: at 0 (the default) the
+    // stage is not even inserted, so the stage list (and with it every
+    // timing and observer event) is that of the plain Fig. 7 flow.
+    if (params.detailed.iters > 0)
         stages.push_back({"detailed", detailedPlace});
     stages.push_back(kMetricsStage);
     return stages;

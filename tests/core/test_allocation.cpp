@@ -20,7 +20,6 @@
 #include "core/density.hpp"
 #include "core/freq_force.hpp"
 #include "core/nesterov.hpp"
-#include "core/params.hpp"
 #include "core/poisson.hpp"
 #include "core/wirelength.hpp"
 #include "freq/assigner.hpp"
@@ -149,7 +148,7 @@ TEST(SteadyStateAllocation, DensityEvaluateAllocatesNothingAfterFirstCall)
     const RandomCase c = randomCase();
     ThreadPool four(4);
     for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &four}) {
-        DensityModel model(c.netlist, 64, 0.9, pool);
+        DensityModel model(c.netlist, 64, pool);
         std::vector<Vec2> gradient;
         model.evaluate(c.a, gradient);
         EXPECT_EQ(allocationsOf([&] { model.evaluate(c.b, gradient); }), 0u)
@@ -190,7 +189,7 @@ TEST(SteadyStateAllocation, FreqForceEvaluateAllocatesNothingAfterFirstCall)
     for (Vec2 &p : squeezed)
         p = p * 0.5;
     const CrosstalkRule rule;
-    const double cutoff = PlacerParams().freqCutoffFactor;
+    const double cutoff = FreqForceModel::kCutoffFactor;
     ThreadPool one(1);
     ThreadPool four(4);
     for (ThreadPool *pool : {&one, &four}) {

@@ -29,7 +29,7 @@ TEST(Density, OverflowHighWhenStacked)
 {
     Netlist nl = blockNetlist(16, 400, 8000);
     std::vector<Vec2> pos(16, Vec2(4000, 4000)); // all stacked
-    DensityModel model(nl, 32, 0.9);
+    DensityModel model(nl, 32);
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
     EXPECT_GT(model.overflow(), 0.5);
@@ -43,7 +43,7 @@ TEST(Density, OverflowLowWhenSpread)
         pos.emplace_back(1000.0 + (i % 4) * 2000.0,
                          1000.0 + (i / 4) * 2000.0);
     }
-    DensityModel model(nl, 32, 0.9);
+    DensityModel model(nl, 32);
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
     EXPECT_LT(model.overflow(), 0.05);
@@ -52,7 +52,7 @@ TEST(Density, OverflowLowWhenSpread)
 TEST(Density, GradientPushesApartStackedInstances)
 {
     Netlist nl = blockNetlist(2, 400, 4000);
-    DensityModel model(nl, 32, 0.9);
+    DensityModel model(nl, 32);
     // Two instances slightly offset: the gradient should separate them.
     std::vector<Vec2> pos{{1900, 2000}, {2100, 2000}};
     std::vector<Vec2> grad;
@@ -74,7 +74,7 @@ TEST(Density, ChargeEqualsPaddedArea)
 {
     Netlist nl = blockNetlist(1, 400, 2000);
     nl.instances()[0].pad = 400; // padded -> 800x800
-    DensityModel model(nl, 32, 0.9);
+    DensityModel model(nl, 32);
     std::vector<Vec2> grad;
     std::vector<Vec2> pos{{1000, 1000}};
     model.evaluate(pos, grad);
@@ -109,14 +109,14 @@ TEST(Density, RepeatedEvaluationsAreStateless)
         std::unique_ptr<ThreadPool> pool;
         if (threads > 1)
             pool = std::make_unique<ThreadPool>(threads);
-        DensityModel model(nl, 64, 0.9, pool.get());
+        DensityModel model(nl, 64, pool.get());
         std::vector<Vec2> grad;
         model.evaluate(p, grad);
         const std::vector<Vec2> first = grad;
         const double first_overflow = model.overflow();
 
         model.evaluate(q, grad);
-        DensityModel fresh(nl, 64, 0.9, pool.get());
+        DensityModel fresh(nl, 64, pool.get());
         std::vector<Vec2> fresh_grad;
         fresh.evaluate(q, fresh_grad);
         EXPECT_TRUE(sameBits(grad, fresh_grad)) << threads << " threads";
@@ -128,13 +128,6 @@ TEST(Density, RepeatedEvaluationsAreStateless)
                                  sizeof(double)))
             << threads << " threads";
     }
-}
-
-TEST(Density, InvalidTargetIsFatal)
-{
-    Netlist nl = blockNetlist(1, 400, 2000);
-    EXPECT_THROW(DensityModel(nl, 32, 0.0), std::runtime_error);
-    EXPECT_THROW(DensityModel(nl, 32, 1.5), std::runtime_error);
 }
 
 } // namespace

@@ -61,7 +61,7 @@ TEST(FreqForce, ResonantPairsRepel)
 {
     const Netlist nl =
         freqNetlist({5.0e9, 5.0e9}, {-1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1500, 1000}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -74,7 +74,7 @@ TEST(FreqForce, ResonantPairsRepel)
 TEST(FreqForce, DetunedPairsIgnoreEachOther)
 {
     const Netlist nl = freqNetlist({5.0e9, 5.2e9}, {-1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -118,7 +118,7 @@ TEST(FreqForce, GradientMatchesFiniteDifference)
 {
     const Netlist nl =
         freqNetlist({5.0e9, 5.05e9, 5.02e9}, {-1, -1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     const oracle::PairListFreqForce potential(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{900, 1000}, {1500, 1100}, {1100, 1600}};
     std::vector<Vec2> grad;
@@ -141,7 +141,7 @@ TEST(FreqForce, GradientMatchesFiniteDifference)
 TEST(FreqForce, CoincidentInstancesGetFinitePush)
 {
     const Netlist nl = freqNetlist({5.0e9, 5.0e9}, {-1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1000, 1000}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -164,7 +164,7 @@ TEST(FreqForce, SameResonatorSegmentsExcluded)
         nl.addInstance(seg);
     }
     nl.setRegion(Rect(0, 0, 10000, 10000));
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -175,7 +175,7 @@ TEST(FreqForce, OnlyNearResonantPairsRepel)
 {
     const Netlist nl =
         freqNetlist({5.00e9, 5.05e9, 5.30e9}, {-1, -1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1400, 1000}, {1200, 1300}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -191,7 +191,7 @@ TEST(FreqForce, ThresholdIsStrict)
          {std::vector<double>{5.0e9, 5.1e9},
           std::vector<double>{5.1e9, 5.0e9}}) {
         const Netlist nl = freqNetlist(freqs, {-1, -1});
-        const FreqForceModel model(nl, 0.1e9);
+        const FreqForceModel model(nl, 0.1e9, 0.75);
         std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
         std::vector<Vec2> grad;
         model.evaluate(pos, grad);
@@ -215,7 +215,7 @@ TEST(FreqForce, SameResonatorExcludedOtherResonatorsRepel)
         nl.addInstance(seg);
     }
     nl.setRegion(Rect(0, 0, 10000, 10000));
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> grad;
     std::vector<Vec2> apart{{1000, 1000}, {1100, 1000}, {5000, 5000}};
     model.evaluate(apart, grad);
@@ -230,7 +230,7 @@ TEST(FreqForce, SameResonatorExcludedOtherResonatorsRepel)
 TEST(FreqForce, QubitAndResonatorBandsNeverRepel)
 {
     const Netlist nl = freqNetlist({5.2e9, 6.0e9}, {-1, 0});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -242,9 +242,9 @@ TEST(FreqForce, CustomThreshold)
     const Netlist nl = freqNetlist({5.0e9, 5.3e9}, {-1, -1});
     std::vector<Vec2> pos{{1000, 1000}, {1200, 1000}};
     std::vector<Vec2> grad;
-    FreqForceModel(nl, 0.5e9).evaluate(pos, grad);
+    FreqForceModel(nl, 0.5e9, 0.75).evaluate(pos, grad);
     EXPECT_TRUE(anyForce(grad));
-    FreqForceModel(nl, 0.2e9).evaluate(pos, grad);
+    FreqForceModel(nl, 0.2e9, 0.75).evaluate(pos, grad);
     EXPECT_FALSE(anyForce(grad));
 }
 
@@ -260,7 +260,7 @@ TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
     }
     const Netlist nl = freqNetlist(freqs, std::vector<int>(30, -1));
     std::vector<Vec2> grad;
-    FreqForceModel(nl, 0.1e9).evaluate(pos, grad);
+    FreqForceModel(nl, 0.1e9, 0.75).evaluate(pos, grad);
     EXPECT_TRUE(anyForce(grad));
 
     for (int slot = 0; slot < 3; ++slot) {
@@ -273,7 +273,7 @@ TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
         const Netlist slot_nl =
             freqNetlist(slot_freqs, std::vector<int>(10, -1));
         std::vector<Vec2> slot_grad;
-        FreqForceModel(slot_nl, 0.1e9).evaluate(slot_pos, slot_grad);
+        FreqForceModel(slot_nl, 0.1e9, 0.75).evaluate(slot_pos, slot_grad);
         for (std::size_t k = 0; k < slot_grad.size(); ++k) {
             const std::size_t i = slot + 3 * k;
             EXPECT_NEAR(grad[i].x, slot_grad[k].x,
@@ -287,7 +287,7 @@ TEST(FreqForce, SlotGroupsRepelWithinTheirSlotOnly)
 TEST(FreqForce, ForcesAreEqualAndOpposite)
 {
     const Netlist nl = freqNetlist({5.0e9, 5.01e9, 5.02e9}, {-1, -1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1300, 1100}, {1100, 1400}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);
@@ -300,7 +300,7 @@ TEST(FreqForce, ForcesAreEqualAndOpposite)
 TEST(FreqForce, PositionCountMismatchPanics)
 {
     const Netlist nl = freqNetlist({5.0e9, 5.0e9}, {-1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> grad;
     EXPECT_THROW(model.evaluate({{0, 0}}, grad), std::logic_error);
 }
@@ -308,7 +308,7 @@ TEST(FreqForce, PositionCountMismatchPanics)
 TEST(FreqForce, NonFinitePositionsFeelNoForce)
 {
     const Netlist nl = freqNetlist({5.0e9, 5.0e9, 5.0e9}, {-1, -1, -1});
-    const FreqForceModel model(nl, 0.1e9);
+    const FreqForceModel model(nl, 0.1e9, 0.75);
     std::vector<Vec2> pos{{1000, 1000}, {1500, 1000}, {NAN, 1000}};
     std::vector<Vec2> grad;
     model.evaluate(pos, grad);

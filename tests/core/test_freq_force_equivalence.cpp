@@ -74,10 +74,9 @@ int
 expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
                    const std::string &what)
 {
-    const PlacerParams defaults;
     const CrosstalkRule rule;
     const oracle::PairListFreqForce ref(nl, rule.detuningThresholdHz,
-                                        defaults.freqCutoffFactor);
+                                        FreqForceModel::kCutoffFactor);
     std::vector<Vec2> grad_ref;
     ref.evaluate(pos, grad_ref);
     int pushed = 0;
@@ -87,7 +86,7 @@ expectBitIdentical(const Netlist &nl, const std::vector<Vec2> &pos,
     for (int threads : kThreadCounts) {
         ThreadPool pool(threads);
         const FreqForceModel model(nl, rule.detuningThresholdHz,
-                                   defaults.freqCutoffFactor, &pool);
+                                   FreqForceModel::kCutoffFactor, &pool);
         std::vector<Vec2> grad;
         model.evaluate(pos, grad);
         if (grad.size() != grad_ref.size()) {
@@ -261,7 +260,7 @@ TEST(FreqForceEquivalenceEdge, CrowdedBandOfDistinctFrequencies)
     // boundary, and every instance has dozens of partners in range. The
     // last third are segments, three to a resonator.
     const double dc = CrosstalkRule().detuningThresholdHz;
-    const double cutoff = PlacerParams().freqCutoffFactor;
+    const double cutoff = FreqForceModel::kCutoffFactor;
     Rng rng(27);
     Netlist nl;
     std::vector<Vec2> pos;

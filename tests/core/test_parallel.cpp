@@ -226,7 +226,7 @@ TEST(ParallelDensity, GradientMatchesSerial)
     for (std::size_t i = 0; i < positions.size(); ++i)
         positions[i] = netlist.instances()[i].pos;
 
-    DensityModel serial(netlist, 32, 0.9);
+    DensityModel serial(netlist, 32);
     std::vector<Vec2> ref_grad;
     serial.evaluate(positions, ref_grad);
     const double ref_overflow = serial.overflow();
@@ -235,7 +235,7 @@ TEST(ParallelDensity, GradientMatchesSerial)
     // split, so any thread count gives the serial bits.
     for (const int threads : kThreadCounts) {
         ThreadPool pool(threads);
-        DensityModel threaded(netlist, 32, 0.9, &pool);
+        DensityModel threaded(netlist, 32, &pool);
         std::vector<Vec2> grad;
         threaded.evaluate(positions, grad);
         EXPECT_EQ(threaded.overflow(), ref_overflow) << threads << " threads";

@@ -9,18 +9,24 @@
  *    non-increasing along the accepted trajectory;
  *  - the refinement never worsens HPWL or the collision count;
  *  - iters = 0 and non-legal inputs are exact no-ops;
- *  - the walk is deterministic per seed.
+ *  - the walk is deterministic per seed;
+ *  - in the full flow, 40 sweeps cut the legalized HPWL of Falcon and
+ *    Aspen-M by at least 1% at seeds 1-3.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <vector>
 
 #include "freq/assigner.hpp"
 #include "legal/anneal.hpp"
 #include "legal/legalizer.hpp"
 #include "netlist/builder.hpp"
 #include "oracles/oracles.hpp"
+#include "pipeline/session.hpp"
+#include "topology/factory.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
 
@@ -52,10 +58,9 @@ DetailedPlacer
 placerWith(int iters, double temp_start)
 {
     DetailedPlaceParams params;
-    params.enabled = true;
     params.iters = iters;
     params.tempStart = temp_start;
-    return DetailedPlacer(params, LegalizerParams(), CrosstalkRule());
+    return DetailedPlacer(params, CrosstalkRule());
 }
 
 class AnnealProperties : public ::testing::TestWithParam<std::uint64_t>
@@ -158,6 +163,34 @@ TEST(Anneal, CancelStopsBetweenSweeps)
     EXPECT_TRUE(stats.cancelled);
     EXPECT_EQ(stats.sweeps, 0);
     EXPECT_TRUE(Legalizer::isLegal(nl));
+}
+
+TEST(Anneal, FortySweepsCutLegalizedHpwlOnPaperDevices)
+{
+    // The stage's effect on real layouts, not only its guarantees: on
+    // the default Qplacer flow, 40 sweeps take at least 1% off the
+    // legalized HPWL, and never add a hotspot pair.
+    for (const char *device : {"Falcon", "Aspen-M"}) {
+        std::vector<FlowParams> jobs(3);
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            jobs[k].placer.seed = k + 1;
+            jobs[k].detailed.iters = 40;
+        }
+        const std::vector<FlowResult> results =
+            PlacementSession().runBatch(makeTopology(device), jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t k = 0; k < results.size(); ++k) {
+            SCOPED_TRACE(::testing::Message() << device << " seed " << k + 1);
+            ASSERT_TRUE(results[k].status.ok());
+            const DetailedStats &d = results[k].detailed;
+            ASSERT_TRUE(d.ran);
+            EXPECT_LE(d.hpwlAfter, 0.99 * d.hpwlBefore);
+            EXPECT_LE(d.collisionsAfter, d.collisionsBefore);
+            std::printf("%s seed %zu: HPWL %.1f -> %.1f um, pairs %d -> %d\n",
+                        device, k + 1, d.hpwlBefore, d.hpwlAfter,
+                        d.collisionsBefore, d.collisionsAfter);
+        }
+    }
 }
 
 } // namespace

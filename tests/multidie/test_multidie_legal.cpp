@@ -103,10 +103,8 @@ runFlow(const std::string &spec, bool detailed = false)
     params.partition.segmentUm = 300.0;
     params.placer.seed = 1;
     params.placer.threads = 1;
-    if (detailed) {
-        params.detailed.enabled = true;
+    if (detailed)
         params.detailed.iters = 20;
-    }
     return PlacementSession().run(topo, params);
 }
 

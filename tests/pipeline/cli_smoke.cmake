@@ -193,7 +193,9 @@ endif()
 
 # --- Error path: retired --set keys are unknown. ---
 foreach(key assigner.referenceEngine builder.reference builder.serialBelow
-            legalizer.referenceProbes multidie.cutWeight)
+            legalizer.referenceProbes multidie.cutWeight detailed.enabled
+            detailed.tempDecay legalizer.cellUm placer.targetDensity
+            placer.freqCutoffFactor incremental.snapToleranceUm)
     execute_process(
         COMMAND "${QPLACER_CLI}" --topology grid3x3 --set "${key}=1" --quiet
         RESULT_VARIABLE bad_rc

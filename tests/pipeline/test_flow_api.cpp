@@ -293,13 +293,13 @@ TEST(FlowApi, InvalidJobDoesNotPoisonTheBatch)
         jobs[j].params = quickParams();
         jobs[j].params.placer.seed = j + 1;
     }
-    jobs[1].params.placer.targetDensity = -1.0; // Invalid.
+    jobs[1].params.placer.stopOverflow = -1.0; // Invalid.
 
     const std::vector<FlowResult> results = session.runBatch(jobs);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].status.ok());
     EXPECT_EQ(results[1].status.code, FlowCode::InvalidParams);
-    EXPECT_NE(results[1].status.message.find("targetDensity"),
+    EXPECT_NE(results[1].status.message.find("stopOverflow"),
               std::string::npos);
     EXPECT_TRUE(results[2].status.ok());
     EXPECT_TRUE(results[0].legal.legal);
@@ -361,16 +361,6 @@ TEST(FlowApi, BadForceKnobsAreInvalidParamsNotStageErrors)
     // surface from the place stage.
     PlacementSession session;
     FlowParams params = quickParams();
-    for (const double cutoff : {0.0, -1.0}) {
-        params.placer.freqCutoffFactor = cutoff;
-        const FlowResult r = session.run(makeGrid(3, 3), params);
-        EXPECT_EQ(r.status.code, FlowCode::InvalidParams) << cutoff;
-        EXPECT_NE(r.status.message.find("freqCutoffFactor"),
-                  std::string::npos);
-        EXPECT_TRUE(r.trace.nodes().empty());
-    }
-
-    params = quickParams();
     params.placer.freqWeight = -1.0;
     const FlowResult r = session.run(makeGrid(3, 3), params);
     EXPECT_EQ(r.status.code, FlowCode::InvalidParams);
@@ -419,22 +409,14 @@ TEST(FlowApi, NormalizedValidatesRanges)
     EXPECT_NE(firstError(p).find("adjacencyTolUm"), std::string::npos);
 
     p = FlowParams{};
-    p.placer.freqCutoffFactor = 0.0;
-    EXPECT_NE(firstError(p).find("freqCutoffFactor"), std::string::npos);
-
-    p = FlowParams{};
     p.placer.freqWeight = -0.5;
     EXPECT_NE(firstError(p).find("freqWeight"), std::string::npos);
-
-    p = FlowParams{};
-    p.legalizer.cellUm = 0.0;
-    EXPECT_NE(firstError(p).find("cellUm"), std::string::npos);
 
     // Only the first violation is reported, and a valid copy clears
     // a stale message.
     p = FlowParams{};
     p.targetUtil = -1.0;
-    p.legalizer.cellUm = 0.0;
+    p.placer.freqWeight = -0.5;
     EXPECT_EQ(firstError(p), "FlowParams: targetUtil must be in (0, 1]");
     error = "stale";
     FlowParams{}.normalized(error);

@@ -30,7 +30,7 @@ FlowResult
 falconPortfolioJob(FlowParams &params)
 {
     Config cfg;
-    cfg.set("detailed.enabled", "1");
+    cfg.set("detailed.iters", "40");
     cfg.set("portfolio.seeds", "2");
     cfg.set("placer.maxIters", "60");
     cfg.set("placer.threads", "1");

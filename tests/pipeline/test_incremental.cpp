@@ -141,11 +141,6 @@ TEST(Incremental, InvalidKnobsRejectedViaStatus)
     params.incremental.maxIters = 0;
     EXPECT_EQ(session.runIncremental(topo, params, prior).status.code,
               FlowCode::InvalidParams);
-
-    params = quickParams(1, 60);
-    params.incremental.snapToleranceUm = -1.0;
-    EXPECT_EQ(session.runIncremental(topo, params, prior).status.code,
-              FlowCode::InvalidParams);
 }
 
 } // namespace

@@ -11,14 +11,15 @@
  *    single-seed flow on the golden topologies at seeds {1,2,3} (the
  *    base seed is a candidate and the annealer never worsens HPWL, so
  *    this holds deterministically, not just in expectation),
- *  - disabling the detailed stage and running it with iters = 0 are
- *    the same flow, bitwise.
+ *  - detailed.iters is the detailed stage's one switch: the default
+ *    (0) flow has no detailed stage.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "pipeline/session.hpp"
 #include "topology/generators.hpp"
@@ -59,7 +60,6 @@ TEST(Portfolio, WinnerReplayIsBitwiseIdenticalToSerialRun)
 {
     const Topology topo = makeGrid(4, 4);
     FlowParams params = quickParams(1, 200);
-    params.detailed.enabled = true;
     params.detailed.iters = 10;
     params.portfolio.seeds = 4;
 
@@ -142,7 +142,6 @@ checkPortfolioDominatesSingleSeed(const Topology &topo)
         ASSERT_TRUE(single.status.ok());
 
         FlowParams portfolio_params = single_params;
-        portfolio_params.detailed.enabled = true;
         portfolio_params.detailed.iters = 30;
         portfolio_params.portfolio.seeds = 4;
         const FlowResult portfolio = session.run(topo, portfolio_params);
@@ -170,27 +169,28 @@ TEST(Portfolio, DominatesSingleSeedOnHeavyHex3x5)
     checkPortfolioDominatesSingleSeed(makeHeavyHex(3, 5));
 }
 
-TEST(Portfolio, DetailedDisabledEqualsZeroItersBitwise)
+TEST(Portfolio, DefaultFlowHasNoDetailedStage)
 {
-    // FlowParams::normalized contract: detailed.iters = 0 must be a
-    // true no-op -- the same flow as detailed.enabled = false.
-    const Topology topo = makeGrid(4, 4);
-    FlowParams off = quickParams(9, 150);
-    off.detailed.enabled = false;
+    const auto hasDetailedStage = [](const FlowParams &params) {
+        for (const FlowStage &stage : makeDefaultStages(params))
+            if (std::string(stage.name) == "detailed")
+                return true;
+        return false;
+    };
+    FlowParams params;
+    EXPECT_EQ(params.detailed.iters, 0);
+    EXPECT_FALSE(hasDetailedStage(params));
+    params.detailed.iters = 1;
+    EXPECT_TRUE(hasDetailedStage(params));
 
-    FlowParams zero = quickParams(9, 150);
-    zero.detailed.enabled = true;
-    zero.detailed.iters = 0;
-
-    PlacementSession session;
-    const FlowResult a = session.run(topo, off);
-    const FlowResult b = session.run(topo, zero);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    EXPECT_TRUE(bitwiseSameLayout(a.netlist, b.netlist));
-    EXPECT_FALSE(a.detailed.ran);
-    EXPECT_FALSE(b.detailed.ran);
-    EXPECT_EQ(a.place.finalHpwl, b.place.finalHpwl);
+    const FlowResult r = PlacementSession().run(makeGrid(4, 4),
+                                                quickParams(9, 150));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.detailed.ran);
+    const int flow = r.trace.find(Trace::kRoot, kFlowSpan);
+    ASSERT_GE(flow, 0);
+    EXPECT_GE(r.trace.find(flow, "legalize"), 0);
+    EXPECT_EQ(r.trace.find(flow, "detailed"), -1);
 }
 
 TEST(Portfolio, CancelledSessionCancelsThePortfolio)
@@ -221,10 +221,9 @@ TEST(Portfolio, InvalidKnobsAreRejectedUpFront)
     EXPECT_EQ(session.run(topo, human).status.code,
               FlowCode::InvalidParams);
 
-    FlowParams bad_decay = quickParams(1, 100);
-    bad_decay.detailed.enabled = true;
-    bad_decay.detailed.tempDecay = 1.5;
-    EXPECT_EQ(session.run(topo, bad_decay).status.code,
+    FlowParams bad_iters = quickParams(1, 100);
+    bad_iters.detailed.iters = -1;
+    EXPECT_EQ(session.run(topo, bad_iters).status.code,
               FlowCode::InvalidParams);
 }
 

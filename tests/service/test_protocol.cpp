@@ -228,6 +228,12 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","set":{"portfolio.pruneAt":60}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"portfolio.keepFrac":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"multidie.cutWeight":2}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"detailed.enabled":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"detailed.tempDecay":0.9}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.cellUm":100}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"placer.targetDensity":0.9}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"placer.freqCutoffFactor":0.8}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"incremental.snapToleranceUm":50}})",
         R"({"type":"submit","id":"x","topology":"g","portfolio":{"seeds":4,"prune_at":60}})",
         R"({"type":"submit","id":"x","topology":"g","portfolio":{"seeds":4,"keep_frac":1}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",

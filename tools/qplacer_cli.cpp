@@ -90,8 +90,8 @@ Options:
                       (legal first, then lowest HPWL; default: 1 = plain
                       single-seed flow). Shorthand for --set
                       portfolio.seeds=N (the later of the two wins); add
-                      --set detailed.enabled=1 for an annealing polish
-                      of every candidate.
+                      --set detailed.iters=40 for 40 annealing sweeps
+                      over every candidate.
                       Incompatible with --jobs > 1 and --mode human.
   --segment UM        Resonator segment size l_b in um (default: 300).
   --set KEY=VALUE     Override a flow parameter; repeatable. Keys:
@@ -305,35 +305,12 @@ parseArgs(int argc, char **argv)
  * UINT64_MAX deterministically continues at 0, 1, ... rather than
  * being implementation-defined; the boundary is covered by a smoke
  * test. Resolved seeds are pairwise distinct for any --jobs value the
- * cap admits (wrapping collides only after 2^64 jobs); run() still
- * rejects duplicates defensively rather than assuming the invariant.
+ * cap admits (wrapping collides only after 2^64 jobs).
  */
 std::uint64_t
 jobSeed(const CliOptions &opts, std::size_t job)
 {
     return opts.seed + static_cast<std::uint64_t>(job);
-}
-
-/**
- * Reject batches whose resolved per-job seeds collide -- duplicate
- * seeds would silently place the same layout twice and skew any
- * statistic derived from the batch. Unreachable under the current
- * --jobs cap (see jobSeed), but checked, not assumed.
- */
-void
-rejectDuplicateSeeds(const CliOptions &opts)
-{
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(static_cast<std::size_t>(opts.jobs));
-    for (std::size_t job = 0; job < static_cast<std::size_t>(opts.jobs);
-         ++job)
-        seeds.push_back(jobSeed(opts, job));
-    std::sort(seeds.begin(), seeds.end());
-    const auto dup = std::adjacent_find(seeds.begin(), seeds.end());
-    if (dup != seeds.end())
-        fatal("duplicate resolved seed " + std::to_string(*dup) +
-              " in --jobs batch (base seed " + std::to_string(opts.seed) +
-              ", " + std::to_string(opts.jobs) + " jobs)");
 }
 
 /**
@@ -578,8 +555,6 @@ run(int argc, char **argv)
     if (params.portfolio.seeds > 1 && opts.jobs > 1)
         fatal("--portfolio (portfolio.seeds) races seeds inside one job; "
               "use --jobs 1");
-    if (opts.jobs > 1)
-        rejectDuplicateSeeds(opts);
 
     PlacementSession session(opts.workers);
 
