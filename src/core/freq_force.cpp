@@ -198,20 +198,15 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
     const std::size_t n = positions.size();
     bucketPositions(positions);
 
-    // Phase 1: each pair (i, j), i < j, is formed once, by i, which
-    // stores its push delta * coef in its chunk's lane, partners
-    // ascending. Every lane starts empty, so a chunk the pool skips
-    // contributes nothing.
+    // Each pair (i, j), i < j, is formed once, by i, which stores its
+    // push delta * coef in its chunk's lane, partners ascending. Every
+    // lane starts empty, so a chunk the pool skips contributes nothing.
     const auto chunks = static_cast<std::size_t>(
         parallelChunkCount(pool_, n, ThreadPool::kGrainMedium));
     if (lanes_.size() < chunks)
         lanes_.resize(chunks);
-    for (PairLane &lane : lanes_) {
-        lane.partner.clear();
-        lane.push.clear();
-    }
-    upperStart_.resize(n + 1);
-    upperStart_[0] = 0;
+    for (PairLane &lane : lanes_)
+        lane.pairs.clear();
     parallelForChunks(
         pool_, n,
         [&](int chunk, std::size_t begin, std::size_t end) {
@@ -221,7 +216,6 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                 if (cellOf_[i] >= 0) // else a non-finite position
                     resonantNeighbours(positions, i, lane.near);
                 std::sort(lane.near.begin(), lane.near.end());
-                const std::size_t stored = lane.push.size();
                 for (std::int32_t m : lane.near) {
                     const auto j = static_cast<std::size_t>(m);
                     const double s = charge_[i] * charge_[j];
@@ -247,61 +241,22 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                     }
                     // dU/dx_i = -s (x_i - x_j) / d^3 = -dU/dx_j.
                     const double coef = -s / (d * d * d);
-                    lane.partner.push_back(m);
-                    lane.push.push_back(delta * coef);
+                    lane.pairs.push_back(
+                        Pair{static_cast<std::int32_t>(i), m, delta * coef});
                 }
-                upperStart_[i + 1] =
-                    static_cast<std::uint32_t>(lane.push.size() - stored);
             }
         },
         ThreadPool::kGrainMedium);
 
-    // Phase 2: the lanes, in chunk (= index) order, are the pushes keyed
-    // by lower end; a counting sort by higher end transposes them, each
-    // instance's lower partners ascending.
-    for (std::size_t i = 0; i < n; ++i)
-        upperStart_[i + 1] += upperStart_[i];
-    upperPush_.resize(upperStart_[n]);
-    lowerPush_.resize(upperStart_[n]);
-    lowerStart_.assign(n + 1, 0);
-    auto upper = upperPush_.begin();
+    // The lanes in chunk order hold the pairs by lower end, then higher:
+    // scattering them serially is the serial pair loop, sums and all.
+    gradient.assign(n, Vec2());
     for (std::size_t c = 0; c < chunks; ++c) {
-        upper = std::copy(lanes_[c].push.begin(), lanes_[c].push.end(),
-                          upper);
-        for (std::int32_t j : lanes_[c].partner)
-            ++lowerStart_[j + 1];
+        for (const Pair &pair : lanes_[c].pairs) {
+            gradient[pair.i] += pair.push;
+            gradient[pair.j] -= pair.push;
+        }
     }
-    for (std::size_t j = 0; j < n; ++j)
-        lowerStart_[j + 1] += lowerStart_[j];
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const PairLane &lane = lanes_[c];
-        for (std::size_t e = 0; e < lane.partner.size(); ++e)
-            lowerPush_[lowerStart_[lane.partner[e]]++] = lane.push[e];
-    }
-    // The fill advanced each start to the next instance's; shift back.
-    for (std::size_t j = n; j > 0; --j)
-        lowerStart_[j] = lowerStart_[j - 1];
-    lowerStart_[0] = 0;
-
-    // Phase 3: instance k subtracts its lower partners' pushes, then adds
-    // its higher partners', both ascending: the order in which a serial
-    // loop over the pairs (by lower index, then higher) would reach k.
-    gradient.resize(n);
-    parallelFor(
-        pool_, n,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-                Vec2 g;
-                for (std::uint32_t e = lowerStart_[k]; e < lowerStart_[k + 1];
-                     ++e)
-                    g -= lowerPush_[e];
-                for (std::uint32_t e = upperStart_[k]; e < upperStart_[k + 1];
-                     ++e)
-                    g += upperPush_[e];
-                gradient[k] = g;
-            }
-        },
-        ThreadPool::kGrainFine);
 }
 
 } // namespace qplacer

@@ -13,11 +13,11 @@
  * instance scans only its own band's cells around it, one contiguous
  * slot run per grid row: O(n) in the instance count.
  *
- * Each pair's body (distance, clamp, d^3 division) runs once, from its
- * lower end, which stores the push; a counting sort hands every
- * instance its lower partners' pushes, and each instance then sums the
- * pushes of all its pairs, partners ascending, in the order of a serial
- * loop over the pairs.
+ * Each pair's body (distance, clamp, d^3 division) runs once, in
+ * parallel, from its lower end, which stores the push; one serial
+ * scatter then adds every push to its lower end and subtracts it from
+ * its higher end, pairs by lower end and then higher, which is the
+ * order of a serial loop over the pairs.
  */
 
 #ifndef QPLACER_CORE_FREQ_FORCE_HPP
@@ -59,9 +59,9 @@ class FreqForceModel
      * padded footprints so that large components repel proportionally.
      *
      * @param pool Worker pool (null = serial; not owned). Each pair
-     *             is formed by its lower end and each instance sums its
-     *             own pushes in a fixed order, so any pool size gives
-     *             the serial bits.
+     *             is formed by its lower end and the pushes are summed
+     *             serially in pair order, so any pool size gives the
+     *             serial bits.
      */
     FreqForceModel(const Netlist &netlist, double threshold_hz,
                    double cutoff_factor, ThreadPool *pool = nullptr);
@@ -103,12 +103,19 @@ class FreqForceModel
         std::size_t base = 0; ///< Index of the band's first cell.
     };
 
+    /** One pair's push delta * coef onto i (j feels its negation). */
+    struct Pair
+    {
+        std::int32_t i; ///< Lower end.
+        std::int32_t j; ///< Higher end.
+        Vec2 push;
+    };
+
     /** One chunk's pairs, formed by their lower ends (see evaluate). */
     struct PairLane
     {
-        std::vector<std::int32_t> near;    ///< One instance's partners.
-        std::vector<std::int32_t> partner; ///< Each pair's higher end.
-        std::vector<Vec2> push;            ///< Each pair's delta * coef.
+        std::vector<std::int32_t> near; ///< One instance's partners.
+        std::vector<Pair> pairs;
     };
 
     /**
@@ -141,12 +148,6 @@ class FreqForceModel
     mutable std::vector<Slot> slots_;
     /** Pair storage, rebuilt by every evaluate(). */
     mutable std::vector<PairLane> lanes_; ///< Per chunk.
-    /** CSR by lower end: instance i's pushes onto its higher partners. */
-    mutable std::vector<std::uint32_t> upperStart_;
-    mutable std::vector<Vec2> upperPush_;
-    /** CSR by higher end: the pushes of instance j's lower partners. */
-    mutable std::vector<std::uint32_t> lowerStart_;
-    mutable std::vector<Vec2> lowerPush_;
 };
 
 } // namespace qplacer

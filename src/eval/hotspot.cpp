@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "eval/area.hpp"
-#include "geometry/spatial_hash.hpp"
+#include "geometry/near_pairs.hpp"
 #include "util/logging.hpp"
 
 namespace qplacer {
@@ -17,47 +17,46 @@ analyzeHotspots(const Netlist &netlist, const CrosstalkRule &rule)
         return report;
 
     double max_extent = 0.0;
-    std::vector<Rect> region_rects;
-    region_rects.reserve(instances.size());
+    std::vector<NearPoint> centres;
+    centres.reserve(instances.size());
     for (const Instance &inst : instances) {
         max_extent = std::max(
             {max_extent, inst.paddedWidth(), inst.paddedHeight()});
-        region_rects.push_back(inst.paddedRect());
-    }
-    const Rect extent = boundingBox(region_rects);
-
-    SpatialHash hash(extent, std::max(max_extent, 1.0));
-    for (const Instance &inst : instances)
-        hash.insert(inst.id, inst.pos);
-
-    const double query_radius = max_extent + rule.adjacencyTolUm;
-    for (const Instance &inst : instances) {
-        const Rect mine = inst.paddedRect();
-        for (std::int32_t other : hash.query(inst.pos, query_radius)) {
-            if (other <= inst.id)
-                continue; // each unordered pair once
-            const Instance &o = instances[other];
-            double gap = 0.0;
-            if (!rule.hotspotPair(inst, o, gap))
-                continue;
-            const Rect theirs = o.paddedRect();
-
-            HotspotPair pair;
-            pair.a = inst.id;
-            pair.b = other;
-            pair.gapUm = gap;
-            pair.distUm = inst.pos.dist(o.pos);
-            // Shared-boundary length: inflate by half the tolerance so
-            // barely-separated footprints still register a length.
-            pair.overlapLenUm =
-                mine.inflated(rule.adjacencyTolUm / 2.0)
-                    .overlapLength(
-                        theirs.inflated(rule.adjacencyTolUm / 2.0));
-            report.pairs.push_back(pair);
-        }
+        centres.push_back(NearPoint{inst.pos, inst.id});
     }
 
-    // P_h (Eq. 18), expressed as a percentage.
+    // Candidates are the pairs whose centres lie within one padded
+    // extent plus the tolerance. A diagonal neighbour's centre can be
+    // up to sqrt(2) extents away, so this misses some adjacent pairs.
+    const double reach = max_extent + rule.adjacencyTolUm;
+    forEachNearPair(centres, reach, [&](int a, int b) {
+        const Instance &inst = instances[a];
+        const Instance &o = instances[b];
+        if ((o.pos - inst.pos).normSq() > reach * reach)
+            return;
+        double gap = 0.0;
+        if (!rule.hotspotPair(inst, o, gap))
+            return;
+        HotspotPair pair;
+        pair.a = a;
+        pair.b = b;
+        pair.gapUm = gap;
+        pair.distUm = inst.pos.dist(o.pos);
+        // Shared-boundary length: inflate by half the tolerance so
+        // barely-separated footprints still register a length.
+        pair.overlapLenUm =
+            inst.paddedRect()
+                .inflated(rule.adjacencyTolUm / 2.0)
+                .overlapLength(
+                    o.paddedRect().inflated(rule.adjacencyTolUm / 2.0));
+        report.pairs.push_back(pair);
+    });
+    std::sort(report.pairs.begin(), report.pairs.end(),
+              [](const HotspotPair &p, const HotspotPair &q) {
+                  return p.a < q.a || (p.a == q.a && p.b < q.b);
+              });
+
+    // P_h (Eq. 18), expressed as a percentage, summed in (a, b) order.
     const AreaMetrics area = computeArea(netlist);
     double acc = 0.0;
     for (const HotspotPair &p : report.pairs)

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "geometry/spatial_hash.hpp"
+#include "geometry/near_pairs.hpp"
 #include "legal/spiral.hpp"
 #include "legal/tetris.hpp"
 #include "util/logging.hpp"
@@ -242,33 +242,27 @@ Legalizer::isLegal(const Netlist &netlist, double tol_um)
     const Rect region = netlist.region().inflated(tol_um);
 
     double max_extent = 0.0;
-    for (const Instance &inst : instances) {
-        max_extent = std::max(
-            {max_extent, inst.paddedWidth(), inst.paddedHeight()});
-    }
-    SpatialHash hash(netlist.region(), std::max(max_extent, 1.0));
+    std::vector<NearPoint> centres;
+    centres.reserve(instances.size());
     for (const Instance &inst : instances) {
         if (!region.containsRect(inst.paddedRect()))
             return false;
-        hash.insert(inst.id, inst.pos);
+        max_extent = std::max(
+            {max_extent, inst.paddedWidth(), inst.paddedHeight()});
+        centres.push_back(NearPoint{inst.pos, inst.id});
     }
-    for (const Instance &inst : instances) {
-        const Rect mine = inst.paddedRect();
-        // A box query: footprints that meet at a corner can overlap with
-        // centres farther apart than any one extent.
-        for (std::int32_t other :
-             hash.queryRect(mine.inflated(max_extent / 2.0 + tol_um))) {
-            if (other <= inst.id)
-                continue;
-            const Rect theirs = instances[other].paddedRect();
-            const Rect overlap = mine.intersect(theirs);
-            if (!overlap.empty() && overlap.width() > tol_um &&
-                overlap.height() > tol_um) {
-                return false;
-            }
-        }
-    }
-    return true;
+    // Overlapping footprints have centres less than one extent apart in
+    // x and in y: a box window, since footprints that meet at a corner
+    // can overlap with centres up to sqrt(2) extents apart.
+    bool legal = true;
+    forEachNearPair(centres, max_extent, [&](int a, int b) {
+        const Rect overlap =
+            instances[a].paddedRect().intersect(instances[b].paddedRect());
+        if (!overlap.empty() && overlap.width() > tol_um &&
+            overlap.height() > tol_um)
+            legal = false;
+    });
+    return legal;
 }
 
 } // namespace qplacer

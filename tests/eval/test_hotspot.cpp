@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "eval/hotspot.hpp"
 
 namespace qplacer {
@@ -79,6 +81,24 @@ TEST(Hotspot, GapBeyondToleranceIsClean)
     Layout l(5.0e9, 5.0e9, 6.3e9, 6.7e9);
     l.nl.instance(1).pos = {2900, 2000}; // 100 um gap > 50 um tol
     EXPECT_TRUE(analyzeHotspots(l.nl).pairs.empty());
+}
+
+TEST(Hotspot, DiagonalResonantPairBeyondTheCentreReachIsNotCounted)
+{
+    // Characterisation, not a requirement: the padded footprints sit
+    // diagonally with a 20 x 20 um gap, so the rule flags the pair, but
+    // the centres are 820 * sqrt(2) = 1160 um apart, beyond the
+    // candidate reach of one padded extent plus the tolerance (850 um).
+    // A reach of sqrt(2) extents plus the tolerance would count it.
+    Layout l(5.0e9, 5.0e9, 6.3e9, 6.7e9);
+    l.nl.instance(1).pos = {2820, 2820};
+    const CrosstalkRule rule;
+    double gap = 0.0;
+    ASSERT_TRUE(rule.hotspotPair(l.nl.instance(0), l.nl.instance(1), gap));
+    EXPECT_NEAR(gap, 20.0 * std::sqrt(2.0), 1e-9);
+    EXPECT_GT(l.nl.instance(0).pos.dist(l.nl.instance(1).pos),
+              800.0 + rule.adjacencyTolUm);
+    EXPECT_TRUE(analyzeHotspots(l.nl, rule).pairs.empty());
 }
 
 TEST(Hotspot, ResonantSegmentsImpactTheirQubits)

@@ -72,19 +72,26 @@ TEST(Legalizer, IsLegalDetectsOverlap)
     nl.instance(1).pos = nl.instance(0).pos;
     EXPECT_FALSE(Legalizer::isLegal(nl));
 
-    // Two 800 um padded qubits overlapping 160 x 160 um at a corner:
-    // their centres are 905 um apart, farther than one padded extent.
-    Netlist corner;
-    corner.setRegion(Rect(0.0, 0.0, 4000.0, 4000.0));
-    for (const Vec2 pos : {Vec2(1000.0, 1000.0), Vec2(1640.0, 1640.0)}) {
-        Instance qubit;
-        qubit.width = 400.0;
-        qubit.height = 400.0;
-        qubit.pad = 400.0;
-        qubit.pos = pos;
-        corner.addInstance(qubit);
+    // Two 800 um padded qubits overlapping 160 x 160 um, then 20 x 20 um,
+    // at a corner: their centres are 905 and 1103 um apart, farther than
+    // one padded extent plus the tolerance, so only a box window finds
+    // them. 20 um further apart in x and in y they merely touch.
+    for (const double shift : {640.0, 780.0, 800.0}) {
+        Netlist corner;
+        corner.setRegion(Rect(0.0, 0.0, 4000.0, 4000.0));
+        for (const Vec2 pos :
+             {Vec2(1000.0, 1000.0), Vec2(1000.0 + shift, 1000.0 + shift)}) {
+            Instance qubit;
+            qubit.width = 400.0;
+            qubit.height = 400.0;
+            qubit.pad = 400.0;
+            qubit.pos = pos;
+            corner.addInstance(qubit);
+        }
+        ASSERT_GT(corner.instance(0).pos.dist(corner.instance(1).pos),
+                  800.0 + 1.0);
+        EXPECT_EQ(Legalizer::isLegal(corner, 1.0), shift == 800.0) << shift;
     }
-    EXPECT_FALSE(Legalizer::isLegal(corner));
 }
 
 TEST(Legalizer, IsLegalDetectsOutOfRegion)

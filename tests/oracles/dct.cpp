@@ -58,8 +58,15 @@ Dct::idct2(const std::vector<double> &X)
         const double im = (k == 0) ? 0.0 : -X[n - k];
         const double ang = kPi * static_cast<double>(k) /
                            (2.0 * static_cast<double>(n));
-        const Complex tw(std::cos(ang), std::sin(ang));
-        v[k] = tw * Complex(re, im);
+        // tw * (re + i*im) in real arithmetic, rounded as the complex
+        // product rounds on a target without FMA. The real part is a sum
+        // with a negated product (x - y is x + -y exactly): GCC's SLP
+        // vectorizer fuses a subtract/add lane pair of products into one
+        // vfmaddsub even under -ffp-contract=off, and two adds it leaves
+        // unfused.
+        const double c = std::cos(ang);
+        const double s = std::sin(ang);
+        v[k] = Complex(c * re + -s * im, c * im + s * re);
     }
 
     Fft::inverse(v);

@@ -23,15 +23,19 @@
  *  - the annealer's whole-layout objective by an all-pairs scan
  *    (legal/test_anneal);
  *  - the Nesterov step's largest gradient norm by a std::hypot over
- *    every entry (core/test_nesterov).
+ *    every entry (core/test_nesterov);
+ *  - the near-pair sweep and the hotspot pairs by all-pairs scans
+ *    (geometry/test_near_pairs).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
 #define QPLACER_TESTS_ORACLES_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "eval/hotspot.hpp"
 #include "freq/assigner.hpp"
 #include "geometry/bin_grid.hpp"
 #include "geometry/vec2.hpp"
@@ -200,6 +204,24 @@ double detailedObjective(const Netlist &netlist, const CrosstalkRule &rule);
  * std::max(m, std::hypot(g.x, g.y)) over every entry, from m = 0.
  */
 double largestNorm(const std::vector<Vec2> &gradient);
+
+/**
+ * forEachNearPair (geometry/near_pairs.hpp) by an all-pairs scan: every
+ * (a, b), a < b, whose offset d = points[b] - points[a] has
+ * d.x * d.x <= reach * reach and d.y * d.y <= reach * reach, in (a, b)
+ * order. A non-finite point fails both tests, so it pairs with nothing.
+ */
+std::vector<std::pair<std::int32_t, std::int32_t>>
+nearPairs(const std::vector<Vec2> &points, double reach);
+
+/**
+ * analyzeHotspots' pairs by an all-pairs scan, in (a, b) order: the
+ * pairs whose centres lie within the largest padded extent plus
+ * rule.adjacencyTolUm ((b - a).normSq() <= reach * reach) and that
+ * rule.hotspotPair flags.
+ */
+std::vector<HotspotPair> hotspotPairs(const Netlist &netlist,
+                                      const CrosstalkRule &rule);
 
 } // namespace oracle
 } // namespace qplacer
