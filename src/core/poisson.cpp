@@ -2,7 +2,6 @@
 
 #include <numbers>
 
-#include "math/plan_cache.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -10,13 +9,11 @@ namespace qplacer {
 
 PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
                              ThreadPool *pool)
-    : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool)
+    : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool),
+      // The plans reject a length that is not a power of two.
+      rowPlan_(static_cast<std::size_t>(nx)),
+      colPlan_(static_cast<std::size_t>(ny))
 {
-    if (!isPowerOfTwo(static_cast<std::size_t>(nx)) ||
-        !isPowerOfTwo(static_cast<std::size_t>(ny))) {
-        panic(str("PoissonSolver: grid ", nx, "x", ny,
-                  " must be powers of two"));
-    }
     if (width <= 0.0 || height <= 0.0)
         panic("PoissonSolver: non-positive physical size");
 
@@ -26,11 +23,6 @@ PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
         wu_[u] = std::numbers::pi * u / width;
     for (int v = 0; v < ny; ++v)
         wv_[v] = std::numbers::pi * v / height;
-
-    // One plan per transform length, shared process-wide; solvers on
-    // the same grid size all execute from the same tables.
-    rowPlan_ = PlanCache::dct(static_cast<std::size_t>(nx));
-    colPlan_ = PlanCache::dct(static_cast<std::size_t>(ny));
 }
 
 void
@@ -41,12 +33,12 @@ PoissonSolver::solve(const std::vector<double> &density,
     if (density.size() != cells)
         panic("PoissonSolver::solve: density map size mismatch");
 
-    // Row/column transform passes through the cached plans.
+    // Row/column transform passes through the solver's plans.
     const auto rows = [&](std::vector<double> &map, DctPlan::Kind kind) {
-        rowPlan_->transformRows(map, nx_, ny_, kind, pool_, scratch_);
+        rowPlan_.transformRows(map, nx_, ny_, kind, pool_, scratch_);
     };
     const auto cols = [&](std::vector<double> &map, DctPlan::Kind kind) {
-        colPlan_->transformCols(map, nx_, ny_, kind, pool_, scratch_);
+        colPlan_.transformCols(map, nx_, ny_, kind, pool_, scratch_);
     };
 
     // Forward 2-D DCT of the density -> eigenbasis coefficients.

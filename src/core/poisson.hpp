@@ -10,18 +10,17 @@
  * xi = -grad(psi) as sine/cosine series: the placer reads the forces,
  * never the potential itself.
  *
- * The solver grabs the cached DctPlans for its row/column lengths at
- * construction and runs every transform pass through them with owned,
- * reusable scratch (see math/dct_plan). solve() writes into
- * caller-owned field maps and keeps its coefficient map as a member:
- * once the maps and the scratch have their size, a solve allocates
- * nothing.
+ * The solver builds the DctPlans for its row/column lengths at
+ * construction (a few microseconds each) and runs every transform pass
+ * through them with owned, reusable scratch (see math/dct_plan).
+ * solve() writes into caller-owned field maps and keeps its coefficient
+ * map as a member: once the maps and the scratch have their size, a
+ * solve allocates nothing.
  */
 
 #ifndef QPLACER_CORE_POISSON_HPP
 #define QPLACER_CORE_POISSON_HPP
 
-#include <memory>
 #include <vector>
 
 #include "math/dct_plan.hpp"
@@ -77,8 +76,8 @@ class PoissonSolver
     ThreadPool *pool_; ///< Transform worker pool (null = serial).
     std::vector<double> wu_; ///< Eigen-frequencies along x.
     std::vector<double> wv_; ///< Eigen-frequencies along y.
-    std::shared_ptr<const DctPlan> rowPlan_; ///< Plan for length nx.
-    std::shared_ptr<const DctPlan> colPlan_; ///< Plan for length ny.
+    DctPlan rowPlan_; ///< Plan for length nx.
+    DctPlan colPlan_; ///< Plan for length ny.
     mutable std::vector<double> coeff_; ///< Density DCT coefficients.
     mutable DctScratch scratch_; ///< Per-chunk transform workspaces.
 };

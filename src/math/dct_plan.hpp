@@ -42,10 +42,11 @@
  * takes when both parts of a product come out NaN: it only matters once
  * a product overflows.
  *
- * Thread-safety: a plan is immutable and may be shared freely (see
- * PlanCache); a DctScratch must be owned by one transform call chain
- * at a time — the batched passes hand lane @c c to chunk @c c, which
- * keeps lanes race-free under the deterministic chunked parallel-for.
+ * Thread-safety: a plan is immutable and may be shared freely (each
+ * PoissonSolver builds its own); a DctScratch must be owned by one
+ * transform call chain at a time — the batched passes hand lane @c c to
+ * chunk @c c, which keeps lanes race-free under the deterministic
+ * chunked parallel-for.
  */
 
 #ifndef QPLACER_MATH_DCT_PLAN_HPP

@@ -3,12 +3,12 @@
  * Netlist construction: topology + frequency assignment + preprocessing
  * parameters -> placement netlist (Fig. 7 a-b).
  *
- * Scaling: the builder precomputes per-coupler segment counts,
- * prefix-sums the instance and net offsets, and fills instances, nets,
- * resonator records, and warm-start positions in parallel on the
- * flow's worker pool with deterministic chunking -- the netlist is
- * bitwise-identical to a sequential append at any thread count (gated
- * against the oracle in tests/oracles by ctest -L assign).
+ * The builder precomputes per-coupler segment counts, prefix-sums the
+ * instance and net offsets, and fills instances, nets and resonator
+ * records in place at those offsets before handing them to the netlist
+ * in one Netlist::adopt -- bitwise-identical to a sequential append
+ * (gated against the oracle in tests/oracles by ctest -L assign), and
+ * without the append path's per-item checks and reallocation.
  */
 
 #ifndef QPLACER_NETLIST_BUILDER_HPP
@@ -21,7 +21,6 @@
 
 namespace qplacer {
 
-class ThreadPool;
 class Trace;
 
 /** Builds the placement netlist for a device. */
@@ -40,15 +39,12 @@ class NetlistBuilder
      * on the (scaled) topology embedding: qubits at their embedded spots,
      * segments spread along the straight line between their endpoints.
      *
-     * @p pool (optional, borrowed) parallelizes the fill loops (chunked
-     * at ThreadPool::kGrainMedium); null or 1 thread runs serially with
-     * identical output.
      * @p trace (optional) gets the sub-stage spans "segments",
      * "instances", "warm_start" and "finalize".
      */
     Netlist build(const Topology &topo,
                   const FrequencyAssignment &freqs,
-                  double target_util = 0.72, ThreadPool *pool = nullptr,
+                  double target_util = 0.72,
                   Trace *trace = nullptr) const;
 
     const PartitionParams &params() const { return params_; }

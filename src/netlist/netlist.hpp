@@ -131,7 +131,7 @@ class Netlist
 
     /**
      * Replace the netlist's contents wholesale with pre-assembled
-     * vectors (the threaded builder's prefix-summed fill). The same
+     * vectors (the builder's prefix-summed fill). The same
      * invariants addInstance/addNet enforce incrementally are checked
      * here: instance ids equal their indices, the @p num_qubits qubit
      * instances come first, resonator ids equal their indices, and net
@@ -225,8 +225,8 @@ bool bitwiseSameLayout(const Netlist &a, const Netlist &b);
 /**
  * Bitwise equality of the whole problem instance -- every instance
  * field (memcmp on the doubles), nets, resonator records, and the
- * region. The threaded builder's equivalence contract against the
- * sequential-append oracle in tests/oracles at any thread count.
+ * region. The builder's equivalence contract against the
+ * sequential-append oracle in tests/oracles.
  */
 bool bitwiseSameNetlist(const Netlist &a, const Netlist &b);
 

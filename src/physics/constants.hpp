@@ -45,9 +45,6 @@ constexpr double kDetuningThresholdHz = 0.1e9;
 /** Phase velocity in the coplanar waveguide, v0 (m/s). */
 constexpr double kWaveSpeedMps = 1.3e8;
 
-/** Transmon anharmonicity alpha/2pi (Hz). */
-constexpr double kAnharmonicityHz = 310.0e6;
-
 /** Transmon shunt capacitance (fF). */
 constexpr double kQubitCapFf = 65.0;
 

@@ -138,7 +138,6 @@ struct FlowResult
 {
     Netlist netlist; ///< Placed + legalized layout.
     FrequencyAssignment freqs;
-    int buildThreads = 1; ///< Worker threads the build fill could use.
     PlaceResult place;    ///< Global-placement stats (not for Human).
     LegalizeResult legal; ///< Legalization stats (not for Human).
     AreaMetrics area;

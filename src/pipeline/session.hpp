@@ -6,11 +6,10 @@
  *
  * A session amortizes the expensive per-run machinery across many
  * placements: the worker pool survives between run() calls (no thread
- * spawn/join per placement) and the process-wide spectral-plan cache
- * stays warm. Errors never throw: invalid parameters, stage failures
- * and cancellation come back in FlowResult::status. It also streams
- * FlowObserver progress, cancels cooperatively, and runs independent
- * jobs concurrently:
+ * spawn/join per placement). Errors never throw: invalid parameters,
+ * stage failures and cancellation come back in FlowResult::status. It
+ * also streams FlowObserver progress, cancels cooperatively, and runs
+ * independent jobs concurrently:
  *
  *   PlacementSession session(8);            // 8 concurrent jobs
  *   FlowResult r = session.run(topo, params);

@@ -46,10 +46,9 @@ void
 build(FlowContext &ctx)
 {
     const NetlistBuilder builder(ctx.params.partition);
-    ctx.result.buildThreads = ctx.pool ? ctx.pool->threads() : 1;
     ctx.result.netlist =
         builder.build(*ctx.topo, ctx.result.freqs, ctx.params.targetUtil,
-                      ctx.pool, &ctx.result.trace);
+                      &ctx.result.trace);
     // Multi-die only: widen the region by the cut gaps (so per-die
     // usable area matches the single-die total) and record the
     // partition on the netlist. Inactive specs leave the netlist

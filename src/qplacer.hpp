@@ -19,7 +19,6 @@
 #include "eval/hotspot.hpp"
 #include "freq/assigner.hpp"
 #include "io/layout_io.hpp"
-#include "io/meander.hpp"
 #include "io/svg.hpp"
 #include "legal/legalizer.hpp"
 #include "multidie/die_plan.hpp"
@@ -29,7 +28,6 @@
 #include "physics/coupling.hpp"
 #include "physics/decoherence.hpp"
 #include "physics/resonator.hpp"
-#include "physics/transmon.hpp"
 #include "pipeline/flow.hpp"
 #include "pipeline/incremental.hpp"
 #include "pipeline/overrides.hpp"

@@ -481,8 +481,9 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
     for (const char *sub : {"segments", "instances", "warm_start", "finalize"})
         build_stages.set(sub, span("build", sub));
     JsonValue build = JsonValue::object();
-    build.set("threads", JsonValue::number(static_cast<std::int64_t>(
-                             r.buildThreads)));
+    // flow_report/1 keeps this key; the build fill is serial, so it is
+    // always 1.
+    build.set("threads", JsonValue::number(std::int64_t{1}));
     build.set("stages", std::move(build_stages));
     job.set("build", std::move(build));
 

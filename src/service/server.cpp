@@ -423,11 +423,13 @@ PlacementServer::workerLoop(int worker_index)
 void
 PlacementServer::monitorLoop()
 {
+    // Watchdog grace: a deadline-cancelled job still running this long
+    // after its token fired gets its stage/iteration logged (a stage
+    // that does not poll its CancelToken).
+    constexpr double kStuckGraceMs = 2000.0;
     using Clock = std::chrono::steady_clock;
-    const auto grace =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                std::max(0.0, options_.stuckGraceMs)));
+    const auto grace = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(kStuckGraceMs));
 
     std::unique_lock<std::mutex> lock(mu_);
     while (!stopping_) {
@@ -465,7 +467,7 @@ PlacementServer::monitorLoop()
                        now >= worker->deadline + grace) {
                 worker->stuckLogged = true;
                 warn(str("server: job '", worker->runningId,
-                         "' still running ", options_.stuckGraceMs,
+                         "' still running ", kStuckGraceMs,
                          " ms after its deadline fired (stage=",
                          worker->lastStage.empty() ? "?"
                                                    : worker->lastStage,

@@ -3,14 +3,14 @@
  * PlacementServer: the long-lived placement-as-a-service job host.
  *
  * One server owns a pool of worker threads, each wrapping its own warm
- * PlacementSession (thread pools and spectral-plan caches stay alive
- * across jobs), a FIFO job queue, a parsed-topology cache, and a
- * bounded store of finished layouts (PriorStore) that incremental
- * requests reference by job id. Transport is someone else's problem:
- * the server consumes request lines (handleLine) and emits response
- * JsonValues through a caller-supplied sink, so the same engine serves
- * stdin/stdout, a Unix socket (tools/qplacer_server.cpp), an
- * in-process loopback (tests), or a bench driver.
+ * PlacementSession (its thread pool stays alive across jobs), a FIFO
+ * job queue, a parsed-topology cache, and a bounded store of finished
+ * layouts (PriorStore) that incremental requests reference by job id.
+ * Transport is someone else's problem: the server consumes request
+ * lines (handleLine) and emits response JsonValues through a
+ * caller-supplied sink, so the same engine serves stdin/stdout, a Unix
+ * socket (tools/qplacer_server.cpp), an in-process loopback (tests), or
+ * a bench driver.
  *
  * Production hardening (all off by default; defaults reproduce the
  * original behaviour byte-for-byte):
@@ -25,8 +25,8 @@
  *    ServerOptions::defaultDeadlineMs): a monitor thread cancels the
  *    job when its *execution* clock expires and the result reports
  *    status "deadline_exceeded" (distinct from a client cancel). If
- *    the worker has not stopped stuckGraceMs after the deadline fired
- *    a watchdog logs the stage/iteration it is stuck in.
+ *    the worker has not stopped 2 s after the deadline fired a
+ *    watchdog logs the stage/iteration it is stuck in.
  *  - Shutdown flips the server to non-accepting first, so a submit
  *    racing a shutdown gets a deterministic "shutting_down" error
  *    instead of a job that may never report.
@@ -108,13 +108,6 @@ struct ServerOptions
      * none.
      */
     double defaultDeadlineMs = 0.0;
-
-    /**
-     * Watchdog grace: if a deadline-cancelled job is still running
-     * this long after its token fired, log the stage/iteration it is
-     * stuck in (a stage that does not poll its CancelToken).
-     */
-    double stuckGraceMs = 2000.0;
 
     /**
      * Honor "failpoint" protocol requests. Off by default; the

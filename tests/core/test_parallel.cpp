@@ -17,7 +17,7 @@
 #include "core/placer.hpp"
 #include "core/poisson.hpp"
 #include "freq/assigner.hpp"
-#include "math/plan_cache.hpp"
+#include "math/dct_plan.hpp"
 #include "netlist/builder.hpp"
 #include "topology/generators.hpp"
 #include "util/thread_pool.hpp"
@@ -44,24 +44,24 @@ gridNetlist(int rows, int cols)
     return NetlistBuilder().build(topo, freqs);
 }
 
-/** One batched row pass through the cached plan for length @p nx. */
+/** One batched row pass through a plan for length @p nx. */
 void
 transformRows(std::vector<double> &map, int nx, int ny,
               DctPlan::Kind kind, ThreadPool *pool)
 {
     DctScratch scratch;
-    PlanCache::dct(static_cast<std::size_t>(nx))
-        ->transformRows(map, nx, ny, kind, pool, scratch);
+    DctPlan(static_cast<std::size_t>(nx))
+        .transformRows(map, nx, ny, kind, pool, scratch);
 }
 
-/** One batched column pass through the cached plan for length @p ny. */
+/** One batched column pass through a plan for length @p ny. */
 void
 transformCols(std::vector<double> &map, int nx, int ny,
               DctPlan::Kind kind, ThreadPool *pool)
 {
     DctScratch scratch;
-    PlanCache::dct(static_cast<std::size_t>(ny))
-        ->transformCols(map, nx, ny, kind, pool, scratch);
+    DctPlan(static_cast<std::size_t>(ny))
+        .transformCols(map, nx, ny, kind, pool, scratch);
 }
 
 /** Placed instance centres of @p netlist. */

@@ -16,7 +16,6 @@
 #include "oracles/oracles.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qplacer {
 namespace {
@@ -204,25 +203,14 @@ TEST(AssignEquivalence, CrowdedHardClassesAliasDeterministically)
     EXPECT_EQ(violations, 3);
 }
 
-TEST(BuildEquivalence, BitwiseIdenticalAcrossThreadCounts)
+TEST(BuildEquivalence, BitwiseIdenticalToSequentialAppend)
 {
-    // 1024 qubits: above ThreadPool::kGrainMedium, so the fill loops
-    // run chunked on the pool.
     for (const Topology &topo : {makeGrid(32, 32), makeOctagon(4, 4)}) {
         SCOPED_TRACE(topo.name);
-        const FrequencyAssigner assigner;
-        const auto freqs = assigner.assign(topo);
-
-        const Netlist ref =
-            oracle::buildReference(topo, freqs, 0.72, PartitionParams{});
-        const NetlistBuilder builder;
-
-        for (const int threads : {1, 2, 8}) {
-            ThreadPool pool(threads);
-            const Netlist fast = builder.build(topo, freqs, 0.72, &pool);
-            EXPECT_TRUE(bitwiseSameNetlist(ref, fast))
-                << threads << " threads";
-        }
+        const auto freqs = FrequencyAssigner().assign(topo);
+        EXPECT_TRUE(bitwiseSameNetlist(
+            oracle::buildReference(topo, freqs, 0.72, PartitionParams{}),
+            NetlistBuilder().build(topo, freqs, 0.72)));
     }
 }
 

@@ -1,14 +1,90 @@
+/**
+ * @file
+ * Physical meander routing (Fig. 8-e), kept as a check on the
+ * partitioning arithmetic: after legalization, a resonator wire routed
+ * through its reserved segment blocks as a serpentine at d_r pitch must
+ * reach its half-wave length. Each l_b x l_b block holds
+ * l_b^2 / wire_width of wire, so the block count from the partitioning
+ * step guarantees the fit. (The SVG writer draws its own polylines.)
+ */
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "freq/assigner.hpp"
-#include "io/meander.hpp"
 #include "legal/legalizer.hpp"
 #include "netlist/builder.hpp"
 #include "pipeline/session.hpp"
 #include "topology/generators.hpp"
+#include "util/logging.hpp"
 
 namespace qplacer {
 namespace {
+
+/** A routed resonator wire. */
+struct MeanderPath
+{
+    std::vector<Vec2> points; ///< Polyline vertices (um).
+    double lengthUm = 0.0;    ///< Total polyline length.
+    double targetUm = 0.0;    ///< The resonator's required wire length.
+
+    /** The serpentine provides at least the target length. */
+    bool fits() const { return lengthUm >= targetUm; }
+};
+
+double
+pathLength(const std::vector<Vec2> &points)
+{
+    double acc = 0.0;
+    for (std::size_t i = 1; i < points.size(); ++i)
+        acc += points[i].dist(points[i - 1]);
+    return acc;
+}
+
+/**
+ * Route resonator @p resonator_id of @p netlist: serpentine passes at
+ * @p pitch_um inside each segment block (in chain order), joined by
+ * straight jumpers, ending at the two endpoint qubits.
+ */
+MeanderPath
+routeMeander(const Netlist &netlist, int resonator_id,
+             double pitch_um = 100.0)
+{
+    if (pitch_um <= 0.0)
+        fatal("routeMeander: non-positive pitch");
+    const Resonator &res = netlist.resonator(resonator_id);
+
+    MeanderPath path;
+    path.targetUm = res.lengthUm;
+    path.points.push_back(netlist.instance(res.qubitA).pos);
+
+    for (int seg_id : res.segments) {
+        const Rect block = netlist.instance(seg_id).rect();
+
+        // Horizontal passes bottom-to-top at d_r pitch, entered on the
+        // side closest to the previous point so the jumper stays short.
+        const int passes = std::max(
+            1, static_cast<int>(std::floor(block.height() / pitch_um)));
+        const double dy = passes > 1 ? block.height() / passes : 0.0;
+        const bool enter_left = path.points.back().x <= block.center().x;
+
+        for (int p = 0; p < passes; ++p) {
+            const double y = block.lo.y + pitch_um / 2.0 + p * dy;
+            const bool left_first = enter_left == (p % 2 == 0);
+            path.points.emplace_back(left_first ? block.lo.x : block.hi.x,
+                                     y);
+            path.points.emplace_back(left_first ? block.hi.x : block.lo.x,
+                                     y);
+        }
+    }
+
+    path.points.push_back(netlist.instance(res.qubitB).pos);
+    path.lengthUm = pathLength(path.points);
+    return path;
+}
 
 TEST(Meander, PathLengthHelper)
 {

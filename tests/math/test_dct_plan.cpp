@@ -25,7 +25,6 @@
 #include "core/poisson.hpp"
 #include "math/dct_plan.hpp"
 #include "math/fft_plan.hpp"
-#include "math/plan_cache.hpp"
 #include "oracles/oracles.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -205,8 +204,8 @@ TEST_P(PlanThreads, TransformRowsMatchesUnplannedBitwise)
                 oracle::transformRowsUnplanned(reference, nx, ny, kind,
                                                pool());
                 DctScratch scratch;
-                PlanCache::dct(nx)->transformRows(planned, nx, ny, kind,
-                                                  pool(), scratch);
+                DctPlan(nx).transformRows(planned, nx, ny, kind, pool(),
+                                          scratch);
                 EXPECT_TRUE(bitwiseEqual(reference, planned))
                     << nx << "x" << ny << " kind " << static_cast<int>(kind)
                     << " threads " << GetParam();
@@ -229,8 +228,8 @@ TEST_P(PlanThreads, TransformColsMatchesUnplannedBitwise)
                 oracle::transformColsUnplanned(reference, nx, ny, kind,
                                                pool());
                 DctScratch scratch;
-                PlanCache::dct(ny)->transformCols(planned, nx, ny, kind,
-                                                  pool(), scratch);
+                DctPlan(ny).transformCols(planned, nx, ny, kind, pool(),
+                                          scratch);
                 EXPECT_TRUE(bitwiseEqual(reference, planned))
                     << nx << "x" << ny << " kind " << static_cast<int>(kind)
                     << " threads " << GetParam();
@@ -272,16 +271,7 @@ TEST_P(PlanThreads, RepeatedSolvesReuseScratchBitwise)
 INSTANTIATE_TEST_SUITE_P(Threads, PlanThreads,
                          ::testing::Values(1, 2, 3, 4, 7, 8));
 
-TEST(PlanCache, SharesOnePlanPerLength)
-{
-    const auto a = PlanCache::dct(64);
-    const auto b = PlanCache::dct(64);
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_NE(a.get(), PlanCache::dct(128).get());
-    EXPECT_GE(PlanCache::size(), 2u);
-}
-
-TEST(PlanCache, RectangularMapsUseBothLengths)
+TEST(Plan, RectangularMapsUseBothLengths)
 {
     // A non-square map exercises distinct row/column plans through one
     // shared scratch, mirroring a rectangular Poisson grid.
@@ -296,11 +286,10 @@ TEST(PlanCache, RectangularMapsUseBothLengths)
     oracle::transformColsUnplanned(reference, nx, ny,
                                    Dct::Kind::CosSeries, nullptr);
     DctScratch scratch;
-    PlanCache::dct(nx)->transformRows(planned, nx, ny, Dct::Kind::Dct2,
-                                      nullptr, scratch);
-    PlanCache::dct(ny)->transformCols(planned, nx, ny,
-                                      Dct::Kind::CosSeries, nullptr,
-                                      scratch);
+    DctPlan(nx).transformRows(planned, nx, ny, Dct::Kind::Dct2, nullptr,
+                              scratch);
+    DctPlan(ny).transformCols(planned, nx, ny, Dct::Kind::CosSeries,
+                              nullptr, scratch);
     EXPECT_TRUE(bitwiseEqual(reference, planned));
 }
 
@@ -308,7 +297,6 @@ TEST(Plan, NonPowerOfTwoLengthPanics)
 {
     EXPECT_THROW(FftPlan(12), std::logic_error);
     EXPECT_THROW(DctPlan(10), std::logic_error);
-    EXPECT_THROW(PlanCache::dct(48), std::logic_error);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * 1024-qubit smoke for the prefix-summed threaded netlist builder: the
- * parallel fill must land every instance, net, and resonator at the
- * exact offset the sequential-append oracle (tests/oracles) puts it, pass
- * validate(), and populate the build.stages sub-timings the flow
- * surfaces. ctest -L assign.
+ * 1024-qubit smoke for the prefix-summed netlist builder: the fill
+ * must land every instance, net, and resonator at the exact offset the
+ * sequential-append oracle (tests/oracles) puts it, pass validate(),
+ * and populate the build.stages sub-timings the flow surfaces.
+ * ctest -L assign.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "oracles/oracles.hpp"
 #include "pipeline/session.hpp"
 #include "topology/generators.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace qplacer {
@@ -29,10 +28,8 @@ TEST(BuilderScale, Grid32x32MatchesReferenceAppendOrder)
     const Netlist ref =
         oracle::buildReference(topo, freqs, 0.72, PartitionParams{});
 
-    ThreadPool pool(8);
     Trace trace;
-    const Netlist fast =
-        NetlistBuilder().build(topo, freqs, 0.72, &pool, &trace);
+    const Netlist fast = NetlistBuilder().build(topo, freqs, 0.72, &trace);
 
     ASSERT_EQ(fast.numQubits(), 1024);
     EXPECT_GT(fast.numInstances(), fast.numQubits());
@@ -83,7 +80,6 @@ TEST(BuilderScale, FlowSurfacesAssignAndBuildStageTimings)
     const FlowResult result = PlacementSession().run(makeGrid(4, 4), params);
 
     ASSERT_TRUE(result.status.ok());
-    EXPECT_EQ(result.buildThreads, 2); // the flow's pool fills the build
     // Every sub-stage span sits under its stage's span.
     const Trace &trace = result.trace;
     const int flow = trace.find(Trace::kRoot, kFlowSpan);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "physics/resonator.hpp"
-#include "physics/transmon.hpp"
 
 namespace qplacer {
 namespace {
@@ -39,32 +38,6 @@ TEST(Resonator, ValidateRejectsBadParams)
     EXPECT_THROW(p.validate(), std::runtime_error);
     EXPECT_THROW(resonatorLengthUm(0.0), std::runtime_error);
     EXPECT_THROW(resonatorFreqHz(-5.0), std::runtime_error);
-}
-
-TEST(Transmon, DefaultsAreValid)
-{
-    TransmonParams p;
-    EXPECT_NO_THROW(p.validate());
-    EXPECT_DOUBLE_EQ(p.sizeUm, 400.0);
-}
-
-TEST(Transmon, Freq12UsesAnharmonicity)
-{
-    TransmonParams p;
-    p.freqHz = 5.0e9;
-    p.anharmonicityHz = 310e6;
-    EXPECT_DOUBLE_EQ(p.freq12Hz(), 5.0e9 - 310e6);
-}
-
-TEST(Transmon, ValidateRejectsBadParams)
-{
-    TransmonParams p;
-    p.t1 = 0.0;
-    EXPECT_THROW(p.validate(), std::runtime_error);
-
-    TransmonParams q;
-    q.anharmonicityHz = q.freqHz * 2;
-    EXPECT_THROW(q.validate(), std::runtime_error);
 }
 
 } // namespace

@@ -5,7 +5,9 @@
 # Feeds a canned qplacer.serve/1 session -- ping, two jobs (the second
 # an incremental re-place of the first), shutdown -- and validates the
 # response stream: hello first, acks, both results ok, reused_prior on
-# the incremental one, bye last, and nothing but JSON on stdout.
+# the incremental one, bye last, and nothing but JSON on stdout. A
+# second session sends one ping with no trailing newline: the end of
+# input ends the request, so it must still be answered.
 
 if(NOT QPLACER_SERVER OR NOT WORK_DIR)
     message(FATAL_ERROR "server_smoke.cmake needs -DQPLACER_SERVER and -DWORK_DIR")
@@ -98,6 +100,30 @@ string(REGEX MATCH "\"layout\":\\[.*$" cold_layout "${cold_result}")
 string(REGEX MATCH "\"layout\":\\[.*$" warm_layout "${warm_result}")
 if(NOT cold_layout STREQUAL warm_layout)
     message(FATAL_ERROR "incremental layout diverged from its base")
+endif()
+
+# An unterminated last request is answered, not dropped.
+set(unterminated "${WORK_DIR}/unterminated.ndjson")
+file(WRITE "${unterminated}" "{\"type\":\"ping\"}")
+execute_process(
+    COMMAND "${QPLACER_SERVER}" --workers 1 --quiet
+    INPUT_FILE "${unterminated}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 60)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "qplacer_server exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+string(REPLACE "\n" ";" lines "${out}")
+list(FILTER lines EXCLUDE REGEX "^$")
+list(LENGTH lines line_count)
+if(NOT line_count EQUAL 2)
+    message(FATAL_ERROR "expected hello and pong, got ${line_count} lines:\n${out}")
+endif()
+list(GET lines 1 second)
+if(NOT second MATCHES "\"type\":\"pong\"")
+    message(FATAL_ERROR "unterminated ping was not answered:\n${out}")
 endif()
 
 message(STATUS "server_smoke: OK")

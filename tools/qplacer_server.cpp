@@ -72,9 +72,8 @@ const char *kUsage =
 
 Reads newline-delimited JSON requests and writes one JSON response per
 line; see docs/PROTOCOL.md for the wire format. A warm PlacementSession
-per worker keeps thread pools and plan caches alive across jobs, and
-submit requests with a "base" field re-place incrementally from a prior
-job's layout.
+per worker keeps its thread pool alive across jobs, and submit requests
+with a "base" field re-place incrementally from a prior job's layout.
 
 Usage: qplacer_server [options]
 
@@ -354,6 +353,22 @@ serveConnection(PlacementServer &server,
     };
     sink(makeHello(server.workers()));
 
+    // Serves one request line; false once it asked for shutdown.
+    const auto serveLine = [&](const std::string &line) {
+        if (static_cast<long>(line.size()) > max_line_bytes) {
+            sink(lineTooLong(max_line_bytes));
+            return true;
+        }
+        if (line.empty() || server.handleLine(line, sink))
+            return true;
+        stop.store(true);
+        // accept() in serveSocket blocks with no one left to connect;
+        // shut the listener down so it returns and the daemon can drain
+        // and exit.
+        ::shutdown(listener, SHUT_RDWR);
+        return false;
+    };
+
     std::string buffer;
     char chunk[4096];
     bool open = true;
@@ -362,31 +377,23 @@ serveConnection(PlacementServer &server,
     bool discarding = false;
     while (open) {
         const ssize_t n = retryRecv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0)
+        if (n <= 0) {
+            // The peer's EOF ends an unterminated last request, as on
+            // stdin. (A discarded line left the buffer empty, and a
+            // shutdown kick from serveSocket is no request.)
+            if (n == 0 && !buffer.empty() && !stop.load())
+                serveLine(buffer);
             break;
+        }
         buffer.append(chunk, static_cast<std::size_t>(n));
         std::size_t eol;
         while (open && (eol = buffer.find('\n')) != std::string::npos) {
             const std::string line = buffer.substr(0, eol);
             buffer.erase(0, eol + 1);
-            if (discarding) {
+            if (discarding)
                 discarding = false; // Tail of the oversized line.
-                continue;
-            }
-            if (static_cast<long>(line.size()) > max_line_bytes) {
-                sink(lineTooLong(max_line_bytes));
-                continue;
-            }
-            if (line.empty())
-                continue;
-            if (!server.handleLine(line, sink)) {
-                stop.store(true);
-                // accept() in serveSocket blocks with no one left to
-                // connect; shut the listener down so it returns and
-                // the daemon can drain and exit.
-                ::shutdown(listener, SHUT_RDWR);
-                open = false;
-            }
+            else
+                open = serveLine(line);
         }
         // No newline yet: bound the partial line too, so a peer that
         // never sends '\n' cannot grow the buffer without limit.
