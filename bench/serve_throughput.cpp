@@ -1,6 +1,6 @@
 /**
  * @file
- * Placement-as-a-service throughput: a stream of jobs through a warm
+ * Placement-as-a-service throughput: a stream of jobs through a running
  * PlacementServer, cold runs vs. incremental re-places of a shared
  * base layout (small per-job deltas, the design-iteration workload the
  * service exists for). Reports placements/sec for both and the

@@ -23,17 +23,7 @@ GlobalPlacer::GlobalPlacer(PlacerParams params, CrosstalkRule rule)
 }
 
 PlaceResult
-GlobalPlacer::place(Netlist &netlist) const
-{
-    // One pool for the whole run; every model shares it so the hot
-    // path never spawns threads mid-iteration.
-    ThreadPool pool(params_.threads);
-    return place(netlist, pool.threads() > 1 ? &pool : nullptr);
-}
-
-PlaceResult
-GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
-                    const PlaceMonitor &monitor) const
+GlobalPlacer::place(Netlist &netlist, const PlaceMonitor &monitor) const
 {
     PlaceResult result;
 
@@ -60,7 +50,10 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
                              instances[i].paddedHeight() / 2.0);
     }
 
-    ThreadPool *pool_ptr = pool && pool->threads() > 1 ? pool : nullptr;
+    // One pool for the whole run; every model shares it so the hot
+    // path never spawns threads mid-iteration.
+    ThreadPool pool(params_.threads);
+    ThreadPool *pool_ptr = pool.threads() > 1 ? &pool : nullptr;
 
     PlacementObjective objective(netlist, params_, rule_, pool_ptr);
     NesterovOptimizer optimizer(netlist.region(), half_sizes, 0.05,

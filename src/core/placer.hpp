@@ -16,8 +16,6 @@
 
 namespace qplacer {
 
-class ThreadPool;
-
 /** Outcome of a global placement run. */
 struct PlaceResult
 {
@@ -63,21 +61,14 @@ class GlobalPlacer
 
     /**
      * Place @p netlist in-place: instance positions are updated to the
-     * optimized (pre-legalization) solution. Owns a private worker pool
-     * sized from params().threads for the duration of the call.
+     * optimized (pre-legalization) solution. The run builds its own
+     * worker pool from params().threads for the length of the call;
+     * results are bitwise-identical at any thread count. Iterations
+     * stream to @p monitor's hooks. On cancellation the current
+     * (last-iterate) solution is written back and the result carries
+     * cancelled = true.
      */
-    PlaceResult place(Netlist &netlist) const;
-
-    /**
-     * place() with an injected worker pool (null = serial, regardless
-     * of params().threads) and optional monitor hooks. Sessions pass a
-     * long-lived pool here so repeated placements never re-spawn
-     * threads; results are bitwise-identical to the owning overload
-     * at any pool size.
-     * On cancellation the current (last-iterate) solution is written
-     * back and the result carries cancelled = true.
-     */
-    PlaceResult place(Netlist &netlist, ThreadPool *pool,
+    PlaceResult place(Netlist &netlist,
                       const PlaceMonitor &monitor = {}) const;
 
     const PlacerParams &params() const { return params_; }

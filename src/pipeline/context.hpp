@@ -1,9 +1,10 @@
 /**
  * @file
  * FlowContext: the shared state one staged flow run threads through
- * its stages -- input topology and normalized parameters, the shared
- * worker pool, observer/cancellation hooks, and the FlowResult being
- * assembled. Stages communicate exclusively through this object.
+ * its stages -- input topology and normalized parameters (the
+ * placement's thread count among them), observer/cancellation hooks,
+ * and the FlowResult being assembled. Stages communicate exclusively
+ * through this object.
  */
 
 #ifndef QPLACER_PIPELINE_CONTEXT_HPP
@@ -17,7 +18,6 @@
 
 namespace qplacer {
 
-class ThreadPool;
 struct IncrementalState;
 
 /** Shared state of one flow run (one placement job). */
@@ -34,13 +34,6 @@ struct FlowContext
      * callbacks use it to tell concurrent jobs apart.
      */
     int jobIndex = 0;
-
-    /**
-     * Worker pool for the placement hot path (borrowed; null = serial).
-     * Sessions pass a long-lived pool so repeated runs never re-spawn
-     * threads; results are bitwise-identical at any pool size.
-     */
-    ThreadPool *pool = nullptr;
 
     /** Progress callbacks (borrowed; null = no events). */
     FlowObserver *observer = nullptr;

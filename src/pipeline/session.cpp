@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "pipeline/context.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qplacer {
 namespace {
@@ -32,28 +33,9 @@ PlacementSession::PlacementSession(int workers)
 {
 }
 
-ThreadPool *
-PlacementSession::innerPool(const FlowParams &params)
-{
-    // Human mode has no parallel stage; don't build (or keep alive) a
-    // pool for it.
-    if (params.mode == PlacerMode::Human)
-        return nullptr;
-    const int resolved = ThreadPool::resolveThreadCount(params.placer.threads);
-    if (resolved <= 1)
-        return nullptr;
-    // Reuse the live pool whenever the size matches -- this is the
-    // amortization a session exists for. A changed request rebuilds it,
-    // so the job gets the parallelism it asked for (the results are the
-    // same at any pool size).
-    if (!inner_ || inner_->threads() != resolved)
-        inner_ = std::make_unique<ThreadPool>(resolved);
-    return inner_.get();
-}
-
 FlowResult
 PlacementSession::runJob(const Topology &topo, const FlowParams &params,
-                         int job_index, ThreadPool *pool, bool logging,
+                         int job_index, bool concurrent,
                          FlowObserver *observer,
                          const std::vector<FlowStage> *stages,
                          IncrementalState *incremental)
@@ -65,12 +47,15 @@ PlacementSession::runJob(const Topology &topo, const FlowParams &params,
     ctx.params = params.normalized(error);
     if (!error.empty())
         return rejected(error);
+    // Concurrent jobs already keep the cores busy, so each places
+    // single-threaded; the layout is the same at any thread count.
+    if (concurrent)
+        ctx.params.placer.threads = 1;
 
     ctx.jobIndex = job_index;
-    ctx.pool = pool;
     ctx.observer = observer;
     ctx.cancel = &cancel_;
-    ctx.logging = logging;
+    ctx.logging = !concurrent;
     ctx.incremental = incremental;
     runStages(ctx, stages ? *stages : makeDefaultStages(ctx.params));
     return std::move(ctx.result);
@@ -89,19 +74,17 @@ PlacementSession::forEachJob(
         return;
     }
 
-    if (!batch_ || batch_->threads() != workers)
-        batch_ = std::make_unique<ThreadPool>(workers);
-
     // Every worker pulls the next unclaimed job (dynamic scheduling --
     // placements vary wildly in cost, so a static split would idle
     // half the pool on the tail).
     std::atomic<std::size_t> next{0};
-    batch_->forChunks(static_cast<std::size_t>(workers),
-                      [&](int, std::size_t, std::size_t) {
-                          for (std::size_t i = next.fetch_add(1); i < n;
-                               i = next.fetch_add(1))
-                              job(i, /*concurrent=*/true);
-                      });
+    ThreadPool pool(workers);
+    pool.forChunks(static_cast<std::size_t>(workers),
+                   [&](int, std::size_t, std::size_t) {
+                       for (std::size_t i = next.fetch_add(1); i < n;
+                            i = next.fetch_add(1))
+                           job(i, /*concurrent=*/true);
+                   });
 }
 
 FlowResult
@@ -111,8 +94,8 @@ PlacementSession::run(const Topology &topo, const FlowParams &params)
     // rejects an invalid portfolio request through its own check.
     if (params.portfolio.seeds > 1)
         return runPortfolio(topo, params);
-    return runJob(topo, params, /*job_index=*/0, innerPool(params),
-                  /*logging=*/true, observer_);
+    return runJob(topo, params, /*job_index=*/0, /*concurrent=*/false,
+                  observer_);
 }
 
 FlowResult
@@ -131,8 +114,8 @@ PlacementSession::runIncremental(const Topology &topo,
     state.prior = &prior;
     state.delta = delta;
     const std::vector<FlowStage> stages = makeIncrementalStages();
-    return runJob(topo, params, /*job_index=*/0, innerPool(params),
-                  /*logging=*/true, observer_, &stages, &state);
+    return runJob(topo, params, /*job_index=*/0, /*concurrent=*/false,
+                  observer_, &stages, &state);
 }
 
 std::vector<FlowResult>
@@ -161,11 +144,10 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs,
                                FlowObserver *observer)
 {
     // A serial batch keeps each job's requested intra-placement thread
-    // count. Concurrent jobs place single-threaded (inner pool = null):
-    // nesting regions on one pool is illegal, and the workers already
-    // keep the cores busy. Either way a job's result is the same as a
-    // lone run of it. runJob never throws (stage errors land in the
-    // per-job status), so one failing job cannot take down the batch.
+    // count; concurrent jobs place single-threaded (runJob). Either way
+    // a job's result is the same as a lone run of it. runJob never
+    // throws (stage errors land in the per-job status), so one failing
+    // job cannot take down the batch.
     std::vector<FlowResult> results(jobs.size());
     forEachJob(jobs.size(), [&](std::size_t i, bool concurrent) {
         const FlowParams &params = *jobs[i].params;
@@ -174,8 +156,7 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs,
             return;
         }
         results[i] = runJob(*jobs[i].topo, params, static_cast<int>(i),
-                            concurrent ? nullptr : innerPool(params),
-                            /*logging=*/!concurrent, observer);
+                            concurrent, observer);
     });
     return results;
 }

@@ -4,12 +4,12 @@
  * Every placement -- a single run, a portfolio, a batch, an
  * incremental re-place -- goes through a session.
  *
- * A session amortizes the expensive per-run machinery across many
- * placements: the worker pool survives between run() calls (no thread
- * spawn/join per placement). Errors never throw: invalid parameters,
- * stage failures and cancellation come back in FlowResult::status. It
- * also streams FlowObserver progress, cancels cooperatively, and runs
- * independent jobs concurrently:
+ * A session holds what outlives one placement: the observer, the
+ * cancellation token and the batch width. Each job builds the thread
+ * pools it runs on and joins them before it returns. Errors never
+ * throw: invalid parameters, stage failures and cancellation come back
+ * in FlowResult::status. It also streams FlowObserver progress,
+ * cancels cooperatively, and runs independent jobs concurrently:
  *
  *   PlacementSession session(8);            // 8 concurrent jobs
  *   FlowResult r = session.run(topo, params);
@@ -22,9 +22,9 @@
  * one with portfolio.seeds > 1 is rejected). A placement's bits depend
  * on its seed, never on its thread count (ARCHITECTURE.md,
  * "Determinism"), so how jobs share the cores does not matter: with
- * workers > 1 each job places single-threaded (parallelism across
- * jobs instead of inside one); with workers <= 1 jobs run in order
- * and keep their requested intra-job thread count.
+ * workers > 1 each job places with placer.threads = 1 (parallelism
+ * across jobs instead of inside one); with workers <= 1 jobs run in
+ * order and keep their requested intra-job thread count.
  */
 
 #ifndef QPLACER_PIPELINE_SESSION_HPP
@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "pipeline/flow.hpp"
@@ -40,7 +39,6 @@
 #include "pipeline/observer.hpp"
 #include "topology/topology.hpp"
 #include "util/cancel.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qplacer {
 
@@ -88,9 +86,10 @@ class PlacementSession
     FlowResult run(const Topology &topo, const FlowParams &params);
 
     /**
-     * Execute independent placement jobs, `workers` at a time, on one
-     * shared pool. Results arrive indexed like @p jobs; each job's
-     * outcome (including per-job errors) is in its FlowResult::status.
+     * Execute independent placement jobs, `workers` at a time, on a
+     * pool the call builds. Results arrive indexed like @p jobs; each
+     * job's outcome (including per-job errors) is in its
+     * FlowResult::status.
      * Cancellation applies to the whole batch: jobs already running
      * stop at their next poll, jobs not yet started report Cancelled
      * without running. Each job places its own seed: a job with
@@ -158,13 +157,13 @@ class PlacementSession
      * Execute one job on the calling thread: normalize @p params
      * (failing validation returns InvalidParams without running), then
      * drive @p stages, or makeDefaultStages of the normalized params
-     * when @p stages is null. @p pool is the inner (intra-placement)
-     * pool, null for serial; @p logging gates inform() chatter;
-     * @p incremental is the warm-start state, null for a cold run.
-     * Never throws: stage errors land in the status.
+     * when @p stages is null. A @p concurrent job places with
+     * placer.threads = 1 and logs no inform() chatter; @p incremental
+     * is the warm-start state, null for a cold run. Never throws:
+     * stage errors land in the status.
      */
     FlowResult runJob(const Topology &topo, const FlowParams &params,
-                      int job_index, ThreadPool *pool, bool logging,
+                      int job_index, bool concurrent,
                       FlowObserver *observer,
                       const std::vector<FlowStage> *stages = nullptr,
                       IncrementalState *incremental = nullptr);
@@ -172,25 +171,15 @@ class PlacementSession
     /**
      * Call @p job(i, concurrent) for i in [0, n). With fewer than two
      * batch workers the jobs run serially, in order, on this thread
-     * (concurrent = false); otherwise the batch pool's workers pull
-     * them dynamically (concurrent = true).
+     * (concurrent = false); otherwise the workers of a pool built for
+     * the call pull them dynamically (concurrent = true).
      */
     void forEachJob(std::size_t n,
                     const std::function<void(std::size_t, bool)> &job);
 
-    /**
-     * The shared intra-placement pool for single runs and serial
-     * batches, lazily (re)built to match the resolved
-     * params.placer.threads; null when that resolves to serial or in
-     * Human mode.
-     */
-    ThreadPool *innerPool(const FlowParams &params);
-
     int workers_;
     FlowObserver *observer_ = nullptr;
     CancelToken cancel_;
-    std::unique_ptr<ThreadPool> inner_; ///< Intra-placement pool.
-    std::unique_ptr<ThreadPool> batch_; ///< Job-level pool (runBatch).
 };
 
 } // namespace qplacer

@@ -91,10 +91,10 @@ extern const FlowStage kMetricsStage;
 std::vector<FlowStage> makeDefaultStages(const FlowParams &params);
 
 /**
- * Global placement of ctx.result.netlist with @p params on ctx.pool,
- * shared by the cold and warm place stages: iterations stream to
- * ctx.observer, ctx.cancel is polled, and a cancelled run sets a
- * Cancelled status.
+ * Global placement of ctx.result.netlist with @p params on
+ * params.threads threads, shared by the cold and warm place stages:
+ * iterations stream to ctx.observer, ctx.cancel is polled, and a
+ * cancelled run sets a Cancelled status.
  */
 void runGlobalPlacer(FlowContext &ctx, const PlacerParams &params);
 

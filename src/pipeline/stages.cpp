@@ -8,7 +8,6 @@
 #include "pipeline/context.hpp"
 #include "pipeline/stage.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qplacer {
 
@@ -75,10 +74,6 @@ humanPlace(FlowContext &ctx)
 void
 place(FlowContext &ctx)
 {
-    if (ctx.logging && ctx.pool && ctx.pool->threads() > 1) {
-        inform(str("global placement running on ", ctx.pool->threads(),
-                   " threads"));
-    }
     runGlobalPlacer(ctx, ctx.params.placer);
 }
 
@@ -167,7 +162,7 @@ runGlobalPlacer(FlowContext &ctx, const PlacerParams &params)
     }
 
     const GlobalPlacer placer(params, ctx.params.crosstalk);
-    ctx.result.place = placer.place(ctx.result.netlist, ctx.pool, monitor);
+    ctx.result.place = placer.place(ctx.result.netlist, monitor);
     if (ctx.result.place.cancelled) {
         ctx.result.status = {FlowCode::Cancelled, "",
                              "cancelled during global placement"};

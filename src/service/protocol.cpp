@@ -359,17 +359,10 @@ makeOverloaded(const std::string &id, int queue_depth,
 }
 
 JsonValue
-makePong()
+makePong(int queue_depth, int active_jobs)
 {
     JsonValue v = JsonValue::object();
     v.set("type", JsonValue::string("pong"));
-    return v;
-}
-
-JsonValue
-makePong(int queue_depth, int active_jobs)
-{
-    JsonValue v = makePong();
     v.set("queue_depth",
           JsonValue::number(static_cast<std::int64_t>(queue_depth)));
     v.set("active_jobs",

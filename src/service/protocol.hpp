@@ -128,9 +128,6 @@ JsonValue makeErrorCode(const std::string &id, const std::string &code,
 JsonValue makeOverloaded(const std::string &id, int queue_depth,
                          double retry_after_ms);
 
-/** {"type":"pong"} -- liveness answer. */
-JsonValue makePong();
-
 /**
  * {"type":"pong","queue_depth":...,"active_jobs":...} -- liveness
  * plus load: jobs waiting in the queue and jobs currently running,

@@ -180,16 +180,6 @@ PlacementServer::handleLine(const std::string &line,
         break;
     }
 
-    // Reject specs that can never run before acking the job; the
-    // base id is checked at run time instead (a queued base job may
-    // finish before this one starts).
-    {
-        const Topology *topo = nullptr;
-        if (!topologyFor(req.submit.topology, topo, error)) {
-            emit(sink, makeError(req.id, error));
-            return true;
-        }
-    }
     submit(req.submit, sink);
     return true;
 }
@@ -197,6 +187,16 @@ PlacementServer::handleLine(const std::string &line,
 bool
 PlacementServer::submit(const SubmitRequest &request, ResponseSink sink)
 {
+    // A spec that can never run is answered in place of the ack. The
+    // base id is checked at run time instead (a queued base job may
+    // finish before this one starts).
+    Topology topo;
+    std::string error;
+    if (!resolveTopologySpec(request.topology, topo, &error)) {
+        emit(sink, makeError(request.id, error));
+        return false;
+    }
+
     // The admission failpoint runs before any lock is held: a delay
     // action must stall only this submit, not the workers.
     if (QPLACER_FAILPOINT("server.queue_admission")) {
@@ -236,7 +236,7 @@ PlacementServer::submit(const SubmitRequest &request, ResponseSink sink)
                                    retryAfterMsLocked());
             } else {
                 accepted = true;
-                queue_.push_back(Job{request, sink});
+                queue_.push_back(Job{request, sink, std::move(topo)});
                 response = makeAck(request.id);
             }
         }
@@ -487,13 +487,6 @@ PlacementServer::runJob(int worker_index, Job &job)
     PlacementSession &session = *self.session;
     const SubmitRequest &req = job.request;
 
-    const Topology *topo = nullptr;
-    std::string error;
-    if (!topologyFor(req.topology, topo, error)) {
-        emit(job.sink, makeError(req.id, error));
-        return;
-    }
-
     FlowParams params = options_.defaults;
     params.mode = req.mode;
     params.placer.seed = req.seed;
@@ -557,9 +550,9 @@ PlacementServer::runJob(int worker_index, Job &job)
             delta.dirtyQubits.push_back(coupler.first);
             delta.dirtyQubits.push_back(coupler.second);
         }
-        result = session.runIncremental(*topo, params, *prior, delta);
+        result = session.runIncremental(job.topo, params, *prior, delta);
     } else {
-        result = session.run(*topo, params);
+        result = session.run(job.topo, params);
     }
     session.setObserver(nullptr);
 
@@ -609,25 +602,6 @@ PlacementServer::emit(const ResponseSink &sink, const JsonValue &response)
     }
     std::lock_guard<std::mutex> lock(emitMu_);
     sink(response);
-}
-
-bool
-PlacementServer::topologyFor(const std::string &spec, const Topology *&out,
-                             std::string &error)
-{
-    std::lock_guard<std::mutex> lock(topoMu_);
-    auto it = topologies_.find(spec);
-    if (it == topologies_.end()) {
-        Topology topo;
-        if (!resolveTopologySpec(spec, topo, &error))
-            return false;
-        it = topologies_
-                 .emplace(spec,
-                          std::make_unique<Topology>(std::move(topo)))
-                 .first;
-    }
-    out = it->second.get();
-    return true;
 }
 
 } // namespace qplacer

@@ -2,10 +2,11 @@
  * @file
  * PlacementServer: the long-lived placement-as-a-service job host.
  *
- * One server owns a pool of worker threads, each wrapping its own warm
- * PlacementSession (its thread pool stays alive across jobs), a FIFO
- * job queue, a parsed-topology cache, and a bounded store of finished
+ * One server owns a set of worker threads, each wrapping its own
+ * PlacementSession, a FIFO job queue, and a bounded store of finished
  * layouts (PriorStore) that incremental requests reference by job id.
+ * Each job carries the topology its submit resolved, and builds the
+ * thread pools it places on for its own run.
  * Transport is someone else's problem: the server consumes request
  * lines (handleLine) and emits response JsonValues through a
  * caller-supplied sink, so the same engine serves stdin/stdout, a Unix
@@ -52,7 +53,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -145,12 +145,13 @@ class PlacementServer
     bool handleLine(const std::string &line, const ResponseSink &sink);
 
     /**
-     * Admit a parsed job: on acceptance emits the ack and queues it
-     * (the result arrives later via @p sink) and returns true; on
-     * rejection emits a structured error ("overloaded" past maxQueue,
-     * "shutting_down" after shutdown began, "injected" under the
-     * queue-admission failpoint, or an error when a job with the same
-     * id is already queued or running) and returns false. The ack is
+     * Admit a parsed job: resolve its topology spec once, then on
+     * acceptance emit the ack and queue the job with its topology (the
+     * result arrives later via @p sink) and return true. On rejection
+     * emit an error in place of the ack and return false: a bad
+     * topology spec, "overloaded" past maxQueue, "shutting_down" after
+     * shutdown began, "injected" under the queue-admission failpoint,
+     * or a job with the same id already queued or running. The ack is
      * guaranteed to precede every other response of the job.
      */
     bool submit(const SubmitRequest &request, ResponseSink sink);
@@ -185,9 +186,10 @@ class PlacementServer
     {
         SubmitRequest request;
         ResponseSink sink;
+        Topology topo; ///< Resolved from request.topology at submit.
     };
 
-    /** One worker: a warm session plus its currently-running job id. */
+    /** One worker: its session plus its currently-running job id. */
     struct Worker
     {
         std::unique_ptr<PlacementSession> session;
@@ -208,10 +210,6 @@ class PlacementServer
     void monitorLoop();
     void runJob(int worker_index, Job &job);
     void emit(const ResponseSink &sink, const JsonValue &response);
-
-    /** Cached parse of a topology spec; false + error on bad specs. */
-    bool topologyFor(const std::string &spec, const Topology *&out,
-                     std::string &error);
 
     /** True if job @p id is queued or running (under mu_). */
     bool idActiveLocked(const std::string &id) const;
@@ -238,9 +236,6 @@ class PlacementServer
 
     /** Finished layouts by job id (thread-safe; optionally on disk). */
     std::unique_ptr<PriorStore> priors_;
-
-    std::mutex topoMu_;
-    std::map<std::string, std::unique_ptr<Topology>> topologies_;
 
     std::mutex emitMu_; ///< Serializes response emission.
 };

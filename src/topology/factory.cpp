@@ -18,7 +18,10 @@ toLowerCopy(const std::string &s)
     return out;
 }
 
-/** Parse "3x9" from a spec tail; false on malformed input. */
+/**
+ * Parse "3x9" from a spec tail; false on malformed input or a
+ * dimension outside 1..kMaxSpecDim.
+ */
 bool
 parseSpecDims(const std::string &tail, int &a, int &b)
 {
@@ -34,7 +37,7 @@ parseSpecDims(const std::string &tail, int &a, int &b)
         return false;
     }
     return consumed_a == x && consumed_b == tail.size() - x - 1 && a > 0 &&
-           b > 0;
+           b > 0 && a <= kMaxSpecDim && b <= kMaxSpecDim;
 }
 
 bool
@@ -70,8 +73,9 @@ resolveBaseSpec(const std::string &base, const std::string &spec,
     const auto dims_of = [&](std::size_t prefix_len) {
         if (parseSpecDims(lower.substr(prefix_len), a, b))
             return true;
-        return failWith(error, "bad topology spec '" + spec +
-                                   "': expected <rows>x<cols>");
+        return failWith(error, str("bad topology spec '", spec,
+                                   "': expected <rows>x<cols>, each 1..",
+                                   kMaxSpecDim));
     };
     if (lower.rfind("grid", 0) == 0) {
         if (!dims_of(4))

@@ -108,21 +108,4 @@ Rng::gaussian(double mean, double stddev)
     return mean + stddev * gaussian();
 }
 
-std::vector<std::size_t>
-Rng::sampleIndices(std::size_t n, std::size_t k)
-{
-    if (k > n)
-        panic(str("Rng::sampleIndices: k > n (", k, " > ", n, ")"));
-    std::vector<std::size_t> pool(n);
-    for (std::size_t i = 0; i < n; ++i)
-        pool[i] = i;
-    // Partial Fisher-Yates: first k entries are the sample.
-    for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t j = i + below(n - i);
-        std::swap(pool[i], pool[j]);
-    }
-    pool.resize(k);
-    return pool;
-}
-
 } // namespace qplacer

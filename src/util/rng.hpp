@@ -58,9 +58,6 @@ class Rng
         }
     }
 
-    /** Sample k distinct indices from [0, n) (k <= n). */
-    std::vector<std::size_t> sampleIndices(std::size_t n, std::size_t k);
-
   private:
     std::uint64_t s_[4];
     bool hasSpare_;

@@ -259,4 +259,20 @@ if(bad_rc EQUAL 0)
     message(FATAL_ERROR "qplacer_cli accepted an unknown topology")
 endif()
 
+# --- Error path: a spec dimension past kMaxSpecDim (256,
+# topology/factory.hpp) is a bad spec, rejected before any generator
+# runs. ---
+execute_process(
+    COMMAND "${QPLACER_CLI}" --topology grid1x257 --quiet
+            --set placer.maxIters=1
+    RESULT_VARIABLE big_rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE big_err)
+if(NOT big_rc EQUAL 1)
+    message(FATAL_ERROR "qplacer_cli exited ${big_rc} on an oversized spec:\n${big_err}")
+endif()
+if(NOT big_err MATCHES "qplacer_cli: fatal: bad topology spec 'grid1x257'")
+    message(FATAL_ERROR "oversized spec gave no bad-spec message:\n${big_err}")
+endif()
+
 message(STATUS "cli_smoke: OK")

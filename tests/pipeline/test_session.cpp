@@ -1,8 +1,8 @@
 /**
  * @file
  * PlacementSession determinism contract: a concurrent batch must be
- * bitwise-identical to lone runs with the same seeds, and a session
- * reusing its pool across runs must reproduce a fresh session's run
+ * bitwise-identical to lone runs with the same seeds, and a second
+ * run in the same session must reproduce a fresh session's run
  * exactly.
  */
 
@@ -83,19 +83,18 @@ TEST(Session, SerialBatchMatchesSerialToo)
                             /*workers=*/1);
 }
 
-TEST(Session, RunReusesPoolAndMatchesOneShotFlow)
+TEST(Session, FreshAndSameSessionRunsMatchAtTwoThreads)
 {
     const Topology topo = makeGrid(4, 4);
     FlowParams params = quickParams(7, 120);
-    params.placer.threads = 2; // Exercise the shared inner pool.
+    params.placer.threads = 2; // Each run builds a two-thread pool.
 
-    // A fresh session per run builds (and tears down) its own pool.
     const FlowResult fresh_a = PlacementSession().run(topo, params);
     const FlowResult fresh_b = PlacementSession().run(topo, params);
 
+    // Nothing a run leaves in its session changes the next run.
     PlacementSession session;
     const FlowResult session_a = session.run(topo, params);
-    // Second run reuses the pool built by the first.
     const FlowResult session_b = session.run(topo, params);
 
     expectBitwiseEqualResults(fresh_a, session_a);

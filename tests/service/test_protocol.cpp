@@ -271,7 +271,8 @@ TEST(Protocol, ResponseBuildersProduceDocumentedShapes)
     EXPECT_EQ(makeHello(4).serialize(),
               R"({"type":"hello","schema":"qplacer.serve/1","workers":4})");
     EXPECT_EQ(makeAck("a").serialize(), R"({"type":"ack","id":"a"})");
-    EXPECT_EQ(makePong().serialize(), R"({"type":"pong"})");
+    EXPECT_EQ(makePong(3, 1).serialize(),
+              R"({"type":"pong","queue_depth":3,"active_jobs":1})");
     EXPECT_EQ(makeBye(2).serialize(), R"({"type":"bye","jobs":2})");
     EXPECT_EQ(
         makeError("a", "boom").serialize(),

@@ -21,6 +21,7 @@
 #include "pipeline/session.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "topology/factory.hpp"
 #include "topology/generators.hpp"
 
 namespace qplacer {
@@ -168,7 +169,7 @@ TEST(Server, SessionsStayWarmAcrossJobs)
             submitLine("warm" + std::to_string(j), "grid3x3", 5, 40)));
     client.server().drain();
 
-    // Same seed through the same warm session: identical layouts.
+    // Same seed through the same session: identical layouts.
     const std::string first =
         client.resultFor("warm0").find("layout")->serialize();
     for (int j = 1; j < 3; ++j)
@@ -285,12 +286,51 @@ TEST(Server, RejectsBadRequestsAndStaysUp)
     EXPECT_TRUE(client.send(R"({"type":"submit","id":"x"})"));
     EXPECT_TRUE(client.send(
         R"({"type":"submit","id":"x","topology":"tesseract9"})"));
-    EXPECT_EQ(client.count("error"), 3);
+    // One dimension past the bound: a bad spec, answered at once in
+    // place of the ack, never generated.
+    EXPECT_TRUE(client.send(submitLine(
+        "huge", "grid1x" + std::to_string(kMaxSpecDim + 1), 1, 40)));
+    EXPECT_EQ(client.count("error"), 4);
+    EXPECT_EQ(client.count("ack"), 0);
+    EXPECT_TRUE(client.send(R"({"type":"ping"})"));
+    EXPECT_EQ(client.count("pong"), 1);
 
     // Still healthy: a real job goes through.
     EXPECT_TRUE(client.send(submitLine("ok", "grid3x3", 1, 40)));
     client.server().drain();
     EXPECT_EQ(client.count("result", "ok"), 1);
+}
+
+TEST(Server, SubmitResolvesTheSpecItself)
+{
+    // Callers that skip handleLine (the throughput bench) get the same
+    // answer: a bad spec is an error in place of the ack, a good one
+    // is acked and runs.
+    PlacementServer server;
+    std::mutex mu;
+    std::vector<JsonValue> responses;
+    const ResponseSink sink = [&](const JsonValue &response) {
+        std::lock_guard<std::mutex> lock(mu);
+        responses.push_back(response);
+    };
+    SubmitRequest bad;
+    bad.id = "bad";
+    bad.topology = "tesseract9";
+    EXPECT_FALSE(server.submit(bad, sink));
+    SubmitRequest good;
+    good.id = "good";
+    good.topology = "grid3x3";
+    EXPECT_TRUE(server.submit(good, sink));
+    server.drain();
+
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(responses[0].find("type")->asString(), "error");
+    EXPECT_EQ(responses[0].find("id")->asString(), "bad");
+    EXPECT_EQ(responses[1].find("type")->asString(), "ack");
+    EXPECT_EQ(responses[2].find("type")->asString(), "result");
+    EXPECT_EQ(responses[2].find("id")->asString(), "good");
+    EXPECT_EQ(server.jobsCompleted(), 1);
 }
 
 TEST(Server, RejectsDuplicateActiveJobId)

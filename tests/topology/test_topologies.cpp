@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "topology/factory.hpp"
 #include "topology/generators.hpp"
 
@@ -129,6 +134,61 @@ TEST(Topologies, MinEmbeddingSpacingPositive)
         const Topology t = makeTopology(name);
         EXPECT_GT(t.minEmbeddingSpacing(), 0.0) << name;
     }
+}
+
+/** A path graph on @p embedding.size() qubits at @p embedding. */
+Topology
+pathAt(const std::vector<Vec2> &embedding)
+{
+    Topology topo;
+    topo.name = "path";
+    topo.coupling = Graph(static_cast<int>(embedding.size()));
+    for (int i = 0; i + 1 < topo.coupling.numNodes(); ++i)
+        topo.coupling.addEdge(i, i + 1);
+    topo.embedding = embedding;
+    return topo;
+}
+
+TEST(Topology, ValidateRejectsCoincidentQubits)
+{
+    // Qubits 0 and 3 coincide; the qubits between them share their x,
+    // so the sweep must look past pairs that differ only in y.
+    try {
+        pathAt({{0, 0}, {0, 1}, {0, 2}, {0, 0}, {5, 5}, {5, 5}}).validate();
+        FAIL() << "coincident qubits passed validate()";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("qubits 0 and 3 share"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(pathAt({{1, 1}, {2, 1}, {1 + 5e-10, 1}}).validate(),
+                 std::logic_error);
+
+    // Distinct positions, however close, pass; so do non-finite ones,
+    // which no distance test can call coincident.
+    EXPECT_NO_THROW(pathAt({{0, 0}, {2e-9, 0}, {0, 2e-9}}).validate());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_NO_THROW(
+        pathAt({{nan, 0}, {nan, 0}, {inf, 1}, {inf, 1}, {0, 0}}).validate());
+}
+
+TEST(Topologies, SpecDimensionsAreBounded)
+{
+    Topology topo;
+    std::string error;
+    const std::string over = std::to_string(kMaxSpecDim + 1);
+    for (const std::string &spec :
+         {"grid1x" + over, "grid" + over + "x1", "heavyhex2x" + over,
+          "octagon" + over + "x1", "grid1x" + over + "@dies=1x1"}) {
+        error.clear();
+        EXPECT_FALSE(resolveTopologySpec(spec, topo, &error)) << spec;
+        EXPECT_NE(error.find("bad topology spec"), std::string::npos)
+            << spec << ": " << error;
+    }
+    const std::string at = std::to_string(kMaxSpecDim);
+    EXPECT_TRUE(resolveTopologySpec("grid1x" + at, topo, &error)) << error;
+    EXPECT_EQ(topo.numQubits(), kMaxSpecDim);
 }
 
 } // namespace

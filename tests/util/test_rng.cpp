@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "util/rng.hpp"
 
@@ -98,25 +97,6 @@ TEST(Rng, ShuffleIsPermutation)
     std::sort(sorted.begin(), sorted.end());
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(sorted[i], i);
-}
-
-TEST(Rng, SampleIndicesDistinct)
-{
-    Rng rng(13);
-    const auto sample = rng.sampleIndices(100, 30);
-    EXPECT_EQ(sample.size(), 30u);
-    std::set<std::size_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 30u);
-    for (auto i : sample)
-        EXPECT_LT(i, 100u);
-}
-
-TEST(Rng, SampleIndicesFull)
-{
-    Rng rng(13);
-    const auto sample = rng.sampleIndices(5, 5);
-    std::set<std::size_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 5u);
 }
 
 TEST(Rng, BelowZeroPanics)

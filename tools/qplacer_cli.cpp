@@ -533,7 +533,6 @@ run(int argc, char **argv)
         Logger::instance().setLevel(LogLevel::Warn);
 
     const Topology topo = resolveTopology(opts.topology);
-    topo.validate();
 
     FlowParams params;
     params.mode = opts.mode;

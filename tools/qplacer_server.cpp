@@ -71,9 +71,10 @@ const char *kUsage =
     R"(qplacer_server - placement-as-a-service daemon (qplacer.serve/1)
 
 Reads newline-delimited JSON requests and writes one JSON response per
-line; see docs/PROTOCOL.md for the wire format. A warm PlacementSession
-per worker keeps its thread pool alive across jobs, and submit requests
-with a "base" field re-place incrementally from a prior job's layout.
+line; see docs/PROTOCOL.md for the wire format. Each worker runs one
+job at a time; a submit with a bad topology spec is answered with an
+error in place of the ack, and submit requests with a "base" field
+re-place incrementally from a prior job's layout.
 
 Usage: qplacer_server [options]
 
