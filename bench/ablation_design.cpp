@@ -65,7 +65,7 @@ main()
 
         const FlowResult r = bench::placeOrDie(topo, params);
         const double fidelity =
-            evaluator.evaluate(topo, r.netlist, bv).meanFidelity;
+            evaluator.evaluate(topo, r.netlist, r.hotspots, bv).meanFidelity;
         const double margin =
             substrateModeMarginHz(r.area.enclosingRect) / 1e9;
 

@@ -52,7 +52,7 @@ main()
     const Circuit bv = makeBenchmark("bv-4");
     Evaluator evaluator;
     const BenchmarkResult score =
-        evaluator.evaluate(topo, result.netlist, bv);
+        evaluator.evaluate(topo, result.netlist, result.hotspots, bv);
     std::printf("bv-4 mean fidelity over %zu mappings: %.4f\n",
                 score.perSubset.size(), score.meanFidelity);
 

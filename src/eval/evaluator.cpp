@@ -16,6 +16,7 @@ Evaluator::Evaluator(EvaluatorParams params)
 
 BenchmarkResult
 Evaluator::evaluate(const Topology &topo, const Netlist &netlist,
+                    const HotspotReport &hotspots,
                     const Circuit &circuit) const
 {
     if (circuit.numQubits() > topo.numQubits()) {
@@ -27,9 +28,6 @@ Evaluator::evaluate(const Topology &topo, const Netlist &netlist,
     BenchmarkResult result;
     result.benchmark = circuit.name();
 
-    // Layout-dependent state, computed once.
-    const HotspotReport hotspots =
-        analyzeHotspots(netlist, params_.crosstalk);
     const FidelityModel model(params_.fidelity);
     const Mapper mapper(topo.coupling);
 

@@ -25,7 +25,6 @@ struct EvaluatorParams
 {
     int numSubsets = 50;        ///< Mappings per benchmark (paper: 50).
     std::uint64_t subsetSeed = 7; ///< Shared across placers.
-    CrosstalkRule crosstalk; ///< The run's rule (hotspot pairs).
     FidelityParams fidelity;
 };
 
@@ -47,11 +46,14 @@ class Evaluator
     explicit Evaluator(EvaluatorParams params = {});
 
     /**
-     * Evaluate @p circuit on @p netlist (a placed layout of @p topo).
+     * Evaluate @p circuit on @p netlist (a placed layout of @p topo)
+     * whose hotspot pairs are @p hotspots (FlowResult::hotspots, or
+     * analyzeHotspots of the layout under the run's rule).
      * Subset sampling depends only on (topology, circuit size, seed), so
      * different placers are scored on identical mappings.
      */
     BenchmarkResult evaluate(const Topology &topo, const Netlist &netlist,
+                             const HotspotReport &hotspots,
                              const Circuit &circuit) const;
 
     const EvaluatorParams &params() const { return params_; }

@@ -1,7 +1,6 @@
 #include "legal/integration.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "legal/spiral.hpp"
 #include "math/union_find.hpp"
@@ -109,19 +108,12 @@ IntegrationLegalizer::integrationLegal(const Netlist &netlist,
 }
 
 IntegrationLegalizer::Result
-IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
-                          const std::vector<int> *only) const
+IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid) const
 {
     Result result;
-    std::vector<int> targets;
-    if (only) {
-        targets = *only;
-    } else {
-        targets.resize(netlist.resonators().size());
-        std::iota(targets.begin(), targets.end(), 0);
-    }
+    const int num_res = static_cast<int>(netlist.resonators().size());
 
-    for (int r : targets) {
+    for (int r = 0; r < num_res; ++r) {
         if (!integrationLegal(netlist, r))
             ++result.initiallyBroken;
     }
@@ -132,7 +124,7 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
 
     for (int round = 0; round < kMaxRounds; ++round) {
         bool progress = false;
-        for (int r : targets) {
+        for (int r = 0; r < num_res; ++r) {
             auto cls = clusters(netlist, r);
             if (cls.size() <= 1)
                 continue;
@@ -260,12 +252,12 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
 
     // Final repair: rip up and contiguously re-place any resonator the
     // local moves/swaps could not fix.
-    for (int r : targets) {
+    for (int r = 0; r < num_res; ++r) {
         if (!integrationLegal(netlist, r))
             replaceChain(netlist, grid, r);
     }
 
-    for (int r : targets) {
+    for (int r = 0; r < num_res; ++r) {
         if (!integrationLegal(netlist, r))
             ++result.unintegrated;
     }

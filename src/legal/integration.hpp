@@ -55,14 +55,11 @@ class IntegrationLegalizer
     };
 
     /**
-     * Repair segment clustering in place. @p grid must reflect the
-     * current positions (qubits + segments occupied). When @p only is
-     * non-null, just those resonator ids are checked and repaired
-     * (scoped re-legalization); swaps may still relocate same-size
-     * foreign segments they trade places with.
+     * Repair the segment clustering of every resonator in place.
+     * @p grid must reflect the current positions (qubits + segments
+     * occupied).
      */
-    Result run(Netlist &netlist, OccupancyGrid &grid,
-               const std::vector<int> *only = nullptr) const;
+    Result run(Netlist &netlist, OccupancyGrid &grid) const;
 
     /**
      * rilc (Section IV-C2): every segment of the resonator must be in

@@ -1,6 +1,7 @@
 #include "legal/legalizer.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "geometry/near_pairs.hpp"
 #include "legal/spiral.hpp"
@@ -13,30 +14,30 @@ namespace qplacer {
 namespace {
 
 /**
- * Stage 1: spiral-legalize @p qubits (ascending ids) central-first.
- * When @p plan is given, each qubit stays inside the die its
- * global-placement position falls in, so the spiral never moves it
- * across a cut. Adds the summed qubit displacement to
- * @p displacement_um; false if some qubit found no free site.
+ * Stage 1: spiral-legalize every qubit central-first. When @p plan is
+ * given, each qubit stays inside the die its global-placement position
+ * falls in, so the spiral never moves it across a cut. Adds the summed
+ * qubit displacement to @p displacement_um; false if some qubit found
+ * no free site.
  */
 bool
 spiralLegalizeQubits(Netlist &netlist, OccupancyGrid &grid,
-                     const DiePlan *plan, const std::vector<int> &qubits,
-                     double &displacement_um)
+                     const DiePlan *plan, double &displacement_um)
 {
+    const int nq = netlist.numQubits();
     const Vec2 center = netlist.region().center();
-    std::vector<Vec2> desired(qubits.size());
+    std::vector<Vec2> desired(nq);
     // Center distances precomputed once, not twice per comparison.
-    std::vector<double> center_dist(netlist.numQubits(), 0.0);
-    std::vector<int> die_of(plan ? netlist.numQubits() : 0, 0);
-    for (std::size_t i = 0; i < qubits.size(); ++i) {
-        const int q = qubits[i];
-        desired[i] = netlist.instance(q).pos;
-        center_dist[q] = desired[i].dist(center);
+    std::vector<double> center_dist(nq, 0.0);
+    std::vector<int> die_of(plan ? nq : 0, 0);
+    for (int q = 0; q < nq; ++q) {
+        desired[q] = netlist.instance(q).pos;
+        center_dist[q] = desired[q].dist(center);
         if (plan)
-            die_of[q] = plan->dieAt(desired[i]);
+            die_of[q] = plan->dieAt(desired[q]);
     }
-    std::vector<int> order = qubits;
+    std::vector<int> order(nq);
+    std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
         if (center_dist[a] != center_dist[b])
             return center_dist[a] < center_dist[b];
@@ -62,8 +63,8 @@ spiralLegalizeQubits(Netlist &netlist, OccupancyGrid &grid,
         inst.pos = *spot;
         grid.occupy(Rect::fromCenter(*spot, w, h), q);
     }
-    for (std::size_t i = 0; i < qubits.size(); ++i)
-        displacement_um += desired[i].dist(netlist.instance(qubits[i]).pos);
+    for (int q = 0; q < nq; ++q)
+        displacement_um += desired[q].dist(netlist.instance(q).pos);
     return true;
 }
 
@@ -75,123 +76,57 @@ Legalizer::Legalizer(LegalizerParams params, CrosstalkRule rule)
 }
 
 bool
-Legalizer::attempt(Netlist &netlist, const std::vector<char> &is_movable_in,
-                   LegalizeResult &result, const CancelToken *cancel,
-                   Trace *trace) const
+Legalizer::attempt(Netlist &netlist, LegalizeResult &result,
+                   const CancelToken *cancel, Trace *trace) const
 {
     result = LegalizeResult{};
-    std::vector<char> is_movable = is_movable_in;
 
-    // Fixed instances enter the grid as obstacles at their current --
-    // already legal -- positions. A conflicting fixed footprint is
-    // possible when the delta resized instances under a stale prior;
-    // demote it to movable (whole resonator for segments, so chains
-    // stay whole) and rebuild the occupancy. Conflicts are rare, so
-    // the restart loop almost never iterates.
-    // Multi-die: cut gaps are reserved before the fixed obstacles go
-    // in. A stale-prior fixed instance overlapping a gap simply fails
-    // canPlace below and is demoted to movable like any conflict.
+    // Multi-die: the cut gaps are blocked before anything is placed.
+    OccupancyGrid grid(netlist.region(), kCellUm);
     DiePlan plan;
     const bool multi = netlist.dieSpec().active();
-    if (multi)
+    if (multi) {
         plan = DiePlan::resolve(netlist.dieSpec(), netlist.region());
-
-    OccupancyGrid grid(netlist.region(), kCellUm);
-    for (int restart = 0;; ++restart) {
-        if (restart > 0)
-            grid = OccupancyGrid(netlist.region(), kCellUm);
-        if (multi)
-            for (const Rect &band : plan.gapBands())
-                grid.block(band);
-        int conflict = -1;
-        for (int i = 0; i < netlist.numInstances(); ++i) {
-            if (is_movable[i])
-                continue;
-            const Instance &inst = netlist.instance(i);
-            const Rect rect = Rect::fromCenter(
-                inst.pos, inst.paddedWidth(), inst.paddedHeight());
-            if (!grid.canPlace(rect)) {
-                conflict = i;
-                break;
-            }
-            grid.occupy(rect, i);
-        }
-        if (conflict < 0)
-            break;
-        if (restart >= netlist.numInstances())
-            return false; // every demotion shrinks the fixed set; bail
-        const Instance &inst = netlist.instance(conflict);
-        if (inst.kind == InstanceKind::ResonatorSegment &&
-            inst.resonator >= 0) {
-            for (int seg : netlist.resonator(inst.resonator).segments)
-                is_movable[seg] = 1;
-        } else {
-            is_movable[conflict] = 1;
-        }
+        for (const Rect &band : plan.gapBands())
+            grid.block(band);
     }
 
-    // --- Stage 1: movable qubits (greedy spiral, central-first). ---
+    // --- Stage 1: qubits (greedy spiral, central-first). ---
     Trace::Span spiral(trace, "spiral");
-    std::vector<int> movable_qubits;
-    for (int q = 0; q < netlist.numQubits(); ++q)
-        if (is_movable[q])
-            movable_qubits.push_back(q);
     if (!spiralLegalizeQubits(netlist, grid, multi ? &plan : nullptr,
-                              movable_qubits, result.qubitDisplacementUm))
+                              result.qubitDisplacementUm))
         return false;
     spiral.stop();
 
-    // --- Stage 2: movable segments (Tetris). ---
+    // --- Stage 2: segments (Tetris). ---
     if (cancel && cancel->cancelled()) {
         result.cancelled = true;
         return true;
     }
     Trace::Span tetris(trace, "tetris");
-    std::vector<int> movable_res;
-    for (const Resonator &res : netlist.resonators())
-        if (!res.segments.empty() && is_movable[res.segments.front()])
-            movable_res.push_back(res.id);
     if (!tetrisLegalizeSegments(netlist, grid, params_.resonanceCheck,
-                                rule_, result.segmentDisplacementUm,
-                                &movable_res)) {
+                                rule_, result.segmentDisplacementUm)) {
         return false;
     }
     tetris.stop();
 
-    // --- Stage 3: integration-aware repair of the moved chains. ---
+    // --- Stage 3: integration-aware repair of the chains. ---
     if (cancel && cancel->cancelled()) {
         result.cancelled = true;
         return true;
     }
     Trace::Span integration(trace, "integration");
-    if (params_.integration && !movable_res.empty()) {
+    if (params_.integration) {
         IntegrationLegalizer integrator(params_.resonanceCheck, rule_);
-        result.integration = integrator.run(netlist, grid, &movable_res);
+        result.integration = integrator.run(netlist, grid);
     }
     return true;
 }
 
 LegalizeResult
 Legalizer::legalize(Netlist &netlist, const CancelToken *cancel,
-                    const std::vector<int> *movable, Trace *trace) const
+                    Trace *trace) const
 {
-    std::vector<char> is_movable(netlist.numInstances(), movable ? 0 : 1);
-    if (movable) {
-        // Closure: a resonator with any movable segment moves as a
-        // whole, so the Tetris scan re-drops complete chains.
-        for (int id : *movable)
-            if (id >= 0 && id < netlist.numInstances())
-                is_movable[id] = 1;
-        for (const Resonator &res : netlist.resonators()) {
-            bool any = false;
-            for (int seg : res.segments)
-                any = any || (is_movable[seg] != 0);
-            if (any)
-                for (int seg : res.segments)
-                    is_movable[seg] = 1;
-        }
-    }
-
     // Snapshot the input so retries with a larger region restart from
     // the same positions.
     std::vector<Vec2> snapshot(netlist.numInstances());
@@ -215,15 +150,12 @@ Legalizer::legalize(Netlist &netlist, const CancelToken *cancel,
             region.hi.x = region.lo.x + original_region.width() * grow;
             region.hi.y = region.lo.y + original_region.height() * grow;
             netlist.setRegion(region);
-            // Fixed instances keep their legal sites; only the movable
-            // set restarts from the input.
             for (int i = 0; i < netlist.numInstances(); ++i)
-                if (is_movable[i])
-                    netlist.instance(i).pos = snapshot[i];
+                netlist.instance(i).pos = snapshot[i];
             warn(str("Legalizer: retrying with region grown ",
                      (grow - 1.0) * 100.0, "%"));
         }
-        if (attempt(netlist, is_movable, result, cancel, trace)) {
+        if (attempt(netlist, result, cancel, trace)) {
             if (result.cancelled)
                 return result;
             result.legal = isLegal(netlist);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Full legalization pipeline (Fig. 7d):
+ * Full legalization pipeline (Fig. 7d), one pass over every instance
+ * (the incremental re-place runs it the same way a cold run does):
  *   1. qubits: greedy spiral search, central-first;
  *   2. resonator segments: Tetris-style scan;
  *   3. integration-aware repair (Algorithm 1).
@@ -59,22 +60,11 @@ class Legalizer
      * giving up with fatal(). @p cancel (optional) is polled at pass
      * boundaries; on cancellation the partially legalized layout is
      * left in place and the result carries cancelled = true.
-     *
-     * @p movable (optional) scopes the pass for incremental re-place:
-     * only those instances (plus closure) may move, and every other
-     * instance is a fixed obstacle at its current -- already legal --
-     * position. The closure keeps resonator chains whole: any
-     * resonator with a movable segment becomes fully movable, and a
-     * fixed instance whose footprint conflicts (stale prior site
-     * overlapping another fixed instance) is demoted to movable rather
-     * than corrupting the grid. Retries restore only the movable
-     * instances. Null means every instance is movable.
      * @p trace (optional) gets the "spiral", "tetris" and
      * "integration" pass spans, each summed over retried attempts.
      */
     LegalizeResult legalize(Netlist &netlist,
                             const CancelToken *cancel = nullptr,
-                            const std::vector<int> *movable = nullptr,
                             Trace *trace = nullptr) const;
 
     /**
@@ -84,13 +74,9 @@ class Legalizer
     static bool isLegal(const Netlist &netlist, double tol_um = 1.0);
 
   private:
-    /**
-     * One pass over @p is_movable (per-instance flags); false if the
-     * region ran out of room.
-     */
-    bool attempt(Netlist &netlist, const std::vector<char> &is_movable,
-                 LegalizeResult &result, const CancelToken *cancel,
-                 Trace *trace) const;
+    /** One pass over every instance; false if the region ran out of room. */
+    bool attempt(Netlist &netlist, LegalizeResult &result,
+                 const CancelToken *cancel, Trace *trace) const;
 
     LegalizerParams params_;
     CrosstalkRule rule_;

@@ -12,8 +12,7 @@ namespace qplacer {
 bool
 tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                        bool resonance_check,
-                       const CrosstalkRule &rule, double &displacement_um,
-                       const std::vector<int> *only_resonators)
+                       const CrosstalkRule &rule, double &displacement_um)
 {
     displacement_um = 0.0;
 
@@ -22,13 +21,8 @@ tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
     // segment spiraling out from its predecessor. This preserves the
     // global placement's ordering while keeping chains contiguous, so
     // the integration pass only has to repair stragglers.
-    std::vector<int> res_order;
-    if (only_resonators) {
-        res_order = *only_resonators;
-    } else {
-        res_order.resize(netlist.resonators().size());
-        std::iota(res_order.begin(), res_order.end(), 0);
-    }
+    std::vector<int> res_order(netlist.resonators().size());
+    std::iota(res_order.begin(), res_order.end(), 0);
     std::vector<double> centroid_x(netlist.resonators().size(), 0.0);
     for (const Resonator &res : netlist.resonators()) {
         double acc = 0.0;

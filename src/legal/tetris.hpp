@@ -27,11 +27,6 @@ namespace qplacer {
  * slot when no clean one exists), so the tau constraint survives
  * legalization.
  *
- * When @p only_resonators is non-null, just those resonator ids are
- * processed (Legalizer::legalize with a movable set); all
- * other segments must already occupy @p grid and are treated as fixed
- * obstacles. The scan order among the subset matches the full scan.
- *
  * @param displacement_um Out: total displacement over all segments.
  * @return false if some segment found no free slot (caller should
  *         retry with a larger region).
@@ -39,8 +34,7 @@ namespace qplacer {
 bool tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                             bool resonance_check,
                             const CrosstalkRule &rule,
-                            double &displacement_um,
-                            const std::vector<int> *only_resonators = nullptr);
+                            double &displacement_um);
 
 } // namespace qplacer
 

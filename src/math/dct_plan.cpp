@@ -144,7 +144,7 @@ DctPlan::transformLines(Kind kind, double *x, std::size_t lines,
         return;
     }
 
-    // Idct2 and the two series: rebuild the complex spectrum
+    // The two series: rebuild the complex spectrum
     // P[k] = X[k] - i*X[n-k] (the imaginary part of P[0] is 0), undo
     // the twiddle, invert the FFT, and undo the reordering. SinSeries
     // is the cosine series of the reversed coefficients X'[0] = 0,
@@ -160,15 +160,13 @@ DctPlan::transformLines(Kind kind, double *x, std::size_t lines,
     }
     fft_.execute(re(0), im(0), lines, lines, true);
 
-    // The FFT's 1/N lands on the real part only: Idct2 keeps v.real()
-    // (times 1, which is exact), and the series scale it by N
-    // (y = N*idct2(c)). Both multiplies stay, as N*(v/N) == v fails for
-    // subnormal v.
+    // The FFT's 1/N lands on the real part only, and the series scale
+    // it by N (y = N*idct2(c)). Both multiplies stay, as N*(v/N) == v
+    // fails for subnormal v.
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t k = 0; k < n; ++k) {
         const std::size_t m = sample(k);
-        scaleInto(at(m), ls, re(k), inv_n,
-                  kind == Kind::Idct2 ? 1.0 : static_cast<double>(n),
+        scaleInto(at(m), ls, re(k), inv_n, static_cast<double>(n),
                   flip && m % 2 == 1, lines);
     }
 }

@@ -5,7 +5,6 @@
  * the radix-2 FFT with Makhoul's method:
  *
  *  - Dct2:      X[k] = sum_n x[n] cos(pi*(n+0.5)*k/N)          (DCT-II)
- *  - Idct2:     exact inverse of Dct2 (i.e. a scaled DCT-III)
  *  - CosSeries: y[n] = c[0] + 2*sum_{k>=1} c[k] cos(pi*(n+0.5)*k/N)
  *  - SinSeries: y[n] = 2*sum_{k>=1} c[k] sin(pi*(n+0.5)*k/N)
  *
@@ -96,7 +95,6 @@ class DctPlan
     enum class Kind
     {
         Dct2,
-        Idct2,
         CosSeries,
         SinSeries,
     };

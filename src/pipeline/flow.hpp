@@ -43,8 +43,8 @@ enum class PlacerMode
 
 /**
  * Knobs of the incremental re-place path (incremental.hpp): warm-start
- * the global placer from a prior layout and re-legalize only the
- * dirtied region. Ignored by cold runs.
+ * the global placer from a prior layout and re-place the dirtied
+ * region from scratch. Ignored by cold runs.
  */
 struct IncrementalPlaceParams
 {
@@ -113,7 +113,8 @@ struct IncrementalStats
     int mappedInstances = 0;  ///< Instances warm-started from the prior.
     int freshInstances = 0;   ///< Instances with no prior position.
     int dirtyInstances = 0;   ///< Delta closure re-placed from scratch.
-    int movableInstances = 0; ///< Instances legalization could move.
+    /** Instances legalized: all of them, or 0 when the prior was reused. */
+    int movableInstances = 0;
 };
 
 /** One candidate of a portfolio run (PortfolioStats::candidates). */

@@ -38,13 +38,6 @@ PriorLayout::capture(const Netlist &netlist)
 
 namespace {
 
-/**
- * Clean instances whose warm re-solve drift stays within this distance
- * (um) snap back to their prior legal sites and are held fixed during
- * scoped legalization; larger drifts make the instance movable.
- */
-constexpr double kSnapToleranceUm = 50.0;
-
 IncrementalState &
 incrementalState(FlowContext &ctx)
 {
@@ -68,9 +61,7 @@ warmStart(FlowContext &ctx)
     Netlist &netlist = ctx.result.netlist;
     const int n = netlist.numInstances();
 
-    st.dirty.assign(n, 0);
-    st.hasAnchor.assign(n, 0);
-    st.anchors.assign(n, Vec2());
+    std::vector<char> dirty(n, 0);
     st.reusedPrior = false;
 
     const std::unordered_set<int> delta_qubits(
@@ -101,8 +92,6 @@ warmStart(FlowContext &ctx)
         }
         if (site) {
             ++mapped;
-            st.hasAnchor[i] = 1;
-            st.anchors[i] = site->pos;
             // A drifted frequency means the assignment changed
             // around this instance even if the caller's delta
             // missed it; re-place it rather than trust the prior.
@@ -113,8 +102,8 @@ warmStart(FlowContext &ctx)
         } else {
             ++fresh;
         }
-        st.dirty[i] = (site == nullptr || delta_dirty) ? 1 : 0;
-        dirty_count += st.dirty[i];
+        dirty[i] = (site == nullptr || delta_dirty) ? 1 : 0;
+        dirty_count += dirty[i];
     }
 
     IncrementalStats &stats = ctx.result.incremental;
@@ -134,7 +123,7 @@ warmStart(FlowContext &ctx)
         return;
     }
 
-    // Fixed prior sites must stay in-region; the freshly sized
+    // Warm-started prior sites must stay in-region; the freshly sized
     // region can be smaller than the prior's (both are anchored at
     // the origin, so the union preserves occupancy-cell alignment).
     netlist.setRegion(netlist.region().unionWith(prior.region));
@@ -149,7 +138,7 @@ warmStart(FlowContext &ctx)
     for (int i = 0; i < n; ++i) {
         const Vec2 off(rng.gaussian(0.0, jitter),
                        rng.gaussian(0.0, jitter));
-        if (st.dirty[i])
+        if (dirty[i])
             netlist.instance(i).pos += off;
     }
 
@@ -163,8 +152,7 @@ warmStart(FlowContext &ctx)
 /**
  * Short jitter-free Nesterov re-solve from the warm start. The system
  * sits near a legalized optimum, so IncrementalPlaceParams::maxIters
- * (a fraction of the cold budget) suffices; clean instances barely
- * move and later snap back to their prior sites.
+ * (a fraction of the cold budget) suffices.
  */
 void
 warmPlace(FlowContext &ctx)
@@ -182,13 +170,11 @@ warmPlace(FlowContext &ctx)
 }
 
 /**
- * Scoped legalization: clean instances that stayed within
- * kSnapToleranceUm of their prior site snap back and are held fixed;
- * everything else (dirty closure + drifters) goes through
- * Legalizer::legalize with that movable set.
+ * The cold legalize stage, over every instance. An empty delta's
+ * reused prior is already legal and is only checked.
  */
 void
-scopedLegalize(FlowContext &ctx)
+relegalize(FlowContext &ctx)
 {
     IncrementalState &st = incrementalState(ctx);
     Netlist &netlist = ctx.result.netlist;
@@ -196,30 +182,8 @@ scopedLegalize(FlowContext &ctx)
         ctx.result.legal.legal = Legalizer::isLegal(netlist);
         return;
     }
-
-    std::vector<int> movable;
-    for (int i = 0; i < netlist.numInstances(); ++i) {
-        if (st.dirty[i] || !st.hasAnchor[i]) {
-            movable.push_back(i);
-            continue;
-        }
-        Instance &inst = netlist.instance(i);
-        if (inst.pos.dist(st.anchors[i]) > kSnapToleranceUm)
-            movable.push_back(i);
-        else
-            inst.pos = st.anchors[i];
-    }
-    ctx.result.incremental.movableInstances =
-        static_cast<int>(movable.size());
-
-    const Legalizer legalizer(ctx.params.legalizer,
-                              ctx.params.crosstalk);
-    ctx.result.legal = legalizer.legalize(netlist, ctx.cancel, &movable,
-                                          &ctx.result.trace);
-    if (ctx.result.legal.cancelled) {
-        ctx.result.status = {FlowCode::Cancelled, "",
-                             "cancelled during legalization"};
-    }
+    ctx.result.incremental.movableInstances = netlist.numInstances();
+    kLegalizeStage.run(ctx);
 }
 
 } // namespace
@@ -231,7 +195,7 @@ makeIncrementalStages()
             kBuildStage,
             {"warm_start", warmStart},
             {"place", warmPlace},
-            {"legalize", scopedLegalize},
+            {"legalize", relegalize},
             kMetricsStage};
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Incremental re-place: warm-start a flow run from a prior job's
- * legalized layout and re-legalize only the dirtied region, instead
- * of running cold (the VTR-style dirty-region re-place from the
- * ROADMAP's placement-as-a-service item).
+ * legalized layout and re-solve it with a short global placement,
+ * instead of running cold (the placement-as-a-service item of the
+ * ROADMAP).
  *
  * The prior layout is captured as a PriorLayout keyed by *stable*
  * netlist identity -- topology qubit id for qubit instances,
@@ -14,13 +14,14 @@
  *
  * Stage sequence (makeIncrementalStages): assign -> build ->
  * warm_start -> place -> legalize -> metrics, where warm_start maps
- * prior positions onto the fresh netlist and computes the dirty set,
- * place runs a short jitter-free Nesterov re-solve
- * (IncrementalPlaceParams::maxIters), and legalize snaps undrifted
- * clean instances back to their prior sites and runs
- * Legalizer::legalize with the movers as its movable set. An empty delta on an
- * unchanged topology short-circuits: the prior layout is reproduced
- * exactly (bitwiseSameLayout) and the place/legalize stages no-op.
+ * prior positions onto the fresh netlist and computes the dirty set
+ * (jittered like a cold start), place runs a short jitter-free
+ * Nesterov re-solve (IncrementalPlaceParams::maxIters), and legalize
+ * is the cold stage, over every instance: the re-solve moves nearly
+ * every instance off its prior site, so no clean set survives to hold
+ * fixed. An empty delta on an unchanged topology short-circuits: the
+ * prior layout is reproduced exactly (bitwiseSameLayout) and the
+ * place/legalize stages no-op.
  */
 
 #ifndef QPLACER_PIPELINE_INCREMENTAL_HPP
@@ -80,19 +81,14 @@ struct NetlistDelta
 /**
  * Shared scratch of the incremental stages, pointed to by
  * FlowContext::incremental. Inputs (prior, delta) are set by the
- * caller; the rest is filled by the warm_start stage for the scoped
- * legalize stage.
+ * caller; the warm_start stage tells the later stages whether the
+ * prior was reused as-is.
  */
 struct IncrementalState
 {
     const PriorLayout *prior = nullptr; ///< Borrowed; required.
     NetlistDelta delta;
-
-    // warm_start -> legalize handoff (indexed by instance id).
-    std::vector<char> dirty;     ///< Re-placed from scratch.
-    std::vector<char> hasAnchor; ///< Mapped to a prior legal site.
-    std::vector<Vec2> anchors;   ///< That site (valid when hasAnchor).
-    bool reusedPrior = false;    ///< Empty delta: layout reused as-is.
+    bool reusedPrior = false; ///< Empty delta: layout reused as-is.
 };
 
 /**

@@ -112,7 +112,7 @@ class PlacementSession
      * started from @p prior, re-placing only the @p delta closure. An
      * empty delta on an unchanged topology reproduces the prior layout
      * exactly (bitwiseSameLayout); a small delta re-solves briefly
-     * (params.incremental.maxIters) and re-legalizes just the movers.
+     * (params.incremental.maxIters) and legalizes every instance.
      * Non-throwing like run(); Human mode and
      * params.portfolio.seeds > 1 are rejected via status.
      */

@@ -74,10 +74,11 @@ struct FlowStage
 
 /**
  * The default stages the incremental re-place (incremental.hpp) wraps
- * its warm-start stages in.
+ * its warm-start stages in; its legalize stage runs kLegalizeStage.
  */
 extern const FlowStage kAssignStage;
 extern const FlowStage kBuildStage;
+extern const FlowStage kLegalizeStage;
 extern const FlowStage kMetricsStage;
 
 /**

@@ -83,7 +83,7 @@ legalize(FlowContext &ctx)
 {
     const Legalizer legalizer(ctx.params.legalizer, ctx.params.crosstalk);
     ctx.result.legal = legalizer.legalize(ctx.result.netlist, ctx.cancel,
-                                          nullptr, &ctx.result.trace);
+                                          &ctx.result.trace);
     if (ctx.result.legal.cancelled) {
         ctx.result.status = {FlowCode::Cancelled, "",
                              "cancelled during legalization"};
@@ -131,6 +131,7 @@ const FlowStage kPlaceStage{"place", place};
 
 const FlowStage kAssignStage{"assign", assign};
 const FlowStage kBuildStage{"build", build};
+const FlowStage kLegalizeStage{"legalize", legalize};
 const FlowStage kMetricsStage{"metrics", metrics};
 
 std::vector<FlowStage>
@@ -140,7 +141,7 @@ makeDefaultStages(const FlowParams &params)
         return {kAssignStage, {"human_place", humanPlace}, kMetricsStage};
 
     std::vector<FlowStage> stages{kAssignStage, kBuildStage, kPlaceStage,
-                                  {"legalize", legalize}};
+                                  kLegalizeStage};
     // detailed.iters is the stage's one switch: at 0 (the default) the
     // stage is not even inserted, so the stage list (and with it every
     // timing and observer event) is that of the plain Fig. 7 flow.

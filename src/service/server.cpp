@@ -311,13 +311,6 @@ PlacementServer::jobsCompleted() const
 }
 
 int
-PlacementServer::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int>(queue_.size());
-}
-
-int
 PlacementServer::activeJobs() const
 {
     std::lock_guard<std::mutex> lock(mu_);

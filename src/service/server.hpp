@@ -169,9 +169,6 @@ class PlacementServer
     /** Jobs fully processed so far (including cancelled ones). */
     int jobsCompleted() const;
 
-    /** Jobs waiting in the queue right now. */
-    int queueDepth() const;
-
     /** Jobs currently executing on workers. */
     int activeJobs() const;
 

@@ -1,5 +1,6 @@
 #include "topology/topology.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -41,11 +42,20 @@ Topology::validate() const
 double
 Topology::minEmbeddingSpacing() const
 {
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < embedding.size(); ++i) {
-        for (std::size_t j = i + 1; j < embedding.size(); ++j)
-            best = std::min(best, embedding[i].dist(embedding[j]));
-    }
+    std::vector<NearPoint> points;
+    points.reserve(embedding.size());
+    for (std::size_t i = 0; i < embedding.size(); ++i)
+        if (std::isfinite(embedding[i].x) && std::isfinite(embedding[i].y))
+            points.push_back({embedding[i], static_cast<std::int32_t>(i)});
+    if (points.size() < 2)
+        return std::numeric_limits<double>::infinity();
+    // Any one pair's distance bounds the minimum from above, and a
+    // pair closer than that lies inside the window on both axes. The
+    // pad covers a hypot that rounds below max(|dx|, |dy|).
+    double best = points[0].pos.dist(points[1].pos);
+    forEachNearPair(points, best * (1.0 + 1e-9), [&](int i, int j) {
+        best = std::min(best, embedding[i].dist(embedding[j]));
+    });
     return best;
 }
 

@@ -114,9 +114,9 @@ maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
  */
 TEST(ParallelDct, BatchTransformsMatchSerialAcrossThreadCounts)
 {
-    const DctPlan::Kind kinds[] = {
-        DctPlan::Kind::Dct2, DctPlan::Kind::Idct2,
-        DctPlan::Kind::CosSeries, DctPlan::Kind::SinSeries};
+    const DctPlan::Kind kinds[] = {DctPlan::Kind::Dct2,
+                                   DctPlan::Kind::CosSeries,
+                                   DctPlan::Kind::SinSeries};
     struct Shape
     {
         int nx; ///< Transform length (power of two).
@@ -175,7 +175,10 @@ TEST(ParallelDct, RoundTripSurvivesThreading)
         syntheticMap(static_cast<std::size_t>(nx) * ny, 3.0);
     std::vector<double> map = input;
     transformRows(map, nx, ny, DctPlan::Kind::Dct2, &pool);
-    transformRows(map, nx, ny, DctPlan::Kind::Idct2, &pool);
+    // The cosine series of a DCT-II spectrum is N times its input.
+    transformRows(map, nx, ny, DctPlan::Kind::CosSeries, &pool);
+    for (double &v : map)
+        v /= nx;
     EXPECT_LT(maxAbsDiff(map, input), 1e-9);
 }
 

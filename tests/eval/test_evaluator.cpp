@@ -52,8 +52,9 @@ TEST_F(EvaluatorTest, FidelityInUnitInterval)
     EvaluatorParams params;
     params.numSubsets = 10;
     const Evaluator evaluator(params);
-    const BenchmarkResult r = evaluator.evaluate(
-        *topo_, qplacer_->netlist, makeBenchmark("bv-4"));
+    const BenchmarkResult r =
+        evaluator.evaluate(*topo_, qplacer_->netlist, qplacer_->hotspots,
+                           makeBenchmark("bv-4"));
     EXPECT_EQ(r.perSubset.size(), 10u);
     for (double f : r.perSubset) {
         EXPECT_GE(f, 0.0);
@@ -72,9 +73,13 @@ TEST_F(EvaluatorTest, QplacerBeatsClassic)
     const Evaluator evaluator(params);
     const Circuit bv = makeBenchmark("bv-4");
     const double f_qplacer =
-        evaluator.evaluate(*topo_, qplacer_->netlist, bv).meanFidelity;
+        evaluator
+            .evaluate(*topo_, qplacer_->netlist, qplacer_->hotspots, bv)
+            .meanFidelity;
     const double f_classic =
-        evaluator.evaluate(*topo_, classic_->netlist, bv).meanFidelity;
+        evaluator
+            .evaluate(*topo_, classic_->netlist, classic_->hotspots, bv)
+            .meanFidelity;
     EXPECT_GT(f_qplacer, 3.0 * f_classic);
 }
 
@@ -84,8 +89,10 @@ TEST_F(EvaluatorTest, DeterministicAcrossRuns)
     params.numSubsets = 5;
     const Evaluator evaluator(params);
     const Circuit bv = makeBenchmark("bv-4");
-    const auto a = evaluator.evaluate(*topo_, qplacer_->netlist, bv);
-    const auto b = evaluator.evaluate(*topo_, qplacer_->netlist, bv);
+    const auto a = evaluator.evaluate(*topo_, qplacer_->netlist,
+                                      qplacer_->hotspots, bv);
+    const auto b = evaluator.evaluate(*topo_, qplacer_->netlist,
+                                      qplacer_->hotspots, bv);
     EXPECT_EQ(a.perSubset, b.perSubset);
 }
 
@@ -94,9 +101,9 @@ TEST_F(EvaluatorTest, BenchmarkLargerThanDeviceIsFatal)
     const Evaluator evaluator;
     Circuit huge(26, "huge");
     huge.add2q(GateKind::CX, 0, 1);
-    EXPECT_THROW(
-        evaluator.evaluate(*topo_, qplacer_->netlist, huge),
-        std::runtime_error);
+    EXPECT_THROW(evaluator.evaluate(*topo_, qplacer_->netlist,
+                                    qplacer_->hotspots, huge),
+                 std::runtime_error);
 }
 
 TEST_F(EvaluatorTest, FidelityProxyFollowsTheRuleTolerance)
@@ -107,19 +114,18 @@ TEST_F(EvaluatorTest, FidelityProxyFollowsTheRuleTolerance)
     const Netlist &layout = qplacer_->netlist;
     CrosstalkRule wide;
     wide.adjacencyTolUm = 150.0;
-    const std::size_t pairs_50 = analyzeHotspots(layout).pairs.size();
-    const std::size_t pairs_150 =
-        analyzeHotspots(layout, wide).pairs.size();
-    EXPECT_GT(pairs_150, pairs_50);
+    const HotspotReport hotspots_50 = analyzeHotspots(layout);
+    const HotspotReport hotspots_150 = analyzeHotspots(layout, wide);
+    EXPECT_GT(hotspots_150.pairs.size(), hotspots_50.pairs.size());
 
     EvaluatorParams params;
     params.numSubsets = 10;
+    const Evaluator evaluator(params);
     const Circuit bv = makeBenchmark("bv-9");
     const double f_50 =
-        Evaluator(params).evaluate(*topo_, layout, bv).meanFidelity;
-    params.crosstalk = wide;
+        evaluator.evaluate(*topo_, layout, hotspots_50, bv).meanFidelity;
     const double f_150 =
-        Evaluator(params).evaluate(*topo_, layout, bv).meanFidelity;
+        evaluator.evaluate(*topo_, layout, hotspots_150, bv).meanFidelity;
     EXPECT_LT(f_150, f_50);
 }
 
@@ -128,8 +134,9 @@ TEST_F(EvaluatorTest, SwapsReportedForSparseTopologies)
     EvaluatorParams params;
     params.numSubsets = 10;
     const Evaluator evaluator(params);
-    const BenchmarkResult r = evaluator.evaluate(
-        *topo_, qplacer_->netlist, makeBenchmark("bv-9"));
+    const BenchmarkResult r =
+        evaluator.evaluate(*topo_, qplacer_->netlist, qplacer_->hotspots,
+                           makeBenchmark("bv-9"));
     EXPECT_GE(r.meanSwaps, 0);
 }
 

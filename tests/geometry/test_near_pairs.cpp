@@ -5,7 +5,8 @@
  * tests/oracles: the (a, b)-sorted pair lists must match bit for bit
  * (memcmp) at adjacency tolerances 0, 50 and 150 um, on seeded random
  * layouts and on the placed layouts of Falcon, Aspen-M, Eagle and
- * grid16x16.
+ * grid16x16. Topology::minEmbeddingSpacing, which sweeps the embedding,
+ * must return the all-pairs minimum's bits.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "netlist/builder.hpp"
 #include "oracles/oracles.hpp"
 #include "pipeline/session.hpp"
+#include "topology/factory.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
 
@@ -169,6 +171,56 @@ TEST(NearPairs, HotspotPairsMatchAllPairsOnPlacedDevices)
         const FlowResult flow = PlacementSession().run(topo, params);
         ASSERT_TRUE(flow.status.ok()) << name << ": " << flow.status.message;
         EXPECT_GT(expectPairsMatchOracles(flow.netlist, name), 0u);
+    }
+}
+
+TEST(NearPairs, MinEmbeddingSpacingMatchesAllPairs)
+{
+    std::vector<Topology> topologies;
+    for (const std::string &name : paperTopologyNames())
+        topologies.push_back(makeTopology(name));
+    for (const char *spec : {"grid1x2", "grid7x3", "grid32x32",
+                             "heavyhex3x9", "heavyhex6x5", "octagon1x1",
+                             "octagon4x3", "grid8x8@dies=2x1"}) {
+        Topology topo;
+        std::string error;
+        ASSERT_TRUE(resolveTopologySpec(spec, topo, &error)) << error;
+        topologies.push_back(topo);
+    }
+    // Irregular embeddings: the first two qubits far apart (a wide
+    // window), off-lattice coordinates, coincident and non-finite
+    // points, and fewer than two finite points.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        Topology topo;
+        topo.name = "random seed " + std::to_string(seed);
+        topo.embedding = {{0.0, 0.0}, {9000.0, 7000.0}};
+        for (int i = 0; i < 300; ++i)
+            topo.embedding.emplace_back(rng.uniform(0.0, 9000.0),
+                                        rng.uniform(0.0, 7000.0));
+        topo.embedding[5] = Vec2(nan, 10.0);
+        topo.embedding[6] = Vec2(inf, 10.0);
+        if (seed == 4)
+            topo.embedding[9] = topo.embedding[200];
+        topologies.push_back(topo);
+    }
+    for (const auto &embedding : std::vector<std::vector<Vec2>>{
+             {}, {{1.0, 2.0}}, {{1.0, 2.0}, {nan, 2.0}},
+             {{inf, 0.0}, {-inf, 0.0}, {3.0, 4.0}},
+             {{nan, 0.0}, {0.0, 0.0}, {3.0, 4.0}, {inf, inf}}}) {
+        Topology topo;
+        topo.name = std::to_string(embedding.size()) + " hand-made points";
+        topo.embedding = embedding;
+        topologies.push_back(topo);
+    }
+
+    for (const Topology &topo : topologies) {
+        const double swept = topo.minEmbeddingSpacing();
+        const double all_pairs = oracle::minEmbeddingSpacing(topo);
+        EXPECT_EQ(std::memcmp(&swept, &all_pairs, sizeof(double)), 0)
+            << topo.name << ": " << swept << " vs " << all_pairs;
     }
 }
 

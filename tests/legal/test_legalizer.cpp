@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "core/placer.hpp"
 #include "freq/assigner.hpp"
 #include "legal/legalizer.hpp"
@@ -121,93 +119,6 @@ TEST(Legalizer, ClassicModeSkipsResonanceChecks)
     params.resonanceCheck = false;
     const LegalizeResult result = Legalizer(params).legalize(nl);
     EXPECT_TRUE(result.legal);
-}
-
-// --- Scoped pass: legalize() with a movable set. ---
-
-/** A cold-legalized grid, the starting point of every scoped run. */
-Netlist
-legalNetlist(int rows, int cols)
-{
-    Netlist nl = placedNetlist(rows, cols);
-    Legalizer().legalize(nl);
-    EXPECT_TRUE(Legalizer::isLegal(nl));
-    return nl;
-}
-
-TEST(Legalizer, ScopedPassKeepsFixedInstancesInPlace)
-{
-    Netlist nl = legalNetlist(4, 4);
-    const std::vector<int> movable = {0, 5};
-    for (int q : movable)
-        nl.instance(q).pos += Vec2(250.0, -150.0);
-    std::vector<Vec2> before;
-    for (const Instance &inst : nl.instances())
-        before.push_back(inst.pos);
-
-    const LegalizeResult result =
-        Legalizer().legalize(nl, nullptr, &movable);
-    EXPECT_TRUE(result.legal);
-    EXPECT_TRUE(Legalizer::isLegal(nl));
-    for (int i = 0; i < nl.numInstances(); ++i) {
-        if (i == movable[0] || i == movable[1])
-            continue;
-        EXPECT_EQ(nl.instance(i).pos.x, before[i].x) << "instance " << i;
-        EXPECT_EQ(nl.instance(i).pos.y, before[i].y) << "instance " << i;
-    }
-}
-
-TEST(Legalizer, ScopedPassMovesWholeResonatorChain)
-{
-    Netlist nl = legalNetlist(3, 3);
-    const Resonator *chain = nullptr;
-    for (const Resonator &res : nl.resonators())
-        if (res.segments.size() >= 3) {
-            chain = &res;
-            break;
-        }
-    ASSERT_NE(chain, nullptr);
-
-    // Drop a middle segment of the chain onto qubit 0 and name only
-    // that segment movable. The closure must re-legalize the whole
-    // chain (Tetris scans chains from their first segment), so the
-    // overlap is resolved while every other instance stays put.
-    const int mid = chain->segments[1];
-    nl.instance(mid).pos = nl.instance(0).pos;
-    std::vector<Vec2> before;
-    for (const Instance &inst : nl.instances())
-        before.push_back(inst.pos);
-
-    const std::vector<int> movable = {mid};
-    const LegalizeResult result =
-        Legalizer().legalize(nl, nullptr, &movable);
-    EXPECT_TRUE(result.legal);
-    EXPECT_TRUE(Legalizer::isLegal(nl));
-    for (const Instance &inst : nl.instances()) {
-        if (inst.resonator == chain->id)
-            continue;
-        EXPECT_EQ(inst.pos.x, before[inst.id].x) << "instance " << inst.id;
-        EXPECT_EQ(inst.pos.y, before[inst.id].y) << "instance " << inst.id;
-    }
-}
-
-TEST(Legalizer, ScopedPassDemotesConflictingFixedInstance)
-{
-    Netlist nl = legalNetlist(3, 3);
-    // Two fixed qubits on one site: the first keeps it, the second is
-    // demoted to movable and re-legalized elsewhere.
-    const Vec2 site = nl.instance(0).pos;
-    nl.instance(1).pos = site;
-    ASSERT_FALSE(Legalizer::isLegal(nl));
-
-    const std::vector<int> movable;
-    const LegalizeResult result =
-        Legalizer().legalize(nl, nullptr, &movable);
-    EXPECT_TRUE(result.legal);
-    EXPECT_TRUE(Legalizer::isLegal(nl));
-    EXPECT_EQ(nl.instance(0).pos.x, site.x);
-    EXPECT_EQ(nl.instance(0).pos.y, site.y);
-    EXPECT_GT(nl.instance(1).pos.dist(site), 0.0);
 }
 
 } // namespace

@@ -40,7 +40,7 @@ TEST(LegalizerScale, Grid32x32SmokesThroughTheFastPath)
 
     Trace trace;
     const LegalizeResult result =
-        Legalizer().legalize(nl, nullptr, nullptr, &trace);
+        Legalizer().legalize(nl, nullptr, &trace);
 
     EXPECT_TRUE(result.legal);
     EXPECT_TRUE(Legalizer::isLegal(nl));

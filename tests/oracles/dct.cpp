@@ -113,8 +113,6 @@ Dct::apply(Kind kind, const std::vector<double> &x)
     switch (kind) {
       case Kind::Dct2:
         return dct2(x);
-      case Kind::Idct2:
-        return idct2(x);
       case Kind::CosSeries:
         return cosSeries(x);
       case Kind::SinSeries:

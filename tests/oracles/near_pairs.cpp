@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 
 #include "oracles/oracles.hpp"
 
@@ -18,6 +19,18 @@ nearPairs(const std::vector<Vec2> &points, double reach)
         }
     }
     return out;
+}
+
+double
+minEmbeddingSpacing(const Topology &topo)
+{
+    const std::vector<Vec2> &embedding = topo.embedding;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < embedding.size(); ++i) {
+        for (std::size_t j = i + 1; j < embedding.size(); ++j)
+            best = std::min(best, embedding[i].dist(embedding[j]));
+    }
+    return best;
 }
 
 std::vector<HotspotPair>

@@ -24,8 +24,8 @@
  *    (legal/test_anneal);
  *  - the Nesterov step's largest gradient norm by a std::hypot over
  *    every entry (core/test_nesterov);
- *  - the near-pair sweep and the hotspot pairs by all-pairs scans
- *    (geometry/test_near_pairs).
+ *  - the near-pair sweep, the hotspot pairs and the minimum embedding
+ *    spacing by all-pairs scans (geometry/test_near_pairs).
  */
 
 #ifndef QPLACER_TESTS_ORACLES_HPP
@@ -213,6 +213,12 @@ double largestNorm(const std::vector<Vec2> &gradient);
  */
 std::vector<std::pair<std::int32_t, std::int32_t>>
 nearPairs(const std::vector<Vec2> &points, double reach);
+
+/**
+ * Topology::minEmbeddingSpacing by an all-pairs scan: std::min over
+ * every embedding[i].dist(embedding[j]), i < j, from infinity.
+ */
+double minEmbeddingSpacing(const Topology &topo);
 
 /**
  * analyzeHotspots' pairs by an all-pairs scan, in (a, b) order: the

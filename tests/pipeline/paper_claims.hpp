@@ -40,7 +40,7 @@ bv4Of(const Topology &topo, const FlowResult &flow)
 {
     EvaluatorParams params;
     params.numSubsets = 15;
-    return Evaluator(params).evaluate(topo, flow.netlist,
+    return Evaluator(params).evaluate(topo, flow.netlist, flow.hotspots,
                                       makeBenchmark("bv-4"));
 }
 

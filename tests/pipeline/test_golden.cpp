@@ -76,8 +76,8 @@ checkGolden(const Topology &topo, const Golden &g)
     EvaluatorParams eparams;
     eparams.numSubsets = 8; // Fixed subsetSeed: same mappings forever.
     const Evaluator evaluator(eparams);
-    const BenchmarkResult b =
-        evaluator.evaluate(topo, r.netlist, makeBenchmark(g.circuit));
+    const BenchmarkResult b = evaluator.evaluate(
+        topo, r.netlist, r.hotspots, makeBenchmark(g.circuit));
     std::printf("[golden] %s: %s fidelity=%.6g\n", g.name, g.circuit,
                 b.meanFidelity);
     EXPECT_NEAR(b.meanFidelity, g.fidelity, g.fidelityTol)

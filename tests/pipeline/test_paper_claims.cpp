@@ -35,7 +35,8 @@ constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5};
 BenchmarkResult
 bv16Of(const Topology &topo, const FlowResult &flow)
 {
-    return Evaluator().evaluate(topo, flow.netlist, makeBenchmark("bv-16"));
+    return Evaluator().evaluate(topo, flow.netlist, flow.hotspots,
+                                makeBenchmark("bv-16"));
 }
 
 void

@@ -161,19 +161,19 @@ TEST(Server, ConcurrentJobsBitwiseIdenticalToSerial)
     EXPECT_EQ(client.server().jobsCompleted(), kJobs);
 }
 
-TEST(Server, SessionsStayWarmAcrossJobs)
+TEST(Server, SameSeedJobsOnOneWorkerGiveIdenticalLayouts)
 {
     Loopback client; // One worker, reused for every job.
     for (int j = 0; j < 3; ++j)
         EXPECT_TRUE(client.send(
-            submitLine("warm" + std::to_string(j), "grid3x3", 5, 40)));
+            submitLine("same" + std::to_string(j), "grid3x3", 5, 40)));
     client.server().drain();
 
-    // Same seed through the same session: identical layouts.
+    // Same seed through the same worker: identical layouts.
     const std::string first =
-        client.resultFor("warm0").find("layout")->serialize();
+        client.resultFor("same0").find("layout")->serialize();
     for (int j = 1; j < 3; ++j)
-        EXPECT_EQ(client.resultFor("warm" + std::to_string(j))
+        EXPECT_EQ(client.resultFor("same" + std::to_string(j))
                       .find("layout")
                       ->serialize(),
                   first);

@@ -394,14 +394,12 @@ fidelityBenchmarkFor(const Topology &topo)
  */
 void
 printReportJson(std::ostream &os, const Topology &topo,
-                const CliOptions &opts, const CrosstalkRule &rule,
-                const std::vector<FlowResult> &results,
+                const CliOptions &opts, const std::vector<FlowResult> &results,
                 double wall_seconds)
 {
     const char *benchmark = fidelityBenchmarkFor(topo);
     EvaluatorParams eparams;
     eparams.numSubsets = 8;
-    eparams.crosstalk = rule;
     const Evaluator evaluator(eparams);
     // One circuit for the whole batch; only the mapping differs per
     // job (the placeholder is never evaluated).
@@ -416,7 +414,7 @@ printReportJson(std::ostream &os, const Topology &topo,
         JsonValue entry = jobReportJson(r, reportSeed(opts, job, r));
         if (benchmark != nullptr && r.status.ok()) {
             const BenchmarkResult b =
-                evaluator.evaluate(topo, r.netlist, circuit);
+                evaluator.evaluate(topo, r.netlist, r.hotspots, circuit);
             JsonValue fidelity = JsonValue::object();
             fidelity.set("benchmark", JsonValue::string(benchmark));
             fidelity.set("mean", JsonValue::number(b.meanFidelity));
@@ -587,8 +585,7 @@ run(int argc, char **argv)
     }
 
     if (opts.report == ReportFormat::Json) {
-        printReportJson(std::cout, topo, opts, params.crosstalk, results,
-                        wall_seconds);
+        printReportJson(std::cout, topo, opts, results, wall_seconds);
     } else if (!opts.quiet) {
         if (results.size() == 1)
             printSummary(topo, opts, results.front());
