@@ -35,10 +35,6 @@ OccupancyGrid::OccupancyGrid(Rect region, double cell_um)
     owner_.assign(static_cast<std::size_t>(nx_) * ny_, -1);
     wordsPerRow_ = (nx_ + 63) / 64;
     occ_.assign(static_cast<std::size_t>(wordsPerRow_) * ny_, 0);
-    nbx_ = (nx_ + 7) / 8;
-    nby_ = (ny_ + 7) / 8;
-    summaryWordsPerRow_ = (nbx_ + 63) / 64;
-    full_.assign(static_cast<std::size_t>(summaryWordsPerRow_) * nby_, 0);
 }
 
 OccupancyGrid::CellSpan
@@ -98,32 +94,6 @@ OccupancyGrid::canPlaceIgnoring(const Rect &rect,
 bool
 OccupancyGrid::spanFree(const CellSpan &s, std::int32_t ignore_id) const
 {
-    // Summary reject: a fully-occupied 8x8 block intersecting the span
-    // means some span cell is owned. Only valid without an ignore id
-    // (a full block could be owned entirely by the ignored instance --
-    // an 8x8-cell block is exactly one padded qubit footprint).
-    if (ignore_id < 0) {
-        const int by0 = s.y0 / 8;
-        const int by1 = s.y1 / 8;
-        const int bw0 = (s.x0 / 8) / 64;
-        const int bw1 = (s.x1 / 8) / 64;
-        for (int by = by0; by <= by1; ++by) {
-            const std::uint64_t *row =
-                full_.data() +
-                static_cast<std::size_t>(by) * summaryWordsPerRow_;
-            for (int w = bw0; w <= bw1; ++w) {
-                std::uint64_t mask = kAllOnes;
-                if (w == bw0 || w == bw1) {
-                    const int lo = w == bw0 ? (s.x0 / 8) & 63 : 0;
-                    const int hi = w == bw1 ? (s.x1 / 8) & 63 : 63;
-                    mask = bitRange(lo, hi);
-                }
-                if (row[w] & mask)
-                    return false;
-            }
-        }
-    }
-
     const int w0 = s.x0 / 64;
     const int w1 = s.x1 / 64;
     for (int iy = s.y0; iy <= s.y1; ++iy) {
@@ -158,41 +128,6 @@ OccupancyGrid::spanFree(const CellSpan &s, std::int32_t ignore_id) const
 }
 
 void
-OccupancyGrid::refreshSummary(const CellSpan &s)
-{
-    const int bx0 = std::max(0, s.x0) / 8;
-    const int bx1 = std::min(nx_ - 1, s.x1) / 8;
-    const int by0 = std::max(0, s.y0) / 8;
-    const int by1 = std::min(ny_ - 1, s.y1) / 8;
-    for (int by = by0; by <= by1; ++by) {
-        const int cy0 = by * 8;
-        const int cy1 = std::min(ny_ - 1, cy0 + 7);
-        for (int bx = bx0; bx <= bx1; ++bx) {
-            const int cx0 = bx * 8;
-            const int cx1 = std::min(nx_ - 1, cx0 + 7);
-            // An 8-cell block row always lies inside one word.
-            const std::uint64_t mask = bitRange(cx0 & 63, cx1 & 63);
-            const int w = cx0 / 64;
-            bool block_full = true;
-            for (int iy = cy0; block_full && iy <= cy1; ++iy) {
-                block_full =
-                    (occ_[static_cast<std::size_t>(iy) * wordsPerRow_ +
-                          w] &
-                     mask) == mask;
-            }
-            std::uint64_t &word =
-                full_[static_cast<std::size_t>(by) * summaryWordsPerRow_ +
-                      bx / 64];
-            const std::uint64_t bit = std::uint64_t(1) << (bx & 63);
-            if (block_full)
-                word |= bit;
-            else
-                word &= ~bit;
-        }
-    }
-}
-
-void
 OccupancyGrid::occupy(const Rect &rect, std::int32_t id)
 {
     if (!inRegion(rect))
@@ -212,7 +147,6 @@ OccupancyGrid::occupy(const Rect &rect, std::int32_t id)
                 std::uint64_t(1) << (ix & 63);
         }
     }
-    refreshSummary(s);
 }
 
 void
@@ -232,7 +166,6 @@ OccupancyGrid::block(const Rect &rect)
                 std::uint64_t(1) << (ix & 63);
         }
     }
-    refreshSummary(s);
 }
 
 void
@@ -251,7 +184,6 @@ OccupancyGrid::release(const Rect &rect, std::int32_t id)
             }
         }
     }
-    refreshSummary(s);
 }
 
 std::int32_t

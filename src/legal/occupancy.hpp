@@ -7,16 +7,14 @@
  * represents any legal arrangement exactly.
  *
  * Scale: alongside the per-cell owner map the grid maintains a
- * word-packed occupancy bitset (one bit per cell) and a hierarchical
- * summary level (one bit per 8x8 block, set when the block is fully
- * occupied). canPlace() tests a footprint span with a handful of masked
- * word reads -- ~O(span/64) instead of O(span) -- and dense
- * neighbourhoods reject in O(1) off the summary bits. nextPlaceableX()/
- * nextPlaceableY() expose "first free slot at or after" scans so the
- * spiral legalizer can skip fully-occupied stretches of a ring
- * wholesale. Every fast query is exact: the bitsets mirror the owner
- * map bit for bit, so results are identical to a per-cell owner scan
- * (tests/legal/test_fast_equivalence keeps that scan as its oracle).
+ * word-packed occupancy bitset (one bit per cell). canPlace() tests a
+ * footprint span with a handful of masked word reads -- ~O(span/64)
+ * instead of O(span). nextPlaceableX()/nextPlaceableY() expose "first
+ * free slot at or after" scans so the spiral legalizer can skip
+ * fully-occupied stretches of a ring wholesale. Every fast query is
+ * exact: the bitset mirrors the owner map bit for bit, so results are
+ * identical to a per-cell owner scan (tests/legal/test_fast_equivalence
+ * keeps that scan as its oracle).
  */
 
 #ifndef QPLACER_LEGAL_OCCUPANCY_HPP
@@ -123,11 +121,8 @@ class OccupancyGrid
     CellSpan spanOf(const Rect &rect) const;
     bool inRegion(const Rect &rect) const;
 
-    /** Span test: masked word reads + full-block summary reject. */
+    /** Span test: masked word reads of the occupancy bitset. */
     bool spanFree(const CellSpan &s, std::int32_t ignore_id) const;
-
-    /** Recompute the full-block summary bits touching cell span @p s. */
-    void refreshSummary(const CellSpan &s);
 
     Rect region_;
     double cellUm_;
@@ -139,15 +134,6 @@ class OccupancyGrid
     // (iy * wordsPerRow_ + ix/64) set iff the cell is owned.
     int wordsPerRow_;
     std::vector<std::uint64_t> occ_;
-
-    // Summary level: one bit per 8x8 cell block, set iff every in-grid
-    // cell of the block is owned. A set bit intersecting a probe span
-    // rejects canPlace without reading the detail words; bits are only
-    // ever conservatively cleared, never stale-set.
-    int nbx_;
-    int nby_;
-    int summaryWordsPerRow_;
-    std::vector<std::uint64_t> full_;
 };
 
 } // namespace qplacer

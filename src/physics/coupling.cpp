@@ -22,15 +22,6 @@ couplingStrength(double f1_hz, double f2_hz, double cp_ff, double c1_ff,
 }
 
 double
-effectiveCoupling(double g_hz, double delta_hz)
-{
-    const double abs_delta = std::abs(delta_hz);
-    if (abs_delta < std::abs(g_hz))
-        return std::abs(g_hz);
-    return g_hz * g_hz / abs_delta;
-}
-
-double
 rabiAmplitude(double g_hz, double delta_hz)
 {
     const double g2 = g_hz * g_hz;
@@ -68,14 +59,6 @@ worstCaseTransition(double g_hz, double delta_hz, double t_s)
         return amp;
     const double s = std::sin(phase);
     return amp * s * s;
-}
-
-double
-dispersiveShift(double g_hz, double delta_hz)
-{
-    if (delta_hz == 0.0)
-        panic("dispersiveShift: zero detuning");
-    return g_hz * g_hz / delta_hz;
 }
 
 } // namespace qplacer

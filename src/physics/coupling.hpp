@@ -2,10 +2,9 @@
  * @file
  * Coupling-strength and Rabi-exchange models (Section III).
  *
- * Implements Eq. (6) for capacitive coupling strength, the dispersive
- * effective coupling g^2/Delta, and the (generalized) Rabi transition
- * probability used by the crosstalk error model (Eq. 16). Each
- * function states the formula it evaluates.
+ * Implements Eq. (6) for capacitive coupling strength and the
+ * (generalized) Rabi transition probability used by the crosstalk
+ * error model (Eq. 16). Each function states the formula it evaluates.
  */
 
 #ifndef QPLACER_PHYSICS_COUPLING_HPP
@@ -23,13 +22,6 @@ namespace qplacer {
  */
 double couplingStrength(double f1_hz, double f2_hz, double cp_ff,
                         double c1_ff, double c2_ff);
-
-/**
- * Dispersive effective coupling g_eff = g^2 / |Delta| (Eq. 5); returns
- * g itself when |Delta| < g (the resonant regime where the dispersive
- * approximation breaks down).
- */
-double effectiveCoupling(double g_hz, double delta_hz);
 
 /**
  * Peak population transfer of generalized Rabi oscillation:
@@ -50,9 +42,6 @@ double rabiTransitionProb(double g_hz, double delta_hz, double t_s);
  * Eq. 16.
  */
 double worstCaseTransition(double g_hz, double delta_hz, double t_s);
-
-/** Dispersive shift chi = g^2 / Delta (signed; Eq. under Sec. II-B). */
-double dispersiveShift(double g_hz, double delta_hz);
 
 } // namespace qplacer
 

@@ -22,10 +22,4 @@ DecoherenceModel::errorOver(double duration_s) const
     return 1.0 - std::exp(-duration_s * rate_);
 }
 
-double
-DecoherenceModel::fidelityOver(double duration_s) const
-{
-    return 1.0 - errorOver(duration_s);
-}
-
 } // namespace qplacer

@@ -24,9 +24,6 @@ class DecoherenceModel
      */
     double errorOver(double duration_s) const;
 
-    /** Survival probability, 1 - errorOver(t). */
-    double fidelityOver(double duration_s) const;
-
     double t1() const { return t1_; }
     double t2() const { return t2_; }
 

@@ -119,29 +119,16 @@ PlacementSession::runIncremental(const Topology &topo,
 }
 
 std::vector<FlowResult>
-PlacementSession::runBatch(const std::vector<PlacementJob> &jobs)
+PlacementSession::runBatch(const Topology &topo,
+                           const std::vector<FlowParams> &jobs)
 {
-    std::vector<JobRef> refs;
-    refs.reserve(jobs.size());
-    for (const PlacementJob &job : jobs)
-        refs.push_back({&job.topo, &job.params});
-    return runBatchRefs(refs, observer_);
+    return runBatch(topo, jobs, observer_);
 }
 
 std::vector<FlowResult>
 PlacementSession::runBatch(const Topology &topo,
-                           const std::vector<FlowParams> &jobs)
-{
-    std::vector<JobRef> refs;
-    refs.reserve(jobs.size());
-    for (const FlowParams &params : jobs)
-        refs.push_back({&topo, &params});
-    return runBatchRefs(refs, observer_);
-}
-
-std::vector<FlowResult>
-PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs,
-                               FlowObserver *observer)
+                           const std::vector<FlowParams> &jobs,
+                           FlowObserver *observer)
 {
     // A serial batch keeps each job's requested intra-placement thread
     // count; concurrent jobs place single-threaded (runJob). Either way
@@ -150,12 +137,11 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs,
     // job cannot take down the batch.
     std::vector<FlowResult> results(jobs.size());
     forEachJob(jobs.size(), [&](std::size_t i, bool concurrent) {
-        const FlowParams &params = *jobs[i].params;
-        if (params.portfolio.seeds > 1) {
+        if (jobs[i].portfolio.seeds > 1) {
             results[i] = rejected(kOneSeedOnly);
             return;
         }
-        results[i] = runJob(*jobs[i].topo, params, static_cast<int>(i),
+        results[i] = runJob(topo, jobs[i], static_cast<int>(i),
                             concurrent, observer);
     });
     return results;
@@ -187,17 +173,14 @@ PlacementSession::runPortfolio(const Topology &topo,
     stats.seeds = params.portfolio.seeds;
     stats.candidates.resize(n);
     std::vector<FlowParams> candidates(n, params);
-    std::vector<JobRef> refs;
-    refs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         stats.candidates[i].seed = params.placer.seed + i;
         candidates[i].placer.seed = stats.candidates[i].seed;
         candidates[i].portfolio.seeds = 1;
-        refs.push_back({&topo, &candidates[i]});
     }
     // The session observer gets no events: per-candidate events would
     // interleave meaninglessly.
-    std::vector<FlowResult> finals = runBatchRefs(refs, nullptr);
+    std::vector<FlowResult> finals = runBatch(topo, candidates, nullptr);
 
     // Prefer legal layouts, then lower HPWL; the ascending scan keeps
     // the lower offset on a tie. A cancelled candidate leaves the

@@ -13,10 +13,10 @@
  *
  *   PlacementSession session(8);            // 8 concurrent jobs
  *   FlowResult r = session.run(topo, params);
- *   std::vector<PlacementJob> jobs = ...;   // one topology+params each
- *   auto results = session.runBatch(jobs);  // all jobs, concurrently
+ *   std::vector<FlowParams> jobs = ...;           // one params each
+ *   auto results = session.runBatch(topo, jobs);  // all, concurrently
  *
- * Determinism contract: runBatch(jobs) is **bitwise-identical** to
+ * Determinism contract: runBatch(topo, jobs) is **bitwise-identical** to
  * running each job alone through run() with the same parameters, in
  * this session or a fresh one (a batch job places its own seed only;
  * one with portfolio.seeds > 1 is rejected). A placement's bits depend
@@ -41,13 +41,6 @@
 #include "util/cancel.hpp"
 
 namespace qplacer {
-
-/** One independent placement: a device plus its full configuration. */
-struct PlacementJob
-{
-    Topology topo;
-    FlowParams params; ///< Seed lives in params.placer.seed.
-};
 
 /** Reusable staged-flow engine; see the file header for the contract. */
 class PlacementSession
@@ -86,23 +79,15 @@ class PlacementSession
     FlowResult run(const Topology &topo, const FlowParams &params);
 
     /**
-     * Execute independent placement jobs, `workers` at a time, on a
-     * pool the call builds. Results arrive indexed like @p jobs; each
-     * job's outcome (including per-job errors) is in its
-     * FlowResult::status.
+     * Place @p topo under each of @p jobs (a seed sweep, a knob
+     * study), `workers` at a time, on a pool the call builds. Results
+     * arrive indexed like @p jobs; each job's outcome (including
+     * per-job errors) is in its FlowResult::status.
      * Cancellation applies to the whole batch: jobs already running
      * stop at their next poll, jobs not yet started report Cancelled
      * without running. Each job places its own seed: a job with
      * params.portfolio.seeds > 1 comes back InvalidParams without
      * running (race seeds through run()).
-     */
-    std::vector<FlowResult> runBatch(const std::vector<PlacementJob> &jobs);
-
-    /**
-     * Homogeneous batch: one device under many parameter sets (a seed
-     * sweep, a knob study). Same contract as the PlacementJob
-     * overload, but every job borrows @p topo instead of carrying a
-     * copy -- prefer this for large same-device batches.
      */
     std::vector<FlowResult> runBatch(const Topology &topo,
                                      const std::vector<FlowParams> &jobs);
@@ -136,19 +121,13 @@ class PlacementSession
     CancelToken &cancelToken() { return cancel_; }
 
   private:
-    /** One batch entry by reference (both borrowed for the call). */
-    struct JobRef
-    {
-        const Topology *topo;
-        const FlowParams *params;
-    };
-
     /**
-     * Shared implementation of both runBatch overloads and the
-     * portfolio; @p observer (borrowed, may be null) sees every job.
+     * The public runBatch and the portfolio's batch; @p observer
+     * (borrowed, may be null) sees every job.
      */
-    std::vector<FlowResult> runBatchRefs(const std::vector<JobRef> &jobs,
-                                         FlowObserver *observer);
+    std::vector<FlowResult> runBatch(const Topology &topo,
+                                     const std::vector<FlowParams> &jobs,
+                                     FlowObserver *observer);
 
     /** The multi-start portfolio run() dispatches to. */
     FlowResult runPortfolio(const Topology &topo, const FlowParams &params);

@@ -13,10 +13,11 @@
 #include "util/logging.hpp"
 
 #ifndef _WIN32
-#include <cerrno>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#include "util/net_retry.hpp"
 #endif
 
 namespace qplacer {
@@ -48,23 +49,6 @@ framedRecord(const JsonValue &payload)
 }
 
 #ifndef _WIN32
-
-/** write() the whole buffer, retrying EINTR and short writes. */
-bool
-writeAll(int fd, const char *data, std::size_t len)
-{
-    std::size_t done = 0;
-    while (done < len) {
-        const ssize_t n = ::write(fd, data + done, len - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /** fsync the directory itself so a rename within it is durable. */
 void

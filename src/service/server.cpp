@@ -131,9 +131,7 @@ PlacementServer::handleLine(const std::string &line,
         {
             std::lock_guard<std::mutex> lock(mu_);
             depth = static_cast<int>(queue_.size());
-            for (const auto &worker : workers_)
-                if (!worker->runningId.empty())
-                    ++active;
+            active = activeJobsLocked();
         }
         emit(sink, makePong(depth, active));
         return true;
@@ -314,6 +312,12 @@ int
 PlacementServer::activeJobs() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    return activeJobsLocked();
+}
+
+int
+PlacementServer::activeJobsLocked() const
+{
     int active = 0;
     for (const auto &worker : workers_)
         if (!worker->runningId.empty())
@@ -480,7 +484,7 @@ PlacementServer::runJob(int worker_index, Job &job)
     PlacementSession &session = *self.session;
     const SubmitRequest &req = job.request;
 
-    FlowParams params = options_.defaults;
+    FlowParams params;
     params.mode = req.mode;
     params.placer.seed = req.seed;
     params.partition.segmentUm = req.segmentUm;

@@ -116,9 +116,6 @@ struct ServerOptions
      */
     bool enableFailpoints = false;
 
-    /** Base flow parameters; per-request fields and "set" override. */
-    FlowParams defaults;
-
     /** Emit inform() lines for job lifecycle events (stderr). */
     bool logging = false;
 };
@@ -207,6 +204,9 @@ class PlacementServer
     void monitorLoop();
     void runJob(int worker_index, Job &job);
     void emit(const ResponseSink &sink, const JsonValue &response);
+
+    /** Jobs currently executing on workers (under mu_). */
+    int activeJobsLocked() const;
 
     /** True if job @p id is queued or running (under mu_). */
     bool idActiveLocked(const std::string &id) const;

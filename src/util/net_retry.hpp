@@ -1,13 +1,13 @@
 /**
  * @file
- * EINTR-retry wrappers for the socket syscalls the daemon's transport
- * loops on. A stray signal (SIGCHLD from a supervisor, a debugger
- * attach, a timer) interrupts recv/send/accept with EINTR; without
- * these wrappers that tears down a perfectly healthy connection
- * mid-job. Each wrapper simply retries while errno == EINTR and
- * otherwise behaves exactly like the underlying call.
+ * EINTR-retry wrappers for the descriptor syscalls the daemon's
+ * transport and the prior store's journal loop on. A stray signal
+ * (SIGCHLD from a supervisor, a debugger attach, a timer) interrupts
+ * read/write/accept with EINTR; without these wrappers that tears down
+ * a perfectly healthy connection mid-job. Each wrapper retries while
+ * errno == EINTR and otherwise behaves like the underlying call.
  *
- * POSIX-only, like the socket transport itself (tools/qplacer_server).
+ * POSIX-only, like the daemon (tools/qplacer_server).
  */
 
 #ifndef QPLACER_UTIL_NET_RETRY_HPP
@@ -20,26 +20,16 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 namespace qplacer {
 
-/** recv() that retries on EINTR; same return/errno contract. */
+/** read() that retries on EINTR; same return/errno contract. */
 inline ssize_t
-retryRecv(int fd, void *buf, std::size_t len, int flags)
+retryRead(int fd, void *buf, std::size_t len)
 {
     for (;;) {
-        const ssize_t n = ::recv(fd, buf, len, flags);
-        if (n >= 0 || errno != EINTR)
-            return n;
-    }
-}
-
-/** send() that retries on EINTR; same return/errno contract. */
-inline ssize_t
-retrySend(int fd, const void *buf, std::size_t len, int flags)
-{
-    for (;;) {
-        const ssize_t n = ::send(fd, buf, len, flags);
+        const ssize_t n = ::read(fd, buf, len);
         if (n >= 0 || errno != EINTR)
             return n;
     }
@@ -57,18 +47,21 @@ retryAccept(int fd, sockaddr *addr, socklen_t *addrlen)
 }
 
 /**
- * Send all @p len bytes of @p data (retrying EINTR and short writes);
- * false once the peer is gone or the send fails for real.
+ * write() all @p len bytes of @p data (retrying EINTR and short
+ * writes); false once the write fails for real (a broken pipe or peer
+ * among them: callers that write to peers ignore SIGPIPE).
  */
 inline bool
-sendAll(int fd, const char *data, std::size_t len, int flags)
+writeAll(int fd, const char *data, std::size_t len)
 {
-    std::size_t sent = 0;
-    while (sent < len) {
-        const ssize_t n = retrySend(fd, data + sent, len - sent, flags);
+    std::size_t done = 0;
+    while (done < len) {
+        const ssize_t n = ::write(fd, data + done, len - done);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0)
             return false;
-        sent += static_cast<std::size_t>(n);
+        done += static_cast<std::size_t>(n);
     }
     return true;
 }

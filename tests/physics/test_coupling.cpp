@@ -33,15 +33,6 @@ TEST(Coupling, ConnectedQubitScaleIsTensOfMHz)
     EXPECT_LT(g, 100e6);
 }
 
-TEST(Coupling, EffectiveCouplingDispersive)
-{
-    // g_eff = g^2 / Delta in the dispersive regime (Eq. 5).
-    EXPECT_NEAR(effectiveCoupling(1e6, 100e6), 1e4, 1.0);
-    // Resonant regime returns g itself.
-    EXPECT_DOUBLE_EQ(effectiveCoupling(1e6, 0.0), 1e6);
-    EXPECT_DOUBLE_EQ(effectiveCoupling(1e6, 0.5e6), 1e6);
-}
-
 TEST(Coupling, RabiAmplitudePeaksAtResonance)
 {
     // Fig. 4's shape: maximum exchange at Delta = 0, decaying with
@@ -86,13 +77,6 @@ TEST(Coupling, WorstCaseIsEnvelope)
     // Monotone in t.
     EXPECT_LE(worstCaseTransition(g, 50e6, 1e-8),
               worstCaseTransition(g, 50e6, 1e-5));
-}
-
-TEST(Coupling, DispersiveShiftSigned)
-{
-    EXPECT_GT(dispersiveShift(1e6, 100e6), 0.0);
-    EXPECT_LT(dispersiveShift(1e6, -100e6), 0.0);
-    EXPECT_THROW(dispersiveShift(1e6, 0.0), std::logic_error);
 }
 
 TEST(Coupling, DistanceChainBehavesLikeFig5)

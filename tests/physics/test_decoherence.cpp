@@ -11,7 +11,6 @@ TEST(Decoherence, ZeroDurationZeroError)
 {
     const DecoherenceModel m;
     EXPECT_DOUBLE_EQ(m.errorOver(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(m.fidelityOver(0.0), 1.0);
 }
 
 TEST(Decoherence, MonotoneInDuration)

@@ -287,15 +287,12 @@ TEST(FlowApi, InvalidJobDoesNotPoisonTheBatch)
     const Topology topo = makeGrid(3, 3);
     PlacementSession session(/*workers=*/2);
 
-    std::vector<PlacementJob> jobs(3);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].topo = topo;
-        jobs[j].params = quickParams();
-        jobs[j].params.placer.seed = j + 1;
-    }
-    jobs[1].params.placer.stopOverflow = -1.0; // Invalid.
+    std::vector<FlowParams> jobs(3, quickParams());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        jobs[j].placer.seed = j + 1;
+    jobs[1].placer.stopOverflow = -1.0; // Invalid.
 
-    const std::vector<FlowResult> results = session.runBatch(jobs);
+    const std::vector<FlowResult> results = session.runBatch(topo, jobs);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_TRUE(results[0].status.ok());
     EXPECT_EQ(results[1].status.code, FlowCode::InvalidParams);
@@ -324,10 +321,9 @@ TEST(FlowApi, BatchAndIncrementalPortfolioIsInvalidParams)
     EXPECT_TRUE(results[1].trace.nodes().empty());
     EXPECT_TRUE(results[2].status.ok());
 
-    // The PlacementJob overload, on one worker, says the same.
+    // A serial batch, on one worker, says the same.
     PlacementSession serial(/*workers=*/1);
-    const std::vector<FlowResult> one =
-        serial.runBatch({PlacementJob{topo, jobs[1]}});
+    const std::vector<FlowResult> one = serial.runBatch(topo, {jobs[1]});
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one[0].status.code, FlowCode::InvalidParams);
 

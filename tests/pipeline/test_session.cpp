@@ -50,13 +50,11 @@ checkBatchMatchesSerial(const Topology &topo, int max_iters, int jobs,
     }
 
     PlacementSession session(workers);
-    std::vector<PlacementJob> batch(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j) {
-        batch[static_cast<std::size_t>(j)].topo = topo;
-        batch[static_cast<std::size_t>(j)].params =
-            quickParams(1 + static_cast<std::uint64_t>(j), max_iters);
-    }
-    const std::vector<FlowResult> results = session.runBatch(batch);
+    std::vector<FlowParams> batch;
+    for (int j = 0; j < jobs; ++j)
+        batch.push_back(
+            quickParams(1 + static_cast<std::uint64_t>(j), max_iters));
+    const std::vector<FlowResult> results = session.runBatch(topo, batch);
 
     ASSERT_EQ(results.size(), serial.size());
     for (std::size_t j = 0; j < results.size(); ++j)
@@ -106,12 +104,9 @@ TEST(Session, DifferentSeedsProduceDifferentLayouts)
     const Topology topo = makeGrid(3, 3);
     PlacementSession session(/*workers=*/2);
 
-    std::vector<PlacementJob> jobs(2);
-    jobs[0].topo = topo;
-    jobs[0].params = quickParams(1, 120);
-    jobs[1].topo = topo;
-    jobs[1].params = quickParams(2, 120);
-    const std::vector<FlowResult> results = session.runBatch(jobs);
+    const std::vector<FlowParams> jobs = {quickParams(1, 120),
+                                          quickParams(2, 120)};
+    const std::vector<FlowResult> results = session.runBatch(topo, jobs);
 
     ASSERT_EQ(results.size(), 2u);
     ASSERT_TRUE(results[0].status.ok());
@@ -119,32 +114,10 @@ TEST(Session, DifferentSeedsProduceDifferentLayouts)
     EXPECT_FALSE(bitwiseSameLayout(results[0].netlist, results[1].netlist));
 }
 
-TEST(Session, HomogeneousBatchOverloadMatchesJobBatch)
-{
-    const Topology topo = makeGrid(3, 3);
-
-    std::vector<PlacementJob> jobs(2);
-    std::vector<FlowParams> sweep(2);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].topo = topo;
-        jobs[j].params = quickParams(j + 1, 120);
-        sweep[j] = jobs[j].params;
-    }
-
-    const std::vector<FlowResult> via_jobs =
-        PlacementSession(/*workers=*/2).runBatch(jobs);
-    const std::vector<FlowResult> via_sweep =
-        PlacementSession(/*workers=*/2).runBatch(topo, sweep);
-
-    ASSERT_EQ(via_jobs.size(), via_sweep.size());
-    for (std::size_t j = 0; j < via_jobs.size(); ++j)
-        expectBitwiseEqualResults(via_jobs[j], via_sweep[j]);
-}
-
 TEST(Session, EmptyBatchIsFine)
 {
     PlacementSession session;
-    EXPECT_TRUE(session.runBatch({}).empty());
+    EXPECT_TRUE(session.runBatch(makeGrid(3, 3), {}).empty());
 }
 
 } // namespace

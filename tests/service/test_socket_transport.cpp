@@ -1,16 +1,20 @@
 /**
  * @file
- * The daemon's Unix-socket transport end to end: starts the built
- * qplacer_server --socket on a scratch path and talks to it over
- * AF_UNIX. One connection sends a terminated ping, then an unterminated
- * ping and a write shutdown, and must get hello and two pongs (the
- * peer's EOF ends the last request, as on stdin); a second connection
- * sends shutdown and must get bye, after which the daemon exits 0.
- * POSIX only; ctest -L service.
+ * The daemon's transports end to end: starts the built qplacer_server
+ * (with --socket on a scratch path, or on pipes for stdin/stdout) and
+ * talks to it. A connection that sends a terminated ping, then an
+ * unterminated ping and a write shutdown, must get hello and two pongs
+ * (the peer's EOF ends the last request); one that sends shutdown must
+ * get bye, after which the daemon exits 0. Under --max-line-bytes 200
+ * an oversized line, whole or arriving as a partial line past the
+ * bound, gets exactly one "line_too_long" and the session keeps
+ * serving; the same request bytes give the same responses on stdin as
+ * on a socket. POSIX only; ctest -L service.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <spawn.h>
 #include <sys/socket.h>
@@ -19,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -33,33 +38,55 @@ extern char **environ;
 namespace qplacer {
 namespace {
 
-/** A daemon that died mid-test fails the send, not the test process. */
-#ifdef MSG_NOSIGNAL
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
-
-/** A qplacer_server child process, killed if the test leaves early. */
+/**
+ * A qplacer_server child process (--workers 1 --quiet plus the given
+ * args), killed if the test leaves early. Its stdin and stdout are
+ * pipes: write requests to takeToDaemon(), read responses from
+ * takeFromDaemon().
+ */
 class Daemon
 {
   public:
-    explicit Daemon(const std::string &socket_path)
+    explicit Daemon(const std::vector<std::string> &extra_args)
     {
-        std::vector<std::string> args = {QPLACER_SERVER_PATH, "--socket",
-                                         socket_path, "--workers", "1",
-                                         "--quiet"};
+        std::vector<std::string> args = {QPLACER_SERVER_PATH, "--workers",
+                                         "1", "--quiet"};
+        args.insert(args.end(), extra_args.begin(), extra_args.end());
         std::vector<char *> argv;
         for (std::string &arg : args)
             argv.push_back(arg.data());
         argv.push_back(nullptr);
-        if (::posix_spawn(&pid_, argv[0], nullptr, nullptr, argv.data(),
+
+        // Close-on-exec ends; the child gets its two as stdin/stdout.
+        int in[2];
+        int out[2];
+        if (::pipe2(in, O_CLOEXEC) != 0)
+            return;
+        if (::pipe2(out, O_CLOEXEC) != 0) {
+            ::close(in[0]);
+            ::close(in[1]);
+            return;
+        }
+        posix_spawn_file_actions_t actions;
+        posix_spawn_file_actions_init(&actions);
+        posix_spawn_file_actions_adddup2(&actions, in[0], STDIN_FILENO);
+        posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+        if (::posix_spawn(&pid_, argv[0], &actions, nullptr, argv.data(),
                           environ) != 0)
             pid_ = -1;
+        posix_spawn_file_actions_destroy(&actions);
+        ::close(in[0]);
+        ::close(out[1]);
+        toDaemon_ = in[1];
+        fromDaemon_ = out[0];
     }
 
     ~Daemon()
     {
+        if (toDaemon_ >= 0)
+            ::close(toDaemon_);
+        if (fromDaemon_ >= 0)
+            ::close(fromDaemon_);
         if (pid_ > 0) {
             ::kill(pid_, SIGKILL);
             ::waitpid(pid_, nullptr, 0);
@@ -70,6 +97,24 @@ class Daemon
     Daemon &operator=(const Daemon &) = delete;
 
     bool started() const { return pid_ > 0; }
+
+    /** The daemon's stdin; the caller takes ownership. */
+    int
+    takeToDaemon()
+    {
+        const int fd = toDaemon_;
+        toDaemon_ = -1;
+        return fd;
+    }
+
+    /** The daemon's stdout; the caller takes ownership. */
+    int
+    takeFromDaemon()
+    {
+        const int fd = fromDaemon_;
+        fromDaemon_ = -1;
+        return fd;
+    }
 
     /** Waits for the daemon to exit; its exit status, or -1. */
     int
@@ -85,6 +130,8 @@ class Daemon
 
   private:
     pid_t pid_ = -1;
+    int toDaemon_ = -1;
+    int fromDaemon_ = -1;
 };
 
 /** Connects to @p path, retrying while the daemon starts; -1 on failure. */
@@ -112,23 +159,20 @@ connectTo(const std::string &path)
     return -1;
 }
 
-/**
- * Sends @p requests on @p fd, shuts down its write side, and returns
- * every response line up to the daemon's close.
- */
-std::vector<std::string>
-exchange(int fd, const std::string &requests)
+/** Sends all of @p bytes on @p fd. */
+void
+sendBytes(int fd, const std::string &bytes)
 {
-    EXPECT_TRUE(sendAll(fd, requests.data(), requests.size(), kSendFlags));
-    ::shutdown(fd, SHUT_WR);
-    std::string received;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = retryRecv(fd, chunk, sizeof(chunk), 0)) > 0)
-        received.append(chunk, static_cast<std::size_t>(n));
-    EXPECT_EQ(n, 0) << "recv failed: " << std::strerror(errno);
-    ::close(fd);
+    // A daemon that died mid-test fails the write, not the test process.
+    ::signal(SIGPIPE, SIG_IGN);
+    EXPECT_TRUE(writeAll(fd, bytes.data(), bytes.size()))
+        << "write failed: " << std::strerror(errno);
+}
 
+/** Splits @p received into its lines; every line must be terminated. */
+std::vector<std::string>
+splitLines(const std::string &received)
+{
     std::vector<std::string> lines;
     std::size_t begin = 0;
     std::size_t eol;
@@ -140,22 +184,88 @@ exchange(int fd, const std::string &requests)
     return lines;
 }
 
+/** Reads @p fd until @p count response lines arrived (or EOF). */
+std::vector<std::string>
+readLines(int fd, std::size_t count)
+{
+    std::string received;
+    char c;
+    std::size_t lines = 0;
+    while (lines < count && retryRead(fd, &c, 1) == 1) {
+        received.push_back(c);
+        if (c == '\n')
+            ++lines;
+    }
+    return splitLines(received);
+}
+
+/**
+ * Sends @p requests to @p to, ends the input (a socket's write side
+ * is shut down, a pipe closed), and returns every response line read
+ * off @p from up to the daemon's close. Both fds are closed.
+ */
+std::vector<std::string>
+roundTrip(int to, int from, const std::string &requests)
+{
+    sendBytes(to, requests);
+    if (to == from)
+        ::shutdown(to, SHUT_WR);
+    else
+        ::close(to);
+    std::string received;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = retryRead(from, chunk, sizeof(chunk))) > 0)
+        received.append(chunk, static_cast<std::size_t>(n));
+    EXPECT_EQ(n, 0) << "read failed: " << std::strerror(errno);
+    ::close(from);
+    return splitLines(received);
+}
+
+/** roundTrip() on one connected socket. */
+std::vector<std::string>
+roundTrip(int fd, const std::string &requests)
+{
+    return roundTrip(fd, fd, requests);
+}
+
+/** The "type" member of a response line, "" if it has none. */
+std::string
+typeOf(const std::string &line)
+{
+    const std::string key = "\"type\":\"";
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t begin = at + key.size();
+    return line.substr(begin, line.find('"', begin) - begin);
+}
+
 bool
 hasType(const std::string &line, const std::string &type)
 {
-    return line.find("\"type\":\"" + type + "\"") != std::string::npos;
+    return typeOf(line) == type;
 }
+
+bool
+isLineTooLong(const std::string &line)
+{
+    return hasType(line, "error") &&
+           line.find("\"code\":\"line_too_long\"") != std::string::npos;
+}
+
+const std::string kPing = "{\"type\":\"ping\"}";
 
 TEST(SocketTransport, AnswersAnUnterminatedLastRequest)
 {
     const ScratchPath socket_path(".sock");
-    Daemon daemon(socket_path.path);
+    Daemon daemon({"--socket", socket_path.path});
     ASSERT_TRUE(daemon.started());
 
     const int first = connectTo(socket_path.path);
     ASSERT_GE(first, 0) << "could not connect to " << socket_path.path;
     const std::vector<std::string> pings =
-        exchange(first, "{\"type\":\"ping\"}\n{\"type\":\"ping\"}");
+        roundTrip(first, kPing + "\n" + kPing);
     ASSERT_EQ(pings.size(), 3u);
     EXPECT_TRUE(hasType(pings[0], "hello")) << pings[0];
     EXPECT_TRUE(hasType(pings[1], "pong")) << pings[1];
@@ -164,12 +274,85 @@ TEST(SocketTransport, AnswersAnUnterminatedLastRequest)
     const int second = connectTo(socket_path.path);
     ASSERT_GE(second, 0);
     const std::vector<std::string> bye =
-        exchange(second, "{\"type\":\"shutdown\"}\n");
+        roundTrip(second, "{\"type\":\"shutdown\"}\n");
     ASSERT_EQ(bye.size(), 2u);
     EXPECT_TRUE(hasType(bye[0], "hello")) << bye[0];
     EXPECT_TRUE(hasType(bye[1], "bye")) << bye[1];
 
     EXPECT_EQ(daemon.wait(), 0);
+}
+
+TEST(SocketTransport, AnswersAnOversizedLineAndKeepsServing)
+{
+    const ScratchPath socket_path(".sock");
+    Daemon daemon({"--socket", socket_path.path, "--max-line-bytes", "200"});
+    ASSERT_TRUE(daemon.started());
+
+    const int fd = connectTo(socket_path.path);
+    ASSERT_GE(fd, 0) << "could not connect to " << socket_path.path;
+    const std::vector<std::string> lines =
+        roundTrip(fd, std::string(300, 'x') + "\n" + kPing + "\n");
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_TRUE(hasType(lines[0], "hello")) << lines[0];
+    EXPECT_TRUE(isLineTooLong(lines[1])) << lines[1];
+    EXPECT_TRUE(hasType(lines[2], "pong")) << lines[2];
+}
+
+TEST(SocketTransport, PartialLinePastTheBoundIsRejectedOnce)
+{
+    const ScratchPath socket_path(".sock");
+    Daemon daemon({"--socket", socket_path.path, "--max-line-bytes", "200"});
+    ASSERT_TRUE(daemon.started());
+
+    const int fd = connectTo(socket_path.path);
+    ASSERT_GE(fd, 0) << "could not connect to " << socket_path.path;
+    // No newline yet: the bound alone must trigger the rejection.
+    sendBytes(fd, std::string(300, 'x'));
+    const std::vector<std::string> first = readLines(fd, 2);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_TRUE(hasType(first[0], "hello")) << first[0];
+    EXPECT_TRUE(isLineTooLong(first[1])) << first[1];
+
+    // The rest of the line, its newline, then a ping: one pong, no
+    // second rejection.
+    const std::vector<std::string> rest =
+        roundTrip(fd, std::string(100, 'x') + "\n" + kPing + "\n");
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_TRUE(hasType(rest[0], "pong")) << rest[0];
+}
+
+TEST(SocketTransport, StdinAndSocketGiveTheSameResponses)
+{
+    // A blank line, an oversized line, a terminated ping and an
+    // unterminated one.
+    const std::string requests =
+        "\n" + std::string(300, 'x') + "\n" + kPing + "\n" + kPing;
+    const std::vector<std::string> expected = {"hello", "error", "pong",
+                                               "pong"};
+
+    const ScratchPath socket_path(".sock");
+    Daemon on_socket(
+        {"--socket", socket_path.path, "--max-line-bytes", "200"});
+    ASSERT_TRUE(on_socket.started());
+    const int fd = connectTo(socket_path.path);
+    ASSERT_GE(fd, 0) << "could not connect to " << socket_path.path;
+    const std::vector<std::string> via_socket = roundTrip(fd, requests);
+
+    Daemon on_stdio({"--max-line-bytes", "200"});
+    ASSERT_TRUE(on_stdio.started());
+    const int to = on_stdio.takeToDaemon();
+    const int from = on_stdio.takeFromDaemon();
+    const std::vector<std::string> via_stdin = roundTrip(to, from, requests);
+    EXPECT_EQ(on_stdio.wait(), 0);
+
+    for (const std::vector<std::string> *lines : {&via_socket, &via_stdin}) {
+        std::vector<std::string> types;
+        for (const std::string &line : *lines)
+            types.push_back(typeOf(line));
+        EXPECT_EQ(types, expected);
+        ASSERT_EQ(lines->size(), expected.size());
+        EXPECT_TRUE(isLineTooLong((*lines)[1])) << (*lines)[1];
+    }
 }
 
 } // namespace

@@ -7,13 +7,16 @@
  * domain socket with --socket. All engine logic lives in
  * PlacementServer (src/service/server.hpp); this file is transport
  * only: read lines, hand them to the server, serialize the responses.
+ * Both transports are one Channel (an input and an output fd) served
+ * by one loop, so they frame requests by the same rules. POSIX only.
  *
  * Transport hardening: request lines are bounded (--max-line-bytes,
  * default 8 MiB) -- an oversized line is discarded up to its newline
  * and answered with a structured "line_too_long" error instead of
- * ballooning memory; every socket syscall retries EINTR
+ * ballooning memory; every read, write and accept retries EINTR
  * (util/net_retry.hpp) so stray signals cannot tear down a healthy
- * connection.
+ * session; SIGPIPE is ignored, so a reader that went away costs only
+ * its own session's responses.
  *
  * Examples:
  *   echo '{"type":"submit","id":"a","topology":"Falcon"}' \
@@ -25,30 +28,26 @@
  * NDJSON even with --workers > 1.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <exception>
-#include <iostream>
-#include <string>
-
-#include "qplacer.hpp"
-#include "util/failpoint.hpp"
-#include "util/logging.hpp"
-
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "qplacer.hpp"
+#include "util/failpoint.hpp"
+#include "util/logging.hpp"
 #include "util/net_retry.hpp"
-#endif
 
 namespace qplacer {
 namespace {
@@ -85,7 +84,7 @@ Options:
                  the cores; the same seed gives the same layout either
                  way.
   --socket PATH  Serve on a Unix domain socket instead of stdin/stdout
-                 (one protocol session per connection; POSIX only).
+                 (one protocol session per connection).
   --state-dir PATH
                  Persist finished layouts (the incremental-re-place
                  prior store) in PATH: an fsynced, CRC-checked journal
@@ -197,131 +196,61 @@ lineTooLong(long max_line_bytes)
                              max_line_bytes, " bytes); line discarded"));
 }
 
-/** One bounded line read off @p in. */
-enum class LineRead
-{
-    Ok,      ///< A line (possibly empty) is in the buffer.
-    TooLong, ///< Line exceeded the bound; discarded to its newline.
-    Eof,     ///< Stream ended with no pending line.
-};
-
 /**
- * getline with a byte bound: an oversized line is consumed (up to and
- * including its newline) but never buffered whole, so a hostile or
- * corrupt producer cannot balloon daemon memory.
+ * One protocol session's byte stream: requests are read from one fd
+ * and responses written to another (stdin and stdout for the stdio
+ * transport, the same connected socket for a socket session).
+ *
+ * Job sinks hold the channel via shared_ptr, so a sink can outlive the
+ * session's loop (queued jobs finish after the peer hangs up): once
+ * close() ran, emits are dropped instead of writing to a descriptor
+ * number the kernel may already have recycled for another accept(). A
+ * failed write (the peer or the stdout reader is gone; SIGPIPE is
+ * ignored) marks the channel broken and later emits are dropped, but
+ * does NOT close it: the serve loop still owns it for reading.
  */
-LineRead
-readLineBounded(std::istream &in, std::string &line, long max_bytes)
-{
-    line.clear();
-    for (;;) {
-        const int c = in.get();
-        if (c == std::char_traits<char>::eof())
-            return line.empty() ? LineRead::Eof : LineRead::Ok;
-        if (c == '\n')
-            return LineRead::Ok;
-        if (static_cast<long>(line.size()) >= max_bytes) {
-            for (;;) {
-                const int d = in.get();
-                if (d == std::char_traits<char>::eof() || d == '\n')
-                    break;
-            }
-            return LineRead::TooLong;
-        }
-        line.push_back(static_cast<char>(c));
-    }
-}
-
-/** Serve one request stream; returns when the peer closes or quits. */
-void
-serveStream(PlacementServer &server, std::istream &in,
-            const ResponseSink &sink, long max_line_bytes)
-{
-    sink(makeHello(server.workers()));
-    std::string line;
-    for (;;) {
-        const LineRead status = readLineBounded(in, line, max_line_bytes);
-        if (status == LineRead::Eof)
-            break;
-        if (status == LineRead::TooLong) {
-            sink(lineTooLong(max_line_bytes));
-            continue;
-        }
-        if (line.empty())
-            continue;
-        if (!server.handleLine(line, sink))
-            break; // Shutdown requested; bye already emitted.
-    }
-}
-
-int
-serveStdio(const ServerCliOptions &opts)
-{
-    PlacementServer server(engineOptions(opts));
-    serveStream(
-        server, std::cin,
-        [](const JsonValue &response) {
-            const std::string text = response.serialize();
-            std::fwrite(text.data(), 1, text.size(), stdout);
-            std::fputc('\n', stdout);
-            std::fflush(stdout);
-        },
-        opts.maxLineBytes);
-    server.drain();
-    return 0;
-}
-
-#ifndef _WIN32
-
-/** Write all of @p text + newline to @p fd; false on a broken peer. */
-bool
-writeLine(int fd, const std::string &text)
-{
-    std::string framed = text;
-    framed.push_back('\n');
-    return sendAll(fd, framed.data(), framed.size(),
-#ifdef MSG_NOSIGNAL
-                   MSG_NOSIGNAL
-#else
-                   0
-#endif
-    );
-}
-
-/**
- * Owns one connection's fd for writing. Job sinks hold this via
- * shared_ptr, so a sink can outlive the connection thread (queued
- * jobs finish after the peer hangs up): once close() ran, emits are
- * dropped instead of writing to a descriptor number the kernel may
- * already have recycled for another accept(). A failed send marks
- * the peer broken (later emits are dropped) but does NOT close the
- * fd -- the recv loop still owns it for reading.
- */
-class ConnectionWriter
+class Channel
 {
   public:
-    explicit ConnectionWriter(int fd) : fd_(fd) {}
+    Channel(int in_fd, int out_fd) : inFd_(in_fd), outFd_(out_fd) {}
 
-    /** The connection's fd; valid until close(), constant for life. */
-    int fd() const { return fd_; }
+    /** Up to @p len request bytes; 0 at EOF, -1 on error. */
+    ssize_t
+    read(char *buf, std::size_t len)
+    {
+        return retryRead(inFd_, buf, len);
+    }
 
+    /** Writes @p response and its newline whole, serialized. */
     void
     emit(const JsonValue &response)
     {
+        std::string text = response.serialize();
+        text.push_back('\n');
         std::lock_guard<std::mutex> lock(mu_);
         if (closed_ || broken_)
             return;
-        if (!writeLine(fd_, response.serialize()))
+        if (!writeAll(outFd_, text.data(), text.size()))
             broken_ = true;
     }
 
-    /** Unblocks a recv() on this fd (EOF) without closing it. */
+    /** Unblocks a read() of this socket (EOF) without closing it. */
     void
     shutdownRead()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (!closed_)
-            ::shutdown(fd_, SHUT_RD);
+        if (!closed_) {
+            kicked_ = true;
+            ::shutdown(inFd_, SHUT_RD);
+        }
+    }
+
+    /** True once shutdownRead() ended the input. */
+    bool
+    kicked()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return kicked_;
     }
 
     void
@@ -329,28 +258,37 @@ class ConnectionWriter
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (!closed_) {
-            ::close(fd_);
+            ::close(inFd_);
+            if (outFd_ != inFd_)
+                ::close(outFd_);
             closed_ = true;
         }
     }
 
   private:
     std::mutex mu_;
-    const int fd_;
+    const int inFd_;
+    const int outFd_;
     bool closed_ = false;
     bool broken_ = false;
+    bool kicked_ = false;
 };
 
-/** One connection: bounded line-framed reads, shared PlacementServer. */
-void
-serveConnection(PlacementServer &server,
-                const std::shared_ptr<ConnectionWriter> &writer,
-                int listener, std::atomic<bool> &stop,
-                long max_line_bytes)
+/**
+ * Serves one protocol session on @p channel: hello first, then each
+ * request line, until the peer's EOF or a shutdown request. Lines are
+ * bounded: a line over @p max_line_bytes, or a partial line past it,
+ * is answered with one "line_too_long" and discarded up to its
+ * newline, never buffered whole. Blank lines are skipped. The peer's
+ * EOF ends an unterminated last request (a shutdown kick is no
+ * request). True once the session asked for shutdown (bye emitted).
+ */
+bool
+serve(PlacementServer &server, const std::shared_ptr<Channel> &channel,
+      long max_line_bytes)
 {
-    const int fd = writer->fd();
-    const ResponseSink sink = [writer](const JsonValue &response) {
-        writer->emit(response);
+    const ResponseSink sink = [channel](const JsonValue &response) {
+        channel->emit(response);
     };
     sink(makeHello(server.workers()));
 
@@ -360,59 +298,44 @@ serveConnection(PlacementServer &server,
             sink(lineTooLong(max_line_bytes));
             return true;
         }
-        if (line.empty() || server.handleLine(line, sink))
-            return true;
-        stop.store(true);
-        // accept() in serveSocket blocks with no one left to connect;
-        // shut the listener down so it returns and the daemon can drain
-        // and exit.
-        ::shutdown(listener, SHUT_RDWR);
-        return false;
+        return line.empty() || server.handleLine(line, sink);
     };
 
     std::string buffer;
     char chunk[4096];
-    bool open = true;
     // Oversized-line mode: the error was sent; bytes are dropped until
     // the line's terminating newline arrives.
     bool discarding = false;
-    while (open) {
-        const ssize_t n = retryRecv(fd, chunk, sizeof(chunk), 0);
+    for (;;) {
+        const ssize_t n = channel->read(chunk, sizeof(chunk));
         if (n <= 0) {
-            // The peer's EOF ends an unterminated last request, as on
-            // stdin. (A discarded line left the buffer empty, and a
-            // shutdown kick from serveSocket is no request.)
-            if (n == 0 && !buffer.empty() && !stop.load())
-                serveLine(buffer);
-            break;
+            // A discarded line left the buffer empty.
+            if (n == 0 && !buffer.empty() && !channel->kicked())
+                return !serveLine(buffer);
+            return false;
         }
         buffer.append(chunk, static_cast<std::size_t>(n));
+        std::size_t begin = 0;
         std::size_t eol;
-        while (open && (eol = buffer.find('\n')) != std::string::npos) {
-            const std::string line = buffer.substr(0, eol);
-            buffer.erase(0, eol + 1);
+        while ((eol = buffer.find('\n', begin)) != std::string::npos) {
+            const std::string line = buffer.substr(begin, eol - begin);
+            begin = eol + 1;
             if (discarding)
                 discarding = false; // Tail of the oversized line.
-            else
-                open = serveLine(line);
+            else if (!serveLine(line))
+                return true;
         }
+        buffer.erase(0, begin);
         // No newline yet: bound the partial line too, so a peer that
         // never sends '\n' cannot grow the buffer without limit.
-        if (open && !discarding &&
+        if (!discarding &&
             static_cast<long>(buffer.size()) > max_line_bytes) {
             sink(lineTooLong(max_line_bytes));
             discarding = true;
-            buffer.clear();
         }
         if (discarding)
             buffer.clear();
     }
-    // A peer may half-close its write side right after submitting
-    // (the `printf | nc -U` pattern above): recv() sees EOF while its
-    // jobs are still queued. Wait for outstanding jobs before closing
-    // so their results reach the socket rather than a dead writer.
-    server.drain();
-    writer->close();
 }
 
 int
@@ -441,7 +364,7 @@ serveSocket(const ServerCliOptions &opts)
 
     std::atomic<bool> stop{false};
     std::vector<std::thread> connections;
-    std::vector<std::weak_ptr<ConnectionWriter>> writers;
+    std::vector<std::weak_ptr<Channel>> channels;
     while (!stop.load()) {
         const int fd = retryAccept(listener, nullptr, nullptr);
         if (fd < 0)
@@ -450,19 +373,32 @@ serveSocket(const ServerCliOptions &opts)
             ::close(fd);
             break;
         }
-        auto writer = std::make_shared<ConnectionWriter>(fd);
-        writers.push_back(writer);
+        auto channel = std::make_shared<Channel>(fd, fd);
+        channels.push_back(channel);
         const long max_line = opts.maxLineBytes;
-        connections.emplace_back(
-            [&server, writer, listener, &stop, max_line] {
-                serveConnection(server, writer, listener, stop, max_line);
-            });
+        connections.emplace_back([&server, channel, listener, &stop,
+                                  max_line] {
+            if (serve(server, channel, max_line)) {
+                stop.store(true);
+                // accept() below blocks with no one left to connect;
+                // shut the listener down so it returns and the daemon
+                // can drain and exit.
+                ::shutdown(listener, SHUT_RDWR);
+            }
+            // A peer may half-close its write side right after
+            // submitting (the `printf | nc -U` pattern above): read()
+            // sees EOF while its jobs are still queued. Wait for
+            // outstanding jobs before closing so their results reach
+            // the socket rather than a dead channel.
+            server.drain();
+            channel->close();
+        });
     }
-    // Kick idle connections out of recv() so the join below cannot
+    // Kick idle connections out of read() so the join below cannot
     // hang on a client that stays connected across shutdown.
-    for (const std::weak_ptr<ConnectionWriter> &entry : writers)
-        if (const auto writer = entry.lock())
-            writer->shutdownRead();
+    for (const std::weak_ptr<Channel> &entry : channels)
+        if (const auto channel = entry.lock())
+            channel->shutdownRead();
     for (std::thread &t : connections)
         if (t.joinable())
             t.join();
@@ -471,8 +407,6 @@ serveSocket(const ServerCliOptions &opts)
     server.drain();
     return 0;
 }
-
-#endif // !_WIN32
 
 int
 serverMain(int argc, char **argv)
@@ -502,14 +436,18 @@ serverMain(int argc, char **argv)
         }
     }
 
-    if (!opts.socketPath.empty()) {
-#ifndef _WIN32
+    // A reader that went away (a closed socket, a stdout pipe's reader)
+    // fails the write, and that session's later responses are dropped;
+    // it must not kill the daemon and every other session with it.
+    std::signal(SIGPIPE, SIG_IGN);
+
+    if (!opts.socketPath.empty())
         return serveSocket(opts);
-#else
-        fatal("--socket is not supported on this platform");
-#endif
-    }
-    return serveStdio(opts);
+    PlacementServer server(engineOptions(opts));
+    serve(server, std::make_shared<Channel>(STDIN_FILENO, STDOUT_FILENO),
+          opts.maxLineBytes);
+    server.drain();
+    return 0;
 }
 
 } // namespace
