@@ -186,18 +186,6 @@ OccupancyGrid::release(const Rect &rect, std::int32_t id)
     }
 }
 
-std::int32_t
-OccupancyGrid::ownerAt(Vec2 p) const
-{
-    const int ix =
-        static_cast<int>(std::floor((p.x - region_.lo.x) / cellUm_));
-    const int iy =
-        static_cast<int>(std::floor((p.y - region_.lo.y) / cellUm_));
-    if (ix < 0 || ix >= nx_ || iy < 0 || iy >= ny_)
-        return -1;
-    return owner_[static_cast<std::size_t>(iy) * nx_ + ix];
-}
-
 std::vector<std::int32_t>
 OccupancyGrid::ownersIn(const Rect &rect) const
 {

@@ -74,9 +74,6 @@ class OccupancyGrid
     /** Release cells of @p rect owned by @p id. */
     void release(const Rect &rect, std::int32_t id);
 
-    /** Owner of the cell containing @p p (-1 if free/out of range). */
-    std::int32_t ownerAt(Vec2 p) const;
-
     /**
      * Owners overlapping @p rect, deduplicated, in first-encountered
      * (row-major scan) order -- the order the integration legalizer's

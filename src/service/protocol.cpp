@@ -218,38 +218,6 @@ parseSubmit(const JsonValue &doc, Request &out, std::string *error)
     return true;
 }
 
-/** Parse {"type":"failpoint","site":...,"action":...[,"ms":N]}. */
-bool
-parseFailpoint(const JsonValue &doc, Request &out, std::string *error)
-{
-    const JsonValue *site = doc.find("site");
-    if (!site || !site->isString() || site->asString().empty())
-        return failParse(error, "failpoint requires a string 'site'");
-    out.failpointSite = site->asString();
-
-    const JsonValue *action = doc.find("action");
-    if (!action || !action->isString())
-        return failParse(error, "failpoint requires a string 'action' "
-                                "(off|error|crash|delay)");
-    const std::string &name = action->asString();
-    if (name == "off" || name == "error" || name == "crash") {
-        out.failpointSpec = name;
-        return true;
-    }
-    if (name == "delay") {
-        const JsonValue *ms = doc.find("ms");
-        if (!ms || !ms->isNumber() || !isSmallNonNegativeInt(ms->asDouble()))
-            return failParse(error, "failpoint action 'delay' requires a "
-                                    "non-negative integer 'ms'");
-        out.failpointSpec =
-            "delay(" + std::to_string(static_cast<int>(ms->asDouble())) +
-            ")";
-        return true;
-    }
-    return failParse(error, str("unknown failpoint action '", name,
-                                "' (expected off|error|crash|delay)"));
-}
-
 } // namespace
 
 bool
@@ -296,13 +264,9 @@ parseRequest(const std::string &line, Request &out, std::string *error)
             return failParse(error, "submit requires a string 'id'");
         return parseSubmit(doc, out, error);
     }
-    if (name == "failpoint") {
-        out.type = Request::Type::Failpoint;
-        return parseFailpoint(doc, out, error);
-    }
     return failParse(error, str("unknown request type '", name,
                                 "' (expected submit|cancel|ping|"
-                                "shutdown|failpoint)"));
+                                "shutdown)"));
 }
 
 JsonValue

@@ -74,21 +74,11 @@ struct SubmitRequest
 /** Any parsed request. */
 struct Request
 {
-    enum class Type { Submit, Cancel, Ping, Shutdown, Failpoint };
+    enum class Type { Submit, Cancel, Ping, Shutdown };
 
     Type type = Type::Ping;
     std::string id;       ///< Job id (submit / cancel).
     SubmitRequest submit; ///< Valid when type == Submit.
-
-    /**
-     * Fault-injection request (type == Failpoint): arm @p
-     * failpointSite with @p failpointSpec ("off" | "error" | "crash" |
-     * "delay(N)"). Honored only when the server runs with
-     * --enable-failpoints; rejected with code "failpoints_disabled"
-     * otherwise.
-     */
-    std::string failpointSite;
-    std::string failpointSpec;
 };
 
 /**
@@ -111,9 +101,8 @@ JsonValue makeError(const std::string &id, const std::string &message);
  * {"type":"error","code":...} -- a machine-readable error class on
  * top of makeError. Codes in use: "overloaded" (queue full),
  * "shutting_down" (submit after shutdown was accepted),
- * "line_too_long" (request exceeded --max-line-bytes),
- * "failpoints_disabled" (failpoint request without
- * --enable-failpoints), "injected" (a failpoint Error action fired).
+ * "line_too_long" (request exceeded --max-line-bytes), "injected"
+ * (a failpoint Error action fired).
  * See docs/PROTOCOL.md's error-code table.
  */
 JsonValue makeErrorCode(const std::string &id, const std::string &code,

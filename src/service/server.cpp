@@ -3,6 +3,7 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "pipeline/overrides.hpp"
@@ -18,31 +19,49 @@ namespace {
 /** EWMA weight of the newest service-time sample. */
 constexpr double kEwmaAlpha = 0.2;
 
+/** A job still running this long past its deadline is logged. */
+constexpr auto kStuckGrace = std::chrono::seconds(2);
+
+/**
+ * The stage whose span in @p trace holds the instant @p offset after
+ * the flow began ("" past the last stage). Stage spans under the root
+ * flow span run in sequence, so their summed seconds are their ends.
+ */
+std::string
+stageAt(const Trace &trace, std::chrono::duration<double> offset)
+{
+    const int flow = trace.find(Trace::kRoot, kFlowSpan);
+    if (flow < 0)
+        return "";
+    double end = 0.0;
+    for (const Trace::Node &node : trace.nodes()) {
+        if (node.parent != flow)
+            continue;
+        end += node.seconds;
+        if (offset.count() <= end)
+            return node.name;
+    }
+    return "";
+}
+
 /**
  * Streams FlowObserver events for one job as progress responses.
  * progressEvery: -1 = silent, 0 = stage events, N > 0 = stage events
- * plus every Nth placement iteration (see SubmitRequest). The stage /
- * iteration hooks feed the stuck-worker watchdog and fire regardless
- * of the progress level.
+ * plus every Nth placement iteration (see SubmitRequest).
  */
 class StreamObserver : public FlowObserver
 {
   public:
     StreamObserver(std::string id, int progress_every,
-                   std::function<void(const JsonValue &)> emit,
-                   std::function<void(const std::string &)> on_stage,
-                   std::function<void(int)> on_iteration)
+                   std::function<void(const JsonValue &)> emit)
         : id_(std::move(id)), progressEvery_(progress_every),
-          emit_(std::move(emit)), onStage_(std::move(on_stage)),
-          onIteration_(std::move(on_iteration))
+          emit_(std::move(emit))
     {
     }
 
     void
     onStageBegin(const FlowContext &, const std::string &stage) override
     {
-        if (onStage_)
-            onStage_(stage);
         if (progressEvery_ >= 0)
             emit_(makeStageBegin(id_, stage));
     }
@@ -58,8 +77,6 @@ class StreamObserver : public FlowObserver
     void
     onIteration(const FlowContext &, const PlaceProgress &progress) override
     {
-        if (onIteration_)
-            onIteration_(progress.iteration);
         if (progressEvery_ > 0 && progress.iteration % progressEvery_ == 0)
             emit_(makeIteration(id_, progress.iteration, progress.overflow,
                                 progress.hpwl));
@@ -69,8 +86,6 @@ class StreamObserver : public FlowObserver
     std::string id_;
     int progressEvery_;
     std::function<void(const JsonValue &)> emit_;
-    std::function<void(const std::string &)> onStage_;
-    std::function<void(int)> onIteration_;
 };
 
 } // namespace
@@ -95,7 +110,6 @@ PlacementServer::PlacementServer(ServerOptions options)
     for (int i = 0; i < n; ++i)
         workers_[static_cast<std::size_t>(i)]->thread =
             std::thread([this, i] { workerLoop(i); });
-    monitor_ = std::thread([this] { monitorLoop(); });
 }
 
 PlacementServer::~PlacementServer()
@@ -105,12 +119,9 @@ PlacementServer::~PlacementServer()
         stopping_ = true;
     }
     workAvailable_.notify_all();
-    monitorCv_.notify_all();
     for (auto &worker : workers_)
         if (worker->thread.joinable())
             worker->thread.join();
-    if (monitor_.joinable())
-        monitor_.join();
 }
 
 bool
@@ -144,23 +155,6 @@ PlacementServer::handleLine(const std::string &line,
             emit(sink, makeError(req.id, "no queued or running job '" +
                                              req.id + "'"));
         return true;
-
-    case Request::Type::Failpoint: {
-        if (!options_.enableFailpoints) {
-            emit(sink,
-                 makeErrorCode(req.id, "failpoints_disabled",
-                               "failpoint requests require the server "
-                               "to run with --enable-failpoints"));
-            return true;
-        }
-        std::string fperr;
-        if (Failpoints::instance().arm(req.failpointSite,
-                                       req.failpointSpec, &fperr))
-            emit(sink, makeAck(req.id));
-        else
-            emit(sink, makeError(req.id, fperr));
-        return true;
-    }
 
     case Request::Type::Shutdown:
         // Stop accepting *before* draining: a submit racing this
@@ -354,7 +348,7 @@ PlacementServer::workerLoop(int worker_index)
     Worker &self = *workers_[static_cast<std::size_t>(worker_index)];
     for (;;) {
         Job job;
-        bool deadlined = false;
+        std::optional<CancelToken::Clock::time_point> deadline;
         {
             std::unique_lock<std::mutex> lock(mu_);
             workAvailable_.wait(
@@ -367,30 +361,23 @@ PlacementServer::workerLoop(int worker_index)
             // mu_: once a cancel request can match this job, nothing
             // may wipe its token again (a late reset would turn an
             // acked cancel into a job that runs to completion).
-            self.session->cancelToken().reset();
-            self.runningId = job.request.id;
+            CancelToken &token = self.session->cancelToken();
+            token.reset();
             // The deadline clock measures execution, not queueing:
             // it starts here, at pickup.
             const double deadline_ms = job.request.deadlineMs > 0.0
                                            ? job.request.deadlineMs
                                            : options_.defaultDeadlineMs;
             if (deadline_ms > 0.0) {
-                deadlined = true;
-                self.hasDeadline = true;
-                self.deadlineFired = false;
-                self.stuckLogged = false;
-                self.deadline =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            deadline_ms));
+                deadline = CancelToken::Clock::now() +
+                           std::chrono::duration_cast<
+                               CancelToken::Clock::duration>(
+                               std::chrono::duration<double, std::milli>(
+                                   deadline_ms));
+                token.setDeadline(*deadline);
             }
-            self.lastStage.clear();
-            self.lastIteration.store(-1, std::memory_order_relaxed);
+            self.runningId = job.request.id;
         }
-        if (deadlined)
-            monitorCv_.notify_all();
 
         Timer timer;
         if (QPLACER_FAILPOINT("server.worker_pickup")) {
@@ -398,13 +385,12 @@ PlacementServer::workerLoop(int worker_index)
                                          "injected failure at failpoint "
                                          "'server.worker_pickup'"));
         } else {
-            runJob(worker_index, job);
+            runJob(worker_index, job, deadline);
         }
         const double service_ms = timer.seconds() * 1000.0;
         {
             std::lock_guard<std::mutex> lock(mu_);
             self.runningId.clear();
-            self.hasDeadline = false;
             ++completed_;
             ewmaServiceMs_ = hasServiceSample_
                                  ? kEwmaAlpha * service_ms +
@@ -413,75 +399,16 @@ PlacementServer::workerLoop(int worker_index)
             hasServiceSample_ = true;
         }
         workDone_.notify_all();
-        monitorCv_.notify_all();
     }
 }
 
 void
-PlacementServer::monitorLoop()
+PlacementServer::runJob(
+    int worker_index, Job &job,
+    std::optional<CancelToken::Clock::time_point> deadline)
 {
-    // Watchdog grace: a deadline-cancelled job still running this long
-    // after its token fired gets its stage/iteration logged (a stage
-    // that does not poll its CancelToken).
-    constexpr double kStuckGraceMs = 2000.0;
-    using Clock = std::chrono::steady_clock;
-    const auto grace = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(kStuckGraceMs));
-
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stopping_) {
-        // Earliest pending event: a deadline not yet fired, or the
-        // watchdog check of a fired deadline whose job is still
-        // running.
-        Clock::time_point next = Clock::time_point::max();
-        for (const auto &worker : workers_) {
-            if (!worker->hasDeadline)
-                continue;
-            if (!worker->deadlineFired)
-                next = std::min(next, worker->deadline);
-            else if (!worker->stuckLogged)
-                next = std::min(next, worker->deadline + grace);
-        }
-        if (next == Clock::time_point::max()) {
-            monitorCv_.wait(lock);
-            continue;
-        }
-        monitorCv_.wait_until(lock, next);
-        if (stopping_)
-            break;
-
-        const Clock::time_point now = Clock::now();
-        for (const auto &worker : workers_) {
-            if (!worker->hasDeadline || worker->runningId.empty())
-                continue;
-            if (!worker->deadlineFired && now >= worker->deadline) {
-                worker->deadlineFired = true;
-                worker->session->cancelToken().cancel();
-                if (options_.logging)
-                    inform("server: job '" + worker->runningId +
-                           "' deadline expired; cancelling");
-            } else if (worker->deadlineFired && !worker->stuckLogged &&
-                       now >= worker->deadline + grace) {
-                worker->stuckLogged = true;
-                warn(str("server: job '", worker->runningId,
-                         "' still running ", kStuckGraceMs,
-                         " ms after its deadline fired (stage=",
-                         worker->lastStage.empty() ? "?"
-                                                   : worker->lastStage,
-                         ", iteration=",
-                         worker->lastIteration.load(
-                             std::memory_order_relaxed),
-                         "); stage may not poll its cancel token"));
-            }
-        }
-    }
-}
-
-void
-PlacementServer::runJob(int worker_index, Job &job)
-{
-    Worker &self = *workers_[static_cast<std::size_t>(worker_index)];
-    PlacementSession &session = *self.session;
+    PlacementSession &session =
+        *workers_[static_cast<std::size_t>(worker_index)]->session;
     const SubmitRequest &req = job.request;
 
     FlowParams params;
@@ -527,16 +454,9 @@ PlacementServer::runJob(int worker_index, Job &job)
 
     StreamObserver observer(
         req.id, req.progressEvery,
-        [this, &job](const JsonValue &v) { emit(job.sink, v); },
-        [this, &self](const std::string &stage) {
-            std::lock_guard<std::mutex> lock(mu_);
-            self.lastStage = stage;
-        },
-        [&self](int iteration) {
-            self.lastIteration.store(iteration,
-                                     std::memory_order_relaxed);
-        });
+        [this, &job](const JsonValue &v) { emit(job.sink, v); });
     session.setObserver(&observer); // Token was reset in workerLoop.
+    const auto flow_start = CancelToken::Clock::now();
     FlowResult result;
     if (prior) {
         NetlistDelta delta;
@@ -553,17 +473,22 @@ PlacementServer::runJob(int worker_index, Job &job)
     }
     session.setObserver(nullptr);
 
-    // A cancel triggered by the deadline monitor reports distinctly
-    // from a client cancel. A job that still finished Ok keeps its Ok
-    // (the work is done; no reason to discard it).
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (self.deadlineFired &&
-            result.status.code == FlowCode::Cancelled) {
-            result.status.code = FlowCode::DeadlineExceeded;
-            result.status.message =
-                "deadline exceeded (" + result.status.message + ")";
-        }
+    // A stop at the deadline reports distinctly from a client cancel.
+    // A job that still finished Ok keeps its Ok (the work is done; no
+    // reason to discard it).
+    if (result.status.code == FlowCode::Cancelled &&
+        session.cancelToken().expired()) {
+        result.status.code = FlowCode::DeadlineExceeded;
+        result.status.message =
+            "deadline exceeded (" + result.status.message + ")";
+    }
+    if (deadline && CancelToken::Clock::now() > *deadline + kStuckGrace) {
+        const std::string stage =
+            stageAt(result.trace, *deadline - flow_start);
+        warn(str("server: job '", req.id, "' returned more than ",
+                 kStuckGrace.count(), " s after its deadline (stage=",
+                 stage.empty() ? "?" : stage,
+                 "); stage may not poll its cancel token"));
     }
 
     if (result.status.ok()) {

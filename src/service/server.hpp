@@ -23,18 +23,20 @@
  *    rejected with a structured "overloaded" error carrying the queue
  *    depth and an EWMA-of-service-time retry hint.
  *  - Per-job deadlines ("deadline_ms" on submit, or
- *    ServerOptions::defaultDeadlineMs): a monitor thread cancels the
- *    job when its *execution* clock expires and the result reports
- *    status "deadline_exceeded" (distinct from a client cancel). If
- *    the worker has not stopped 2 s after the deadline fired a
- *    watchdog logs the stage/iteration it is stuck in.
+ *    ServerOptions::defaultDeadlineMs): the worker sets the deadline
+ *    on its session's CancelToken at pickup, so the clock measures
+ *    execution, not queueing. The job stops at its first cancellation
+ *    poll past the deadline and reports status "deadline_exceeded"
+ *    (distinct from a client cancel). A job that returns more than
+ *    2 s past its deadline is logged with the stage its trace places
+ *    the deadline in (a stage that does not poll its token).
  *  - Shutdown flips the server to non-accepting first, so a submit
  *    racing a shutdown gets a deterministic "shutting_down" error
  *    instead of a job that may never report.
  *  - Failpoint sites (util/failpoint.hpp) at queue admission, worker
- *    pickup, prior capture, and response emission; armed only via
- *    QPLACER_FAILPOINTS / the "failpoint" request behind
- *    ServerOptions::enableFailpoints.
+ *    pickup, prior capture, and response emission; armed in-process
+ *    (Failpoints::arm, the tests) or by qplacer_server from
+ *    QPLACER_FAILPOINTS under --enable-failpoints.
  *
  * Determinism contract: a job's layout depends on its seed and
  * parameters, never on the thread count, so a stream of concurrent
@@ -48,13 +50,12 @@
 #ifndef QPLACER_SERVICE_SERVER_HPP
 #define QPLACER_SERVICE_SERVER_HPP
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +64,7 @@
 #include "service/prior_store.hpp"
 #include "service/protocol.hpp"
 #include "topology/topology.hpp"
+#include "util/cancel.hpp"
 
 namespace qplacer {
 
@@ -108,13 +110,6 @@ struct ServerOptions
      * none.
      */
     double defaultDeadlineMs = 0.0;
-
-    /**
-     * Honor "failpoint" protocol requests. Off by default; the
-     * transport (qplacer_server --enable-failpoints) also gates the
-     * QPLACER_FAILPOINTS environment variable on this.
-     */
-    bool enableFailpoints = false;
 
     /** Emit inform() lines for job lifecycle events (stderr). */
     bool logging = false;
@@ -189,20 +184,13 @@ class PlacementServer
         std::unique_ptr<PlacementSession> session;
         std::thread thread;
         std::string runningId; ///< Guarded by mu_.
-
-        // Deadline + watchdog state, guarded by mu_ except where
-        // noted. Valid while runningId is set and hasDeadline is true.
-        bool hasDeadline = false;
-        bool deadlineFired = false; ///< Monitor cancelled the job.
-        bool stuckLogged = false;   ///< Watchdog warning emitted.
-        std::chrono::steady_clock::time_point deadline{};
-        std::string lastStage; ///< Last stage begun (mu_).
-        std::atomic<int> lastIteration{-1}; ///< Last placer iteration.
     };
 
     void workerLoop(int worker_index);
-    void monitorLoop();
-    void runJob(int worker_index, Job &job);
+
+    /** Run @p job; @p deadline is the one set on the session's token. */
+    void runJob(int worker_index, Job &job,
+                std::optional<CancelToken::Clock::time_point> deadline);
     void emit(const ResponseSink &sink, const JsonValue &response);
 
     /** Jobs currently executing on workers (under mu_). */
@@ -219,10 +207,8 @@ class PlacementServer
     mutable std::mutex mu_; ///< Queue, worker state, counters.
     std::condition_variable workAvailable_;
     std::condition_variable workDone_;
-    std::condition_variable monitorCv_;
     std::deque<Job> queue_;
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::thread monitor_;
     bool stopping_ = false;
     bool accepting_ = true; ///< Cleared when shutdown is requested.
     int completed_ = 0;

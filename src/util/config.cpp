@@ -82,17 +82,4 @@ Config::envInt(const std::string &name, long long fallback)
     return v;
 }
 
-double
-Config::envDouble(const std::string &name, double fallback)
-{
-    const char *env = std::getenv(name.c_str());
-    if (!env)
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || *end != '\0')
-        return fallback;
-    return v;
-}
-
 } // namespace qplacer

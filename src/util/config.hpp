@@ -45,9 +45,6 @@ class Config
      */
     static long long envInt(const std::string &name, long long fallback);
 
-    /** Environment double override. */
-    static double envDouble(const std::string &name, double fallback);
-
   private:
     std::map<std::string, std::string> values_;
 };

@@ -17,10 +17,9 @@
  *                  output is flushed first so every response the
  *                  daemon already emitted stays observable.
  *
- * Arming happens either programmatically (tests), from the
+ * Arming happens either programmatically (tests) or from the
  * QPLACER_FAILPOINTS environment variable ("site=error;other=delay(50)",
- * read by qplacer_server under --enable-failpoints), or over the wire
- * via the protocol's "failpoint" request (same gate).
+ * read by qplacer_server under --enable-failpoints).
  *
  * Cost when disarmed: QPLACER_FAILPOINT() is a single relaxed atomic
  * load of a process-wide counter -- no lock, no map lookup, no string

@@ -11,7 +11,6 @@
 #define QPLACER_UTIL_RNG_HPP
 
 #include <cstdint>
-#include <vector>
 
 namespace qplacer {
 
@@ -46,17 +45,6 @@ class Rng
 
     /** Normal with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
-
-    /** Fisher-Yates shuffle of a vector. */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &v)
-    {
-        for (std::size_t i = v.size(); i > 1; --i) {
-            const std::size_t j = below(i);
-            std::swap(v[i - 1], v[j]);
-        }
-    }
 
   private:
     std::uint64_t s_[4];

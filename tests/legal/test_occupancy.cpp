@@ -57,9 +57,10 @@ TEST(Occupancy, OwnerQueries)
 {
     OccupancyGrid grid(Rect(0, 0, 1000, 1000), 100);
     grid.occupy(Rect(200, 200, 400, 400), 5);
-    EXPECT_EQ(grid.ownerAt({250, 250}), 5);
-    EXPECT_EQ(grid.ownerAt({50, 50}), -1);
-    EXPECT_EQ(grid.ownerAt({5000, 50}), -1);
+    // One-cell probes: the occupied cell, a free one, one off-grid.
+    EXPECT_FALSE(grid.canPlace(Rect(200, 200, 300, 300)));
+    EXPECT_TRUE(grid.canPlace(Rect(0, 0, 100, 100)));
+    EXPECT_FALSE(grid.canPlace(Rect(5000, 0, 5100, 100)));
 
     grid.occupy(Rect(400, 200, 600, 400), 6);
     const auto owners = grid.ownersIn(Rect(100, 100, 700, 500));

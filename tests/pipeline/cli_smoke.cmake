@@ -155,6 +155,12 @@ string(FIND "${set_folio_json}" "\"portfolio\":{\"seeds\":3," found)
 if(found EQUAL -1)
     message(FATAL_ERROR "--set portfolio.seeds=3 ran no 3-seed portfolio:\n${set_folio_json}")
 endif()
+# The report's aggregate carries the CLI's own peak RSS (VmHWM, kB).
+string(JSON peak_rss_kb ERROR_VARIABLE json_err
+       GET "${set_folio_json}" aggregate peak_rss_kb)
+if(json_err OR NOT peak_rss_kb MATCHES "^[1-9][0-9]*$")
+    message(FATAL_ERROR "no positive aggregate.peak_rss_kb (${json_err}):\n${set_folio_json}")
+endif()
 execute_process(
     COMMAND "${QPLACER_CLI}" --topology grid3x3 --set portfolio.seeds=2
             --jobs 2 --quiet

@@ -3,8 +3,8 @@
  * Production-hardening tests over the in-process loopback: overload
  * shedding with structured backoff, per-job and default deadlines
  * reporting "deadline_exceeded", the shutdown-vs-submit race, load
- * reporting in pong, failpoint request gating + injected admission
- * failures, and crash-safe prior persistence across a server restart.
+ * reporting in pong, injected admission and capture failures, and
+ * crash-safe prior persistence across a server restart.
  */
 
 #include <gtest/gtest.h>
@@ -293,45 +293,26 @@ TEST(Robustness, PongReportsQueueDepthAndActiveJobs)
     EXPECT_EQ(pong.find("active_jobs")->asInt(), 0);
 }
 
-TEST(Robustness, FailpointRequestsAreGated)
+TEST(Robustness, AdmissionFailpointInjectsUntilDisarmed)
 {
     FailpointGuard guard;
-    {
-        Loopback client; // Default: failpoints disabled.
-        EXPECT_TRUE(client.send(
-            R"({"type":"failpoint","id":"f1","site":"server.queue_admission","action":"error"})"));
-        const JsonValue rejection = client.errorFor("f1");
-        ASSERT_FALSE(rejection.isNull());
-        EXPECT_EQ(rejection.find("code")->asString(),
-                  "failpoints_disabled");
-        EXPECT_FALSE(Failpoints::anyArmed());
-    }
-
-    ServerOptions options;
-    options.enableFailpoints = true;
-    Loopback client(options);
-    EXPECT_TRUE(client.send(
-        R"({"type":"failpoint","id":"f2","site":"server.queue_admission","action":"error"})"));
-    EXPECT_EQ(client.count("ack", "f2"), 1);
+    Loopback client;
+    ASSERT_TRUE(
+        Failpoints::instance().arm("server.queue_admission", "error"));
 
     // The armed site injects a structured admission failure.
     EXPECT_TRUE(client.send(submitLine("doomed", "grid3x3", 1, 40)));
     const JsonValue injected = client.errorFor("doomed");
     ASSERT_FALSE(injected.isNull());
     EXPECT_EQ(injected.find("code")->asString(), "injected");
+    EXPECT_EQ(client.count("ack", "doomed"), 0);
     EXPECT_EQ(client.count("result", "doomed"), 0);
 
-    // Disarming over the wire restores normal service.
-    EXPECT_TRUE(client.send(
-        R"({"type":"failpoint","id":"f3","site":"server.queue_admission","action":"off"})"));
+    // Disarming restores normal service.
+    Failpoints::instance().disarm("server.queue_admission");
     EXPECT_TRUE(client.send(submitLine("fine", "grid3x3", 1, 40)));
     client.server().drain();
     EXPECT_EQ(statusCode(client.resultFor("fine")), "ok");
-
-    // A malformed action is rejected with a parse error.
-    EXPECT_TRUE(client.send(
-        R"({"type":"failpoint","id":"f4","site":"x","action":"delay"})"));
-    EXPECT_EQ(client.count("ack", "f4"), 0);
 }
 
 TEST(Robustness, InjectedCaptureFailureDegradesGracefully)

@@ -67,10 +67,6 @@ TEST(Config, EnvOverrides)
     EXPECT_EQ(Config::envInt("QP_TEST_ENV_INT", 0), 123);
     ::unsetenv("QP_TEST_ENV_INT");
     EXPECT_EQ(Config::envInt("QP_TEST_ENV_INT", 55), 55);
-
-    ::setenv("QP_TEST_ENV_DBL", "0.25", 1);
-    EXPECT_DOUBLE_EQ(Config::envDouble("QP_TEST_ENV_DBL", 0.0), 0.25);
-    ::unsetenv("QP_TEST_ENV_DBL");
 }
 
 TEST(Config, MalformedEnvFallsBack)

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "util/rng.hpp"
 
 namespace qplacer {
@@ -86,17 +84,6 @@ TEST(Rng, GaussianMoments)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.02);
     EXPECT_NEAR(sq / n, 1.0, 0.03);
-}
-
-TEST(Rng, ShuffleIsPermutation)
-{
-    Rng rng(9);
-    std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-    rng.shuffle(v);
-    std::vector<int> sorted = v;
-    std::sort(sorted.begin(), sorted.end());
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(sorted[i], i);
 }
 
 TEST(Rng, BelowZeroPanics)

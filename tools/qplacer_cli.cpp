@@ -18,8 +18,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
+#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -388,6 +391,21 @@ fidelityBenchmarkFor(const Topology &topo)
 }
 
 /**
+ * This process's peak resident set in kB: VmHWM from
+ * /proc/self/status, or nothing where that file cannot be read.
+ */
+std::optional<std::int64_t>
+peakRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtoll(line.c_str() + 6, nullptr, 10);
+    return std::nullopt;
+}
+
+/**
  * Machine-readable flow report (--report json): the batch envelope of
  * the versioned qplacer.flow_report/1 schema around one jobReportJson
  * object per job, each with its bv fidelity proxy filled in.
@@ -435,6 +453,10 @@ printReportJson(std::ostream &os, const Topology &topo,
                                         ? static_cast<double>(num_jobs) /
                                               wall_seconds
                                         : 0.0));
+    // Read last, after the fidelity evaluations: the program's own
+    // high-water mark, not that of whatever launched it.
+    if (const auto rss = peakRssKb())
+        aggregate.set("peak_rss_kb", JsonValue::number(*rss));
 
     JsonValue report = JsonValue::object();
     report.set("schema", JsonValue::string("qplacer.flow_report/1"));

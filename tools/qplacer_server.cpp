@@ -106,7 +106,7 @@ Options:
                  discarded and answered with a "line_too_long" error
                  (default 8388608 = 8 MiB).
   --enable-failpoints
-                 Honor "failpoint" protocol requests and the
+                 Arm the failpoint sites listed in the
                  QPLACER_FAILPOINTS environment variable
                  ("site=error;site2=delay(50);site3=crash") for fault
                  injection. Never enable in production.
@@ -182,7 +182,6 @@ engineOptions(const ServerCliOptions &opts)
     options.snapshotEvery = opts.snapshotEvery;
     options.maxQueue = opts.maxQueue;
     options.defaultDeadlineMs = opts.defaultDeadlineMs;
-    options.enableFailpoints = opts.enableFailpoints;
     options.logging = !opts.quiet;
     return options;
 }
@@ -419,8 +418,8 @@ serverMain(int argc, char **argv)
     if (opts.quiet)
         Logger::instance().setLevel(LogLevel::Warn);
 
-    // Fault injection from the environment, same gate as the protocol
-    // request. A malformed list is a hard error: silently running
+    // Fault injection from the environment, behind its own flag. A
+    // malformed list is a hard error: silently running
     // without the faults a test asked for would pass vacuously.
     if (const char *env = std::getenv("QPLACER_FAILPOINTS")) {
         if (opts.enableFailpoints) {
